@@ -350,7 +350,9 @@ def subspace_to_json(v: Subspace) -> dict:
 
 def subspace_from_json(data: dict) -> Subspace:
     """Parse and re-canonicalize; rank-deficient bases are rejected."""
-    n, k = int(data["n"]), int(data["k"])
+    if not isinstance(data, dict):
+        raise ValueError("a subspace must be an object with 'n', 'k' and 'basis'")
+    n, k = linalg._wire_int(data["n"]), linalg._wire_int(data["k"])
     basis = linalg.matrix_from_json(data["basis"])
     sub = canonicalize(basis, n)
     if sub.k != k:
@@ -368,6 +370,9 @@ def configuration_to_json(c: Configuration) -> dict:
 
 
 def configuration_from_json(data: dict) -> Configuration:
+    """Parse a configuration; malformed data raises ValueError."""
+    if not isinstance(data, dict) or not isinstance(data.get("points"), list):
+        raise ValueError("a configuration must be an object with a 'points' list")
     points = tuple(subspace_from_json(p) for p in data["points"])
-    cfg = Configuration(int(data["h"]), int(data["k"]), int(data["n"]), points)
-    return cfg
+    h, k, n = (linalg._wire_int(data[key]) for key in ("h", "k", "n"))
+    return Configuration(h, k, n, points)

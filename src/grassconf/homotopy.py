@@ -258,18 +258,10 @@ def config_pi1(s: StratumId) -> GroupExpr:
 
     Zero for k > 1 on every nonempty stratum.  For k = 1 only the open
     stratum is tabulated: the sphere braid group when n = 2, zero when
-    n differs from hk, Unknown otherwise.
+    n differs from hk, Unknown otherwise.  The value is read off derive,
+    whose rules are the single source of this case analysis.
     """
-    _require_nonempty(s)
-    if s.h == 1:
-        return TRIVIAL
-    if s.k > 1:
-        return TRIVIAL
-    if s.n == 2:
-        return PureSphereBraid(s.h)
-    if s.i == min(s.n, s.h) and s.n != s.h:
-        return TRIVIAL
-    return Unknown(PI1_LINE_CASE)
+    return derive(s, 1)[0]
 
 
 def config_unordered_pi1(s: StratumId) -> GroupExpr:
@@ -286,16 +278,10 @@ def config_pi2(s: StratumId) -> GroupExpr:
 
     Direct-sum strata (i = hk) give Z^{h-1} when n = hk and Z^h when
     n > hk; pairs (h = 2) with i < 2k give Z^2 when i = n and Z^3 when
-    i < n.  Everything else is a typed Unknown.
+    i < n.  Everything else is a typed Unknown.  The value is read off
+    derive, whose rules are the single source of this case analysis.
     """
-    _require_nonempty(s)
-    if s.k == 1:
-        raise OutOfScopeError("pi_2 for line configurations (k = 1) is out of scope")
-    if s.i == s.h * s.k:
-        return free_abelian(s.h - 1) if s.n == s.i else free_abelian(s.h)
-    if s.h == 2:
-        return free_abelian(2) if s.i == s.n else free_abelian(3)
-    return Unknown(PI2_UNCOVERED)
+    return derive(s, 2)[0]
 
 
 # ---------------------------------------------------------------------------

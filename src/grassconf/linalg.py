@@ -2,7 +2,11 @@
 
 Every rank decision in this package is made here, over an exact field:
 complex numbers whose real and imaginary parts are arbitrary-precision
-rationals.  All values are immutable and all operations are pure, so the
+rationals.  One elimination routine serves the whole package:
+_integer_rref, a fraction-free Gauss-Jordan elimination over the Gaussian
+integers Z[i].  rref, and through it rank, kernel, solve and invert, scale
+each row to Z[i] and divide by the common pivot only when building the
+result.  All values are immutable and all operations are pure, so the
 module is safe to use from multiple threads without coordination.
 
 >>> a = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
@@ -14,12 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import InconsistentSystemError
 
 Rationalish = Union[int, Fraction]
 Scalarish = Union[int, Fraction, "GaussianRational"]
+GInt = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -248,42 +254,105 @@ class RrefResult(NamedTuple):
     pivots: tuple[int, ...]
 
 
-def rref(m: Matrix) -> RrefResult:
-    """Reduced row echelon form by Gauss-Jordan elimination.
+def _integer_rows(m: Matrix) -> list[list[GInt]]:
+    """Scale each row by the lcm of its denominators: Gaussian-integer
+    entries, same row space."""
+    rows = []
+    for row in m.entries:
+        scale = 1
+        for e in row:
+            for den in (e.re.denominator, e.im.denominator):
+                scale = scale * den // gcd(scale, den)
+        rows.append([
+            (e.re.numerator * (scale // e.re.denominator),
+             e.im.numerator * (scale // e.im.denominator))
+            for e in row
+        ])
+    return rows
 
-    Over an exact field the first nonzero entry is always an acceptable
-    pivot; no size heuristics are involved.  The result is the unique RREF
-    of the row space, so two matrices have equal row spaces iff their
-    reduced forms agree entrywise.
+
+def _gdot(u: Sequence[GInt], v: Sequence[GInt]) -> GInt:
+    """Sum of the products u[l] * v[l] in Z[i]."""
+    re = im = 0
+    for (ar, ai), (br, bi) in zip(u, v):
+        re += ar * br - ai * bi
+        im += ar * bi + ai * br
+    return (re, im)
+
+
+def _integer_rref(grid: list[list[GInt]]) -> tuple[GInt, tuple[int, ...]]:
+    """Fraction-free Gauss-Jordan elimination over Z[i], in place.
+
+    Each step multiplies every other row by the new pivot p, subtracts the
+    matching multiple of the pivot row, and divides by the previous pivot;
+    by Sylvester's identity every entry stays a minor of the input, so the
+    division is exact (Bareiss, Math. Comp. 22, 1968).  Afterwards the
+    first rank rows are d times the reduced row echelon form, d the last
+    pivot, and the remaining rows are zero.  Returns (d, pivot columns);
+    d = 1 when the input is zero.
     """
-    grid = [list(row) for row in m.entries]
-    n_rows, n_cols = m.rows, m.cols
+    n_rows = len(grid)
+    n_cols = len(grid[0]) if grid else 0
+    prev_re, prev_im = 1, 0
     pivots: list[int] = []
     piv_r = 0
     for col in range(n_cols):
         sel = None
         for r in range(piv_r, n_rows):
-            if not grid[r][col].is_zero():
+            if grid[r][col] != (0, 0):
                 sel = r
                 break
         if sel is None:
             continue
         grid[piv_r], grid[sel] = grid[sel], grid[piv_r]
-        inv = ONE / grid[piv_r][col]
-        grid[piv_r] = [inv * e for e in grid[piv_r]]
+        prow = grid[piv_r]
+        p_re, p_im = prow[col]
+        # x / prev = x * conj(prev) / |prev|^2; conj(prev) is folded into
+        # both multipliers, leaving one exact integer division per part
+        norm = prev_re * prev_re + prev_im * prev_im
+        s_re, s_im = p_re * prev_re + p_im * prev_im, p_im * prev_re - p_re * prev_im
         for r in range(n_rows):
-            if r == piv_r:
+            row = grid[r]
+            f_re, f_im = row[col]
+            if r == piv_r or (not (f_re or f_im) and (p_re, p_im) == (prev_re, prev_im)):
                 continue
-            factor = grid[r][col]
-            if factor.is_zero():
-                continue
-            grid[r] = [a - factor * b for a, b in zip(grid[r], grid[piv_r])]
+            f_re, f_im = f_re * prev_re + f_im * prev_im, f_im * prev_re - f_re * prev_im
+            grid[r] = [
+                ((s_re * a_re - s_im * a_im - f_re * b_re + f_im * b_im) // norm,
+                 (s_re * a_im + s_im * a_re - f_re * b_im - f_im * b_re) // norm)
+                for (a_re, a_im), (b_re, b_im) in zip(row, prow)
+            ]
+        prev_re, prev_im = p_re, p_im
         pivots.append(col)
         piv_r += 1
         if piv_r == n_rows:
             break
-    reduced = Matrix(n_rows, n_cols, tuple(tuple(row) for row in grid))
-    return RrefResult(reduced, len(pivots), tuple(pivots))
+    return (prev_re, prev_im), tuple(pivots)
+
+
+def rref(m: Matrix) -> RrefResult:
+    """Reduced row echelon form, computed by _integer_rref.
+
+    Over an exact ring the first nonzero entry is always an acceptable
+    pivot; no size heuristics are involved.  The result is the unique RREF
+    of the row space, so two matrices have equal row spaces iff their
+    reduced forms agree entrywise.
+    """
+    grid = _integer_rows(m)
+    (d_re, d_im), pivots = _integer_rref(grid)
+    # e / d = e * conj(d) / |d|^2
+    norm = d_re * d_re + d_im * d_im
+    reduced = tuple(
+        tuple(
+            GaussianRational(
+                Fraction(e_re * d_re + e_im * d_im, norm),
+                Fraction(e_im * d_re - e_re * d_im, norm),
+            ) if e_re or e_im else ZERO
+            for e_re, e_im in row
+        )
+        for row in grid
+    )
+    return RrefResult(Matrix(m.rows, m.cols, reduced), len(pivots), pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -344,10 +413,6 @@ def is_invertible(m: Matrix) -> bool:
     return m.rows == m.cols and rank(m) == m.rows
 
 
-def _int_str(value: int) -> str:
-    return str(value)
-
-
 def matrix_to_json(m: Matrix) -> dict:
     """Wire form: integer components as decimal strings, row-major.
 
@@ -357,23 +422,34 @@ def matrix_to_json(m: Matrix) -> dict:
     for row in m.entries:
         for e in row:
             entries.append([
-                _int_str(e.re.numerator), _int_str(e.re.denominator),
-                _int_str(e.im.numerator), _int_str(e.im.denominator),
+                str(e.re.numerator), str(e.re.denominator),
+                str(e.im.numerator), str(e.im.denominator),
             ])
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 
+def _wire_int(value) -> int:
+    """A wire-format integer: a JSON integer or a decimal string."""
+    if not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def matrix_from_json(data: dict) -> Matrix:
-    rows, cols = int(data["rows"]), int(data["cols"])
+    """Parse the wire form; malformed data raises ValueError."""
+    if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
+        raise ValueError("a matrix must be an object with an 'entries' list")
+    rows, cols = _wire_int(data["rows"]), _wire_int(data["cols"])
     raw = data["entries"]
     if len(raw) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(raw)}")
-    flat = [
-        GaussianRational(
-            Fraction(int(q[0]), int(q[1])),
-            Fraction(int(q[2]), int(q[3])),
-        )
-        for q in raw
-    ]
+    flat = []
+    for q in raw:
+        if not isinstance(q, list) or len(q) != 4:
+            raise ValueError(f"entry {q!r} is not [re_num, re_den, im_num, im_den]")
+        re_num, re_den, im_num, im_den = (_wire_int(x) for x in q)
+        if not (re_den and im_den):
+            raise ValueError(f"entry {q!r} has a zero denominator")
+        flat.append(GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den)))
     grid = tuple(tuple(flat[r * cols:(r + 1) * cols]) for r in range(rows))
     return Matrix(rows, cols, grid)

@@ -7,7 +7,9 @@ Three batch checks back the exact layer:
   rank twice the predicted complex dimension i(n-i) + hk(i-k).
 * check_adjacency produces an exact witness arbitrarily close to a given
   configuration inside a higher stratum, and confirms that small exact
-  perturbations never lower the stratum.
+  perturbations never lower the stratum.  Its chart metric compares
+  orthogonal projectors as Gaussian-integer matrices over a positive
+  integer, each from one call of the linalg elimination kernel.
 * run_roundtrip_suite exercises the gamma/pr/eta trivializations on
   seeded samples, entrywise over Q(i).
 
@@ -20,7 +22,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -29,7 +30,7 @@ from . import fibrations, grassmann, linalg
 from .errors import EmptyStratumError, GrassconfError, UnreachableError
 from .fibrations import Trivialization
 from .grassmann import Configuration, StratumId, Subspace
-from .linalg import GaussianRational, Matrix
+from .linalg import GaussianRational, GInt, Matrix
 
 SeedLike = Union[int, str]
 
@@ -69,111 +70,32 @@ class VerificationReport:
 # exact chart metric
 
 
-def orthogonal_projector(v: Subspace) -> Matrix:
-    """Hermitian idempotent with image v, exact over Q(i)."""
-    b = v.basis
-    bh = b.conjugate_transpose()
-    gram = b @ bh
-    return bh @ linalg.invert(gram) @ b
-
-
-# The metric itself runs on scaled Gaussian-integer arithmetic: for an
-# integer row basis B the projector is B^H adj(B B^H) B / det(B B^H), a
-# Gaussian-integer matrix over a positive integer, so distance comparisons
-# never touch Fraction normalization (the hot path of the perturbation
-# suites).  Entries are (re, im) integer pairs.
-
-GInt = tuple[int, int]
-
-
-def _gadd(a: GInt, b: GInt) -> GInt:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _gsub(a: GInt, b: GInt) -> GInt:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _gmul(a: GInt, b: GInt) -> GInt:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gdet(grid: list[list[GInt]]) -> GInt:
-    size = len(grid)
-    if size == 0:
-        return (1, 0)
-    if size == 1:
-        return grid[0][0]
-    total = (0, 0)
-    for col in range(size):
-        entry = grid[0][col]
-        if entry == (0, 0):
-            continue
-        minor = [[row[c] for c in range(size) if c != col] for row in grid[1:]]
-        term = _gmul(entry, _gdet(minor))
-        total = _gadd(total, term) if col % 2 == 0 else _gsub(total, term)
-    return total
-
-
-def _gsum(terms) -> GInt:
-    re = im = 0
-    for t in terms:
-        re += t[0]
-        im += t[1]
-    return (re, im)
-
-
-def _integer_rows(basis: Matrix) -> list[list[GInt]]:
-    """Row-scale the basis to Gaussian-integer entries (same row space)."""
-    rows = []
-    for row in basis.entries:
-        scale = 1
-        for e in row:
-            for den in (e.re.denominator, e.im.denominator):
-                scale = scale * den // gcd(scale, den)
-        rows.append([(int(e.re * scale), int(e.im * scale)) for e in row])
-    return rows
+# The metric runs on scaled Gaussian-integer arithmetic: for an integer
+# row basis B the orthogonal projector is N / d with N = B^H adj(G) B,
+# G = B B^H and d = det G, so distance comparisons never touch Fraction
+# normalization (the hot path of the perturbation suites).
 
 
 def _integer_projector(basis: Matrix) -> tuple[list[list[GInt]], int]:
     """(N, d) with orthogonal projector N / d; d > 0 iff the rows are
-    independent (d = 0 signals a rank drop)."""
-    rows = _integer_rows(basis)
-    k, n = len(rows), len(rows[0])
-    conj = [[(e[0], -e[1]) for e in row] for row in rows]
-    gram = [
-        [_gsum(_gmul(rows[a][l], conj[b][l]) for l in range(n)) for b in range(k)]
-        for a in range(k)
-    ]
-    det = _gdet(gram)
-    if det[1] != 0:
-        raise ArithmeticError("Gram determinant must be real")
-    if det[0] == 0:
+    independent (d = 0 signals a rank drop).
+
+    One elimination of [G | B] leaves [d I | d G^-1 B] with d = det G:
+    G is positive definite, so its leading minors are the pivots.
+    """
+    rows = linalg._integer_rows(basis)
+    k = len(rows)
+    conj = [[(re, -im) for re, im in row] for row in rows]
+    grid = [[linalg._gdot(a, b) for b in conj] + a for a in rows]
+    (d, d_im), pivots = linalg._integer_rref(grid)
+    # rank [G | B] = rank B, so a rank drop shows as fewer than k pivots
+    if len(pivots) < k:
         return [], 0
-    adj = []
-    for a in range(k):
-        adj_row = []
-        for b in range(k):
-            minor = [
-                [gram[r][c] for c in range(k) if c != a]
-                for r in range(k) if r != b
-            ]
-            cof = _gdet(minor)
-            if (a + b) % 2:
-                cof = (-cof[0], -cof[1])
-            adj_row.append(cof)
-        adj.append(adj_row)
-    bh_adj = [
-        [_gsum(_gmul(conj[r][a], adj[r][b]) for r in range(k)) for b in range(k)]
-        for a in range(n)
-    ]
-    numerator = [
-        [_gsum(_gmul(bh_adj[a][r], rows[r][b]) for r in range(k)) for b in range(n)]
-        for a in range(n)
-    ]
-    if det[0] < 0:
-        numerator = [[(-e[0], -e[1]) for e in row] for row in numerator]
-    return numerator, abs(det[0])
+    if d_im or d <= 0:
+        raise ArithmeticError("Gram determinant must be real and positive")
+    solved = list(zip(*(row[k:] for row in grid)))
+    numerator = [[linalg._gdot(ca, sb) for sb in solved] for ca in zip(*conj)]
+    return numerator, d
 
 
 def _projector_gap(na, da, nb, db) -> int:

@@ -1,7 +1,8 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the library's elimination code paths: rank is
-decided by brute-force minor determinants (Laplace expansion), so the
+decided by brute-force minor determinants (Laplace expansion), reduced
+forms by textbook Gauss-Jordan elimination on field elements, so the
 oracle and the implementation can only agree by computing the same truth.
 """
 
@@ -11,7 +12,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from grassconf.linalg import ZERO, GaussianRational, Matrix
+from grassconf.grassmann import Subspace
+from grassconf.linalg import ONE, ZERO, GaussianRational, Matrix
 
 
 def det_laplace(grid: list[list[GaussianRational]]) -> GaussianRational:
@@ -68,3 +70,54 @@ def rand_rank_deficient(rows: int, cols: int, target_rank: int, rng: random.Rand
     left = rand_matrix(rows, target_rank, rng)
     right = rand_matrix(target_rank, cols, rng)
     return left @ right
+
+
+def rref_reference(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
+    """Gauss-Jordan elimination with a division per pivot, over Q(i)."""
+    grid = [list(row) for row in m.entries]
+    n_rows, n_cols = m.rows, m.cols
+    pivots: list[int] = []
+    piv_r = 0
+    for col in range(n_cols):
+        sel = None
+        for r in range(piv_r, n_rows):
+            if not grid[r][col].is_zero():
+                sel = r
+                break
+        if sel is None:
+            continue
+        grid[piv_r], grid[sel] = grid[sel], grid[piv_r]
+        inv = ONE / grid[piv_r][col]
+        grid[piv_r] = [inv * e for e in grid[piv_r]]
+        for r in range(n_rows):
+            if r == piv_r:
+                continue
+            factor = grid[r][col]
+            if factor.is_zero():
+                continue
+            grid[r] = [a - factor * b for a, b in zip(grid[r], grid[piv_r])]
+        pivots.append(col)
+        piv_r += 1
+        if piv_r == n_rows:
+            break
+    reduced = Matrix(n_rows, n_cols, tuple(tuple(row) for row in grid))
+    return reduced, len(pivots), tuple(pivots)
+
+
+def invert_reference(m: Matrix) -> Matrix:
+    """Inverse of a nonsingular square matrix, read off rref_reference([m | I])."""
+    size = m.rows
+    augmented = Matrix(size, 2 * size, tuple(
+        row + eye for row, eye in zip(m.entries, Matrix.identity(size).entries)
+    ))
+    reduced, _, pivots = rref_reference(augmented)
+    if pivots != tuple(range(size)):
+        raise ValueError("matrix is singular")
+    return Matrix(size, size, tuple(row[size:] for row in reduced.entries))
+
+
+def orthogonal_projector(v: Subspace) -> Matrix:
+    """Hermitian idempotent with image v: B^H (B B^H)^-1 B, exact over Q(i)."""
+    b = v.basis
+    bh = b.conjugate_transpose()
+    return bh @ invert_reference(b @ bh) @ b

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from grassconf.cli import main
 
 
@@ -103,11 +105,49 @@ def test_classify_rejects_coinciding_points(tmp_path):
     assert code == 2
 
 
-def test_classify_malformed_json(tmp_path):
+def test_classify_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     code, _ = run_cli("classify", str(bad))
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _sampled_json():
+    code, out = run_cli("sample", "--h", "2", "--i", "3", "--k", "2", "--n", "4", "--seed", "1")
+    assert code == 0
+    return json.loads(out)
+
+
+def _zero_denominator():
+    data = _sampled_json()
+    data["points"][0]["basis"]["entries"][0] = ["1", "0", "0", "1"]
+    return json.dumps(data)
+
+
+def _entries_not_a_list():
+    data = _sampled_json()
+    data["points"][0]["basis"]["entries"] = 5
+    return json.dumps(data)
+
+
+def _top_level_array():
+    return json.dumps([_sampled_json()])
+
+
+@pytest.mark.parametrize("payload", [
+    _zero_denominator,
+    _entries_not_a_list,
+    _top_level_array,
+], ids=["zero-denominator", "entries-not-a-list", "top-level-array"])
+def test_classify_malformed_payload(tmp_path, capsys, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload())
+    code, _ = run_cli("classify", str(bad))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_suite_cli(tmp_path):

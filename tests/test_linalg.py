@@ -18,7 +18,7 @@ from grassconf.linalg import (
     rref,
     solve,
 )
-from oracles import minor_rank, rand_matrix, rand_rank_deficient
+from oracles import minor_rank, rand_matrix, rand_rank_deficient, rref_reference
 
 fractions_st = st.fractions(
     min_value=-5, max_value=5, max_denominator=7
@@ -60,15 +60,38 @@ def test_rref_zero():
     assert pivots == ()
 
 
-def test_rref_rank_matches_minor_oracle():
-    agree = 0
+UNITS = (gq(0), gq(1), gq(-1), gq(0, 1), gq(0, -1))
+
+
+def _oracle_inputs():
+    """Random dense/sparse 4x6 matrices, {0, +-1, +-i} matrices whose
+    pivots are units other than 1, inputs with zero rows, and
+    rank-deficient stacks."""
     for seed in range(200):
         rng = random.Random(seed)
-        if seed % 3 == 0:
-            m = rand_rank_deficient(4, 6, rng.randint(1, 3), rng)
+        kind = seed % 5
+        if kind == 0:
+            yield seed, rand_rank_deficient(4, 6, rng.randint(1, 3), rng)
+        elif kind == 1:
+            yield seed, Matrix.from_rows(
+                [[rng.choice(UNITS) for _ in range(6)] for _ in range(rng.randint(1, 5))]
+            )
+        elif kind == 2:
+            rows = list(rand_matrix(3, 5, rng, sparse=0.3).entries)
+            rows.insert(rng.randint(0, 3), (gq(0),) * 5)
+            yield seed, Matrix(4, 5, tuple(rows))
+        elif kind == 3:
+            top = rand_matrix(3, 6, rng, sparse=0.3)
+            yield seed, top.stack(rand_matrix(2, 3, rng) @ top)
         else:
-            m = rand_matrix(4, 6, rng, sparse=0.3)
+            yield seed, rand_matrix(4, 6, rng, sparse=0.3)
+
+
+def test_rref_rank_matches_minor_oracle():
+    agree = 0
+    for seed, m in _oracle_inputs():
         assert rank(m) == minor_rank(m), f"seed {seed}"
+        assert tuple(rref(m)) == rref_reference(m), f"seed {seed}"
         agree += 1
     assert agree == 200
 

@@ -18,10 +18,10 @@ from grassconf.verify import (
     check_dimension,
     configuration_distance,
     float_rank,
-    orthogonal_projector,
     run_roundtrip_suite,
     subspace_distance,
 )
+from oracles import orthogonal_projector
 
 
 def unit_rows(n, *idx):
