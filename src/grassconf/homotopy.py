@@ -311,15 +311,28 @@ class DerivationTrace:
     result: GroupExpr
 
     def replay(self) -> GroupExpr:
-        """Re-run the recorded rewrites; raises if any step fails to chain."""
+        """Re-apply the rewrite rules step by step; raises ValueError unless
+        every recorded step is the rule the engine applies to the pending
+        query of its ``before``, and the last one leaves the result."""
         current = self.initial
-        for step in self.steps:
+        for idx, step in enumerate(self.steps, start=1):
             if step.before != current:
                 raise ValueError(
                     f"trace does not replay: expected {current.render()}, "
-                    f"step starts from {step.before.render()}"
+                    f"step {idx} starts from {step.before.render()}"
+                )
+            expected = _next_step(current)
+            if expected is None:
+                raise ValueError(f"trace does not replay: step {idx} follows the answer")
+            if step != expected:
+                raise ValueError(
+                    f"trace does not replay: step {idx} records [{step.rule}] "
+                    f"-> {step.after.render()}, the rules give [{expected.rule}] "
+                    f"-> {expected.after.render()}"
                 )
             current = step.after
+        if _next_step(current) is not None:
+            raise ValueError("trace does not replay: it stops before the answer")
         if current != self.result:
             raise ValueError("trace does not replay to the recorded result")
         return current
@@ -431,6 +444,19 @@ def _pi2_rule(q: PiQuery) -> tuple[str, str, GroupExpr]:
     return (*RULE_UNCOVERED, Unknown(PI2_UNCOVERED))
 
 
+def _next_step(current: GroupExpr) -> DerivationStep | None:
+    """The rule application to the first pending query of current, or None
+    when no query is pending."""
+    query = _find_query(current)
+    if query is None:
+        return None
+    if query.degree not in (1, 2):
+        raise ValueError(f"no rewrite rules for {query.render()}")
+    rule_of = _pi1_rule if query.degree == 1 else _pi2_rule
+    name, statement, replacement = rule_of(query)
+    return DerivationStep(name, statement, current, _substitute(current, query, replacement))
+
+
 def derive(s: StratumId, j: int) -> tuple[GroupExpr, DerivationTrace]:
     """Compute pi_j of the stratum by rewriting, with a replayable trace.
 
@@ -443,17 +469,14 @@ def derive(s: StratumId, j: int) -> tuple[GroupExpr, DerivationTrace]:
     if j == 2 and s.k == 1:
         raise OutOfScopeError("pi_2 for line configurations (k = 1) is out of scope")
     initial = PiQuery(j, s.h, s.i, s.k, s.n)
-    rule_of = _pi1_rule if j == 1 else _pi2_rule
     current: GroupExpr = initial
     steps: list[DerivationStep] = []
     for _ in range(200):
-        query = _find_query(current)
-        if query is None:
+        step = _next_step(current)
+        if step is None:
             break
-        name, statement, replacement = rule_of(query)
-        after = _substitute(current, query, replacement)
-        steps.append(DerivationStep(name, statement, current, after))
-        current = after
+        steps.append(step)
+        current = step.after
     else:
         raise RuntimeError("derivation did not terminate")
     trace = DerivationTrace(initial, tuple(steps), current)

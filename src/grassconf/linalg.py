@@ -3,11 +3,13 @@
 Every rank decision in this package is made here, over an exact field:
 complex numbers whose real and imaginary parts are arbitrary-precision
 rationals.  One elimination routine serves the whole package:
-_integer_rref, a fraction-free Gauss-Jordan elimination over the Gaussian
-integers Z[i].  rref, and through it rank, kernel, solve and invert, scale
-each row to Z[i] and divide by the common pivot only when building the
-result.  All values are immutable and all operations are pure, so the
-module is safe to use from multiple threads without coordination.
+_integer_rref, a fraction-free elimination over the Gaussian integers
+Z[i].  rref, and through it kernel, solve and invert, scale each row to
+Z[i], run the full Gauss-Jordan elimination and divide by the common pivot
+only when building the result; rank runs the forward elimination only and
+reads the pivot count, without building a reduced matrix.  All values are
+immutable and all operations are pure, so the module is safe to use from
+multiple threads without coordination.
 
 >>> a = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
 >>> print(a * a.conjugate())
@@ -254,21 +256,24 @@ class RrefResult(NamedTuple):
     pivots: tuple[int, ...]
 
 
+def _integer_row(row: Sequence[GaussianRational]) -> tuple[int, list[GInt]]:
+    """(s, s * row) with s the lcm of the row's denominators, so the
+    scaled row has Gaussian-integer entries."""
+    scale = 1
+    for e in row:
+        for den in (e.re.denominator, e.im.denominator):
+            scale = scale * den // gcd(scale, den)
+    return scale, [
+        (e.re.numerator * (scale // e.re.denominator),
+         e.im.numerator * (scale // e.im.denominator))
+        for e in row
+    ]
+
+
 def _integer_rows(m: Matrix) -> list[list[GInt]]:
-    """Scale each row by the lcm of its denominators: Gaussian-integer
-    entries, same row space."""
-    rows = []
-    for row in m.entries:
-        scale = 1
-        for e in row:
-            for den in (e.re.denominator, e.im.denominator):
-                scale = scale * den // gcd(scale, den)
-        rows.append([
-            (e.re.numerator * (scale // e.re.denominator),
-             e.im.numerator * (scale // e.im.denominator))
-            for e in row
-        ])
-    return rows
+    """Each row scaled by _integer_row: Gaussian-integer entries, same row
+    space."""
+    return [_integer_row(row)[1] for row in m.entries]
 
 
 def _gdot(u: Sequence[GInt], v: Sequence[GInt]) -> GInt:
@@ -280,7 +285,9 @@ def _gdot(u: Sequence[GInt], v: Sequence[GInt]) -> GInt:
     return (re, im)
 
 
-def _integer_rref(grid: list[list[GInt]]) -> tuple[GInt, tuple[int, ...]]:
+def _integer_rref(
+    grid: list[list[GInt]], reduce: bool = True
+) -> tuple[GInt, tuple[int, ...]]:
     """Fraction-free Gauss-Jordan elimination over Z[i], in place.
 
     Each step multiplies every other row by the new pivot p, subtracts the
@@ -290,6 +297,11 @@ def _integer_rref(grid: list[list[GInt]]) -> tuple[GInt, tuple[int, ...]]:
     first rank rows are d times the reduced row echelon form, d the last
     pivot, and the remaining rows are zero.  Returns (d, pivot columns);
     d = 1 when the input is zero.
+
+    With reduce=False each step eliminates only the rows below the pivot:
+    the pivots and d are the same, the rows above are left in echelon
+    form rather than reduced.  The grid's row lists are replaced, never
+    mutated, so the caller's rows may be shared.
     """
     n_rows = len(grid)
     n_cols = len(grid[0]) if grid else 0
@@ -311,7 +323,7 @@ def _integer_rref(grid: list[list[GInt]]) -> tuple[GInt, tuple[int, ...]]:
         # both multipliers, leaving one exact integer division per part
         norm = prev_re * prev_re + prev_im * prev_im
         s_re, s_im = p_re * prev_re + p_im * prev_im, p_im * prev_re - p_re * prev_im
-        for r in range(n_rows):
+        for r in range(0 if reduce else piv_r + 1, n_rows):
             row = grid[r]
             f_re, f_im = row[col]
             if r == piv_r or (not (f_re or f_im) and (p_re, p_im) == (prev_re, prev_im)):
@@ -356,7 +368,8 @@ def rref(m: Matrix) -> RrefResult:
 
 
 def rank(m: Matrix) -> int:
-    return rref(m).rank
+    """Pivot count of the forward elimination; no reduced matrix is built."""
+    return len(_integer_rref(_integer_rows(m), reduce=False)[1])
 
 
 def kernel(m: Matrix) -> Matrix:

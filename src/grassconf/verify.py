@@ -9,12 +9,18 @@ Three batch checks back the exact layer:
   configuration inside a higher stratum, and confirms that small exact
   perturbations never lower the stratum.  Its chart metric compares
   orthogonal projectors as Gaussian-integer matrices over a positive
-  integer, each from one call of the linalg elimination kernel.
+  integer, each from one call of the linalg elimination kernel.  The
+  perturbation trials stay in Z[i] throughout: each perturbed basis is
+  built as integer rows, and the rank check reads the kernel's pivot
+  count.
 * run_roundtrip_suite exercises the gamma/pr/eta trivializations on
   seeded samples, entrywise over Q(i).
 
 Each case is a pure function of (parameters, seed, case index), so suites
 can run in any order, or in parallel, with identical reports.
+
+numpy is imported by the float layer's functions only, so importing the
+package (and every CLI command but the dimension suite) does without it.
 """
 
 from __future__ import annotations
@@ -22,15 +28,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from . import fibrations, grassmann, linalg
 from .errors import EmptyStratumError, GrassconfError, UnreachableError
 from .fibrations import Trivialization
 from .grassmann import Configuration, StratumId, Subspace
 from .linalg import GaussianRational, GInt, Matrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SeedLike = Union[int, str]
 
@@ -70,20 +77,21 @@ class VerificationReport:
 # exact chart metric
 
 
-# The metric runs on scaled Gaussian-integer arithmetic: for an integer
-# row basis B the orthogonal projector is N / d with N = B^H adj(G) B,
-# G = B B^H and d = det G, so distance comparisons never touch Fraction
-# normalization (the hot path of the perturbation suites).
+# The metric runs on scaled Gaussian-integer arithmetic: for a basis B of
+# Gaussian-integer rows the orthogonal projector is N / d with
+# N = B^H (d G^-1 B), G = B B^H and d = det G, read off one kernel
+# elimination, so distance comparisons never touch Fraction normalization
+# (the hot path of the perturbation suites).  Scaling a row of B changes
+# N and d but not N / d.
 
 
-def _integer_projector(basis: Matrix) -> tuple[list[list[GInt]], int]:
-    """(N, d) with orthogonal projector N / d; d > 0 iff the rows are
-    independent (d = 0 signals a rank drop).
+def _integer_projector(rows: list[list[GInt]]) -> tuple[list[list[GInt]], int]:
+    """(N, d) with orthogonal projector N / d of the span of the Z[i] rows;
+    d > 0 iff the rows are independent (d = 0 signals a rank drop).
 
     One elimination of [G | B] leaves [d I | d G^-1 B] with d = det G:
     G is positive definite, so its leading minors are the pivots.
     """
-    rows = linalg._integer_rows(basis)
     k = len(rows)
     conj = [[(re, -im) for re, im in row] for row in rows]
     grid = [[linalg._gdot(a, b) for b in conj] + a for a in rows]
@@ -117,8 +125,8 @@ def subspace_distance(a: Subspace, b: Subspace) -> Fraction:
     iff the subspaces are equal."""
     if a.n != b.n:
         raise ValueError("subspaces are not comparable")
-    na, da = _integer_projector(a.basis)
-    nb, db = _integer_projector(b.basis)
+    na, da = _integer_projector(linalg._integer_rows(a.basis))
+    nb, db = _integer_projector(linalg._integer_rows(b.basis))
     return Fraction(_projector_gap(na, da, nb, db), da * db)
 
 
@@ -133,6 +141,8 @@ def configuration_distance(c1: Configuration, c2: Configuration) -> Fraction:
 
 
 def matrix_to_complex(m: Matrix) -> np.ndarray:
+    import numpy as np
+
     return np.array(
         [[e.to_complex() for e in row] for row in m.entries], dtype=complex
     ).reshape(m.rows, m.cols)
@@ -144,6 +154,8 @@ def float_rank(a: np.ndarray, tol: float) -> int:
     Rows are scaled to unit max-norm, then eliminated with full pivoting;
     a pivot below tol ends the count.
     """
+    import numpy as np
+
     m = np.array(a, dtype=float)
     if m.size == 0:
         return 0
@@ -180,6 +192,8 @@ def _chart_map(c: Configuration):
     real/imaginary parts of the h orthogonal projector matrices.
     Returns (map, parameter count).
     """
+    import numpy as np
+
     h, k, n = c.h, c.k, c.n
     total = grassmann.subspace_sum(c.points)
     i = total.k
@@ -229,6 +243,8 @@ def _chart_map(c: Configuration):
 
 def _fd_jacobian(f, n_params: int, step: float) -> np.ndarray:
     """Central-difference Jacobian at 0, parameters as rows."""
+    import numpy as np
+
     rows = []
     for p in range(n_params):
         theta = np.zeros(n_params)
@@ -349,36 +365,51 @@ def _adjacency_witness(c: Configuration, target_i: int, eps: Fraction) -> Option
     return "could not meet the distance bound"
 
 
+ScaledRows = list[tuple[int, list[GInt]]]
+
+
+def _perturbed_rows(
+    base: ScaledRows, direction: Sequence[Sequence[GInt]], t: Fraction
+) -> list[list[GInt]]:
+    """Z[i] rows spanning the row space of basis + t * direction.
+
+    base holds each basis row as (s, s * row) from linalg._integer_row.
+    With t = a/b the row b * (s * row) + a * s * d is s * b times the
+    Q(i) row row + t * d, so the span, and with it the projector and the
+    rank, is that of the Q(i) matrix.
+    """
+    a, b = t.numerator, t.denominator
+    return [
+        [(b * re + a * s * d_re, b * im + a * s * d_im)
+         for (re, im), (d_re, d_im) in zip(row, d_row)]
+        for (s, row), d_row in zip(base, direction)
+    ]
+
+
 def _semicontinuity_trial(
     c: Configuration,
     base_rank: int,
+    base: Sequence[ScaledRows],
     cached: Sequence[tuple[list[list[GInt]], int]],
     eps: Fraction,
     rng: random.Random,
 ) -> Optional[str]:
     """One seeded exact perturbation of chart-metric size < eps.
 
-    Directions come from the {-1, 0, 1} lattice; the scale is randomized
-    and then shrunk until the distance bound and nondegeneracy hold.
-    Returns a failure description when the stratum drops, None otherwise.
+    Directions come from the {-1, 0, 1} lattice of Z[i]; the scale is
+    randomized and then shrunk until the distance bound and nondegeneracy
+    hold.  base holds each point's basis as scaled Z[i] rows and cached
+    its projector.  Returns a failure description when the stratum drops,
+    None otherwise.
     """
     directions = [
-        tuple(
-            tuple(
-                GaussianRational(Fraction(rng.randint(-1, 1)), Fraction(rng.randint(-1, 1)))
-                for _ in range(c.n)
-            )
-            for _ in range(c.k)
-        )
+        [[(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(c.n)] for _ in range(c.k)]
         for _ in range(c.h)
     ]
     t = eps * Fraction(rng.randint(1, 4096), 4096) / 8
     for _ in range(80):
-        raw = [
-            p.basis + Matrix(c.k, c.n, d).scale(GaussianRational(t))
-            for p, d in zip(c.points, directions)
-        ]
-        projectors = [_integer_projector(b) for b in raw]
+        raw = [_perturbed_rows(rows, d, t) for rows, d in zip(base, directions)]
+        projectors = [_integer_projector(rows) for rows in raw]
         degenerate = any(d == 0 for _, d in projectors)
         if not degenerate:
             for a in range(c.h):
@@ -399,7 +430,8 @@ def _semicontinuity_trial(
         if not within:
             t = t / 4
             continue
-        if linalg.rank(linalg.stack_all(raw)) < base_rank:
+        stacked = [row for rows in raw for row in rows]
+        if len(linalg._integer_rref(stacked, reduce=False)[1]) < base_rank:
             return "stratum dropped under a perturbation of size < eps"
         return None
     return "could not build a perturbation inside the bound"
@@ -430,11 +462,12 @@ def check_adjacency(
         },
     )
     report.record(f"{seed}:witness", _adjacency_witness(c, target_i, eps))
-    cached = [_integer_projector(p.basis) for p in c.points]
+    base = [[linalg._integer_row(row) for row in p.basis.entries] for p in c.points]
+    cached = [_integer_projector([row for _, row in rows]) for rows in base]
     for idx in range(trials):
         case_seed = f"{seed}:{idx}"
         desc = _semicontinuity_trial(
-            c, j0, cached, eps, random.Random(f"adjacency:{case_seed}")
+            c, j0, base, cached, eps, random.Random(f"adjacency:{case_seed}")
         )
         report.record(case_seed, desc)
     return report

@@ -201,3 +201,18 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "Z"
+
+
+def test_cli_without_float_layer_does_not_import_numpy():
+    # numpy is imported by verify's float layer only; a fresh interpreter
+    # running a command that never reaches it stays free of numpy
+    script = (
+        "import io, sys\n"
+        "import grassconf\n"
+        "from grassconf import cli\n"
+        "code = cli.main(['strata', '--h', '2', '--k', '2', '--n', '4'], out=io.StringIO())\n"
+        "assert code == 0, code\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from grassconf.errors import EmptyStratumError, OutOfRangeError, OutOfScopeError
@@ -287,3 +289,30 @@ def test_trace_replay_detects_tampering():
     broken = type(trace)(trace.initial, trace.steps[1:], trace.result)
     with pytest.raises(ValueError):
         broken.replay()
+
+
+def _with_steps(trace, steps):
+    return type(trace)(trace.initial, tuple(steps), steps[-1].after)
+
+
+def test_trace_replay_rejects_forged_rule_name():
+    _, trace = derive(StratumId(2, 4, 2, 4), 2)
+    forged = [replace(step, rule="made-up-rule") for step in trace.steps]
+    with pytest.raises(ValueError, match="made-up-rule"):
+        _with_steps(trace, forged).replay()
+    # the statement is checked too, not only the name
+    forged = [replace(trace.steps[0], statement="a made-up argument")] + list(trace.steps[1:])
+    with pytest.raises(ValueError):
+        _with_steps(trace, forged).replay()
+
+
+def test_trace_replay_rejects_forged_replacement():
+    _, trace = derive(StratumId(2, 4, 2, 4), 2)
+    # the steps still chain, and the result matches the last step
+    forged = list(trace.steps[:-1]) + [replace(trace.steps[-1], after=free_abelian(2))]
+    with pytest.raises(ValueError, match="Z\\^2"):
+        _with_steps(trace, forged).replay()
+    # a trace that stops at a pending query is not a derivation either
+    first = trace.steps[0]
+    with pytest.raises(ValueError, match="before the answer"):
+        _with_steps(trace, [first]).replay()

@@ -62,11 +62,30 @@ def test_rref_zero():
 
 UNITS = (gq(0), gq(1), gq(-1), gq(0, 1), gq(0, -1))
 
+# (rows, rank) of the tall stacks shaped like the adjacency trials': h*k
+# perturbed basis rows in C^6, most of full rank, some dropping
+TRIAL_STACKS = ((9, 6), (9, 6), (9, 6), (9, 5), (6, 6), (6, 5), (6, 4))
+
+
+def _trial_stack(rows: int, target_rank: int, rng: random.Random) -> Matrix:
+    """rows x 6 matrix of rank target_rank (generically) whose rows are
+    small combinations of a basis perturbed by t * D, D in the {-1, 0, 1}
+    lattice of Z[i] and t tiny, so its Z[i] rows have entries of 30 to 43 bits."""
+    t = Fraction(rng.randint(1, 4096), 4096 * 8000 * 4 ** rng.randint(1, 6))
+    lattice = Matrix.from_rows(
+        [[gq(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(6)] for _ in range(target_rank)]
+    )
+    basis = rand_matrix(target_rank, 6, rng) + lattice.scale(t)
+    left = Matrix.from_rows(
+        [[rng.randint(-2, 2) for _ in range(target_rank)] for _ in range(rows)]
+    )
+    return left @ basis
+
 
 def _oracle_inputs():
     """Random dense/sparse 4x6 matrices, {0, +-1, +-i} matrices whose
-    pivots are units other than 1, inputs with zero rows, and
-    rank-deficient stacks."""
+    pivots are units other than 1, inputs with zero rows, rank-deficient
+    stacks, and tall stacks with wide entries like the adjacency trials'."""
     for seed in range(200):
         rng = random.Random(seed)
         kind = seed % 5
@@ -85,6 +104,8 @@ def _oracle_inputs():
             yield seed, top.stack(rand_matrix(2, 3, rng) @ top)
         else:
             yield seed, rand_matrix(4, 6, rng, sparse=0.3)
+    for seed, (rows, target_rank) in enumerate(TRIAL_STACKS, start=200):
+        yield seed, _trial_stack(rows, target_rank, random.Random(seed))
 
 
 def test_rref_rank_matches_minor_oracle():
@@ -93,7 +114,7 @@ def test_rref_rank_matches_minor_oracle():
         assert rank(m) == minor_rank(m), f"seed {seed}"
         assert tuple(rref(m)) == rref_reference(m), f"seed {seed}"
         agree += 1
-    assert agree == 200
+    assert agree == 200 + len(TRIAL_STACKS)
 
 
 def test_rref_idempotent_and_pivots_increasing():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,11 @@ from grassconf.grassmann import (
     sample_subspace,
     stratum_of,
 )
-from grassconf.linalg import Matrix
+from grassconf import linalg
+from grassconf.linalg import GaussianRational, Matrix
 from grassconf.verify import (
+    _integer_projector,
+    _perturbed_rows,
     check_adjacency,
     check_dimension,
     configuration_distance,
@@ -140,6 +144,41 @@ def test_adjacency_semicontinuity_trials():
     report = check_adjacency(c, 4, Fraction(1, 1000), trials=40, seed=3)
     assert report.cases == 41
     assert report.ok, report.failures
+
+
+def _fraction_projector(rows):
+    numerator, d = _integer_projector(rows)
+    return [[(Fraction(re, d), Fraction(im, d)) for re, im in row] for row in numerator]
+
+
+def test_perturbed_rows_match_rational_perturbation():
+    # the semicontinuity trials build basis + t * D as Z[i] rows; the
+    # Q(i) route must give the same projector and the same rank
+    checked = 0
+    for s_id, seed in ((StratumId(2, 3, 2, 4), 0), (StratumId(3, 4, 2, 6), 1),
+                       (StratumId(3, 5, 3, 6), 2), (StratumId(3, 2, 1, 4), 3)):
+        c = sample_configuration(s_id, seed)
+        rng = random.Random(f"perturb:{seed}")
+        for t in (Fraction(1), Fraction(-3, 7), Fraction(1, 8000), Fraction(4095, 2 ** 45)):
+            raw, reference = [], []
+            for p in c.points:
+                base = [linalg._integer_row(row) for row in p.basis.entries]
+                direction = [[(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(c.n)]
+                             for _ in range(c.k)]
+                rows = _perturbed_rows(base, direction, t)
+                perturbed = p.basis + Matrix(c.k, c.n, tuple(
+                    tuple(GaussianRational(re, im) for re, im in d_row) for d_row in direction
+                )).scale(t)
+                assert _fraction_projector(rows) == _fraction_projector(
+                    linalg._integer_rows(perturbed)
+                )
+                raw.append(rows)
+                reference.append(perturbed)
+                checked += 1
+            stacked = [row for rows in raw for row in rows]
+            count = len(linalg._integer_rref(stacked, reduce=False)[1])
+            assert count == linalg.rank(linalg.stack_all(reference))
+    assert checked == 4 * (2 + 3 + 3 + 3)
 
 
 def test_adjacency_unreachable_target():
