@@ -39,6 +39,14 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+def _parse_eps(text: str) -> Fraction:
+    """--eps as an exact fraction; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"--eps {text!r} has a zero denominator") from None
+
+
 def cmd_strata(args, out) -> int:
     rows = []
     if args.h == 1:
@@ -143,7 +151,7 @@ def cmd_verify(args, out) -> int:
         cfg = grassmann.sample_configuration(s, args.seed)
         target = args.target if args.target is not None else min(args.h * args.k, args.n)
         report = verify.check_adjacency(
-            cfg, target, Fraction(args.eps), trials=args.trials, seed=args.seed
+            cfg, target, _parse_eps(args.eps), trials=args.trials, seed=args.seed
         )
     else:
         raise ValueError(f"unknown suite {args.suite!r}")

@@ -7,13 +7,22 @@ _integer_rref, a fraction-free elimination over the Gaussian integers
 Z[i].  rref, and through it kernel, solve and invert, scale each row to
 Z[i], run the full Gauss-Jordan elimination and divide by the common pivot
 only when building the result; rank runs the forward elimination only and
-reads the pivot count, without building a reduced matrix.  All values are
-immutable and all operations are pure, so the module is safe to use from
-multiple threads without coordination.
+reads the pivot count, without building a reduced matrix.  The product
+runs on the same Z[i] rows: each row of the left factor and each column of
+the right one is scaled to Z[i], and each entry is one Z[i] dot product
+divided by the two scales.  All values are immutable and all operations
+are pure, so the module is safe to use from multiple threads without
+coordination.
 
 >>> a = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
 >>> print(a * a.conjugate())
 13/36
+>>> m = Matrix.from_rows([[gq(1, 2), gq(0, Fraction(1, 3))]])
+>>> print(m @ m.conjugate_transpose())
+[46/9]
+>>> print(m.conjugate_transpose() @ m)
+[5  2/3+1/3i]
+[2/3-1/3i  1/9]
 """
 
 from __future__ import annotations
@@ -191,14 +200,17 @@ class Matrix:
         ))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Exact product: with each row of self scaled to Z[i] by s and each
+        column of other by t, entry (r, j) is their Z[i] dot product over
+        s * t, one division per entry."""
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        if not self.cols:
+            return Matrix.zeros(self.rows, other.cols)
+        cols = [_integer_row(col) for col in zip(*other.entries)]
         grid = tuple(
-            tuple(
-                sum((row[l] * other.entries[l][j] for l in range(self.cols)), ZERO)
-                for j in range(other.cols)
-            )
-            for row in self.entries
+            tuple(_over(_gdot(row, col), s * t) for t, col in cols)
+            for s, row in map(_integer_row, self.entries)
         )
         return Matrix(self.rows, other.cols, grid)
 
@@ -285,6 +297,16 @@ def _gdot(u: Sequence[GInt], v: Sequence[GInt]) -> GInt:
     return (re, im)
 
 
+def _over(value: GInt, den: int) -> GaussianRational:
+    """The Gaussian rational value / den, for a positive integer den."""
+    re, im = value
+    if not (re or im):
+        return ZERO
+    return GaussianRational(
+        Fraction(re, den) if re else ZERO.re, Fraction(im, den) if im else ZERO.re
+    )
+
+
 def _integer_rref(
     grid: list[list[GInt]], reduce: bool = True
 ) -> tuple[GInt, tuple[int, ...]]:
@@ -356,10 +378,7 @@ def rref(m: Matrix) -> RrefResult:
     norm = d_re * d_re + d_im * d_im
     reduced = tuple(
         tuple(
-            GaussianRational(
-                Fraction(e_re * d_re + e_im * d_im, norm),
-                Fraction(e_im * d_re - e_re * d_im, norm),
-            ) if e_re or e_im else ZERO
+            _over((e_re * d_re + e_im * d_im, e_im * d_re - e_re * d_im), norm)
             for e_re, e_im in row
         )
         for row in grid
@@ -442,8 +461,9 @@ def matrix_to_json(m: Matrix) -> dict:
 
 
 def _wire_int(value) -> int:
-    """A wire-format integer: a JSON integer or a decimal string."""
-    if not isinstance(value, (int, str)):
+    """A wire-format integer: a JSON integer or a decimal string (a JSON
+    boolean is neither, though Python's bool is an int)."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 

@@ -25,13 +25,20 @@ package (and every CLI command but the dimension suite) does without it.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from . import fibrations, grassmann, linalg
-from .errors import EmptyStratumError, GrassconfError, UnreachableError
+from .errors import (
+    DirectSumError,
+    EmptyStratumError,
+    GrassconfError,
+    UnreachableError,
+    WrongArityError,
+)
 from .fibrations import Trivialization
 from .grassmann import Configuration, StratumId, Subspace
 from .linalg import GaussianRational, GInt, Matrix
@@ -278,8 +285,8 @@ def check_dimension(
     """Float-rank verification of the dimension formula at sampled points."""
     if not grassmann.is_stratum_nonempty(s):
         raise EmptyStratumError(f"{s} is empty")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     report = VerificationReport(
         suite="dimension",
         parameters={
@@ -609,6 +616,22 @@ def _eta_case(params: dict, case_seed: str) -> Optional[str]:
     return None
 
 
+def _check_grid_point(which: str, params: dict) -> None:
+    """Raise the GrassconfError that every case of this grid point would
+    record: the sampled stratum is empty, or the fibration does not apply."""
+    k, n = params["k"], params["n"]
+    if which == "pr":
+        if params["h"] < 2:
+            raise WrongArityError("need at least two subspaces to forget one")
+        s = StratumId(params["h"], params["h"] * k, k, n)
+    else:
+        s = StratumId(params["h"] if which == "gamma" else 2, params["i"], k, n)
+    if not grassmann.is_stratum_nonempty(s):
+        raise EmptyStratumError(f"{s} is empty")
+    if which == "eta" and s.i == 2 * k:
+        raise DirectSumError(f"{s} is in direct sum; the intersection is zero")
+
+
 _SUITE_CASES: dict[str, Callable[[dict, str], Optional[str]]] = {
     "gamma": _gamma_case,
     "pr": _pr_case,
@@ -625,8 +648,10 @@ def run_roundtrip_suite(
     """Exercise one fibration's trivialization on seeded samples.
 
     ``grid`` maps parameter names to a value or list of values; cases
-    cycle through the combinations.  Failures are recorded in the report,
-    never raised.
+    cycle through the combinations.  A combination that no case could
+    pass (an empty stratum, pr with h < 2, eta on a direct sum) raises its
+    GrassconfError before the first case; the failures of the cases
+    themselves are recorded in the report, never raised.
     """
     if which not in _SUITE_CASES:
         raise ValueError(f"unknown suite {which!r}; pick gamma, pr, or eta")
@@ -637,6 +662,8 @@ def run_roundtrip_suite(
     combos = _expand_grid(grid)
     if not combos:
         raise ValueError("empty parameter grid")
+    for params in combos:
+        _check_grid_point(which, params)
     case_fn = _SUITE_CASES[which]
     grid_json = {
         key: list(value) if isinstance(value, (list, tuple, range)) else value

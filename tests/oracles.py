@@ -1,9 +1,10 @@
 """Independent oracles used by the tests.
 
-These deliberately avoid the library's elimination code paths: rank is
-decided by brute-force minor determinants (Laplace expansion), reduced
-forms by textbook Gauss-Jordan elimination on field elements, so the
-oracle and the implementation can only agree by computing the same truth.
+These deliberately avoid the library's Z[i] code paths: rank is decided
+by brute-force minor determinants (Laplace expansion), reduced forms by
+textbook Gauss-Jordan elimination on field elements and products by sums
+of field products, so the oracle and the implementation can only agree
+by computing the same truth.
 """
 
 from __future__ import annotations
@@ -72,6 +73,20 @@ def rand_rank_deficient(rows: int, cols: int, target_rank: int, rng: random.Rand
     return left @ right
 
 
+def matmul_reference(a: Matrix, b: Matrix) -> Matrix:
+    """Product as a sum of Q(i) scalar products per entry."""
+    if a.cols != b.rows:
+        raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    grid = tuple(
+        tuple(
+            sum((row[l] * b.entries[l][j] for l in range(a.cols)), ZERO)
+            for j in range(b.cols)
+        )
+        for row in a.entries
+    )
+    return Matrix(a.rows, b.cols, grid)
+
+
 def rref_reference(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Gauss-Jordan elimination with a division per pivot, over Q(i)."""
     grid = [list(row) for row in m.entries]
@@ -120,4 +135,5 @@ def orthogonal_projector(v: Subspace) -> Matrix:
     """Hermitian idempotent with image v: B^H (B B^H)^-1 B, exact over Q(i)."""
     b = v.basis
     bh = b.conjugate_transpose()
-    return bh @ invert_reference(b @ bh) @ b
+    gram_inverse = invert_reference(matmul_reference(b, bh))
+    return matmul_reference(matmul_reference(bh, gram_inverse), b)

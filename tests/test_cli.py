@@ -136,11 +136,19 @@ def _top_level_array():
     return json.dumps([_sampled_json()])
 
 
+def _boolean_wire_integer():
+    # true would pass as the integer 1 and the payload as a valid configuration
+    data = _sampled_json()
+    data["points"][0]["basis"]["entries"][0][1] = True
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize("payload", [
     _zero_denominator,
     _entries_not_a_list,
     _top_level_array,
-], ids=["zero-denominator", "entries-not-a-list", "top-level-array"])
+    _boolean_wire_integer,
+], ids=["zero-denominator", "entries-not-a-list", "top-level-array", "boolean-wire-integer"])
 def test_classify_malformed_payload(tmp_path, capsys, payload):
     bad = tmp_path / "bad.json"
     bad.write_text(payload())
@@ -160,6 +168,28 @@ def test_verify_suite_cli(tmp_path):
     assert "6/6 passed" in text
     data = json.loads(report_file.read_text())
     assert data["passed"] == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "adjacency", "--h", "2", "--i", "3", "--k", "2", "--n", "4", "--eps", "1/0"],
+    ["--suite", "eta", "--i", "5", "--k", "2", "--n", "4"],
+    ["--suite", "eta", "--i", "4", "--k", "2", "--n", "4"],
+    ["--suite", "gamma", "--i", "9", "--k", "2", "--n", "5"],
+    ["--suite", "pr", "--h", "1"],
+    ["--suite", "dimension", "--h", "2", "--i", "3", "--k", "2", "--n", "4", "--tol", "nan"],
+], ids=[
+    "eps-zero-denominator", "eta-empty-stratum", "eta-direct-sum",
+    "gamma-empty-stratum", "pr-one-point", "tol-nan",
+])
+def test_verify_bad_input_exits_2(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "grassconf", "verify", "--cases", "3", *argv],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
 
 
 def test_verify_adjacency_cli():

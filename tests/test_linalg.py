@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from grassconf.errors import InconsistentSystemError
 from grassconf.linalg import (
+    ZERO,
     GaussianRational,
     Matrix,
     gq,
@@ -18,7 +19,13 @@ from grassconf.linalg import (
     rref,
     solve,
 )
-from oracles import minor_rank, rand_matrix, rand_rank_deficient, rref_reference
+from oracles import (
+    matmul_reference,
+    minor_rank,
+    rand_matrix,
+    rand_rank_deficient,
+    rref_reference,
+)
 
 fractions_st = st.fractions(
     min_value=-5, max_value=5, max_denominator=7
@@ -222,6 +229,60 @@ def test_matrix_json_big_integers_survive():
     huge = Fraction(10 ** 40 + 1, 10 ** 39 + 7)
     m = Matrix.from_rows([[GaussianRational(huge, -huge)]])
     assert matrix_from_json(matrix_to_json(m)) == m
+
+
+def _wide_entry(rng: random.Random, den: int) -> GaussianRational:
+    """A zero one time in five, else an entry with denominators drawn up to
+    den (mostly coprime) or both equal to den (shared by the whole row)."""
+    if rng.random() < 0.2:
+        return ZERO
+    if rng.random() < 0.3:
+        return GaussianRational(
+            Fraction(rng.randint(-den, den), den), Fraction(rng.randint(-den, den), den)
+        )
+    return GaussianRational(
+        Fraction(rng.randint(-10 ** 7, 10 ** 7), rng.randint(1, den)),
+        Fraction(rng.randint(-10 ** 7, 10 ** 7), rng.randint(1, den)),
+    )
+
+
+def _product_inputs():
+    """(name, a, b, known product or None): random Q(i) shapes 1x1 to 7x7
+    with denominators up to 10^6 and zero rows or columns on either side,
+    the inner-dimension-0 case, and products that cancel to exactly 0 and
+    to +-i."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        r, k, c = (rng.randint(1, 7) for _ in range(3))
+        den = rng.choice((1, 7, 10 ** 6))
+        a = [[_wide_entry(rng, den) for _ in range(k)] for _ in range(r)]
+        b = [[_wide_entry(rng, den) for _ in range(c)] for _ in range(k)]
+        if seed % 4 == 1:
+            a[rng.randrange(r)] = [ZERO] * k
+        elif seed % 4 == 2:
+            col = rng.randrange(c)
+            for row in b:
+                row[col] = ZERO
+        yield f"random {seed}", Matrix.from_rows(a), Matrix.from_rows(b), None
+    for k, m in ((1, 3), (4, 1), (3, 0)):
+        yield f"inner 0, {k}x{m}", Matrix(k, 0, ((),) * k), Matrix(0, m, ()), Matrix.zeros(k, m)
+    rng = random.Random(7)
+    for seed in range(20):
+        a = rand_matrix(3, 5, rng)
+        null = kernel(a).transpose()
+        yield f"cancel to 0, {seed}", a, null, Matrix.zeros(3, null.cols)
+        unit = Matrix.from_rows([[gq(0, 1 if seed % 2 else -1)]])
+        yield f"cancel to +-i, {seed}", a.take_rows(1), solve(a.take_rows(1), unit), unit
+
+
+def test_matmul_matches_reference():
+    for name, a, b, known in _product_inputs():
+        product, expected = a @ b, matmul_reference(a, b)
+        assert (product.rows, product.cols) == (a.rows, b.cols), name
+        assert product.entries == expected.entries, name
+        assert matrix_to_json(product) == matrix_to_json(expected), name
+        if known is not None:
+            assert product == known, name
 
 
 def test_matmul_shapes_and_empty():
