@@ -1,13 +1,13 @@
 """The three fibrations of sum-dimension strata, with exact trivializations.
 
-* gamma sends a configuration to the sum of its subspaces; over the chart
-  of an i-plane V0 with fixed complement L0, the projection onto V0 along
-  L0 carries the configuration into V0.
+* gamma sends a configuration to the sum V of its subspaces; over the
+  chart of an i-plane V0 with fixed complement L0, projecting along L0
+  carries the configuration into V0, and back onto V.
 * pr forgets the last subspace of a direct-sum configuration; the fiber
   point is the image of the forgotten subspace under the isomorphism that
   agrees with the projection on the base sum and fixes L0.
-* eta sends a pair to its intersection; the fiber point is the pair of
-  images in the quotient by the intersection, modeled concretely on L0.
+* eta sends a pair to its intersection V; the fiber point is the pair of
+  images in the quotient C^n / V, identified with L0 by projecting along V.
 
 Every trivialization here is an exact bijection on its chart: composing
 with its inverse returns the input entrywise over Q(i).
@@ -86,7 +86,7 @@ def extend_isomorphism(v: Subspace, triv: Trivialization) -> Matrix:
     _require_transverse(v, triv, "extend_isomorphism")
     source = v.basis.stack(triv.complement.basis)
     target = (v.basis @ triv.projector).stack(triv.complement.basis)
-    return linalg.invert(source) @ target
+    return linalg.solve(source, target)
 
 
 def gamma_trivialize(c: Configuration, triv: Trivialization) -> ChartPoint:
@@ -97,11 +97,7 @@ def gamma_trivialize(c: Configuration, triv: Trivialization) -> ChartPoint:
     """
     total = grassmann.subspace_sum(c.points)
     _require_transverse(total, triv, "gamma_trivialize")
-    images = tuple(
-        grassmann.canonicalize(p.basis @ triv.projector, c.n) for p in c.points
-    )
-    fiber = Configuration(c.h, c.k, c.n, images)
-    return ChartPoint(base=total, fiber=fiber)
+    return ChartPoint(base=total, fiber=grassmann.transform_configuration(c, triv.projector))
 
 
 def gamma_untrivialize(p: ChartPoint, triv: Trivialization) -> Configuration:
@@ -113,12 +109,10 @@ def gamma_untrivialize(p: ChartPoint, triv: Trivialization) -> Configuration:
     for q in fiber.points:
         if not triv.base_point.contains(q):
             raise OutsideChartError("fiber configuration does not lie in the chart base point")
-    iso = extend_isomorphism(base, triv)
-    back = linalg.invert(iso)
-    points = tuple(
-        grassmann.canonicalize(q.basis @ back, fiber.n) for q in fiber.points
+    _require_transverse(base, triv, "gamma_untrivialize")
+    return grassmann.transform_configuration(
+        fiber, grassmann.projection_along(base, triv.complement)
     )
-    return Configuration(fiber.h, fiber.k, fiber.n, points)
 
 
 def pr_forget_last(c: Configuration) -> Configuration:
@@ -151,7 +145,7 @@ def chart_coordinates(hh: Subspace, w: Subspace) -> Matrix:
     q_block = Matrix(hh.k, w.k, tuple(row[hh.k:] for row in coeff.entries))
     if not linalg.is_invertible(p_block):
         raise OutsideChartError("subspace meets w nontrivially")
-    return linalg.invert(p_block) @ q_block
+    return linalg.solve(p_block, q_block)
 
 
 def chart_point(coords: Matrix, w: Subspace) -> Subspace:
@@ -218,23 +212,20 @@ def eta(c: Configuration) -> Subspace:
 def eta_fiber_point(c: Configuration, triv: Trivialization) -> ChartPoint:
     """Split a pair into (intersection, quotient pair).
 
-    The quotient C^n / V is identified with L0 through the projection
-    along the chart base point; the two images are subspaces of L0 of
-    dimension k - dim(V), in direct sum.
+    The quotient C^n / V by the intersection V is identified with L0
+    through the projection onto L0 along V; the two images are subspaces
+    of L0 of dimension k - dim(V), in direct sum.
     """
     inter = eta(c)
     _require_transverse(inter, triv, "eta_fiber_point")
-    iso = extend_isomorphism(inter, triv)
-    to_quotient = grassmann.projection_along(triv.complement, triv.base_point)
-    images = tuple(
-        grassmann.canonicalize(p.basis @ iso @ to_quotient, c.n) for p in c.points
-    )
-    return ChartPoint(base=inter, fiber=(images[0], images[1]))
+    to_quotient = grassmann.projection_along(triv.complement, inter)
+    first, second = (grassmann.transform(p, to_quotient) for p in c.points)
+    return ChartPoint(base=inter, fiber=(first, second))
 
 
 def eta_fiber_lift(p: ChartPoint, triv: Trivialization) -> Configuration:
     """Inverse of eta_fiber_point: rebuild the pair over the recorded
-    intersection from its quotient images."""
+    intersection V as the sums V + q of V with each quotient image q."""
     base = p.base
     fiber = p.fiber
     if not isinstance(base, Subspace) or not isinstance(fiber, tuple):
@@ -245,12 +236,6 @@ def eta_fiber_lift(p: ChartPoint, triv: Trivialization) -> Configuration:
             raise OutsideChartError("quotient images must lie in the chart complement")
     if grassmann.intersection_dim(first, second) != 0:
         raise OutsideChartError("quotient images must be in direct sum")
-    iso = extend_isomorphism(base, triv)
-    back = linalg.invert(iso)
-    points = tuple(
-        grassmann.canonicalize(
-            triv.base_point.basis.stack(q.basis) @ back, base.n
-        )
-        for q in (first, second)
-    )
+    _require_transverse(base, triv, "eta_fiber_lift")
+    points = tuple(grassmann.canonicalize(base.basis.stack(q.basis), base.n) for q in fiber)
     return Configuration(2, points[0].k, base.n, points)

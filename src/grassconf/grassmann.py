@@ -202,11 +202,12 @@ def projection_along(target: Subspace, along: Subspace) -> Matrix:
     if linalg.rank(stacked) != n:
         raise NotComplementaryError("subspaces intersect nontrivially")
     picked = target.basis.stack(Matrix.zeros(along.k, n))
-    return linalg.invert(stacked) @ picked
+    return linalg.solve(stacked, picked)
 
 
 def transform(v: Subspace, g: Matrix) -> Subspace:
-    """Image of the subspace under the invertible coordinate change g."""
+    """Image of the subspace under g acting on row vectors; the dimension
+    drops unless g is injective on v."""
     return canonicalize(v.basis @ g, g.cols)
 
 
@@ -239,7 +240,9 @@ def stratum_dimension(s: StratumId) -> int:
 
 def strata_list(h: int, k: int, n: int) -> list[StratumId]:
     """All nonempty strata for h >= 2, in increasing i; the last is open."""
-    if h < 2:
+    if h < 1:
+        raise ValueError("need h >= 1")
+    if h == 1:
         raise ValueError("strata_list applies to h >= 2; h = 1 has the single stratum i = k")
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")

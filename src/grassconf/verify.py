@@ -287,6 +287,8 @@ def check_dimension(
         raise EmptyStratumError(f"{s} is empty")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
     report = VerificationReport(
         suite="dimension",
         parameters={
@@ -461,6 +463,8 @@ def check_adjacency(
         )
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     report = VerificationReport(
         suite="adjacency",
         parameters={
@@ -655,6 +659,8 @@ def run_roundtrip_suite(
     """
     if which not in _SUITE_CASES:
         raise ValueError(f"unknown suite {which!r}; pick gamma, pr, or eta")
+    if cases < 0:
+        raise ValueError("cases must be >= 0")
     grid = grid or DEFAULT_GRIDS[which]
     missing = set(DEFAULT_GRIDS[which]) - set(grid)
     if missing:

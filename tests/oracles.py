@@ -5,6 +5,11 @@ by brute-force minor determinants (Laplace expansion), reduced forms by
 textbook Gauss-Jordan elimination on field elements and products by sums
 of field products, so the oracle and the implementation can only agree
 by computing the same truth.
+
+The chart-map references at the end keep the older route of the gamma and
+eta trivializations: extend the chart projection to an automorphism of
+C^n, invert it, and push the subspaces through it.  The package computes
+the same subspaces as single projections.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from grassconf.grassmann import Subspace
-from grassconf.linalg import ONE, ZERO, GaussianRational, Matrix
+from grassconf.fibrations import ChartPoint, Trivialization, eta, extend_isomorphism
+from grassconf.grassmann import Configuration, Subspace, canonicalize, projection_along
+from grassconf.linalg import ONE, ZERO, GaussianRational, Matrix, invert
 
 
 def det_laplace(grid: list[list[GaussianRational]]) -> GaussianRational:
@@ -137,3 +143,31 @@ def orthogonal_projector(v: Subspace) -> Matrix:
     bh = b.conjugate_transpose()
     gram_inverse = invert_reference(matmul_reference(b, bh))
     return matmul_reference(matmul_reference(bh, gram_inverse), b)
+
+
+def gamma_untrivialize_reference(p: ChartPoint, triv: Trivialization) -> Configuration:
+    """Pull the fiber back through the inverse of the extended isomorphism."""
+    back = invert(extend_isomorphism(p.base, triv))
+    fiber = p.fiber
+    points = tuple(canonicalize(q.basis @ back, fiber.n) for q in fiber.points)
+    return Configuration(fiber.h, fiber.k, fiber.n, points)
+
+
+def eta_fiber_point_reference(c: Configuration, triv: Trivialization) -> ChartPoint:
+    """Carry the pair into V0 + L0 by the extended isomorphism, then
+    project onto L0 along V0."""
+    inter = eta(c)
+    iso = extend_isomorphism(inter, triv)
+    to_quotient = projection_along(triv.complement, triv.base_point)
+    first, second = (canonicalize(p.basis @ iso @ to_quotient, c.n) for p in c.points)
+    return ChartPoint(base=inter, fiber=(first, second))
+
+
+def eta_fiber_lift_reference(p: ChartPoint, triv: Trivialization) -> Configuration:
+    """Pull V0 + q back through the inverse of the extended isomorphism."""
+    base = p.base
+    back = invert(extend_isomorphism(base, triv))
+    points = tuple(
+        canonicalize(triv.base_point.basis.stack(q.basis) @ back, base.n) for q in p.fiber
+    )
+    return Configuration(2, points[0].k, base.n, points)

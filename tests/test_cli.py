@@ -44,6 +44,14 @@ def test_strata_bad_flags_exit_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("h", ["0", "-1"])
+def test_strata_h_below_1_names_the_bound(capsys, h):
+    code, text = run_cli("strata", "--h", h, "--k", "2", "--n", "4")
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == "error: need h >= 1\n"
+
+
 def test_pi_trivial_case():
     code, text = run_cli("pi", "--order", "1", "--h", "3", "--i", "6", "--k", "2", "--n", "7")
     assert code == 0
@@ -177,9 +185,13 @@ def test_verify_suite_cli(tmp_path):
     ["--suite", "gamma", "--i", "9", "--k", "2", "--n", "5"],
     ["--suite", "pr", "--h", "1"],
     ["--suite", "dimension", "--h", "2", "--i", "3", "--k", "2", "--n", "4", "--tol", "nan"],
+    ["--suite", "gamma", "--cases", "-5"],
+    ["--suite", "dimension", "--h", "2", "--i", "3", "--k", "2", "--n", "4", "--samples", "-1"],
+    ["--suite", "adjacency", "--h", "2", "--i", "3", "--k", "2", "--n", "4", "--trials", "-3"],
 ], ids=[
     "eps-zero-denominator", "eta-empty-stratum", "eta-direct-sum",
     "gamma-empty-stratum", "pr-one-point", "tol-nan",
+    "negative-cases", "negative-samples", "negative-trials",
 ])
 def test_verify_bad_input_exits_2(argv):
     proc = subprocess.run(

@@ -1,4 +1,5 @@
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -8,5 +9,12 @@ from grassconf import homotopy, linalg
 @pytest.mark.parametrize("module", [linalg, homotopy], ids=lambda m: m.__name__)
 def test_module_doctests(module):
     result = doctest.testmod(module)
+    assert result.attempted > 0
+    assert result.failed == 0
+
+
+def test_readme_session():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0

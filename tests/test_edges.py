@@ -242,6 +242,15 @@ def test_verify_parameter_validation():
         run_roundtrip_suite("moebius")
     with pytest.raises(ValueError):
         run_roundtrip_suite("gamma", grid={"h": 2})
+    with pytest.raises(ValueError, match="samples"):
+        check_dimension(StratumId(2, 3, 2, 4), samples=-1)
+    with pytest.raises(ValueError, match="trials"):
+        check_adjacency(c, 4, Fraction(1, 10), trials=-3)
+    with pytest.raises(ValueError, match="cases"):
+        run_roundtrip_suite("gamma", cases=-5)
+    assert check_dimension(StratumId(2, 3, 2, 4), samples=0).cases == 0
+    assert check_adjacency(c, 4, Fraction(1, 10), trials=0).cases == 1
+    assert run_roundtrip_suite("gamma", cases=0).cases == 0
 
 
 # --- cli ----------------------------------------------------------------------

@@ -36,6 +36,11 @@ from grassconf.grassmann import (
     transform_configuration,
 )
 from grassconf.linalg import Matrix, is_invertible, rank
+from oracles import (
+    eta_fiber_lift_reference,
+    eta_fiber_point_reference,
+    gamma_untrivialize_reference,
+)
 
 
 def unit_rows(n, *idx):
@@ -115,6 +120,35 @@ def test_gamma_round_trip_seeded():
             assert subspace_sum(point.fiber.points) == triv.base_point
             assert gamma_untrivialize(point, triv) == c
             assert gamma_trivialize(gamma_untrivialize(point, triv), triv) == point
+
+
+@pytest.mark.parametrize("h,i,k,n", [(2, 3, 2, 5), (3, 5, 2, 7)])
+def test_gamma_untrivialize_matches_inverse_isomorphism(h, i, k, n):
+    for seed in range(8):
+        c = sample_configuration(StratumId(h, i, k, n), f"gref:{seed}")
+        triv = chart_containing(subspace_sum(c.points), f"grefbase:{h}:{i}:{k}:{n}:{seed}")
+        point = gamma_trivialize(c, triv)
+        assert gamma_untrivialize(point, triv) == gamma_untrivialize_reference(point, triv)
+        # the same fiber over another base in the chart (transverse for these seeds)
+        other = sample_configuration(StratumId(h, i, k, n), f"gref:other:{seed}")
+        moved = ChartPoint(base=subspace_sum(other.points), fiber=point.fiber)
+        assert gamma_untrivialize(moved, triv) == gamma_untrivialize_reference(moved, triv)
+
+
+def test_untrivialize_off_chart_base_raises():
+    v0 = canonicalize(unit_rows(4, 0, 1), 4)
+    triv = Trivialization.over(v0)  # complement spanned by e2, e3
+    meets = canonicalize(unit_rows(4, 0, 2), 4)
+    lines = (canonicalize(unit_rows(4, 0), 4), canonicalize(unit_rows(4, 1), 4))
+    fiber = Configuration(2, 1, 4, lines)
+    with pytest.raises(OutsideChartError, match="gamma_untrivialize"):
+        gamma_untrivialize(ChartPoint(base=meets, fiber=fiber), triv)
+    line = canonicalize(unit_rows(4, 0), 4)
+    eta_triv = Trivialization.over(line)  # complement spanned by e1, e2, e3
+    first, second = canonicalize(unit_rows(4, 1), 4), canonicalize(unit_rows(4, 2), 4)
+    off_chart = canonicalize(unit_rows(4, 3), 4)
+    with pytest.raises(OutsideChartError, match="eta_fiber_lift"):
+        eta_fiber_lift(ChartPoint(base=off_chart, fiber=(first, second)), eta_triv)
 
 
 def test_gamma_outside_chart_raises():
@@ -268,6 +302,18 @@ def test_eta_round_trip_seeded(k, i, n):
         assert subspace_sum([first, second]).k == 2 * (i - k)
         assert eta_fiber_lift(point, triv) == c
         assert eta_fiber_point(eta_fiber_lift(point, triv), triv) == point
+
+
+@pytest.mark.parametrize(
+    "k,i,n", [(2, 3, 4), (2, 3, 5), (2, 3, 6), (3, 4, 5), (3, 4, 6), (3, 5, 6)]
+)
+def test_eta_maps_match_inverse_isomorphism(k, i, n):
+    for seed in range(6):
+        c = sample_configuration(StratumId(2, i, k, n), f"etaref:{seed}")
+        triv = chart_containing(eta(c), f"etarefbase:{k}:{i}:{n}:{seed}")
+        point = eta_fiber_point(c, triv)
+        assert point == eta_fiber_point_reference(c, triv)
+        assert eta_fiber_lift(point, triv) == eta_fiber_lift_reference(point, triv)
 
 
 def test_eta_fiber_outside_chart_raises():

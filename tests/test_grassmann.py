@@ -214,6 +214,10 @@ def test_strata_list_examples():
     assert [s.i for s in strata_list(2, 2, 4)] == [3, 4]
     assert [s.i for s in strata_list(2, 1, 5)] == [2]
     assert [s.i for s in strata_list(3, 2, 10)] == [3, 4, 5, 6]
+    with pytest.raises(ValueError, match="h = 1 has the single stratum"):
+        strata_list(1, 2, 4)
+    with pytest.raises(ValueError, match="need h >= 1"):
+        strata_list(0, 2, 4)
 
 
 def test_stratum_closure():
