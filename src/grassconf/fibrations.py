@@ -65,15 +65,18 @@ class ChartPoint:
     fiber: FiberPoint
 
 
-def _require_transverse(v: Subspace, triv: Trivialization, what: str) -> None:
+def _require_transverse(v: Subspace, triv: Trivialization, what: str) -> Matrix:
+    """The stack [v; L0], after checking that it has rank n."""
     if v.n != triv.n:
         raise OutsideChartError(f"{what}: ambient dimension mismatch")
     if v.k != triv.base_point.k:
         raise OutsideChartError(
             f"{what}: dimension {v.k} does not match the chart base dimension {triv.base_point.k}"
         )
-    if linalg.rank(v.basis.stack(triv.complement.basis)) != v.n:
+    stacked = v.basis.stack(triv.complement.basis)
+    if linalg.rank(stacked) != v.n:
         raise OutsideChartError(f"{what}: not transverse to the chart complement")
+    return stacked
 
 
 def extend_isomorphism(v: Subspace, triv: Trivialization) -> Matrix:
@@ -83,8 +86,12 @@ def extend_isomorphism(v: Subspace, triv: Trivialization) -> Matrix:
     On v it is an isomorphism v -> V0; invertibility follows from
     v ⊕ L0 = C^n.
     """
-    _require_transverse(v, triv, "extend_isomorphism")
-    source = v.basis.stack(triv.complement.basis)
+    return _extend(v, triv, _require_transverse(v, triv, "extend_isomorphism"))
+
+
+def _extend(v: Subspace, triv: Trivialization, source: Matrix) -> Matrix:
+    """extend_isomorphism(v, triv) from source = [v; L0], whose rank the
+    caller has checked."""
     target = (v.basis @ triv.projector).stack(triv.complement.basis)
     return linalg.solve(source, target)
 
@@ -110,9 +117,8 @@ def gamma_untrivialize(p: ChartPoint, triv: Trivialization) -> Configuration:
         if not triv.base_point.contains(q):
             raise OutsideChartError("fiber configuration does not lie in the chart base point")
     _require_transverse(base, triv, "gamma_untrivialize")
-    return grassmann.transform_configuration(
-        fiber, grassmann.projection_along(base, triv.complement)
-    )
+    stacked = grassmann._complementary_stack(base, triv.complement)
+    return grassmann.transform_configuration(fiber, grassmann._projection(base, stacked))
 
 
 def pr_forget_last(c: Configuration) -> Configuration:
@@ -138,11 +144,11 @@ def chart_coordinates(hh: Subspace, w: Subspace) -> Matrix:
         raise OutsideChartError(
             f"chart of Gr({hh.k},{hh.n}) needs a complementary w of dimension {hh.n - hh.k}"
         )
-    c_part = grassmann.complement(w)
-    frame = c_part.basis.stack(w.basis)
-    coeff = hh.basis @ linalg.invert(frame)
-    p_block = Matrix(hh.k, hh.k, tuple(row[: hh.k] for row in coeff.entries))
-    q_block = Matrix(hh.k, w.k, tuple(row[hh.k:] for row in coeff.entries))
+    frame = grassmann.complement(w).basis.stack(w.basis)
+    # hh.basis @ frame^-1, as the solution of frame^T @ x = hh.basis^T
+    coeff = linalg.solve(frame.transpose(), hh.basis.transpose()).transpose()
+    p_block = coeff.take_cols(hh.k)
+    q_block = coeff.drop_cols(hh.k)
     if not linalg.is_invertible(p_block):
         raise OutsideChartError("subspace meets w nontrivially")
     return linalg.solve(p_block, q_block)
@@ -168,8 +174,7 @@ def pr_trivialize(c: Configuration, triv: Trivialization) -> ChartPoint:
     """
     front = pr_forget_last(c)
     base_sum = grassmann.subspace_sum(front.points)
-    _require_transverse(base_sum, triv, "pr_trivialize")
-    iso = extend_isomorphism(base_sum, triv)
+    iso = _extend(base_sum, triv, _require_transverse(base_sum, triv, "pr_trivialize"))
     image = grassmann.canonicalize(c.points[-1].basis @ iso, c.n)
     fiber: FiberPoint
     if c.n == c.h * c.k:
@@ -193,9 +198,10 @@ def pr_untrivialize(p: ChartPoint, triv: Trivialization) -> Configuration:
     if grassmann.intersection_dim(image, triv.base_point) != 0:
         raise OutsideChartError("fiber subspace meets the chart base point")
     base_sum = grassmann.subspace_sum(front.points)
-    _require_transverse(base_sum, triv, "pr_untrivialize")
-    iso = extend_isomorphism(base_sum, triv)
-    last = grassmann.canonicalize(image.basis @ linalg.invert(iso), front.n)
+    iso = _extend(base_sum, triv, _require_transverse(base_sum, triv, "pr_untrivialize"))
+    # image.basis @ iso^-1, as the solution of iso^T @ x = image.basis^T
+    pulled = linalg.solve(iso.transpose(), image.basis.transpose()).transpose()
+    last = grassmann.canonicalize(pulled, front.n)
     return Configuration(front.h + 1, front.k, front.n, front.points + (last,))
 
 
@@ -218,7 +224,9 @@ def eta_fiber_point(c: Configuration, triv: Trivialization) -> ChartPoint:
     """
     inter = eta(c)
     _require_transverse(inter, triv, "eta_fiber_point")
-    to_quotient = grassmann.projection_along(triv.complement, inter)
+    # [L0; V] spans what [V; L0] does, so its rank n is already checked
+    stacked = grassmann._complementary_stack(triv.complement, inter)
+    to_quotient = grassmann._projection(triv.complement, stacked)
     first, second = (grassmann.transform(p, to_quotient) for p in c.points)
     return ChartPoint(base=inter, fiber=(first, second))
 

@@ -29,18 +29,14 @@ SeedLike = Union[int, str]
 
 
 def _is_canonical_rref(m: Matrix) -> bool:
+    """Read on the stored Z[i] rows: a row (s, v) has the pivot 1 where its
+    first nonzero part is (s, 0), and every other row is (0, 0) there."""
     last_pivot = -1
-    for r in range(m.rows):
-        lead = None
-        for c in range(m.cols):
-            if not m[r, c].is_zero():
-                lead = c
-                break
-        if lead is None or lead <= last_pivot:
+    for r, (s, row) in enumerate(m.zrows):
+        lead = next((c for c, part in enumerate(row) if part != (0, 0)), None)
+        if lead is None or lead <= last_pivot or row[lead] != (s, 0):
             return False
-        if m[r, lead] != linalg.ONE:
-            return False
-        if any(not m[rr, lead].is_zero() for rr in range(m.rows) if rr != r):
+        if any(other[lead] != (0, 0) for rr, (_, other) in enumerate(m.zrows) if rr != r):
             return False
         last_pivot = lead
     return True
@@ -64,8 +60,8 @@ class Subspace:
 
     def pivots(self) -> tuple[int, ...]:
         return tuple(
-            next(c for c in range(self.n) if not self.basis[r, c].is_zero())
-            for r in range(self.k)
+            next(c for c, part in enumerate(row) if part != (0, 0))
+            for _, row in self.basis.zrows
         )
 
     def contains(self, other: "Subspace") -> bool:
@@ -161,8 +157,7 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Optional[Subspace]:
     null_rows = linalg.kernel(stacked.transpose())
     if null_rows.rows == 0:
         return None
-    coeff_a = Matrix(null_rows.rows, a.k, tuple(row[: a.k] for row in null_rows.entries))
-    return canonicalize(coeff_a @ a.basis, a.n)
+    return canonicalize(null_rows.take_cols(a.k) @ a.basis, a.n)
 
 
 def intersection_dim(a: Subspace, b: Subspace) -> int:
@@ -179,12 +174,8 @@ def complement(v: Subspace) -> Subspace:
     if v.k == v.n:
         raise FullSpaceError("the full space has no complement")
     pivots = set(v.pivots())
-    rows = []
-    for c in range(v.n):
-        if c in pivots:
-            continue
-        rows.append(tuple(linalg.ONE if j == c else linalg.ZERO for j in range(v.n)))
-    return Subspace(v.n, v.n - v.k, Matrix(len(rows), v.n, tuple(rows)))
+    free = [c for c in range(v.n) if c not in pivots]
+    return Subspace(v.n, v.n - v.k, Matrix.unit_rows(free, v.n))
 
 
 def projection_along(target: Subspace, along: Subspace) -> Matrix:
@@ -193,15 +184,26 @@ def projection_along(target: Subspace, along: Subspace) -> Matrix:
     Acts on row vectors by right multiplication.  Requires
     target ⊕ along = C^n.
     """
+    stacked = _complementary_stack(target, along)
+    if linalg.rank(stacked) != target.n:
+        raise NotComplementaryError("subspaces intersect nontrivially")
+    return _projection(target, stacked)
+
+
+def _complementary_stack(target: Subspace, along: Subspace) -> Matrix:
+    """[target; along], after projection_along's checks of the ambient
+    dimension and of dim target + dim along = n."""
     if target.n != along.n:
         raise MixedAmbientError("ambient dimensions differ")
-    n = target.n
-    if target.k + along.k != n:
+    if target.k + along.k != target.n:
         raise NotComplementaryError("dimensions do not add up to the ambient dimension")
-    stacked = target.basis.stack(along.basis)
-    if linalg.rank(stacked) != n:
-        raise NotComplementaryError("subspaces intersect nontrivially")
-    picked = target.basis.stack(Matrix.zeros(along.k, n))
+    return target.basis.stack(along.basis)
+
+
+def _projection(target: Subspace, stacked: Matrix) -> Matrix:
+    """projection_along(target, along) from stacked = [target; along],
+    whose rank n the caller has checked."""
+    picked = target.basis.stack(Matrix.zeros(stacked.rows - target.k, target.n))
     return linalg.solve(stacked, picked)
 
 
@@ -292,10 +294,6 @@ def sample_subspace(k: int, n: int, seed: SeedLike) -> Subspace:
             return canonicalize(raw, n)
 
 
-def _unit_row(idx: int, n: int) -> tuple[GaussianRational, ...]:
-    return tuple(linalg.ONE if j == idx else linalg.ZERO for j in range(n))
-
-
 def _model_bases(h: int, i: int, k: int, n: int) -> list[Matrix]:
     """Coordinate model of the stratum: fresh directions first, then tilts.
 
@@ -305,22 +303,18 @@ def _model_bases(h: int, i: int, k: int, n: int) -> list[Matrix]:
     distinctness comes from tilting e_0 toward e_k inside V, which leaves
     the sum untouched (i >= k+1 whenever tilts occur).
     """
-    bases = [Matrix(k, n, tuple(_unit_row(r, n) for r in range(k)))]
+    bases = [Matrix.unit_rows(range(k), n)]
     used = k
     tilt = 0
     for _ in range(h - 1):
         fresh = min(k, i - used)
         if fresh > 0:
-            rows = [_unit_row(used + r, n) for r in range(fresh)]
-            rows += [_unit_row(r, n) for r in range(k - fresh)]
+            bases.append(Matrix.unit_rows([*range(used, used + fresh), *range(k - fresh)], n))
             used += fresh
         else:
             tilt += 1
-            t = GaussianRational(Fraction(tilt))
-            tilted = list(_unit_row(0, n))
-            tilted[k] = t
-            rows = [tuple(tilted)] + [_unit_row(r, n) for r in range(1, k)]
-        bases.append(Matrix(k, n, tuple(rows)))
+            tilted = Matrix.unit_rows([0], n) + Matrix.unit_rows([k], n).scale(tilt)
+            bases.append(tilted.stack(Matrix.unit_rows(range(1, k), n)))
     return bases
 
 

@@ -2,22 +2,31 @@
 
 Every rank decision in this package is made here, over an exact field:
 complex numbers whose real and imaginary parts are arbitrary-precision
-rationals.  One elimination routine serves the whole package:
-_integer_rref, a fraction-free elimination over the Gaussian integers
-Z[i].  rref, and through it kernel, solve and invert, scale each row to
-Z[i], run the full Gauss-Jordan elimination and divide by the common pivot
-only when building the result; rank runs the forward elimination only and
-reads the pivot count, without building a reduced matrix.  The product
-runs on the same Z[i] rows: each row of the left factor and each column of
-the right one is scaled to Z[i], and each entry is one Z[i] dot product
-divided by the two scales.  All values are immutable and all operations
-are pure, so the module is safe to use from multiple threads without
-coordination.
+rationals.  A Matrix stores each row in its primitive Z[i] form (s, v), the
+Q(i) row v / s with v over the Gaussian integers, and every operation of
+this module reads and builds those rows directly: a result row is made
+primitive with one gcd.  The rows as GaussianRational values (entries,
+m[i, j], str and the JSON codec) are a view built on first read, and
+converting GaussianRational values to Z[i] rows happens only for matrices
+built from them.
+
+One elimination routine serves the whole package: _integer_rref, a
+fraction-free elimination over Z[i].  rref, and through it kernel and
+solve, run the full Gauss-Jordan elimination on the stored rows and divide
+by the common pivot only when building the result; rank runs the forward
+elimination only and reads the pivot count, without building a reduced
+matrix.  The product brings the right factor's rows to one common scale
+and builds each entry as one Z[i] dot product.  All values are immutable
+and all operations are pure (the entries view is filled once, with the
+same value by whichever thread reads it first), so the module is safe to
+use from multiple threads without coordination.
 
 >>> a = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
 >>> print(a * a.conjugate())
 13/36
 >>> m = Matrix.from_rows([[gq(1, 2), gq(0, Fraction(1, 3))]])
+>>> m.zrows
+((3, ((3, 6), (0, 1))),)
 >>> print(m @ m.conjugate_transpose())
 [46/9]
 >>> print(m.conjugate_transpose() @ m)
@@ -27,9 +36,10 @@ coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import InconsistentSystemError
@@ -37,6 +47,9 @@ from .errors import InconsistentSystemError
 Rationalish = Union[int, Fraction]
 Scalarish = Union[int, Fraction, "GaussianRational"]
 GInt = tuple[int, int]
+# A row in primitive form: (s, v) stands for the Q(i) row v / s, with s > 0
+# and gcd(s, every part of v) = 1.
+ZRow = tuple[int, tuple[GInt, ...]]
 
 
 @dataclass(frozen=True)
@@ -102,10 +115,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def abs_max(self) -> Fraction:
-        """Rational-valued magnitude surrogate max(|re|, |im|)."""
-        return max(abs(self.re), abs(self.im))
-
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 
@@ -131,23 +140,126 @@ def gq(re: Rationalish = 0, im: Rationalish = 0) -> GaussianRational:
     return GaussianRational(Fraction(re), Fraction(im))
 
 
-@dataclass(frozen=True)
+def _integer_row(row: Sequence[GaussianRational]) -> ZRow:
+    """The primitive form of a row of GaussianRational values: s is the lcm
+    of the row's denominators, so s * row has Gaussian-integer entries and
+    no prime divides s and all of them."""
+    parts = [q.as_integer_ratio() for e in row for q in (e.re, e.im)]
+    scale = lcm(*(den for _, den in parts))
+    return scale, tuple(
+        (re_num * (scale // re_den), im_num * (scale // im_den))
+        for (re_num, re_den), (im_num, im_den) in zip(parts[::2], parts[1::2])
+    )
+
+
+def _primitive(den: int, row: Sequence[GInt]) -> ZRow:
+    """The primitive form of the Q(i) row row / den, for a positive den:
+    one gcd over den and every part."""
+    g = gcd(den, *chain.from_iterable(row))
+    if g == 1:
+        return den, tuple(row)
+    return den // g, tuple((re // g, im // g) for re, im in row)
+
+
+def _divided(row: Sequence[GInt], d: GInt) -> ZRow:
+    """The primitive form of row / d, for a nonzero Gaussian integer d."""
+    d_re, d_im = d
+    if not d_im:
+        if d_re > 0:
+            return _primitive(d_re, row)
+        return _primitive(-d_re, [(-re, -im) for re, im in row])
+    # row / d = row * conj(d) / |d|^2
+    return _primitive(
+        d_re * d_re + d_im * d_im,
+        [(re * d_re + im * d_im, im * d_re - re * d_im) for re, im in row],
+    )
+
+
+def _scaled(row: tuple[GInt, ...], factor: int) -> tuple[GInt, ...]:
+    return row if factor == 1 else tuple((re * factor, im * factor) for re, im in row)
+
+
+def _common_scale(zrows: Sequence[ZRow]) -> tuple[int, list[tuple[GInt, ...]]]:
+    """(L, rows) with L the lcm of the row scales and each row v / s
+    rewritten as rows[r] / L."""
+    big = lcm(*(s for s, _ in zrows))
+    return big, [_scaled(row, big // s) for s, row in zrows]
+
+
+def _over(value: GInt, den: int) -> GaussianRational:
+    """The Gaussian rational value / den, for a positive integer den."""
+    re, im = value
+    if not (re or im):
+        return ZERO
+    return GaussianRational(
+        Fraction(re, den) if re else ZERO.re, Fraction(im, den) if im else ZERO.re
+    )
+
+
 class Matrix:
     """Immutable dense matrix over Q(i), row-major.
 
     Vectors are rows throughout the package; a linear map C^n -> C^m is an
     n x m matrix acting by right multiplication, x -> x @ a.
+
+    The stored form is ``zrows``: each row as its primitive Z[i] form
+    (s, v), the Q(i) row v / s with s > 0 and gcd(s, every part of v) = 1.
+    A Q(i) row has exactly one primitive form (s is the lcm of its
+    denominators), so ``==`` and ``hash`` compare the stored rows and agree
+    with entrywise equality.  ``Matrix(rows, cols, entries)`` converts its
+    GaussianRational entries once; ``entries`` is a view built from the
+    stored rows on first read and kept.
     """
 
+    __slots__ = ("rows", "cols", "zrows", "_entries")
     rows: int
     cols: int
-    entries: tuple[tuple[GaussianRational, ...], ...]
+    zrows: tuple[ZRow, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows:
+    def __init__(
+        self, rows: int, cols: int, entries: Sequence[Sequence[GaussianRational]]
+    ) -> None:
+        grid = tuple(tuple(row) for row in entries)
+        if len(grid) != rows:
             raise ValueError("row count mismatch")
-        if any(len(row) != self.cols for row in self.entries):
+        if any(len(row) != cols for row in grid):
             raise ValueError("column count mismatch")
+        _init(self, rows, cols, tuple(map(_integer_row, grid)), grid)
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, zrows: tuple[ZRow, ...]) -> "Matrix":
+        """The matrix with the given stored rows, each already primitive."""
+        m = object.__new__(cls)
+        _init(m, rows, cols, zrows, None)
+        return m
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Matrix._of, (self.rows, self.cols, self.zrows)
+
+    @property
+    def entries(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        grid = self._entries
+        if grid is None:
+            grid = tuple(tuple(_over(v, s) for v in row) for s, row in self.zrows)
+            object.__setattr__(self, "_entries", grid)
+        return grid
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.zrows) == (other.rows, other.cols, other.zrows)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.zrows))
+
+    def __repr__(self) -> str:
+        return f"Matrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalarish]]) -> "Matrix":
@@ -160,14 +272,18 @@ class Matrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows)))
+        return Matrix._of(rows, cols, ((1, ((0, 0),) * cols),) * rows)
+
+    @staticmethod
+    def unit_rows(indices: Sequence[int], n: int) -> "Matrix":
+        """The rows e_j, j in indices, of the n x n identity."""
+        return Matrix._of(len(indices), n, tuple(
+            (1, tuple((1, 0) if c == j else (0, 0) for c in range(n))) for j in indices
+        ))
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(
-            n, n,
-            tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)),
-        )
+        return Matrix.unit_rows(range(n), n)
 
     def __getitem__(self, key: tuple[int, int]) -> GaussianRational:
         i, j = key
@@ -177,49 +293,56 @@ class Matrix:
         return self.entries[i]
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(chain.from_iterable(chain.from_iterable(row for _, row in self.zrows)))
+
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        self._check_same_shape(other)
+        out = []
+        for (s, u), (t, v) in zip(self.zrows, other.zrows):
+            g = gcd(s, t)
+            a, b = t // g, sign * (s // g)
+            out.append(_primitive(s * a, [
+                (a * u_re + b * v_re, a * u_im + b * v_im)
+                for (u_re, u_im), (v_re, v_im) in zip(u, v)
+            ]))
+        return Matrix._of(self.rows, self.cols, tuple(out))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        ))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        ))
+        return self._combine(other, -1)
 
     def scale(self, factor: Scalarish) -> "Matrix":
-        factor = GaussianRational.coerce(factor)
-        return Matrix(self.rows, self.cols, tuple(
-            tuple(factor * e for e in row) for row in self.entries
+        t, ((f_re, f_im),) = _integer_row((GaussianRational.coerce(factor),))
+        return Matrix._of(self.rows, self.cols, tuple(
+            _primitive(s * t, [(re * f_re - im * f_im, re * f_im + im * f_re) for re, im in row])
+            for s, row in self.zrows
         ))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """Exact product: with each row of self scaled to Z[i] by s and each
-        column of other by t, entry (r, j) is their Z[i] dot product over
-        s * t, one division per entry."""
+        """Exact product: with the rows of other brought to one common scale
+        L, row r of the product is the Z[i] row of dot products of row r of
+        self (scale s) with the columns, over s * L, one gcd per row."""
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         if not self.cols:
             return Matrix.zeros(self.rows, other.cols)
-        cols = [_integer_row(col) for col in zip(*other.entries)]
-        grid = tuple(
-            tuple(_over(_gdot(row, col), s * t) for t, col in cols)
-            for s, row in map(_integer_row, self.entries)
-        )
-        return Matrix(self.rows, other.cols, grid)
+        big, rows = _common_scale(other.zrows)
+        cols = list(zip(*rows))
+        return Matrix._of(self.rows, other.cols, tuple(
+            _primitive(s * big, [_gdot(row, col) for col in cols]) for s, row in self.zrows
+        ))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.rows else tuple(() for _ in range(self.cols)))
+        if not self.rows:
+            return Matrix.zeros(self.cols, 0)
+        big, rows = _common_scale(self.zrows)
+        return Matrix._of(self.cols, self.rows, tuple(_primitive(big, col) for col in zip(*rows)))
 
     def conjugate(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(
-            tuple(e.conjugate() for e in row) for row in self.entries
+        return Matrix._of(self.rows, self.cols, tuple(
+            (s, tuple((re, -im) for re, im in row)) for s, row in self.zrows
         ))
 
     def conjugate_transpose(self) -> "Matrix":
@@ -228,23 +351,27 @@ class Matrix:
     def stack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("stacked matrices need equal column counts")
-        return Matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
+        return Matrix._of(self.rows + other.rows, self.cols, self.zrows + other.zrows)
 
     def take_rows(self, count: int) -> "Matrix":
-        return Matrix(count, self.cols, self.entries[:count])
+        _check_count(count, self.rows, "row")
+        return Matrix._of(count, self.cols, self.zrows[:count])
 
     def drop_rows(self, count: int) -> "Matrix":
-        return Matrix(self.rows - count, self.cols, self.entries[count:])
+        _check_count(count, self.rows, "row")
+        return Matrix._of(self.rows - count, self.cols, self.zrows[count:])
 
-    def max_abs(self) -> Fraction:
-        """Largest max(|re|, |im|) over all entries (0 for empty matrices)."""
-        best = Fraction(0)
-        for row in self.entries:
-            for e in row:
-                m = e.abs_max()
-                if m > best:
-                    best = m
-        return best
+    def take_cols(self, count: int) -> "Matrix":
+        """The first count columns."""
+        _check_count(count, self.cols, "column")
+        return Matrix._of(self.rows, count, tuple(_primitive(s, row[:count]) for s, row in self.zrows))
+
+    def drop_cols(self, count: int) -> "Matrix":
+        """All columns but the first count."""
+        _check_count(count, self.cols, "column")
+        return Matrix._of(
+            self.rows, self.cols - count, tuple(_primitive(s, row[count:]) for s, row in self.zrows)
+        )
 
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -252,6 +379,19 @@ class Matrix:
 
     def __str__(self) -> str:
         return "\n".join("[" + "  ".join(str(e) for e in row) + "]" for row in self.entries)
+
+
+def _init(m: Matrix, rows: int, cols: int, zrows: tuple[ZRow, ...], entries) -> None:
+    set_slot = object.__setattr__
+    set_slot(m, "rows", rows)
+    set_slot(m, "cols", cols)
+    set_slot(m, "zrows", zrows)
+    set_slot(m, "_entries", entries)
+
+
+def _check_count(count: int, size: int, what: str) -> None:
+    if not 0 <= count <= size:
+        raise ValueError(f"{what} count mismatch")
 
 
 def stack_all(matrices: Iterable[Matrix]) -> Matrix:
@@ -268,24 +408,9 @@ class RrefResult(NamedTuple):
     pivots: tuple[int, ...]
 
 
-def _integer_row(row: Sequence[GaussianRational]) -> tuple[int, list[GInt]]:
-    """(s, s * row) with s the lcm of the row's denominators, so the
-    scaled row has Gaussian-integer entries."""
-    scale = 1
-    for e in row:
-        for den in (e.re.denominator, e.im.denominator):
-            scale = scale * den // gcd(scale, den)
-    return scale, [
-        (e.re.numerator * (scale // e.re.denominator),
-         e.im.numerator * (scale // e.im.denominator))
-        for e in row
-    ]
-
-
-def _integer_rows(m: Matrix) -> list[list[GInt]]:
-    """Each row scaled by _integer_row: Gaussian-integer entries, same row
-    space."""
-    return [_integer_row(row)[1] for row in m.entries]
+def _integer_rows(m: Matrix) -> list[tuple[GInt, ...]]:
+    """The stored Z[i] rows of m without their scales: the same row space."""
+    return [row for _, row in m.zrows]
 
 
 def _gdot(u: Sequence[GInt], v: Sequence[GInt]) -> GInt:
@@ -297,18 +422,8 @@ def _gdot(u: Sequence[GInt], v: Sequence[GInt]) -> GInt:
     return (re, im)
 
 
-def _over(value: GInt, den: int) -> GaussianRational:
-    """The Gaussian rational value / den, for a positive integer den."""
-    re, im = value
-    if not (re or im):
-        return ZERO
-    return GaussianRational(
-        Fraction(re, den) if re else ZERO.re, Fraction(im, den) if im else ZERO.re
-    )
-
-
 def _integer_rref(
-    grid: list[list[GInt]], reduce: bool = True
+    grid: list[Sequence[GInt]], reduce: bool = True
 ) -> tuple[GInt, tuple[int, ...]]:
     """Fraction-free Gauss-Jordan elimination over Z[i], in place.
 
@@ -322,7 +437,7 @@ def _integer_rref(
 
     With reduce=False each step eliminates only the rows below the pivot:
     the pivots and d are the same, the rows above are left in echelon
-    form rather than reduced.  The grid's row lists are replaced, never
+    form rather than reduced.  The grid's rows are replaced, never
     mutated, so the caller's rows may be shared.
     """
     n_rows = len(grid)
@@ -373,17 +488,10 @@ def rref(m: Matrix) -> RrefResult:
     reduced forms agree entrywise.
     """
     grid = _integer_rows(m)
-    (d_re, d_im), pivots = _integer_rref(grid)
-    # e / d = e * conj(d) / |d|^2
-    norm = d_re * d_re + d_im * d_im
-    reduced = tuple(
-        tuple(
-            _over((e_re * d_re + e_im * d_im, e_im * d_re - e_re * d_im), norm)
-            for e_re, e_im in row
-        )
-        for row in grid
-    )
-    return RrefResult(Matrix(m.rows, m.cols, reduced), len(pivots), pivots)
+    d, pivots = _integer_rref(grid)
+    rk = len(pivots)
+    reduced = tuple(_divided(row, d) for row in grid[:rk]) + Matrix.zeros(m.rows - rk, m.cols).zrows
+    return RrefResult(Matrix._of(m.rows, m.cols, reduced), rk, pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -395,18 +503,20 @@ def kernel(m: Matrix) -> Matrix:
     """Basis of the right null space, one solution of m @ x^T = 0 per row.
 
     Returns a (cols - rank) x cols matrix; a full-column-rank input yields
-    a 0 x cols matrix.
+    a 0 x cols matrix.  With the reduced rows d * R, the row of free column
+    f is d at f and -d * R[r, f] at pivot column r, over d.
     """
-    reduced, rk, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
+    grid = _integer_rows(m)
+    d, pivots = _integer_rref(grid)
     rows = []
-    for f in free:
-        vec = [ZERO] * m.cols
-        vec[f] = ONE
+    for f in sorted(set(range(m.cols)) - set(pivots)):
+        vec = [(0, 0)] * m.cols
+        vec[f] = d
         for r, p in enumerate(pivots):
-            vec[p] = -reduced[r, f]
-        rows.append(tuple(vec))
-    return Matrix(len(rows), m.cols, tuple(rows))
+            re, im = grid[r][f]
+            vec[p] = (-re, -im)
+        rows.append(_divided(vec, d))
+    return Matrix._of(len(rows), m.cols, tuple(rows))
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
@@ -417,28 +527,18 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     """
     if a.rows != b.rows:
         raise ValueError("a and b need the same number of rows")
-    augmented = Matrix(
-        a.rows, a.cols + b.cols,
-        tuple(ra + rb for ra, rb in zip(a.entries, b.entries)),
-    )
-    reduced, _, pivots = rref(augmented)
+    # row r of [a | b] over lcm(s, t), from the rows (s, u) of a and (t, v) of b
+    grid = []
+    for (s, u), (t, v) in zip(a.zrows, b.zrows):
+        g = gcd(s, t)
+        grid.append(_scaled(u, t // g) + _scaled(v, s // g))
+    d, pivots = _integer_rref(grid)
     if any(p >= a.cols for p in pivots):
         raise InconsistentSystemError("right-hand side is outside the column space")
-    x = [[ZERO] * b.cols for _ in range(a.cols)]
+    x = list(Matrix.zeros(a.cols, b.cols).zrows)
     for r, p in enumerate(pivots):
-        for c in range(b.cols):
-            x[p][c] = reduced[r, a.cols + c]
-    return Matrix(a.cols, b.cols, tuple(tuple(row) for row in x))
-
-
-def invert(m: Matrix) -> Matrix:
-    """Exact inverse of a square matrix."""
-    if m.rows != m.cols:
-        raise ValueError("only square matrices are invertible")
-    try:
-        return solve(m, Matrix.identity(m.rows))
-    except InconsistentSystemError:
-        raise InconsistentSystemError("matrix is singular") from None
+        x[p] = _divided(grid[r][a.cols:], d)
+    return Matrix._of(a.cols, b.cols, tuple(x))
 
 
 def is_invertible(m: Matrix) -> bool:

@@ -92,7 +92,7 @@ class VerificationReport:
 # N and d but not N / d.
 
 
-def _integer_projector(rows: list[list[GInt]]) -> tuple[list[list[GInt]], int]:
+def _integer_projector(rows: Sequence[Sequence[GInt]]) -> tuple[list[list[GInt]], int]:
     """(N, d) with orthogonal projector N / d of the span of the Z[i] rows;
     d > 0 iff the rows are independent (d = 0 signals a rank drop).
 
@@ -101,7 +101,7 @@ def _integer_projector(rows: list[list[GInt]]) -> tuple[list[list[GInt]], int]:
     """
     k = len(rows)
     conj = [[(re, -im) for re, im in row] for row in rows]
-    grid = [[linalg._gdot(a, b) for b in conj] + a for a in rows]
+    grid = [[linalg._gdot(a, b) for b in conj] + list(a) for a in rows]
     (d, d_im), pivots = linalg._integer_rref(grid)
     # rank [G | B] = rank B, so a rank drop shows as fewer than k pivots
     if len(pivots) < k:
@@ -333,9 +333,7 @@ def _raise_stratum(points: list[Subspace], target_i: int, t: Fraction) -> Option
         for m_idx, p in enumerate(pts):
             for slot in range(p.k):
                 remaining = [q.basis for q in pts[:m_idx] + pts[m_idx + 1:]]
-                remaining.append(Matrix(p.k - 1, p.n, tuple(
-                    row for r, row in enumerate(p.basis.entries) if r != slot
-                )))
+                remaining.append(p.basis.take_rows(slot).stack(p.basis.drop_rows(slot + 1)))
                 if linalg.rank(linalg.stack_all(remaining)) != current:
                     continue
                 tilted = grassmann.canonicalize(_tilt_rows(p.basis, slot, fresh, t), p.n)
@@ -374,7 +372,7 @@ def _adjacency_witness(c: Configuration, target_i: int, eps: Fraction) -> Option
     return "could not meet the distance bound"
 
 
-ScaledRows = list[tuple[int, list[GInt]]]
+ScaledRows = Sequence[linalg.ZRow]
 
 
 def _perturbed_rows(
@@ -382,7 +380,7 @@ def _perturbed_rows(
 ) -> list[list[GInt]]:
     """Z[i] rows spanning the row space of basis + t * direction.
 
-    base holds each basis row as (s, s * row) from linalg._integer_row.
+    base holds each basis row in its stored primitive form (s, s * row).
     With t = a/b the row b * (s * row) + a * s * d is s * b times the
     Q(i) row row + t * d, so the span, and with it the projector and the
     rank, is that of the Q(i) matrix.
@@ -473,7 +471,7 @@ def check_adjacency(
         },
     )
     report.record(f"{seed}:witness", _adjacency_witness(c, target_i, eps))
-    base = [[linalg._integer_row(row) for row in p.basis.entries] for p in c.points]
+    base = [p.basis.zrows for p in c.points]
     cached = [_integer_projector([row for _, row in rows]) for rows in base]
     for idx in range(trials):
         case_seed = f"{seed}:{idx}"

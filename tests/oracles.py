@@ -9,7 +9,9 @@ by computing the same truth.
 The chart-map references at the end keep the older route of the gamma and
 eta trivializations: extend the chart projection to an automorphism of
 C^n, invert it, and push the subspaces through it.  The package computes
-the same subspaces as single projections.
+the same subspaces as single projections.  invert, which solves against
+the identity with the package's solve, is only used there and in tests;
+the package itself computes y @ x^-1 as a transposed solve.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from itertools import combinations
 
 from grassconf.fibrations import ChartPoint, Trivialization, eta, extend_isomorphism
 from grassconf.grassmann import Configuration, Subspace, canonicalize, projection_along
-from grassconf.linalg import ONE, ZERO, GaussianRational, Matrix, invert
+from grassconf.errors import InconsistentSystemError
+from grassconf.linalg import ONE, ZERO, GaussianRational, Matrix, solve
 
 
 def det_laplace(grid: list[list[GaussianRational]]) -> GaussianRational:
@@ -135,6 +138,26 @@ def invert_reference(m: Matrix) -> Matrix:
     if pivots != tuple(range(size)):
         raise ValueError("matrix is singular")
     return Matrix(size, size, tuple(row[size:] for row in reduced.entries))
+
+
+def invert(m: Matrix) -> Matrix:
+    """Exact inverse of a square matrix, as the solution of m @ x = I."""
+    if m.rows != m.cols:
+        raise ValueError("only square matrices are invertible")
+    try:
+        return solve(m, Matrix.identity(m.rows))
+    except InconsistentSystemError:
+        raise InconsistentSystemError("matrix is singular") from None
+
+
+def abs_max(e: GaussianRational) -> Fraction:
+    """Rational-valued magnitude surrogate max(|re|, |im|)."""
+    return max(abs(e.re), abs(e.im))
+
+
+def max_abs(m: Matrix) -> Fraction:
+    """Largest abs_max over all entries (0 for empty matrices)."""
+    return max((abs_max(e) for row in m.entries for e in row), default=Fraction(0))
 
 
 def orthogonal_projector(v: Subspace) -> Matrix:

@@ -11,7 +11,6 @@ from grassconf.linalg import (
     GaussianRational,
     Matrix,
     gq,
-    invert,
     kernel,
     matrix_from_json,
     matrix_to_json,
@@ -20,6 +19,7 @@ from grassconf.linalg import (
     solve,
 )
 from oracles import (
+    invert,
     matmul_reference,
     minor_rank,
     rand_matrix,
