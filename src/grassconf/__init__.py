@@ -21,6 +21,7 @@ from .errors import (
     OutOfScopeError,
     OutsideChartError,
     UnreachableError,
+    WireFormatError,
     WrongArityError,
     ZeroSubspaceError,
 )

@@ -59,3 +59,7 @@ class OutOfScopeError(GrassconfError):
 
 class UnreachableError(GrassconfError):
     """The requested stratum cannot be reached from the given point."""
+
+
+class WireFormatError(GrassconfError, ValueError):
+    """A JSON wire-format object is malformed or lacks a field."""

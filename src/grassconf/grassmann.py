@@ -21,6 +21,7 @@ from .errors import (
     FullSpaceError,
     MixedAmbientError,
     NotComplementaryError,
+    WireFormatError,
     ZeroSubspaceError,
 )
 from .linalg import GaussianRational, Matrix
@@ -348,12 +349,12 @@ def subspace_to_json(v: Subspace) -> dict:
 def subspace_from_json(data: dict) -> Subspace:
     """Parse and re-canonicalize; rank-deficient bases are rejected."""
     if not isinstance(data, dict):
-        raise ValueError("a subspace must be an object with 'n', 'k' and 'basis'")
-    n, k = linalg._wire_int(data["n"]), linalg._wire_int(data["k"])
-    basis = linalg.matrix_from_json(data["basis"])
+        raise WireFormatError("a subspace must be an object with 'n', 'k' and 'basis'")
+    n, k = (linalg._wire_int(linalg._wire_field(data, key, "a subspace")) for key in ("n", "k"))
+    basis = linalg.matrix_from_json(linalg._wire_field(data, "basis", "a subspace"))
     sub = canonicalize(basis, n)
     if sub.k != k:
-        raise ValueError(f"declared dimension {k} but basis has rank {sub.k}")
+        raise WireFormatError(f"declared dimension {k} but basis has rank {sub.k}")
     return sub
 
 
@@ -367,9 +368,10 @@ def configuration_to_json(c: Configuration) -> dict:
 
 
 def configuration_from_json(data: dict) -> Configuration:
-    """Parse a configuration; malformed data raises ValueError."""
+    """Parse a configuration; malformed data raises WireFormatError."""
     if not isinstance(data, dict) or not isinstance(data.get("points"), list):
-        raise ValueError("a configuration must be an object with a 'points' list")
+        raise WireFormatError("a configuration must be an object with a 'points' list")
     points = tuple(subspace_from_json(p) for p in data["points"])
-    h, k, n = (linalg._wire_int(data[key]) for key in ("h", "k", "n"))
+    h, k, n = (linalg._wire_int(linalg._wire_field(data, key, "a configuration"))
+               for key in ("h", "k", "n"))
     return Configuration(h, k, n, points)

@@ -15,11 +15,14 @@ fraction-free elimination over Z[i].  rref, and through it kernel and
 solve, run the full Gauss-Jordan elimination on the stored rows and divide
 by the common pivot only when building the result; rank runs the forward
 elimination only and reads the pivot count, without building a reduced
-matrix.  The product brings the right factor's rows to one common scale
-and builds each entry as one Z[i] dot product.  All values are immutable
-and all operations are pure (the entries view is filled once, with the
-same value by whichever thread reads it first), so the module is safe to
-use from multiple threads without coordination.
+matrix.  _rank_at_least, used by the adjacency trials, first tries a
+mod-p rank certificate that can only prove a lower bound on the rank and
+leaves every other answer to _integer_rref.  The product brings the right
+factor's rows to one common scale and builds each entry as one Z[i] dot
+product.  All values are immutable and all operations are pure (the
+entries view is filled once, with the same value by whichever thread reads
+it first), so the module is safe to use from multiple threads without
+coordination.
 
 >>> a = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
 >>> print(a * a.conjugate())
@@ -42,7 +45,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .errors import InconsistentSystemError
+from .errors import InconsistentSystemError, WireFormatError
 
 Rationalish = Union[int, Fraction]
 Scalarish = Union[int, Fraction, "GaussianRational"]
@@ -479,6 +482,44 @@ def _integer_rref(
     return (prev_re, prev_im), tuple(pivots)
 
 
+# A rank certificate, not a second kernel: the ring map Z[i] -> F_p that
+# sends i to a square root of -1 (p = 10^9 + 9 is a prime = 1 mod 4) maps
+# every minor to its image, so a minor that is nonzero mod p is nonzero
+# over Z[i] and the mod-p rank never exceeds the rank.  A mod-p rank that
+# reaches r proves rank >= r; below r only _integer_rref decides.
+_P = 1_000_000_009
+_SQRT_MINUS_ONE = 430_477_711
+
+
+def _modular_rank(rows: Sequence[Sequence[GInt]], cap: int) -> int:
+    """Rank of the Z[i] rows mapped to F_p, counting at most cap pivots."""
+    grid = [[(re + _SQRT_MINUS_ONE * im) % _P for re, im in row] for row in rows]
+    found = 0
+    for col in range(len(grid[0]) if grid else 0):
+        if found >= cap or found == len(grid):
+            break
+        sel = next((r for r in range(found, len(grid)) if grid[r][col]), None)
+        if sel is None:
+            continue
+        grid[found], grid[sel] = grid[sel], grid[found]
+        prow = grid[found]
+        p = prow[col]
+        for r in range(found + 1, len(grid)):
+            f = grid[r][col]
+            if f:
+                grid[r] = [(p * a - f * b) % _P for a, b in zip(grid[r], prow)]
+        found += 1
+    return found
+
+
+def _rank_at_least(rows: Sequence[Sequence[GInt]], r: int) -> bool:
+    """Whether the Z[i] rows have rank >= r: proved by the mod-p rank when
+    it reaches r, otherwise decided by the pivot count of _integer_rref."""
+    if _modular_rank(rows, r) >= r:
+        return True
+    return len(_integer_rref(list(rows), reduce=False)[1]) >= r
+
+
 def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form, computed by _integer_rref.
 
@@ -564,25 +605,36 @@ def _wire_int(value) -> int:
     """A wire-format integer: a JSON integer or a decimal string (a JSON
     boolean is neither, though Python's bool is an int)."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+        raise WireFormatError(f"expected an integer, got {value!r}")
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise WireFormatError(str(exc)) from None
+
+
+def _wire_field(data: dict, key: str, what: str):
+    """data[key] of the wire-format object named what; a missing key raises
+    WireFormatError naming the object and the field."""
+    if key not in data:
+        raise WireFormatError(f"{what} is missing the field {key!r}")
+    return data[key]
 
 
 def matrix_from_json(data: dict) -> Matrix:
-    """Parse the wire form; malformed data raises ValueError."""
+    """Parse the wire form; malformed data raises WireFormatError."""
     if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
-        raise ValueError("a matrix must be an object with an 'entries' list")
-    rows, cols = _wire_int(data["rows"]), _wire_int(data["cols"])
+        raise WireFormatError("a matrix must be an object with an 'entries' list")
+    rows, cols = (_wire_int(_wire_field(data, key, "a matrix")) for key in ("rows", "cols"))
     raw = data["entries"]
     if len(raw) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(raw)}")
+        raise WireFormatError(f"expected {rows * cols} entries, got {len(raw)}")
     flat = []
     for q in raw:
         if not isinstance(q, list) or len(q) != 4:
-            raise ValueError(f"entry {q!r} is not [re_num, re_den, im_num, im_den]")
+            raise WireFormatError(f"entry {q!r} is not [re_num, re_den, im_num, im_den]")
         re_num, re_den, im_num, im_den = (_wire_int(x) for x in q)
         if not (re_den and im_den):
-            raise ValueError(f"entry {q!r} has a zero denominator")
+            raise WireFormatError(f"entry {q!r} has a zero denominator")
         flat.append(GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den)))
     grid = tuple(tuple(flat[r * cols:(r + 1) * cols]) for r in range(rows))
     return Matrix(rows, cols, grid)

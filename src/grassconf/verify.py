@@ -9,10 +9,13 @@ Three batch checks back the exact layer:
   configuration inside a higher stratum, and confirms that small exact
   perturbations never lower the stratum.  Its chart metric compares
   orthogonal projectors as Gaussian-integer matrices over a positive
-  integer, each from one call of the linalg elimination kernel.  The
-  perturbation trials stay in Z[i] throughout: each perturbed basis is
-  built as integer rows, and the rank check reads the kernel's pivot
-  count.
+  integer, each from one call of the linalg elimination kernel; both the
+  Gram matrix and the projector are Hermitian, so only their upper
+  triangles are computed and compared.  The perturbation trials stay in
+  Z[i] throughout: each perturbed basis is built as integer rows, and the
+  final rank check first tries a mod-p rank certificate, which can only
+  prove that the rank did not drop; a drop is always decided by the
+  kernel's exact pivot count.
 * run_roundtrip_suite exercises the gamma/pr/eta trivializations on
   seeded samples, entrywise over Q(i).
 
@@ -89,7 +92,19 @@ class VerificationReport:
 # N = B^H (d G^-1 B), G = B B^H and d = det G, read off one kernel
 # elimination, so distance comparisons never touch Fraction normalization
 # (the hot path of the perturbation suites).  Scaling a row of B changes
-# N and d but not N / d.
+# N and d but not N / d.  G and N are Hermitian, so only their upper
+# triangles are computed and the lower ones are mirrored as conjugates;
+# for the same reason a gap or an equality test between two projectors
+# reads the entries with r <= c only (|re| and |im| agree across the
+# diagonal).
+
+
+def _hermitian(upper: list[list[GInt]]) -> list[list[GInt]]:
+    """The Hermitian matrix whose row r, from column r on, is upper[r]."""
+    full: list[list[GInt]] = []
+    for r, tail in enumerate(upper):
+        full.append([(re, -im) for re, im in (row[r] for row in full)] + tail)
+    return full
 
 
 def _integer_projector(rows: Sequence[Sequence[GInt]]) -> tuple[list[list[GInt]], int]:
@@ -101,7 +116,8 @@ def _integer_projector(rows: Sequence[Sequence[GInt]]) -> tuple[list[list[GInt]]
     """
     k = len(rows)
     conj = [[(re, -im) for re, im in row] for row in rows]
-    grid = [[linalg._gdot(a, b) for b in conj] + list(a) for a in rows]
+    gram = _hermitian([[linalg._gdot(a, b) for b in conj[r:]] for r, a in enumerate(rows)])
+    grid = [g_row + list(a) for g_row, a in zip(gram, rows)]
     (d, d_im), pivots = linalg._integer_rref(grid)
     # rank [G | B] = rank B, so a rank drop shows as fewer than k pivots
     if len(pivots) < k:
@@ -109,15 +125,16 @@ def _integer_projector(rows: Sequence[Sequence[GInt]]) -> tuple[list[list[GInt]]
     if d_im or d <= 0:
         raise ArithmeticError("Gram determinant must be real and positive")
     solved = list(zip(*(row[k:] for row in grid)))
-    numerator = [[linalg._gdot(ca, sb) for sb in solved] for ca in zip(*conj)]
-    return numerator, d
+    return _hermitian([
+        [linalg._gdot(ca, sb) for sb in solved[r:]] for r, ca in enumerate(zip(*conj))
+    ]), d
 
 
 def _projector_gap(na, da, nb, db) -> int:
     """max-entry of |N_a/d_a - N_b/d_b| scaled by d_a*d_b (an integer)."""
     worst = 0
-    for row_a, row_b in zip(na, nb):
-        for ea, eb in zip(row_a, row_b):
+    for r, (row_a, row_b) in enumerate(zip(na, nb)):
+        for ea, eb in zip(row_a[r:], row_b[r:]):
             re = abs(ea[0] * db - eb[0] * da)
             im = abs(ea[1] * db - eb[1] * da)
             if re > worst:
@@ -125,6 +142,15 @@ def _projector_gap(na, da, nb, db) -> int:
             if im > worst:
                 worst = im
     return worst
+
+
+def _same_projector(na, da, nb, db) -> bool:
+    """Whether N_a/d_a == N_b/d_b; stops at the first entry that differs."""
+    for r, (row_a, row_b) in enumerate(zip(na, nb)):
+        for (a_re, a_im), (b_re, b_im) in zip(row_a[r:], row_b[r:]):
+            if a_re * db != b_re * da or a_im * db != b_im * da:
+                return False
+    return True
 
 
 def subspace_distance(a: Subspace, b: Subspace) -> Fraction:
@@ -393,6 +419,20 @@ def _perturbed_rows(
     ]
 
 
+def _unit_draws(rng: random.Random, count: int) -> list[int]:
+    """count values of rng.randint(-1, 1), drawn as randint draws them:
+    -1 + _randbelow(3), two random bits redrawn on 3.  The values and the
+    generator state afterwards are those of count randint calls."""
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(2)
+        while r == 3:
+            r = getrandbits(2)
+        out.append(r - 1)
+    return out
+
+
 def _semicontinuity_trial(
     c: Configuration,
     base_rank: int,
@@ -409,22 +449,18 @@ def _semicontinuity_trial(
     its projector.  Returns a failure description when the stratum drops,
     None otherwise.
     """
-    directions = [
-        [[(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(c.n)] for _ in range(c.k)]
-        for _ in range(c.h)
-    ]
+    h, k, n = c.h, c.k, c.n
+    draws = iter(_unit_draws(rng, 2 * h * k * n))
+    pairs = list(zip(draws, draws))
+    directions = [[pairs[r * n:(r + 1) * n] for r in range(p * k, (p + 1) * k)] for p in range(h)]
     t = eps * Fraction(rng.randint(1, 4096), 4096) / 8
     for _ in range(80):
         raw = [_perturbed_rows(rows, d, t) for rows, d in zip(base, directions)]
         projectors = [_integer_projector(rows) for rows in raw]
-        degenerate = any(d == 0 for _, d in projectors)
-        if not degenerate:
-            for a in range(c.h):
-                for b in range(a + 1, c.h):
-                    na, da = projectors[a]
-                    nb, db = projectors[b]
-                    if _projector_gap(na, da, nb, db) == 0:
-                        degenerate = True
+        degenerate = any(d == 0 for _, d in projectors) or any(
+            _same_projector(*projectors[a], *projectors[b])
+            for a in range(h) for b in range(a + 1, h)
+        )
         if degenerate:
             t = t / 4
             continue
@@ -438,7 +474,7 @@ def _semicontinuity_trial(
             t = t / 4
             continue
         stacked = [row for rows in raw for row in rows]
-        if len(linalg._integer_rref(stacked, reduce=False)[1]) < base_rank:
+        if not linalg._rank_at_least(stacked, base_rank):
             return "stratum dropped under a perturbation of size < eps"
         return None
     return "could not build a perturbation inside the bound"

@@ -151,19 +151,36 @@ def _boolean_wire_integer():
     return json.dumps(data)
 
 
-@pytest.mark.parametrize("payload", [
-    _zero_denominator,
-    _entries_not_a_list,
-    _top_level_array,
-    _boolean_wire_integer,
-], ids=["zero-denominator", "entries-not-a-list", "top-level-array", "boolean-wire-integer"])
-def test_classify_malformed_payload(tmp_path, capsys, payload):
+def _without(*path):
+    """The sampled payload with the field at the end of path removed."""
+    def payload():
+        data = _sampled_json()
+        obj = data
+        for key in path[:-1]:
+            obj = obj[key]
+        del obj[path[-1]]
+        return json.dumps(data)
+    return payload
+
+
+@pytest.mark.parametrize("payload, named", [
+    (_zero_denominator, "has a zero denominator"),
+    (_entries_not_a_list, "an 'entries' list"),
+    (_top_level_array, "a 'points' list"),
+    (_boolean_wire_integer, "expected an integer, got True"),
+    (_without("h"), "a configuration is missing the field 'h'"),
+    (_without("points", 0, "n"), "a subspace is missing the field 'n'"),
+    (_without("points", 1, "basis", "rows"), "a matrix is missing the field 'rows'"),
+], ids=["zero-denominator", "entries-not-a-list", "top-level-array", "boolean-wire-integer",
+        "missing-h", "point-missing-n", "basis-missing-rows"])
+def test_classify_malformed_payload(tmp_path, capsys, payload, named):
     bad = tmp_path / "bad.json"
     bad.write_text(payload())
     code, _ = run_cli("classify", str(bad))
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err and "Traceback" not in err
 
 
 def test_verify_suite_cli(tmp_path):

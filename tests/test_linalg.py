@@ -7,9 +7,14 @@ from hypothesis import strategies as st
 
 from grassconf.errors import InconsistentSystemError
 from grassconf.linalg import (
+    _P,
+    _SQRT_MINUS_ONE,
     ZERO,
     GaussianRational,
     Matrix,
+    _integer_rows,
+    _modular_rank,
+    _rank_at_least,
     gq,
     kernel,
     matrix_from_json,
@@ -116,12 +121,52 @@ def _oracle_inputs():
 
 
 def test_rref_rank_matches_minor_oracle():
+    # the mod-p rank is only a lower bound, and _rank_at_least is exact
     agree = 0
     for seed, m in _oracle_inputs():
-        assert rank(m) == minor_rank(m), f"seed {seed}"
+        exact = minor_rank(m)
+        assert rank(m) == exact, f"seed {seed}"
         assert tuple(rref(m)) == rref_reference(m), f"seed {seed}"
+        rows = _integer_rows(m)
+        assert _modular_rank(rows, m.rows) <= exact, f"seed {seed}"
+        assert _rank_at_least(rows, exact), f"seed {seed}"
+        assert not _rank_at_least(rows, exact + 1), f"seed {seed}"
         agree += 1
     assert agree == 200 + len(TRIAL_STACKS)
+
+
+def test_modular_map_sends_i_to_a_square_root_of_minus_one():
+    assert _P % 4 == 1
+    assert all(_P % q for q in range(2, int(_P ** 0.5) + 1))
+    assert _SQRT_MINUS_ONE ** 2 % _P == _P - 1
+
+
+def test_rank_at_least_certificate_and_fallback():
+    rng = random.Random(17)
+    rows = _integer_rows(_trial_stack(3, 3, rng))
+    assert _modular_rank(rows, 3) == 3
+    assert _rank_at_least(rows, 3)
+    # full rank over Z[i], but the last row vanishes mod p: all its entries
+    # are multiples of p, or of the Gaussian prime sqrt(-1) - i over p
+    for factor in ((_P, 0), (_SQRT_MINUS_ONE, -1)):
+        f_re, f_im = factor
+        vanishing = [rows[0], rows[1], [
+            (re * f_re - im * f_im, re * f_im + im * f_re) for re, im in rows[2]
+        ]]
+        before = [list(row) for row in vanishing]
+        assert _modular_rank(vanishing, 3) == 2
+        assert rank(Matrix(3, 6, tuple(
+            tuple(GaussianRational(re, im) for re, im in row) for row in vanishing
+        ))) == 3
+        assert _rank_at_least(vanishing, 3)
+        assert [list(row) for row in vanishing] == before
+    # a genuine drop: the last row is the sum of the others
+    dropped = [rows[0], rows[1], [
+        (a_re + b_re, a_im + b_im) for (a_re, a_im), (b_re, b_im) in zip(rows[0], rows[1])
+    ]]
+    assert _modular_rank(dropped, 3) == 2
+    assert not _rank_at_least(dropped, 3)
+    assert _rank_at_least(dropped, 2)
 
 
 def test_rref_idempotent_and_pivots_increasing():

@@ -18,6 +18,7 @@ from grassconf.linalg import GaussianRational, Matrix
 from grassconf.verify import (
     _integer_projector,
     _perturbed_rows,
+    _unit_draws,
     check_adjacency,
     check_dimension,
     configuration_distance,
@@ -62,6 +63,14 @@ def test_integer_metric_matches_projector_difference():
         b = sample_subspace(2, 5, f"cross:{seed}:b")
         direct = max_abs(orthogonal_projector(a) - orthogonal_projector(b))
         assert subspace_distance(a, b) == direct
+        # N / d matches the exact projector in the computed upper triangle
+        # and in the mirrored lower one
+        for v in (a, b):
+            exact = orthogonal_projector(v)
+            scaled = _fraction_projector(linalg._integer_rows(v.basis))
+            assert [[exact[r, c] for c in range(5)] for r in range(5)] == [
+                [GaussianRational(re, im) for re, im in row] for row in scaled
+            ]
 
 
 def test_distance_invariant_under_signed_permutations():
@@ -179,6 +188,19 @@ def test_perturbed_rows_match_rational_perturbation():
             count = len(linalg._integer_rref(stacked, reduce=False)[1])
             assert count == linalg.rank(linalg.stack_all(reference))
     assert checked == 4 * (2 + 3 + 3 + 3)
+
+
+def test_unit_draws_match_randint():
+    # the trials draw their directions without randint; values and the
+    # generator state afterwards must be randint's, so that the scale t
+    # drawn next and every report stay the same
+    for seed in (0, 1, "adjacency:3:0", 12345):
+        ours, reference = random.Random(seed), random.Random(seed)
+        draws = _unit_draws(ours, 12_000)
+        assert draws == [reference.randint(-1, 1) for _ in range(12_000)]
+        assert set(draws) == {-1, 0, 1}
+        assert ours.getstate() == reference.getstate()
+        assert ours.randint(1, 4096) == reference.randint(1, 4096)
 
 
 def test_adjacency_unreachable_target():
