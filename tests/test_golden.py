@@ -2,7 +2,7 @@
 
 Each payload below is a JSON report or a CLI stdout that must not change
 when the exact kernel is refactored: the roundtrip suites, the adjacency
-check and three CLI commands, all on fixed seeds.  golden_hashes.json holds
+check and five CLI commands, all on fixed seeds.  golden_hashes.json holds
 the SHA-256 of each payload as a known-good tree produced it; regenerate it
 only for a deliberate change of output, with
 
@@ -35,6 +35,17 @@ ADJACENCY = (
 ADJACENCY_TRIALS = 10
 SAMPLE_ARGS = ["sample", "--h", "3", "--i", "4", "--k", "2", "--n", "5", "--seed", "7"]
 STRATA_ARGS = ["strata", "--h", "3", "--k", "2", "--n", "6", "--json"]
+# (h, i, k, n) of the dimension-suite runs: k = 1, inner parameters
+# (k < i < n), i = n (no outer parameters), and h = 3
+DIMENSION_JSON = ((2, 2, 1, 3), (2, 3, 2, 5), (2, 4, 2, 4), (3, 4, 2, 5))
+DIMENSION_TEXT = (2, 3, 2, 4)
+
+
+def _dimension_args(h: int, i: int, k: int, n: int) -> list[str]:
+    return [
+        "verify", "--suite", "dimension", "--h", str(h), "--i", str(i),
+        "--k", str(k), "--n", str(n), "--samples", "2", "--seed", "5",
+    ]
 
 
 def _cli_stdout(argv: list[str]) -> str:
@@ -62,6 +73,11 @@ def payloads() -> Iterator[tuple[str, str]]:
         path.write_text(sample.split("\n", 1)[1], encoding="utf-8")
         yield "cli-classify-json", _cli_stdout(["classify", str(path), "--json"])
     yield "cli-strata-json", _cli_stdout(STRATA_ARGS)
+    for s in DIMENSION_JSON:
+        name = "-".join(str(x) for x in s)
+        yield f"cli-verify-dimension-json-{name}", _cli_stdout([*_dimension_args(*s), "--json"])
+    name = "-".join(str(x) for x in DIMENSION_TEXT)
+    yield f"cli-verify-dimension-text-{name}", _cli_stdout(_dimension_args(*DIMENSION_TEXT))
 
 
 def _sha256(text: str) -> str:
