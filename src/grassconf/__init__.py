@@ -5,91 +5,81 @@ ordered configurations of subspaces by the dimension of their sum, the
 three fibrations of the strata (sum, forget-last, intersection) with
 exact local trivializations, and the symbolic homotopy groups of the
 strata with replayable derivation traces.
+
+The public names are resolved on first use (PEP 562), so importing the
+package, or one of its submodules, loads no other submodule.
 """
 
-from .errors import (
-    DirectSumError,
-    DuplicatePointsError,
-    EmptyStratumError,
-    FullSpaceError,
-    GrassconfError,
-    InconsistentSystemError,
-    MixedAmbientError,
-    NotComplementaryError,
-    NotDirectSumError,
-    OutOfRangeError,
-    OutOfScopeError,
-    OutsideChartError,
-    UnreachableError,
-    WireFormatError,
-    WrongArityError,
-    ZeroSubspaceError,
-)
-from .fibrations import (
-    ChartPoint,
-    Trivialization,
-    chart_coordinates,
-    chart_point,
-    eta,
-    eta_fiber_lift,
-    eta_fiber_point,
-    extend_isomorphism,
-    gamma_trivialize,
-    gamma_untrivialize,
-    pr_forget_last,
-    pr_trivialize,
-    pr_untrivialize,
-)
-from .grassmann import (
-    Configuration,
-    StratumId,
-    Subspace,
-    canonicalize,
-    complement,
-    configuration_from_json,
-    configuration_to_json,
-    intersection_dim,
-    is_stratum_nonempty,
-    projection_along,
-    sample_configuration,
-    sample_subspace,
-    strata_list,
-    stratum_closure,
-    stratum_dimension,
-    stratum_of,
-    subspace_from_json,
-    subspace_intersection,
-    subspace_sum,
-    subspace_to_json,
-)
-from .homotopy import (
-    DerivationTrace,
-    FreeAbelian,
-    GroupExpr,
-    Product,
-    PureSphereBraid,
-    Symmetric,
-    Unknown,
-    Zero,
-    config_pi1,
-    config_pi2,
-    config_unordered_pi1,
-    derive,
-    free_abelian,
-    grassmann_pi,
-    product,
-    stiefel_pi,
-)
-from .linalg import GaussianRational, Matrix, gq, kernel, rank, rref, solve
-from .verify import (
-    VerificationReport,
-    check_adjacency,
-    check_dimension,
-    configuration_distance,
-    run_roundtrip_suite,
-    subspace_distance,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "errors": (
+        "DirectSumError", "DuplicatePointsError", "EmptyStratumError", "FullSpaceError",
+        "GrassconfError", "InconsistentSystemError", "MixedAmbientError",
+        "NotComplementaryError", "NotDirectSumError", "OutOfRangeError", "OutOfScopeError",
+        "OutsideChartError", "UnreachableError", "WireFormatError", "WrongArityError",
+        "ZeroSubspaceError",
+    ),
+    "fibrations": (
+        "ChartPoint", "Trivialization", "chart_coordinates", "chart_point", "eta",
+        "eta_fiber_lift", "eta_fiber_point", "extend_isomorphism", "gamma_trivialize",
+        "gamma_untrivialize", "pr_forget_last", "pr_trivialize", "pr_untrivialize",
+    ),
+    "grassmann": (
+        "Configuration", "StratumId", "Subspace", "canonicalize", "complement",
+        "configuration_from_json", "configuration_to_json", "intersection_dim",
+        "is_stratum_nonempty", "projection_along", "sample_configuration", "sample_subspace",
+        "strata_list", "stratum_closure", "stratum_dimension", "stratum_of",
+        "subspace_from_json", "subspace_intersection", "subspace_sum", "subspace_to_json",
+    ),
+    "homotopy": (
+        "DerivationTrace", "FreeAbelian", "GroupExpr", "Product", "PureSphereBraid",
+        "Symmetric", "Unknown", "Zero", "config_pi1", "config_pi2", "config_unordered_pi1",
+        "derive", "free_abelian", "grassmann_pi", "product", "stiefel_pi",
+    ),
+    "linalg": ("GaussianRational", "Matrix", "gq", "kernel", "rank", "rref", "solve"),
+    "verify": (
+        "VerificationReport", "check_adjacency", "check_dimension", "configuration_distance",
+        "run_roundtrip_suite", "subspace_distance",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [
+    "ChartPoint", "Configuration", "DerivationTrace", "DirectSumError",
+    "DuplicatePointsError", "EmptyStratumError", "FreeAbelian", "FullSpaceError",
+    "GaussianRational", "GrassconfError", "GroupExpr", "InconsistentSystemError", "Matrix",
+    "MixedAmbientError", "NotComplementaryError", "NotDirectSumError", "OutOfRangeError",
+    "OutOfScopeError", "OutsideChartError", "Product", "PureSphereBraid", "StratumId",
+    "Subspace", "Symmetric", "Trivialization", "Unknown", "UnreachableError",
+    "VerificationReport", "WireFormatError", "WrongArityError", "Zero", "ZeroSubspaceError",
+    "canonicalize", "chart_coordinates", "chart_point", "check_adjacency", "check_dimension",
+    "complement", "config_pi1", "config_pi2", "config_unordered_pi1",
+    "configuration_distance", "configuration_from_json", "configuration_to_json", "derive",
+    "errors", "eta", "eta_fiber_lift", "eta_fiber_point", "extend_isomorphism", "fibrations",
+    "free_abelian", "gamma_trivialize", "gamma_untrivialize", "gq", "grassmann",
+    "grassmann_pi", "homotopy", "intersection_dim", "is_stratum_nonempty", "kernel",
+    "linalg", "pr_forget_last", "pr_trivialize", "pr_untrivialize", "product",
+    "projection_along", "rank", "rref", "run_roundtrip_suite", "sample_configuration",
+    "sample_subspace", "solve", "stiefel_pi", "strata_list", "stratum_closure",
+    "stratum_dimension", "stratum_of", "subspace_distance", "subspace_from_json",
+    "subspace_intersection", "subspace_sum", "subspace_to_json", "verify",
+]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        # importing a submodule also binds it as an attribute of the package
+        return _import_module(f"{__name__}.{name}")
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -3,6 +3,10 @@ sampling, classification, and verification suites.
 
 Exit codes: 0 success, 1 verification failures, 2 usage or data errors,
 3 answer outside the computed coverage (rendered as Unknown).
+
+Only grassmann (with linalg) is imported at start-up; ``pi`` imports
+homotopy and ``verify`` imports the verification suites when they run, so
+a fresh interpreter loads only what its command needs.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import grassmann, homotopy, verify
+from . import grassmann
 from .errors import GrassconfError
 from .grassmann import StratumId
 
@@ -78,6 +82,8 @@ def cmd_strata(args, out) -> int:
 
 
 def cmd_pi(args, out) -> int:
+    from . import homotopy
+
     s = StratumId(args.h, args.i, args.k, args.n)
     value, trace = homotopy.derive(s, args.order)
     if args.json:
@@ -124,6 +130,8 @@ def cmd_classify(args, out) -> int:
 
 
 def _build_grid(args, suite: str) -> dict:
+    from . import verify
+
     grid = dict(verify.DEFAULT_GRIDS[suite])
     for key in grid:
         if getattr(args, key) is not None:
@@ -138,6 +146,8 @@ def _stratum_flags(args) -> StratumId:
 
 
 def cmd_verify(args, out) -> int:
+    from . import verify
+
     _check_seed(args.seed)
     if args.suite in ("gamma", "pr", "eta"):
         report = verify.run_roundtrip_suite(

@@ -84,8 +84,12 @@ class Configuration:
     points: tuple[Subspace, ...]
 
     def __post_init__(self) -> None:
-        if self.h < 1 or len(self.points) != self.h:
+        if self.h < 1:
             raise ValueError("a configuration needs h >= 1 points")
+        if len(self.points) != self.h:
+            raise ValueError(
+                f"declared h = {self.h} but the configuration has {len(self.points)} points"
+            )
         for p in self.points:
             if p.n != self.n:
                 raise MixedAmbientError("all points must share the ambient space")
@@ -350,7 +354,7 @@ def subspace_from_json(data: dict) -> Subspace:
     """Parse and re-canonicalize; rank-deficient bases are rejected."""
     if not isinstance(data, dict):
         raise WireFormatError("a subspace must be an object with 'n', 'k' and 'basis'")
-    n, k = (linalg._wire_int(linalg._wire_field(data, key, "a subspace")) for key in ("n", "k"))
+    n, k = (linalg._wire_count(data, key, "a subspace") for key in ("n", "k"))
     basis = linalg.matrix_from_json(linalg._wire_field(data, "basis", "a subspace"))
     sub = canonicalize(basis, n)
     if sub.k != k:
@@ -372,6 +376,5 @@ def configuration_from_json(data: dict) -> Configuration:
     if not isinstance(data, dict) or not isinstance(data.get("points"), list):
         raise WireFormatError("a configuration must be an object with a 'points' list")
     points = tuple(subspace_from_json(p) for p in data["points"])
-    h, k, n = (linalg._wire_int(linalg._wire_field(data, key, "a configuration"))
-               for key in ("h", "k", "n"))
+    h, k, n = (linalg._wire_count(data, key, "a configuration") for key in ("h", "k", "n"))
     return Configuration(h, k, n, points)

@@ -620,11 +620,20 @@ def _wire_field(data: dict, key: str, what: str):
     return data[key]
 
 
+def _wire_count(data: dict, key: str, what: str) -> int:
+    """The nonnegative wire-format integer data[key] of the object named
+    what; a negative one raises WireFormatError naming the field."""
+    value = _wire_int(_wire_field(data, key, what))
+    if value < 0:
+        raise WireFormatError(f"the field {key!r} of {what} is {value}; it must be >= 0")
+    return value
+
+
 def matrix_from_json(data: dict) -> Matrix:
     """Parse the wire form; malformed data raises WireFormatError."""
     if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise WireFormatError("a matrix must be an object with an 'entries' list")
-    rows, cols = (_wire_int(_wire_field(data, key, "a matrix")) for key in ("rows", "cols"))
+    rows, cols = (_wire_count(data, key, "a matrix") for key in ("rows", "cols"))
     raw = data["entries"]
     if len(raw) != rows * cols:
         raise WireFormatError(f"expected {rows * cols} entries, got {len(raw)}")

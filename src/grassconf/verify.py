@@ -22,8 +22,10 @@ Three batch checks back the exact layer:
 Each case is a pure function of (parameters, seed, case index), so suites
 can run in any order, or in parallel, with identical reports.
 
-numpy is imported by the float layer's functions only, so importing the
-package (and every CLI command but the dimension suite) does without it.
+The float layer of check_dimension runs on Python complex and float
+values in lists of rows: its matrices are a few dozen entries wide, where
+list arithmetic costs less than loading numpy, which the package does not
+use.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from operator import mul
+from typing import Callable, Optional, Sequence, Union
 
 from . import fibrations, grassmann, linalg
 from .errors import (
@@ -45,9 +48,6 @@ from .errors import (
 from .fibrations import Trivialization
 from .grassmann import Configuration, StratumId, Subspace
 from .linalg import GaussianRational, GInt, Matrix
-
-if TYPE_CHECKING:
-    import numpy as np
 
 SeedLike = Union[int, str]
 
@@ -173,43 +173,89 @@ def configuration_distance(c1: Configuration, c2: Configuration) -> Fraction:
 # dimension of the strata via float chart rank
 
 
-def matrix_to_complex(m: Matrix) -> np.ndarray:
-    import numpy as np
-
-    return np.array(
-        [[e.to_complex() for e in row] for row in m.entries], dtype=complex
-    ).reshape(m.rows, m.cols)
+def matrix_to_complex(m: Matrix) -> list[list[complex]]:
+    """The entries of m as rows of Python complex numbers."""
+    return [[e.to_complex() for e in row] for row in m.entries]
 
 
-def float_rank(a: np.ndarray, tol: float) -> int:
+def float_rank(a: Sequence[Sequence[float]], tol: float) -> int:
     """Rank with a relative pivot threshold after row-scaling.
 
-    Rows are scaled to unit max-norm, then eliminated with full pivoting;
-    a pivot below tol ends the count.
+    a is any sequence of real rows, a 2-d numpy array included.  Rows are
+    scaled to unit max-norm, then eliminated with full pivoting; a pivot
+    below tol ends the count.  A row whose entry in the pivot column is
+    zero is left as it is: its update would change at most the sign of a
+    zero.
     """
-    import numpy as np
-
-    m = np.array(a, dtype=float)
-    if m.size == 0:
-        return 0
-    norms = np.max(np.abs(m), axis=1)
-    nonzero = norms > 0.0
-    m = m[nonzero] / norms[nonzero, None]
+    m: list[list[float]] = []
+    for row in a:
+        row = [float(x) for x in row]
+        norm = max(map(abs, row), default=0.0)
+        if norm > 0.0:
+            m.append([x / norm for x in row])
+    # peaks[r] is the largest magnitude in m[r]
+    peaks = [1.0] * len(m)
     rank = 0
-    while m.shape[0] and m.shape[1]:
-        r, c = np.unravel_index(int(np.argmax(np.abs(m))), m.shape)
-        pivot = m[r, c]
+    while m and m[0]:
+        # the pivot is the first entry of largest magnitude in row-major order
+        top = max(peaks)
+        r = peaks.index(top)
+        row = m.pop(r)
+        del peaks[r]
+        c = [abs(x) for x in row].index(top)
+        pivot = row[c]
         if abs(pivot) <= tol:
             break
         rank += 1
-        row = m[r] / pivot
-        m = np.delete(m, r, axis=0)
-        if m.shape[0]:
-            m = m - np.outer(m[:, c], row)
-            m = np.delete(m, c, axis=1)
-        else:
-            break
+        scaled = [x / pivot for x in row]
+        del scaled[c]
+        for idx, row in enumerate(m):
+            f = row.pop(c)
+            if f:
+                m[idx] = row = [x - f * p for x, p in zip(row, scaled)]
+                peaks[idx] = max(map(abs, row), default=0.0)
     return rank
+
+
+def _product(
+    a: Sequence[Sequence[complex]], b_cols: Sequence[Sequence[complex]]
+) -> list[list[complex]]:
+    """a @ b for the matrix b given by its columns."""
+    return [[sum(map(mul, row, col)) for col in b_cols] for row in a]
+
+
+def _solve(a: list[list[complex]], b: list[list[complex]]) -> list[list[complex]]:
+    """x with a @ x = b for a square nonsingular a: Gaussian elimination
+    with partial pivoting on |re| + |im|, the pivot choice of LAPACK's gesv."""
+    k = len(a)
+    rows = [ar + br for ar, br in zip(a, b)]
+    for c in range(k):
+        p = max(range(c, k), key=lambda r: abs(rows[r][c].real) + abs(rows[r][c].imag))
+        rows[c], rows[p] = rows[p], rows[c]
+        top = rows[c]
+        for r in range(c + 1, k):
+            f = rows[r][c] / top[c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], top)]
+    x: list[list[complex]] = [[] for _ in range(k)]
+    for r in reversed(range(k)):
+        row = rows[r]
+        acc = row[k:]
+        for c in range(r + 1, k):
+            acc = [v - row[c] * w for v, w in zip(acc, x[c])]
+        x[r] = [v / row[r] for v in acc]
+    return x
+
+
+def _projector_parts(
+    coeff: list[list[complex]], space_cols: Sequence[Sequence[complex]]
+) -> list[float]:
+    """Real parts, then imaginary parts, row by row, of the orthogonal
+    projector onto the row space of coeff @ V, with V given by its columns."""
+    basis = _product(coeff, space_cols)
+    conj = [[z.conjugate() for z in row] for row in basis]
+    x = _solve(_product(basis, conj), basis)
+    proj = _product(list(zip(*conj)), list(zip(*x)))
+    return [z.real for row in proj for z in row] + [z.imag for row in proj for z in row]
 
 
 def _coefficients_in(v: Subspace, p: Subspace) -> Matrix:
@@ -217,24 +263,29 @@ def _coefficients_in(v: Subspace, p: Subspace) -> Matrix:
     return linalg.solve(v.basis.transpose(), p.basis.transpose()).transpose()
 
 
-def _chart_map(c: Configuration):
+ChartMap = Callable[[int, float], list[Optional[list[float]]]]
+
+
+def _chart_map(c: Configuration) -> tuple[ChartMap, int]:
     """Float chart of the stratum at c.
 
     Parameters move the sum V inside Gr(i, n) by graph coordinates and
     each subspace inside V by graph coordinates; the value is the stacked
-    real/imaginary parts of the h orthogonal projector matrices.
-    Returns (map, parameter count).
-    """
-    import numpy as np
+    real/imaginary parts of the h orthogonal projector matrices.  The
+    parameters are the real parts of the complex coordinates, then their
+    imaginary parts; the coordinates are those of V, then those of each
+    subspace in turn.
 
+    Returns (map, parameter count).  map(p, t) is the chart at t times the
+    p-th unit vector, one entry per subspace: the parts of its projector,
+    or None where parameter p does not move it (the coordinates of a
+    subspace inside V move that subspace only).
+    """
     h, k, n = c.h, c.k, c.n
     total = grassmann.subspace_sum(c.points)
     i = total.k
     vb = matrix_to_complex(total.basis)
-    if i < n:
-        wb = matrix_to_complex(grassmann.complement(total).basis)
-    else:
-        wb = None
+    wb = matrix_to_complex(grassmann.complement(total).basis) if i < n else []
     coeffs = []
     inner_complements = []
     for p in c.points:
@@ -243,50 +294,46 @@ def _chart_map(c: Configuration):
         if k < i:
             inner = grassmann.complement(grassmann.canonicalize(coeff, i))
             inner_complements.append(matrix_to_complex(inner.basis))
-        else:
-            inner_complements.append(None)
     n_outer = i * (n - i)
     n_inner = k * (i - k)
     n_complex = n_outer + h * n_inner
+    vb_cols = list(zip(*vb))
 
-    def chart(theta: np.ndarray) -> np.ndarray:
-        z = theta[: len(theta) // 2] + 1j * theta[len(theta) // 2:]
-        pos = 0
-        va = vb
-        if n_outer:
-            a = z[pos:pos + n_outer].reshape(i, n - i)
-            pos += n_outer
-            va = vb + a @ wb
-        out = []
-        for idx in range(h):
-            cj = coeffs[idx]
-            if n_inner:
-                b = z[pos:pos + n_inner].reshape(k, i - k)
-                pos += n_inner
-                cj = cj + b @ inner_complements[idx]
-            basis = cj @ va
-            gram = basis @ basis.conj().T
-            proj = basis.conj().T @ np.linalg.solve(gram, basis)
-            out.append(proj.real.ravel())
-            out.append(proj.imag.ravel())
-        return np.concatenate(out)
+    def chart(p: int, t: float) -> list[Optional[list[float]]]:
+        q, z = (p, complex(t, 0.0)) if p < n_complex else (p - n_complex, complex(0.0, t))
+        if q < n_outer:
+            r, col = divmod(q, n - i)
+            va = list(vb)
+            va[r] = [v + z * w for v, w in zip(vb[r], wb[col])]
+            va_cols = list(zip(*va))
+            return [_projector_parts(cj, va_cols) for cj in coeffs]
+        j, q = divmod(q - n_outer, n_inner)
+        r, col = divmod(q, i - k)
+        cj = list(coeffs[j])
+        cj[r] = [v + z * w for v, w in zip(cj[r], inner_complements[j][col])]
+        parts: list[Optional[list[float]]] = [None] * h
+        parts[j] = _projector_parts(cj, vb_cols)
+        return parts
 
     return chart, 2 * n_complex
 
 
-def _fd_jacobian(f, n_params: int, step: float) -> np.ndarray:
-    """Central-difference Jacobian at 0, parameters as rows."""
-    import numpy as np
+def _fd_jacobian(f: ChartMap, n_params: int, step: float) -> list[list[float]]:
+    """Central-difference Jacobian at 0, parameters as rows.
 
+    A block that f leaves as None does not move with the parameter, so its
+    part of the row is 0.0, the difference of two equal values.
+    """
+    scale = 2.0 * step
     rows = []
     for p in range(n_params):
-        theta = np.zeros(n_params)
-        theta[p] = step
-        plus = f(theta)
-        theta[p] = -step
-        minus = f(theta)
-        rows.append((plus - minus) / (2.0 * step))
-    return np.vstack(rows)
+        plus, minus = f(p, step), f(p, -step)
+        width = len(next(part for part in plus if part is not None))
+        row: list[float] = []
+        for a, b in zip(plus, minus):
+            row.extend([0.0] * width if a is None else [(x - y) / scale for x, y in zip(a, b)])
+        rows.append(row)
+    return rows
 
 
 def _dimension_case(c: Configuration, s: StratumId, tol: float) -> Optional[str]:

@@ -12,6 +12,9 @@ C^n, invert it, and push the subspaces through it.  The package computes
 the same subspaces as single projections.  invert, which solves against
 the identity with the package's solve, is only used there and in tests;
 the package itself computes y @ x^-1 as a transposed solve.
+
+The float references keep the numpy route of the dimension suite's chart
+Jacobian and float rank, which the package now computes on Python lists.
 """
 
 from __future__ import annotations
@@ -21,7 +24,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from grassconf.fibrations import ChartPoint, Trivialization, eta, extend_isomorphism
-from grassconf.grassmann import Configuration, Subspace, canonicalize, projection_along
+from grassconf.grassmann import (
+    Configuration,
+    Subspace,
+    canonicalize,
+    complement,
+    projection_along,
+    subspace_sum,
+)
 from grassconf.errors import InconsistentSystemError
 from grassconf.linalg import ONE, ZERO, GaussianRational, Matrix, solve
 
@@ -194,3 +204,77 @@ def eta_fiber_lift_reference(p: ChartPoint, triv: Trivialization) -> Configurati
         canonicalize(triv.base_point.basis.stack(q.basis) @ back, base.n) for q in p.fiber
     )
     return Configuration(2, points[0].k, base.n, points)
+
+
+def chart_jacobian_reference(c: Configuration, step: float):
+    """The dimension suite's central-difference chart Jacobian at c, with
+    numpy: the chart moves the sum V by graph coordinates over its
+    complement and each subspace inside V by graph coordinates over its
+    complement in V, and stacks the real/imaginary parts of the h
+    projectors B^H (B B^H)^-1 B.  Parameters are rows, real parts first."""
+    import numpy as np
+
+    def to_complex(m: Matrix):
+        return np.array([[e.to_complex() for e in row] for row in m.entries],
+                        dtype=complex).reshape(m.rows, m.cols)
+
+    h, k, n = c.h, c.k, c.n
+    total = subspace_sum(c.points)
+    i = total.k
+    vb = to_complex(total.basis)
+    wb = to_complex(complement(total).basis) if i < n else None
+    coeffs, inners = [], []
+    for p in c.points:
+        coeff = solve(total.basis.transpose(), p.basis.transpose()).transpose()
+        coeffs.append(to_complex(coeff))
+        inners.append(to_complex(complement(canonicalize(coeff, i)).basis) if k < i else None)
+    n_outer, n_inner = i * (n - i), k * (i - k)
+    n_params = 2 * (n_outer + h * n_inner)
+
+    def chart(theta):
+        z = theta[: len(theta) // 2] + 1j * theta[len(theta) // 2:]
+        pos, va = 0, vb
+        if n_outer:
+            va = vb + z[:n_outer].reshape(i, n - i) @ wb
+            pos = n_outer
+        out = []
+        for cj, inner in zip(coeffs, inners):
+            if n_inner:
+                cj = cj + z[pos:pos + n_inner].reshape(k, i - k) @ inner
+                pos += n_inner
+            basis = cj @ va
+            proj = basis.conj().T @ np.linalg.solve(basis @ basis.conj().T, basis)
+            out += [proj.real.ravel(), proj.imag.ravel()]
+        return np.concatenate(out)
+
+    rows = []
+    for p in range(n_params):
+        theta = np.zeros(n_params)
+        theta[p] = step
+        plus = chart(theta)
+        theta[p] = -step
+        rows.append((plus - chart(theta)) / (2.0 * step))
+    return np.vstack(rows)
+
+
+def float_rank_reference(a, tol: float) -> int:
+    """Rank after scaling rows to unit max-norm, by numpy elimination with
+    full pivoting that stops at a pivot of magnitude <= tol."""
+    import numpy as np
+
+    m = np.array(a, dtype=float)
+    if m.size == 0:
+        return 0
+    norms = np.max(np.abs(m), axis=1)
+    m = m[norms > 0.0] / norms[norms > 0.0, None]
+    rank = 0
+    while m.shape[0] and m.shape[1]:
+        r, c = np.unravel_index(int(np.argmax(np.abs(m))), m.shape)
+        pivot = m[r, c]
+        if abs(pivot) <= tol:
+            break
+        rank += 1
+        row = m[r] / pivot
+        m = np.delete(m, r, axis=0)
+        m = np.delete(m - np.outer(m[:, c], row), c, axis=1)
+    return rank

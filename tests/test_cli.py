@@ -163,6 +163,18 @@ def _without(*path):
     return payload
 
 
+def _with(*path, value):
+    """The sampled payload with the field at the end of path set to value."""
+    def payload():
+        data = _sampled_json()
+        obj = data
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+        return json.dumps(data)
+    return payload
+
+
 @pytest.mark.parametrize("payload, named", [
     (_zero_denominator, "has a zero denominator"),
     (_entries_not_a_list, "an 'entries' list"),
@@ -171,8 +183,16 @@ def _without(*path):
     (_without("h"), "a configuration is missing the field 'h'"),
     (_without("points", 0, "n"), "a subspace is missing the field 'n'"),
     (_without("points", 1, "basis", "rows"), "a matrix is missing the field 'rows'"),
+    (_with("points", 0, "basis", "rows", value=-1),
+     "the field 'rows' of a matrix is -1; it must be >= 0"),
+    (_with("points", 0, "basis", "cols", value=-4),
+     "the field 'cols' of a matrix is -4; it must be >= 0"),
+    (_with("points", 1, "n", value=-1), "the field 'n' of a subspace is -1; it must be >= 0"),
+    (_with("points", 1, "k", value="-2"), "the field 'k' of a subspace is -2; it must be >= 0"),
+    (_with("h", value=-2), "the field 'h' of a configuration is -2; it must be >= 0"),
 ], ids=["zero-denominator", "entries-not-a-list", "top-level-array", "boolean-wire-integer",
-        "missing-h", "point-missing-n", "basis-missing-rows"])
+        "missing-h", "point-missing-n", "basis-missing-rows", "negative-rows", "negative-cols",
+        "negative-n", "negative-k", "negative-h"])
 def test_classify_malformed_payload(tmp_path, capsys, payload, named):
     bad = tmp_path / "bad.json"
     bad.write_text(payload())
@@ -181,6 +201,16 @@ def test_classify_malformed_payload(tmp_path, capsys, payload, named):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err and "Traceback" not in err
+
+
+def test_classify_mismatched_h_names_both_counts(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(_with("h", value=3)())
+    code, out = run_cli("classify", str(bad))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        "error: declared h = 3 but the configuration has 2 points\n"
+    )
 
 
 def test_verify_suite_cli(tmp_path):
@@ -275,3 +305,40 @@ def test_cli_without_float_layer_does_not_import_numpy():
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+_MODULES_AFTER = (
+    "import io, json, sys\n"
+    "from grassconf import cli\n"
+    "code = cli.main(json.loads(sys.argv[1]), out=io.StringIO())\n"
+    "print(json.dumps([code, sorted(sys.modules)]))\n"
+)
+_SUITES = {"grassconf.homotopy", "grassconf.verify", "grassconf.fibrations"}
+_HIKN = ["--h", "2", "--i", "3", "--k", "2", "--n", "4"]
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["strata", "--h", "3", "--k", "2", "--n", "5", "--json"], _SUITES),
+    (["sample", *_HIKN, "--seed", "4"], _SUITES),
+    (["classify", "{config}", "--json"], _SUITES),
+    (["pi", "--order", "2", *_HIKN, "--trace", "--json"],
+     {"grassconf.verify", "grassconf.fibrations"}),
+    (["verify", "--suite", "dimension", *_HIKN, "--samples", "1"], set()),
+    (["verify", "--suite", "gamma", "--cases", "2"], set()),
+    (["verify", "--suite", "adjacency", *_HIKN, "--trials", "2"], set()),
+], ids=["strata", "sample", "classify", "pi", "verify-dimension", "verify-gamma",
+        "verify-adjacency"])
+def test_command_loads_only_what_it_runs(tmp_path, argv, absent):
+    # a fresh interpreter: which modules a command loads, numpy never
+    config = tmp_path / "c.json"
+    assert run_cli("sample", *_HIKN, "--seed", "4", "-o", str(config))[0] == 0
+    argv = [str(config) if a == "{config}" else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER, json.dumps(argv)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code == 0
+    assert "grassconf.grassmann" in modules
+    assert not (absent | {"numpy"}) & set(modules)

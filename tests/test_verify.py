@@ -16,6 +16,9 @@ from grassconf.grassmann import (
 from grassconf import linalg
 from grassconf.linalg import GaussianRational, Matrix
 from grassconf.verify import (
+    FD_STEPS,
+    _chart_map,
+    _fd_jacobian,
     _integer_projector,
     _perturbed_rows,
     _unit_draws,
@@ -26,7 +29,12 @@ from grassconf.verify import (
     run_roundtrip_suite,
     subspace_distance,
 )
-from oracles import max_abs, orthogonal_projector
+from oracles import (
+    chart_jacobian_reference,
+    float_rank_reference,
+    max_abs,
+    orthogonal_projector,
+)
 
 
 def unit_rows(n, *idx):
@@ -99,6 +107,57 @@ def test_float_rank_basic():
     assert float_rank(np.array([[1e-9, 0.0], [0.0, 1e-12]]), 1e-6) == 2
     near = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-9, 0.0], [0.0, 0.0, 3.0]])
     assert float_rank(near, 1e-6) == 2
+
+
+def test_float_rank_basic_on_lists():
+    assert float_rank([[float(r == c) for c in range(4)] for r in range(4)], 1e-6) == 4
+    assert float_rank([[0.0] * 5 for _ in range(3)], 1e-6) == 0
+    a = [[1.0, 2.0], [2.0, 4.0 + 1e-12]]
+    assert float_rank(a, 1e-6) == 1
+    # row-scaling is per row: tiny but independent rows still count
+    assert float_rank([[1e-9, 0.0], [0.0, 1e-12]], 1e-6) == 2
+    near = [[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-9, 0.0], [0.0, 0.0, 3.0]]
+    assert float_rank(near, 1e-6) == 2
+
+
+def test_float_rank_matches_numpy_elimination():
+    rng = np.random.default_rng(5)
+    for rows, cols, r in [(6, 9, 4), (9, 6, 6), (12, 30, 5), (7, 7, 0), (0, 4, 0), (3, 0, 0)]:
+        a = rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols))
+        a[rng.random(a.shape) < 0.3] = 0.0
+        a += 1e-9 * rng.standard_normal(a.shape)
+        for tol in (1e-6, 1e-12):
+            assert float_rank(a.tolist(), tol) == float_rank_reference(a, tol)
+
+
+# (h, i, k, n): k = 1, inner parameters, i = n, h = 3 with both kinds
+CHART_STRATA = [(2, 2, 1, 3), (2, 3, 2, 5), (2, 4, 2, 4), (3, 4, 2, 5), (1, 2, 2, 4)]
+
+
+@pytest.mark.parametrize("hikn", CHART_STRATA, ids=lambda s: "-".join(map(str, s)))
+def test_chart_jacobian_matches_numpy_reference(hikn):
+    h, i, k, n = hikn
+    c = sample_configuration(StratumId(*hikn), "chart")
+    chart, n_params = _chart_map(c)
+    n_outer, n_inner = i * (n - i), k * (i - k)
+    assert n_params == 2 * (n_outer + h * n_inner)
+    block = 2 * n * n
+    for step in FD_STEPS:
+        got = np.array(_fd_jacobian(chart, n_params, step))
+        want = chart_jacobian_reference(c, step)
+        assert got.shape == want.shape == (n_params, h * block)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-7)
+        # an inner parameter of point j moves point j's projector only: the
+        # other blocks of its row are exactly zero on both sides
+        for p in range(n_params):
+            q = p % (n_params // 2)
+            if q < n_outer:
+                continue
+            j = (q - n_outer) // n_inner
+            for other in set(range(h)) - {j}:
+                assert not got[p, other * block:(other + 1) * block].any()
+                assert not want[p, other * block:(other + 1) * block].any()
+        assert float_rank(got.tolist(), 1e-6) == float_rank_reference(want, 1e-6) == n_params
 
 
 # --- dimension ----------------------------------------------------------------
