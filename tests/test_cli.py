@@ -293,8 +293,8 @@ def test_console_entry_point_subprocess():
 
 
 def test_cli_without_float_layer_does_not_import_numpy():
-    # numpy is imported by verify's float layer only; a fresh interpreter
-    # running a command that never reaches it stays free of numpy
+    # the package does not use numpy; a fresh interpreter that imports it
+    # and runs a command stays free of numpy
     script = (
         "import io, sys\n"
         "import grassconf\n"
