@@ -48,26 +48,8 @@ _EXPORTS = {
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "ChartPoint", "Configuration", "DerivationTrace", "DirectSumError",
-    "DuplicatePointsError", "EmptyStratumError", "FreeAbelian", "FullSpaceError",
-    "GaussianRational", "GrassconfError", "GroupExpr", "InconsistentSystemError", "Matrix",
-    "MixedAmbientError", "NotComplementaryError", "NotDirectSumError", "OutOfRangeError",
-    "OutOfScopeError", "OutsideChartError", "Product", "PureSphereBraid", "StratumId",
-    "Subspace", "Symmetric", "Trivialization", "Unknown", "UnreachableError",
-    "VerificationReport", "WireFormatError", "WrongArityError", "Zero", "ZeroSubspaceError",
-    "canonicalize", "chart_coordinates", "chart_point", "check_adjacency", "check_dimension",
-    "complement", "config_pi1", "config_pi2", "config_unordered_pi1",
-    "configuration_distance", "configuration_from_json", "configuration_to_json", "derive",
-    "errors", "eta", "eta_fiber_lift", "eta_fiber_point", "extend_isomorphism", "fibrations",
-    "free_abelian", "gamma_trivialize", "gamma_untrivialize", "gq", "grassmann",
-    "grassmann_pi", "homotopy", "intersection_dim", "is_stratum_nonempty", "kernel",
-    "linalg", "pr_forget_last", "pr_trivialize", "pr_untrivialize", "product",
-    "projection_along", "rank", "rref", "run_roundtrip_suite", "sample_configuration",
-    "sample_subspace", "solve", "stiefel_pi", "strata_list", "stratum_closure",
-    "stratum_dimension", "stratum_of", "subspace_distance", "subspace_from_json",
-    "subspace_intersection", "subspace_sum", "subspace_to_json", "verify",
-]
+# the submodules and the names they define, sorted
+__all__ = sorted([*_EXPORTS, *_SOURCE])
 
 
 def __getattr__(name: str):

@@ -119,7 +119,10 @@ def cmd_sample(args, out) -> int:
 
 def cmd_classify(args, out) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"the JSON in {args.file} is nested too deeply") from None
     cfg = grassmann.configuration_from_json(data)
     i = grassmann.stratum_of(cfg)
     if args.json:

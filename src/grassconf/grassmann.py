@@ -227,10 +227,6 @@ def stratum_of(c: Configuration) -> int:
     return subspace_sum(c.points).k
 
 
-def stratum_id_of(c: Configuration) -> StratumId:
-    return StratumId(c.h, stratum_of(c), c.k, c.n)
-
-
 def is_stratum_nonempty(s: StratumId) -> bool:
     """Emptiness predicate: h=1 needs i=k; h>=2 needs k+1 <= i <= min(hk, n)."""
     if s.h == 1:

@@ -11,8 +11,12 @@ Three batch checks back the exact layer:
   orthogonal projectors as Gaussian-integer matrices over a positive
   integer, each from one call of the linalg elimination kernel; both the
   Gram matrix and the projector are Hermitian, so only their upper
-  triangles are computed and compared.  The perturbation trials stay in
-  Z[i] throughout: each perturbed basis is built as integer rows, and the
+  triangles are computed and compared.  The witness and the perturbation
+  trials both stay in Z[i]: each tilted or perturbed basis is built as
+  integer rows by the same routine, and both test the distance bound
+  with the same integer comparison against the base point's projectors,
+  computed once per check.  A witness step finds every redundant basis
+  vector from one left null space of the stacked bases.  The trials'
   final rank check first tries a mod-p rank certificate, which can only
   prove that the rank did not drop; a drop is always decided by the
   kernel's exact pivot count.
@@ -47,7 +51,7 @@ from .errors import (
 )
 from .fibrations import Trivialization
 from .grassmann import Configuration, StratumId, Subspace
-from .linalg import GaussianRational, GInt, Matrix
+from .linalg import GInt, Matrix
 
 SeedLike = Union[int, str]
 
@@ -107,7 +111,10 @@ def _hermitian(upper: list[list[GInt]]) -> list[list[GInt]]:
     return full
 
 
-def _integer_projector(rows: Sequence[Sequence[GInt]]) -> tuple[list[list[GInt]], int]:
+Projector = tuple[list[list[GInt]], int]
+
+
+def _integer_projector(rows: Sequence[Sequence[GInt]]) -> Projector:
     """(N, d) with orthogonal projector N / d of the span of the Z[i] rows;
     d > 0 iff the rows are independent (d = 0 signals a rank drop).
 
@@ -151,6 +158,12 @@ def _same_projector(na, da, nb, db) -> bool:
             if a_re * db != b_re * da or a_im * db != b_im * da:
                 return False
     return True
+
+
+def _within(projector: Projector, base: Projector, eps: Fraction) -> bool:
+    """Whether the chart-metric distance of the projectors N/d is < eps."""
+    (na, da), (nb, db) = projector, base
+    return _projector_gap(na, da, nb, db) * eps.denominator < eps.numerator * da * db
 
 
 def subspace_distance(a: Subspace, b: Subspace) -> Fraction:
@@ -381,71 +394,75 @@ def check_dimension(
 # adjacency of strata
 
 
-def _all_rows(points: Sequence[Subspace]) -> Matrix:
-    return linalg.stack_all(p.basis for p in points)
+ScaledRows = Sequence[linalg.ZRow]
 
 
-def _tilt_rows(basis: Matrix, slot: int, direction: tuple, t: Fraction) -> Matrix:
-    factor = GaussianRational(t)
-    rows = [
-        tuple(e + factor * d for e, d in zip(row, direction)) if r == slot else row
-        for r, row in enumerate(basis.entries)
-    ]
-    return Matrix(basis.rows, basis.cols, tuple(rows))
-
-
-def _raise_stratum(points: list[Subspace], target_i: int, t: Fraction) -> Optional[list[Subspace]]:
+def _raise_stratum(
+    points: Sequence[Subspace], current: int, target_i: int, t: Fraction
+) -> Optional[list[Subspace]]:
     """Greedy exact tilts: nudge redundant basis vectors toward fresh
-    directions until the sum reaches target_i.  Each step provably raises
-    the rank by one; the exact checks below are guards."""
+    directions until the sum of the points, of dimension current, reaches
+    target_i.  Each step provably raises the rank by one; the exact checks
+    below are guards.
+
+    A step tries the rows of the stacked bases in order.  Row r is
+    redundant iff some left null vector of the stack is nonzero at r; it
+    is tilted by t toward the first standard direction outside the sum.
+    """
     pts = list(points)
-    current = linalg.rank(_all_rows(pts))
+    k, n = pts[0].k, pts[0].n
     while current < target_i:
-        fresh = grassmann.complement(grassmann.subspace_sum(pts)).basis.row(0)
-        advanced = False
-        for m_idx, p in enumerate(pts):
-            for slot in range(p.k):
-                remaining = [q.basis for q in pts[:m_idx] + pts[m_idx + 1:]]
-                remaining.append(p.basis.take_rows(slot).stack(p.basis.drop_rows(slot + 1)))
-                if linalg.rank(linalg.stack_all(remaining)) != current:
-                    continue
-                tilted = grassmann.canonicalize(_tilt_rows(p.basis, slot, fresh, t), p.n)
-                if tilted.k != p.k:
-                    continue
-                trial = pts[:m_idx] + [tilted] + pts[m_idx + 1:]
-                if any(trial[a] == trial[b] for a in range(len(trial)) for b in range(a + 1, len(trial))):
-                    continue
-                if linalg.rank(_all_rows(trial)) != current + 1:
-                    continue
-                pts = trial
-                current += 1
-                advanced = True
-                break
-            if advanced:
-                break
-        if not advanced:
+        stacked = linalg.stack_all(p.basis for p in pts)
+        pivots = linalg.rref(stacked).pivots
+        fresh = next(col for col in range(n) if col not in pivots)
+        null = linalg.kernel(stacked.transpose())
+        redundant = {r for _, y in null.zrows for r, part in enumerate(y) if part != (0, 0)}
+        for r in sorted(redundant):
+            m_idx, slot = divmod(r, k)
+            direction = [[(0, 0)] * n for _ in range(k)]
+            direction[slot][fresh] = (1, 0)
+            rows = _perturbed_rows(pts[m_idx].basis.zrows, direction, t)
+            tilted = grassmann.canonicalize(
+                Matrix._of(k, n, tuple((1, tuple(row)) for row in rows)), n
+            )
+            if tilted.k != k:
+                continue
+            trial = pts[:m_idx] + [tilted] + pts[m_idx + 1:]
+            if any(trial[a] == trial[b] for a in range(len(trial)) for b in range(a + 1, len(trial))):
+                continue
+            if linalg.rank(linalg.stack_all(p.basis for p in trial)) != current + 1:
+                continue
+            pts = trial
+            current += 1
+            break
+        else:
             return None
     return pts
 
 
-def _adjacency_witness(c: Configuration, target_i: int, eps: Fraction) -> Optional[str]:
-    if grassmann.stratum_of(c) == target_i:
+def _adjacency_witness(
+    c: Configuration, j0: int, target_i: int, eps: Fraction, cached: Sequence[Projector]
+) -> Optional[str]:
+    """None when an exact configuration of stratum target_i lies within eps
+    of c, else a failure description.  c lies in stratum j0, and cached
+    holds the projectors of its points."""
+    if j0 == target_i:
         return None
     t = eps / 8
     for _ in range(80):
-        pts = _raise_stratum(list(c.points), target_i, t)
+        pts = _raise_stratum(c.points, j0, target_i, t)
         if pts is None:
             return "no tilt slot raises the sum dimension"
         witness = Configuration(c.h, c.k, c.n, tuple(pts))
         if grassmann.stratum_of(witness) != target_i:
             return "tilted configuration missed the target stratum"
-        if configuration_distance(c, witness) < eps:
+        if all(
+            q == p or _within(_integer_projector(linalg._integer_rows(q.basis)), base, eps)
+            for p, q, base in zip(c.points, pts, cached)
+        ):
             return None
         t = t / 4
     return "could not meet the distance bound"
-
-
-ScaledRows = Sequence[linalg.ZRow]
 
 
 def _perturbed_rows(
@@ -484,7 +501,7 @@ def _semicontinuity_trial(
     c: Configuration,
     base_rank: int,
     base: Sequence[ScaledRows],
-    cached: Sequence[tuple[list[list[GInt]], int]],
+    cached: Sequence[Projector],
     eps: Fraction,
     rng: random.Random,
 ) -> Optional[str]:
@@ -511,13 +528,7 @@ def _semicontinuity_trial(
         if degenerate:
             t = t / 4
             continue
-        within = True
-        for (np_, dp), (no, do) in zip(projectors, cached):
-            gap = _projector_gap(np_, dp, no, do)
-            if gap * eps.denominator >= eps.numerator * dp * do:
-                within = False
-                break
-        if not within:
+        if not all(_within(p, base, eps) for p, base in zip(projectors, cached)):
             t = t / 4
             continue
         stacked = [row for rows in raw for row in rows]
@@ -553,9 +564,9 @@ def check_adjacency(
             "eps": str(eps), "trials": trials, "seed": str(seed),
         },
     )
-    report.record(f"{seed}:witness", _adjacency_witness(c, target_i, eps))
     base = [p.basis.zrows for p in c.points]
     cached = [_integer_projector([row for _, row in rows]) for rows in base]
+    report.record(f"{seed}:witness", _adjacency_witness(c, j0, target_i, eps, cached))
     for idx in range(trials):
         case_seed = f"{seed}:{idx}"
         desc = _semicontinuity_trial(
@@ -586,15 +597,18 @@ def _expand_grid(grid: dict) -> list[dict]:
     return combos
 
 
-def _random_chart(dim: int, over: Subspace, seed_tag: str) -> Optional[Trivialization]:
+def _random_chart(
+    over: Subspace, seed_tag: str, sample_base: Callable[[int], Subspace]
+) -> Optional[Trivialization]:
     """A trivialization with seeded random base point AND complement whose
-    chart contains ``over``.  Randomizing the complement matters: the
-    deterministic one is constant across generic base points, so a sample
-    touching it would never find a chart by resampling the base alone."""
+    chart contains ``over``; sample_base(attempt) draws the base point of
+    each attempt.  Randomizing the complement matters: the deterministic
+    one is constant across generic base points, so a sample touching it
+    would never find a chart by resampling the base alone."""
     n = over.n
     for attempt in range(64):
-        v0 = grassmann.sample_subspace(dim, n, f"{seed_tag}:base:{attempt}")
-        l0 = grassmann.sample_subspace(n - dim, n, f"{seed_tag}:comp:{attempt}")
+        v0 = sample_base(attempt)
+        l0 = grassmann.sample_subspace(n - v0.k, n, f"{seed_tag}:comp:{attempt}")
         if linalg.rank(v0.basis.stack(l0.basis)) != n:
             continue
         if linalg.rank(over.basis.stack(l0.basis)) != n:
@@ -607,7 +621,10 @@ def _gamma_case(params: dict, case_seed: str) -> Optional[str]:
     h, i, k, n = params["h"], params["i"], params["k"], params["n"]
     c = grassmann.sample_configuration(StratumId(h, i, k, n), case_seed)
     total = grassmann.subspace_sum(c.points)
-    triv = _random_chart(i, total, case_seed)
+    triv = _random_chart(
+        total, case_seed,
+        lambda attempt: grassmann.sample_subspace(i, n, f"{case_seed}:base:{attempt}"),
+    )
     if triv is None:
         return "no chart found containing the sample"
     point = fibrations.gamma_trivialize(c, triv)
@@ -631,20 +648,13 @@ def _pr_case(params: dict, case_seed: str) -> Optional[str]:
     h, k, n = params["h"], params["k"], params["n"]
     c = grassmann.sample_configuration(StratumId(h, h * k, k, n), case_seed)
     front = fibrations.pr_forget_last(c)
-    front_sum = grassmann.subspace_sum(front.points)
-    triv = None
-    for attempt in range(64):
-        base_cfg = grassmann.sample_configuration(
-            StratumId(h - 1, (h - 1) * k, k, n), f"{case_seed}:cfg:{attempt}"
-        )
-        v0 = grassmann.subspace_sum(base_cfg.points)
-        l0 = grassmann.sample_subspace(n - v0.k, n, f"{case_seed}:comp:{attempt}")
-        if linalg.rank(v0.basis.stack(l0.basis)) != n:
-            continue
-        if linalg.rank(front_sum.basis.stack(l0.basis)) != n:
-            continue
-        triv = Trivialization.over(v0, l0)
-        break
+    base_stratum = StratumId(h - 1, (h - 1) * k, k, n)
+    triv = _random_chart(
+        grassmann.subspace_sum(front.points), case_seed,
+        lambda attempt: grassmann.subspace_sum(
+            grassmann.sample_configuration(base_stratum, f"{case_seed}:cfg:{attempt}").points
+        ),
+    )
     if triv is None:
         return "no chart found containing the sample"
     point = fibrations.pr_trivialize(c, triv)
@@ -677,7 +687,10 @@ def _eta_case(params: dict, case_seed: str) -> Optional[str]:
     inter = fibrations.eta(c)
     if inter.k != 2 * k - i:
         return "intersection dimension differs from 2k - i"
-    triv = _random_chart(2 * k - i, inter, case_seed)
+    triv = _random_chart(
+        inter, case_seed,
+        lambda attempt: grassmann.sample_subspace(2 * k - i, n, f"{case_seed}:base:{attempt}"),
+    )
     if triv is None:
         return "no chart found containing the sample"
     point = fibrations.eta_fiber_point(c, triv)

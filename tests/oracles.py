@@ -15,6 +15,11 @@ the package itself computes y @ x^-1 as a transposed solve.
 
 The float references keep the numpy route of the dimension suite's chart
 Jacobian and float rank, which the package now computes on Python lists.
+
+raise_stratum_reference keeps the older route of the adjacency witness's
+tilts: each step tests every basis vector for redundancy by ranking the
+stack without it and tilts it as GaussianRational entries.  The package
+finds the redundant rows from one left null space and tilts Z[i] rows.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Optional
 
 from grassconf.fibrations import ChartPoint, Trivialization, eta, extend_isomorphism
 from grassconf.grassmann import (
@@ -33,7 +39,7 @@ from grassconf.grassmann import (
     subspace_sum,
 )
 from grassconf.errors import InconsistentSystemError
-from grassconf.linalg import ONE, ZERO, GaussianRational, Matrix, solve
+from grassconf.linalg import ONE, ZERO, GaussianRational, Matrix, rank, solve, stack_all
 
 
 def det_laplace(grid: list[list[GaussianRational]]) -> GaussianRational:
@@ -278,3 +284,52 @@ def float_rank_reference(a, tol: float) -> int:
         m = np.delete(m, r, axis=0)
         m = np.delete(m - np.outer(m[:, c], row), c, axis=1)
     return rank
+
+
+def raise_stratum_reference(
+    points: list[Subspace], target_i: int, t: Fraction
+) -> Optional[list[Subspace]]:
+    """Greedy exact tilts toward the first standard direction outside the
+    sum, over Q(i): in each step, the first basis vector, in point then
+    slot order, whose removal keeps the rank and whose tilt by t raises
+    it.  None when a step finds no such vector."""
+
+    def all_rows(pts):
+        return stack_all(p.basis for p in pts)
+
+    def tilt_rows(basis, slot, direction):
+        factor = GaussianRational(t)
+        rows = [
+            tuple(e + factor * d for e, d in zip(row, direction)) if r == slot else row
+            for r, row in enumerate(basis.entries)
+        ]
+        return Matrix(basis.rows, basis.cols, tuple(rows))
+
+    pts = list(points)
+    current = rank(all_rows(pts))
+    while current < target_i:
+        fresh = complement(subspace_sum(pts)).basis.row(0)
+        advanced = False
+        for m_idx, p in enumerate(pts):
+            for slot in range(p.k):
+                remaining = [q.basis for q in pts[:m_idx] + pts[m_idx + 1:]]
+                remaining.append(p.basis.take_rows(slot).stack(p.basis.drop_rows(slot + 1)))
+                if rank(stack_all(remaining)) != current:
+                    continue
+                tilted = canonicalize(tilt_rows(p.basis, slot, fresh), p.n)
+                if tilted.k != p.k:
+                    continue
+                trial = pts[:m_idx] + [tilted] + pts[m_idx + 1:]
+                if any(trial[a] == trial[b] for a in range(len(trial)) for b in range(a + 1, len(trial))):
+                    continue
+                if rank(all_rows(trial)) != current + 1:
+                    continue
+                pts = trial
+                current += 1
+                advanced = True
+                break
+            if advanced:
+                break
+        if not advanced:
+            return None
+    return pts

@@ -151,6 +151,11 @@ def _boolean_wire_integer():
     return json.dumps(data)
 
 
+def _deeply_nested():
+    # json.load recurses once per open bracket and overflows the stack
+    return "[" * 100000 + "]" * 100000
+
+
 def _without(*path):
     """The sampled payload with the field at the end of path removed."""
     def payload():
@@ -190,9 +195,10 @@ def _with(*path, value):
     (_with("points", 1, "n", value=-1), "the field 'n' of a subspace is -1; it must be >= 0"),
     (_with("points", 1, "k", value="-2"), "the field 'k' of a subspace is -2; it must be >= 0"),
     (_with("h", value=-2), "the field 'h' of a configuration is -2; it must be >= 0"),
+    (_deeply_nested, "is nested too deeply"),
 ], ids=["zero-denominator", "entries-not-a-list", "top-level-array", "boolean-wire-integer",
         "missing-h", "point-missing-n", "basis-missing-rows", "negative-rows", "negative-cols",
-        "negative-n", "negative-k", "negative-h"])
+        "negative-n", "negative-k", "negative-h", "deeply-nested"])
 def test_classify_malformed_payload(tmp_path, capsys, payload, named):
     bad = tmp_path / "bad.json"
     bad.write_text(payload())

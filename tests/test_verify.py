@@ -21,6 +21,7 @@ from grassconf.verify import (
     _fd_jacobian,
     _integer_projector,
     _perturbed_rows,
+    _raise_stratum,
     _unit_draws,
     check_adjacency,
     check_dimension,
@@ -34,6 +35,7 @@ from oracles import (
     float_rank_reference,
     max_abs,
     orthogonal_projector,
+    raise_stratum_reference,
 )
 
 
@@ -260,6 +262,65 @@ def test_unit_draws_match_randint():
         assert set(draws) == {-1, 0, 1}
         assert ours.getstate() == reference.getstate()
         assert ours.randint(1, 4096) == reference.randint(1, 4096)
+
+
+# (sampled stratum, target): the golden adjacency checks, then h = 3 with
+# k = 1 and with k = 3, and targets two or more steps up
+WITNESS_CASES = [
+    (StratumId(2, 3, 2, 4), 4), (StratumId(3, 2, 1, 3), 3), (StratumId(2, 3, 2, 5), 4),
+    (StratumId(3, 2, 1, 4), 3), (StratumId(3, 2, 1, 5), 3), (StratumId(2, 3, 2, 6), 4),
+    (StratumId(3, 3, 2, 6), 6), (StratumId(3, 4, 3, 6), 6), (StratumId(2, 4, 3, 7), 6),
+]
+
+
+@pytest.mark.parametrize("s, target", WITNESS_CASES, ids=str)
+def test_raise_stratum_matches_reference(s, target):
+    # the witness tilts Z[i] rows and reads the redundant rows off one left
+    # null space; the Q(i) route that ranks each remainder must give the
+    # same points at every shrink step the witness can reach
+    for seed in ("golden", 0, 1):
+        c = sample_configuration(s, seed)
+        j0 = stratum_of(c)
+        for t in (Fraction(1, 8000), Fraction(1, 32000), Fraction(1, 512000),
+                  Fraction(-3, 7), Fraction(1)):
+            got = _raise_stratum(c.points, j0, target, t)
+            assert got == raise_stratum_reference(list(c.points), target, t)
+            assert got is not None and stratum_of(Configuration.of(got)) == target
+
+
+def test_raise_stratum_reads_every_left_null_vector():
+    # the second point's first row repeats a row of the first point, so the
+    # first left null vector of the stack misses row 0 and a later one
+    # reaches it: row 0 is the first redundant row and the one tilted
+    points = [canonicalize(Matrix.from_rows(rows), 4) for rows in (
+        [[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 1, 0, 0], [0, 0, 1, 0]],
+        [[1, 0, 1, 0], [0, 1, 1, 0]],
+    )]
+    t = Fraction(1, 8000)
+    got = _raise_stratum(points, 3, 4, t)
+    assert got == raise_stratum_reference(points, 4, t)
+    assert got[0] != points[0] and got[1:] == points[1:]
+
+
+def test_suites_run_no_gaussian_rational_arithmetic(monkeypatch):
+    # every suite computes on Z[i] rows; GaussianRational values are only
+    # built at the edges, never added, multiplied or divided
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__neg__", "__mul__", "__rmul__",
+                 "__truediv__"):
+        def counted(*args, _op=getattr(GaussianRational, name), _name=name):
+            calls.append(_name)
+            return _op(*args)
+        monkeypatch.setattr(GaussianRational, name, counted)
+    for s, target in WITNESS_CASES[:3] + [(StratumId(3, 3, 2, 6), 6)]:
+        c = sample_configuration(s, "golden")
+        assert check_adjacency(c, target, Fraction(1, 1000), trials=5, seed="golden").ok
+    for which in ("gamma", "pr", "eta"):
+        assert run_roundtrip_suite(which, cases=4, seed=0).ok
+    assert check_dimension(StratumId(2, 3, 2, 4), samples=1, seed=1).ok
+    assert calls == []
+    assert GaussianRational(1, 2) * GaussianRational(3) == GaussianRational(3, 6)
+    assert calls == ["__mul__"]
 
 
 def test_adjacency_unreachable_target():
