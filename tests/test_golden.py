@@ -1,8 +1,12 @@
 """Byte-identity of deterministic outputs, against committed SHA-256 hashes.
 
-Each payload below is a JSON report or a CLI stdout that must not change
-when the exact kernel is refactored: the roundtrip suites, the adjacency
-check and five CLI commands, all on fixed seeds.  golden_hashes.json holds
+Each payload below is a JSON report, a CLI stdout or a wire-format chart
+point that must not change when the exact kernel or the chart maps are
+refactored: the roundtrip suites, the adjacency check, five CLI commands
+and the chart points, untrivialize results and extended isomorphisms of
+the three fibrations, all on fixed seeds.  A round trip only shows that a
+chart map and its inverse agree; the chart-point payloads pin the maps
+themselves, and the off-chart payload pins each map's error message.  golden_hashes.json holds
 the SHA-256 of each payload as a known-good tree produced it; regenerate it
 only for a deliberate change of output, with
 
@@ -20,8 +24,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from grassconf import cli, grassmann, verify
-from grassconf.grassmann import StratumId
+from grassconf import cli, fibrations, grassmann, linalg, verify
+from grassconf.errors import GrassconfError
+from grassconf.fibrations import ChartPoint, Trivialization
+from grassconf.grassmann import Configuration, StratumId, Subspace
 
 HASHES = Path(__file__).with_name("golden_hashes.json")
 
@@ -39,6 +45,12 @@ STRATA_ARGS = ["strata", "--h", "3", "--k", "2", "--n", "6", "--json"]
 # (k < i < n), i = n (no outer parameters), and h = 3
 DIMENSION_JSON = ((2, 2, 1, 3), (2, 3, 2, 5), (2, 4, 2, 4), (3, 4, 2, 5))
 DIMENSION_TEXT = (2, 3, 2, 4)
+CHART_SEEDS = 5
+# (h, i, k, n) of the gamma samples, (h, k, n) of the pr samples (n = hk
+# records chart coordinates, n > hk a subspace) and (k, i, n) of the eta pairs
+CHART_GAMMA = ((2, 3, 2, 5), (3, 4, 2, 6))
+CHART_PR = ((2, 2, 4), (3, 2, 6), (3, 1, 5))
+CHART_ETA = ((2, 3, 5), (3, 4, 6))
 
 
 def _dimension_args(h: int, i: int, k: int, n: int) -> list[str]:
@@ -52,6 +64,118 @@ def _cli_stdout(argv: list[str]) -> str:
     out = io.StringIO()
     code = cli.main(argv, out=out)
     return f"exit {code}\n{out.getvalue()}"
+
+
+def _chart(covered: list[Subspace], dim: int, tag: str) -> Trivialization:
+    """The first seeded chart (V0, L0) with dim V0 = dim whose complement
+    L0 is transverse to V0 and to every covered subspace."""
+    n = covered[0].n
+    for attempt in range(64):
+        v0 = grassmann.sample_subspace(dim, n, f"{tag}:base:{attempt}")
+        l0 = grassmann.sample_subspace(n - dim, n, f"{tag}:comp:{attempt}")
+        if all(linalg.rank(v.basis.stack(l0.basis)) == n for v in (v0, *covered)):
+            return Trivialization.over(v0, l0)
+    raise AssertionError(f"no chart found for {tag}")
+
+
+def _wire(x) -> object:
+    """The wire JSON of a subspace, configuration, matrix or pair."""
+    if isinstance(x, Subspace):
+        return grassmann.subspace_to_json(x)
+    if isinstance(x, Configuration):
+        return grassmann.configuration_to_json(x)
+    if isinstance(x, linalg.Matrix):
+        return linalg.matrix_to_json(x)
+    return [_wire(part) for part in x]
+
+
+def _chart_case(base, covered, trivialize, untrivialize, c, other, triv) -> dict:
+    """The chart point of c, its untrivialize result, the untrivialize
+    result of the same fiber over the base of other, and the isomorphism
+    extending the chart projection on the covered subspace of c."""
+    point = trivialize(c, triv)
+    moved = ChartPoint(base=base(other), fiber=point.fiber)
+    return {
+        "base": _wire(point.base),
+        "fiber": _wire(point.fiber),
+        "back": _wire(untrivialize(point, triv)),
+        "moved": _wire(untrivialize(moved, triv)),
+        "iso": _wire(fibrations.extend_isomorphism(covered(c), triv)),
+    }
+
+
+def _chart_payloads() -> Iterator[tuple[str, str]]:
+    def total(c):
+        return grassmann.subspace_sum(c.points)
+
+    def front(c):
+        return fibrations.pr_forget_last(c)
+
+    def front_sum(c):
+        return total(front(c))
+
+    # (name, sampled strata, base of a chart point, covered subspace, maps)
+    runs = (
+        ("gamma", [StratumId(*s) for s in CHART_GAMMA], total, total,
+         fibrations.gamma_trivialize, fibrations.gamma_untrivialize),
+        ("pr", [StratumId(h, h * k, k, n) for h, k, n in CHART_PR], front, front_sum,
+         fibrations.pr_trivialize, fibrations.pr_untrivialize),
+        ("eta", [StratumId(2, i, k, n) for k, i, n in CHART_ETA], fibrations.eta, fibrations.eta,
+         fibrations.eta_fiber_point, fibrations.eta_fiber_lift),
+    )
+    for name, strata, base, covered, trivialize, untrivialize in runs:
+        for s in strata:
+            tag = f"chart-{name}-{s.h}-{s.i}-{s.k}-{s.n}"
+            cases = []
+            for seed in range(CHART_SEEDS):
+                c = grassmann.sample_configuration(s, f"{tag}:{seed}")
+                other = grassmann.sample_configuration(s, f"{tag}:other:{seed}")
+                v = covered(c)
+                triv = _chart([v, covered(other)], v.k, f"{tag}:{seed}")
+                cases.append(_chart_case(base, covered, trivialize, untrivialize, c, other, triv))
+            yield tag, json.dumps(cases)
+
+
+def _off_chart_errors() -> dict:
+    """The error each chart map raises on an input outside its chart."""
+
+    def span(n, *idx):
+        return grassmann.canonicalize(linalg.Matrix.unit_rows(idx, n), n)
+
+    plane = Trivialization.over(span(4, 0, 1))  # L0 = <e2, e3>
+    line = Trivialization.over(span(4, 0))  # L0 = <e1, e2, e3>
+    meets = span(4, 0, 2)
+    front = Configuration.of([span(4, 0), span(4, 2)])
+    inside = Configuration.of([span(4, 0), span(4, 1)])
+    calls = {
+        "extend_isomorphism": lambda: fibrations.extend_isomorphism(meets, plane),
+        "extend_isomorphism_dimension": lambda: fibrations.extend_isomorphism(span(4, 2), plane),
+        "gamma_trivialize": lambda: fibrations.gamma_trivialize(front, plane),
+        "gamma_untrivialize": lambda: fibrations.gamma_untrivialize(
+            ChartPoint(base=meets, fiber=inside), plane),
+        "gamma_untrivialize_fiber": lambda: fibrations.gamma_untrivialize(
+            ChartPoint(base=span(4, 0, 1), fiber=front), plane),
+        "pr_trivialize": lambda: fibrations.pr_trivialize(
+            Configuration.of([*front.points, span(4, 1)]), plane),
+        "pr_untrivialize": lambda: fibrations.pr_untrivialize(
+            ChartPoint(base=front, fiber=span(4, 3)), plane),
+        "pr_untrivialize_fiber": lambda: fibrations.pr_untrivialize(
+            ChartPoint(base=inside, fiber=span(4, 1)), plane),
+        "eta_fiber_point": lambda: fibrations.eta_fiber_point(
+            Configuration.of([span(4, 1, 2), span(4, 1, 3)]), line),
+        "eta_fiber_lift": lambda: fibrations.eta_fiber_lift(
+            ChartPoint(base=span(4, 1), fiber=(span(4, 2), span(4, 3))), line),
+        "chart_coordinates": lambda: fibrations.chart_coordinates(span(4, 1, 2), span(4, 0, 1)),
+    }
+    out = {}
+    for name, call in calls.items():
+        try:
+            call()
+        except GrassconfError as exc:
+            out[name] = f"{type(exc).__name__}: {exc}"
+        else:
+            out[name] = "no error"
+    return out
 
 
 def payloads() -> Iterator[tuple[str, str]]:
@@ -78,6 +202,8 @@ def payloads() -> Iterator[tuple[str, str]]:
         yield f"cli-verify-dimension-json-{name}", _cli_stdout([*_dimension_args(*s), "--json"])
     name = "-".join(str(x) for x in DIMENSION_TEXT)
     yield f"cli-verify-dimension-text-{name}", _cli_stdout(_dimension_args(*DIMENSION_TEXT))
+    yield from _chart_payloads()
+    yield "chart-off-chart-errors", json.dumps(_off_chart_errors())
 
 
 def _sha256(text: str) -> str:
