@@ -1,13 +1,16 @@
 """The three fibrations of sum-dimension strata, with exact trivializations.
 
-* gamma sends a configuration to the sum V of its subspaces; over the
-  chart of an i-plane V0 with fixed complement L0, projecting along L0
-  carries the configuration into V0, and back onto V.
+Each fibration is trivialized over a chart: a base point V0 with a fixed
+complement L0.  Every chart map is a sum or product of P, the projection
+onto V0 along L0, and Q_V, the projection onto the base V along L0:
+
+* gamma sends a configuration to the sum V of its subspaces; P carries the
+  configuration into V0, and Q_V carries it back onto V.
 * pr forgets the last subspace of a direct-sum configuration; the fiber
-  point is the image of the forgotten subspace under the isomorphism that
-  agrees with the projection on the base sum and fixes L0.
+  point is the image of the forgotten subspace under I - Q_V + Q_V P,
+  which agrees with P on the base sum V and fixes L0; Q_V + I - P undoes it.
 * eta sends a pair to its intersection V; the fiber point is the pair of
-  images in the quotient C^n / V, identified with L0 by projecting along V.
+  images in the quotient C^n / V, identified with L0 by I - Q_V.
 
 Every trivialization here is an exact bijection on its chart: composing
 with its inverse returns the input entrywise over Q(i).
@@ -79,21 +82,22 @@ def _require_transverse(v: Subspace, triv: Trivialization, what: str) -> Matrix:
     return stacked
 
 
+def _chart_projection(v: Subspace, triv: Trivialization, what: str) -> Matrix:
+    """Q_v, the projection onto v along L0, after checking v ⊕ L0 = C^n."""
+    stacked = _require_transverse(v, triv, what)
+    return linalg.solve(stacked, v.basis.stack(Matrix.zeros(triv.complement.k, v.n)))
+
+
 def extend_isomorphism(v: Subspace, triv: Trivialization) -> Matrix:
     """The automorphism of C^n restricting to the chart projection on v and
-    to the identity on L0.
+    to the identity on L0: I - Q_v + Q_v P sends x = a + l, a in v and l in
+    L0, to aP + l.
 
     On v it is an isomorphism v -> V0; invertibility follows from
     v ⊕ L0 = C^n.
     """
-    return _extend(v, triv, _require_transverse(v, triv, "extend_isomorphism"))
-
-
-def _extend(v: Subspace, triv: Trivialization, source: Matrix) -> Matrix:
-    """extend_isomorphism(v, triv) from source = [v; L0], whose rank the
-    caller has checked."""
-    target = (v.basis @ triv.projector).stack(triv.complement.basis)
-    return linalg.solve(source, target)
+    q = _chart_projection(v, triv, "extend_isomorphism")
+    return Matrix.identity(v.n) - q + q @ triv.projector
 
 
 def gamma_trivialize(c: Configuration, triv: Trivialization) -> ChartPoint:
@@ -116,9 +120,9 @@ def gamma_untrivialize(p: ChartPoint, triv: Trivialization) -> Configuration:
     for q in fiber.points:
         if not triv.base_point.contains(q):
             raise OutsideChartError("fiber configuration does not lie in the chart base point")
-    _require_transverse(base, triv, "gamma_untrivialize")
-    stacked = grassmann._complementary_stack(base, triv.complement)
-    return grassmann.transform_configuration(fiber, grassmann._projection(base, stacked))
+    return grassmann.transform_configuration(
+        fiber, _chart_projection(base, triv, "gamma_untrivialize")
+    )
 
 
 def pr_forget_last(c: Configuration) -> Configuration:
@@ -133,10 +137,14 @@ def pr_forget_last(c: Configuration) -> Configuration:
 def chart_coordinates(hh: Subspace, w: Subspace) -> Matrix:
     """Graph coordinates of hh on the chart of subspaces complementary to w.
 
-    Writing the basis of hh in the decomposition C^n = C ⊕ w, where C is
+    Writing the basis Y of hh in the decomposition C^n = C ⊕ w, where C is
     the deterministic complement of w, and normalizing the C-block to the
     identity leaves the k x (n-k) coefficient matrix on w: hh is the graph
     of that linear map C -> w.
+
+    C is spanned by the unit rows E_N at the free columns of the RREF basis
+    W of w.  With E_P the unit rows at its pivots, W E_P^T = I and
+    E_N E_P^T = 0, so q_block = Y E_P^T and p_block = (Y - q_block W) E_N^T.
     """
     if hh.n != w.n:
         raise OutsideChartError("ambient dimension mismatch")
@@ -144,11 +152,9 @@ def chart_coordinates(hh: Subspace, w: Subspace) -> Matrix:
         raise OutsideChartError(
             f"chart of Gr({hh.k},{hh.n}) needs a complementary w of dimension {hh.n - hh.k}"
         )
-    frame = grassmann.complement(w).basis.stack(w.basis)
-    # hh.basis @ frame^-1, as the solution of frame^T @ x = hh.basis^T
-    coeff = linalg.solve(frame.transpose(), hh.basis.transpose()).transpose()
-    p_block = coeff.take_cols(hh.k)
-    q_block = coeff.drop_cols(hh.k)
+    free = grassmann.complement(w).basis
+    q_block = hh.basis @ Matrix.unit_rows(w.pivots(), w.n).transpose()
+    p_block = (hh.basis - q_block @ w.basis) @ free.transpose()
     if not linalg.is_invertible(p_block):
         raise OutsideChartError("subspace meets w nontrivially")
     return linalg.solve(p_block, q_block)
@@ -173,9 +179,10 @@ def pr_trivialize(c: Configuration, triv: Trivialization) -> ChartPoint:
     is returned.
     """
     front = pr_forget_last(c)
-    base_sum = grassmann.subspace_sum(front.points)
-    iso = _extend(base_sum, triv, _require_transverse(base_sum, triv, "pr_trivialize"))
-    image = grassmann.canonicalize(c.points[-1].basis @ iso, c.n)
+    q = _chart_projection(grassmann.subspace_sum(front.points), triv, "pr_trivialize")
+    # extend_isomorphism of the base sum, with this caller's chart check
+    iso = Matrix.identity(c.n) - q + q @ triv.projector
+    image = grassmann.transform(c.points[-1], iso)
     fiber: FiberPoint
     if c.n == c.h * c.k:
         fiber = chart_coordinates(image, triv.base_point)
@@ -197,11 +204,9 @@ def pr_untrivialize(p: ChartPoint, triv: Trivialization) -> Configuration:
         raise TypeError("pr fiber is chart coordinates or a subspace")
     if grassmann.intersection_dim(image, triv.base_point) != 0:
         raise OutsideChartError("fiber subspace meets the chart base point")
-    base_sum = grassmann.subspace_sum(front.points)
-    iso = _extend(base_sum, triv, _require_transverse(base_sum, triv, "pr_untrivialize"))
-    # image.basis @ iso^-1, as the solution of iso^T @ x = image.basis^T
-    pulled = linalg.solve(iso.transpose(), image.basis.transpose()).transpose()
-    last = grassmann.canonicalize(pulled, front.n)
+    q = _chart_projection(grassmann.subspace_sum(front.points), triv, "pr_untrivialize")
+    # the inverse of the extended isomorphism: Q_V on V0, the identity on L0
+    last = grassmann.transform(image, q + Matrix.identity(front.n) - triv.projector)
     return Configuration(front.h + 1, front.k, front.n, front.points + (last,))
 
 
@@ -219,14 +224,11 @@ def eta_fiber_point(c: Configuration, triv: Trivialization) -> ChartPoint:
     """Split a pair into (intersection, quotient pair).
 
     The quotient C^n / V by the intersection V is identified with L0
-    through the projection onto L0 along V; the two images are subspaces
-    of L0 of dimension k - dim(V), in direct sum.
+    through I - Q_V, the projection onto L0 along V; the two images are
+    subspaces of L0 of dimension k - dim(V), in direct sum.
     """
     inter = eta(c)
-    _require_transverse(inter, triv, "eta_fiber_point")
-    # [L0; V] spans what [V; L0] does, so its rank n is already checked
-    stacked = grassmann._complementary_stack(triv.complement, inter)
-    to_quotient = grassmann._projection(triv.complement, stacked)
+    to_quotient = Matrix.identity(c.n) - _chart_projection(inter, triv, "eta_fiber_point")
     first, second = (grassmann.transform(p, to_quotient) for p in c.points)
     return ChartPoint(base=inter, fiber=(first, second))
 

@@ -166,8 +166,10 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Optional[Subspace]:
 
 
 def intersection_dim(a: Subspace, b: Subspace) -> int:
-    s = subspace_intersection(a, b)
-    return 0 if s is None else s.k
+    """dim(A ∩ B) = dim A + dim B - dim(A + B), from one rank."""
+    if a.n != b.n:
+        raise MixedAmbientError("ambient dimensions differ")
+    return a.k + b.k - linalg.rank(a.basis.stack(b.basis))
 
 
 def complement(v: Subspace) -> Subspace:
@@ -189,27 +191,14 @@ def projection_along(target: Subspace, along: Subspace) -> Matrix:
     Acts on row vectors by right multiplication.  Requires
     target ⊕ along = C^n.
     """
-    stacked = _complementary_stack(target, along)
-    if linalg.rank(stacked) != target.n:
-        raise NotComplementaryError("subspaces intersect nontrivially")
-    return _projection(target, stacked)
-
-
-def _complementary_stack(target: Subspace, along: Subspace) -> Matrix:
-    """[target; along], after projection_along's checks of the ambient
-    dimension and of dim target + dim along = n."""
     if target.n != along.n:
         raise MixedAmbientError("ambient dimensions differ")
     if target.k + along.k != target.n:
         raise NotComplementaryError("dimensions do not add up to the ambient dimension")
-    return target.basis.stack(along.basis)
-
-
-def _projection(target: Subspace, stacked: Matrix) -> Matrix:
-    """projection_along(target, along) from stacked = [target; along],
-    whose rank n the caller has checked."""
-    picked = target.basis.stack(Matrix.zeros(stacked.rows - target.k, target.n))
-    return linalg.solve(stacked, picked)
+    stacked = target.basis.stack(along.basis)
+    if linalg.rank(stacked) != target.n:
+        raise NotComplementaryError("subspaces intersect nontrivially")
+    return linalg.solve(stacked, target.basis.stack(Matrix.zeros(along.k, target.n)))
 
 
 def transform(v: Subspace, g: Matrix) -> Subspace:

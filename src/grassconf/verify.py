@@ -46,6 +46,7 @@ from .errors import (
     DirectSumError,
     EmptyStratumError,
     GrassconfError,
+    NotComplementaryError,
     UnreachableError,
     WrongArityError,
 )
@@ -453,9 +454,6 @@ def _adjacency_witness(
         pts = _raise_stratum(c.points, j0, target_i, t)
         if pts is None:
             return "no tilt slot raises the sum dimension"
-        witness = Configuration(c.h, c.k, c.n, tuple(pts))
-        if grassmann.stratum_of(witness) != target_i:
-            return "tilted configuration missed the target stratum"
         if all(
             q == p or _within(_integer_projector(linalg._integer_rows(q.basis)), base, eps)
             for p, q, base in zip(c.points, pts, cached)
@@ -609,11 +607,12 @@ def _random_chart(
     for attempt in range(64):
         v0 = sample_base(attempt)
         l0 = grassmann.sample_subspace(n - v0.k, n, f"{seed_tag}:comp:{attempt}")
-        if linalg.rank(v0.basis.stack(l0.basis)) != n:
-            continue
         if linalg.rank(over.basis.stack(l0.basis)) != n:
             continue
-        return Trivialization.over(v0, l0)
+        try:
+            return Trivialization.over(v0, l0)
+        except NotComplementaryError:  # V0 meets L0
+            continue
     return None
 
 

@@ -6,12 +6,15 @@ textbook Gauss-Jordan elimination on field elements and products by sums
 of field products, so the oracle and the implementation can only agree
 by computing the same truth.
 
-The chart-map references at the end keep the older route of the gamma and
-eta trivializations: extend the chart projection to an automorphism of
-C^n, invert it, and push the subspaces through it.  The package computes
-the same subspaces as single projections.  invert, which solves against
-the identity with the package's solve, is only used there and in tests;
-the package itself computes y @ x^-1 as a transposed solve.
+The chart-map references at the end keep the older routes of the
+trivializations: extend the chart projection to an automorphism of C^n
+by solving [v; L0] x = [vP; L0], invert it or solve against its
+transpose, and push the subspaces through it; chart coordinates are read
+off a transposed solve against the frame [complement of w; w].  The
+package builds every chart map from the projections P onto V0 and Q_v
+onto v along L0 by sums and products, and reads chart coordinates off
+the RREF basis of w.  invert, which solves against the identity with the
+package's solve, is only used there and in tests.
 
 The float references keep the numpy route of the dimension suite's chart
 Jacobian and float rank, which the package now computes on Python lists.
@@ -29,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from grassconf.fibrations import ChartPoint, Trivialization, eta, extend_isomorphism
+from grassconf.fibrations import ChartPoint, Trivialization, chart_point, eta
 from grassconf.grassmann import (
     Configuration,
     Subspace,
@@ -39,7 +42,16 @@ from grassconf.grassmann import (
     subspace_sum,
 )
 from grassconf.errors import InconsistentSystemError
-from grassconf.linalg import ONE, ZERO, GaussianRational, Matrix, rank, solve, stack_all
+from grassconf.linalg import (
+    ONE,
+    ZERO,
+    GaussianRational,
+    Matrix,
+    is_invertible,
+    rank,
+    solve,
+    stack_all,
+)
 
 
 def det_laplace(grid: list[list[GaussianRational]]) -> GaussianRational:
@@ -184,9 +196,18 @@ def orthogonal_projector(v: Subspace) -> Matrix:
     return matmul_reference(matmul_reference(bh, gram_inverse), b)
 
 
+def extend_isomorphism_reference(v: Subspace, triv: Trivialization) -> Matrix:
+    """The automorphism equal to the chart projection on v and to the
+    identity on L0, as the solution x of [v; L0] x = [vP; L0]."""
+    source = v.basis.stack(triv.complement.basis)
+    if rank(source) != v.n:
+        raise ValueError("v is not transverse to the chart complement")
+    return solve(source, (v.basis @ triv.projector).stack(triv.complement.basis))
+
+
 def gamma_untrivialize_reference(p: ChartPoint, triv: Trivialization) -> Configuration:
     """Pull the fiber back through the inverse of the extended isomorphism."""
-    back = invert(extend_isomorphism(p.base, triv))
+    back = invert(extend_isomorphism_reference(p.base, triv))
     fiber = p.fiber
     points = tuple(canonicalize(q.basis @ back, fiber.n) for q in fiber.points)
     return Configuration(fiber.h, fiber.k, fiber.n, points)
@@ -196,7 +217,7 @@ def eta_fiber_point_reference(c: Configuration, triv: Trivialization) -> ChartPo
     """Carry the pair into V0 + L0 by the extended isomorphism, then
     project onto L0 along V0."""
     inter = eta(c)
-    iso = extend_isomorphism(inter, triv)
+    iso = extend_isomorphism_reference(inter, triv)
     to_quotient = projection_along(triv.complement, triv.base_point)
     first, second = (canonicalize(p.basis @ iso @ to_quotient, c.n) for p in c.points)
     return ChartPoint(base=inter, fiber=(first, second))
@@ -205,11 +226,33 @@ def eta_fiber_point_reference(c: Configuration, triv: Trivialization) -> ChartPo
 def eta_fiber_lift_reference(p: ChartPoint, triv: Trivialization) -> Configuration:
     """Pull V0 + q back through the inverse of the extended isomorphism."""
     base = p.base
-    back = invert(extend_isomorphism(base, triv))
+    back = invert(extend_isomorphism_reference(base, triv))
     points = tuple(
         canonicalize(triv.base_point.basis.stack(q.basis) @ back, base.n) for q in p.fiber
     )
     return Configuration(2, points[0].k, base.n, points)
+
+
+def pr_untrivialize_reference(p: ChartPoint, triv: Trivialization) -> Configuration:
+    """Pull the fiber image back through the extended isomorphism of the
+    base sum, as the solution of iso^T x = image^T."""
+    front = p.base
+    image = chart_point(p.fiber, triv.base_point) if isinstance(p.fiber, Matrix) else p.fiber
+    iso = extend_isomorphism_reference(subspace_sum(front.points), triv)
+    pulled = solve(iso.transpose(), image.basis.transpose()).transpose()
+    last = canonicalize(pulled, front.n)
+    return Configuration(front.h + 1, front.k, front.n, front.points + (last,))
+
+
+def chart_coordinates_reference(hh: Subspace, w: Subspace) -> Matrix:
+    """Write the basis of hh in the frame [complement of w; w] by a
+    transposed solve, then normalize the complement block to the identity."""
+    frame = complement(w).basis.stack(w.basis)
+    coeff = solve(frame.transpose(), hh.basis.transpose()).transpose()
+    p_block, q_block = coeff.take_cols(hh.k), coeff.drop_cols(hh.k)
+    if not is_invertible(p_block):
+        raise ValueError("hh meets w nontrivially")
+    return solve(p_block, q_block)
 
 
 def chart_jacobian_reference(c: Configuration, step: float):

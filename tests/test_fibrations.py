@@ -37,9 +37,13 @@ from grassconf.grassmann import (
 )
 from grassconf.linalg import Matrix, is_invertible, rank
 from oracles import (
+    chart_coordinates_reference,
     eta_fiber_lift_reference,
     eta_fiber_point_reference,
+    extend_isomorphism_reference,
     gamma_untrivialize_reference,
+    pr_untrivialize_reference,
+    rand_matrix,
 )
 
 
@@ -81,6 +85,14 @@ def test_extension_is_invertible_and_fixes_complement():
         assert is_invertible(iso)
         assert triv.complement.basis @ iso == triv.complement.basis
         assert canonicalize(v.basis @ iso, 5) == v0
+
+
+def test_extension_matches_solved_extension():
+    for n, dim in ((4, 2), (5, 2), (5, 3), (6, 4)):
+        for seed in range(6):
+            v = sample_subspace(dim, n, f"extref:{n}:{dim}:{seed}")
+            triv = chart_containing(v, f"extrefbase:{n}:{dim}:{seed}")
+            assert extend_isomorphism(v, triv) == extend_isomorphism_reference(v, triv)
 
 
 def test_extension_outside_chart_raises():
@@ -201,6 +213,24 @@ def test_chart_coordinates_round_trip():
         assert chart_point(coords, w) == hh
 
 
+def test_chart_coordinates_match_frame_solve():
+    """Sparse generators put the pivots of w anywhere, not only first."""
+    rng = random.Random(77)
+    checked = 0
+    for seed in range(80):
+        n = rng.randint(2, 6)
+        k = rng.randint(1, n - 1)
+        w_rows, hh_rows = rand_matrix(n - k, n, rng, sparse=0.6), rand_matrix(k, n, rng, sparse=0.3)
+        if rank(w_rows) != n - k or rank(hh_rows) != k:
+            continue
+        w, hh = canonicalize(w_rows, n), canonicalize(hh_rows, n)
+        if rank(hh.basis.stack(w.basis)) < n:
+            continue
+        assert chart_coordinates(hh, w) == chart_coordinates_reference(hh, w)
+        checked += 1
+    assert checked >= 20
+
+
 def test_chart_coordinates_outside_chart_raises():
     w = canonicalize(unit_rows(4, 0, 1), 4)
     hh = canonicalize(unit_rows(4, 1, 2), 4)
@@ -243,6 +273,19 @@ def test_pr_round_trip_seeded(h, k, n):
             assert point.fiber.k == k
         assert pr_untrivialize(point, triv) == c
         assert pr_trivialize(pr_untrivialize(point, triv), triv) == point
+
+
+@pytest.mark.parametrize("h,k,n", [(2, 2, 4), (3, 2, 6), (2, 2, 5), (3, 1, 5)])
+def test_pr_untrivialize_matches_transposed_solve(h, k, n):
+    for seed in range(6):
+        c = sample_configuration(StratumId(h, h * k, k, n), f"prref:{seed}")
+        other = sample_configuration(StratumId(h, h * k, k, n), f"prref:other:{seed}")
+        triv = chart_containing(subspace_sum(c.points[:-1]), f"prrefbase:{h}:{k}:{n}:{seed}")
+        point = pr_trivialize(c, triv)
+        assert pr_untrivialize(point, triv) == pr_untrivialize_reference(point, triv)
+        # the same fiber over another base in the chart (transverse for these seeds)
+        moved = ChartPoint(base=pr_forget_last(other), fiber=point.fiber)
+        assert pr_untrivialize(moved, triv) == pr_untrivialize_reference(moved, triv)
 
 
 # --- eta ----------------------------------------------------------------------

@@ -109,6 +109,25 @@ def test_intersection_of_complementary_is_zero():
     assert subspace_intersection(a, b) is None
 
 
+def test_intersection_dim_matches_intersection():
+    pairs = []
+    for seed in range(30):
+        rng = random.Random(20_000 + seed)
+        n = rng.randint(2, 6)
+        ka, kb = rng.randint(1, n - 1), rng.randint(1, n - 1)
+        pairs.append((sample_subspace(ka, n, f"idim:{seed}:a"), sample_subspace(kb, n, f"idim:{seed}:b")))
+    for i, k, n in ((3, 2, 4), (3, 2, 5), (4, 3, 5), (5, 3, 6), (3, 2, 6)):
+        for seed in range(4):
+            c = sample_configuration(StratumId(2, i, k, n), f"idim:{i}:{k}:{n}:{seed}")
+            pairs.append(tuple(c.points))
+    pairs.append((canonicalize(unit_rows(4, 0, 1), 4), canonicalize(unit_rows(4, 2, 3), 4)))
+    for a, b in pairs:
+        inter = subspace_intersection(a, b)
+        assert intersection_dim(a, b) == (0 if inter is None else inter.k)
+    with pytest.raises(MixedAmbientError):
+        intersection_dim(sample_subspace(1, 3, 0), sample_subspace(1, 4, 0))
+
+
 def test_intersection_dimension_in_pair_stratum():
     for i, k, n in ((3, 2, 4), (3, 2, 5), (4, 3, 5), (5, 3, 6)):
         c = sample_configuration(StratumId(2, i, k, n), f"int:{i}:{k}:{n}")
