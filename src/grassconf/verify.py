@@ -380,8 +380,7 @@ def check_dimension(
         suite="dimension",
         parameters={
             "h": s.h, "i": s.i, "k": s.k, "n": s.n,
-            "samples": samples, "tol": tol, "steps": list(FD_STEPS),
-            "seed": str(seed),
+            "samples": samples, "seed": str(seed),
         },
     )
     for idx in range(samples):

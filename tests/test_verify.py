@@ -168,7 +168,7 @@ def test_chart_jacobian_matches_numpy_reference(hikn):
 def test_dimension_single_subspace_is_grassmannian():
     report = check_dimension(StratumId(1, 2, 2, 5), samples=2, seed=3)
     assert report.ok
-    assert report.parameters["tol"] == 1e-6
+    assert report.parameters == {"h": 1, "i": 2, "k": 2, "n": 5, "samples": 2, "seed": "3"}
 
 
 def test_dimension_pair_example():
