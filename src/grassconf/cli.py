@@ -231,7 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k", type=int)
     p_verify.add_argument("--n", type=int)
     p_verify.add_argument("--samples", type=int, default=3)
-    p_verify.add_argument("--tol", type=float, default=1e-6)
+    p_verify.add_argument(
+        "--tol", type=float, default=1e-6,
+        help="validated (finite, > 0) but has no effect: the dimension suite's decision is exact",
+    )
     p_verify.add_argument("--target", type=int)
     p_verify.add_argument("--eps", default="1/1000")
     p_verify.add_argument("--trials", type=int, default=100)

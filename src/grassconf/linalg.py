@@ -39,6 +39,7 @@ coordination.
 
 from __future__ import annotations
 
+import re
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from itertools import chain
@@ -601,11 +602,17 @@ def matrix_to_json(m: Matrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def _wire_int(value) -> int:
-    """A wire-format integer: a JSON integer or a decimal string (a JSON
-    boolean is neither, though Python's bool is an int)."""
+    """A wire-format integer: a JSON integer or a decimal string, ASCII
+    digits after an optional minus sign as matrix_to_json writes them (a
+    JSON boolean is neither, though Python's bool is an int)."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise WireFormatError(f"expected an integer, got {value!r}")
+    if isinstance(value, str) and not _DECIMAL.fullmatch(value):
+        raise WireFormatError(f"expected a decimal integer string, got {value!r}")
     try:
         return int(value)
     except ValueError as exc:

@@ -1,10 +1,11 @@
-"""Numerical and constructive verification suites.
+"""Exact verification suites.
 
 Three batch checks back the exact layer:
 
-* check_dimension drives an explicit chart of a stratum with float
-  arithmetic and confirms that the finite-difference Jacobian has real
-  rank twice the predicted complex dimension i(n-i) + hk(i-k).
+* check_dimension builds the differential of an explicit chart of a
+  stratum at a sampled point, exactly over Q(i), and confirms that its
+  rank is the predicted complex dimension i(n-i) + hk(i-k).  The chart is
+  holomorphic, so no real Jacobian, float or step size is involved.
 * check_adjacency produces an exact witness arbitrarily close to a given
   configuration inside a higher stratum, and confirms that small exact
   perturbations never lower the stratum.  Its chart metric compares
@@ -25,11 +26,6 @@ Three batch checks back the exact layer:
 
 Each case is a pure function of (parameters, seed, case index), so suites
 can run in any order, or in parallel, with identical reports.
-
-The float layer of check_dimension runs on Python complex and float
-values in lists of rows: its matrices are a few dozen entries wide, where
-list arithmetic costs less than loading numpy, which the package does not
-use.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
 from . import fibrations, grassmann, linalg
@@ -55,8 +50,6 @@ from .grassmann import Configuration, StratumId, Subspace
 from .linalg import GInt, Matrix
 
 SeedLike = Union[int, str]
-
-FD_STEPS = (1e-4, 1e-5)
 
 
 @dataclass
@@ -184,182 +177,74 @@ def configuration_distance(c1: Configuration, c2: Configuration) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# dimension of the strata via float chart rank
+# dimension of the strata via the exact chart tangent
 
 
-def matrix_to_complex(m: Matrix) -> list[list[complex]]:
-    """The entries of m as rows of Python complex numbers."""
-    return [[e.to_complex() for e in row] for row in m.entries]
+def _kron(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product: entry (p * b.rows + q, x * b.cols + y) is
+    a[p, x] * b[q, y]."""
+    return Matrix._of(a.rows * b.rows, a.cols * b.cols, tuple(
+        linalg._primitive(s * t, [
+            (a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re)
+            for a_re, a_im in u for b_re, b_im in v
+        ])
+        for s, u in a.zrows for t, v in b.zrows
+    ))
 
 
-def float_rank(a: Sequence[Sequence[float]], tol: float) -> int:
-    """Rank with a relative pivot threshold after row-scaling.
-
-    a is any sequence of real rows, a 2-d numpy array included.  Rows are
-    scaled to unit max-norm, then eliminated with full pivoting; a pivot
-    below tol ends the count.  A row whose entry in the pivot column is
-    zero is left as it is: its update would change at most the sign of a
-    zero.
-    """
-    m: list[list[float]] = []
-    for row in a:
-        row = [float(x) for x in row]
-        norm = max(map(abs, row), default=0.0)
-        if norm > 0.0:
-            m.append([x / norm for x in row])
-    # peaks[r] is the largest magnitude in m[r]
-    peaks = [1.0] * len(m)
-    rank = 0
-    while m and m[0]:
-        # the pivot is the first entry of largest magnitude in row-major order
-        top = max(peaks)
-        r = peaks.index(top)
-        row = m.pop(r)
-        del peaks[r]
-        c = [abs(x) for x in row].index(top)
-        pivot = row[c]
-        if abs(pivot) <= tol:
-            break
-        rank += 1
-        scaled = [x / pivot for x in row]
-        del scaled[c]
-        for idx, row in enumerate(m):
-            f = row.pop(c)
-            if f:
-                m[idx] = row = [x - f * p for x, p in zip(row, scaled)]
-                peaks[idx] = max(map(abs, row), default=0.0)
-    return rank
+def _complement_rows(v: Subspace) -> Matrix:
+    """The basis of v's deterministic complement; no rows for the full space."""
+    return grassmann.complement(v).basis if v.k < v.n else Matrix.zeros(0, v.n)
 
 
-def _product(
-    a: Sequence[Sequence[complex]], b_cols: Sequence[Sequence[complex]]
-) -> list[list[complex]]:
-    """a @ b for the matrix b given by its columns."""
-    return [[sum(map(mul, row, col)) for col in b_cols] for row in a]
+def _chart_tangent(c: Configuration) -> Matrix:
+    """Differential at c of the stratum's chart, exact over Q(i).
 
+    The chart moves the sum V (RREF basis V, dimension i) by graph
+    coordinates over its complement W, to V + Z W, and each point's
+    coefficients C_j in V (k x i, the point's RREF basis H_j read at V's
+    pivot columns) by graph coordinates over their complement Inner_j in
+    C^i; point j is then spanned by B_j = C_j V, which is H_j at 0.  One
+    row per complex coordinate: those of V, row-major, then those of each
+    point in turn.  One column per affine coordinate of a point,
+    X_j = B_j[:, P]^-1 B_j[:, N] with P and N the pivot and free columns
+    of H_j, k x (n - k) row-major, point after point.
 
-def _solve(a: list[list[complex]], b: list[list[complex]]) -> list[list[complex]]:
-    """x with a @ x = b for a square nonsingular a: Gaussian elimination
-    with partial pivoting on |re| + |im|, the pivot choice of LAPACK's gesv."""
-    k = len(a)
-    rows = [ar + br for ar, br in zip(a, b)]
-    for c in range(k):
-        p = max(range(c, k), key=lambda r: abs(rows[r][c].real) + abs(rows[r][c].imag))
-        rows[c], rows[p] = rows[p], rows[c]
-        top = rows[c]
-        for r in range(c + 1, k):
-            f = rows[r][c] / top[c]
-            rows[r] = [x - f * y for x, y in zip(rows[r], top)]
-    x: list[list[complex]] = [[] for _ in range(k)]
-    for r in reversed(range(k)):
-        row = rows[r]
-        acc = row[k:]
-        for c in range(r + 1, k):
-            acc = [v - row[c] * w for v, w in zip(acc, x[c])]
-        x[r] = [v / row[r] for v in acc]
-    return x
-
-
-def _projector_parts(
-    coeff: list[list[complex]], space_cols: Sequence[Sequence[complex]]
-) -> list[float]:
-    """Real parts, then imaginary parts, row by row, of the orthogonal
-    projector onto the row space of coeff @ V, with V given by its columns."""
-    basis = _product(coeff, space_cols)
-    conj = [[z.conjugate() for z in row] for row in basis]
-    x = _solve(_product(basis, conj), basis)
-    proj = _product(list(zip(*conj)), list(zip(*x)))
-    return [z.real for row in proj for z in row] + [z.imag for row in proj for z in row]
-
-
-def _coefficients_in(v: Subspace, p: Subspace) -> Matrix:
-    """Rows of p expressed in the basis of the enclosing subspace v."""
-    return linalg.solve(v.basis.transpose(), p.basis.transpose()).transpose()
-
-
-ChartMap = Callable[[int, float], list[Optional[list[float]]]]
-
-
-def _chart_map(c: Configuration) -> tuple[ChartMap, int]:
-    """Float chart of the stratum at c.
-
-    Parameters move the sum V inside Gr(i, n) by graph coordinates and
-    each subspace inside V by graph coordinates; the value is the stacked
-    real/imaginary parts of the h orthogonal projector matrices.  The
-    parameters are the real parts of the complex coordinates, then their
-    imaginary parts; the coordinates are those of V, then those of each
-    subspace in turn.
-
-    Returns (map, parameter count).  map(p, t) is the chart at t times the
-    p-th unit vector, one entry per subspace: the parts of its projector,
-    or None where parameter p does not move it (the coordinates of a
-    subspace inside V move that subspace only).
+    Since H_j[:, P] = I, dX_j = dB_j[:, N] - dB_j[:, P] H_j[:, N], and no
+    chart direction moves the columns P: they are pivot columns of V
+    (H_j lies in V), a row of W is a unit row at a free column of V, and
+    Inner_j[col] V is the row m of V for a free column m of C_j, zero at
+    V's pivot column of every pivot of C_j.  So dX_j = dB_j E_N^T, with E_N
+    the unit rows at N.  V's coordinate (r, col) moves every point by
+    dB_j = C_j[:, r] W[col], so its rows are C_j^T (x) W E_N^T in block j;
+    point j's coordinate (r, col) moves point j alone by
+    dB_j = e_r Inner_j[col] V, so its rows are I_k (x) Inner_j V E_N^T in
+    block j and zero elsewhere.
     """
     h, k, n = c.h, c.k, c.n
     total = grassmann.subspace_sum(c.points)
     i = total.k
-    vb = matrix_to_complex(total.basis)
-    wb = matrix_to_complex(grassmann.complement(total).basis) if i < n else []
-    coeffs = []
-    inner_complements = []
-    for p in c.points:
-        coeff = _coefficients_in(total, p)
-        coeffs.append(matrix_to_complex(coeff))
-        if k < i:
-            inner = grassmann.complement(grassmann.canonicalize(coeff, i))
-            inner_complements.append(matrix_to_complex(inner.basis))
-    n_outer = i * (n - i)
-    n_inner = k * (i - k)
-    n_complex = n_outer + h * n_inner
-    vb_cols = list(zip(*vb))
-
-    def chart(p: int, t: float) -> list[Optional[list[float]]]:
-        q, z = (p, complex(t, 0.0)) if p < n_complex else (p - n_complex, complex(0.0, t))
-        if q < n_outer:
-            r, col = divmod(q, n - i)
-            va = list(vb)
-            va[r] = [v + z * w for v, w in zip(vb[r], wb[col])]
-            va_cols = list(zip(*va))
-            return [_projector_parts(cj, va_cols) for cj in coeffs]
-        j, q = divmod(q - n_outer, n_inner)
-        r, col = divmod(q, i - k)
-        cj = list(coeffs[j])
-        cj[r] = [v + z * w for v, w in zip(cj[r], inner_complements[j][col])]
-        parts: list[Optional[list[float]]] = [None] * h
-        parts[j] = _projector_parts(cj, vb_cols)
-        return parts
-
-    return chart, 2 * n_complex
+    at_sum_pivots = Matrix.unit_rows(total.pivots(), n).transpose()
+    outer_dirs = _complement_rows(total)
+    outer, inner = [], []
+    for j, p in enumerate(c.points):
+        at_free = grassmann.complement(p).basis.transpose()
+        coeff = p.basis @ at_sum_pivots
+        inner_dirs = _complement_rows(grassmann.canonicalize(coeff, i))
+        block = Matrix.unit_rows([j], h)
+        outer.append(_kron(block, _kron(coeff.transpose(), outer_dirs @ at_free)))
+        inner.append(_kron(block, _kron(Matrix.identity(k), inner_dirs @ total.basis @ at_free)))
+    return linalg.stack_all([sum(outer[1:], outer[0])] + inner)
 
 
-def _fd_jacobian(f: ChartMap, n_params: int, step: float) -> list[list[float]]:
-    """Central-difference Jacobian at 0, parameters as rows.
-
-    A block that f leaves as None does not move with the parameter, so its
-    part of the row is 0.0, the difference of two equal values.
-    """
-    scale = 2.0 * step
-    rows = []
-    for p in range(n_params):
-        plus, minus = f(p, step), f(p, -step)
-        width = len(next(part for part in plus if part is not None))
-        row: list[float] = []
-        for a, b in zip(plus, minus):
-            row.extend([0.0] * width if a is None else [(x - y) / scale for x, y in zip(a, b)])
-        rows.append(row)
-    return rows
-
-
-def _dimension_case(c: Configuration, s: StratumId, tol: float) -> Optional[str]:
-    chart, n_params = _chart_map(c)
-    expected = 2 * grassmann.stratum_dimension(s)
-    if n_params != expected:
-        return f"chart has {n_params} parameters, formula predicts {expected}"
-    ranks = [float_rank(_fd_jacobian(chart, n_params, step), tol) for step in FD_STEPS]
-    if ranks[0] != ranks[1]:
-        return f"step sizes disagree on the rank: {ranks[0]} vs {ranks[1]}"
-    if ranks[0] != expected:
-        return f"chart rank {ranks[0]} != 2 * dimension {expected}"
+def _dimension_case(c: Configuration, s: StratumId) -> Optional[str]:
+    tangent = _chart_tangent(c)
+    expected = grassmann.stratum_dimension(s)
+    if tangent.rows != expected:
+        return f"chart has {tangent.rows} parameters, formula predicts {expected}"
+    rank = linalg.rank(tangent)
+    if rank != expected:
+        return f"tangent rank {rank} != dimension {expected}"
     return None
 
 
@@ -369,7 +254,13 @@ def check_dimension(
     tol: float = 1e-6,
     seed: SeedLike = 0,
 ) -> VerificationReport:
-    """Float-rank verification of the dimension formula at sampled points."""
+    """Exact verification of the dimension formula at sampled points.
+
+    Each sample passes when the chart tangent at it, one row per complex
+    chart coordinate, has rank i(n-i) + hk(i-k) over Q(i).  The chart is
+    holomorphic, so this is half the real rank of its real Jacobian.  tol
+    is validated for compatibility but no longer enters the decision.
+    """
     if not grassmann.is_stratum_nonempty(s):
         raise EmptyStratumError(f"{s} is empty")
     if not (math.isfinite(tol) and tol > 0):
@@ -386,7 +277,7 @@ def check_dimension(
     for idx in range(samples):
         case_seed = f"{seed}:{idx}"
         c = grassmann.sample_configuration(s, case_seed)
-        report.record(case_seed, _dimension_case(c, s, tol))
+        report.record(case_seed, _dimension_case(c, s))
     return report
 
 

@@ -16,8 +16,10 @@ onto v along L0 by sums and products, and reads chart coordinates off
 the RREF basis of w.  invert, which solves against the identity with the
 package's solve, is only used there and in tests.
 
-The float references keep the numpy route of the dimension suite's chart
-Jacobian and float rank, which the package now computes on Python lists.
+The float references keep the numpy route of the dimension suite's former
+chart Jacobian and float rank, and a central difference of each point's
+affine chart coordinates; the package decides the dimension by the exact
+rank of the chart tangent.
 
 raise_stratum_reference keeps the older route of the adjacency witness's
 tilts: each step tests every basis vector for redundancy by ranking the
@@ -255,54 +257,99 @@ def chart_coordinates_reference(hh: Subspace, w: Subspace) -> Matrix:
     return solve(p_block, q_block)
 
 
-def chart_jacobian_reference(c: Configuration, step: float):
-    """The dimension suite's central-difference chart Jacobian at c, with
-    numpy: the chart moves the sum V by graph coordinates over its
-    complement and each subspace inside V by graph coordinates over its
-    complement in V, and stacks the real/imaginary parts of the h
-    projectors B^H (B B^H)^-1 B.  Parameters are rows, real parts first."""
+def to_numpy(m: Matrix):
+    """The entries of m as a complex numpy array."""
     import numpy as np
 
-    def to_complex(m: Matrix):
-        return np.array([[e.to_complex() for e in row] for row in m.entries],
-                        dtype=complex).reshape(m.rows, m.cols)
+    return np.array([[e.to_complex() for e in row] for row in m.entries],
+                    dtype=complex).reshape(m.rows, m.cols)
 
+
+def _numpy_chart(c: Configuration):
+    """(coordinate count, chart) of the dimension suite's chart at c, with
+    numpy: the chart moves the sum V by graph coordinates over its
+    complement and each subspace inside V by graph coordinates over its
+    complement in V; chart(z) is the list of the h bases at the complex
+    coordinates z, those of V first, then those of each subspace."""
     h, k, n = c.h, c.k, c.n
     total = subspace_sum(c.points)
     i = total.k
-    vb = to_complex(total.basis)
-    wb = to_complex(complement(total).basis) if i < n else None
+    vb = to_numpy(total.basis)
+    wb = to_numpy(complement(total).basis) if i < n else None
     coeffs, inners = [], []
     for p in c.points:
         coeff = solve(total.basis.transpose(), p.basis.transpose()).transpose()
-        coeffs.append(to_complex(coeff))
-        inners.append(to_complex(complement(canonicalize(coeff, i)).basis) if k < i else None)
+        coeffs.append(to_numpy(coeff))
+        inners.append(to_numpy(complement(canonicalize(coeff, i)).basis) if k < i else None)
     n_outer, n_inner = i * (n - i), k * (i - k)
-    n_params = 2 * (n_outer + h * n_inner)
 
-    def chart(theta):
-        z = theta[: len(theta) // 2] + 1j * theta[len(theta) // 2:]
+    def chart(z):
         pos, va = 0, vb
         if n_outer:
             va = vb + z[:n_outer].reshape(i, n - i) @ wb
             pos = n_outer
-        out = []
+        bases = []
         for cj, inner in zip(coeffs, inners):
             if n_inner:
                 cj = cj + z[pos:pos + n_inner].reshape(k, i - k) @ inner
                 pos += n_inner
-            basis = cj @ va
+            bases.append(cj @ va)
+        return bases
+
+    return n_outer + h * n_inner, chart
+
+
+def chart_jacobian_reference(c: Configuration, step: float):
+    """The former dimension suite's central-difference chart Jacobian at c:
+    the chart's values are the stacked real/imaginary parts of the h
+    projectors B^H (B B^H)^-1 B.  Parameters are rows: the real parts of
+    the complex coordinates, then their imaginary parts."""
+    import numpy as np
+
+    n_complex, chart = _numpy_chart(c)
+
+    def parts(theta):
+        out = []
+        for basis in chart(theta[:n_complex] + 1j * theta[n_complex:]):
             proj = basis.conj().T @ np.linalg.solve(basis @ basis.conj().T, basis)
             out += [proj.real.ravel(), proj.imag.ravel()]
         return np.concatenate(out)
 
     rows = []
-    for p in range(n_params):
-        theta = np.zeros(n_params)
+    for p in range(2 * n_complex):
+        theta = np.zeros(2 * n_complex)
         theta[p] = step
-        plus = chart(theta)
+        plus = parts(theta)
         theta[p] = -step
-        rows.append((plus - chart(theta)) / (2.0 * step))
+        rows.append((plus - parts(theta)) / (2.0 * step))
+    return np.vstack(rows)
+
+
+def chart_tangent_reference(c: Configuration, step: float):
+    """Central difference of each point's affine chart coordinates
+    B[:, P]^-1 B[:, N] along each complex chart coordinate, with numpy; P
+    and N are the pivot and free columns of the point's RREF basis.  The
+    chart is holomorphic, so a real step gives the complex derivative.
+    One row per coordinate, the points' k x (n - k) blocks side by side."""
+    import numpy as np
+
+    n_complex, chart = _numpy_chart(c)
+    columns = []
+    for p in c.points:
+        pivots = list(p.pivots())
+        columns.append((pivots, [col for col in range(c.n) if col not in pivots]))
+
+    def affine(z):
+        return np.concatenate([
+            np.linalg.solve(basis[:, pivots], basis[:, free]).ravel()
+            for basis, (pivots, free) in zip(chart(z), columns)
+        ])
+
+    rows = []
+    for q in range(n_complex):
+        z = np.zeros(n_complex, dtype=complex)
+        z[q] = step
+        rows.append((affine(z) - affine(-z)) / (2.0 * step))
     return np.vstack(rows)
 
 

@@ -131,7 +131,7 @@ def test_criterion_3_dimension_formula():
                         count += 1
         assert count == 55
 
-    run_criterion(3, "dimension formula by float Jacobian rank", 120.0, body)
+    run_criterion(3, "dimension formula by exact tangent rank", 120.0, body)
 
 
 def test_criterion_4_emptiness_and_sampler():

@@ -151,6 +151,16 @@ def _boolean_wire_integer():
     return json.dumps(data)
 
 
+def _wire_string(value):
+    """The sampled payload with its first entry's real numerator set to the
+    string value, which int() would read as an integer."""
+    def payload():
+        data = _sampled_json()
+        data["points"][0]["basis"]["entries"][0][0] = value
+        return json.dumps(data)
+    return payload
+
+
 def _deeply_nested():
     # json.load recurses once per open bracket and overflows the stack
     return "[" * 100000 + "]" * 100000
@@ -196,9 +206,14 @@ def _with(*path, value):
     (_with("points", 1, "k", value="-2"), "the field 'k' of a subspace is -2; it must be >= 0"),
     (_with("h", value=-2), "the field 'h' of a configuration is -2; it must be >= 0"),
     (_deeply_nested, "is nested too deeply"),
+    (_wire_string("1_0"), "expected a decimal integer string, got '1_0'"),
+    (_wire_string(" 1"), "expected a decimal integer string, got ' 1'"),
+    (_wire_string("+1"), "expected a decimal integer string, got '+1'"),
+    (_wire_string("\u0663"), "expected a decimal integer string, got '\u0663'"),
 ], ids=["zero-denominator", "entries-not-a-list", "top-level-array", "boolean-wire-integer",
         "missing-h", "point-missing-n", "basis-missing-rows", "negative-rows", "negative-cols",
-        "negative-n", "negative-k", "negative-h", "deeply-nested"])
+        "negative-n", "negative-k", "negative-h", "deeply-nested", "underscore-digits",
+        "leading-space", "plus-sign", "arabic-indic-digit"])
 def test_classify_malformed_payload(tmp_path, capsys, payload, named):
     bad = tmp_path / "bad.json"
     bad.write_text(payload())

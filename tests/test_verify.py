@@ -16,9 +16,7 @@ from grassconf.grassmann import (
 from grassconf import linalg
 from grassconf.linalg import GaussianRational, Matrix
 from grassconf.verify import (
-    FD_STEPS,
-    _chart_map,
-    _fd_jacobian,
+    _chart_tangent,
     _integer_projector,
     _perturbed_rows,
     _raise_stratum,
@@ -26,16 +24,17 @@ from grassconf.verify import (
     check_adjacency,
     check_dimension,
     configuration_distance,
-    float_rank,
     run_roundtrip_suite,
     subspace_distance,
 )
 from oracles import (
     chart_jacobian_reference,
+    chart_tangent_reference,
     float_rank_reference,
     max_abs,
     orthogonal_projector,
     raise_stratum_reference,
+    to_numpy,
 )
 
 
@@ -101,65 +100,66 @@ def test_distance_invariant_under_signed_permutations():
 
 
 def test_float_rank_basic():
-    assert float_rank(np.eye(4), 1e-6) == 4
-    assert float_rank(np.zeros((3, 5)), 1e-6) == 0
+    assert float_rank_reference(np.eye(4), 1e-6) == 4
+    assert float_rank_reference(np.zeros((3, 5)), 1e-6) == 0
     a = np.array([[1.0, 2.0], [2.0, 4.0 + 1e-12]])
-    assert float_rank(a, 1e-6) == 1
+    assert float_rank_reference(a, 1e-6) == 1
     # row-scaling is per row: tiny but independent rows still count
-    assert float_rank(np.array([[1e-9, 0.0], [0.0, 1e-12]]), 1e-6) == 2
+    assert float_rank_reference(np.array([[1e-9, 0.0], [0.0, 1e-12]]), 1e-6) == 2
     near = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-9, 0.0], [0.0, 0.0, 3.0]])
-    assert float_rank(near, 1e-6) == 2
+    assert float_rank_reference(near, 1e-6) == 2
 
 
 def test_float_rank_basic_on_lists():
-    assert float_rank([[float(r == c) for c in range(4)] for r in range(4)], 1e-6) == 4
-    assert float_rank([[0.0] * 5 for _ in range(3)], 1e-6) == 0
+    assert float_rank_reference([[float(r == c) for c in range(4)] for r in range(4)], 1e-6) == 4
+    assert float_rank_reference([[0.0] * 5 for _ in range(3)], 1e-6) == 0
     a = [[1.0, 2.0], [2.0, 4.0 + 1e-12]]
-    assert float_rank(a, 1e-6) == 1
+    assert float_rank_reference(a, 1e-6) == 1
     # row-scaling is per row: tiny but independent rows still count
-    assert float_rank([[1e-9, 0.0], [0.0, 1e-12]], 1e-6) == 2
+    assert float_rank_reference([[1e-9, 0.0], [0.0, 1e-12]], 1e-6) == 2
     near = [[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-9, 0.0], [0.0, 0.0, 3.0]]
-    assert float_rank(near, 1e-6) == 2
+    assert float_rank_reference(near, 1e-6) == 2
 
 
-def test_float_rank_matches_numpy_elimination():
-    rng = np.random.default_rng(5)
-    for rows, cols, r in [(6, 9, 4), (9, 6, 6), (12, 30, 5), (7, 7, 0), (0, 4, 0), (3, 0, 0)]:
-        a = rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols))
-        a[rng.random(a.shape) < 0.3] = 0.0
-        a += 1e-9 * rng.standard_normal(a.shape)
-        for tol in (1e-6, 1e-12):
-            assert float_rank(a.tolist(), tol) == float_rank_reference(a, tol)
+# --- chart tangent ----------------------------------------------------------------
 
 
 # (h, i, k, n): k = 1, inner parameters, i = n, h = 3 with both kinds
 CHART_STRATA = [(2, 2, 1, 3), (2, 3, 2, 5), (2, 4, 2, 4), (3, 4, 2, 5), (1, 2, 2, 4)]
+FD_STEPS = (1e-4, 1e-5)
+
+
+@pytest.mark.parametrize("hikn", CHART_STRATA, ids=lambda s: "-".join(map(str, s)))
+def test_chart_tangent_matches_numpy_reference(hikn):
+    # entrywise, not only by rank: a tangent built from the conjugated
+    # coefficients C_j still has full rank on every stratum of criterion 3
+    h, i, k, n = hikn
+    c = sample_configuration(StratumId(*hikn), "chart")
+    got = to_numpy(_chart_tangent(c))
+    want = chart_tangent_reference(c, 1e-4)
+    assert got.shape == want.shape == (i * (n - i) + h * k * (i - k), h * k * (n - k))
+    assert np.allclose(got, want, rtol=0.0, atol=1e-6)
 
 
 @pytest.mark.parametrize("hikn", CHART_STRATA, ids=lambda s: "-".join(map(str, s)))
 def test_chart_jacobian_matches_numpy_reference(hikn):
+    # the former float route, the real Jacobian of the projectors, has
+    # twice the exact tangent rank: the chart is holomorphic
     h, i, k, n = hikn
     c = sample_configuration(StratumId(*hikn), "chart")
-    chart, n_params = _chart_map(c)
+    tangent = _chart_tangent(c)
     n_outer, n_inner = i * (n - i), k * (i - k)
-    assert n_params == 2 * (n_outer + h * n_inner)
-    block = 2 * n * n
+    tangent_rank = linalg.rank(tangent)
+    assert tangent_rank == tangent.rows == n_outer + h * n_inner
     for step in FD_STEPS:
-        got = np.array(_fd_jacobian(chart, n_params, step))
-        want = chart_jacobian_reference(c, step)
-        assert got.shape == want.shape == (n_params, h * block)
-        assert np.allclose(got, want, rtol=0.0, atol=1e-7)
-        # an inner parameter of point j moves point j's projector only: the
-        # other blocks of its row are exactly zero on both sides
-        for p in range(n_params):
-            q = p % (n_params // 2)
-            if q < n_outer:
-                continue
-            j = (q - n_outer) // n_inner
-            for other in set(range(h)) - {j}:
-                assert not got[p, other * block:(other + 1) * block].any()
-                assert not want[p, other * block:(other + 1) * block].any()
-        assert float_rank(got.tolist(), 1e-6) == float_rank_reference(want, 1e-6) == n_params
+        assert float_rank_reference(chart_jacobian_reference(c, step), 1e-6) == 2 * tangent_rank
+    # an inner coordinate of point j moves point j only: its row is exactly
+    # zero outside point j's block
+    block = k * (n - k)
+    for q in range(n_outer, tangent.rows):
+        j = (q - n_outer) // n_inner
+        row = tangent.row(q)
+        assert not any(row[:j * block]) and not any(row[(j + 1) * block:])
 
 
 # --- dimension ----------------------------------------------------------------
@@ -171,10 +171,16 @@ def test_dimension_single_subspace_is_grassmannian():
     assert report.parameters == {"h": 1, "i": 2, "k": 2, "n": 5, "samples": 2, "seed": "3"}
 
 
+def test_dimension_tol_has_no_effect():
+    # tol is validated but the decision is exact
+    s = StratumId(2, 3, 2, 4)
+    assert check_dimension(s, tol=1e-12).to_json() == check_dimension(s, tol=0.5).to_json()
+
+
 def test_dimension_pair_example():
     report = check_dimension(StratumId(2, 3, 2, 4), samples=3, seed=1)
     assert report.ok, report.failures
-    # rank checked against 2 * 7 = 14 inside the suite
+    # tangent rank checked against dimension 7 inside the suite
 
 
 def test_dimension_open_stratum_with_small_sum():
