@@ -8,19 +8,16 @@ Three batch checks back the exact layer:
   holomorphic, so no real Jacobian, float or step size is involved.
 * check_adjacency produces an exact witness arbitrarily close to a given
   configuration inside a higher stratum, and confirms that small exact
-  perturbations never lower the stratum.  Its chart metric compares
-  orthogonal projectors as Gaussian-integer matrices over a positive
-  integer, each from one call of the linalg elimination kernel; both the
-  Gram matrix and the projector are Hermitian, so only their upper
-  triangles are computed and compared.  The witness and the perturbation
-  trials both stay in Z[i]: each tilted or perturbed basis is built as
-  integer rows by the same routine, and both test the distance bound
-  with the same integer comparison against the base point's projectors,
-  computed once per check.  A witness step finds every redundant basis
-  vector from one left null space of the stacked bases.  The trials'
-  final rank check first tries a mod-p rank certificate, which can only
-  prove that the rank did not drop; a drop is always decided by the
-  kernel's exact pivot count.
+  perturbations never lower the stratum.  Its chart metric is the
+  max-entry distance of orthogonal projectors, built as Gaussian-integer
+  matrices over a positive integer, once per base point per check.  No
+  moved point needs one: a stored basis is RREF, so one integer test
+  (_moves_less_than) proves that a move keeps the rank and stays within
+  eps and half the smallest base gap.  The witness and the trials both
+  build their bases as Z[i] rows by the same routine; a witness step
+  finds every redundant row from one left null space of the stack.  The
+  trials' final rank check first tries a mod-p rank certificate, which
+  only proves "no drop"; a drop is always decided by the exact pivot count.
 * run_roundtrip_suite exercises the gamma/pr/eta trivializations on
   seeded samples, entrywise over Q(i).
 
@@ -88,13 +85,12 @@ class VerificationReport:
 # The metric runs on scaled Gaussian-integer arithmetic: for a basis B of
 # Gaussian-integer rows the orthogonal projector is N / d with
 # N = B^H (d G^-1 B), G = B B^H and d = det G, read off one kernel
-# elimination, so distance comparisons never touch Fraction normalization
-# (the hot path of the perturbation suites).  Scaling a row of B changes
-# N and d but not N / d.  G and N are Hermitian, so only their upper
-# triangles are computed and the lower ones are mirrored as conjugates;
-# for the same reason a gap or an equality test between two projectors
-# reads the entries with r <= c only (|re| and |im| agree across the
-# diagonal).
+# elimination, so distance comparisons never touch Fraction normalization.
+# Scaling a row of B changes N and d but not N / d.  G and N are
+# Hermitian, so only their upper triangles are computed and the lower
+# ones are mirrored as conjugates; for the same reason a gap between two
+# projectors reads the entries with r <= c only (|re| and |im| agree
+# across the diagonal).
 
 
 def _hermitian(upper: list[list[GInt]]) -> list[list[GInt]]:
@@ -109,8 +105,8 @@ Projector = tuple[list[list[GInt]], int]
 
 
 def _integer_projector(rows: Sequence[Sequence[GInt]]) -> Projector:
-    """(N, d) with orthogonal projector N / d of the span of the Z[i] rows;
-    d > 0 iff the rows are independent (d = 0 signals a rank drop).
+    """(N, d) with orthogonal projector N / d of the span of the independent
+    Z[i] rows, d > 0; dependent rows raise ArithmeticError.
 
     One elimination of [G | B] leaves [d I | d G^-1 B] with d = det G:
     G is positive definite, so its leading minors are the pivots.
@@ -120,11 +116,9 @@ def _integer_projector(rows: Sequence[Sequence[GInt]]) -> Projector:
     gram = _hermitian([[linalg._gdot(a, b) for b in conj[r:]] for r, a in enumerate(rows)])
     grid = [g_row + list(a) for g_row, a in zip(gram, rows)]
     (d, d_im), pivots = linalg._integer_rref(grid)
-    # rank [G | B] = rank B, so a rank drop shows as fewer than k pivots
-    if len(pivots) < k:
-        return [], 0
-    if d_im or d <= 0:
-        raise ArithmeticError("Gram determinant must be real and positive")
+    # rank [G | B] = rank B, so dependent rows leave fewer than k pivots
+    if len(pivots) < k or d_im or d <= 0:
+        raise ArithmeticError("rows must be independent, with a real positive Gram determinant")
     solved = list(zip(*(row[k:] for row in grid)))
     return _hermitian([
         [linalg._gdot(ca, sb) for sb in solved[r:]] for r, ca in enumerate(zip(*conj))
@@ -145,19 +139,16 @@ def _projector_gap(na, da, nb, db) -> int:
     return worst
 
 
-def _same_projector(na, da, nb, db) -> bool:
-    """Whether N_a/d_a == N_b/d_b; stops at the first entry that differs."""
-    for r, (row_a, row_b) in enumerate(zip(na, nb)):
-        for (a_re, a_im), (b_re, b_im) in zip(row_a[r:], row_b[r:]):
-            if a_re * db != b_re * da or a_im * db != b_im * da:
-                return False
-    return True
-
-
-def _within(projector: Projector, base: Projector, eps: Fraction) -> bool:
-    """Whether the chart-metric distance of the projectors N/d is < eps."""
-    (na, da), (nb, db) = projector, base
-    return _projector_gap(na, da, nb, db) * eps.denominator < eps.numerator * da * db
+def _moves_less_than(size: int, t: Fraction, bound: Fraction) -> bool:
+    """Whether adding t * D, with size the sum of |d|^2 over D, to a basis
+    whose k-th singular value is >= 1 (any RREF basis) keeps its rank and
+    moves its projector by less than bound.  With e = |t| sqrt(size) < 1
+    the rank stays (Weyl) and the projector moves by at most e / (1 - e)
+    (Wedin, BIT 12, 1972; Stewart & Sun, Matrix Perturbation Theory,
+    1990); with t = a/b and bound = p/q, that is < p/q iff
+    a^2 size (p + q)^2 < p^2 b^2."""
+    a, b, p, q = t.numerator, t.denominator, bound.numerator, bound.denominator
+    return a * a * size * (p + q) ** 2 < p * p * b * b
 
 
 def subspace_distance(a: Subspace, b: Subspace) -> Fraction:
@@ -331,26 +322,24 @@ def _raise_stratum(
     return pts
 
 
-def _adjacency_witness(
-    c: Configuration, j0: int, target_i: int, eps: Fraction, cached: Sequence[Projector]
-) -> Optional[str]:
+def _adjacency_witness(c: Configuration, j0: int, target_i: int, eps: Fraction) -> Optional[str]:
     """None when an exact configuration of stratum target_i lies within eps
-    of c, else a failure description.  c lies in stratum j0, and cached
-    holds the projectors of its points."""
+    of c, else a failure description.  c lies in stratum j0.
+
+    The witness makes m = target_i - j0 tilts, each of one row of an RREF
+    basis by t in a unit direction.  A point tilted m times moves by at
+    most m * t / (1 - t) <= m t / (1 - m t), which _moves_less_than bounds
+    with size m^2, so t shrinks until that bound is below eps.
+    """
     if j0 == target_i:
         return None
+    steps = target_i - j0
     t = eps / 8
-    for _ in range(80):
-        pts = _raise_stratum(c.points, j0, target_i, t)
-        if pts is None:
-            return "no tilt slot raises the sum dimension"
-        if all(
-            q == p or _within(_integer_projector(linalg._integer_rows(q.basis)), base, eps)
-            for p, q, base in zip(c.points, pts, cached)
-        ):
-            return None
+    while not _moves_less_than(steps * steps, t, eps):
         t = t / 4
-    return "could not meet the distance bound"
+    if _raise_stratum(c.points, j0, target_i, t) is None:
+        return "no tilt slot raises the sum dimension"
+    return None
 
 
 def _perturbed_rows(
@@ -389,40 +378,35 @@ def _semicontinuity_trial(
     c: Configuration,
     base_rank: int,
     base: Sequence[ScaledRows],
-    cached: Sequence[Projector],
     eps: Fraction,
+    bound: Fraction,
     rng: random.Random,
 ) -> Optional[str]:
     """One seeded exact perturbation of chart-metric size < eps.
 
     Directions come from the {-1, 0, 1} lattice of Z[i]; the scale is
-    randomized and then shrunk until the distance bound and nondegeneracy
-    hold.  base holds each point's basis as scaled Z[i] rows and cached
-    its projector.  Returns a failure description when the stratum drops,
+    randomized and then shrunk until _moves_less_than certifies every
+    point's move below bound (at most eps and half the smallest base gap,
+    so the points stay distinct).  base holds each point's basis as scaled
+    Z[i] rows.  Returns a failure description when the stratum drops,
     None otherwise.
     """
     h, k, n = c.h, c.k, c.n
     draws = iter(_unit_draws(rng, 2 * h * k * n))
     pairs = list(zip(draws, draws))
     directions = [[pairs[r * n:(r + 1) * n] for r in range(p * k, (p + 1) * k)] for p in range(h)]
+    size = max(
+        sum(re * re + im * im for re, im in pairs[p * k * n:(p + 1) * k * n]) for p in range(h)
+    )
     t = eps * Fraction(rng.randint(1, 4096), 4096) / 8
     for _ in range(80):
-        raw = [_perturbed_rows(rows, d, t) for rows, d in zip(base, directions)]
-        projectors = [_integer_projector(rows) for rows in raw]
-        degenerate = any(d == 0 for _, d in projectors) or any(
-            _same_projector(*projectors[a], *projectors[b])
-            for a in range(h) for b in range(a + 1, h)
-        )
-        if degenerate:
-            t = t / 4
-            continue
-        if not all(_within(p, base, eps) for p, base in zip(projectors, cached)):
-            t = t / 4
-            continue
-        stacked = [row for rows in raw for row in rows]
-        if not linalg._rank_at_least(stacked, base_rank):
-            return "stratum dropped under a perturbation of size < eps"
-        return None
+        if _moves_less_than(size, t, bound):
+            stacked = [row for rows, d in zip(base, directions)
+                       for row in _perturbed_rows(rows, d, t)]
+            if not linalg._rank_at_least(stacked, base_rank):
+                return "stratum dropped under a perturbation of size < eps"
+            return None
+        t = t / 4
     return "could not build a perturbation inside the bound"
 
 
@@ -435,7 +419,11 @@ def check_adjacency(
 ) -> VerificationReport:
     """Exact witness in the target stratum within eps of c, plus the
     semicontinuity counterpart: perturbations of size < eps are recorded
-    as failures whenever they lower the stratum."""
+    as failures whenever they lower the stratum.  eps is an int or a
+    Fraction, so that every bound stays exact."""
+    if isinstance(eps, bool) or not isinstance(eps, (int, Fraction)):
+        raise TypeError(f"eps must be an int or a Fraction, not {type(eps).__name__}")
+    eps = Fraction(eps)
     j0 = grassmann.stratum_of(c)
     if not j0 <= target_i <= min(c.h * c.k, c.n):
         raise UnreachableError(
@@ -453,12 +441,16 @@ def check_adjacency(
         },
     )
     base = [p.basis.zrows for p in c.points]
-    cached = [_integer_projector([row for _, row in rows]) for rows in base]
-    report.record(f"{seed}:witness", _adjacency_witness(c, j0, target_i, eps, cached))
+    projectors = [_integer_projector([row for _, row in rows]) for rows in base]
+    bound = min([eps] + [
+        Fraction(_projector_gap(na, da, nb, db), 2 * da * db)
+        for a, (na, da) in enumerate(projectors) for nb, db in projectors[a + 1:]
+    ])
+    report.record(f"{seed}:witness", _adjacency_witness(c, j0, target_i, eps))
     for idx in range(trials):
         case_seed = f"{seed}:{idx}"
         desc = _semicontinuity_trial(
-            c, j0, base, cached, eps, random.Random(f"adjacency:{case_seed}")
+            c, j0, base, eps, bound, random.Random(f"adjacency:{case_seed}")
         )
         report.record(case_seed, desc)
     return report

@@ -1,8 +1,12 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grassconf.errors import EmptyStratumError, UnreachableError
 from grassconf.grassmann import (
@@ -11,13 +15,15 @@ from grassconf.grassmann import (
     canonicalize,
     sample_configuration,
     sample_subspace,
+    strata_list,
     stratum_of,
 )
-from grassconf import linalg
+from grassconf import linalg, verify
 from grassconf.linalg import GaussianRational, Matrix
 from grassconf.verify import (
     _chart_tangent,
     _integer_projector,
+    _moves_less_than,
     _perturbed_rows,
     _raise_stratum,
     _unit_draws,
@@ -220,6 +226,144 @@ def test_adjacency_semicontinuity_trials():
     report = check_adjacency(c, 4, Fraction(1, 1000), trials=40, seed=3)
     assert report.cases == 41
     assert report.ok, report.failures
+
+
+def test_adjacency_eps_int_is_exact():
+    c = sample_configuration(StratumId(2, 3, 2, 4), 3)
+    report = check_adjacency(c, 4, 1, trials=5, seed=3)
+    assert report.ok, report.failures
+    assert report.parameters["eps"] == "1"
+    assert report.to_json() == check_adjacency(c, 4, Fraction(1), trials=5, seed=3).to_json()
+
+
+@pytest.mark.parametrize("eps", [0.001, "1/1000", Decimal("0.001"), True], ids=repr)
+def test_adjacency_eps_rejects_inexact_types(eps):
+    # a float eps would make every distance bound inexact
+    c = sample_configuration(StratumId(2, 3, 2, 4), 3)
+    with pytest.raises(TypeError, match="eps"):
+        check_adjacency(c, 4, eps, trials=1)
+
+
+def test_integer_projector_rejects_dependent_rows():
+    with pytest.raises(ArithmeticError):
+        _integer_projector([((1, 0), (2, 1)), ((2, 0), (4, 2))])
+
+
+SMALL_STRATA = [s for h in (2, 3) for n in range(2, 6) for k in range(1, n)
+                for s in strata_list(h, k, n)]
+
+
+@given(
+    st.sampled_from(SMALL_STRATA),
+    st.integers(0, 2 ** 32),
+    st.fractions(Fraction(1, 10 ** 6), Fraction(1), max_denominator=10 ** 6),
+    st.sampled_from([Fraction(1, 1000), Fraction(1, 10), Fraction(1, 2), Fraction(1), None]),
+)
+@settings(max_examples=80, deadline=None)
+def test_moves_less_than_is_sound(s, seed, t, eps):
+    # whenever the certificate accepts, the exact route agrees: every moved
+    # point keeps rank k and lies within the bound, and the points stay
+    # distinct when the bound is at most half the smallest gap
+    c = sample_configuration(s, seed)
+    rng = random.Random(seed)
+    directions = [[[(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(c.n)]
+                   for _ in range(c.k)] for _ in range(c.h)]
+    size = max(sum(re * re + im * im for row in d for re, im in row) for d in directions)
+    gap = min(subspace_distance(p, q) for p, q in combinations(c.points, 2))
+    bound = gap / 2 if eps is None else eps
+    while not _moves_less_than(size, t, bound):
+        t /= 4
+    moved = [
+        canonicalize(p.basis + Matrix(c.k, c.n, tuple(
+            tuple(GaussianRational(re, im) for re, im in row) for row in d
+        )).scale(t), c.n)
+        for p, d in zip(c.points, directions)
+    ]
+    assert all(q.k == c.k for q in moved)
+    assert all(subspace_distance(p, q) < bound for p, q in zip(c.points, moved))
+    if bound <= gap / 2:
+        assert all(p != q for p, q in combinations(moved, 2))
+
+
+def test_moves_less_than_is_strict_at_the_threshold():
+    # e = t sqrt(size) = 1/3 gives e / (1 - e) = 1/2 exactly
+    assert not _moves_less_than(1, Fraction(1, 3), Fraction(1, 2))
+    assert _moves_less_than(1, Fraction(1, 3), Fraction(1, 2) + Fraction(1, 10 ** 9))
+    assert not _moves_less_than(4, Fraction(1, 6), Fraction(1, 2))
+    assert _moves_less_than(0, Fraction(10 ** 9), Fraction(1, 10 ** 9))
+
+
+def test_trials_shrink_when_two_points_are_close(monkeypatch):
+    # points 0 and 1 are 1/10000 apart, less than 2 * eps, so the bound
+    # is half their gap and most trials must shrink below their first t
+    eps = Fraction(1, 1000)
+    points = [canonicalize(Matrix.from_rows(rows), 4) for rows in (
+        [[1, 0, 0, 0]], [[1, Fraction(1, 10000), 0, 0]], [[0, 1, 0, 0]],
+    )]
+    c = Configuration.of(points)
+    assert stratum_of(c) == 2 and subspace_distance(points[0], points[1]) < 2 * eps
+    calls = []
+
+    def counted(size, t, bound, _test=verify._moves_less_than):
+        calls.append((size, _test(size, t, bound)))
+        return calls[-1][1]
+    monkeypatch.setattr(verify, "_moves_less_than", counted)
+    report = check_adjacency(c, 3, eps, trials=40, seed=5)
+    assert report.cases == 41
+    assert report.ok, report.failures
+    results = [ok for _, ok in calls]
+    assert results.count(True) == 41
+    assert results.count(False) >= 20
+    # each step ends at a True; the witness makes one tilt, and a trial
+    # certifies the largest sum of |d|^2 over its points' directions
+    steps, sizes = [], set()
+    for size, ok in calls:
+        sizes.add(size)
+        if ok:
+            steps.append(sizes)
+            sizes = set()
+    assert steps[0] == {1}
+    for idx, got in enumerate(steps[1:]):
+        draws = _unit_draws(random.Random(f"adjacency:5:{idx}"), 2 * 3 * 4)
+        assert got == {max(sum(v * v for v in draws[8 * p:8 * p + 8]) for p in range(3))}
+
+
+@pytest.mark.parametrize("s, target, eps", [
+    (StratumId(10, 2, 1, 11), 10, Fraction(1, 1000)),  # 8 * (1 + eps) > 8
+    (StratumId(8, 2, 1, 9), 8, Fraction(1, 3)),  # 6 * (1 + eps) = 8 exactly
+], ids=str)
+def test_witness_shrinks_for_many_tilts(monkeypatch, s, target, eps):
+    c = sample_configuration(s, "golden")
+    j0 = stratum_of(c)
+    assert (target - j0) * (1 + eps) >= 8
+    raised = []
+
+    def recorded(points, current, target_i, t, _raise=verify._raise_stratum):
+        raised.append((t, _raise(points, current, target_i, t)))
+        return raised[-1][1]
+    monkeypatch.setattr(verify, "_raise_stratum", recorded)
+    report = check_adjacency(c, target, eps, trials=0, seed=0)
+    assert report.ok, report.failures
+    [(t, pts)] = raised
+    assert t == eps / 32
+    assert stratum_of(Configuration.of(pts)) == target
+    assert max(subspace_distance(p, q) for p, q in zip(c.points, pts)) < eps
+
+
+def test_adjacency_builds_one_projector_per_point(monkeypatch):
+    # the trials and the witness certify their moves without a projector;
+    # only the base points' gaps need one each
+    calls = []
+
+    def counted(rows, _build=verify._integer_projector):
+        calls.append(len(rows))
+        return _build(rows)
+    monkeypatch.setattr(verify, "_integer_projector", counted)
+    c = sample_configuration(StratumId(3, 3, 2, 6), "golden")
+    for trials in (0, 7, 30):
+        calls.clear()
+        assert check_adjacency(c, 6, Fraction(1, 1000), trials=trials, seed="golden").ok
+        assert calls == [2, 2, 2]
 
 
 def _fraction_projector(rows):
