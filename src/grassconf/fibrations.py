@@ -77,7 +77,7 @@ def _require_transverse(v: Subspace, triv: Trivialization, what: str) -> Matrix:
             f"{what}: dimension {v.k} does not match the chart base dimension {triv.base_point.k}"
         )
     stacked = v.basis.stack(triv.complement.basis)
-    if linalg.rank(stacked) != v.n:
+    if not linalg._has_rank(stacked, v.n):
         raise OutsideChartError(f"{what}: not transverse to the chart complement")
     return stacked
 
@@ -129,7 +129,7 @@ def pr_forget_last(c: Configuration) -> Configuration:
     """Drop the last subspace of a direct-sum configuration."""
     if c.h < 2:
         raise WrongArityError("need at least two subspaces to forget one")
-    if grassmann.stratum_of(c) != c.h * c.k:
+    if not linalg._has_rank(linalg.stack_all(p.basis for p in c.points), c.h * c.k):
         raise NotDirectSumError("the subspaces are not in direct sum")
     return Configuration(c.h - 1, c.k, c.n, c.points[:-1])
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import linalg
@@ -24,7 +23,7 @@ from .errors import (
     WireFormatError,
     ZeroSubspaceError,
 )
-from .linalg import GaussianRational, Matrix
+from .linalg import Matrix
 
 SeedLike = Union[int, str]
 
@@ -153,12 +152,13 @@ def subspace_sum(parts: Sequence[Subspace]) -> Subspace:
 def subspace_intersection(a: Subspace, b: Subspace) -> Optional[Subspace]:
     """Exact intersection; None encodes the zero subspace.
 
-    Solutions of x·A = y·B are read off the null space of the stacked
-    basis matrix, so dim(A+B) + dim(A∩B) = dim A + dim B holds exactly.
+    Solutions of x·A + y·B = 0 are read off the null space of the stacked
+    basis matrix; their x·A span A ∩ B (negating y would only negate
+    each x), so dim(A+B) + dim(A∩B) = dim A + dim B holds exactly.
     """
     if a.n != b.n:
         raise MixedAmbientError("ambient dimensions differ")
-    stacked = a.basis.stack(b.basis.scale(-1))
+    stacked = a.basis.stack(b.basis)
     null_rows = linalg.kernel(stacked.transpose())
     if null_rows.rows == 0:
         return None
@@ -166,10 +166,17 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Optional[Subspace]:
 
 
 def intersection_dim(a: Subspace, b: Subspace) -> int:
-    """dim(A ∩ B) = dim A + dim B - dim(A + B), from one rank."""
+    """dim(A ∩ B) = dim A + dim B - dim(A + B), from one rank.
+
+    A mod-p rank that reaches dim A + dim B proves the sum direct; any
+    other answer is the exact rank.
+    """
     if a.n != b.n:
         raise MixedAmbientError("ambient dimensions differ")
-    return a.k + b.k - linalg.rank(a.basis.stack(b.basis))
+    stacked = a.basis.stack(b.basis)
+    if linalg._modular_rank(linalg._integer_rows(stacked), a.k + b.k) == a.k + b.k:
+        return 0
+    return a.k + b.k - linalg.rank(stacked)
 
 
 def complement(v: Subspace) -> Subspace:
@@ -196,7 +203,7 @@ def projection_along(target: Subspace, along: Subspace) -> Matrix:
     if target.k + along.k != target.n:
         raise NotComplementaryError("dimensions do not add up to the ambient dimension")
     stacked = target.basis.stack(along.basis)
-    if linalg.rank(stacked) != target.n:
+    if not linalg._has_rank(stacked, target.n):
         raise NotComplementaryError("subspaces intersect nontrivially")
     return linalg.solve(stacked, target.basis.stack(Matrix.zeros(along.k, target.n)))
 
@@ -254,24 +261,39 @@ def stratum_closure(s: StratumId) -> list[StratumId]:
 # seeded random constructions
 
 
-def _rand_fraction(rng: random.Random, span: int = 3, max_den: int = 2) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
-
-
-def _rand_scalar(rng: random.Random) -> GaussianRational:
-    return GaussianRational(_rand_fraction(rng), _rand_fraction(rng))
-
-
 def random_matrix(rows: int, cols: int, rng: random.Random) -> Matrix:
-    return Matrix(rows, cols, tuple(
-        tuple(_rand_scalar(rng) for _ in range(cols)) for _ in range(rows)
-    ))
+    """A seeded matrix whose parts are a/b with a in [-3, 3] and b in {1, 2}.
+
+    Each entry draws its real part, then its imaginary part, each as
+    rng.randint(-3, 3) over rng.randint(1, 2), built straight as Z[i] rows.
+    The draws replicate randint's: 3 random bits redrawn on 7, then 2
+    random bits redrawn on 2 or 3, so the values and the generator state
+    afterwards are those of the randint calls.  A row's scale is 2 when
+    some part has reduced denominator 2 (b = 2 with a odd), else 1; the
+    odd numerator of that part keeps the row primitive.
+    """
+    getrandbits = rng.getrandbits
+    zrows = []
+    for _ in range(rows):
+        parts = []
+        for _ in range(2 * cols):
+            num = getrandbits(3)
+            while num == 7:
+                num = getrandbits(3)
+            den = getrandbits(2)
+            while den >= 2:
+                den = getrandbits(2)
+            parts.append((num - 3, den + 1))
+        scale = 2 if any(den == 2 and num % 2 for num, den in parts) else 1
+        values = [num * scale // den for num, den in parts]
+        zrows.append((scale, tuple(zip(values[::2], values[1::2]))))
+    return Matrix._of(rows, cols, tuple(zrows))
 
 
 def random_invertible(n: int, rng: random.Random) -> Matrix:
     while True:
         m = random_matrix(n, n, rng)
-        if linalg.rank(m) == n:
+        if linalg._has_rank(m, n):
             return m
 
 
@@ -280,7 +302,7 @@ def sample_subspace(k: int, n: int, seed: SeedLike) -> Subspace:
     rng = random.Random(f"subspace:{k}:{n}:{seed}")
     while True:
         raw = random_matrix(k, n, rng)
-        if linalg.rank(raw) == k:
+        if linalg._has_rank(raw, k):
             return canonicalize(raw, n)
 
 
@@ -303,8 +325,8 @@ def _model_bases(h: int, i: int, k: int, n: int) -> list[Matrix]:
             used += fresh
         else:
             tilt += 1
-            tilted = Matrix.unit_rows([0], n) + Matrix.unit_rows([k], n).scale(tilt)
-            bases.append(tilted.stack(Matrix.unit_rows(range(1, k), n)))
+            tilted = tuple((1, 0) if c == 0 else (tilt, 0) if c == k else (0, 0) for c in range(n))
+            bases.append(Matrix._of(1, n, ((1, tilted),)).stack(Matrix.unit_rows(range(1, k), n)))
     return bases
 
 

@@ -15,11 +15,15 @@ fraction-free elimination over Z[i].  rref, and through it kernel and
 solve, run the full Gauss-Jordan elimination on the stored rows and divide
 by the common pivot only when building the result; rank runs the forward
 elimination only and reads the pivot count, without building a reduced
-matrix.  _rank_at_least, used by the adjacency trials, first tries a
-mod-p rank certificate that can only prove a lower bound on the rank and
-leaves every other answer to _integer_rref.  The product brings the right
-factor's rows to one common scale and builds each entry as one Z[i] dot
-product.  All values are immutable and all operations are pure (the
+matrix.  _rank_at_least first tries a mod-p rank certificate that can only
+prove a lower bound on the rank and leaves every other answer to
+_integer_rref.  Every decision "rank equals the row count" goes through
+it: is_invertible, the sampler's draws of invertible matrices and
+subspaces, the direct-sum and transversality tests of grassmann,
+fibrations and the verification suites, and the adjacency trials;
+intersection_dim returns 0 when the certificate proves the sum direct.
+The product brings the right factor's rows to one common scale and
+builds each entry as one Z[i] dot product.  All values are immutable and all operations are pure (the
 entries view is filled once, with the same value by whichever thread reads
 it first), so the module is safe to use from multiple threads without
 coordination.
@@ -521,6 +525,11 @@ def _rank_at_least(rows: Sequence[Sequence[GInt]], r: int) -> bool:
     return len(_integer_rref(list(rows), reduce=False)[1]) >= r
 
 
+def _has_rank(m: Matrix, r: int) -> bool:
+    """Whether rank m >= r, by _rank_at_least on the stored rows."""
+    return _rank_at_least(_integer_rows(m), r)
+
+
 def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form, computed by _integer_rref.
 
@@ -584,7 +593,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
 
 
 def is_invertible(m: Matrix) -> bool:
-    return m.rows == m.cols and rank(m) == m.rows
+    return m.rows == m.cols and _has_rank(m, m.rows)
 
 
 def matrix_to_json(m: Matrix) -> dict:

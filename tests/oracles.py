@@ -25,6 +25,10 @@ raise_stratum_reference keeps the older route of the adjacency witness's
 tilts: each step tests every basis vector for redundancy by ranking the
 stack without it and tilts it as GaussianRational entries.  The package
 finds the redundant rows from one left null space and tilts Z[i] rows.
+
+random_matrix_reference keeps the sampler's former route: each entry is a
+GaussianRational of two Fractions drawn by randint.  The package draws
+the same values with getrandbits and builds Z[i] rows directly.
 """
 
 from __future__ import annotations
@@ -103,6 +107,16 @@ def rand_matrix(rows: int, cols: int, rng: random.Random, sparse: float = 0.0) -
                 row.append(rand_entry(rng))
         grid.append(tuple(row))
     return Matrix(rows, cols, tuple(grid))
+
+
+def random_matrix_reference(rows: int, cols: int, rng: random.Random) -> Matrix:
+    """The sampler's draws as GaussianRational entries of randint Fractions."""
+    def part() -> Fraction:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+
+    return Matrix(rows, cols, tuple(
+        tuple(GaussianRational(part(), part()) for _ in range(cols)) for _ in range(rows)
+    ))
 
 
 def rand_rank_deficient(rows: int, cols: int, target_rank: int, rng: random.Random) -> Matrix:

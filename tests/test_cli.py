@@ -1,11 +1,16 @@
+import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grassconf.cli import main
+from grassconf.grassmann import StratumId, configuration_to_json, sample_configuration
 
 
 def run_cli(*argv):
@@ -232,6 +237,102 @@ def test_classify_mismatched_h_names_both_counts(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: declared h = 3 but the configuration has 2 points\n"
     )
+
+
+# malformed configurations, each made from a valid sampled one by a change
+# that no valid configuration survives
+_CORPUS_BASES = [
+    configuration_to_json(sample_configuration(StratumId(*s), seed))
+    for s, seed in (((2, 3, 2, 4), 1), ((3, 2, 1, 3), 2), ((1, 2, 2, 4), 3), ((2, 4, 2, 5), 4))
+]
+_COUNT_FIELDS = ("h", "k", "n", "rows", "cols")
+_not_decimal = st.text(max_size=6).filter(lambda text: not re.fullmatch(r"-?[0-9]+", text))
+# invalid at every position of the wire format, containers included
+_wrong_type = st.one_of(
+    st.none(), st.booleans(), st.floats(), _not_decimal, st.just({}), st.just([]),
+    st.dictionaries(st.sampled_from(["x", "h", "points", "entries"]), st.none(), max_size=2),
+)
+
+
+def _paths(node, prefix=()):
+    """Every (path, value) below node, node itself first."""
+    yield prefix, node
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, prefix + (key,))
+
+
+def _is_wire_int(path):
+    """A count field, or one of the four integers of a matrix entry."""
+    return bool(path) and (path[-1] in _COUNT_FIELDS or path[-3:-2] == ("entries",))
+
+
+_DELETE = object()
+
+
+def _replaced(data, path, value):
+    """A copy of data with the value at path replaced, or removed for _DELETE."""
+    data = json.loads(json.dumps(data))
+    if not path:
+        return value
+    obj = data
+    for key in path[:-1]:
+        obj = obj[key]
+    if value is _DELETE:
+        del obj[path[-1]]
+    else:
+        obj[path[-1]] = value
+    return data
+
+
+@st.composite
+def _malformed_configuration(draw):
+    """(kind, JSON text) of a malformed configuration."""
+    data = draw(st.sampled_from(_CORPUS_BASES))
+    paths = [path for path, _ in _paths(data)]
+    kind = draw(st.sampled_from(
+        ["wrong-type", "missing", "zero-denominator", "bad-wire-string", "mismatched", "truncated"]
+    ))
+    if kind == "wrong-type":
+        data = _replaced(data, draw(st.sampled_from(paths)), draw(_wrong_type))
+    elif kind == "missing":
+        data = _replaced(data, draw(st.sampled_from(paths[1:])), _DELETE)
+    elif kind == "zero-denominator":
+        point = draw(st.integers(0, len(data["points"]) - 1))
+        entry = draw(st.integers(0, len(data["points"][point]["basis"]["entries"]) - 1))
+        path = ("points", point, "basis", "entries", entry, draw(st.sampled_from([1, 3])))
+        data = _replaced(data, path, draw(st.sampled_from([0, "0", "-0", "000"])))
+    elif kind == "bad-wire-string":
+        path = draw(st.sampled_from([path for path in paths if _is_wire_int(path)]))
+        data = _replaced(data, path, draw(_not_decimal))
+    elif kind == "mismatched":
+        path = draw(st.sampled_from([p for p in paths if p and p[-1] in _COUNT_FIELDS]))
+        current = int(dict(_paths(data))[path])
+        value = draw(st.integers(0, 12).filter(lambda v: v != current))
+        data = _replaced(data, path, draw(st.sampled_from([value, str(value)])))
+    text = json.dumps(data)
+    if kind == "truncated":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return kind, text
+
+
+@pytest.fixture(scope="module")
+def corpus_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("corpus") / "bad.json"
+
+
+@given(_malformed_configuration())
+@settings(max_examples=200, deadline=None)
+def test_classify_malformed_corpus_exits_2(corpus_file, case):
+    kind, text = case
+    corpus_file.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli("classify", str(corpus_file))
+    err = err.getvalue()
+    assert (code, out) == (2, ""), (kind, text, err)
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, (kind, err)
+    assert "Traceback" not in err
 
 
 def test_verify_suite_cli(tmp_path):

@@ -35,7 +35,7 @@ from grassconf.grassmann import (
     subspace_sum,
     transform_configuration,
 )
-from grassconf.linalg import Matrix, is_invertible, rank
+from grassconf.linalg import _P, Matrix, _integer_rows, _modular_rank, is_invertible, rank
 from oracles import (
     chart_coordinates_reference,
     eta_fiber_lift_reference,
@@ -188,6 +188,16 @@ def test_pr_forget_last_requires_direct_sum():
     c = sample_configuration(StratumId(2, 3, 2, 5), 0)
     with pytest.raises(NotDirectSumError):
         pr_forget_last(c)
+    # the mod-p rank of the stack drops in both, so the exact rank decides:
+    # <e0>, <e0 + p e1> is a direct sum, <e0>, <e1>, <e0 + e1> is not
+    e0 = canonicalize(unit_rows(3, 0), 3)
+    skew = canonicalize(Matrix.from_rows([[1, _P, 0]]), 3)
+    assert _modular_rank(_integer_rows(e0.basis.stack(skew.basis)), 2) == 1
+    assert pr_forget_last(Configuration.of([e0, skew])).points == (e0,)
+    e1 = canonicalize(unit_rows(3, 1), 3)
+    diagonal = canonicalize(Matrix.from_rows([[1, 1, 0]]), 3)
+    with pytest.raises(NotDirectSumError):
+        pr_forget_last(Configuration.of([e0, e1, diagonal]))
     single = Configuration.of([sample_subspace(2, 5, 0)])
     with pytest.raises(WrongArityError):
         pr_forget_last(single)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,7 @@ from grassconf.grassmann import (
     is_stratum_nonempty,
     projection_along,
     random_invertible,
+    random_matrix,
     sample_configuration,
     sample_subspace,
     strata_list,
@@ -33,8 +35,8 @@ from grassconf.grassmann import (
     subspace_to_json,
     transform,
 )
-from grassconf.linalg import Matrix, kernel, rank
-from oracles import rand_matrix
+from grassconf.linalg import _P, Matrix, _integer_rows, _modular_rank, kernel, rank
+from oracles import rand_matrix, random_matrix_reference
 
 
 def unit_rows(n, *idx):
@@ -128,6 +130,20 @@ def test_intersection_dim_matches_intersection():
         intersection_dim(sample_subspace(1, 3, 0), sample_subspace(1, 4, 0))
 
 
+def test_intersection_dim_falls_back_to_the_exact_rank():
+    # the mod-p certificate cannot reach a.k + b.k when the subspaces meet,
+    # nor when the stack's determinant is a multiple of p; the exact rank
+    # decides both
+    a = canonicalize(unit_rows(4, 0, 1), 4)
+    b = canonicalize(unit_rows(4, 1, 2), 4)
+    assert intersection_dim(a, b) == 1
+    assert intersection_dim(a, a) == 2
+    line = canonicalize(Matrix.from_rows([[1, 0]]), 2)
+    tilted = canonicalize(Matrix.from_rows([[1, _P]]), 2)
+    assert _modular_rank(_integer_rows(line.basis.stack(tilted.basis)), 2) == 1
+    assert intersection_dim(line, tilted) == 0
+
+
 def test_intersection_dimension_in_pair_stratum():
     for i, k, n in ((3, 2, 4), (3, 2, 5), (4, 3, 5), (5, 3, 6)):
         c = sample_configuration(StratumId(2, i, k, n), f"int:{i}:{k}:{n}")
@@ -185,6 +201,17 @@ def test_projection_not_complementary_raises():
     w = canonicalize(unit_rows(4, 1, 2), 4)
     with pytest.raises(NotComplementaryError):
         projection_along(v, w)
+
+
+def test_projection_along_falls_back_to_the_exact_rank():
+    # [1 0; 1 p] has determinant p, so its mod-p rank is 1: the exact rank
+    # must still find target ⊕ along = C^2
+    target = canonicalize(Matrix.from_rows([[1, 0]]), 2)
+    along = canonicalize(Matrix.from_rows([[1, _P]]), 2)
+    assert _modular_rank(_integer_rows(target.basis.stack(along.basis)), 2) == 1
+    phi = projection_along(target, along)
+    assert phi == Matrix.from_rows([[1, 0], [Fraction(-1, _P), 0]])
+    assert phi @ phi == phi
 
 
 def test_stratum_of_single_point():
@@ -256,6 +283,21 @@ def test_sampler_hits_requested_stratum():
                     c = sample_configuration(s, 7)
                     assert stratum_of(c) == i
                     assert c.h == h and c.k == k and c.n == n
+
+
+def test_random_matrix_reproduces_the_randint_draws():
+    # the sampler builds Z[i] rows from getrandbits; the matrices and the
+    # generator state afterwards must be those of the randint Fractions, so
+    # every sampled configuration stays the same
+    for seed in range(252):
+        rows, cols = 1 + seed % 6, 1 + seed // 6 % 7
+        ours, reference = random.Random(seed), random.Random(seed)
+        got = random_matrix(rows, cols, ours)
+        assert got.zrows == random_matrix_reference(rows, cols, reference).zrows, seed
+        assert (got.rows, got.cols) == (rows, cols)
+        assert ours.getstate() == reference.getstate(), seed
+    scales = {s for seed in range(40) for s, _ in random_matrix(3, 4, random.Random(seed)).zrows}
+    assert scales == {1, 2}
 
 
 def test_sampler_deterministic():

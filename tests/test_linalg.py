@@ -16,6 +16,7 @@ from grassconf.linalg import (
     _modular_rank,
     _rank_at_least,
     gq,
+    is_invertible,
     kernel,
     matrix_from_json,
     matrix_to_json,
@@ -139,6 +140,15 @@ def test_modular_map_sends_i_to_a_square_root_of_minus_one():
     assert _P % 4 == 1
     assert all(_P % q for q in range(2, int(_P ** 0.5) + 1))
     assert _SQRT_MINUS_ONE ** 2 % _P == _P - 1
+
+
+def test_is_invertible_falls_back_to_the_exact_rank():
+    # det [1 0; 1 p] = p vanishes mod p, and the exact rank still finds 2
+    m = Matrix.from_rows([[1, 0], [1, _P]])
+    assert _modular_rank(_integer_rows(m), 2) == 1
+    assert is_invertible(m)
+    assert not is_invertible(Matrix.from_rows([[1, 2], [_P, 2 * _P]]))
+    assert not is_invertible(Matrix.from_rows([[1, 0, 0], [0, 1, 0]]))
 
 
 def test_rank_at_least_certificate_and_fallback():

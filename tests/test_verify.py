@@ -453,11 +453,11 @@ def test_raise_stratum_reads_every_left_null_vector():
 
 
 def test_suites_run_no_gaussian_rational_arithmetic(monkeypatch):
-    # every suite computes on Z[i] rows; GaussianRational values are only
-    # built at the edges, never added, multiplied or divided
+    # every suite, the sampler included, computes on Z[i] rows: no
+    # GaussianRational value is built, added, multiplied or divided
     calls = []
     for name in ("__add__", "__radd__", "__sub__", "__neg__", "__mul__", "__rmul__",
-                 "__truediv__"):
+                 "__truediv__", "__post_init__"):
         def counted(*args, _op=getattr(GaussianRational, name), _name=name):
             calls.append(_name)
             return _op(*args)
@@ -470,7 +470,7 @@ def test_suites_run_no_gaussian_rational_arithmetic(monkeypatch):
     assert check_dimension(StratumId(2, 3, 2, 4), samples=1, seed=1).ok
     assert calls == []
     assert GaussianRational(1, 2) * GaussianRational(3) == GaussianRational(3, 6)
-    assert calls == ["__mul__"]
+    assert calls == ["__post_init__"] * 2 + ["__mul__"] + ["__post_init__"] * 2
 
 
 def test_adjacency_unreachable_target():
