@@ -19,14 +19,15 @@ matrix.  _rank_at_least first tries a mod-p rank certificate that can only
 prove a lower bound on the rank and leaves every other answer to
 _integer_rref.  Every decision "rank equals the row count" goes through
 it: is_invertible, the sampler's draws of invertible matrices and
-subspaces, the direct-sum and transversality tests of grassmann,
-fibrations and the verification suites, and the adjacency trials;
+subspaces, projection_along's complement test, the transversality and
+direct-sum tests of fibrations, the roundtrip suites' chart search, the
+dimension suite's tangent rank and the adjacency trials;
 intersection_dim returns 0 when the certificate proves the sum direct.
 The product brings the right factor's rows to one common scale and
-builds each entry as one Z[i] dot product.  All values are immutable and all operations are pure (the
-entries view is filled once, with the same value by whichever thread reads
-it first), so the module is safe to use from multiple threads without
-coordination.
+builds each entry as one Z[i] dot product.  All values are immutable and
+all operations are pure (the entries view is filled once, with the same
+value by whichever thread reads it first), so the module is safe to use
+from multiple threads without coordination.
 
 >>> a = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
 >>> print(a * a.conjugate())

@@ -161,8 +161,9 @@ def test_criterion_5_roundtrip_suites():
             report = run_roundtrip_suite(which, cases=100, seed=1)
             assert report.cases == 100
             assert report.ok, (which, report.failures[:3])
-        # the eta suite checks dim(H1 ^ H2) = 2k - i and the quotient-pair
-        # stratum 2(i - k) on every case; spot-check once more directly
+        # the eta suite checks dim(H1 ^ H2) = 2k - i on every case, and
+        # eta_fiber_lift decides that the quotient pair is in direct sum;
+        # spot-check the intersection once more directly
         c = sample_configuration(StratumId(2, 3, 2, 4), 17)
         from grassconf.fibrations import eta
 

@@ -357,10 +357,13 @@ def test_verify_suite_cli(tmp_path):
     ["--suite", "gamma", "--cases", "-5"],
     ["--suite", "dimension", "--h", "2", "--i", "3", "--k", "2", "--n", "4", "--samples", "-1"],
     ["--suite", "adjacency", "--h", "2", "--i", "3", "--k", "2", "--n", "4", "--trials", "-3"],
+    ["--suite", "gamma", "--h", "2", "--i", "3", "--k", "2", "--n", "3"],
+    ["--suite", "eta", "--h", "3"],
 ], ids=[
     "eps-zero-denominator", "eta-empty-stratum", "eta-direct-sum",
     "gamma-empty-stratum", "pr-one-point", "tol-nan",
     "negative-cases", "negative-samples", "negative-trials",
+    "gamma-full-space", "eta-not-a-pair",
 ])
 def test_verify_bad_input_exits_2(argv):
     proc = subprocess.run(
@@ -371,6 +374,83 @@ def test_verify_bad_input_exits_2(argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+
+
+# malformed flags: a valid command line with one flag replaced by a value
+# outside its range.  h, k and n stay at most 6: larger values are not
+# capped yet, and a valid-looking large n only makes the run slow.
+_FLAG_COMMANDS = [
+    (["strata"], {"h": 2, "k": 2, "n": 4}),
+    (["pi", "--order", "1"], {"h": 2, "i": 3, "k": 2, "n": 4}),
+    (["sample"], {"h": 2, "i": 3, "k": 2, "n": 4, "seed": 0}),
+    (["verify", "--suite", "gamma"], {"h": 2, "i": 3, "k": 2, "n": 5, "seed": 0, "cases": 1}),
+    (["verify", "--suite", "pr"], {"h": 3, "k": 2, "n": 6, "seed": 0, "cases": 1}),
+    (["verify", "--suite", "eta"], {"h": 2, "i": 3, "k": 2, "n": 4, "seed": 0, "cases": 1}),
+    (["verify", "--suite", "dimension"], {"h": 2, "i": 3, "k": 2, "n": 4, "seed": 0, "samples": 1}),
+    (["verify", "--suite", "adjacency"], {
+        "h": 2, "i": 3, "k": 2, "n": 4, "seed": 0, "target": 4, "trials": 1, "eps": "1/1000",
+    }),
+]
+_BAD_EPS = ["0", "0/7", "-1/3", "-2", "1/0", "1/2/3", "inf", "-inf", "nan", "1e-5000"]
+_NOT_INT = ["", "x", "1.5", "0x10", "1e3", "nan"]
+
+
+def _out_of_range(prefix, flags, key):
+    """Values of flag key that no run of this command line can accept."""
+    h, k, n = flags["h"], flags["k"], flags["n"]
+    top = min(h * k, n)
+    if key == "h":
+        if prefix[-1] == "eta":
+            return st.integers(-6, 6).filter(lambda v: v != 2)
+        return st.integers(-6, 1 if prefix[-1] == "pr" else 0)
+    if key == "k":
+        return st.integers(-6, 0) | st.integers(n, 6)
+    if key == "n":
+        return st.integers(-6, k)
+    if key == "i":
+        return st.integers(-6, k) | st.integers(top + 1, 12)
+    if key == "seed":
+        return st.integers(-2 ** 70, -1) | st.integers(2 ** 64, 2 ** 70)
+    if key == "target":
+        return st.integers(-6, flags["i"] - 1) | st.integers(top + 1, 12)
+    if key == "eps":
+        return st.sampled_from(_BAD_EPS)
+    return st.integers(-10 ** 6, -1)  # cases, samples, trials
+
+
+@st.composite
+def _malformed_flags(draw):
+    """(argv, argparse rejects it) for a command line with one bad flag."""
+    prefix, flags = draw(st.sampled_from(_FLAG_COMMANDS))
+    key = draw(st.sampled_from(sorted(flags)))
+    rejected_by_argparse = key != "eps" and draw(st.booleans())
+    if rejected_by_argparse:
+        value = draw(st.sampled_from(_NOT_INT))
+    else:
+        value = draw(_out_of_range(prefix, flags, key))
+    flags = dict(flags, **{key: value})
+    return prefix + [f"--{name}={flags[name]}" for name in flags], rejected_by_argparse
+
+
+@given(_malformed_flags())
+@settings(max_examples=200, deadline=None)
+def test_malformed_flag_corpus_exits_2(case):
+    argv, rejected_by_argparse = case
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        if rejected_by_argparse:
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*argv)
+            assert exc.value.code == 2, argv
+        else:
+            code, out = run_cli(*argv)
+            assert (code, out) == (2, ""), (argv, err.getvalue())
+    err = err.getvalue()
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert sum("error:" in line for line in lines) == 1, (argv, err)
+    if not rejected_by_argparse:
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
 
 
 def test_verify_adjacency_cli():

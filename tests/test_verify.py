@@ -18,9 +18,11 @@ from grassconf.grassmann import (
     strata_list,
     stratum_of,
 )
-from grassconf import linalg, verify
+from grassconf import fibrations, linalg, verify
+from grassconf.fibrations import ChartPoint
 from grassconf.linalg import GaussianRational, Matrix
 from grassconf.verify import (
+    DEFAULT_GRIDS,
     _chart_tangent,
     _integer_projector,
     _moves_less_than,
@@ -501,6 +503,86 @@ def test_roundtrip_suite_grid_expansion():
 def test_pr_suite_nonsquare_ambient():
     report = run_roundtrip_suite("pr", grid={"h": 2, "k": 2, "n": 6}, cases=6, seed=2)
     assert report.ok, report.failures
+
+
+# each map pair of a suite: (trivialize, inverse)
+SUITE_MAPS = {
+    "gamma": ("gamma_trivialize", "gamma_untrivialize"),
+    "pr": ("pr_trivialize", "pr_untrivialize"),
+    "eta": ("eta_fiber_point", "eta_fiber_lift"),
+}
+
+
+def _patch_fiber(monkeypatch, name, fiber_of):
+    """Make fibrations.<name> return its true base with fiber_of(point, triv)."""
+    def faulty(c, triv, _real=getattr(fibrations, name)):
+        point = _real(c, triv)
+        return ChartPoint(point.base, fiber_of(point, triv))
+    monkeypatch.setattr(fibrations, name, faulty)
+
+
+def _fails_every_case(which, grid=None):
+    report = run_roundtrip_suite(which, grid=grid, cases=4, seed=3)
+    assert not report.ok
+    assert len(report.failures) == report.cases == 4
+    descs = {desc for _, desc in report.failures}
+    assert len(descs) == 1, descs
+    return descs.pop()
+
+
+def test_pr_suite_checks_the_fiber_kind_both_ways(monkeypatch):
+    # on the default grid n = hk, so the fiber must be chart coordinates;
+    # the image subspace itself is the wrong kind even though it round-trips
+    assert DEFAULT_GRIDS["pr"]["n"] == DEFAULT_GRIDS["pr"]["h"] * DEFAULT_GRIDS["pr"]["k"]
+    _patch_fiber(
+        monkeypatch, "pr_trivialize",
+        lambda point, triv: fibrations.chart_point(point.fiber, triv.base_point),
+    )
+    assert _fails_every_case("pr") == "fiber is not chart coordinates exactly when n = hk"
+
+
+@pytest.mark.parametrize("which", ["gamma", "pr", "eta"])
+def test_roundtrip_suites_catch_a_wrong_inverse(monkeypatch, which):
+    def reversed_pair(point, triv, _real=getattr(fibrations, SUITE_MAPS[which][1])):
+        back = _real(point, triv)
+        return Configuration(back.h, back.k, back.n, back.points[::-1])
+    monkeypatch.setattr(fibrations, SUITE_MAPS[which][1], reversed_pair)
+    assert _fails_every_case(which).startswith("round trip failed")
+
+
+def test_eta_suite_catches_coinciding_quotient_images(monkeypatch):
+    _patch_fiber(monkeypatch, "eta_fiber_point", lambda point, triv: (point.fiber[0],) * 2)
+    assert "direct sum" in _fails_every_case("eta")
+
+
+def test_eta_suite_catches_an_image_outside_the_complement(monkeypatch):
+    def outside(point, triv):
+        first, second = point.fiber
+        moved = sample_subspace(first.k, first.n, "outside")
+        assert not triv.complement.contains(moved)
+        return moved, second
+    _patch_fiber(monkeypatch, "eta_fiber_point", outside)
+    assert "lie in the chart complement" in _fails_every_case("eta")
+
+
+def test_pr_suite_catches_a_fiber_meeting_the_base_point(monkeypatch):
+    # n > hk: the fiber is a subspace; with h = 2 the chart base point has
+    # dimension k, so it can stand in for the fiber and meets itself
+    _patch_fiber(monkeypatch, "pr_trivialize", lambda point, triv: triv.base_point)
+    desc = _fails_every_case("pr", grid={"h": 2, "k": 2, "n": 6})
+    assert "meets the chart base point" in desc
+
+
+@pytest.mark.parametrize("which", ["gamma", "pr", "eta"])
+def test_roundtrip_case_runs_each_map_once(monkeypatch, which):
+    calls = []
+    for name in SUITE_MAPS[which]:
+        def counted(*args, _real=getattr(fibrations, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(fibrations, name, counted)
+    assert run_roundtrip_suite(which, cases=4, seed=0).ok
+    assert calls == list(SUITE_MAPS[which]) * 4
 
 
 def test_report_json_shape():
