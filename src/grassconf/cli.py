@@ -4,9 +4,11 @@ sampling, classification, and verification suites.
 Exit codes: 0 success, 1 verification failures, 2 usage or data errors,
 3 answer outside the computed coverage (rendered as Unknown).
 
-Only grassmann (with linalg) is imported at start-up; ``pi`` imports
-homotopy and ``verify`` imports the verification suites when they run, so
-a fresh interpreter loads only what its command needs.
+At start-up only the strata as index data (_strata, which holds no matrix
+code) is imported: ``strata`` runs on it alone and ``pi`` adds homotopy.
+``sample``, ``classify`` and ``verify`` import grassmann (with linalg), and
+``verify`` the verification suites, when they run, so a fresh interpreter
+loads only what its command needs.
 """
 
 from __future__ import annotations
@@ -14,12 +16,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import grassmann
+from ._strata import (
+    StratumId,
+    is_stratum_nonempty,
+    strata_list,
+    stratum_closure,
+    stratum_dimension,
+)
 from .errors import GrassconfError
-from .grassmann import StratumId
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -43,12 +49,22 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def _parse_eps(text: str) -> Fraction:
-    """--eps as an exact fraction; a zero denominator is a usage error."""
+def _parse_eps(text: str):
+    """--eps as an exact fraction the report can write back; anything else
+    is a usage error that names the flag."""
+    from fractions import Fraction
+
     try:
-        return Fraction(text)
+        eps = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"--eps {text!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"--eps {text!r} is not a fraction") from None
+    try:
+        str(eps)
+    except ValueError:
+        raise ValueError(f"--eps {text!r} has too many digits to write in the report") from None
+    return eps
 
 
 def cmd_strata(args, out) -> int:
@@ -56,14 +72,14 @@ def cmd_strata(args, out) -> int:
     if args.h == 1:
         ids = [StratumId(1, args.k, args.k, args.n)]
     else:
-        ids = grassmann.strata_list(args.h, args.k, args.n)
+        ids = strata_list(args.h, args.k, args.n)
     open_i = args.k if args.h == 1 else min(args.h * args.k, args.n)
     for s in ids:
-        closure = [s.i] if args.h == 1 else [t.i for t in grassmann.stratum_closure(s)]
+        closure = [s.i] if args.h == 1 else [t.i for t in stratum_closure(s)]
         rows.append({
             "i": s.i,
-            "dimension": grassmann.stratum_dimension(s),
-            "nonempty": grassmann.is_stratum_nonempty(s),
+            "dimension": stratum_dimension(s),
+            "nonempty": is_stratum_nonempty(s),
             "open": s.i == open_i,
             "closure": closure,
         })
@@ -105,6 +121,8 @@ def cmd_pi(args, out) -> int:
 
 
 def cmd_sample(args, out) -> int:
+    from . import grassmann
+
     _check_seed(args.seed)
     s = StratumId(args.h, args.i, args.k, args.n)
     cfg = grassmann.sample_configuration(s, args.seed)
@@ -118,6 +136,8 @@ def cmd_sample(args, out) -> int:
 
 
 def cmd_classify(args, out) -> int:
+    from . import grassmann
+
     with open(args.file, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -149,7 +169,7 @@ def _stratum_flags(args) -> StratumId:
 
 
 def cmd_verify(args, out) -> int:
-    from . import verify
+    from . import grassmann, verify
 
     _check_seed(args.seed)
     if args.suite in ("gamma", "pr", "eta"):
@@ -249,6 +269,10 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out or sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        # argparse drops a value of exactly "--" and stores [] unconverted
+        if isinstance(value, list):
+            parser.error(f"argument --{name}: expected one argument")
     try:
         return args.handler(args, out)
     except (GrassconfError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

@@ -18,7 +18,6 @@ with its inverse returns the input entrywise over Q(i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import grassmann, linalg
@@ -27,6 +26,7 @@ from .errors import (
     NotDirectSumError,
     OutsideChartError,
     WrongArityError,
+    record,
 )
 from .grassmann import Configuration, Subspace
 from .linalg import Matrix
@@ -34,7 +34,7 @@ from .linalg import Matrix
 FiberPoint = Union[Configuration, Matrix, Subspace, tuple[Subspace, Subspace]]
 
 
-@dataclass(frozen=True)
+@record
 class Trivialization:
     """Chart data: a base point V0, a complement L0, and the projector onto
     V0 along L0 (as a matrix acting on row vectors)."""
@@ -57,7 +57,7 @@ class Trivialization:
         return self.base_point.n
 
 
-@dataclass(frozen=True)
+@record
 class ChartPoint:
     """Image of a point under a trivialization: (base component, fiber
     component).  The fiber type depends on the fibration: a Configuration

@@ -4,16 +4,23 @@ A point of Gr(k, n) is stored as its unique reduced-row-echelon basis, so
 subspace equality is entrywise equality of basis matrices.  An ordered
 configuration of h pairwise-distinct k-subspaces of C^n with
 dim(H_1 + ... + H_h) = i is a point of the stratum named by
-StratumId(h, i, k, n).
+StratumId(h, i, k, n).  The strata as index data live in _strata, which
+needs no matrix code; this module re-exports them.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from . import linalg
+from ._strata import (  # noqa: F401  (re-exported)
+    StratumId,
+    is_stratum_nonempty,
+    strata_list,
+    stratum_closure,
+    stratum_dimension,
+)
 from .errors import (
     DuplicatePointsError,
     EmptyStratumError,
@@ -22,6 +29,7 @@ from .errors import (
     NotComplementaryError,
     WireFormatError,
     ZeroSubspaceError,
+    record,
 )
 from .linalg import Matrix
 
@@ -42,7 +50,7 @@ def _is_canonical_rref(m: Matrix) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class Subspace:
     """A k-dimensional subspace of C^n; basis rows are in canonical RREF."""
 
@@ -73,7 +81,7 @@ class Subspace:
         return f"Subspace(k={self.k}, n={self.n})\n{self.basis}"
 
 
-@dataclass(frozen=True)
+@record
 class Configuration:
     """Ordered tuple of pairwise-distinct k-subspaces of a common C^n."""
 
@@ -104,25 +112,6 @@ class Configuration:
         if not points:
             raise ValueError("empty configuration")
         return Configuration(len(points), points[0].k, points[0].n, tuple(points))
-
-
-@dataclass(frozen=True)
-class StratumId:
-    """Index data (h, i, k, n) of the stratum of h-tuples with sum dimension i."""
-
-    h: int
-    i: int
-    k: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 0 < self.k < self.n:
-            raise ValueError(f"need 0 < k < n, got k={self.k}, n={self.n}")
-        if self.h < 1:
-            raise ValueError("need h >= 1")
-
-    def __str__(self) -> str:
-        return f"F_{self.h}^{self.i}({self.k},{self.n})"
 
 
 def canonicalize(raw_basis: Matrix, n: int) -> Subspace:
@@ -221,40 +210,6 @@ def transform_configuration(c: Configuration, g: Matrix) -> Configuration:
 def stratum_of(c: Configuration) -> int:
     """dim(H_1 + ... + H_h), the stratum index of the configuration."""
     return subspace_sum(c.points).k
-
-
-def is_stratum_nonempty(s: StratumId) -> bool:
-    """Emptiness predicate: h=1 needs i=k; h>=2 needs k+1 <= i <= min(hk, n)."""
-    if s.h == 1:
-        return s.i == s.k
-    return s.k + 1 <= s.i <= min(s.h * s.k, s.n)
-
-
-def stratum_dimension(s: StratumId) -> int:
-    """Complex dimension i(n-i) + hk(i-k) of the nonempty stratum."""
-    if not is_stratum_nonempty(s):
-        raise EmptyStratumError(f"{s} is empty")
-    return s.i * (s.n - s.i) + s.h * s.k * (s.i - s.k)
-
-
-def strata_list(h: int, k: int, n: int) -> list[StratumId]:
-    """All nonempty strata for h >= 2, in increasing i; the last is open."""
-    if h < 1:
-        raise ValueError("need h >= 1")
-    if h == 1:
-        raise ValueError("strata_list applies to h >= 2; h = 1 has the single stratum i = k")
-    if not 0 < k < n:
-        raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
-    return [StratumId(h, i, k, n) for i in range(k + 1, min(h * k, n) + 1)]
-
-
-def stratum_closure(s: StratumId) -> list[StratumId]:
-    """Strata contained in the closure: every index from k+1 up to i."""
-    if s.h < 2:
-        raise ValueError("closure adjacency applies to h >= 2")
-    if not is_stratum_nonempty(s):
-        raise EmptyStratumError(f"{s} is empty")
-    return [StratumId(s.h, j, s.k, s.n) for j in range(s.k + 1, s.i + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,8 @@ answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import EmptyStratumError, OutOfRangeError, OutOfScopeError
-from .grassmann import StratumId, is_stratum_nonempty
+from ._strata import StratumId, is_stratum_nonempty
+from .errors import EmptyStratumError, OutOfRangeError, OutOfScopeError, record
 
 PI2_UNCOVERED = "pi_2 has no computed value for h >= 3 with k < i < hk"
 PI1_LINE_CASE = "pi_1 of line configurations (k = 1) is outside these tables"
@@ -38,7 +36,7 @@ class GroupExpr:
         return self.render()
 
 
-@dataclass(frozen=True)
+@record
 class Zero(GroupExpr):
     def render(self) -> str:
         return "0"
@@ -47,7 +45,7 @@ class Zero(GroupExpr):
         return {"variant": "Zero"}
 
 
-@dataclass(frozen=True)
+@record
 class FreeAbelian(GroupExpr):
     rank: int
 
@@ -62,7 +60,7 @@ class FreeAbelian(GroupExpr):
         return {"variant": "FreeAbelian", "rank": self.rank}
 
 
-@dataclass(frozen=True)
+@record
 class PureSphereBraid(GroupExpr):
     """Opaque atom: the pure braid group on ``strands`` strings of the
     2-sphere.  No presentation is carried."""
@@ -76,7 +74,7 @@ class PureSphereBraid(GroupExpr):
         return {"variant": "PureSphereBraid", "strands": self.strands}
 
 
-@dataclass(frozen=True)
+@record
 class Symmetric(GroupExpr):
     """Opaque atom: the symmetric group on ``degree`` letters."""
 
@@ -89,7 +87,7 @@ class Symmetric(GroupExpr):
         return {"variant": "Symmetric", "degree": self.degree}
 
 
-@dataclass(frozen=True)
+@record
 class Product(GroupExpr):
     """Direct product in normal form; build through product()."""
 
@@ -102,7 +100,7 @@ class Product(GroupExpr):
         return {"variant": "Product", "factors": [f.to_json() for f in self.factors]}
 
 
-@dataclass(frozen=True)
+@record
 class Unknown(GroupExpr):
     reason: str
 
@@ -113,7 +111,7 @@ class Unknown(GroupExpr):
         return {"variant": "Unknown", "reason": self.reason}
 
 
-@dataclass(frozen=True)
+@record
 class PiQuery(GroupExpr):
     """A pending homotopy-group query, used inside derivation traces."""
 
@@ -288,7 +286,7 @@ def config_pi2(s: StratumId) -> GroupExpr:
 # derivation engine
 
 
-@dataclass(frozen=True)
+@record
 class DerivationStep:
     rule: str
     statement: str
@@ -304,7 +302,7 @@ class DerivationStep:
         }
 
 
-@dataclass(frozen=True)
+@record
 class DerivationTrace:
     initial: GroupExpr
     steps: tuple[DerivationStep, ...]

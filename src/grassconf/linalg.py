@@ -45,13 +45,12 @@ from multiple threads without coordination.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .errors import InconsistentSystemError, WireFormatError
+from .errors import FrozenInstanceError, InconsistentSystemError, WireFormatError, record
 
 Rationalish = Union[int, Fraction]
 Scalarish = Union[int, Fraction, "GaussianRational"]
@@ -61,7 +60,7 @@ GInt = tuple[int, int]
 ZRow = tuple[int, tuple[GInt, ...]]
 
 
-@dataclass(frozen=True)
+@record
 class GaussianRational:
     """A complex number with exact rational real and imaginary parts.
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -40,11 +39,13 @@ from . import fibrations, grassmann, linalg
 from .errors import (
     DirectSumError,
     EmptyStratumError,
+    Factory,
     FullSpaceError,
     GrassconfError,
     NotComplementaryError,
     UnreachableError,
     WrongArityError,
+    record,
 )
 from .fibrations import Trivialization
 from .grassmann import Configuration, StratumId, Subspace
@@ -53,13 +54,13 @@ from .linalg import GInt, Matrix
 SeedLike = Union[int, str]
 
 
-@dataclass
+@record(frozen=False)
 class VerificationReport:
     suite: str
     cases: int = 0
     passed: int = 0
-    failures: list[tuple[str, str]] = field(default_factory=list)
-    parameters: dict = field(default_factory=dict)
+    failures: list[tuple[str, str]] = Factory(list)
+    parameters: dict = Factory(dict)
 
     def record(self, seed: SeedLike, desc: Optional[str]) -> None:
         self.cases += 1

@@ -376,6 +376,40 @@ def test_verify_bad_input_exits_2(argv):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("eps, named", [
+    ("1/0", "has a zero denominator"),
+    ("1e-5000", "has too many digits to write in the report"),
+    ("inf", "is not a fraction"),
+    ("1/2/3", "is not a fraction"),
+], ids=["zero-denominator", "too-many-digits", "inf", "two-slashes"])
+def test_bad_eps_error_names_the_flag(capsys, eps, named):
+    code, out = run_cli(
+        "verify", "--suite", "adjacency", "--h", "2", "--i", "3", "--k", "2", "--n", "4",
+        f"--eps={eps}",
+    )
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err == f"error: --eps {eps!r} {named}\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["strata", "--h=--", "--k", "2", "--n", "4"], "--h"),
+    (["pi", "--order", "1", "--h", "2", "--i=--", "--k", "2", "--n", "4"], "--i"),
+    (["verify", "--suite", "adjacency", "--h", "2", "--i", "3", "--k", "2", "--n", "4",
+      "--eps=--"], "--eps"),
+], ids=["strata-h", "pi-i", "verify-eps"])
+def test_flag_value_double_dash_names_the_flag(capsys, argv, flag):
+    # argparse stores a value of exactly "--" as an empty list, unconverted
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"grassconf: error: argument {flag}: expected one argument"
+    ]
+
+
 # malformed flags: a valid command line with one flag replaced by a value
 # outside its range.  h, k and n stay at most 6: larger values are not
 # capped yet, and a valid-looking large n only makes the run slow.
@@ -392,7 +426,7 @@ _FLAG_COMMANDS = [
     }),
 ]
 _BAD_EPS = ["0", "0/7", "-1/3", "-2", "1/0", "1/2/3", "inf", "-inf", "nan", "1e-5000"]
-_NOT_INT = ["", "x", "1.5", "0x10", "1e3", "nan"]
+_NOT_INT = ["", "x", "1.5", "0x10", "1e3", "nan", "--"]
 
 
 def _out_of_range(prefix, flags, key):
@@ -516,22 +550,35 @@ _MODULES_AFTER = (
     "print(json.dumps([code, sorted(sys.modules)]))\n"
 )
 _SUITES = {"grassconf.homotopy", "grassconf.verify", "grassconf.fibrations"}
+_MATRICES = {"grassconf.grassmann", "grassconf.linalg"}
 _HIKN = ["--h", "2", "--i", "3", "--k", "2", "--n", "4"]
 
 
+@pytest.fixture(scope="module")
+def bare_interpreter_modules():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; print(' '.join(sys.modules))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
 @pytest.mark.parametrize("argv, absent", [
-    (["strata", "--h", "3", "--k", "2", "--n", "5", "--json"], _SUITES),
+    (["strata", "--h", "3", "--k", "2", "--n", "5", "--json"],
+     _SUITES | _MATRICES | {"fractions"}),
     (["sample", *_HIKN, "--seed", "4"], _SUITES),
     (["classify", "{config}", "--json"], _SUITES),
     (["pi", "--order", "2", *_HIKN, "--trace", "--json"],
-     {"grassconf.verify", "grassconf.fibrations"}),
+     {"grassconf.verify", "grassconf.fibrations"} | _MATRICES),
     (["verify", "--suite", "dimension", *_HIKN, "--samples", "1"], set()),
     (["verify", "--suite", "gamma", "--cases", "2"], set()),
     (["verify", "--suite", "adjacency", *_HIKN, "--trials", "2"], set()),
 ], ids=["strata", "sample", "classify", "pi", "verify-dimension", "verify-gamma",
         "verify-adjacency"])
-def test_command_loads_only_what_it_runs(tmp_path, argv, absent):
-    # a fresh interpreter: which modules a command loads, numpy never
+def test_command_loads_only_what_it_runs(tmp_path, bare_interpreter_modules, argv, absent):
+    # a fresh interpreter: which modules a command loads; numpy never, and
+    # dataclasses and inspect only if the bare interpreter already has them
     config = tmp_path / "c.json"
     assert run_cli("sample", *_HIKN, "--seed", "4", "-o", str(config))[0] == 0
     argv = [str(config) if a == "{config}" else a for a in argv]
@@ -542,5 +589,5 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, absent):
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout)
     assert code == 0
-    assert "grassconf.grassmann" in modules
     assert not (absent | {"numpy"}) & set(modules)
+    assert not {"dataclasses", "inspect"} & (set(modules) - bare_interpreter_modules)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from grassconf.errors import EmptyStratumError, OutOfRangeError, OutOfScopeError
@@ -7,6 +5,7 @@ from grassconf.grassmann import StratumId, is_stratum_nonempty, strata_list
 from grassconf.homotopy import (
     TRIVIAL,
     Z,
+    DerivationStep,
     FreeAbelian,
     PiQuery,
     Product,
@@ -297,11 +296,16 @@ def _with_steps(trace, steps):
 
 def test_trace_replay_rejects_forged_rule_name():
     _, trace = derive(StratumId(2, 4, 2, 4), 2)
-    forged = [replace(step, rule="made-up-rule") for step in trace.steps]
+    forged = [
+        DerivationStep("made-up-rule", step.statement, step.before, step.after)
+        for step in trace.steps
+    ]
     with pytest.raises(ValueError, match="made-up-rule"):
         _with_steps(trace, forged).replay()
     # the statement is checked too, not only the name
-    forged = [replace(trace.steps[0], statement="a made-up argument")] + list(trace.steps[1:])
+    first = trace.steps[0]
+    forged = [DerivationStep(first.rule, "a made-up argument", first.before, first.after)]
+    forged += trace.steps[1:]
     with pytest.raises(ValueError):
         _with_steps(trace, forged).replay()
 
@@ -309,7 +313,9 @@ def test_trace_replay_rejects_forged_rule_name():
 def test_trace_replay_rejects_forged_replacement():
     _, trace = derive(StratumId(2, 4, 2, 4), 2)
     # the steps still chain, and the result matches the last step
-    forged = list(trace.steps[:-1]) + [replace(trace.steps[-1], after=free_abelian(2))]
+    last = trace.steps[-1]
+    forged = list(trace.steps[:-1])
+    forged.append(DerivationStep(last.rule, last.statement, last.before, free_abelian(2)))
     with pytest.raises(ValueError, match="Z\\^2"):
         _with_steps(trace, forged).replay()
     # a trace that stops at a pending query is not a derivation either
