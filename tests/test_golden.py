@@ -2,7 +2,8 @@
 
 Each payload below is a JSON report, a CLI stdout or a wire-format chart
 point that must not change when the exact kernel or the chart maps are
-refactored: the roundtrip suites, the adjacency check, five CLI commands
+refactored: the roundtrip suites, the adjacency check, five CLI commands,
+the ``pi`` command's four output modes with its exit code and stderr,
 and the chart points, untrivialize results and extended isomorphisms of
 the three fibrations, all on fixed seeds.  A round trip only shows that a
 chart map and its inverse agree; the chart-point payloads pin the maps
@@ -15,6 +16,7 @@ only for a deliberate change of output, with
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -45,6 +47,15 @@ STRATA_ARGS = ["strata", "--h", "3", "--k", "2", "--n", "6", "--json"]
 # (k < i < n), i = n (no outer parameters), and h = 3
 DIMENSION_JSON = ((2, 2, 1, 3), (2, 3, 2, 5), (2, 4, 2, 4), (3, 4, 2, 5))
 DIMENSION_TEXT = (2, 3, 2, 4)
+# (order, h, i, k, n) of the pi runs: between them every rule name, an
+# Unknown answer of each order (exit 3), an empty stratum and a k = 1 pi_2
+# (both exit 2)
+PI_QUERIES = (
+    (2, 2, 4, 2, 4), (2, 3, 6, 2, 9), (2, 2, 3, 2, 4), (2, 2, 5, 3, 5),
+    (1, 3, 4, 2, 6), (1, 3, 6, 2, 6), (1, 4, 2, 1, 2), (1, 2, 2, 1, 5),
+    (1, 4, 3, 1, 5), (2, 3, 4, 2, 6), (1, 2, 5, 2, 7), (2, 3, 3, 1, 5),
+)
+PI_MODES = ((), ("--trace",), ("--json",), ("--trace", "--json"))
 CHART_SEEDS = 5
 # (h, i, k, n) of the gamma samples, (h, k, n) of the pr samples (n = hk
 # records chart coordinates, n > hk a subspace) and (k, i, n) of the eta pairs
@@ -64,6 +75,23 @@ def _cli_stdout(argv: list[str]) -> str:
     out = io.StringIO()
     code = cli.main(argv, out=out)
     return f"exit {code}\n{out.getvalue()}"
+
+
+def _cli_output(argv: list[str]) -> str:
+    """The exit code, stdout and stderr of one in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        text = _cli_stdout(argv)
+    return f"{text}--- stderr\n{err.getvalue()}"
+
+
+def _pi_payloads() -> Iterator[tuple[str, str]]:
+    for order, h, i, k, n in PI_QUERIES:
+        argv = ["pi", "--order", str(order), "--h", str(h), "--i", str(i), "--k", str(k),
+                "--n", str(n)]
+        for mode in PI_MODES:
+            tag = "".join(flag.replace("--", "-") for flag in mode)
+            yield f"cli-pi{order}-{h}-{i}-{k}-{n}{tag}", _cli_output([*argv, *mode])
 
 
 def _chart(covered: list[Subspace], dim: int, tag: str) -> Trivialization:
@@ -202,6 +230,7 @@ def payloads() -> Iterator[tuple[str, str]]:
         yield f"cli-verify-dimension-json-{name}", _cli_stdout([*_dimension_args(*s), "--json"])
     name = "-".join(str(x) for x in DIMENSION_TEXT)
     yield f"cli-verify-dimension-text-{name}", _cli_stdout(_dimension_args(*DIMENSION_TEXT))
+    yield from _pi_payloads()
     yield from _chart_payloads()
     yield "chart-off-chart-errors", json.dumps(_off_chart_errors())
 
