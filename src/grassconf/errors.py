@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all grassconf modules, and ``record``, the
-class decorator that makes their value types.
+"""Exception hierarchy shared by all grassconf modules, the readers of
+wire-format fields, and ``record``, the class decorator that makes their
+value types.
 
 ``record`` builds only the few methods these types need, compiled for each
 class, so a command-line run imports no code generator from the standard
@@ -70,6 +71,30 @@ class UnreachableError(GrassconfError):
 
 class WireFormatError(GrassconfError, ValueError):
     """A JSON wire-format object is malformed or lacks a field."""
+
+
+def _wire_int(value) -> int:
+    """A wire-format integer: a JSON integer or a decimal string, ASCII
+    digits after an optional minus sign as matrix_to_json writes them (a
+    JSON boolean is neither, though Python's bool is an int)."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise WireFormatError(f"expected an integer, got {value!r}")
+    if isinstance(value, str):
+        digits = value[1:] if value.startswith("-") else value
+        if not (digits.isascii() and digits.isdigit()):
+            raise WireFormatError(f"expected a decimal integer string, got {value!r}")
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise WireFormatError(str(exc)) from None
+
+
+def _wire_field(data: dict, key: str, what: str):
+    """data[key] of the wire-format object named what; a missing key raises
+    WireFormatError naming the object and the field."""
+    if key not in data:
+        raise WireFormatError(f"{what} is missing the field {key!r}")
+    return data[key]
 
 
 class FrozenInstanceError(AttributeError):

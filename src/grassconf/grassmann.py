@@ -29,6 +29,7 @@ from .errors import (
     NotComplementaryError,
     WireFormatError,
     ZeroSubspaceError,
+    _wire_field,
     record,
 )
 from .linalg import Matrix
@@ -317,7 +318,7 @@ def subspace_from_json(data: dict) -> Subspace:
     if not isinstance(data, dict):
         raise WireFormatError("a subspace must be an object with 'n', 'k' and 'basis'")
     n, k = (linalg._wire_count(data, key, "a subspace") for key in ("n", "k"))
-    basis = linalg.matrix_from_json(linalg._wire_field(data, "basis", "a subspace"))
+    basis = linalg.matrix_from_json(_wire_field(data, "basis", "a subspace"))
     sub = canonicalize(basis, n)
     if sub.k != k:
         raise WireFormatError(f"declared dimension {k} but basis has rank {sub.k}")

@@ -17,20 +17,32 @@ answer.
 from __future__ import annotations
 
 from ._strata import StratumId, is_stratum_nonempty
-from .errors import EmptyStratumError, OutOfRangeError, OutOfScopeError, record
+from .errors import EmptyStratumError, OutOfRangeError, OutOfScopeError, WireFormatError
+from .errors import _wire_field, record
 
 PI2_UNCOVERED = "pi_2 has no computed value for h >= 3 with k < i < hk"
 PI1_LINE_CASE = "pi_1 of line configurations (k = 1) is outside these tables"
 
 
 class GroupExpr:
-    """Base class of the symbolic group expressions."""
+    """Base class of the symbolic group expressions.
+
+    Each variant is a record whose fields are its whole description.  Its
+    JSON is ``{"variant": <class name>}`` plus every field (a product's
+    factors as their own JSON), and group_from_json accepts exactly what
+    to_json writes: no other key, each field of its JSON type, and a product
+    only in the normal form product() builds.
+    """
 
     def render(self) -> str:
         raise NotImplementedError
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        data = {"variant": type(self).__name__}
+        for name in self.__match_args__:
+            value = getattr(self, name)
+            data[name] = [f.to_json() for f in value] if isinstance(value, tuple) else value
+        return data
 
     def __str__(self) -> str:
         return self.render()
@@ -40,9 +52,6 @@ class GroupExpr:
 class Zero(GroupExpr):
     def render(self) -> str:
         return "0"
-
-    def to_json(self) -> dict:
-        return {"variant": "Zero"}
 
 
 @record
@@ -56,9 +65,6 @@ class FreeAbelian(GroupExpr):
     def render(self) -> str:
         return "Z" if self.rank == 1 else f"Z^{self.rank}"
 
-    def to_json(self) -> dict:
-        return {"variant": "FreeAbelian", "rank": self.rank}
-
 
 @record
 class PureSphereBraid(GroupExpr):
@@ -70,9 +76,6 @@ class PureSphereBraid(GroupExpr):
     def render(self) -> str:
         return f"PB_{self.strands}(S^2)"
 
-    def to_json(self) -> dict:
-        return {"variant": "PureSphereBraid", "strands": self.strands}
-
 
 @record
 class Symmetric(GroupExpr):
@@ -82,9 +85,6 @@ class Symmetric(GroupExpr):
 
     def render(self) -> str:
         return f"Sigma_{self.degree}"
-
-    def to_json(self) -> dict:
-        return {"variant": "Symmetric", "degree": self.degree}
 
 
 @record
@@ -96,9 +96,6 @@ class Product(GroupExpr):
     def render(self) -> str:
         return " x ".join(f.render() for f in self.factors)
 
-    def to_json(self) -> dict:
-        return {"variant": "Product", "factors": [f.to_json() for f in self.factors]}
-
 
 @record
 class Unknown(GroupExpr):
@@ -106,9 +103,6 @@ class Unknown(GroupExpr):
 
     def render(self) -> str:
         return f"Unknown({self.reason})"
-
-    def to_json(self) -> dict:
-        return {"variant": "Unknown", "reason": self.reason}
 
 
 @record
@@ -124,14 +118,12 @@ class PiQuery(GroupExpr):
     def render(self) -> str:
         return f"pi_{self.degree}(F_{self.h}^{self.i}({self.k},{self.n}))"
 
-    def to_json(self) -> dict:
-        return {
-            "variant": "PiQuery",
-            "degree": self.degree,
-            "h": self.h, "i": self.i, "k": self.k, "n": self.n,
-        }
 
-
+# Every variant; the first four, in this order, are the factor order of a
+# normal-form product, which then sorts by field values.
+_VARIANTS = (FreeAbelian, PureSphereBraid, Symmetric, PiQuery, Zero, Product, Unknown)
+# the JSON type that to_json writes for each annotated field type
+_JSON_TYPES = {"int": int, "str": str, "tuple[GroupExpr, ...]": list}
 TRIVIAL = Zero()
 Z = FreeAbelian(1)
 
@@ -144,15 +136,9 @@ def free_abelian(rank: int) -> GroupExpr:
 
 
 def _sort_key(expr: GroupExpr) -> tuple:
-    if isinstance(expr, FreeAbelian):
-        return (0, expr.rank)
-    if isinstance(expr, PureSphereBraid):
-        return (1, expr.strands)
-    if isinstance(expr, Symmetric):
-        return (2, expr.degree)
-    if isinstance(expr, PiQuery):
-        return (3, expr.degree, expr.h, expr.i, expr.k, expr.n)
-    raise TypeError(f"unexpected factor {expr!r}")
+    if type(expr) not in _VARIANTS[:4]:
+        raise TypeError(f"unexpected factor {expr!r}")
+    return (_VARIANTS.index(type(expr)), *(getattr(expr, f) for f in expr.__match_args__))
 
 
 def product(*factors: GroupExpr) -> GroupExpr:
@@ -186,23 +172,30 @@ def product(*factors: GroupExpr) -> GroupExpr:
 
 
 def group_from_json(data: dict) -> GroupExpr:
-    variant = data["variant"]
-    if variant == "Zero":
-        return TRIVIAL
-    if variant == "FreeAbelian":
-        return FreeAbelian(int(data["rank"]))
-    if variant == "PureSphereBraid":
-        return PureSphereBraid(int(data["strands"]))
-    if variant == "Symmetric":
-        return Symmetric(int(data["degree"]))
-    if variant == "Product":
-        return Product(tuple(group_from_json(f) for f in data["factors"]))
-    if variant == "Unknown":
-        return Unknown(str(data["reason"]))
-    if variant == "PiQuery":
-        return PiQuery(int(data["degree"]), int(data["h"]), int(data["i"]),
-                       int(data["k"]), int(data["n"]))
-    raise ValueError(f"unknown variant {variant!r}")
+    """Read what GroupExpr.to_json writes; anything else raises
+    WireFormatError naming the field."""
+    if not isinstance(data, dict):
+        raise WireFormatError(f"a group must be a JSON object, got {data!r}")
+    variant = _wire_field(data, "variant", "a group")
+    cls = next((c for c in _VARIANTS if c.__name__ == variant), None)
+    if cls is None:
+        raise WireFormatError(f"unknown variant {variant!r}")
+    what = f"a group of variant {variant!r}"
+    extra = set(data).difference(["variant", *cls.__match_args__])
+    if extra:
+        raise WireFormatError(f"{what} has no field {min(extra)!r}")
+    values = []
+    for name in cls.__match_args__:
+        value = _wire_field(data, name, what)
+        if type(value) is not _JSON_TYPES[cls.__annotations__[name]]:
+            raise WireFormatError(f"the field {name!r} of {what} has the wrong type: {value!r}")
+        values.append(tuple(map(group_from_json, value)) if type(value) is list else value)
+    if cls is Product and product(*values[0]) != Product(*values):
+        raise WireFormatError(f"the field 'factors' of {what} is not in normal form")
+    try:
+        return cls(*values)
+    except ValueError as exc:
+        raise WireFormatError(f"{what}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +305,7 @@ class DerivationTrace:
         """Re-apply the rewrite rules step by step; raises ValueError unless
         every recorded step is the rule the engine applies to the pending
         query of its ``before``, and the last one leaves the result."""
+        rules = _derivation(self.initial)
         current = self.initial
         for idx, step in enumerate(self.steps, start=1):
             if step.before != current:
@@ -319,9 +313,9 @@ class DerivationTrace:
                     f"trace does not replay: expected {current.render()}, "
                     f"step {idx} starts from {step.before.render()}"
                 )
-            expected = _next_step(current)
-            if expected is None:
+            if idx > len(rules):
                 raise ValueError(f"trace does not replay: step {idx} follows the answer")
+            expected = rules[idx - 1]
             if step != expected:
                 raise ValueError(
                     f"trace does not replay: step {idx} records [{step.rule}] "
@@ -329,7 +323,7 @@ class DerivationTrace:
                     f"-> {expected.after.render()}"
                 )
             current = step.after
-        if _next_step(current) is not None:
+        if len(self.steps) < len(rules):
             raise ValueError("trace does not replay: it stops before the answer")
         if current != self.result:
             raise ValueError("trace does not replay to the recorded result")
@@ -455,6 +449,19 @@ def _next_step(current: GroupExpr) -> DerivationStep | None:
     return DerivationStep(name, statement, current, _substitute(current, query, replacement))
 
 
+def _derivation(initial: GroupExpr) -> list[DerivationStep]:
+    """The rule applications that rewrite initial until no query is pending."""
+    steps: list[DerivationStep] = []
+    current = initial
+    for _ in range(200):
+        step = _next_step(current)
+        if step is None:
+            return steps
+        steps.append(step)
+        current = step.after
+    raise RuntimeError("derivation did not terminate")
+
+
 def derive(s: StratumId, j: int) -> tuple[GroupExpr, DerivationTrace]:
     """Compute pi_j of the stratum by rewriting, with a replayable trace.
 
@@ -467,15 +474,5 @@ def derive(s: StratumId, j: int) -> tuple[GroupExpr, DerivationTrace]:
     if j == 2 and s.k == 1:
         raise OutOfScopeError("pi_2 for line configurations (k = 1) is out of scope")
     initial = PiQuery(j, s.h, s.i, s.k, s.n)
-    current: GroupExpr = initial
-    steps: list[DerivationStep] = []
-    for _ in range(200):
-        step = _next_step(current)
-        if step is None:
-            break
-        steps.append(step)
-        current = step.after
-    else:
-        raise RuntimeError("derivation did not terminate")
-    trace = DerivationTrace(initial, tuple(steps), current)
-    return current, trace
+    steps = _derivation(initial)
+    return steps[-1].after, DerivationTrace(initial, tuple(steps), steps[-1].after)

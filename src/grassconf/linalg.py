@@ -44,13 +44,19 @@ from multiple threads without coordination.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .errors import FrozenInstanceError, InconsistentSystemError, WireFormatError, record
+from .errors import (
+    FrozenInstanceError,
+    InconsistentSystemError,
+    WireFormatError,
+    _wire_field,
+    _wire_int,
+    record,
+)
 
 Rationalish = Union[int, Fraction]
 Scalarish = Union[int, Fraction, "GaussianRational"]
@@ -609,31 +615,6 @@ def matrix_to_json(m: Matrix) -> dict:
                 str(e.im.numerator), str(e.im.denominator),
             ])
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
-
-
-_DECIMAL = re.compile(r"-?[0-9]+")
-
-
-def _wire_int(value) -> int:
-    """A wire-format integer: a JSON integer or a decimal string, ASCII
-    digits after an optional minus sign as matrix_to_json writes them (a
-    JSON boolean is neither, though Python's bool is an int)."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise WireFormatError(f"expected an integer, got {value!r}")
-    if isinstance(value, str) and not _DECIMAL.fullmatch(value):
-        raise WireFormatError(f"expected a decimal integer string, got {value!r}")
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise WireFormatError(str(exc)) from None
-
-
-def _wire_field(data: dict, key: str, what: str):
-    """data[key] of the wire-format object named what; a missing key raises
-    WireFormatError naming the object and the field."""
-    if key not in data:
-        raise WireFormatError(f"{what} is missing the field {key!r}")
-    return data[key]
 
 
 def _wire_count(data: dict, key: str, what: str) -> int:

@@ -26,6 +26,12 @@ tilts: each step tests every basis vector for redundancy by ranking the
 stack without it and tilts it as GaussianRational entries.  The package
 finds the redundant rows from one left null space and tilts Z[i] rows.
 
+stratum_point_count is an independent check of the strata tables: the
+number of ordered h-tuples of distinct k-subspaces of F_q^n whose sum has
+dimension i, as a polynomial in q by Moebius inversion on the subspace
+lattice.  stratum_point_counts_brute counts the same tuples over F_2 or
+F_3 by enumeration, deciding each sum dimension by a plain mod-q RREF.
+
 random_matrix_reference keeps the sampler's former route: each entry is a
 GaussianRational of two Fractions drawn by randint.  The package draws
 the same values with getrandbits and builds Z[i] rows directly.
@@ -35,7 +41,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import combinations, permutations, product
 from typing import Optional
 
 from grassconf.fibrations import ChartPoint, Trivialization, chart_point, eta
@@ -437,3 +444,103 @@ def raise_stratum_reference(
         if not advanced:
             return None
     return pts
+
+
+# ---------------------------------------------------------------------------
+# F_q point counts of the strata; a polynomial is its coefficient tuple,
+# lowest degree first, with no trailing zeros
+
+
+def poly_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    out = [x + y for x, y in zip(a, b)] + list(a[len(b):] or b[len(a):])
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+@cache
+def gaussian_binomial(n: int, k: int) -> tuple[int, ...]:
+    """[n, k]_q, the number of k-subspaces of F_q^n, by the recurrence
+    [n, k] = [n-1, k-1] + q^k [n-1, k]."""
+    if k < 0 or k > n:
+        return ()
+    if k == 0 or k == n:
+        return (1,)
+    return poly_add(gaussian_binomial(n - 1, k - 1), (0,) * k + gaussian_binomial(n - 1, k))
+
+
+@cache
+def distinct_tuple_count(h: int, k: int, j: int) -> tuple[int, ...]:
+    """T(j) = [j,k] ([j,k] - 1) ... ([j,k] - h + 1): ordered h-tuples of
+    distinct k-subspaces of F_q^j."""
+    g = gaussian_binomial(j, k)
+    out: tuple[int, ...] = (1,)
+    for a in range(h):
+        out = _poly_mul(out, poly_add(g, (-a,)))
+    return out
+
+
+def stratum_point_count(h: int, i: int, k: int, n: int) -> tuple[int, ...]:
+    """N = [n,i]_q sum_m (-1)^(i-m) q^C(i-m,2) [i,m]_q T(m): the tuples
+    counted by T(n) whose sum has dimension exactly i."""
+    total: tuple[int, ...] = ()
+    for m in range(i + 1):
+        d = i - m
+        term = _poly_mul(gaussian_binomial(i, m), distinct_tuple_count(h, k, m))
+        total = poly_add(total, (0,) * (d * (d - 1) // 2) + tuple((-1) ** d * c for c in term))
+    return _poly_mul(gaussian_binomial(n, i), total)
+
+
+def poly_at(poly: list[int], q: int) -> int:
+    return sum(c * q ** e for e, c in enumerate(poly))
+
+
+def rref_mod_q(rows: list[tuple[int, ...]], q: int) -> list[tuple[int, ...]]:
+    """The nonzero rows of the reduced row echelon form over F_q (q prime)."""
+    grid = [[x % q for x in row] for row in rows]
+    out: list[list[int]] = []
+    cols = len(grid[0]) if grid else 0
+    for col in range(cols):
+        pivot = next((r for r in grid if r[col]), None)
+        if pivot is None:
+            continue
+        grid.remove(pivot)
+        inv = pow(pivot[col], -1, q)
+        pivot = [x * inv % q for x in pivot]
+        for r in grid + out:
+            factor = r[col]
+            if factor:
+                r[:] = [(x - factor * y) % q for x, y in zip(r, pivot)]
+        out.append(pivot)
+    return [tuple(r) for r in out]
+
+
+def subspaces_mod_q(k: int, n: int, q: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every k-subspace of F_q^n as its RREF basis: pivot columns, then
+    each entry right of a pivot and outside the pivot columns free."""
+    out = []
+    for pivots in combinations(range(n), k):
+        free = [(r, c) for r, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
+        for values in product(range(q), repeat=len(free)):
+            rows = [[int(c == p) for c in range(n)] for p in pivots]
+            for (r, c), x in zip(free, values):
+                rows[r][c] = x
+            out.append(tuple(map(tuple, rows)))
+    return out
+
+
+def stratum_point_counts_brute(h: int, k: int, n: int, q: int) -> list[int]:
+    """Entry i: the ordered h-tuples of distinct k-subspaces of F_q^n whose
+    sum has dimension i, by enumeration."""
+    counts = [0] * (n + 1)
+    for tup in permutations(subspaces_mod_q(k, n, q), h):
+        counts[len(rref_mod_q([row for basis in tup for row in basis], q))] += 1
+    return counts

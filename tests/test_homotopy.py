@@ -1,12 +1,15 @@
 import pytest
 
-from grassconf.errors import EmptyStratumError, OutOfRangeError, OutOfScopeError
+from grassconf import homotopy
+from grassconf.errors import EmptyStratumError, OutOfRangeError, OutOfScopeError, WireFormatError
 from grassconf.grassmann import StratumId, is_stratum_nonempty, strata_list
 from grassconf.homotopy import (
     TRIVIAL,
     Z,
     DerivationStep,
+    DerivationTrace,
     FreeAbelian,
+    GroupExpr,
     PiQuery,
     Product,
     PureSphereBraid,
@@ -80,12 +83,78 @@ def test_group_json_round_trip():
         PureSphereBraid(5),
         Symmetric(2),
         product(free_abelian(2), Symmetric(3)),
+        product(PureSphereBraid(4), Z, Symmetric(3)),
         Unknown("anything"),
+        PiQuery(2, 3, 6, 2, 9),
+        product(Z, PiQuery(1, 3, 4, 2, 4), PiQuery(2, 2, 3, 2, 3)),
     ]
     for g in samples:
         data = g.to_json()
-        assert data["variant"]
+        assert data["variant"] == type(g).__name__
         assert group_from_json(data) == g
+
+
+def test_group_json_writes_class_name_and_record_fields():
+    data = product(Z, Symmetric(3)).to_json()
+    assert data == {
+        "variant": "Product",
+        "factors": [{"variant": "FreeAbelian", "rank": 1}, {"variant": "Symmetric", "degree": 3}],
+    }
+    assert PiQuery(2, 3, 6, 2, 9).to_json() == {
+        "variant": "PiQuery", "degree": 2, "h": 3, "i": 6, "k": 2, "n": 9,
+    }
+
+
+def test_every_group_variant_is_in_the_variant_table():
+    assert set(GroupExpr.__subclasses__()) == set(homotopy._VARIANTS)
+    assert len(homotopy._VARIANTS) == len(set(homotopy._VARIANTS))
+
+
+def test_product_orders_factors_by_variant_then_fields():
+    g = product(PiQuery(2, 2, 3, 2, 3), Symmetric(3), PiQuery(1, 3, 4, 2, 4), Symmetric(2),
+                PureSphereBraid(5), Z)
+    assert g.factors == (Z, PureSphereBraid(5), Symmetric(2), Symmetric(3),
+                         PiQuery(1, 3, 4, 2, 4), PiQuery(2, 2, 3, 2, 3))
+    with pytest.raises(TypeError):
+        product(Z, 3)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({}, "missing the field 'variant'"),
+        ([], "a group must be a JSON object"),
+        ({"variant": "Banana"}, "unknown variant 'Banana'"),
+        ({"variant": "FreeAbelian"}, "missing the field 'rank'"),
+        ({"variant": "FreeAbelian", "rank": 2.7}, "the field 'rank'"),
+        ({"variant": "FreeAbelian", "rank": True}, "the field 'rank'"),
+        ({"variant": "FreeAbelian", "rank": "2"}, "the field 'rank'"),
+        ({"variant": "FreeAbelian", "rank": 0}, "rank 0"),
+        ({"variant": "Zero", "rank": 1}, "no field 'rank'"),
+        ({"variant": "PiQuery", "degree": 2, "h": 3, "i": 6, "k": 2}, "missing the field 'n'"),
+        ({"variant": "PiQuery", "degree": 2, "h": 3, "i": 6, "k": 2, "n": None}, "the field 'n'"),
+        ({"variant": "Unknown", "reason": 3}, "the field 'reason'"),
+        ({"variant": "Product", "factors": []}, "the field 'factors'"),
+        ({"variant": "Product", "factors": {}}, "the field 'factors'"),
+        ({"variant": "Product", "factors": [{"variant": "Zero"},
+                                            {"variant": "FreeAbelian", "rank": 1}]},
+         "the field 'factors'"),
+        ({"variant": "Product", "factors": [{"variant": "Symmetric", "degree": 2},
+                                            {"variant": "FreeAbelian", "rank": 1}]},
+         "the field 'factors'"),
+        ({"variant": "Product", "factors": [{"variant": "FreeAbelian", "rank": 1},
+                                            {"variant": "FreeAbelian", "rank": 1}]},
+         "the field 'factors'"),
+        ({"variant": "Product", "factors": [{"variant": "FreeAbelian", "rank": 1},
+                                            {"variant": "Unknown", "reason": "open"}]},
+         "the field 'factors'"),
+        ({"variant": "Product", "factors": [{"variant": "FreeAbelian", "rank": 1}, 5]},
+         "a group must be a JSON object"),
+    ],
+)
+def test_group_from_json_rejects_malformed_input(data, message):
+    with pytest.raises(WireFormatError, match=message):
+        group_from_json(data)
 
 
 # --- Stiefel table -----------------------------------------------------------
@@ -322,3 +391,34 @@ def test_trace_replay_rejects_forged_replacement():
     first = trace.steps[0]
     with pytest.raises(ValueError, match="before the answer"):
         _with_steps(trace, [first]).replay()
+
+
+def test_trace_replay_rejects_a_step_after_the_answer():
+    _, trace = derive(StratumId(2, 4, 2, 4), 2)
+    last = trace.steps[-1]
+    extra = DerivationStep(last.rule, last.statement, last.after, last.after)
+    with pytest.raises(ValueError, match="step 3 follows the answer"):
+        _with_steps(trace, [*trace.steps, extra]).replay()
+
+
+def test_trace_replay_rejects_a_result_other_than_the_last_after():
+    _, trace = derive(StratumId(2, 4, 2, 4), 2)
+    forged = DerivationTrace(trace.initial, trace.steps, free_abelian(2))
+    with pytest.raises(ValueError, match="recorded result"):
+        forged.replay()
+
+
+def test_trace_replay_rejects_a_query_with_no_steps():
+    _, trace = derive(StratumId(2, 4, 2, 4), 2)
+    for result in (trace.initial, trace.result):
+        with pytest.raises(ValueError, match="before the answer"):
+            DerivationTrace(trace.initial, (), result).replay()
+
+
+def test_trace_replay_rejects_a_step_that_does_not_follow_on():
+    _, trace = derive(StratumId(3, 6, 2, 9), 2)
+    first, second = trace.steps[:2]
+    elsewhere = product(Z, PiQuery(2, 3, 6, 2, 7))
+    moved = DerivationStep(second.rule, second.statement, elsewhere, second.after)
+    with pytest.raises(ValueError, match=r"step 2 starts from Z x pi_2\(F_3\^6\(2,7\)\)"):
+        _with_steps(trace, [first, moved, *trace.steps[2:]]).replay()
