@@ -275,7 +275,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             parser.error(f"argument --{name}: expected one argument")
     try:
         return args.handler(args, out)
-    except (GrassconfError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (GrassconfError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

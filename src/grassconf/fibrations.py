@@ -7,8 +7,8 @@ onto V0 along L0, and Q_V, the projection onto the base V along L0:
 * gamma sends a configuration to the sum V of its subspaces; P carries the
   configuration into V0, and Q_V carries it back onto V.
 * pr forgets the last subspace of a direct-sum configuration; the fiber
-  point is the image of the forgotten subspace under I - Q_V + Q_V P,
-  which agrees with P on the base sum V and fixes L0; Q_V + I - P undoes it.
+  point is the image of the forgotten subspace under I - Q_V + P, which
+  agrees with P on the base sum V and fixes L0; Q_V + I - P undoes it.
 * eta sends a pair to its intersection V; the fiber point is the pair of
   images in the quotient C^n / V, identified with L0 by I - Q_V.
 
@@ -90,14 +90,14 @@ def _chart_projection(v: Subspace, triv: Trivialization, what: str) -> Matrix:
 
 def extend_isomorphism(v: Subspace, triv: Trivialization) -> Matrix:
     """The automorphism of C^n restricting to the chart projection on v and
-    to the identity on L0: I - Q_v + Q_v P sends x = a + l, a in v and l in
-    L0, to aP + l.
+    to the identity on L0: I - Q_v + P sends x = a + l, a in v and l in
+    L0, to aP + l, since Q_v fixes v and both projections vanish on L0.
 
     On v it is an isomorphism v -> V0; invertibility follows from
     v ⊕ L0 = C^n.
     """
     q = _chart_projection(v, triv, "extend_isomorphism")
-    return Matrix.identity(v.n) - q + q @ triv.projector
+    return Matrix.identity(v.n) - q + triv.projector
 
 
 def gamma_trivialize(c: Configuration, triv: Trivialization) -> ChartPoint:
@@ -142,9 +142,9 @@ def chart_coordinates(hh: Subspace, w: Subspace) -> Matrix:
     identity leaves the k x (n-k) coefficient matrix on w: hh is the graph
     of that linear map C -> w.
 
-    C is spanned by the unit rows E_N at the free columns of the RREF basis
-    W of w.  With E_P the unit rows at its pivots, W E_P^T = I and
-    E_N E_P^T = 0, so q_block = Y E_P^T and p_block = (Y - q_block W) E_N^T.
+    C is spanned by the unit rows at the free columns of the RREF basis W
+    of w, the pivots of C; W is the identity at its own pivots, where C is
+    zero, so q_block is Y there and p_block is Y - q_block W at C's pivots.
     """
     if hh.n != w.n:
         raise OutsideChartError("ambient dimension mismatch")
@@ -152,9 +152,8 @@ def chart_coordinates(hh: Subspace, w: Subspace) -> Matrix:
         raise OutsideChartError(
             f"chart of Gr({hh.k},{hh.n}) needs a complementary w of dimension {hh.n - hh.k}"
         )
-    free = grassmann.complement(w).basis
-    q_block = hh.basis @ Matrix.unit_rows(w.pivots(), w.n).transpose()
-    p_block = (hh.basis - q_block @ w.basis) @ free.transpose()
+    q_block = hh.basis.columns(w.pivots())
+    p_block = (hh.basis - q_block @ w.basis).columns(grassmann._free_columns(w))
     if not linalg.is_invertible(p_block):
         raise OutsideChartError("subspace meets w nontrivially")
     return linalg.solve(p_block, q_block)
@@ -162,11 +161,9 @@ def chart_coordinates(hh: Subspace, w: Subspace) -> Matrix:
 
 def chart_point(coords: Matrix, w: Subspace) -> Subspace:
     """Inverse of chart_coordinates: the graph of the coefficient matrix."""
-    k = coords.rows
-    if coords.cols != w.k or k + w.k != w.n:
+    if coords.cols != w.k or coords.rows + w.k != w.n:
         raise ValueError("coordinate matrix shape does not match the chart")
-    c_part = grassmann.complement(w)
-    return grassmann.canonicalize(c_part.basis + coords @ w.basis, w.n)
+    return grassmann.canonicalize(grassmann.complement(w).basis + coords @ w.basis, w.n)
 
 
 def pr_trivialize(c: Configuration, triv: Trivialization) -> ChartPoint:
@@ -181,7 +178,7 @@ def pr_trivialize(c: Configuration, triv: Trivialization) -> ChartPoint:
     front = pr_forget_last(c)
     q = _chart_projection(grassmann.subspace_sum(front.points), triv, "pr_trivialize")
     # extend_isomorphism of the base sum, with this caller's chart check
-    iso = Matrix.identity(c.n) - q + q @ triv.projector
+    iso = Matrix.identity(c.n) - q + triv.projector
     image = grassmann.transform(c.points[-1], iso)
     fiber: FiberPoint
     if c.n == c.h * c.k:

@@ -177,9 +177,12 @@ def complement(v: Subspace) -> Subspace:
     """
     if v.k == v.n:
         raise FullSpaceError("the full space has no complement")
-    pivots = set(v.pivots())
-    free = [c for c in range(v.n) if c not in pivots]
-    return Subspace(v.n, v.n - v.k, Matrix.unit_rows(free, v.n))
+    return Subspace(v.n, v.n - v.k, Matrix.unit_rows(_free_columns(v), v.n))
+
+
+def _free_columns(v: Subspace) -> list[int]:
+    """The non-pivot columns of v's RREF basis; none for the full space."""
+    return sorted(set(range(v.n)).difference(v.pivots()))
 
 
 def projection_along(target: Subspace, along: Subspace) -> Matrix:

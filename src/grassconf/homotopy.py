@@ -73,6 +73,10 @@ class PureSphereBraid(GroupExpr):
 
     strands: int
 
+    def __post_init__(self) -> None:
+        if self.strands < 1:
+            raise ValueError(f"need strands >= 1, got {self.strands}")
+
     def render(self) -> str:
         return f"PB_{self.strands}(S^2)"
 
@@ -82,6 +86,10 @@ class Symmetric(GroupExpr):
     """Opaque atom: the symmetric group on ``degree`` letters."""
 
     degree: int
+
+    def __post_init__(self) -> None:
+        if self.degree < 1:
+            raise ValueError(f"need degree >= 1, got {self.degree}")
 
     def render(self) -> str:
         return f"Sigma_{self.degree}"
@@ -114,6 +122,11 @@ class PiQuery(GroupExpr):
     i: int
     k: int
     n: int
+
+    def __post_init__(self) -> None:
+        if self.degree < 1:
+            raise ValueError(f"need degree >= 1, got {self.degree}")
+        StratumId(self.h, self.i, self.k, self.n)  # its checks: h >= 1, 0 < k < n
 
     def render(self) -> str:
         return f"pi_{self.degree}(F_{self.h}^{self.i}({self.k},{self.n}))"
@@ -409,14 +422,12 @@ def _pi1_rule(q: PiQuery) -> tuple[str, str, GroupExpr]:
     h, i, k, n = q.h, q.i, q.k, q.n
     if h == 1:
         return (*RULE_SINGLE, grassmann_pi(1, k, n))
-    if k == 1:
-        if n == 2:
-            return (*RULE_BRAID, PureSphereBraid(h))
-        if i == min(n, h) and n != h:
-            return (*RULE_OPEN, TRIVIAL)
-        return (*RULE_LINE, Unknown(PI1_LINE_CASE))
+    if k == 1 and n == 2:
+        return (*RULE_BRAID, PureSphereBraid(h))
     if i == min(n, h * k) and n != h * k:
         return (*RULE_OPEN, TRIVIAL)
+    if k == 1:
+        return (*RULE_LINE, Unknown(PI1_LINE_CASE))
     if i == h * k and i == n:
         return (*RULE_PR, PiQuery(1, h - 1, k * (h - 1), k, n))
     return (*RULE_GAMMA_PI1, PiQuery(1, h, i, k, i))

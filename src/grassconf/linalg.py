@@ -50,9 +50,10 @@ from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
-    FrozenInstanceError,
     InconsistentSystemError,
     WireFormatError,
+    _frozen_delattr,
+    _frozen_setattr,
     _wire_field,
     _wire_int,
     record,
@@ -247,11 +248,8 @@ class Matrix:
         _init(m, rows, cols, zrows, None)
         return m
 
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
 
     def __reduce__(self):
         return Matrix._of, (self.rows, self.cols, self.zrows)
@@ -375,17 +373,22 @@ class Matrix:
         _check_count(count, self.rows, "row")
         return Matrix._of(self.rows - count, self.cols, self.zrows[count:])
 
+    def columns(self, indices: Sequence[int]) -> "Matrix":
+        """The columns at indices, in that order; an index may repeat."""
+        if any(not 0 <= j < self.cols for j in indices):
+            raise ValueError(f"column index out of range(0, {self.cols}): {indices}")
+        rows = tuple(_primitive(s, [row[j] for j in indices]) for s, row in self.zrows)
+        return Matrix._of(self.rows, len(indices), rows)
+
     def take_cols(self, count: int) -> "Matrix":
         """The first count columns."""
         _check_count(count, self.cols, "column")
-        return Matrix._of(self.rows, count, tuple(_primitive(s, row[:count]) for s, row in self.zrows))
+        return self.columns(range(count))
 
     def drop_cols(self, count: int) -> "Matrix":
         """All columns but the first count."""
         _check_count(count, self.cols, "column")
-        return Matrix._of(
-            self.rows, self.cols - count, tuple(_primitive(s, row[count:]) for s, row in self.zrows)
-        )
+        return self.columns(range(count, self.cols))
 
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -619,8 +622,12 @@ def matrix_to_json(m: Matrix) -> dict:
 
 def _wire_count(data: dict, key: str, what: str) -> int:
     """The nonnegative wire-format integer data[key] of the object named
-    what; a negative one raises WireFormatError naming the field."""
-    value = _wire_int(_wire_field(data, key, what))
+    what; a non-integer or negative one raises WireFormatError naming it."""
+    raw = _wire_field(data, key, what)
+    try:
+        value = _wire_int(raw)
+    except WireFormatError as exc:
+        raise WireFormatError(f"the field {key!r} of {what}: {exc}") from None
     if value < 0:
         raise WireFormatError(f"the field {key!r} of {what} is {value}; it must be >= 0")
     return value

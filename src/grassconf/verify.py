@@ -15,7 +15,7 @@ Three batch checks back the exact layer:
   (_moves_less_than) proves that a move keeps the rank and stays within
   eps and half the smallest base gap.  The witness and the trials both
   build their bases as Z[i] rows by the same routine; a witness step
-  finds every redundant row from one left null space of the stack.  The
+  tilts the first redundant row, read off the stack's left null space.  The
   trials' final rank check first tries a mod-p rank certificate, which
   only proves "no drop"; a drop is always decided by the exact pivot count.
 * run_roundtrip_suite exercises the gamma/pr/eta trivializations on
@@ -188,11 +188,6 @@ def _kron(a: Matrix, b: Matrix) -> Matrix:
     ))
 
 
-def _complement_rows(v: Subspace) -> Matrix:
-    """The basis of v's deterministic complement; no rows for the full space."""
-    return grassmann.complement(v).basis if v.k < v.n else Matrix.zeros(0, v.n)
-
-
 def _chart_tangent(c: Configuration) -> Matrix:
     """Differential at c of the stratum's chart, exact over Q(i).
 
@@ -210,26 +205,24 @@ def _chart_tangent(c: Configuration) -> Matrix:
     chart direction moves the columns P: they are pivot columns of V
     (H_j lies in V), a row of W is a unit row at a free column of V, and
     Inner_j[col] V is the row m of V for a free column m of C_j, zero at
-    V's pivot column of every pivot of C_j.  So dX_j = dB_j E_N^T, with E_N
-    the unit rows at N.  V's coordinate (r, col) moves every point by
-    dB_j = C_j[:, r] W[col], so its rows are C_j^T (x) W E_N^T in block j;
-    point j's coordinate (r, col) moves point j alone by
-    dB_j = e_r Inner_j[col] V, so its rows are I_k (x) Inner_j V E_N^T in
-    block j and zero elsewhere.
+    V's pivot column of every pivot of C_j.  So dX_j = dB_j[:, N].  V's
+    coordinate (r, col) moves every point by dB_j = C_j[:, r] W[col], so
+    its rows are C_j^T (x) W[:, N] in block j; point j's coordinate
+    (r, col) moves point j alone by dB_j = e_r Inner_j[col] V, so its rows
+    are I_k (x) (Inner_j V)[:, N] in block j and zero elsewhere.
     """
     h, k, n = c.h, c.k, c.n
     total = grassmann.subspace_sum(c.points)
     i = total.k
-    at_sum_pivots = Matrix.unit_rows(total.pivots(), n).transpose()
-    outer_dirs = _complement_rows(total)
+    outer_dirs = Matrix.unit_rows(grassmann._free_columns(total), n)
     outer, inner = [], []
     for j, p in enumerate(c.points):
-        at_free = grassmann.complement(p).basis.transpose()
-        coeff = p.basis @ at_sum_pivots
-        inner_dirs = _complement_rows(grassmann.canonicalize(coeff, i))
+        free = grassmann._free_columns(p)
+        coeff = p.basis.columns(total.pivots())
+        inner_dirs = Matrix.unit_rows(grassmann._free_columns(grassmann.canonicalize(coeff, i)), i)
         block = Matrix.unit_rows([j], h)
-        outer.append(_kron(block, _kron(coeff.transpose(), outer_dirs @ at_free)))
-        inner.append(_kron(block, _kron(Matrix.identity(k), inner_dirs @ total.basis @ at_free)))
+        outer.append(_kron(block, _kron(coeff.transpose(), outer_dirs.columns(free))))
+        inner.append(_kron(block, _kron(Matrix.identity(k), (inner_dirs @ total.basis).columns(free))))
     return linalg.stack_all([sum(outer[1:], outer[0])] + inner)
 
 
@@ -286,43 +279,33 @@ ScaledRows = Sequence[linalg.ZRow]
 def _raise_stratum(
     points: Sequence[Subspace], current: int, target_i: int, t: Fraction
 ) -> Optional[list[Subspace]]:
-    """Greedy exact tilts: nudge redundant basis vectors toward fresh
-    directions until the sum of the points, of dimension current, reaches
-    target_i.  Each step provably raises the rank by one; the exact checks
-    below are guards.
+    """Exact tilts raising the sum of the points from dimension current to
+    target_i, or None if a step's check fails.
 
-    A step tries the rows of the stacked bases in order.  Row r is
-    redundant iff some left null vector of the stack is nonzero at r; it
-    is tilted by t toward the first standard direction outside the sum.
+    Step j tilts the first redundant row of the stack, one at which a left
+    null vector is nonzero, by t toward e_f, f the j-th free column of the
+    starting sum (adding e_f to a sum adds only f to its pivots).  As e_f
+    is not in the sum and the row is in the span of the others, for t != 0
+    the tilted point keeps dimension k, is not in the sum, so differs from
+    the other points, and the rank rises by one; the step checks all three.
     """
     pts = list(points)
     k, n = pts[0].k, pts[0].n
-    while current < target_i:
-        stacked = linalg.stack_all(p.basis for p in pts)
-        pivots = linalg.rref(stacked).pivots
-        fresh = next(col for col in range(n) if col not in pivots)
-        null = linalg.kernel(stacked.transpose())
-        redundant = {r for _, y in null.zrows for r, part in enumerate(y) if part != (0, 0)}
-        for r in sorted(redundant):
-            m_idx, slot = divmod(r, k)
-            direction = [[(0, 0)] * n for _ in range(k)]
-            direction[slot][fresh] = (1, 0)
-            rows = _perturbed_rows(pts[m_idx].basis.zrows, direction, t)
-            tilted = grassmann.canonicalize(
-                Matrix._of(k, n, tuple((1, tuple(row)) for row in rows)), n
-            )
-            if tilted.k != k:
-                continue
-            trial = pts[:m_idx] + [tilted] + pts[m_idx + 1:]
-            if any(trial[a] == trial[b] for a in range(len(trial)) for b in range(a + 1, len(trial))):
-                continue
-            if linalg.rank(linalg.stack_all(p.basis for p in trial)) != current + 1:
-                continue
-            pts = trial
-            current += 1
-            break
-        else:
+    free = grassmann._free_columns(grassmann.subspace_sum(pts))
+    for raised, fresh in enumerate(free[:target_i - current], current + 1):
+        null = linalg.kernel(linalg.stack_all(p.basis for p in pts).transpose())
+        first = min(r for _, y in null.zrows for r, part in enumerate(y) if part != (0, 0))
+        m_idx, slot = divmod(first, k)
+        direction = [[(0, 0)] * n for _ in range(k)]
+        direction[slot][fresh] = (1, 0)
+        rows = _perturbed_rows(pts[m_idx].basis.zrows, direction, t)
+        primitive = tuple(linalg._primitive(1, row) for row in rows)
+        tilted = grassmann.canonicalize(Matrix._of(k, n, primitive), n)
+        others = pts[:m_idx] + pts[m_idx + 1:]
+        stacked = [row for p in others for _, row in p.basis.zrows] + rows
+        if tilted.k != k or tilted in others or not linalg._rank_at_least(stacked, raised):
             return None
+        pts[m_idx] = tilted
     return pts
 
 
@@ -335,8 +318,6 @@ def _adjacency_witness(c: Configuration, j0: int, target_i: int, eps: Fraction) 
     most m * t / (1 - t) <= m t / (1 - m t), which _moves_less_than bounds
     with size m^2, so t shrinks until that bound is below eps.
     """
-    if j0 == target_i:
-        return None
     steps = target_i - j0
     t = eps / 8
     while not _moves_less_than(steps * steps, t, eps):

@@ -9,6 +9,7 @@ from grassconf.errors import (
     MixedAmbientError,
     NotComplementaryError,
     OutsideChartError,
+    WireFormatError,
 )
 from grassconf.fibrations import (
     ChartPoint,
@@ -27,9 +28,12 @@ from grassconf.grassmann import (
     StratumId,
     canonicalize,
     complement,
+    configuration_from_json,
+    configuration_to_json,
     projection_along,
     sample_configuration,
     sample_subspace,
+    subspace_from_json,
     subspace_sum,
 )
 from grassconf.homotopy import PiQuery, derive, free_abelian, group_from_json
@@ -80,6 +84,40 @@ def test_matrix_json_entry_count_checked():
     data["entries"] = data["entries"][:-1]
     with pytest.raises(ValueError):
         matrix_from_json(data)
+
+
+def test_matrix_columns_picks_by_index():
+    m = Matrix.from_rows([[2, gq(0, 1), Fraction(1, 3)], [4, 0, 6]])
+    assert m.columns([2, 0]) == Matrix.from_rows([[Fraction(1, 3), 2], [6, 4]])
+    assert m.columns([1, 1]) == Matrix.from_rows([[gq(0, 1), gq(0, 1)], [0, 0]])
+    assert m.columns([]) == Matrix.zeros(2, 0)
+    assert m.columns(range(3)) == m
+    # the row (1/2, 1/3, 1/4) is stored as (12, (6, 4, 3)); its first two
+    # columns are (1/2, 1/3), stored primitive as (6, (3, 2)), not (12, (6, 4))
+    thirds = Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]])
+    assert thirds.zrows == ((12, ((6, 0), (4, 0), (3, 0))),)
+    assert thirds.columns([0, 1]).zrows == ((6, ((3, 0), (2, 0))),)
+    for bad in ([3], [-1], [0, 5]):
+        with pytest.raises(ValueError, match="out of range"):
+            m.columns(bad)
+
+
+def test_wire_counts_name_a_non_integer_field():
+    # each count field of the three wire objects, holding 2.5
+    sampled = configuration_to_json(sample_configuration(StratumId(2, 3, 2, 4), 0))
+    cases = [
+        (matrix_from_json, sampled["points"][0]["basis"], "rows", "a matrix"),
+        (matrix_from_json, sampled["points"][0]["basis"], "cols", "a matrix"),
+        (subspace_from_json, sampled["points"][0], "n", "a subspace"),
+        (subspace_from_json, sampled["points"][0], "k", "a subspace"),
+        (configuration_from_json, sampled, "h", "a configuration"),
+    ]
+    for read, data, key, what in cases:
+        with pytest.raises(WireFormatError) as info:
+            read({**data, key: 2.5})
+        assert str(info.value) == f"the field {key!r} of {what}: expected an integer, got 2.5"
+    with pytest.raises(WireFormatError, match="the field 'n' of a subspace: expected an integer"):
+        subspace_from_json({"n": 2.5, "k": 1, "basis": {}})
 
 
 # --- grassmann ----------------------------------------------------------------

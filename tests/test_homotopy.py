@@ -150,6 +150,14 @@ def test_product_orders_factors_by_variant_then_fields():
          "the field 'factors'"),
         ({"variant": "Product", "factors": [{"variant": "FreeAbelian", "rank": 1}, 5]},
          "a group must be a JSON object"),
+        # values outside a record's own range
+        ({"variant": "Symmetric", "degree": -2}, "need degree >= 1, got -2"),
+        ({"variant": "PureSphereBraid", "strands": 0}, "need strands >= 1, got 0"),
+        ({"variant": "PiQuery", "degree": 7, "h": -1, "i": 0, "k": 0, "n": 0},
+         "need 0 < k < n, got k=0, n=0"),
+        ({"variant": "PiQuery", "degree": 2, "h": 0, "i": 1, "k": 1, "n": 2}, "need h >= 1"),
+        ({"variant": "PiQuery", "degree": 0, "h": 2, "i": 2, "k": 1, "n": 2},
+         "need degree >= 1, got 0"),
     ],
 )
 def test_group_from_json_rejects_malformed_input(data, message):

@@ -440,6 +440,31 @@ def test_raise_stratum_matches_reference(s, target):
             assert got is not None and stratum_of(Configuration.of(got)) == target
 
 
+@pytest.mark.parametrize("s, target", WITNESS_CASES[:3], ids=str)
+def test_raise_stratum_fails_without_a_tilt(s, target):
+    # t = 0 leaves the tilted point where it was, so the rank check of the
+    # first step fails and the witness reports no configuration
+    c = sample_configuration(s, "golden")
+    assert _raise_stratum(c.points, stratum_of(c), target, Fraction(0)) is None
+    assert raise_stratum_reference(list(c.points), target, Fraction(0)) is None
+
+
+def test_raise_stratum_reduces_the_starting_sum_once(monkeypatch):
+    # the free columns come from one reduction of the starting stack (6
+    # rows); each step's only other reduction is its tilted point (2 rows)
+    calls = []
+
+    def counted(m, _rref=linalg.rref):
+        calls.append(m.rows)
+        return _rref(m)
+    c = sample_configuration(StratumId(3, 3, 2, 6), "golden")
+    monkeypatch.setattr(linalg, "rref", counted)
+    got = _raise_stratum(c.points, 3, 6, Fraction(1, 8000))
+    monkeypatch.undo()
+    assert calls == [6, 2, 2, 2]
+    assert stratum_of(Configuration.of(got)) == 6
+
+
 def test_raise_stratum_reads_every_left_null_vector():
     # the second point's first row repeats a row of the first point, so the
     # first left null vector of the stack misses row 0 and a later one
