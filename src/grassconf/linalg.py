@@ -20,9 +20,11 @@ prove a lower bound on the rank and leaves every other answer to
 _integer_rref.  Every decision "rank equals the row count" goes through
 it: is_invertible, the sampler's draws of invertible matrices and
 subspaces, projection_along's complement test, the transversality and
-direct-sum tests of fibrations, the roundtrip suites' chart search, the
-dimension suite's tangent rank and the adjacency trials;
-intersection_dim returns 0 when the certificate proves the sum direct.
+direct-sum tests of fibrations, the roundtrip suites' chart search and
+the dimension suite's tangent rank; intersection_dim returns 0 when the
+certificate proves the sum direct.  The certificate's one mod-p
+elimination, _fp_pivots, also names the pivot rows and columns of a
+minor that is nonzero mod p; the adjacency trials re-evaluate that minor.
 The product brings the right factor's rows to one common scale and
 builds each entry as one Z[i] dot product.  All values are immutable and
 all operations are pure (the entries view is filled once, with the same
@@ -505,25 +507,41 @@ _P = 1_000_000_009
 _SQRT_MINUS_ONE = 430_477_711
 
 
-def _modular_rank(rows: Sequence[Sequence[GInt]], cap: int) -> int:
-    """Rank of the Z[i] rows mapped to F_p, counting at most cap pivots."""
-    grid = [[(re + _SQRT_MINUS_ONE * im) % _P for re, im in row] for row in rows]
-    found = 0
+def _fp_rows(rows: Iterable[Sequence[GInt]]) -> list[list[int]]:
+    """The images of the Z[i] rows in F_p."""
+    return [[(re + _SQRT_MINUS_ONE * im) % _P for re, im in row] for row in rows]
+
+
+def _fp_pivots(grid: list[list[int]], cap: int) -> tuple[list[int], list[int]]:
+    """Forward elimination of the F_p rows in place, stopping at cap pivots;
+    returns the pivots' original row indices and their columns.  The
+    input's minor at those rows and columns is nonzero: the pivot rows are
+    triangular there, each a nonzero multiple of its input row plus
+    multiples of earlier pivot rows."""
+    order = list(range(len(grid)))
+    cols: list[int] = []
     for col in range(len(grid[0]) if grid else 0):
+        found = len(cols)
         if found >= cap or found == len(grid):
             break
         sel = next((r for r in range(found, len(grid)) if grid[r][col]), None)
         if sel is None:
             continue
         grid[found], grid[sel] = grid[sel], grid[found]
+        order[found], order[sel] = order[sel], order[found]
         prow = grid[found]
         p = prow[col]
         for r in range(found + 1, len(grid)):
             f = grid[r][col]
             if f:
                 grid[r] = [(p * a - f * b) % _P for a, b in zip(grid[r], prow)]
-        found += 1
-    return found
+        cols.append(col)
+    return order[:len(cols)], cols
+
+
+def _modular_rank(rows: Sequence[Sequence[GInt]], cap: int) -> int:
+    """Rank of the Z[i] rows mapped to F_p, counting at most cap pivots."""
+    return len(_fp_pivots(_fp_rows(rows), cap)[1])
 
 
 def _rank_at_least(rows: Sequence[Sequence[GInt]], r: int) -> bool:

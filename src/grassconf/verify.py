@@ -13,11 +13,13 @@ Three batch checks back the exact layer:
   matrices over a positive integer, once per base point per check.  No
   moved point needs one: a stored basis is RREF, so one integer test
   (_moves_less_than) proves that a move keeps the rank and stays within
-  eps and half the smallest base gap.  The witness and the trials both
-  build their bases as Z[i] rows by the same routine; a witness step
-  tilts the first redundant row, read off the stack's left null space.  The
-  trials' final rank check first tries a mod-p rank certificate, which
-  only proves "no drop"; a drop is always decided by the exact pivot count.
+  eps and half the smallest base gap.  A witness step tilts the first
+  redundant row, read off the stack's left null space.  Once per check a
+  mod-p elimination of the base stack picks a j0 x j0 minor that is
+  nonzero mod p, j0 the base stratum; a trial evaluates only that minor
+  of its perturbed stack mod p, which proves "no drop" when it stays
+  nonzero.  Otherwise the trial builds its Z[i] rows by the witness's
+  routine, and a drop is always decided by the exact pivot count.
 * run_roundtrip_suite exercises the gamma/pr/eta trivializations on
   seeded samples, entrywise over Q(i).  A case checks the base component,
   the one fiber fact no map decides, and the round trip.  The guards of
@@ -219,7 +221,7 @@ def _chart_tangent(c: Configuration) -> Matrix:
     for j, p in enumerate(c.points):
         free = grassmann._free_columns(p)
         coeff = p.basis.columns(total.pivots())
-        inner_dirs = Matrix.unit_rows(grassmann._free_columns(grassmann.canonicalize(coeff, i)), i)
+        inner_dirs = Matrix.unit_rows(grassmann._free_columns(Subspace(i, k, coeff)), i)
         block = Matrix.unit_rows([j], h)
         outer.append(_kron(block, _kron(coeff.transpose(), outer_dirs.columns(free))))
         inner.append(_kron(block, _kron(Matrix.identity(k), (inner_dirs @ total.basis).columns(free))))
@@ -249,6 +251,7 @@ def check_dimension(
     holomorphic, so this is half the real rank of its real Jacobian.  tol
     is validated for compatibility but no longer enters the decision.
     """
+    _require_count("samples", samples)
     if not grassmann.is_stratum_nonempty(s):
         raise EmptyStratumError(f"{s} is empty")
     if not (math.isfinite(tol) and tol > 0):
@@ -277,10 +280,10 @@ ScaledRows = Sequence[linalg.ZRow]
 
 
 def _raise_stratum(
-    points: Sequence[Subspace], current: int, target_i: int, t: Fraction
+    points: Sequence[Subspace], total: Subspace, target_i: int, t: Fraction
 ) -> Optional[list[Subspace]]:
-    """Exact tilts raising the sum of the points from dimension current to
-    target_i, or None if a step's check fails.
+    """Exact tilts raising total, the sum of the points, from its dimension
+    to target_i, or None if a step's check fails.
 
     Step j tilts the first redundant row of the stack, one at which a left
     null vector is nonzero, by t toward e_f, f the j-th free column of the
@@ -291,8 +294,8 @@ def _raise_stratum(
     """
     pts = list(points)
     k, n = pts[0].k, pts[0].n
-    free = grassmann._free_columns(grassmann.subspace_sum(pts))
-    for raised, fresh in enumerate(free[:target_i - current], current + 1):
+    free = grassmann._free_columns(total)
+    for raised, fresh in enumerate(free[:target_i - total.k], total.k + 1):
         null = linalg.kernel(linalg.stack_all(p.basis for p in pts).transpose())
         first = min(r for _, y in null.zrows for r, part in enumerate(y) if part != (0, 0))
         m_idx, slot = divmod(first, k)
@@ -309,20 +312,21 @@ def _raise_stratum(
     return pts
 
 
-def _adjacency_witness(c: Configuration, j0: int, target_i: int, eps: Fraction) -> Optional[str]:
+def _adjacency_witness(c: Configuration, total: Subspace, target_i: int, eps: Fraction) -> Optional[str]:
     """None when an exact configuration of stratum target_i lies within eps
-    of c, else a failure description.  c lies in stratum j0.
+    of c, else a failure description.  total, the sum of c's points, has
+    dimension j0.
 
     The witness makes m = target_i - j0 tilts, each of one row of an RREF
     basis by t in a unit direction.  A point tilted m times moves by at
     most m * t / (1 - t) <= m t / (1 - m t), which _moves_less_than bounds
     with size m^2, so t shrinks until that bound is below eps.
     """
-    steps = target_i - j0
+    steps = target_i - total.k
     t = eps / 8
     while not _moves_less_than(steps * steps, t, eps):
         t = t / 4
-    if _raise_stratum(c.points, j0, target_i, t) is None:
+    if _raise_stratum(c.points, total, target_i, t) is None:
         return "no tilt slot raises the sum dimension"
     return None
 
@@ -359,10 +363,16 @@ def _unit_draws(rng: random.Random, count: int) -> list[int]:
     return out
 
 
+# the F_p image of each of the nine draw pairs
+_UNITS = [(re, im) for re in (-1, 0, 1) for im in (-1, 0, 1)]
+_UNIT_FP = dict(zip(_UNITS, linalg._fp_rows([_UNITS])[0]))
+
+
 def _semicontinuity_trial(
     c: Configuration,
     base_rank: int,
-    base: Sequence[ScaledRows],
+    base: ScaledRows,
+    minor: list[tuple[int, list[tuple[int, int]]]],
     eps: Fraction,
     bound: Fraction,
     rng: random.Random,
@@ -372,27 +382,40 @@ def _semicontinuity_trial(
     Directions come from the {-1, 0, 1} lattice of Z[i]; the scale is
     randomized and then shrunk until _moves_less_than certifies every
     point's move below bound (at most eps and half the smallest base gap,
-    so the points stay distinct).  base holds each point's basis as scaled
-    Z[i] rows.  Returns a failure description when the stratum drops,
-    None otherwise.
+    so the points stay distinct).  base holds the points' stacked bases as
+    scaled Z[i] rows.  With t = a/b a perturbed entry is b * v + a * s * d,
+    v the base entry, s its row's scale and d its draw (see
+    _perturbed_rows), so the check's certificate minor of the perturbed
+    stack is evaluated mod p alone: nonzero, it proves that the stratum
+    did not drop; otherwise the exact rows decide by _rank_at_least.
+    Returns a failure description when the stratum drops, None otherwise.
     """
     h, k, n = c.h, c.k, c.n
-    draws = iter(_unit_draws(rng, 2 * h * k * n))
-    pairs = list(zip(draws, draws))
-    directions = [[pairs[r * n:(r + 1) * n] for r in range(p * k, (p + 1) * k)] for p in range(h)]
-    size = max(
-        sum(re * re + im * im for re, im in pairs[p * k * n:(p + 1) * k * n]) for p in range(h)
-    )
+    draws = _unit_draws(rng, 2 * h * k * n)
+    pairs = list(zip(draws[::2], draws[1::2]))
+    # each draw is -1, 0 or 1, so a point's sum of |d|^2 counts its nonzero draws
+    per_point = 2 * k * n
+    size = max(per_point - draws[p * per_point:(p + 1) * per_point].count(0) for p in range(h))
     t = eps * Fraction(rng.randint(1, 4096), 4096) / 8
     for _ in range(80):
         if _moves_less_than(size, t, bound):
-            stacked = [row for rows, d in zip(base, directions)
-                       for row in _perturbed_rows(rows, d, t)]
-            if not linalg._rank_at_least(stacked, base_rank):
+            a, b = t.numerator, t.denominator
+            grid = [[(b * v + a * s * _UNIT_FP[pairs[at]]) % linalg._P for v, at in entries]
+                    for s, entries in minor]
+            if len(linalg._fp_pivots(grid, base_rank)[1]) == base_rank:
+                return None
+            directions = [pairs[r * n:(r + 1) * n] for r in range(h * k)]
+            if not linalg._rank_at_least(_perturbed_rows(base, directions, t), base_rank):
                 return "stratum dropped under a perturbation of size < eps"
             return None
         t = t / 4
     return "could not build a perturbation inside the bound"
+
+
+def _require_count(name: str, value: object) -> None:
+    """Raise TypeError, naming the parameter, unless value is an int."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
 
 
 def check_adjacency(
@@ -408,8 +431,10 @@ def check_adjacency(
     Fraction, so that every bound stays exact."""
     if isinstance(eps, bool) or not isinstance(eps, (int, Fraction)):
         raise TypeError(f"eps must be an int or a Fraction, not {type(eps).__name__}")
+    _require_count("trials", trials)
     eps = Fraction(eps)
-    j0 = grassmann.stratum_of(c)
+    total = grassmann.subspace_sum(c.points)
+    j0 = total.k
     if not j0 <= target_i <= min(c.h * c.k, c.n):
         raise UnreachableError(
             f"target {target_i} is not reachable from stratum {j0}"
@@ -425,17 +450,24 @@ def check_adjacency(
             "eps": str(eps), "trials": trials, "seed": str(seed),
         },
     )
-    base = [p.basis.zrows for p in c.points]
-    projectors = [_integer_projector([row for _, row in rows]) for rows in base]
+    projectors = [_integer_projector([row for _, row in p.basis.zrows]) for p in c.points]
     bound = min([eps] + [
         Fraction(_projector_gap(na, da, nb, db), 2 * da * db)
         for a, (na, da) in enumerate(projectors) for nb, db in projectors[a + 1:]
     ])
-    report.record(f"{seed}:witness", _adjacency_witness(c, j0, target_i, eps))
+    report.record(f"{seed}:witness", _adjacency_witness(c, total, target_i, eps))
+    # the trials' certificate minor, at the base stack's pivots mod p: per
+    # pivot row its scale s and, per pivot column, the F_p image v of its
+    # entry and the index of that entry's draw pair.  With fewer than j0
+    # pivots no trial's minor can reach j0, and every trial decides exactly.
+    base = [row for p in c.points for row in p.basis.zrows]
+    images = linalg._fp_rows(row for _, row in base)
+    rows, cols = linalg._fp_pivots(images[:], j0)
+    minor = [(base[r][0], [(images[r][col], r * c.n + col) for col in cols]) for r in rows]
     for idx in range(trials):
         case_seed = f"{seed}:{idx}"
         desc = _semicontinuity_trial(
-            c, j0, base, eps, bound, random.Random(f"adjacency:{case_seed}")
+            c, j0, base, minor, eps, bound, random.Random(f"adjacency:{case_seed}")
         )
         report.record(case_seed, desc)
     return report
@@ -586,6 +618,7 @@ def run_roundtrip_suite(
     h != 2 or on a direct sum) raises its GrassconfError before the first
     case; a case's failure is recorded in the report, never raised.
     """
+    _require_count("cases", cases)
     if which not in _SUITE_CASES:
         raise ValueError(f"unknown suite {which!r}; pick gamma, pr, or eta")
     if cases < 0:

@@ -291,6 +291,28 @@ def test_verify_parameter_validation():
     assert run_roundtrip_suite("gamma", cases=0).cases == 0
 
 
+@pytest.mark.parametrize("count", [True, 2.5, "3", None], ids=repr)
+@pytest.mark.parametrize("name", ["samples", "trials", "cases"])
+def test_verify_counts_must_be_ints(name, count, monkeypatch):
+    # a bool would run one case and a float would fail mid-run: both are
+    # refused before any exact work, naming the parameter
+    from grassconf import linalg
+    from grassconf.verify import check_adjacency, check_dimension, run_roundtrip_suite
+
+    c = sample_configuration(StratumId(2, 3, 2, 4), 0)
+    run = {
+        "samples": lambda: check_dimension(StratumId(2, 3, 2, 4), samples=count),
+        "trials": lambda: check_adjacency(c, 4, Fraction(1, 10), trials=count),
+        "cases": lambda: run_roundtrip_suite("gamma", cases=count),
+    }[name]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("exact work before the count was checked")
+    monkeypatch.setattr(linalg, "_integer_rref", no_work)
+    with pytest.raises(TypeError, match=f"^{name} must be an int, not {type(count).__name__}$"):
+        run()
+
+
 # --- cli ----------------------------------------------------------------------
 
 

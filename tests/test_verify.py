@@ -17,6 +17,7 @@ from grassconf.grassmann import (
     sample_subspace,
     strata_list,
     stratum_of,
+    subspace_sum,
 )
 from grassconf import fibrations, linalg, verify
 from grassconf.fibrations import ChartPoint
@@ -138,12 +139,21 @@ FD_STEPS = (1e-4, 1e-5)
 
 
 @pytest.mark.parametrize("hikn", CHART_STRATA, ids=lambda s: "-".join(map(str, s)))
-def test_chart_tangent_matches_numpy_reference(hikn):
+def test_chart_tangent_matches_numpy_reference(hikn, monkeypatch):
     # entrywise, not only by rank: a tangent built from the conjugated
-    # coefficients C_j still has full rank on every stratum of criterion 3
+    # coefficients C_j still has full rank on every stratum of criterion 3.
+    # The sum is the only reduction: each C_j is already in RREF.
     h, i, k, n = hikn
     c = sample_configuration(StratumId(*hikn), "chart")
+    calls = []
+
+    def counted(m, _rref=linalg.rref):
+        calls.append(m.rows)
+        return _rref(m)
+    monkeypatch.setattr(linalg, "rref", counted)
     got = to_numpy(_chart_tangent(c))
+    monkeypatch.undo()
+    assert calls == [h * k]
     want = chart_tangent_reference(c, 1e-4)
     assert got.shape == want.shape == (i * (n - i) + h * k * (i - k), h * k * (n - k))
     assert np.allclose(got, want, rtol=0.0, atol=1e-6)
@@ -340,8 +350,8 @@ def test_witness_shrinks_for_many_tilts(monkeypatch, s, target, eps):
     assert (target - j0) * (1 + eps) >= 8
     raised = []
 
-    def recorded(points, current, target_i, t, _raise=verify._raise_stratum):
-        raised.append((t, _raise(points, current, target_i, t)))
+    def recorded(points, total, target_i, t, _raise=verify._raise_stratum):
+        raised.append((t, _raise(points, total, target_i, t)))
         return raised[-1][1]
     monkeypatch.setattr(verify, "_raise_stratum", recorded)
     report = check_adjacency(c, target, eps, trials=0, seed=0)
@@ -416,6 +426,93 @@ def test_unit_draws_match_randint():
         assert ours.randint(1, 4096) == reference.randint(1, 4096)
 
 
+def _trial_log(monkeypatch, short=False):
+    """The linalg._fp_pivots calls (grid before elimination, cap) and
+    linalg._rank_at_least calls (rows, r) made inside semicontinuity
+    trials, in order; the witness's calls are left out.  With short, every
+    _fp_pivots call inside a trial returns one pivot too few."""
+    log, inside = [], []
+
+    def trial(*args, _trial=verify._semicontinuity_trial):
+        inside.append(True)
+        try:
+            return _trial(*args)
+        finally:
+            inside.pop()
+
+    def ranked(rows, r, _rank=linalg._rank_at_least):
+        if inside:
+            log.append(("rank", [list(row) for row in rows], r))
+        return _rank(rows, r)
+
+    def pivots(grid, cap, _pivots=linalg._fp_pivots):
+        if inside:
+            log.append(("pivots", [list(row) for row in grid], cap))
+        rows, cols = _pivots(grid, cap)
+        return (rows[:cap - 1], cols[:cap - 1]) if inside and short else (rows, cols)
+    monkeypatch.setattr(verify, "_semicontinuity_trial", trial)
+    monkeypatch.setattr(linalg, "_rank_at_least", ranked)
+    monkeypatch.setattr(linalg, "_fp_pivots", pivots)
+    return log
+
+
+def test_trials_without_the_certificate_minor_give_the_same_reports(monkeypatch):
+    # when no trial's minor reaches j0 pivots mod p, every trial builds its
+    # exact rows and _rank_at_least decides, with the same verdicts; the
+    # minor a trial evaluated is the exact perturbed stack's minor mod p
+    checks = [(sample_configuration(s, "golden"), target) for s, target in WITNESS_CASES[:3]]
+    certified = [check_adjacency(c, target, Fraction(1, 1000), trials=10, seed="golden").to_json()
+                 for c, target in checks]
+    log = _trial_log(monkeypatch, short=True)
+    for (c, target), want in zip(checks, certified):
+        log.clear()
+        got = check_adjacency(c, target, Fraction(1, 1000), trials=10, seed="golden")
+        assert got.to_json() == want
+        j0 = stratum_of(c)
+        base = linalg._fp_rows(row for p in c.points for _, row in p.basis.zrows)
+        picked, cols = linalg._fp_pivots(base, j0)
+        assert len(log) == 3 * 10
+        for (_, minor, cap), (_, rows, r), (_, image, _) in zip(log[::3], log[1::3], log[2::3]):
+            assert cap == r == j0
+            assert image == linalg._fp_rows(rows)
+            assert minor == [[image[row][col] for col in cols] for row in picked]
+
+
+def test_certificate_minor_is_picked_once_per_check(monkeypatch):
+    # after the witness's three rank checks (caps 4, 5, 6) the check
+    # eliminates its 6 x 6 base stack mod p once, with cap j0 = 3; each
+    # trial eliminates only its 3 x 3 minor
+    c = sample_configuration(StratumId(3, 3, 2, 6), "golden")
+    picks = []
+
+    def recorded(grid, cap, _pivots=linalg._fp_pivots):
+        picks.append((len(grid), len(grid[0]), cap))
+        return _pivots(grid, cap)
+    monkeypatch.setattr(linalg, "_fp_pivots", recorded)
+    for trials in (0, 7, 30):
+        picks.clear()
+        assert check_adjacency(c, 6, Fraction(1, 1000), trials=trials, seed="golden").ok
+        assert picks == [(6, 6, 4), (6, 6, 5), (6, 6, 6), (6, 6, 3)] + [(3, 3, 3)] * trials
+
+
+def test_criterion_7_trials_stay_on_the_certificate(monkeypatch):
+    # on criterion 7's grid every trial is certified by its minor mod p: a
+    # change that loses the certificate shows here, not only as a slowdown
+    log = _trial_log(monkeypatch)
+    checks = 0
+    for h in (2, 3):
+        for k in (1, 2, 3):
+            for n in range(k + 1, 7):
+                ids = strata_list(h, k, n)
+                for a, low in enumerate(ids):
+                    c = sample_configuration(low, f"adj:{h}:{k}:{n}:{low.i}")
+                    for high in ids[a + 1:]:
+                        assert check_adjacency(c, high.i, Fraction(1, 1000), trials=20, seed=7).ok
+                        checks += 1
+    assert checks == 25
+    assert [call for call in log if call[0] == "rank"] == []
+
+
 # (sampled stratum, target): the golden adjacency checks, then h = 3 with
 # k = 1 and with k = 3, and targets two or more steps up
 WITNESS_CASES = [
@@ -432,10 +529,10 @@ def test_raise_stratum_matches_reference(s, target):
     # same points at every shrink step the witness can reach
     for seed in ("golden", 0, 1):
         c = sample_configuration(s, seed)
-        j0 = stratum_of(c)
+        total = subspace_sum(c.points)
         for t in (Fraction(1, 8000), Fraction(1, 32000), Fraction(1, 512000),
                   Fraction(-3, 7), Fraction(1)):
-            got = _raise_stratum(c.points, j0, target, t)
+            got = _raise_stratum(c.points, total, target, t)
             assert got == raise_stratum_reference(list(c.points), target, t)
             assert got is not None and stratum_of(Configuration.of(got)) == target
 
@@ -445,21 +542,25 @@ def test_raise_stratum_fails_without_a_tilt(s, target):
     # t = 0 leaves the tilted point where it was, so the rank check of the
     # first step fails and the witness reports no configuration
     c = sample_configuration(s, "golden")
-    assert _raise_stratum(c.points, stratum_of(c), target, Fraction(0)) is None
+    assert _raise_stratum(c.points, subspace_sum(c.points), target, Fraction(0)) is None
     assert raise_stratum_reference(list(c.points), target, Fraction(0)) is None
 
 
 def test_raise_stratum_reduces_the_starting_sum_once(monkeypatch):
-    # the free columns come from one reduction of the starting stack (6
-    # rows); each step's only other reduction is its tilted point (2 rows)
+    # a check reduces the starting stack (6 rows) once and hands the sum to
+    # the witness; each step's only other reduction is its tilted point (2 rows)
     calls = []
 
     def counted(m, _rref=linalg.rref):
         calls.append(m.rows)
         return _rref(m)
     c = sample_configuration(StratumId(3, 3, 2, 6), "golden")
+    total = subspace_sum(c.points)
     monkeypatch.setattr(linalg, "rref", counted)
-    got = _raise_stratum(c.points, 3, 6, Fraction(1, 8000))
+    got = _raise_stratum(c.points, total, 6, Fraction(1, 8000))
+    assert calls == [2, 2, 2]
+    calls.clear()
+    assert check_adjacency(c, 6, Fraction(1, 1000), trials=3, seed="golden").ok
     monkeypatch.undo()
     assert calls == [6, 2, 2, 2]
     assert stratum_of(Configuration.of(got)) == 6
@@ -474,7 +575,7 @@ def test_raise_stratum_reads_every_left_null_vector():
         [[1, 0, 1, 0], [0, 1, 1, 0]],
     )]
     t = Fraction(1, 8000)
-    got = _raise_stratum(points, 3, 4, t)
+    got = _raise_stratum(points, subspace_sum(points), 4, t)
     assert got == raise_stratum_reference(points, 4, t)
     assert got[0] != points[0] and got[1:] == points[1:]
 
