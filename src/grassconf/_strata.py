@@ -30,11 +30,15 @@ class StratumId:
         return f"F_{self.h}^{self.i}({self.k},{self.n})"
 
 
+def _lowest_sum(h: int, k: int) -> int:
+    """The least sum dimension of h distinct k-subspaces: H_1 alone spans
+    k, and a second point, distinct from it, adds at least one more."""
+    return k + min(h - 1, 1)
+
+
 def is_stratum_nonempty(s: StratumId) -> bool:
-    """Emptiness predicate: h=1 needs i=k; h>=2 needs k+1 <= i <= min(hk, n)."""
-    if s.h == 1:
-        return s.i == s.k
-    return s.k + 1 <= s.i <= min(s.h * s.k, s.n)
+    """Emptiness predicate: the lowest sum (k for h = 1, else k + 1) <= i <= min(hk, n)."""
+    return _lowest_sum(s.h, s.k) <= s.i <= min(s.h * s.k, s.n)
 
 
 def stratum_dimension(s: StratumId) -> int:
@@ -45,20 +49,18 @@ def stratum_dimension(s: StratumId) -> int:
 
 
 def strata_list(h: int, k: int, n: int) -> list[StratumId]:
-    """All nonempty strata for h >= 2, in increasing i; the last is open."""
+    """All nonempty strata for any h >= 1, in increasing i; the last is
+    open.  h = 1 has the single stratum i = k, Gr(k, n) itself."""
     if h < 1:
         raise ValueError("need h >= 1")
-    if h == 1:
-        raise ValueError("strata_list applies to h >= 2; h = 1 has the single stratum i = k")
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
-    return [StratumId(h, i, k, n) for i in range(k + 1, min(h * k, n) + 1)]
+    return [StratumId(h, i, k, n) for i in range(_lowest_sum(h, k), min(h * k, n) + 1)]
 
 
 def stratum_closure(s: StratumId) -> list[StratumId]:
-    """Strata contained in the closure: every index from k+1 up to i."""
-    if s.h < 2:
-        raise ValueError("closure adjacency applies to h >= 2")
+    """Strata contained in the closure, for any h >= 1: every index from
+    the lowest sum up to i."""
     if not is_stratum_nonempty(s):
         raise EmptyStratumError(f"{s} is empty")
-    return [StratumId(s.h, j, s.k, s.n) for j in range(s.k + 1, s.i + 1)]
+    return [StratumId(s.h, j, s.k, s.n) for j in range(_lowest_sum(s.h, s.k), s.i + 1)]

@@ -68,21 +68,14 @@ def _parse_eps(text: str):
 
 
 def cmd_strata(args, out) -> int:
-    rows = []
-    if args.h == 1:
-        ids = [StratumId(1, args.k, args.k, args.n)]
-    else:
-        ids = strata_list(args.h, args.k, args.n)
-    open_i = args.k if args.h == 1 else min(args.h * args.k, args.n)
-    for s in ids:
-        closure = [s.i] if args.h == 1 else [t.i for t in stratum_closure(s)]
-        rows.append({
-            "i": s.i,
-            "dimension": stratum_dimension(s),
-            "nonempty": is_stratum_nonempty(s),
-            "open": s.i == open_i,
-            "closure": closure,
-        })
+    ids = strata_list(args.h, args.k, args.n)
+    rows = [{
+        "i": s.i,
+        "dimension": stratum_dimension(s),
+        "nonempty": is_stratum_nonempty(s),
+        "open": s is ids[-1],
+        "closure": [t.i for t in stratum_closure(s)],
+    } for s in ids]
     if args.json:
         _emit(_dumps({"h": args.h, "k": args.k, "n": args.n, "strata": rows}), out)
     else:

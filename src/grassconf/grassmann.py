@@ -260,9 +260,9 @@ def sample_subspace(k: int, n: int, seed: SeedLike) -> Subspace:
     """A seeded random point of Gr(k, n)."""
     rng = random.Random(f"subspace:{k}:{n}:{seed}")
     while True:
-        raw = random_matrix(k, n, rng)
-        if linalg._has_rank(raw, k):
-            return canonicalize(raw, n)
+        reduced, rk, _ = linalg.rref(random_matrix(k, n, rng))
+        if rk == k:
+            return Subspace(n, k, reduced)
 
 
 def _model_bases(h: int, i: int, k: int, n: int) -> list[Matrix]:
@@ -293,19 +293,15 @@ def sample_configuration(s: StratumId, seed: SeedLike) -> Configuration:
     """A seeded configuration lying exactly in the stratum.
 
     A coordinate model with sum <e_0, ..., e_{i-1}> is moved by a seeded
-    invertible rational change of coordinates of C^n.  Exact arithmetic
-    makes collisions impossible in theory; the seed still advances and the
-    construction retries if distinctness were ever to fail.
+    invertible rational change of coordinates g of C^n.  The model's
+    points are pairwise distinct and g is invertible, so the moved points
+    are too; Configuration checks it.
     """
     if not is_stratum_nonempty(s):
         raise EmptyStratumError(f"{s} is empty")
-    bases = _model_bases(s.h, s.i, s.k, s.n)
-    rng = random.Random(f"config:{s.h}:{s.i}:{s.k}:{s.n}:{seed}")
-    while True:
-        g = random_invertible(s.n, rng)
-        points = [canonicalize(b @ g, s.n) for b in bases]
-        if all(points[a] != points[b] for a in range(s.h) for b in range(a + 1, s.h)):
-            return Configuration(s.h, s.k, s.n, tuple(points))
+    g = random_invertible(s.n, random.Random(f"config:{s.h}:{s.i}:{s.k}:{s.n}:{seed}"))
+    points = tuple(canonicalize(b @ g, s.n) for b in _model_bases(s.h, s.i, s.k, s.n))
+    return Configuration(s.h, s.k, s.n, points)
 
 
 # ---------------------------------------------------------------------------

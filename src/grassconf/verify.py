@@ -10,7 +10,8 @@ Three batch checks back the exact layer:
   configuration inside a higher stratum, and confirms that small exact
   perturbations never lower the stratum.  Its chart metric is the
   max-entry distance of orthogonal projectors, built as Gaussian-integer
-  matrices over a positive integer, once per base point per check.  No
+  matrices over a positive integer, once per base point per check that
+  runs trials (a witness-only check builds none, nor the minor below).  No
   moved point needs one: a stored basis is RREF, so one integer test
   (_moves_less_than) proves that a move keeps the rank and stays within
   eps and half the smallest base gap.  A witness step tilts the first
@@ -450,12 +451,14 @@ def check_adjacency(
             "eps": str(eps), "trials": trials, "seed": str(seed),
         },
     )
+    report.record(f"{seed}:witness", _adjacency_witness(c, total, target_i, eps))
+    if not trials:
+        return report
     projectors = [_integer_projector([row for _, row in p.basis.zrows]) for p in c.points]
     bound = min([eps] + [
         Fraction(_projector_gap(na, da, nb, db), 2 * da * db)
         for a, (na, da) in enumerate(projectors) for nb, db in projectors[a + 1:]
     ])
-    report.record(f"{seed}:witness", _adjacency_witness(c, total, target_i, eps))
     # the trials' certificate minor, at the base stack's pivots mod p: per
     # pivot row its scale s and, per pivot column, the F_p image v of its
     # entry and the index of that entry's draw pair.  With fewer than j0
@@ -494,18 +497,17 @@ def _expand_grid(grid: dict) -> list[dict]:
     return combos
 
 
-def _random_chart(
-    over: Subspace, seed_tag: str, sample_base: Callable[[int], Subspace]
-) -> Optional[Trivialization]:
+def _random_chart(over: Subspace, seed_tag: str) -> Optional[Trivialization]:
     """A trivialization with seeded random base point AND complement whose
-    chart contains ``over``; sample_base(attempt) draws the base point of
-    each attempt.  Randomizing the complement matters: the deterministic
-    one is constant across generic base points, so a sample touching it
-    would never find a chart by resampling the base alone."""
-    n = over.n
+    chart contains ``over``; each attempt draws its base point from
+    Gr(over.k, n), where the chart is centred.  Randomizing the complement
+    matters: the deterministic one is constant across generic base points,
+    so a sample touching it would never find a chart by resampling the
+    base alone."""
+    k, n = over.k, over.n
     for attempt in range(64):
-        v0 = sample_base(attempt)
-        l0 = grassmann.sample_subspace(n - v0.k, n, f"{seed_tag}:comp:{attempt}")
+        v0 = grassmann.sample_subspace(k, n, f"{seed_tag}:base:{attempt}")
+        l0 = grassmann.sample_subspace(n - k, n, f"{seed_tag}:comp:{attempt}")
         if not linalg._has_rank(over.basis.stack(l0.basis), n):
             continue
         try:
@@ -515,14 +517,10 @@ def _random_chart(
     return None
 
 
-def _gamma_case(params: dict, case_seed: str) -> Optional[str]:
-    h, i, k, n = params["h"], params["i"], params["k"], params["n"]
-    c = grassmann.sample_configuration(StratumId(h, i, k, n), case_seed)
+def _gamma_case(s: StratumId, case_seed: str) -> Optional[str]:
+    c = grassmann.sample_configuration(s, case_seed)
     total = grassmann.subspace_sum(c.points)
-    triv = _random_chart(
-        total, case_seed,
-        lambda attempt: grassmann.sample_subspace(i, n, f"{case_seed}:base:{attempt}"),
-    )
+    triv = _random_chart(total, case_seed)
     if triv is None:
         return "no chart found containing the sample"
     point = fibrations.gamma_trivialize(c, triv)
@@ -535,54 +533,45 @@ def _gamma_case(params: dict, case_seed: str) -> Optional[str]:
     return None
 
 
-def _pr_case(params: dict, case_seed: str) -> Optional[str]:
-    h, k, n = params["h"], params["k"], params["n"]
-    c = grassmann.sample_configuration(StratumId(h, h * k, k, n), case_seed)
-    front = Configuration(h - 1, k, n, c.points[:-1])
-    base_stratum = StratumId(h - 1, (h - 1) * k, k, n)
-    triv = _random_chart(
-        grassmann.subspace_sum(front.points), case_seed,
-        lambda attempt: grassmann.subspace_sum(
-            grassmann.sample_configuration(base_stratum, f"{case_seed}:cfg:{attempt}").points
-        ),
-    )
+def _pr_case(s: StratumId, case_seed: str) -> Optional[str]:
+    c = grassmann.sample_configuration(s, case_seed)
+    front = Configuration(s.h - 1, s.k, s.n, c.points[:-1])
+    triv = _random_chart(grassmann.subspace_sum(front.points), case_seed)
     if triv is None:
         return "no chart found containing the sample"
     point = fibrations.pr_trivialize(c, triv)
     if point.base != front:
         return "base component differs from the forgotten-last projection"
-    if isinstance(point.fiber, Matrix) != (n == h * k):
+    if isinstance(point.fiber, Matrix) != (s.n == s.i):
         return "fiber is not chart coordinates exactly when n = hk"
     if fibrations.pr_untrivialize(point, triv) != c:
         return "round trip failed (untrivialize o trivialize)"
     return None
 
 
-def _eta_case(params: dict, case_seed: str) -> Optional[str]:
-    k, i, n = params["k"], params["i"], params["n"]
-    c = grassmann.sample_configuration(StratumId(2, i, k, n), case_seed)
+def _eta_case(s: StratumId, case_seed: str) -> Optional[str]:
+    c = grassmann.sample_configuration(s, case_seed)
     inter = fibrations.eta(c)
-    if inter.k != 2 * k - i:
+    if inter.k != 2 * s.k - s.i:
         return "intersection dimension differs from 2k - i"
-    triv = _random_chart(
-        inter, case_seed,
-        lambda attempt: grassmann.sample_subspace(2 * k - i, n, f"{case_seed}:base:{attempt}"),
-    )
+    triv = _random_chart(inter, case_seed)
     if triv is None:
         return "no chart found containing the sample"
     point = fibrations.eta_fiber_point(c, triv)
     if point.base != inter:
         return "base component differs from the intersection"
-    if any(q.k != i - k for q in point.fiber):
+    if any(q.k != s.i - s.k for q in point.fiber):
         return "quotient images have the wrong dimension"
     if fibrations.eta_fiber_lift(point, triv) != c:
         return "round trip failed (lift o fiber point)"
     return None
 
 
-def _check_grid_point(which: str, params: dict) -> None:
-    """Raise the GrassconfError that every case of this grid point would
-    record: the sampled stratum is empty, or the fibration does not apply."""
+def _check_grid_point(which: str, params: dict) -> StratumId:
+    """The stratum this grid point's cases sample (pr: F_h^{hk}, eta: h = 2).
+
+    Raises the GrassconfError that every case would record instead: the
+    stratum is empty, or the fibration does not apply."""
     h, k, n = params["h"], params["k"], params["n"]
     if which == "pr" and h < 2:
         raise WrongArityError("need at least two subspaces to forget one")
@@ -595,9 +584,10 @@ def _check_grid_point(which: str, params: dict) -> None:
         raise FullSpaceError(f"{s} sums to C^{n}; the chart complement would be zero")
     if which == "eta" and s.i == 2 * k:
         raise DirectSumError(f"{s} is in direct sum; the intersection is zero")
+    return s
 
 
-_SUITE_CASES: dict[str, Callable[[dict, str], Optional[str]]] = {
+_SUITE_CASES: dict[str, Callable[[StratumId, str], Optional[str]]] = {
     "gamma": _gamma_case,
     "pr": _pr_case,
     "eta": _eta_case,
@@ -630,8 +620,7 @@ def run_roundtrip_suite(
     combos = _expand_grid(grid)
     if not combos:
         raise ValueError("empty parameter grid")
-    for params in combos:
-        _check_grid_point(which, params)
+    strata = [_check_grid_point(which, params) for params in combos]
     case_fn = _SUITE_CASES[which]
     grid_json = {
         key: list(value) if isinstance(value, (list, tuple, range)) else value
@@ -642,10 +631,9 @@ def run_roundtrip_suite(
         parameters={"grid": grid_json, "cases": cases, "seed": str(seed)},
     )
     for idx in range(cases):
-        params = combos[idx % len(combos)]
         case_seed = f"{seed}:{idx}"
         try:
-            desc = case_fn(params, case_seed)
+            desc = case_fn(strata[idx % len(strata)], case_seed)
         except GrassconfError as exc:
             desc = f"{type(exc).__name__}: {exc}"
         report.record(case_seed, desc)

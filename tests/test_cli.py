@@ -36,6 +36,18 @@ def test_strata_listing_h1():
     assert "dim=6" in lines[0]
 
 
+def test_strata_h1_is_the_grassmannian():
+    # F_1^k(k, n) is Gr(k, n): one open stratum, its own closure
+    assert run_cli("strata", "--h", "1", "--k", "2", "--n", "5") == (
+        0, "F_1^2(2,5)  dim=6  nonempty=yes  open  closure=[2]\n")
+    code, text = run_cli("strata", "--h", "1", "--k", "2", "--n", "5", "--json")
+    assert code == 0
+    assert json.loads(text) == {"h": 1, "k": 2, "n": 5, "strata": [
+        {"i": 2, "dimension": 6, "nonempty": True, "open": True, "closure": [2]}]}
+    assert text == '{"h":1,"k":2,"n":5,"strata":[{"closure":[2],"dimension":6,"i":2,' \
+        '"nonempty":true,"open":true}]}\n'
+
+
 def test_strata_hyperplane_case():
     code, text = run_cli("strata", "--h", "2", "--k", "3", "--n", "4", "--json")
     assert code == 0

@@ -260,8 +260,7 @@ def test_strata_list_examples():
     assert [s.i for s in strata_list(2, 2, 4)] == [3, 4]
     assert [s.i for s in strata_list(2, 1, 5)] == [2]
     assert [s.i for s in strata_list(3, 2, 10)] == [3, 4, 5, 6]
-    with pytest.raises(ValueError, match="h = 1 has the single stratum"):
-        strata_list(1, 2, 4)
+    assert strata_list(1, 2, 4) == [StratumId(1, 2, 2, 4)]
     with pytest.raises(ValueError, match="need h >= 1"):
         strata_list(0, 2, 4)
 
@@ -271,6 +270,7 @@ def test_stratum_closure():
     assert [s.i for s in stratum_closure(StratumId(2, 4, 2, 6))] == [3, 4]
     top = StratumId(3, 6, 2, 10)
     assert stratum_closure(top) == strata_list(3, 2, 10)
+    assert stratum_closure(StratumId(1, 2, 2, 4)) == [StratumId(1, 2, 2, 4)]
 
 
 def test_sampler_hits_requested_stratum():

@@ -364,7 +364,7 @@ def test_witness_shrinks_for_many_tilts(monkeypatch, s, target, eps):
 
 def test_adjacency_builds_one_projector_per_point(monkeypatch):
     # the trials and the witness certify their moves without a projector;
-    # only the base points' gaps need one each
+    # only the base points' gaps need one each, and only the trials read them
     calls = []
 
     def counted(rows, _build=verify._integer_projector):
@@ -375,7 +375,7 @@ def test_adjacency_builds_one_projector_per_point(monkeypatch):
     for trials in (0, 7, 30):
         calls.clear()
         assert check_adjacency(c, 6, Fraction(1, 1000), trials=trials, seed="golden").ok
-        assert calls == [2, 2, 2]
+        assert calls == ([2, 2, 2] if trials else [])
 
 
 def _fraction_projector(rows):
@@ -479,9 +479,9 @@ def test_trials_without_the_certificate_minor_give_the_same_reports(monkeypatch)
 
 
 def test_certificate_minor_is_picked_once_per_check(monkeypatch):
-    # after the witness's three rank checks (caps 4, 5, 6) the check
-    # eliminates its 6 x 6 base stack mod p once, with cap j0 = 3; each
-    # trial eliminates only its 3 x 3 minor
+    # after the witness's three rank checks (caps 4, 5, 6) a check with
+    # trials eliminates its 6 x 6 base stack mod p once, with cap j0 = 3;
+    # each trial eliminates only its 3 x 3 minor
     c = sample_configuration(StratumId(3, 3, 2, 6), "golden")
     picks = []
 
@@ -492,7 +492,8 @@ def test_certificate_minor_is_picked_once_per_check(monkeypatch):
     for trials in (0, 7, 30):
         picks.clear()
         assert check_adjacency(c, 6, Fraction(1, 1000), trials=trials, seed="golden").ok
-        assert picks == [(6, 6, 4), (6, 6, 5), (6, 6, 6), (6, 6, 3)] + [(3, 3, 3)] * trials
+        minor = [(6, 6, 3)] + [(3, 3, 3)] * trials if trials else []
+        assert picks == [(6, 6, 4), (6, 6, 5), (6, 6, 6)] + minor
 
 
 def test_criterion_7_trials_stay_on_the_certificate(monkeypatch):
@@ -629,6 +630,33 @@ def test_roundtrip_suite_grid_expansion():
 def test_pr_suite_nonsquare_ambient():
     report = run_roundtrip_suite("pr", grid={"h": 2, "k": 2, "n": 6}, cases=6, seed=2)
     assert report.ok, report.failures
+
+
+@pytest.mark.parametrize("which, grid", [
+    ("gamma", None), ("pr", None), ("pr", {"h": 2, "k": 2, "n": 6}), ("eta", None),
+])
+def test_chart_base_point_is_the_first_transverse_draw(monkeypatch, which, grid):
+    # every suite centres its chart at a point of Gr(over.k, n) drawn with
+    # the :base: tag, from the first attempt whose complement is transverse
+    # to the sample's subspace and to that base point
+    charts = []
+
+    def recorded(over, tag, _search=verify._random_chart):
+        triv = _search(over, tag)
+        charts.append((over, tag, triv))
+        return triv
+    monkeypatch.setattr(verify, "_random_chart", recorded)
+    assert run_roundtrip_suite(which, grid=grid, cases=6, seed=4).ok
+    assert len(charts) == 6
+    for over, tag, triv in charts:
+        k, n = over.k, over.n
+        for attempt in range(64):
+            v0 = sample_subspace(k, n, f"{tag}:base:{attempt}")
+            l0 = sample_subspace(n - k, n, f"{tag}:comp:{attempt}")
+            if all(linalg.rank(x.basis.stack(l0.basis)) == n for x in (over, v0)):
+                break
+        assert triv.base_point == v0
+        assert triv.complement == l0
 
 
 # each map pair of a suite: (trivialize, inverse)
