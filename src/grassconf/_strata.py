@@ -41,10 +41,15 @@ def is_stratum_nonempty(s: StratumId) -> bool:
     return _lowest_sum(s.h, s.k) <= s.i <= min(s.h * s.k, s.n)
 
 
-def stratum_dimension(s: StratumId) -> int:
-    """Complex dimension i(n-i) + hk(i-k) of the nonempty stratum."""
+def _require_nonempty(s: StratumId) -> None:
+    """The one guard of every entry that needs a nonempty stratum."""
     if not is_stratum_nonempty(s):
         raise EmptyStratumError(f"{s} is empty")
+
+
+def stratum_dimension(s: StratumId) -> int:
+    """Complex dimension i(n-i) + hk(i-k) of the nonempty stratum."""
+    _require_nonempty(s)
     return s.i * (s.n - s.i) + s.h * s.k * (s.i - s.k)
 
 
@@ -61,6 +66,5 @@ def strata_list(h: int, k: int, n: int) -> list[StratumId]:
 def stratum_closure(s: StratumId) -> list[StratumId]:
     """Strata contained in the closure, for any h >= 1: every index from
     the lowest sum up to i."""
-    if not is_stratum_nonempty(s):
-        raise EmptyStratumError(f"{s} is empty")
+    _require_nonempty(s)
     return [StratumId(s.h, j, s.k, s.n) for j in range(_lowest_sum(s.h, s.k), s.i + 1)]

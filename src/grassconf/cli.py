@@ -93,7 +93,7 @@ def cmd_strata(args, out) -> int:
 def cmd_pi(args, out) -> int:
     from . import homotopy
 
-    s = StratumId(args.h, args.i, args.k, args.n)
+    s = _stratum_flags(args)
     value, trace = homotopy.derive(s, args.order)
     if args.json:
         payload = {
@@ -117,7 +117,7 @@ def cmd_sample(args, out) -> int:
     from . import grassmann
 
     _check_seed(args.seed)
-    s = StratumId(args.h, args.i, args.k, args.n)
+    s = _stratum_flags(args)
     cfg = grassmann.sample_configuration(s, args.seed)
     text = _dumps(grassmann.configuration_to_json(cfg))
     if args.output:
@@ -175,7 +175,7 @@ def cmd_verify(args, out) -> int:
     elif args.suite == "adjacency":
         s = _stratum_flags(args)
         cfg = grassmann.sample_configuration(s, args.seed)
-        target = args.target if args.target is not None else min(args.h * args.k, args.n)
+        target = args.target if args.target is not None else min(s.h * s.k, s.n)
         report = verify.check_adjacency(
             cfg, target, _parse_eps(args.eps), trials=args.trials, seed=args.seed
         )
@@ -194,6 +194,12 @@ def cmd_verify(args, out) -> int:
     return EXIT_OK if report.ok else EXIT_FAILURES
 
 
+def _add_stratum_flags(parser: argparse.ArgumentParser, names: str, required: bool) -> None:
+    """The integer flags --h, --i, --k and --n of the stratum, those in names."""
+    for name in names:
+        parser.add_argument(f"--{name}", type=int, required=required)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grassconf",
@@ -202,27 +208,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_strata = sub.add_parser("strata", help="list the sum-dimension strata")
-    p_strata.add_argument("--h", type=int, required=True)
-    p_strata.add_argument("--k", type=int, required=True)
-    p_strata.add_argument("--n", type=int, required=True)
+    _add_stratum_flags(p_strata, "hkn", required=True)
     p_strata.add_argument("--json", action="store_true")
     p_strata.set_defaults(handler=cmd_strata)
 
     p_pi = sub.add_parser("pi", help="homotopy group of a stratum")
     p_pi.add_argument("--order", type=int, choices=(1, 2), required=True)
-    p_pi.add_argument("--h", type=int, required=True)
-    p_pi.add_argument("--i", type=int, required=True)
-    p_pi.add_argument("--k", type=int, required=True)
-    p_pi.add_argument("--n", type=int, required=True)
+    _add_stratum_flags(p_pi, "hikn", required=True)
     p_pi.add_argument("--trace", action="store_true")
     p_pi.add_argument("--json", action="store_true")
     p_pi.set_defaults(handler=cmd_pi)
 
     p_sample = sub.add_parser("sample", help="sample a configuration from a stratum")
-    p_sample.add_argument("--h", type=int, required=True)
-    p_sample.add_argument("--i", type=int, required=True)
-    p_sample.add_argument("--k", type=int, required=True)
-    p_sample.add_argument("--n", type=int, required=True)
+    _add_stratum_flags(p_sample, "hikn", required=True)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("-o", "--output")
     p_sample.set_defaults(handler=cmd_sample)
@@ -239,10 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--cases", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--h", type=int)
-    p_verify.add_argument("--i", type=int)
-    p_verify.add_argument("--k", type=int)
-    p_verify.add_argument("--n", type=int)
+    _add_stratum_flags(p_verify, "hikn", required=False)
     p_verify.add_argument("--samples", type=int, default=3)
     p_verify.add_argument(
         "--tol", type=float, default=1e-6,

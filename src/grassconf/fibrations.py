@@ -23,6 +23,9 @@ from typing import Optional, Union
 from . import grassmann, linalg
 from .errors import (
     DirectSumError,
+    InconsistentSystemError,
+    MixedAmbientError,
+    NotComplementaryError,
     NotDirectSumError,
     OutsideChartError,
     WrongArityError,
@@ -68,24 +71,26 @@ class ChartPoint:
     fiber: FiberPoint
 
 
-def _require_transverse(v: Subspace, triv: Trivialization, what: str) -> Matrix:
-    """The stack [v; L0], after checking that it has rank n."""
+def _require_transverse(v: Subspace, triv: Trivialization, what: str) -> None:
+    """Check v ⊕ L0 = C^n, naming the first condition that fails."""
     if v.n != triv.n:
         raise OutsideChartError(f"{what}: ambient dimension mismatch")
     if v.k != triv.base_point.k:
         raise OutsideChartError(
             f"{what}: dimension {v.k} does not match the chart base dimension {triv.base_point.k}"
         )
-    stacked = v.basis.stack(triv.complement.basis)
-    if not linalg._has_rank(stacked, v.n):
+    if not linalg._has_rank(v.basis.stack(triv.complement.basis), v.n):
         raise OutsideChartError(f"{what}: not transverse to the chart complement")
-    return stacked
 
 
 def _chart_projection(v: Subspace, triv: Trivialization, what: str) -> Matrix:
-    """Q_v, the projection onto v along L0, after checking v ⊕ L0 = C^n."""
-    stacked = _require_transverse(v, triv, what)
-    return linalg.solve(stacked, v.basis.stack(Matrix.zeros(triv.complement.k, v.n)))
+    """Q_v, the projection onto v along L0, whose solve decides
+    v ⊕ L0 = C^n; _require_transverse names a failure."""
+    try:
+        return grassmann.projection_along(v, triv.complement)
+    except (MixedAmbientError, NotComplementaryError):
+        _require_transverse(v, triv, what)
+        raise
 
 
 def extend_isomorphism(v: Subspace, triv: Trivialization) -> Matrix:
@@ -145,6 +150,8 @@ def chart_coordinates(hh: Subspace, w: Subspace) -> Matrix:
     C is spanned by the unit rows at the free columns of the RREF basis W
     of w, the pivots of C; W is the identity at its own pivots, where C is
     zero, so q_block is Y there and p_block is Y - q_block W at C's pivots.
+    The solve decides that hh misses w: y·p_block = 0 with y != 0 would
+    leave y·q_block, the w-coordinates of y·Y != 0, out of reach.
     """
     if hh.n != w.n:
         raise OutsideChartError("ambient dimension mismatch")
@@ -154,9 +161,10 @@ def chart_coordinates(hh: Subspace, w: Subspace) -> Matrix:
         )
     q_block = hh.basis.columns(w.pivots())
     p_block = (hh.basis - q_block @ w.basis).columns(grassmann._free_columns(w))
-    if not linalg.is_invertible(p_block):
-        raise OutsideChartError("subspace meets w nontrivially")
-    return linalg.solve(p_block, q_block)
+    try:
+        return linalg.solve(p_block, q_block)
+    except InconsistentSystemError:
+        raise OutsideChartError("subspace meets w nontrivially") from None
 
 
 def chart_point(coords: Matrix, w: Subspace) -> Subspace:

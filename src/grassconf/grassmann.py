@@ -16,6 +16,7 @@ from typing import Optional, Sequence, Union
 from . import linalg
 from ._strata import (  # noqa: F401  (re-exported)
     StratumId,
+    _require_nonempty,
     is_stratum_nonempty,
     strata_list,
     stratum_closure,
@@ -23,8 +24,8 @@ from ._strata import (  # noqa: F401  (re-exported)
 )
 from .errors import (
     DuplicatePointsError,
-    EmptyStratumError,
     FullSpaceError,
+    InconsistentSystemError,
     MixedAmbientError,
     NotComplementaryError,
     WireFormatError,
@@ -189,16 +190,18 @@ def projection_along(target: Subspace, along: Subspace) -> Matrix:
     """Matrix of the idempotent with image ``target`` and kernel ``along``.
 
     Acts on row vectors by right multiplication.  Requires
-    target ⊕ along = C^n.
+    target ⊕ along = C^n, which the solve decides: a left null vector
+    (u, w) != 0 of [T; A] has u·T != 0, so [T; 0] is then out of reach.
     """
     if target.n != along.n:
         raise MixedAmbientError("ambient dimensions differ")
     if target.k + along.k != target.n:
         raise NotComplementaryError("dimensions do not add up to the ambient dimension")
     stacked = target.basis.stack(along.basis)
-    if not linalg._has_rank(stacked, target.n):
-        raise NotComplementaryError("subspaces intersect nontrivially")
-    return linalg.solve(stacked, target.basis.stack(Matrix.zeros(along.k, target.n)))
+    try:
+        return linalg.solve(stacked, target.basis.stack(Matrix.zeros(along.k, target.n)))
+    except InconsistentSystemError:
+        raise NotComplementaryError("subspaces intersect nontrivially") from None
 
 
 def transform(v: Subspace, g: Matrix) -> Subspace:
@@ -297,8 +300,7 @@ def sample_configuration(s: StratumId, seed: SeedLike) -> Configuration:
     points are pairwise distinct and g is invertible, so the moved points
     are too; Configuration checks it.
     """
-    if not is_stratum_nonempty(s):
-        raise EmptyStratumError(f"{s} is empty")
+    _require_nonempty(s)
     g = random_invertible(s.n, random.Random(f"config:{s.h}:{s.i}:{s.k}:{s.n}:{seed}"))
     points = tuple(canonicalize(b @ g, s.n) for b in _model_bases(s.h, s.i, s.k, s.n))
     return Configuration(s.h, s.k, s.n, points)

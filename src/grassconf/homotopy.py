@@ -16,8 +16,8 @@ answer.
 
 from __future__ import annotations
 
-from ._strata import StratumId, is_stratum_nonempty
-from .errors import EmptyStratumError, OutOfRangeError, OutOfScopeError, WireFormatError
+from ._strata import StratumId, _require_nonempty
+from .errors import OutOfRangeError, OutOfScopeError, WireFormatError
 from .errors import _wire_field, record
 
 PI2_UNCOVERED = "pi_2 has no computed value for h >= 3 with k < i < hk"
@@ -252,11 +252,6 @@ def grassmann_pi(j: int, k: int, n: int) -> GroupExpr:
     return Z if (k, n) == (1, 2) else TRIVIAL
 
 
-def _require_nonempty(s: StratumId) -> None:
-    if not is_stratum_nonempty(s):
-        raise EmptyStratumError(f"{s} is empty")
-
-
 def config_pi1(s: StratumId) -> GroupExpr:
     """Fundamental group of the stratum.
 
@@ -358,24 +353,6 @@ class DerivationTrace:
         }
 
 
-def _find_query(expr: GroupExpr) -> PiQuery | None:
-    if isinstance(expr, PiQuery):
-        return expr
-    if isinstance(expr, Product):
-        for f in expr.factors:
-            if isinstance(f, PiQuery):
-                return f
-    return None
-
-
-def _substitute(expr: GroupExpr, query: PiQuery, replacement: GroupExpr) -> GroupExpr:
-    if expr == query:
-        return product(replacement)
-    if isinstance(expr, Product):
-        return product(*(replacement if f == query else f for f in expr.factors))
-    raise ValueError("query not found in expression")
-
-
 RULE_SINGLE = (
     "single-subspace-base",
     "a configuration of one subspace is a point of Gr(k,n); its homotopy is the Grassmannian's",
@@ -449,15 +426,18 @@ def _pi2_rule(q: PiQuery) -> tuple[str, str, GroupExpr]:
 
 def _next_step(current: GroupExpr) -> DerivationStep | None:
     """The rule application to the first pending query of current, or None
-    when no query is pending."""
-    query = _find_query(current)
+    when no query is pending; the replacement takes the place of every
+    factor equal to that query."""
+    factors = current.factors if isinstance(current, Product) else (current,)
+    query = next((f for f in factors if isinstance(f, PiQuery)), None)
     if query is None:
         return None
     if query.degree not in (1, 2):
         raise ValueError(f"no rewrite rules for {query.render()}")
     rule_of = _pi1_rule if query.degree == 1 else _pi2_rule
     name, statement, replacement = rule_of(query)
-    return DerivationStep(name, statement, current, _substitute(current, query, replacement))
+    after = product(*(replacement if f == query else f for f in factors))
+    return DerivationStep(name, statement, current, after)
 
 
 def _derivation(initial: GroupExpr) -> list[DerivationStep]:

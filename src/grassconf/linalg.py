@@ -19,12 +19,14 @@ matrix.  _rank_at_least first tries a mod-p rank certificate that can only
 prove a lower bound on the rank and leaves every other answer to
 _integer_rref.  Every decision "rank equals the row count" goes through
 it: is_invertible, the sampler's draws of invertible matrices and
-subspaces, projection_along's complement test, the transversality and
-direct-sum tests of fibrations, the roundtrip suites' chart search and
-the dimension suite's tangent rank; intersection_dim returns 0 when the
-certificate proves the sum direct.  The certificate's one mod-p
-elimination, _fp_pivots, also names the pivot rows and columns of a
-minor that is nonzero mod p; the adjacency trials re-evaluate that minor.
+subspaces, the transversality and direct-sum tests of fibrations, the
+roundtrip suites' chart search and the dimension suite's tangent rank;
+intersection_dim returns 0 when the certificate proves the sum direct.
+A solve decides its own system: the chart projections of grassmann and
+fibrations catch its InconsistentSystemError instead of testing the
+matrix first.  The certificate's one mod-p elimination, _fp_pivots, also
+names the pivot rows and columns of a minor that is nonzero mod p; the
+adjacency trials re-evaluate that minor.
 The product brings the right factor's rows to one common scale and
 builds each entry as one Z[i] dot product.  All values are immutable and
 all operations are pure (the entries view is filled once, with the same
@@ -660,10 +662,14 @@ def matrix_from_json(data: dict) -> Matrix:
     if len(raw) != rows * cols:
         raise WireFormatError(f"expected {rows * cols} entries, got {len(raw)}")
     flat = []
-    for q in raw:
+    for idx, q in enumerate(raw):
         if not isinstance(q, list) or len(q) != 4:
             raise WireFormatError(f"entry {q!r} is not [re_num, re_den, im_num, im_den]")
-        re_num, re_den, im_num, im_den = (_wire_int(x) for x in q)
+        try:
+            re_num, re_den, im_num, im_den = (_wire_int(x) for x in q)
+        except WireFormatError as exc:
+            where = f"row {idx // cols}, column {idx % cols}"
+            raise WireFormatError(f"the entry at {where} of a matrix: {exc}") from None
         if not (re_den and im_den):
             raise WireFormatError(f"entry {q!r} has a zero denominator")
         flat.append(GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den)))

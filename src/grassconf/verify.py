@@ -39,9 +39,9 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from . import fibrations, grassmann, linalg
+from ._strata import _require_nonempty
 from .errors import (
     DirectSumError,
-    EmptyStratumError,
     Factory,
     FullSpaceError,
     GrassconfError,
@@ -253,8 +253,7 @@ def check_dimension(
     is validated for compatibility but no longer enters the decision.
     """
     _require_count("samples", samples)
-    if not grassmann.is_stratum_nonempty(s):
-        raise EmptyStratumError(f"{s} is empty")
+    _require_nonempty(s)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
     if samples < 0:
@@ -578,8 +577,7 @@ def _check_grid_point(which: str, params: dict) -> StratumId:
     if which == "eta" and h != 2:
         raise WrongArityError("the intersection map applies to pairs")
     s = StratumId(h, h * k if which == "pr" else params["i"], k, n)
-    if not grassmann.is_stratum_nonempty(s):
-        raise EmptyStratumError(f"{s} is empty")
+    _require_nonempty(s)
     if which == "gamma" and s.i == n:
         raise FullSpaceError(f"{s} sums to C^{n}; the chart complement would be zero")
     if which == "eta" and s.i == 2 * k:

@@ -169,8 +169,8 @@ def _boolean_wire_integer():
 
 
 def _wire_string(value):
-    """The sampled payload with its first entry's real numerator set to the
-    string value, which int() would read as an integer."""
+    """The sampled payload with its first entry's real numerator set to
+    value, which int() would read as an integer."""
     def payload():
         data = _sampled_json()
         data["points"][0]["basis"]["entries"][0][0] = value
@@ -227,10 +227,13 @@ def _with(*path, value):
     (_wire_string(" 1"), "expected a decimal integer string, got ' 1'"),
     (_wire_string("+1"), "expected a decimal integer string, got '+1'"),
     (_wire_string("\u0663"), "expected a decimal integer string, got '\u0663'"),
+    (_wire_string("7" * 5000),
+     "the entry at row 0, column 0 of a matrix: Exceeds the limit (4300 digits)"),
+    (_wire_string(0.5), "the entry at row 0, column 0 of a matrix: expected an integer, got 0.5"),
 ], ids=["zero-denominator", "entries-not-a-list", "top-level-array", "boolean-wire-integer",
         "missing-h", "point-missing-n", "basis-missing-rows", "negative-rows", "negative-cols",
         "negative-n", "negative-k", "negative-h", "deeply-nested", "underscore-digits",
-        "leading-space", "plus-sign", "arabic-indic-digit"])
+        "leading-space", "plus-sign", "arabic-indic-digit", "5000-digits", "float"])
 def test_classify_malformed_payload(tmp_path, capsys, payload, named):
     bad = tmp_path / "bad.json"
     bad.write_text(payload())
@@ -420,6 +423,111 @@ def test_flag_value_double_dash_names_the_flag(capsys, argv, flag):
     assert [line for line in err.splitlines() if "error:" in line] == [
         f"grassconf: error: argument {flag}: expected one argument"
     ]
+
+
+# the parser surface of the commands that take stratum flags, at 80 columns
+_HELP = {
+    "strata": """\
+usage: grassconf strata [-h] --h H --k K --n N [--json]
+
+options:
+  -h, --help  show this help message and exit
+  --h H
+  --k K
+  --n N
+  --json
+""",
+    "pi": """\
+usage: grassconf pi [-h] --order {1,2} --h H --i I --k K --n N [--trace]
+                    [--json]
+
+options:
+  -h, --help     show this help message and exit
+  --order {1,2}
+  --h H
+  --i I
+  --k K
+  --n N
+  --trace
+  --json
+""",
+    "sample": """\
+usage: grassconf sample [-h] --h H --i I --k K --n N [--seed SEED] [-o OUTPUT]
+
+options:
+  -h, --help            show this help message and exit
+  --h H
+  --i I
+  --k K
+  --n N
+  --seed SEED
+  -o OUTPUT, --output OUTPUT
+""",
+    "verify": """\
+usage: grassconf verify [-h] --suite {gamma,pr,eta,dimension,adjacency}
+                        [--cases CASES] [--seed SEED] [--h H] [--i I] [--k K]
+                        [--n N] [--samples SAMPLES] [--tol TOL]
+                        [--target TARGET] [--eps EPS] [--trials TRIALS]
+                        [--json] [-o OUTPUT]
+
+options:
+  -h, --help            show this help message and exit
+  --suite {gamma,pr,eta,dimension,adjacency}
+  --cases CASES
+  --seed SEED
+  --h H
+  --i I
+  --k K
+  --n N
+  --samples SAMPLES
+  --tol TOL             validated (finite, > 0) but has no effect: the
+                        dimension suite's decision is exact
+  --target TARGET
+  --eps EPS
+  --trials TRIALS
+  --json
+  -o OUTPUT, --output OUTPUT
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HELP))
+def test_help_text_is_pinned(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--help")
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (_HELP[command], "")
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["strata", "--json"], "--h, --k, --n"),
+    (["strata", "--h", "2", "--k", "2"], "--n"),
+    (["pi", "--order", "1"], "--h, --i, --k, --n"),
+    (["pi", "--order", "2", "--h", "2", "--i", "3", "--k", "2"], "--n"),
+    (["sample", "--seed", "1"], "--h, --i, --k, --n"),
+    (["sample", "--h", "2", "--i", "3", "--n", "4"], "--k"),
+], ids=["strata-all", "strata-n", "pi-all", "pi-n", "sample-all", "sample-k"])
+def test_missing_stratum_flag_is_a_usage_error(monkeypatch, capsys, argv, missing):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    usage = _HELP[argv[0]].split("\n\n")[0]
+    assert capsys.readouterr() == ("", (
+        f"{usage}\ngrassconf {argv[0]}: error: the following arguments are required: {missing}\n"
+    ))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "dimension", "--h", "2"],
+    ["verify", "--suite", "adjacency", "--h", "2", "--i", "3", "--k", "2"],
+], ids=["dimension", "adjacency"])
+def test_verify_suite_without_stratum_flags(capsys, argv):
+    assert run_cli(*argv) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: suite {argv[2]} needs --h, --i, --k, and --n\n"
+    )
 
 
 # malformed flags: a valid command line with one flag replaced by a value

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from grassconf.errors import (
+    EmptyStratumError,
     MixedAmbientError,
     NotComplementaryError,
     OutsideChartError,
@@ -33,10 +34,19 @@ from grassconf.grassmann import (
     projection_along,
     sample_configuration,
     sample_subspace,
+    stratum_closure,
+    stratum_dimension,
     subspace_from_json,
     subspace_sum,
 )
-from grassconf.homotopy import PiQuery, derive, free_abelian, group_from_json
+from grassconf.homotopy import (
+    PiQuery,
+    config_pi1,
+    config_unordered_pi1,
+    derive,
+    free_abelian,
+    group_from_json,
+)
 from grassconf.linalg import (
     GaussianRational,
     Matrix,
@@ -44,10 +54,35 @@ from grassconf.linalg import (
     matrix_from_json,
     matrix_to_json,
 )
+from grassconf.verify import check_dimension, run_roundtrip_suite
 
 
 def unit_rows(n, *idx):
     return Matrix.from_rows([[1 if j == i else 0 for j in range(n)] for i in idx])
+
+
+_EMPTY = StratumId(2, 5, 2, 4)  # i = 5 exceeds min(hk, n) = 4
+_EMPTY_GRID = {"h": 2, "i": 5, "k": 2, "n": 4}
+
+
+@pytest.mark.parametrize("entry", [
+    stratum_dimension,
+    stratum_closure,
+    lambda s: sample_configuration(s, 0),
+    check_dimension,
+    lambda s: run_roundtrip_suite("gamma", grid=_EMPTY_GRID, cases=1),
+    lambda s: run_roundtrip_suite("eta", grid=_EMPTY_GRID, cases=1),
+    lambda s: derive(s, 1),
+    lambda s: derive(s, 2),
+    config_pi1,
+    config_unordered_pi1,
+], ids=["stratum_dimension", "stratum_closure", "sample_configuration", "check_dimension",
+        "gamma-suite", "eta-suite", "derive-1", "derive-2", "config_pi1",
+        "config_unordered_pi1"])
+def test_every_entry_rejects_an_empty_stratum_alike(entry):
+    with pytest.raises(EmptyStratumError) as exc:
+        entry(_EMPTY)
+    assert str(exc.value) == "F_2^5(2,4) is empty"
 
 
 # --- linalg -------------------------------------------------------------------

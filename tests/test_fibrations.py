@@ -241,6 +241,41 @@ def test_chart_coordinates_match_frame_solve():
     assert checked >= 20
 
 
+def test_chart_coordinates_decide_the_chart_by_their_solve():
+    # hh = <e0 + p e1, e2> and w = <e0>: the C-block of hh is diag(p, 1),
+    # invertible but zero mod p; w' = <e0 + p e1 + e2> lies in hh
+    hh = canonicalize(Matrix.from_rows([[1, _P, 0], [0, 0, 1]]), 3)
+    w = canonicalize(unit_rows(3, 0), 3)
+    assert _modular_rank(_integer_rows(hh.basis.stack(w.basis)), 3) == 2
+    coords = chart_coordinates(hh, w)
+    assert coords == chart_coordinates_reference(hh, w)
+    assert chart_point(coords, w) == hh
+    inside = canonicalize(Matrix.from_rows([[1, _P, 1]]), 3)
+    with pytest.raises(OutsideChartError) as exc:
+        chart_coordinates(hh, inside)
+    assert str(exc.value) == "subspace meets w nontrivially"
+
+
+def test_chart_projection_failures_name_the_first_failed_condition():
+    # L0 = <e0, e2> and v = <e0 + p e1>: [v; L0] has determinant -p, so v
+    # is transverse although the mod-p rank of the stack falls short
+    l0 = canonicalize(unit_rows(3, 0, 2), 3)
+    triv = Trivialization.over(canonicalize(unit_rows(3, 1), 3), l0)
+    v = canonicalize(Matrix.from_rows([[1, _P, 0]]), 3)
+    assert _modular_rank(_integer_rows(v.basis.stack(l0.basis)), 3) == 2
+    assert extend_isomorphism(v, triv) == extend_isomorphism_reference(v, triv)
+    for off_chart, message in (
+        (canonicalize(unit_rows(4, 0, 1), 4), "ambient dimension mismatch"),
+        (canonicalize(unit_rows(3, 0, 1), 3),
+         "dimension 2 does not match the chart base dimension 1"),
+        (canonicalize(Matrix.from_rows([[1, 0, 1]]), 3),
+         "not transverse to the chart complement"),
+    ):
+        with pytest.raises(OutsideChartError) as exc:
+            extend_isomorphism(off_chart, triv)
+        assert str(exc.value) == f"extend_isomorphism: {message}"
+
+
 def test_chart_coordinates_outside_chart_raises():
     w = canonicalize(unit_rows(4, 0, 1), 4)
     hh = canonicalize(unit_rows(4, 1, 2), 4)

@@ -214,6 +214,23 @@ def test_projection_along_falls_back_to_the_exact_rank():
     assert phi @ phi == phi
 
 
+def test_projection_along_decides_complements_by_its_solve():
+    # [target; along] has determinant -p for the first pair, so its mod-p
+    # rank falls short although the sum is direct; the second target lies
+    # in along.  The solve alone tells them apart.
+    along = canonicalize(Matrix.from_rows([[1, _P, 0], [0, 0, 1]]), 3)
+    target = canonicalize(unit_rows(3, 0), 3)
+    assert _modular_rank(_integer_rows(target.basis.stack(along.basis)), 3) == 2
+    phi = projection_along(target, along)
+    assert phi @ phi == phi
+    assert target.basis @ phi == target.basis
+    assert (along.basis @ phi).is_zero()
+    inside = canonicalize(Matrix.from_rows([[1, _P, 1]]), 3)
+    with pytest.raises(NotComplementaryError) as exc:
+        projection_along(inside, along)
+    assert str(exc.value) == "subspaces intersect nontrivially"
+
+
 def test_stratum_of_single_point():
     c = Configuration.of([sample_subspace(2, 5, 3)])
     assert stratum_of(c) == 2

@@ -430,3 +430,37 @@ def test_trace_replay_rejects_a_step_that_does_not_follow_on():
     moved = DerivationStep(second.rule, second.statement, elsewhere, second.after)
     with pytest.raises(ValueError, match=r"step 2 starts from Z x pi_2\(F_3\^6\(2,7\)\)"):
         _with_steps(trace, [first, moved, *trace.steps[2:]]).replay()
+
+
+@pytest.mark.parametrize("initial, steps, result", [
+    (product(Z, PiQuery(2, 3, 6, 2, 9)), [
+        ("gamma-split", "Z x pi_2(F_3^6(2,9))", "Z^2 x pi_2(F_3^6(2,6))"),
+        ("pr-equality", "Z^2 x pi_2(F_3^6(2,6))", "Z^2 x pi_2(F_2^4(2,6))"),
+        ("gamma-split", "Z^2 x pi_2(F_2^4(2,6))", "Z^3 x pi_2(F_2^4(2,4))"),
+        ("pr-equality", "Z^3 x pi_2(F_2^4(2,4))", "Z^3 x pi_2(F_1^2(2,4))"),
+        ("single-subspace-base", "Z^3 x pi_2(F_1^2(2,4))", "Z^4"),
+    ], free_abelian(4)),
+    (product(PiQuery(1, 2, 3, 2, 5), PiQuery(2, 2, 3, 2, 4)), [
+        ("gamma-reduction", "pi_1(F_2^3(2,5)) x pi_2(F_2^3(2,4))",
+         "pi_1(F_2^3(2,3)) x pi_2(F_2^3(2,4))"),
+        ("open-stratum-base", "pi_1(F_2^3(2,3)) x pi_2(F_2^3(2,4))", "pi_2(F_2^3(2,4))"),
+        ("gamma-split", "pi_2(F_2^3(2,4))", "Z x pi_2(F_2^3(2,3))"),
+        ("eta-split", "Z x pi_2(F_2^3(2,3))", "Z^2 x pi_2(F_2^2(1,2))"),
+        ("pr-equality", "Z^2 x pi_2(F_2^2(1,2))", "Z^2 x pi_2(F_1^1(1,2))"),
+        ("single-subspace-base", "Z^2 x pi_2(F_1^1(1,2))", "Z^3"),
+    ], free_abelian(3)),
+    # a rule rewrites every factor equal to the pending query at once
+    (product(PiQuery(2, 2, 3, 2, 4), PiQuery(2, 2, 3, 2, 4)), [
+        ("gamma-split", "pi_2(F_2^3(2,4)) x pi_2(F_2^3(2,4))",
+         "Z^2 x pi_2(F_2^3(2,3)) x pi_2(F_2^3(2,3))"),
+        ("eta-split", "Z^2 x pi_2(F_2^3(2,3)) x pi_2(F_2^3(2,3))",
+         "Z^4 x pi_2(F_2^2(1,2)) x pi_2(F_2^2(1,2))"),
+        ("pr-equality", "Z^4 x pi_2(F_2^2(1,2)) x pi_2(F_2^2(1,2))",
+         "Z^4 x pi_2(F_1^1(1,2)) x pi_2(F_1^1(1,2))"),
+        ("single-subspace-base", "Z^4 x pi_2(F_1^1(1,2)) x pi_2(F_1^1(1,2))", "Z^6"),
+    ], free_abelian(6)),
+], ids=["one-query", "two-queries", "equal-queries"])
+def test_rewrite_of_products_with_pending_queries(initial, steps, result):
+    derived = homotopy._derivation(initial)
+    assert [(s.rule, s.before.render(), s.after.render()) for s in derived] == steps
+    assert DerivationTrace(initial, tuple(derived), result).replay() == result

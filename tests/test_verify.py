@@ -659,6 +659,23 @@ def test_chart_base_point_is_the_first_transverse_draw(monkeypatch, which, grid)
         assert triv.complement == l0
 
 
+@pytest.mark.parametrize("which, fp_pivots, rrefs", [
+    ("gamma", 60, 300), ("pr", 80, 300), ("eta", 80, 320),
+])
+def test_chart_projections_are_decided_by_their_solves(monkeypatch, which, fp_pivots, rrefs):
+    # a chart projection's solve decides v ⊕ L0 = C^n, so no mod-p rank
+    # runs in front of it: per case one mod-p rank each for the sampler's g,
+    # the chart search and every public map's own input check
+    calls = {"_fp_pivots": 0, "_integer_rref": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(linalg, name, counted)
+    assert run_roundtrip_suite(which, cases=20, seed=0).ok
+    assert calls == {"_fp_pivots": fp_pivots, "_integer_rref": rrefs}
+
+
 # each map pair of a suite: (trivialize, inverse)
 SUITE_MAPS = {
     "gamma": ("gamma_trivialize", "gamma_untrivialize"),
