@@ -149,7 +149,8 @@ def chart_coordinates(hh: Subspace, w: Subspace) -> Matrix:
 
     C is spanned by the unit rows at the free columns of the RREF basis W
     of w, the pivots of C; W is the identity at its own pivots, where C is
-    zero, so q_block is Y there and p_block is Y - q_block W at C's pivots.
+    zero, so q_block is Y there and p_block is Y - q_block W at C's pivots:
+    the k x k block Y·N of grassmann._kernel_block, N the null basis of W.
     The solve decides that hh misses w: y·p_block = 0 with y != 0 would
     leave y·q_block, the w-coordinates of y·Y != 0, out of reach.
     """
@@ -160,7 +161,7 @@ def chart_coordinates(hh: Subspace, w: Subspace) -> Matrix:
             f"chart of Gr({hh.k},{hh.n}) needs a complementary w of dimension {hh.n - hh.k}"
         )
     q_block = hh.basis.columns(w.pivots())
-    p_block = (hh.basis - q_block @ w.basis).columns(grassmann._free_columns(w))
+    p_block = grassmann._kernel_block(hh.basis, grassmann._pivot_split(w))
     try:
         return linalg.solve(p_block, q_block)
     except InconsistentSystemError:

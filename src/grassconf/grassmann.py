@@ -186,22 +186,87 @@ def _free_columns(v: Subspace) -> list[int]:
     return sorted(set(range(v.n)).difference(v.pivots()))
 
 
+# (P_A, F, A[:, F]) of an RREF basis A: its pivot columns, its free columns
+# and its entries there, which determine the null basis of A
+PivotSplit = tuple[tuple[int, ...], list[int], Matrix]
+
+
+def _pivot_split(along: Subspace) -> PivotSplit:
+    """The PivotSplit of along's RREF basis."""
+    free = _free_columns(along)
+    return along.pivots(), free, along.basis.columns(free)
+
+
+def _kernel_block(m: Matrix, split: PivotSplit) -> Matrix:
+    """m·N, for N the null basis of the RREF basis A with this split.
+
+    Column j of N is e_f - Σ_r A[r, f]·e_(p_r), for the j-th free column f
+    of A and the pivot p_r of its row r; A is the identity at its pivots,
+    so A·N = 0.  The product is m[:, F] - m[:, P_A]·A[:, F], and N is
+    never built.
+    """
+    pivots, free, a_free = split
+    return m.columns(free) - m.columns(pivots) @ a_free
+
+
 def projection_along(target: Subspace, along: Subspace) -> Matrix:
     """Matrix of the idempotent with image ``target`` and kernel ``along``.
 
-    Acts on row vectors by right multiplication.  Requires
-    target ⊕ along = C^n, which the solve decides: a left null vector
-    (u, w) != 0 of [T; A] has u·T != 0, so [T; 0] is then out of reach.
+    Acts on row vectors by right multiplication.  With T the basis of
+    target, A that of along and N the null basis of A (see _kernel_block),
+    the projection is P = N·(T·N)^-1·T: A·P = 0 and T·P = T.  One solve of
+    the k x k block T·N against T gives Z = (T·N)^-1·T, and the rows of P
+    are scattered from it: Z at the free columns F of A, -A[:, F]·Z at its
+    pivots.  When dim target > dim along the projection is I minus the
+    one onto along along target, so the solve has min(k, n-k) rows.
+
+    The solve decides target ⊕ along = C^n.  The vectors x with x·N = 0
+    are exactly those of along, so y·T·N = 0 with y != 0 puts y·T != 0
+    in target ∩ along; T has full row rank, so a singular T·N leaves T
+    out of reach.
+
+    >>> line = canonicalize(Matrix.from_rows([[1, 1, 0]]), 3)
+    >>> plane = canonicalize(Matrix.from_rows([[0, 1, 0], [0, 0, 1]]), 3)
+    >>> print(projection_along(line, plane))  # a 1 x 1 block
+    [1  1  0]
+    [0  0  0]
+    [0  0  0]
+    >>> print(projection_along(plane, line))  # I minus the projection above
+    [0  -1  0]
+    [0  1  0]
+    [0  0  1]
     """
     if target.n != along.n:
         raise MixedAmbientError("ambient dimensions differ")
     if target.k + along.k != target.n:
         raise NotComplementaryError("dimensions do not add up to the ambient dimension")
-    stacked = target.basis.stack(along.basis)
+    if target.k > along.k:
+        return _projection_by_block(along, target, swapped=True)
+    return _projection_by_block(target, along, swapped=False)
+
+
+def _projection_by_block(target: Subspace, along: Subspace, swapped: bool) -> Matrix:
+    """P = N·(T·N)^-1·T, or I - P when the caller swapped the two sides,
+    by one solve of the dim target x dim target block T·N."""
+    split = _pivot_split(along)
+    pivots, free, a_free = split
     try:
-        return linalg.solve(stacked, target.basis.stack(Matrix.zeros(along.k, target.n)))
+        z = linalg.solve(_kernel_block(target.basis, split), target.basis)
     except InconsistentSystemError:
         raise NotComplementaryError("subspaces intersect nontrivially") from None
+    rows = dict(zip(free, z.zrows))
+    for p, (s, row) in zip(pivots, (a_free @ z).zrows):
+        rows[p] = (s, tuple((-re, -im) for re, im in row))
+    n = target.n
+    ordered = (rows[c] for c in range(n))
+    if swapped:
+        # row c of I - P is (s, s·e_c - v) for the row (s, v) of P, still
+        # primitive: adding a multiple of s to v keeps gcd(s, v) = 1
+        ordered = (
+            (s, tuple((s - re if j == c else -re, -im) for j, (re, im) in enumerate(row)))
+            for c, (s, row) in enumerate(ordered)
+        )
+    return Matrix._of(n, n, tuple(ordered))
 
 
 def transform(v: Subspace, g: Matrix) -> Subspace:

@@ -18,9 +18,9 @@ elimination only and reads the pivot count, without building a reduced
 matrix.  _rank_at_least first tries a mod-p rank certificate that can only
 prove a lower bound on the rank and leaves every other answer to
 _integer_rref.  Every decision "rank equals the row count" goes through
-it: is_invertible, the sampler's draws of invertible matrices and
-subspaces, the transversality and direct-sum tests of fibrations, the
-roundtrip suites' chart search and the dimension suite's tangent rank;
+it: the sampler's draws of invertible matrices and subspaces, the
+transversality and direct-sum tests of fibrations, the roundtrip
+suites' chart search and the dimension suite's tangent rank;
 intersection_dim returns 0 when the certificate proves the sum direct.
 A solve decides its own system: the chart projections of grassmann and
 fibrations catch its InconsistentSystemError instead of testing the
@@ -619,10 +619,6 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     for r, p in enumerate(pivots):
         x[p] = _divided(grid[r][a.cols:], d)
     return Matrix._of(a.cols, b.cols, tuple(x))
-
-
-def is_invertible(m: Matrix) -> bool:
-    return m.rows == m.cols and _has_rank(m, m.rows)
 
 
 def matrix_to_json(m: Matrix) -> dict:

@@ -15,6 +15,9 @@ package builds every chart map from the projections P onto V0 and Q_v
 onto v along L0 by sums and products, and reads chart coordinates off
 the RREF basis of w.  invert, which solves against the identity with the
 package's solve, is only used there and in tests.
+projection_along_reference keeps the older route of the chart
+projection, one solve of the n x 2n system [T; A] x = [T; 0]; the
+package solves the min(k, n-k)-row block of the smaller side.
 
 The float references keep the numpy route of the dimension suite's former
 chart Jacobian and float rank, and a central difference of each point's
@@ -54,13 +57,16 @@ from grassconf.grassmann import (
     projection_along,
     subspace_sum,
 )
-from grassconf.errors import InconsistentSystemError
+from grassconf.errors import (
+    InconsistentSystemError,
+    MixedAmbientError,
+    NotComplementaryError,
+)
 from grassconf.linalg import (
     ONE,
     ZERO,
     GaussianRational,
     Matrix,
-    is_invertible,
     rank,
     solve,
     stack_all,
@@ -219,6 +225,20 @@ def orthogonal_projector(v: Subspace) -> Matrix:
     return matmul_reference(matmul_reference(bh, gram_inverse), b)
 
 
+def projection_along_reference(target: Subspace, along: Subspace) -> Matrix:
+    """The idempotent with image target and kernel along, as the solution
+    x of [T; A] x = [T; 0], raising what projection_along raises."""
+    if target.n != along.n:
+        raise MixedAmbientError("ambient dimensions differ")
+    if target.k + along.k != target.n:
+        raise NotComplementaryError("dimensions do not add up to the ambient dimension")
+    stacked = target.basis.stack(along.basis)
+    try:
+        return solve(stacked, target.basis.stack(Matrix.zeros(along.k, target.n)))
+    except InconsistentSystemError:
+        raise NotComplementaryError("subspaces intersect nontrivially") from None
+
+
 def extend_isomorphism_reference(v: Subspace, triv: Trivialization) -> Matrix:
     """The automorphism equal to the chart projection on v and to the
     identity on L0, as the solution x of [v; L0] x = [vP; L0]."""
@@ -273,7 +293,7 @@ def chart_coordinates_reference(hh: Subspace, w: Subspace) -> Matrix:
     frame = complement(w).basis.stack(w.basis)
     coeff = solve(frame.transpose(), hh.basis.transpose()).transpose()
     p_block, q_block = coeff.take_cols(hh.k), coeff.drop_cols(hh.k)
-    if not is_invertible(p_block):
+    if rank(p_block) < hh.k:
         raise ValueError("hh meets w nontrivially")
     return solve(p_block, q_block)
 

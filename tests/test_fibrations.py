@@ -35,7 +35,7 @@ from grassconf.grassmann import (
     subspace_sum,
     transform_configuration,
 )
-from grassconf.linalg import _P, Matrix, _integer_rows, _modular_rank, is_invertible, rank
+from grassconf.linalg import _P, Matrix, _integer_rows, _modular_rank, rank
 from oracles import (
     chart_coordinates_reference,
     eta_fiber_lift_reference,
@@ -82,7 +82,7 @@ def test_extension_is_invertible_and_fixes_complement():
         if rank(v.basis.stack(triv.complement.basis)) < 5:
             continue
         iso = extend_isomorphism(v, triv)
-        assert is_invertible(iso)
+        assert rank(iso) == 5
         assert triv.complement.basis @ iso == triv.complement.basis
         assert canonicalize(v.basis @ iso, 5) == v0
 

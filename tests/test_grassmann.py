@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from grassconf import grassmann, linalg
 from grassconf.errors import (
     DuplicatePointsError,
     EmptyStratumError,
     FullSpaceError,
+    GrassconfError,
     MixedAmbientError,
     NotComplementaryError,
     ZeroSubspaceError,
@@ -36,7 +39,8 @@ from grassconf.grassmann import (
     transform,
 )
 from grassconf.linalg import _P, Matrix, _integer_rows, _modular_rank, kernel, rank
-from oracles import rand_matrix, random_matrix_reference
+from grassconf.verify import run_roundtrip_suite
+from oracles import projection_along_reference, rand_matrix, random_matrix_reference
 
 
 def unit_rows(n, *idx):
@@ -229,6 +233,106 @@ def test_projection_along_decides_complements_by_its_solve():
     with pytest.raises(NotComplementaryError) as exc:
         projection_along(inside, along)
     assert str(exc.value) == "subspaces intersect nontrivially"
+
+
+def _outcome(fn, target, along):
+    """fn's matrix, or the type and message of the error it raises."""
+    try:
+        return fn(target, along)
+    except GrassconfError as exc:
+        return type(exc), str(exc)
+
+
+def _projection_pairs():
+    """Seeded (target, along) pairs over n <= 9 with k < n-k, k = n-k and
+    k > n-k: complementary, meeting in a vector of target, of the wrong
+    dimension and of another ambient; every pair of coordinate subspaces
+    with complementary dimensions for n <= 5; and the pairs whose
+    [target; along] has a determinant divisible by _P, both ways round."""
+    rng = random.Random("projection pairs")
+    for n in range(2, 10):
+        for k in range(1, n):
+            for seed in range(3):
+                tag = f"projref:{n}:{k}:{seed}"
+                target = sample_subspace(k, n, tag)
+                yield target, sample_subspace(n - k, n, f"{tag}:along")
+                meeting = target.basis.take_rows(1).stack(random_matrix(n - k - 1, n, rng))
+                yield target, canonicalize(meeting, n)
+                wrong = n - k - 1 if seed and n - k > 1 else n - k + 1
+                yield target, sample_subspace(wrong, n, f"{tag}:dim")
+                yield target, sample_subspace(n - k, n + 1, f"{tag}:ambient")
+    for n in range(2, 6):
+        for k in range(1, n):
+            for rows in combinations(range(n), k):
+                for other in combinations(range(n), n - k):
+                    yield canonicalize(unit_rows(n, *rows), n), canonicalize(unit_rows(n, *other), n)
+    plane = canonicalize(Matrix.from_rows([[1, _P, 0], [0, 0, 1]]), 3)
+    for target, along in (
+        (canonicalize(Matrix.from_rows([[1, 0]]), 2), canonicalize(Matrix.from_rows([[1, _P]]), 2)),
+        (canonicalize(unit_rows(3, 0), 3), plane),
+        (canonicalize(Matrix.from_rows([[1, _P, 1]]), 3), plane),
+    ):
+        yield target, along
+        yield along, target
+
+
+def test_projection_along_agrees_with_the_stacked_solve():
+    outcomes = [
+        (_outcome(projection_along, t, a), _outcome(projection_along_reference, t, a))
+        for t, a in _projection_pairs()
+    ]
+    assert all(new == old for new, old in outcomes)
+    raised = sum(isinstance(new, tuple) for new, _ in outcomes)
+    assert 0 < raised < len(outcomes)
+    assert {new for new, _ in outcomes if isinstance(new, tuple)} == {
+        (MixedAmbientError, "ambient dimensions differ"),
+        (NotComplementaryError, "dimensions do not add up to the ambient dimension"),
+        (NotComplementaryError, "subspaces intersect nontrivially"),
+    }
+
+
+def _record_projection_solves(monkeypatch):
+    """The (rows, cols) of every linalg.solve system run inside
+    projection_along, appended as the calls happen."""
+    shapes = []
+    inside = []
+    real_solve, real_projection = linalg.solve, grassmann.projection_along
+
+    def solve(a, b):
+        if inside:
+            shapes.append((a.rows, a.cols + b.cols))
+        return real_solve(a, b)
+
+    def projection(target, along):
+        inside.append(True)
+        try:
+            return real_projection(target, along)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(linalg, "solve", solve)
+    monkeypatch.setattr(grassmann, "projection_along", projection)
+    return shapes
+
+
+def test_projection_along_solves_the_smaller_side(monkeypatch):
+    shapes = _record_projection_solves(monkeypatch)
+    for n in range(2, 10):
+        for k in range(1, n):
+            target = sample_subspace(k, n, f"projshape:{n}:{k}")
+            along = complement(target)
+            shapes.clear()
+            grassmann.projection_along(target, along)
+            side = min(k, n - k)
+            assert shapes == [(side, side + n)]
+
+
+@pytest.mark.parametrize("which, rows, cols", [("gamma", 2, 7), ("pr", 2, 8), ("eta", 1, 5)])
+def test_default_grid_projections_solve_the_smaller_side(monkeypatch, which, rows, cols):
+    # the default grids' charts are (3, 5), (4, 6) and (1, 4) in (k, n)
+    shapes = _record_projection_solves(monkeypatch)
+    assert run_roundtrip_suite(which, cases=20, seed=0).ok
+    assert shapes and set(shapes) == {(rows, cols)}
 
 
 def test_stratum_of_single_point():

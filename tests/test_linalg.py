@@ -14,11 +14,11 @@ from grassconf.linalg import (
     Matrix,
     _fp_pivots,
     _fp_rows,
+    _has_rank,
     _integer_rows,
     _modular_rank,
     _rank_at_least,
     gq,
-    is_invertible,
     kernel,
     matrix_from_json,
     matrix_to_json,
@@ -185,13 +185,13 @@ def test_modular_map_sends_i_to_a_square_root_of_minus_one():
     assert _SQRT_MINUS_ONE ** 2 % _P == _P - 1
 
 
-def test_is_invertible_falls_back_to_the_exact_rank():
+def test_has_rank_falls_back_to_the_exact_rank():
     # det [1 0; 1 p] = p vanishes mod p, and the exact rank still finds 2
     m = Matrix.from_rows([[1, 0], [1, _P]])
     assert _modular_rank(_integer_rows(m), 2) == 1
-    assert is_invertible(m)
-    assert not is_invertible(Matrix.from_rows([[1, 2], [_P, 2 * _P]]))
-    assert not is_invertible(Matrix.from_rows([[1, 0, 0], [0, 1, 0]]))
+    assert _has_rank(m, 2)
+    assert not _has_rank(Matrix.from_rows([[1, 2], [_P, 2 * _P]]), 2)
+    assert not _has_rank(Matrix.from_rows([[1, 0, 0], [0, 1, 0]]), 3)
 
 
 def test_rank_at_least_certificate_and_fallback():
