@@ -13,7 +13,26 @@ onto V0 along L0, and Q_V, the projection onto the base V along L0:
   images in the quotient C^n / V, identified with L0 by I - Q_V.
 
 Every trivialization here is an exact bijection on its chart: composing
-with its inverse returns the input entrywise over Q(i).
+with its inverse returns the input entrywise over Q(i).  A chart keeps its
+last Q_V, so pr's inverse reuses the projection pr built, and a
+configuration keeps its sum (Configuration.span); each memo lives as long
+as the object that holds it.
+
+>>> v0 = grassmann.canonicalize(Matrix.from_rows([[1, 0, 0], [0, 1, 0]]), 3)
+>>> triv = Trivialization.over(v0)  # L0 = <e_2>
+>>> print(triv.projector)
+[1  0  0]
+[0  1  0]
+[0  0  0]
+>>> c = Configuration.of([
+...     grassmann.canonicalize(Matrix.from_rows([[1, 0, 1]]), 3),
+...     grassmann.canonicalize(Matrix.from_rows([[0, 1, 1]]), 3),
+... ])
+>>> point = gamma_trivialize(c, triv)
+>>> [str(q.basis) for q in point.fiber.points]
+['[1  0  0]', '[0  1  0]']
+>>> gamma_untrivialize(point, triv) == c
+True
 """
 
 from __future__ import annotations
@@ -40,7 +59,11 @@ FiberPoint = Union[Configuration, Matrix, Subspace, tuple[Subspace, Subspace]]
 @record
 class Trivialization:
     """Chart data: a base point V0, a complement L0, and the projector onto
-    V0 along L0 (as a matrix acting on row vectors)."""
+    V0 along L0 (as a matrix acting on row vectors).
+
+    _chart_projection keeps its last result (v, Q_v) beside the fields,
+    so ==, hash and repr ignore it.
+    """
 
     base_point: Subspace
     complement: Subspace
@@ -85,12 +108,21 @@ def _require_transverse(v: Subspace, triv: Trivialization, what: str) -> None:
 
 def _chart_projection(v: Subspace, triv: Trivialization, what: str) -> Matrix:
     """Q_v, the projection onto v along L0, whose solve decides
-    v ⊕ L0 = C^n; _require_transverse names a failure."""
+    v ⊕ L0 = C^n; _require_transverse names a failure.
+
+    The chart keeps the last (v, Q_v) it returned, and answers the same v
+    from it; a failure is never kept, so it is decided again each time.
+    """
+    last = triv.__dict__.get("_last_projection")
+    if last is not None and last[0] == v:
+        return last[1]
     try:
-        return grassmann.projection_along(v, triv.complement)
+        q = grassmann.projection_along(v, triv.complement)
     except (MixedAmbientError, NotComplementaryError):
         _require_transverse(v, triv, what)
         raise
+    object.__setattr__(triv, "_last_projection", (v, q))
+    return q
 
 
 def extend_isomorphism(v: Subspace, triv: Trivialization) -> Matrix:
@@ -111,7 +143,7 @@ def gamma_trivialize(c: Configuration, triv: Trivialization) -> ChartPoint:
     The fiber is the image of the configuration under the projection onto
     V0 along L0, a configuration of the same stratum index inside V0.
     """
-    total = grassmann.subspace_sum(c.points)
+    total = c.span
     _require_transverse(total, triv, "gamma_trivialize")
     return ChartPoint(base=total, fiber=grassmann.transform_configuration(c, triv.projector))
 
@@ -185,7 +217,7 @@ def pr_trivialize(c: Configuration, triv: Trivialization) -> ChartPoint:
     is returned.
     """
     front = pr_forget_last(c)
-    q = _chart_projection(grassmann.subspace_sum(front.points), triv, "pr_trivialize")
+    q = _chart_projection(front.span, triv, "pr_trivialize")
     # extend_isomorphism of the base sum, with this caller's chart check
     iso = Matrix.identity(c.n) - q + triv.projector
     image = grassmann.transform(c.points[-1], iso)
@@ -210,7 +242,7 @@ def pr_untrivialize(p: ChartPoint, triv: Trivialization) -> Configuration:
         raise TypeError("pr fiber is chart coordinates or a subspace")
     if grassmann.intersection_dim(image, triv.base_point) != 0:
         raise OutsideChartError("fiber subspace meets the chart base point")
-    q = _chart_projection(grassmann.subspace_sum(front.points), triv, "pr_untrivialize")
+    q = _chart_projection(front.span, triv, "pr_untrivialize")
     # the inverse of the extended isomorphism: Q_V on V0, the identity on L0
     last = grassmann.transform(image, q + Matrix.identity(front.n) - triv.projector)
     return Configuration(front.h + 1, front.k, front.n, front.points + (last,))

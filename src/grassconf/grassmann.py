@@ -75,9 +75,22 @@ class Subspace:
         )
 
     def contains(self, other: "Subspace") -> bool:
+        """Whether other ⊆ self, read off the RREF basis with no elimination.
+
+        The basis V of self is the identity at its pivot columns P, so a
+        vector x lies in self exactly when x = x[:, P]·V; other lies in
+        self exactly when its basis B equals B[:, P]·V.  Matrix equality
+        compares primitive rows, so the test is exact.
+
+        >>> plane = canonicalize(Matrix.from_rows([[1, 0, 1], [0, 1, 1]]), 3)
+        >>> plane.contains(canonicalize(Matrix.from_rows([[1, 1, 2]]), 3))
+        True
+        >>> plane.contains(canonicalize(Matrix.from_rows([[1, 1, 1]]), 3))
+        False
+        """
         if other.n != self.n:
             raise MixedAmbientError("ambient dimensions differ")
-        return linalg.rank(self.basis.stack(other.basis)) == self.k
+        return other.basis.columns(self.pivots()) @ self.basis == other.basis
 
     def __str__(self) -> str:
         return f"Subspace(k={self.k}, n={self.n})\n{self.basis}"
@@ -108,6 +121,29 @@ class Configuration:
             for b in range(a + 1, self.h):
                 if self.points[a] == self.points[b]:
                     raise DuplicatePointsError(f"points {a} and {b} coincide")
+
+    @property
+    def span(self) -> Subspace:
+        """H_1 + ... + H_h, by subspace_sum on first read, then kept.
+
+        The sum is stored beside the fields, not as one, so ==, hash, repr
+        and the JSON form ignore it; it lives as long as the configuration.
+
+        >>> c = Configuration.of([
+        ...     canonicalize(Matrix.from_rows([[1, 0, 0]]), 3),
+        ...     canonicalize(Matrix.from_rows([[0, 1, 1]]), 3),
+        ... ])
+        >>> print(c.span.basis)
+        [1  0  0]
+        [0  1  1]
+        >>> c.span is c.span
+        True
+        """
+        total = self.__dict__.get("_span")
+        if total is None:
+            total = subspace_sum(self.points)
+            object.__setattr__(self, "_span", total)
+        return total
 
     @staticmethod
     def of(points: Sequence[Subspace]) -> "Configuration":
@@ -281,7 +317,7 @@ def transform_configuration(c: Configuration, g: Matrix) -> Configuration:
 
 def stratum_of(c: Configuration) -> int:
     """dim(H_1 + ... + H_h), the stratum index of the configuration."""
-    return subspace_sum(c.points).k
+    return c.span.k
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,12 @@ by the common pivot only when building the result; rank runs the forward
 elimination only and reads the pivot count, without building a reduced
 matrix.  _rank_at_least first tries a mod-p rank certificate that can only
 prove a lower bound on the rank and leaves every other answer to
-_integer_rref.  Every decision "rank equals the row count" goes through
-it: the sampler's draws of invertible matrices and subspaces, the
-transversality and direct-sum tests of fibrations, the roundtrip
-suites' chart search and the dimension suite's tangent rank;
-intersection_dim returns 0 when the certificate proves the sum direct.
+_integer_rref.  Every decision "rank >= r" goes through it: the
+sampler's draws of invertible matrices and subspaces, the transversality
+and direct-sum tests of fibrations, the roundtrip suites' chart search,
+the gamma suite's check that a fiber inside V0 spans it (rank dim V0)
+and the dimension suite's tangent rank; intersection_dim returns 0 when
+the certificate proves the sum direct.
 A solve decides its own system: the chart projections of grassmann and
 fibrations catch its InconsistentSystemError instead of testing the
 matrix first.  The certificate's one mod-p elimination, _fp_pivots, also

@@ -26,6 +26,11 @@ Three batch checks back the exact layer:
   the one fiber fact no map decides, and the round trip.  The guards of
   pr_trivialize (direct sum), pr_untrivialize (fiber misses V0) and
   eta_fiber_lift (quotient pair in L0, in direct sum) decide the rest.
+  A gamma case compares the base with the sample's sum, reduced once
+  (Configuration.span), and checks that the fiber spans V0 without
+  reducing the fiber's sum: every fiber point lies in V0 (a product on
+  V0's RREF basis) and the fiber's stacked bases reach rank dim V0 (the
+  mod-p certificate, with the exact pivot count as fallback).
 
 Each case is a pure function of (parameters, seed, case index), so suites
 can run in any order, or in parallel, with identical reports.
@@ -215,7 +220,7 @@ def _chart_tangent(c: Configuration) -> Matrix:
     are I_k (x) (Inner_j V)[:, N] in block j and zero elsewhere.
     """
     h, k, n = c.h, c.k, c.n
-    total = grassmann.subspace_sum(c.points)
+    total = c.span
     i = total.k
     outer_dirs = Matrix.unit_rows(grassmann._free_columns(total), n)
     outer, inner = [], []
@@ -433,7 +438,7 @@ def check_adjacency(
         raise TypeError(f"eps must be an int or a Fraction, not {type(eps).__name__}")
     _require_count("trials", trials)
     eps = Fraction(eps)
-    total = grassmann.subspace_sum(c.points)
+    total = c.span
     j0 = total.k
     if not j0 <= target_i <= min(c.h * c.k, c.n):
         raise UnreachableError(
@@ -518,14 +523,17 @@ def _random_chart(over: Subspace, seed_tag: str) -> Optional[Trivialization]:
 
 def _gamma_case(s: StratumId, case_seed: str) -> Optional[str]:
     c = grassmann.sample_configuration(s, case_seed)
-    total = grassmann.subspace_sum(c.points)
-    triv = _random_chart(total, case_seed)
+    triv = _random_chart(c.span, case_seed)
     if triv is None:
         return "no chart found containing the sample"
     point = fibrations.gamma_trivialize(c, triv)
-    if point.base != total:
+    if point.base != c.span:
         return "base component differs from the subspace sum"
-    if grassmann.subspace_sum(point.fiber.points) != triv.base_point:
+    # the fiber spans V0 exactly when it lies in V0 and its stack reaches
+    # rank dim V0, which the mod-p certificate proves without an rref
+    fiber, v0 = point.fiber.points, triv.base_point
+    if not (all(v0.contains(q) for q in fiber)
+            and linalg._has_rank(linalg.stack_all(q.basis for q in fiber), v0.k)):
         return "fiber does not span the chart base point"
     if fibrations.gamma_untrivialize(point, triv) != c:
         return "round trip failed (untrivialize o trivialize)"
@@ -535,7 +543,7 @@ def _gamma_case(s: StratumId, case_seed: str) -> Optional[str]:
 def _pr_case(s: StratumId, case_seed: str) -> Optional[str]:
     c = grassmann.sample_configuration(s, case_seed)
     front = Configuration(s.h - 1, s.k, s.n, c.points[:-1])
-    triv = _random_chart(grassmann.subspace_sum(front.points), case_seed)
+    triv = _random_chart(front.span, case_seed)
     if triv is None:
         return "no chart found containing the sample"
     point = fibrations.pr_trivialize(c, triv)

@@ -18,6 +18,10 @@ package's solve, is only used there and in tests.
 projection_along_reference keeps the older route of the chart
 projection, one solve of the n x 2n system [T; A] x = [T; 0]; the
 package solves the min(k, n-k)-row block of the smaller side.
+contains_reference keeps the older route of Subspace.contains: other
+lies in self exactly when stacking their bases leaves the rank at
+dim self.  The package reads membership off self's RREF basis by one
+product, with no elimination.
 
 The float references keep the numpy route of the dimension suite's former
 chart Jacobian and float rank, and a central difference of each point's
@@ -237,6 +241,13 @@ def projection_along_reference(target: Subspace, along: Subspace) -> Matrix:
         return solve(stacked, target.basis.stack(Matrix.zeros(along.k, target.n)))
     except InconsistentSystemError:
         raise NotComplementaryError("subspaces intersect nontrivially") from None
+
+
+def contains_reference(sup: Subspace, sub: Subspace) -> bool:
+    """Whether sub lies in sup, by the rank of their stacked bases."""
+    if sub.n != sup.n:
+        raise MixedAmbientError("ambient dimensions differ")
+    return rank(sup.basis.stack(sub.basis)) == sup.k
 
 
 def extend_isomorphism_reference(v: Subspace, triv: Trivialization) -> Matrix:

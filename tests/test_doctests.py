@@ -3,10 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from grassconf import grassmann, homotopy, linalg
+from grassconf import fibrations, grassmann, homotopy, linalg
 
 
-@pytest.mark.parametrize("module", [linalg, grassmann, homotopy], ids=lambda m: m.__name__)
+@pytest.mark.parametrize(
+    "module", [linalg, grassmann, fibrations, homotopy], ids=lambda m: m.__name__
+)
 def test_module_doctests(module):
     result = doctest.testmod(module)
     assert result.attempted > 0

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from grassconf import fibrations, grassmann
 from grassconf.errors import (
     DirectSumError,
     NotDirectSumError,
@@ -43,6 +44,7 @@ from oracles import (
     extend_isomorphism_reference,
     gamma_untrivialize_reference,
     pr_untrivialize_reference,
+    projection_along_reference,
     rand_matrix,
 )
 
@@ -264,16 +266,35 @@ def test_chart_projection_failures_name_the_first_failed_condition():
     v = canonicalize(Matrix.from_rows([[1, _P, 0]]), 3)
     assert _modular_rank(_integer_rows(v.basis.stack(l0.basis)), 3) == 2
     assert extend_isomorphism(v, triv) == extend_isomorphism_reference(v, triv)
+    # the chart keeps its last projection but never a failure: each off-
+    # chart v raises again, also right after the same v or a kept one
     for off_chart, message in (
         (canonicalize(unit_rows(4, 0, 1), 4), "ambient dimension mismatch"),
         (canonicalize(unit_rows(3, 0, 1), 3),
          "dimension 2 does not match the chart base dimension 1"),
         (canonicalize(Matrix.from_rows([[1, 0, 1]]), 3),
          "not transverse to the chart complement"),
-    ):
-        with pytest.raises(OutsideChartError) as exc:
-            extend_isomorphism(off_chart, triv)
-        assert str(exc.value) == f"extend_isomorphism: {message}"
+    ) * 2:
+        for _ in range(2):
+            with pytest.raises(OutsideChartError) as exc:
+                extend_isomorphism(off_chart, triv)
+            assert str(exc.value) == f"extend_isomorphism: {message}"
+        assert extend_isomorphism(v, triv) == extend_isomorphism_reference(v, triv)
+
+
+def test_chart_projection_keeps_the_last_base_only(monkeypatch):
+    triv = Trivialization.over(sample_subspace(2, 5, "memo"), sample_subspace(3, 5, "memo:comp"))
+    first, second = (sample_subspace(2, 5, f"memo:{j}") for j in range(2))
+    solved = []
+
+    def counted(target, along, _real=grassmann.projection_along):
+        solved.append(target)
+        return _real(target, along)
+    monkeypatch.setattr(grassmann, "projection_along", counted)
+    for v in (first, first, second, first, second, second, first):
+        q = fibrations._chart_projection(v, triv, "memo")
+        assert q == projection_along_reference(v, triv.complement)
+    assert solved == [first, second, first, second, first]
 
 
 def test_chart_coordinates_outside_chart_raises():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -17,6 +19,7 @@ from grassconf.errors import (
 from grassconf.grassmann import (
     Configuration,
     StratumId,
+    Subspace,
     canonicalize,
     complement,
     configuration_from_json,
@@ -40,7 +43,12 @@ from grassconf.grassmann import (
 )
 from grassconf.linalg import _P, Matrix, _integer_rows, _modular_rank, kernel, rank
 from grassconf.verify import run_roundtrip_suite
-from oracles import projection_along_reference, rand_matrix, random_matrix_reference
+from oracles import (
+    contains_reference,
+    projection_along_reference,
+    rand_matrix,
+    random_matrix_reference,
+)
 
 
 def unit_rows(n, *idx):
@@ -154,6 +162,51 @@ def test_intersection_dimension_in_pair_stratum():
         assert intersection_dim(c.points[0], c.points[1]) == 2 * k - i
 
 
+def _containment_pairs():
+    """Seeded (sup, sub) pairs over n <= 9: sub spanned by independent
+    combinations of sup's rows, sup itself and in another basis, a random
+    subspace of each dimension up to dim sup, a larger one both ways round
+    (one containing sup), and one of another ambient."""
+    rng = random.Random("containment pairs")
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            tag = f"contains:{n}:{k}"
+            sup = sample_subspace(k, n, tag)
+            mix = random_invertible(k, rng)
+            yield sup, sup
+            yield sup, canonicalize(mix @ sup.basis, n)
+            for j in range(1, k + 1):
+                yield sup, canonicalize(mix.take_rows(j) @ sup.basis, n)
+                yield sup, sample_subspace(j, n, f"{tag}:other:{j}")
+            if k < n:
+                larger = canonicalize(sup.basis.stack(random_matrix(1, n, rng)), n)
+                yield sup, larger
+                yield larger, sup
+                yield sup, sample_subspace(k + 1, n, f"{tag}:larger")
+            yield sup, sample_subspace(k, n + 1, f"{tag}:ambient")
+
+
+def test_contains_agrees_with_the_stacked_rank():
+    outcomes = [
+        (_outcome(Subspace.contains, sup, sub), _outcome(contains_reference, sup, sub))
+        for sup, sub in _containment_pairs()
+    ]
+    assert all(new == old for new, old in outcomes)
+    assert {new for new, _ in outcomes} == {
+        True, False, (MixedAmbientError, "ambient dimensions differ"),
+    }
+
+
+def test_contains_runs_no_elimination(monkeypatch):
+    pairs = [(sup, sub) for sup, sub in _containment_pairs() if sup.n == sub.n]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("contains ran an elimination")
+    monkeypatch.setattr(linalg, "_integer_rref", refuse)
+    monkeypatch.setattr(linalg, "_fp_pivots", refuse)
+    assert {sup.contains(sub) for sup, sub in pairs} == {True, False}
+
+
 def test_complement_of_coordinate_plane():
     v = canonicalize(unit_rows(5, 0, 1), 5)
     assert complement(v) == canonicalize(unit_rows(5, 2, 3, 4), 5)
@@ -236,7 +289,7 @@ def test_projection_along_decides_complements_by_its_solve():
 
 
 def _outcome(fn, target, along):
-    """fn's matrix, or the type and message of the error it raises."""
+    """fn's result, or the type and message of the error it raises."""
     try:
         return fn(target, along)
     except GrassconfError as exc:
@@ -436,6 +489,26 @@ def test_configuration_rejects_duplicates():
     p = sample_subspace(2, 4, 5)
     with pytest.raises(DuplicatePointsError):
         Configuration(2, 2, 4, (p, p))
+
+
+def test_span_is_the_sum_of_the_points():
+    for s in (StratumId(2, 3, 2, 5), StratumId(3, 6, 2, 6), StratumId(3, 3, 2, 4), StratumId(1, 2, 2, 4)):
+        c = sample_configuration(s, "span")
+        assert c.span == subspace_sum(c.points)
+        assert c.span.k == stratum_of(c) == s.i
+        assert c.span is c.span
+
+
+def test_reading_the_span_changes_no_value_of_the_record():
+    s = StratumId(2, 3, 2, 5)
+    read, fresh = (sample_configuration(s, "span record") for _ in range(2))
+    assert read.span.k == 3
+    copies = [copy.copy(read), copy.deepcopy(read), pickle.loads(pickle.dumps(read))]
+    for c in [read] + copies:
+        assert c == fresh
+        assert hash(c) == hash(fresh)
+        assert repr(c) == repr(fresh)
+        assert configuration_to_json(c) == configuration_to_json(fresh)
 
 
 def test_transform_preserves_stratum():

@@ -19,7 +19,7 @@ from grassconf.grassmann import (
     stratum_of,
     subspace_sum,
 )
-from grassconf import fibrations, linalg, verify
+from grassconf import fibrations, grassmann, linalg, verify
 from grassconf.fibrations import ChartPoint
 from grassconf.linalg import GaussianRational, Matrix
 from grassconf.verify import (
@@ -660,12 +660,16 @@ def test_chart_base_point_is_the_first_transverse_draw(monkeypatch, which, grid)
 
 
 @pytest.mark.parametrize("which, fp_pivots, rrefs", [
-    ("gamma", 60, 300), ("pr", 80, 300), ("eta", 80, 320),
+    ("gamma", 80, 220), ("pr", 80, 260), ("eta", 80, 280),
 ])
 def test_chart_projections_are_decided_by_their_solves(monkeypatch, which, fp_pivots, rrefs):
     # a chart projection's solve decides v ⊕ L0 = C^n, so no mod-p rank
     # runs in front of it: per case one mod-p rank each for the sampler's g,
-    # the chart search and every public map's own input check
+    # the chart search and every public map's own input check, and for γ
+    # the certificate that the fiber, inside V0, reaches rank dim V0.
+    # Membership is a product on the RREF basis, a configuration's sum is
+    # reduced once, and pr's inverse reuses pr's Q_V, so none of them
+    # runs an elimination of its own
     calls = {"_fp_pivots": 0, "_integer_rref": 0}
     for name in calls:
         def counted(*args, _real=getattr(linalg, name), _name=name, **kwargs):
@@ -742,6 +746,51 @@ def test_pr_suite_catches_a_fiber_meeting_the_base_point(monkeypatch):
     _patch_fiber(monkeypatch, "pr_trivialize", lambda point, triv: triv.base_point)
     desc = _fails_every_case("pr", grid={"h": 2, "k": 2, "n": 6})
     assert "meets the chart base point" in desc
+
+
+def test_gamma_suite_catches_a_fiber_point_outside_the_base_point(monkeypatch):
+    def outside(point, triv):
+        first, *rest = point.fiber.points
+        moved = sample_subspace(first.k, first.n, "outside")
+        assert not triv.base_point.contains(moved)
+        return Configuration.of([moved, *rest])
+    _patch_fiber(monkeypatch, "gamma_trivialize", outside)
+    assert _fails_every_case("gamma") == "fiber does not span the chart base point"
+
+
+def test_gamma_suite_catches_a_fiber_short_of_the_base_point(monkeypatch):
+    # two planes of the 4-dimensional V0 that share a line lie in V0 but
+    # span only 3 dimensions; the mod-p rank stops at 3, so the exact
+    # fallback of _rank_at_least decides
+    def sharing_a_line(point, triv):
+        v0 = triv.base_point
+        return Configuration.of([
+            canonicalize(Matrix.unit_rows(rows, v0.k) @ v0.basis, v0.n) for rows in ([0, 1], [0, 2])
+        ])
+    _patch_fiber(monkeypatch, "gamma_trivialize", sharing_a_line)
+    desc = _fails_every_case("gamma", grid={"h": 2, "i": 4, "k": 2, "n": 6})
+    assert desc == "fiber does not span the chart base point"
+
+
+def test_gamma_suite_catches_a_wrong_base(monkeypatch):
+    def chart_base(c, triv, _real=fibrations.gamma_trivialize):
+        return ChartPoint(triv.base_point, _real(c, triv).fiber)
+    monkeypatch.setattr(fibrations, "gamma_trivialize", chart_base)
+    assert _fails_every_case("gamma") == "base component differs from the subspace sum"
+
+
+def test_pr_case_builds_each_projection_and_sum_twice(monkeypatch):
+    # per case: the chart's P and Q_V of the base sum, which pr's inverse
+    # reuses; the sum of the case's front for the chart search and that of
+    # pr's own front, which its inverse reads again from the front
+    calls = {"projection_along": 0, "subspace_sum": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(grassmann, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(grassmann, name, counted)
+    assert run_roundtrip_suite("pr", cases=4, seed=0).ok
+    assert calls == {"projection_along": 8, "subspace_sum": 8}
 
 
 @pytest.mark.parametrize("which", ["gamma", "pr", "eta"])
