@@ -171,7 +171,7 @@ def cmd_verify(args, out) -> int:
         )
     elif args.suite == "dimension":
         s = _stratum_flags(args)
-        report = verify.check_dimension(s, samples=args.samples, tol=args.tol, seed=args.seed)
+        report = verify.check_dimension(s, samples=args.samples, seed=args.seed)
     elif args.suite == "adjacency":
         s = _stratum_flags(args)
         cfg = grassmann.sample_configuration(s, args.seed)
@@ -239,10 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     _add_stratum_flags(p_verify, "hikn", required=False)
     p_verify.add_argument("--samples", type=int, default=3)
-    p_verify.add_argument(
-        "--tol", type=float, default=1e-6,
-        help="validated (finite, > 0) but has no effect: the dimension suite's decision is exact",
-    )
     p_verify.add_argument("--target", type=int)
     p_verify.add_argument("--eps", default="1/1000")
     p_verify.add_argument("--trials", type=int, default=100)

@@ -61,6 +61,17 @@ class Trivialization:
     """Chart data: a base point V0, a complement L0, and the projector onto
     V0 along L0 (as a matrix acting on row vectors).
 
+    The record checks that its fields agree: one ambient dimension,
+    dim V0 + dim L0 = n, and [V0; L0]·P = [V0; 0].  A vector x of V0 ∩ L0
+    then has x = x·P = 0, so the sum is direct and P is the projection
+    onto V0 along L0.  A base point that is its own complement is refused:
+
+    >>> v0 = grassmann.canonicalize(Matrix.unit_rows([0, 1], 4), 4)
+    >>> Trivialization(v0, v0, Matrix.identity(4))
+    Traceback (most recent call last):
+    ...
+    ValueError: projector is not the projection onto the base point along the complement
+
     _chart_projection keeps its last result (v, Q_v) beside the fields,
     so ==, hash and repr ignore it.
     """
@@ -68,6 +79,19 @@ class Trivialization:
     base_point: Subspace
     complement: Subspace
     projector: Matrix
+
+    def __post_init__(self) -> None:
+        v0, l0, p = self.base_point, self.complement, self.projector
+        if not v0.n == l0.n == p.rows == p.cols:
+            raise MixedAmbientError(
+                "base point, complement and projector need one ambient dimension"
+            )
+        if v0.k + l0.k != v0.n:
+            raise NotComplementaryError("dimensions do not add up to the ambient dimension")
+        if v0.basis.stack(l0.basis) @ p != v0.basis.stack(Matrix.zeros(l0.k, l0.n)):
+            raise ValueError(
+                "projector is not the projection onto the base point along the complement"
+            )
 
     @staticmethod
     def over(v0: Subspace, l0: Optional[Subspace] = None) -> "Trivialization":
@@ -94,21 +118,12 @@ class ChartPoint:
     fiber: FiberPoint
 
 
-def _require_transverse(v: Subspace, triv: Trivialization, what: str) -> None:
-    """Check v ⊕ L0 = C^n, naming the first condition that fails."""
-    if v.n != triv.n:
-        raise OutsideChartError(f"{what}: ambient dimension mismatch")
-    if v.k != triv.base_point.k:
-        raise OutsideChartError(
-            f"{what}: dimension {v.k} does not match the chart base dimension {triv.base_point.k}"
-        )
-    if not linalg._has_rank(v.basis.stack(triv.complement.basis), v.n):
-        raise OutsideChartError(f"{what}: not transverse to the chart complement")
-
-
 def _chart_projection(v: Subspace, triv: Trivialization, what: str) -> Matrix:
-    """Q_v, the projection onto v along L0, whose solve decides
-    v ⊕ L0 = C^n; _require_transverse names a failure.
+    """Q_v, the projection onto v along L0, whose solve alone decides
+    v ⊕ L0 = C^n; a failure raises OutsideChartError prefixed by what.
+
+    The chart record makes dim V0 + dim L0 = n, so a v of the chart's
+    ambient dimension and of dimension dim V0 whose solve fails meets L0.
 
     The chart keeps the last (v, Q_v) it returned, and answers the same v
     from it; a failure is never kept, so it is decided again each time.
@@ -119,8 +134,13 @@ def _chart_projection(v: Subspace, triv: Trivialization, what: str) -> Matrix:
     try:
         q = grassmann.projection_along(v, triv.complement)
     except (MixedAmbientError, NotComplementaryError):
-        _require_transverse(v, triv, what)
-        raise
+        if v.n != triv.n:
+            raise OutsideChartError(f"{what}: ambient dimension mismatch") from None
+        if v.k != triv.base_point.k:
+            raise OutsideChartError(
+                f"{what}: dimension {v.k} does not match the chart base dimension {triv.base_point.k}"
+            ) from None
+        raise OutsideChartError(f"{what}: not transverse to the chart complement") from None
     object.__setattr__(triv, "_last_projection", (v, q))
     return q
 
@@ -144,7 +164,7 @@ def gamma_trivialize(c: Configuration, triv: Trivialization) -> ChartPoint:
     V0 along L0, a configuration of the same stratum index inside V0.
     """
     total = c.span
-    _require_transverse(total, triv, "gamma_trivialize")
+    _chart_projection(total, triv, "gamma_trivialize")  # the guard; the inverse reuses Q_V
     return ChartPoint(base=total, fiber=grassmann.transform_configuration(c, triv.projector))
 
 
@@ -235,13 +255,14 @@ def pr_untrivialize(p: ChartPoint, triv: Trivialization) -> Configuration:
     if not isinstance(front, Configuration):
         raise TypeError("pr chart points have a Configuration base")
     if isinstance(p.fiber, Matrix):
+        # a graph over complement(V0), which misses V0
         image = chart_point(p.fiber, triv.base_point)
     elif isinstance(p.fiber, Subspace):
         image = p.fiber
+        if grassmann.intersection_dim(image, triv.base_point) != 0:
+            raise OutsideChartError("fiber subspace meets the chart base point")
     else:
         raise TypeError("pr fiber is chart coordinates or a subspace")
-    if grassmann.intersection_dim(image, triv.base_point) != 0:
-        raise OutsideChartError("fiber subspace meets the chart base point")
     q = _chart_projection(front.span, triv, "pr_untrivialize")
     # the inverse of the extended isomorphism: Q_V on V0, the identity on L0
     last = grassmann.transform(image, q + Matrix.identity(front.n) - triv.projector)
@@ -284,6 +305,6 @@ def eta_fiber_lift(p: ChartPoint, triv: Trivialization) -> Configuration:
             raise OutsideChartError("quotient images must lie in the chart complement")
     if grassmann.intersection_dim(first, second) != 0:
         raise OutsideChartError("quotient images must be in direct sum")
-    _require_transverse(base, triv, "eta_fiber_lift")
+    _chart_projection(base, triv, "eta_fiber_lift")
     points = tuple(grassmann.canonicalize(base.basis.stack(q.basis), base.n) for q in fiber)
     return Configuration(2, points[0].k, base.n, points)

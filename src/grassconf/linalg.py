@@ -18,14 +18,14 @@ elimination only and reads the pivot count, without building a reduced
 matrix.  _rank_at_least first tries a mod-p rank certificate that can only
 prove a lower bound on the rank and leaves every other answer to
 _integer_rref.  Every decision "rank >= r" goes through it: the
-sampler's draws of invertible matrices and subspaces, the transversality
-and direct-sum tests of fibrations, the roundtrip suites' chart search,
-the gamma suite's check that a fiber inside V0 spans it (rank dim V0)
-and the dimension suite's tangent rank; intersection_dim returns 0 when
-the certificate proves the sum direct.
+sampler's draws of invertible matrices and subspaces, the direct-sum test
+of fibrations.pr_forget_last, the gamma suite's check that a fiber inside
+V0 spans it (rank dim V0) and the dimension suite's tangent rank;
+intersection_dim returns 0 when the certificate proves the sum direct.
 A solve decides its own system: the chart projections of grassmann and
-fibrations catch its InconsistentSystemError instead of testing the
-matrix first.  The certificate's one mod-p elimination, _fp_pivots, also
+fibrations, and with them every transversality decision of fibrations and
+the roundtrip suites' chart search, catch its InconsistentSystemError
+instead of testing the matrix first.  The certificate's one mod-p elimination, _fp_pivots, also
 names the pivot rows and columns of a minor that is nonzero mod p; the
 adjacency trials re-evaluate that minor.
 The product brings the right factor's rows to one common scale and

@@ -22,10 +22,13 @@ Three batch checks back the exact layer:
   nonzero.  Otherwise the trial builds its Z[i] rows by the witness's
   routine, and a drop is always decided by the exact pivot count.
 * run_roundtrip_suite exercises the gamma/pr/eta trivializations on
-  seeded samples, entrywise over Q(i).  A case checks the base component,
-  the one fiber fact no map decides, and the round trip.  The guards of
-  pr_trivialize (direct sum), pr_untrivialize (fiber misses V0) and
-  eta_fiber_lift (quotient pair in L0, in direct sum) decide the rest.
+  seeded samples, entrywise over Q(i).  A case's chart is the first seeded
+  one on which the solve of Q_over, the projection onto the case's base
+  along L0, succeeds; the maps reuse that Q_over as their guard.  A case
+  checks the base component, the one fiber fact no map decides, and the
+  round trip.  The guards of pr_trivialize (direct sum), pr_untrivialize
+  (a fiber subspace misses V0) and eta_fiber_lift (quotient pair in L0,
+  in direct sum) decide the rest.
   A gamma case compares the base with the sample's sum, reduced once
   (Configuration.span), and checks that the fiber spans V0 without
   reducing the fiber's sum: every fiber point lies in V0 (a product on
@@ -38,7 +41,6 @@ can run in any order, or in parallel, with identical reports.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -51,6 +53,7 @@ from .errors import (
     FullSpaceError,
     GrassconfError,
     NotComplementaryError,
+    OutsideChartError,
     UnreachableError,
     WrongArityError,
     record,
@@ -244,23 +247,18 @@ def _dimension_case(c: Configuration, s: StratumId) -> Optional[str]:
     return f"tangent rank {linalg.rank(tangent)} != dimension {expected}"
 
 
-def check_dimension(
-    s: StratumId,
-    samples: int = 3,
-    tol: float = 1e-6,
-    seed: SeedLike = 0,
-) -> VerificationReport:
+def check_dimension(s: StratumId, samples: int = 3, *, seed: SeedLike = 0) -> VerificationReport:
     """Exact verification of the dimension formula at sampled points.
 
     Each sample passes when the chart tangent at it, one row per complex
     chart coordinate, has rank i(n-i) + hk(i-k) over Q(i).  The chart is
-    holomorphic, so this is half the real rank of its real Jacobian.  tol
-    is validated for compatibility but no longer enters the decision.
+    holomorphic, so this is half the real rank of its real Jacobian.
+
+    >>> check_dimension(StratumId(2, 3, 2, 4), samples=2, seed=1).ok
+    True
     """
     _require_count("samples", samples)
     _require_nonempty(s)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive")
     if samples < 0:
         raise ValueError("samples must be >= 0")
     report = VerificationReport(
@@ -504,20 +502,21 @@ def _expand_grid(grid: dict) -> list[dict]:
 def _random_chart(over: Subspace, seed_tag: str) -> Optional[Trivialization]:
     """A trivialization with seeded random base point AND complement whose
     chart contains ``over``; each attempt draws its base point from
-    Gr(over.k, n), where the chart is centred.  Randomizing the complement
-    matters: the deterministic one is constant across generic base points,
-    so a sample touching it would never find a chart by resampling the
-    base alone."""
+    Gr(over.k, n), where the chart is centred, and the first attempt on
+    which the solves of P and of Q_over both succeed is kept, with its
+    Q_over.  Randomizing the complement matters: the deterministic one is
+    constant across generic base points, so a sample touching it would
+    never find a chart by resampling the base alone."""
     k, n = over.k, over.n
     for attempt in range(64):
         v0 = grassmann.sample_subspace(k, n, f"{seed_tag}:base:{attempt}")
         l0 = grassmann.sample_subspace(n - k, n, f"{seed_tag}:comp:{attempt}")
-        if not linalg._has_rank(over.basis.stack(l0.basis), n):
-            continue
         try:
-            return Trivialization.over(v0, l0)
-        except NotComplementaryError:  # V0 meets L0
+            triv = Trivialization.over(v0, l0)
+            fibrations._chart_projection(over, triv, "chart search")
+        except (NotComplementaryError, OutsideChartError):  # L0 meets V0 or over
             continue
+        return triv
     return None
 
 

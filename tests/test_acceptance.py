@@ -126,7 +126,7 @@ def test_criterion_3_dimension_formula():
             for k in (1, 2, 3):
                 for n in range(k + 1, 7):
                     for s in nonempty_strata(h, k, n):
-                        report = check_dimension(s, samples=3, tol=1e-6, seed=11)
+                        report = check_dimension(s, samples=3, seed=11)
                         assert report.ok, (s, report.failures[:2])
                         count += 1
         assert count == 55

@@ -368,7 +368,6 @@ def test_verify_suite_cli(tmp_path):
     ["--suite", "eta", "--i", "4", "--k", "2", "--n", "4"],
     ["--suite", "gamma", "--i", "9", "--k", "2", "--n", "5"],
     ["--suite", "pr", "--h", "1"],
-    ["--suite", "dimension", "--h", "2", "--i", "3", "--k", "2", "--n", "4", "--tol", "nan"],
     ["--suite", "gamma", "--cases", "-5"],
     ["--suite", "dimension", "--h", "2", "--i", "3", "--k", "2", "--n", "4", "--samples", "-1"],
     ["--suite", "adjacency", "--h", "2", "--i", "3", "--k", "2", "--n", "4", "--trials", "-3"],
@@ -376,7 +375,7 @@ def test_verify_suite_cli(tmp_path):
     ["--suite", "eta", "--h", "3"],
 ], ids=[
     "eps-zero-denominator", "eta-empty-stratum", "eta-direct-sum",
-    "gamma-empty-stratum", "pr-one-point", "tol-nan",
+    "gamma-empty-stratum", "pr-one-point",
     "negative-cases", "negative-samples", "negative-trials",
     "gamma-full-space", "eta-not-a-pair",
 ])
@@ -389,6 +388,20 @@ def test_verify_bad_input_exits_2(argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+
+
+def test_verify_tol_is_an_unknown_argument():
+    # --tol had no effect on the exact dimension suite and was removed
+    proc = subprocess.run(
+        [sys.executable, "-m", "grassconf", "verify", "--suite", "dimension",
+         "--h", "2", "--i", "3", "--k", "2", "--n", "4", "--tol", "1e-6"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        "grassconf: error: unrecognized arguments: --tol 1e-6"
+    )
 
 
 @pytest.mark.parametrize("eps, named", [
@@ -466,9 +479,8 @@ options:
     "verify": """\
 usage: grassconf verify [-h] --suite {gamma,pr,eta,dimension,adjacency}
                         [--cases CASES] [--seed SEED] [--h H] [--i I] [--k K]
-                        [--n N] [--samples SAMPLES] [--tol TOL]
-                        [--target TARGET] [--eps EPS] [--trials TRIALS]
-                        [--json] [-o OUTPUT]
+                        [--n N] [--samples SAMPLES] [--target TARGET]
+                        [--eps EPS] [--trials TRIALS] [--json] [-o OUTPUT]
 
 options:
   -h, --help            show this help message and exit
@@ -480,8 +492,6 @@ options:
   --k K
   --n N
   --samples SAMPLES
-  --tol TOL             validated (finite, > 0) but has no effect: the
-                        dimension suite's decision is exact
   --target TARGET
   --eps EPS
   --trials TRIALS

@@ -5,6 +5,8 @@ import pytest
 from grassconf import fibrations, grassmann
 from grassconf.errors import (
     DirectSumError,
+    MixedAmbientError,
+    NotComplementaryError,
     NotDirectSumError,
     OutsideChartError,
     WrongArityError,
@@ -29,6 +31,8 @@ from grassconf.grassmann import (
     StratumId,
     canonicalize,
     complement,
+    intersection_dim,
+    projection_along,
     random_invertible,
     sample_configuration,
     sample_subspace,
@@ -103,6 +107,45 @@ def test_extension_outside_chart_raises():
     meets = canonicalize(unit_rows(4, 2, 3), 4)
     with pytest.raises(OutsideChartError):
         extend_isomorphism(meets, triv)
+
+
+# --- the chart record -------------------------------------------------------
+
+
+def _contradicting_charts():
+    """Fields that contradict each other, with the error each one raises."""
+    v0 = canonicalize(unit_rows(4, 0, 1), 4)
+    l0 = canonicalize(unit_rows(4, 2, 3), 4)
+    tilted = canonicalize(Matrix.from_rows([[1, 0, 1, 0], [0, 1, 0, 1]]), 4)
+    p = projection_along(v0, l0)
+    wrong_projector = (
+        ValueError, "projector is not the projection onto the base point along the complement"
+    )
+    return {
+        "own-complement": ((v0, v0, Matrix.identity(4)), wrong_projector),
+        "short-complement": (
+            (v0, canonicalize(unit_rows(4, 2), 4), p),
+            (NotComplementaryError, "dimensions do not add up to the ambient dimension"),
+        ),
+        "other-charts-projector": ((v0, l0, projection_along(v0, tilted)), wrong_projector),
+        "mixed-ambient": (
+            (v0, canonicalize(unit_rows(5, 2, 3, 4), 5), p),
+            (MixedAmbientError, "base point, complement and projector need one ambient dimension"),
+        ),
+        "mixed-projector": (
+            (v0, l0, Matrix.identity(5)),
+            (MixedAmbientError, "base point, complement and projector need one ambient dimension"),
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_contradicting_charts()))
+def test_chart_record_rejects_contradicting_fields(case):
+    fields, (error, message) = _contradicting_charts()[case]
+    with pytest.raises(error) as exc:
+        Trivialization(*fields)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
 
 
 # --- gamma ------------------------------------------------------------------
@@ -223,6 +266,21 @@ def test_chart_coordinates_round_trip():
         coords = chart_coordinates(hh, w)
         assert coords.rows == 2 and coords.cols == 3
         assert chart_point(coords, w) == hh
+
+
+def test_chart_points_miss_their_w():
+    # pr_untrivialize needs no guard on chart coordinates: chart_point
+    # builds a graph over complement(w), which always misses w
+    checked = 0
+    for n in range(2, 8):
+        for k in range(1, n):
+            for seed in range(10):
+                rng = random.Random(f"graph:{k}:{n}:{seed}")
+                w = sample_subspace(n - k, n, f"graph:w:{k}:{n}:{seed}")
+                coords = rand_matrix(k, n - k, rng, sparse=0.3)
+                assert intersection_dim(chart_point(coords, w), w) == 0
+                checked += 1
+    assert checked == 210
 
 
 def test_chart_coordinates_match_frame_solve():

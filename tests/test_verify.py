@@ -189,10 +189,11 @@ def test_dimension_single_subspace_is_grassmannian():
     assert report.parameters == {"h": 1, "i": 2, "k": 2, "n": 5, "samples": 2, "seed": "3"}
 
 
-def test_dimension_tol_has_no_effect():
-    # tol is validated but the decision is exact
-    s = StratumId(2, 3, 2, 4)
-    assert check_dimension(s, tol=1e-12).to_json() == check_dimension(s, tol=0.5).to_json()
+def test_dimension_seed_is_keyword_only():
+    # the third positional parameter was tol, which had no effect; an old
+    # positional tol must not silently become the seed
+    with pytest.raises(TypeError):
+        check_dimension(StratumId(2, 3, 2, 4), 3, 1e-6)
 
 
 def test_dimension_pair_example():
@@ -659,25 +660,33 @@ def test_chart_base_point_is_the_first_transverse_draw(monkeypatch, which, grid)
         assert triv.complement == l0
 
 
-@pytest.mark.parametrize("which, fp_pivots, rrefs", [
-    ("gamma", 80, 220), ("pr", 80, 260), ("eta", 80, 280),
-])
-def test_chart_projections_are_decided_by_their_solves(monkeypatch, which, fp_pivots, rrefs):
-    # a chart projection's solve decides v ⊕ L0 = C^n, so no mod-p rank
-    # runs in front of it: per case one mod-p rank each for the sampler's g,
-    # the chart search and every public map's own input check, and for γ
-    # the certificate that the fiber, inside V0, reaches rank dim V0.
-    # Membership is a product on the RREF basis, a configuration's sum is
-    # reduced once, and pr's inverse reuses pr's Q_V, so none of them
-    # runs an elimination of its own
-    calls = {"_fp_pivots": 0, "_integer_rref": 0}
+@pytest.mark.parametrize("which, fp_pivots, rrefs, projections", [
+    ("gamma", 40, 220, 40), ("pr", 40, 260, 40), ("eta", 40, 280, 40),
+], ids=["gamma", "pr", "eta"])
+def test_chart_projections_are_decided_by_their_solves(
+    monkeypatch, which, fp_pivots, rrefs, projections
+):
+    # a chart projection's solve alone decides v ⊕ L0 = C^n: the chart
+    # search keeps the first chart on which Q_over solves, and the maps
+    # reuse that Q_over as their guard, so per case the chart's P and
+    # Q_over are the only projections.  No mod-p rank decides
+    # transversality; per case one runs for the sampler's g and one for
+    # the map's own input check (γ: the fiber, inside V0, reaches rank
+    # dim V0; pr: the points are in direct sum; η: the quotient images
+    # are).  Membership is a product on the RREF basis and a
+    # configuration's sum is reduced once, so neither runs an elimination
+    # of its own
+    calls = {"_fp_pivots": 0, "_integer_rref": 0, "projection_along": 0}
     for name in calls:
-        def counted(*args, _real=getattr(linalg, name), _name=name, **kwargs):
+        module = grassmann if name == "projection_along" else linalg
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
-        monkeypatch.setattr(linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
     assert run_roundtrip_suite(which, cases=20, seed=0).ok
-    assert calls == {"_fp_pivots": fp_pivots, "_integer_rref": rrefs}
+    assert calls == {
+        "_fp_pivots": fp_pivots, "_integer_rref": rrefs, "projection_along": projections,
+    }
 
 
 # each map pair of a suite: (trivialize, inverse)
