@@ -25,9 +25,9 @@ intersection_dim returns 0 when the certificate proves the sum direct.
 A solve decides its own system: the chart projections of grassmann and
 fibrations, and with them every transversality decision of fibrations and
 the roundtrip suites' chart search, catch its InconsistentSystemError
-instead of testing the matrix first.  The certificate's one mod-p elimination, _fp_pivots, also
-names the pivot rows and columns of a minor that is nonzero mod p; the
-adjacency trials re-evaluate that minor.
+instead of testing the matrix first.  The certificate's one mod-p
+elimination, _fp_pivots, also names the pivot rows and columns of a minor
+that is nonzero mod p, so those rows are independent.
 The product brings the right factor's rows to one common scale and
 builds each entry as one Z[i] dot product.  All values are immutable and
 all operations are pure (the entries view is filled once, with the same

@@ -11,16 +11,17 @@ Three batch checks back the exact layer:
   perturbations never lower the stratum.  Its chart metric is the
   max-entry distance of orthogonal projectors, built as Gaussian-integer
   matrices over a positive integer, once per base point per check that
-  runs trials (a witness-only check builds none, nor the minor below).  No
+  runs trials (a witness-only check builds none, nor the floor below).  No
   moved point needs one: a stored basis is RREF, so one integer test
   (_moves_less_than) proves that a move keeps the rank and stays within
   eps and half the smallest base gap.  A witness step tilts the first
-  redundant row, read off the stack's left null space.  Once per check a
-  mod-p elimination of the base stack picks a j0 x j0 minor that is
-  nonzero mod p, j0 the base stratum; a trial evaluates only that minor
-  of its perturbed stack mod p, which proves "no drop" when it stays
-  nonzero.  Otherwise the trial builds its Z[i] rows by the witness's
-  routine, and a drop is always decided by the exact pivot count.
+  redundant row, read off the stack's left null space.  Once per check
+  j0 rows of the base stack whose minor is nonzero mod p, j0 the base
+  stratum, give an exact floor on sigma_j0^2 of the stack (_sigma_floor);
+  a trial whose move t D has |t|^2 ||D||_F^2 below it keeps rank >= j0 by
+  Weyl's inequality, which one integer comparison proves.  Otherwise the
+  trial builds its Z[i] rows by the witness's routine, and a drop is
+  always decided by the exact pivot count.
 * run_roundtrip_suite exercises the gamma/pr/eta trivializations on
   seeded samples, entrywise over Q(i).  A case's chart is the first seeded
   one on which the solve of Q_over, the projection onto the case's base
@@ -366,16 +367,47 @@ def _unit_draws(rng: random.Random, count: int) -> list[int]:
     return out
 
 
-# the F_p image of each of the nine draw pairs
-_UNITS = [(re, im) for re in (-1, 0, 1) for im in (-1, 0, 1)]
-_UNIT_FP = dict(zip(_UNITS, linalg._fp_rows([_UNITS])[0]))
+def _sigma_floor(rows: ScaledRows, j0: int) -> tuple[int, int]:
+    """(num, den) with num / den <= sigma_j0^2 of the Q(i) matrix M of the
+    stored rows; (0, 1) when there are fewer than j0 rows or they are
+    dependent.
+
+    At one scale M = W / L; with G = W W^H one elimination of [G | I]
+    leaves [d I | d G^-1], d = det G > 0, when the rows are independent.
+    For Hermitian positive definite G, lambda_min(G) >= 1 / ||G^-1||_inf,
+    and |z| <= |re z| + |im z| bounds ||d G^-1||_inf by m, the largest row
+    sum of |re| + |im|.  So d / (m L^2) <= lambda_min(G) / L^2, which is
+    sigma_j0(M)^2 for j0 rows and, since deleting rows raises no singular
+    value, at most sigma_j0^2 of any stack that contains them.
+
+    >>> _sigma_floor([(1, ((1, 0), (0, 0))), (1, ((0, 0), (1, 0)))], 2)
+    (1, 1)
+    >>> _sigma_floor([(2, ((1, 0), (0, 0), (0, 0)))], 1)
+    (1, 4)
+    >>> _sigma_floor([(1, ((1, 0), (2, 1))), (2, ((2, 0), (4, 2)))], 2)
+    (0, 1)
+    """
+    if len(rows) < j0:
+        return 0, 1
+    scale, ints = linalg._common_scale(rows)
+    k = len(ints)
+    conj = [[(re, -im) for re, im in row] for row in ints]
+    gram = _hermitian([[linalg._gdot(a, b) for b in conj[r:]] for r, a in enumerate(ints)])
+    grid = [g_row + [(int(r == col), 0) for col in range(k)] for r, g_row in enumerate(gram)]
+    d, pivots = linalg._integer_rref(grid)
+    # G is positive semidefinite, so definite (no row swap, d = det G > 0)
+    # exactly when its k columns are the pivots
+    if pivots != tuple(range(k)):
+        return 0, 1
+    m = max(sum(abs(re) + abs(im) for re, im in row[k:]) for row in grid)
+    return d[0], m * scale * scale
 
 
 def _semicontinuity_trial(
     c: Configuration,
     base_rank: int,
     base: ScaledRows,
-    minor: list[tuple[int, list[tuple[int, int]]]],
+    floor: tuple[int, int],
     eps: Fraction,
     bound: Fraction,
     rng: random.Random,
@@ -386,16 +418,17 @@ def _semicontinuity_trial(
     randomized and then shrunk until _moves_less_than certifies every
     point's move below bound (at most eps and half the smallest base gap,
     so the points stay distinct).  base holds the points' stacked bases as
-    scaled Z[i] rows.  With t = a/b a perturbed entry is b * v + a * s * d,
-    v the base entry, s its row's scale and d its draw (see
-    _perturbed_rows), so the check's certificate minor of the perturbed
-    stack is evaluated mod p alone: nonzero, it proves that the stratum
-    did not drop; otherwise the exact rows decide by _rank_at_least.
-    Returns a failure description when the stratum drops, None otherwise.
+    scaled Z[i] rows, and floor = num / den <= sigma_j0^2 of their stack,
+    j0 = base_rank (_sigma_floor).  The stack moves by t D, and
+    ||t D||_2 <= |t| ||D||_F with ||D||_F^2 the count of nonzero draws; so
+    with t = a/b, a^2 ||D||_F^2 den < num b^2 gives ||t D||_2 < sigma_j0,
+    and by Weyl's inequality (sigma_j0(M + E) >= sigma_j0(M) - ||E||_2;
+    Weyl, Math. Ann. 71, 1912) the stratum did not drop.  Otherwise the
+    exact rows decide by _rank_at_least.  Returns a failure description
+    when the stratum drops, None otherwise.
     """
     h, k, n = c.h, c.k, c.n
     draws = _unit_draws(rng, 2 * h * k * n)
-    pairs = list(zip(draws[::2], draws[1::2]))
     # each draw is -1, 0 or 1, so a point's sum of |d|^2 counts its nonzero draws
     per_point = 2 * k * n
     size = max(per_point - draws[p * per_point:(p + 1) * per_point].count(0) for p in range(h))
@@ -403,10 +436,10 @@ def _semicontinuity_trial(
     for _ in range(80):
         if _moves_less_than(size, t, bound):
             a, b = t.numerator, t.denominator
-            grid = [[(b * v + a * s * _UNIT_FP[pairs[at]]) % linalg._P for v, at in entries]
-                    for s, entries in minor]
-            if len(linalg._fp_pivots(grid, base_rank)[1]) == base_rank:
+            num, den = floor
+            if a * a * (len(draws) - draws.count(0)) * den < num * b * b:
                 return None
+            pairs = list(zip(draws[::2], draws[1::2]))
             directions = [pairs[r * n:(r + 1) * n] for r in range(h * k)]
             if not linalg._rank_at_least(_perturbed_rows(base, directions, t), base_rank):
                 return "stratum dropped under a perturbation of size < eps"
@@ -461,18 +494,16 @@ def check_adjacency(
         Fraction(_projector_gap(na, da, nb, db), 2 * da * db)
         for a, (na, da) in enumerate(projectors) for nb, db in projectors[a + 1:]
     ])
-    # the trials' certificate minor, at the base stack's pivots mod p: per
-    # pivot row its scale s and, per pivot column, the F_p image v of its
-    # entry and the index of that entry's draw pair.  With fewer than j0
-    # pivots no trial's minor can reach j0, and every trial decides exactly.
+    # the trials' floor on sigma_j0^2 of the base stack, from the j0 rows of
+    # a minor that is nonzero mod p, hence independent; with fewer than j0
+    # pivots mod p the floor is 0 and every trial decides exactly
     base = [row for p in c.points for row in p.basis.zrows]
-    images = linalg._fp_rows(row for _, row in base)
-    rows, cols = linalg._fp_pivots(images[:], j0)
-    minor = [(base[r][0], [(images[r][col], r * c.n + col) for col in cols]) for r in rows]
+    picked, _ = linalg._fp_pivots(linalg._fp_rows(row for _, row in base), j0)
+    floor = _sigma_floor([base[r] for r in picked], j0)
     for idx in range(trials):
         case_seed = f"{seed}:{idx}"
         desc = _semicontinuity_trial(
-            c, j0, base, minor, eps, bound, random.Random(f"adjacency:{case_seed}")
+            c, j0, base, floor, eps, bound, random.Random(f"adjacency:{case_seed}")
         )
         report.record(case_seed, desc)
     return report

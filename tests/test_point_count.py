@@ -4,15 +4,31 @@ The number of ordered h-tuples of distinct k-subspaces of F_q^n with sum
 of dimension i is a polynomial in q.  The stratum over C is irreducible
 of dimension d exactly when this polynomial is nonzero, and then it has
 degree d and leading coefficient 1.
+
+The gamma, pr and eta fibrations are Zariski-locally trivial, so the count
+of a total stratum is the count of the base times that of the fiber.  With
+N the stratum count and [n, i] the Gaussian binomial:
+
+* gamma, i < n: N(F_h^i(k,n)) = [n, i] N(F_h^i(k,i))
+* pr: N(F_h^(hk)(k,hk)) = N(F_(h-1)^((h-1)k)(k,hk)) q^(k(hk-k))
+* eta, i < 2k: N(F_2^i(k,n)) = [n, 2k-i] N(F_2^(2(i-k))(i-k, n-2k+i))
+
+These identities check the rewrite rules of homotopy from outside it: each
+gamma, pr or eta step of a derivation must hand its query to the stratum
+that makes its identity hold.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from grassconf import homotopy
+from grassconf.errors import OutOfScopeError
 from grassconf.grassmann import StratumId, is_stratum_nonempty, stratum_dimension
+from grassconf.homotopy import PiQuery, Product
 
 from oracles import (
+    _poly_mul,
     distinct_tuple_count,
     gaussian_binomial,
     poly_add,
@@ -75,3 +91,78 @@ def test_strata_counts_sum_to_all_distinct_tuples():
                 for i in range(1, n + 1):
                     total = poly_add(total, stratum_point_count(h, i, k, n))
                 assert total == distinct_tuple_count(h, k, n), (h, k, n)
+
+
+def _count(q) -> tuple[int, ...]:
+    return stratum_point_count(q.h, q.i, q.k, q.n)
+
+
+def _fibration_sides(kind: str, total, rest) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Both sides of the count identity of kind, for the total stratum and
+    the stratum its rule leaves (the fiber for gamma, the base otherwise)."""
+    h, i, k, n = total.h, total.i, total.k, total.n
+    if kind == "gamma":
+        return _count(total), _poly_mul(gaussian_binomial(n, i), _count(rest))
+    if kind == "pr":
+        return _count(total), (0,) * (k * (n - k)) + _count(rest)
+    return _count(total), _poly_mul(gaussian_binomial(n, 2 * k - i), _count(rest))
+
+
+def test_fibration_counts_hold_on_every_stratum_they_apply_to():
+    checked = {"gamma": 0, "pr": 0, "eta": 0}
+    for s in _grid(5, 10):
+        if s.h < 2 or not is_stratum_nonempty(s):
+            continue
+        h, i, k, n = s.h, s.i, s.k, s.n
+        cases = []
+        if i < n:
+            cases.append(("gamma", StratumId(h, i, k, i)))
+        if i == h * k == n:
+            cases.append(("pr", StratumId(h - 1, (h - 1) * k, k, n)))
+        if h == 2 and i < 2 * k:
+            cases.append(("eta", StratumId(2, 2 * (i - k), i - k, n - 2 * k + i)))
+        for kind, rest in cases:
+            left, right = _fibration_sides(kind, s, rest)
+            assert left and left == right, (kind, s)
+            checked[kind] += 1
+    assert checked == {"gamma": 377, "pr": 12, "eta": 70}
+
+
+STEP_KINDS = {"gamma-reduction": "gamma", "gamma-split": "gamma", "pr-equality": "pr",
+              "eta-split": "eta"}
+
+
+def _queries(expr) -> list:
+    factors = expr.factors if isinstance(expr, Product) else (expr,)
+    return [f for f in factors if isinstance(f, PiQuery)]
+
+
+def test_every_fibration_step_of_derive_keeps_the_count():
+    # a step rewrites the first pending query of before; the query it hands
+    # on is the one in after that before did not already hold
+    checked: dict[str, set] = {"gamma": set(), "pr": set(), "eta": set()}
+    for s in _grid(5, 10):
+        if not is_stratum_nonempty(s):
+            continue
+        for degree in (1, 2):
+            try:
+                _, trace = homotopy.derive(s, degree)
+            except OutOfScopeError:
+                assert degree == 2 and s.k == 1
+                continue
+            for step in trace.steps:
+                query, *others = _queries(step.before)
+                handed = _queries(step.after)
+                for q in others:
+                    handed.remove(q)
+                if step.rule not in STEP_KINDS:
+                    assert handed == [], step.rule
+                    continue
+                [rest] = handed
+                kind = STEP_KINDS[step.rule]
+                left, right = _fibration_sides(kind, query, rest)
+                assert left and left == right, (step.rule, query.render(), rest.render())
+                checked[kind].add((query.h, query.i, query.k, query.n))
+    assert {kind: len(strata) for kind, strata in checked.items()} == {
+        "gamma": 307, "pr": 9, "eta": 20,
+    }

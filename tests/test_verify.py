@@ -1,3 +1,4 @@
+import json
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -427,11 +428,9 @@ def test_unit_draws_match_randint():
         assert ours.randint(1, 4096) == reference.randint(1, 4096)
 
 
-def _trial_log(monkeypatch, short=False):
-    """The linalg._fp_pivots calls (grid before elimination, cap) and
-    linalg._rank_at_least calls (rows, r) made inside semicontinuity
-    trials, in order; the witness's calls are left out.  With short, every
-    _fp_pivots call inside a trial returns one pivot too few."""
+def _trial_log(monkeypatch):
+    """The linalg._rank_at_least calls ("rank", rows, r) made inside
+    semicontinuity trials, in order; the witness's calls are left out."""
     log, inside = [], []
 
     def trial(*args, _trial=verify._semicontinuity_trial):
@@ -445,44 +444,51 @@ def _trial_log(monkeypatch, short=False):
         if inside:
             log.append(("rank", [list(row) for row in rows], r))
         return _rank(rows, r)
-
-    def pivots(grid, cap, _pivots=linalg._fp_pivots):
-        if inside:
-            log.append(("pivots", [list(row) for row in grid], cap))
-        rows, cols = _pivots(grid, cap)
-        return (rows[:cap - 1], cols[:cap - 1]) if inside and short else (rows, cols)
     monkeypatch.setattr(verify, "_semicontinuity_trial", trial)
     monkeypatch.setattr(linalg, "_rank_at_least", ranked)
-    monkeypatch.setattr(linalg, "_fp_pivots", pivots)
     return log
 
 
-def test_trials_without_the_certificate_minor_give_the_same_reports(monkeypatch):
-    # when no trial's minor reaches j0 pivots mod p, every trial builds its
-    # exact rows and _rank_at_least decides, with the same verdicts; the
-    # minor a trial evaluated is the exact perturbed stack's minor mod p
+def _no_floor(monkeypatch):
+    monkeypatch.setattr(verify, "_sigma_floor", lambda rows, j0: (0, 1))
+
+
+def test_trials_without_the_floor_give_the_same_reports(monkeypatch):
+    # with the floor at 0 every trial builds its exact rows and one
+    # _rank_at_least call at j0 decides it, with the same verdicts
     checks = [(sample_configuration(s, "golden"), target) for s, target in WITNESS_CASES[:3]]
     certified = [check_adjacency(c, target, Fraction(1, 1000), trials=10, seed="golden").to_json()
                  for c, target in checks]
-    log = _trial_log(monkeypatch, short=True)
+    log = _trial_log(monkeypatch)
+    _no_floor(monkeypatch)
     for (c, target), want in zip(checks, certified):
         log.clear()
         got = check_adjacency(c, target, Fraction(1, 1000), trials=10, seed="golden")
-        assert got.to_json() == want
-        j0 = stratum_of(c)
-        base = linalg._fp_rows(row for p in c.points for _, row in p.basis.zrows)
-        picked, cols = linalg._fp_pivots(base, j0)
-        assert len(log) == 3 * 10
-        for (_, minor, cap), (_, rows, r), (_, image, _) in zip(log[::3], log[1::3], log[2::3]):
-            assert cap == r == j0
-            assert image == linalg._fp_rows(rows)
-            assert minor == [[image[row][col] for col in cols] for row in picked]
+        assert json.dumps(got.to_json()) == json.dumps(want)
+        assert [r for _, _, r in log] == [stratum_of(c)] * 10
 
 
-def test_certificate_minor_is_picked_once_per_check(monkeypatch):
+def test_trials_past_the_floor_decide_by_the_exact_rank(monkeypatch):
+    # at eps = 5 the points of this sample are far enough apart that some
+    # trials move the stack by more than the floor proves safe; those reach
+    # _rank_at_least, and the report is the one that a floor of 0 gives
+    c = sample_configuration(StratumId(3, 4, 3, 5), "golden")
+    log = _trial_log(monkeypatch)
+    report = check_adjacency(c, 5, Fraction(5), trials=10, seed="golden")
+    assert report.ok, report.failures
+    assert 0 < len(log) < 10
+    assert {r for _, _, r in log} == {4}
+    _no_floor(monkeypatch)
+    log.clear()
+    forced = check_adjacency(c, 5, Fraction(5), trials=10, seed="golden")
+    assert json.dumps(forced.to_json()) == json.dumps(report.to_json())
+    assert len(log) == 10
+
+
+def test_floor_rows_are_picked_once_per_check(monkeypatch):
     # after the witness's three rank checks (caps 4, 5, 6) a check with
-    # trials eliminates its 6 x 6 base stack mod p once, with cap j0 = 3;
-    # each trial eliminates only its 3 x 3 minor
+    # trials eliminates its 6 x 6 base stack mod p once, with cap j0 = 3,
+    # to pick the floor's rows; no trial eliminates anything
     c = sample_configuration(StratumId(3, 3, 2, 6), "golden")
     picks = []
 
@@ -493,8 +499,45 @@ def test_certificate_minor_is_picked_once_per_check(monkeypatch):
     for trials in (0, 7, 30):
         picks.clear()
         assert check_adjacency(c, 6, Fraction(1, 1000), trials=trials, seed="golden").ok
-        minor = [(6, 6, 3)] + [(3, 3, 3)] * trials if trials else []
-        assert picks == [(6, 6, 4), (6, 6, 5), (6, 6, 6)] + minor
+        floor = [(6, 6, 3)] if trials else []
+        assert picks == [(6, 6, 4), (6, 6, 5), (6, 6, 6)] + floor
+
+
+def _singular_values(rows):
+    """numpy's singular values of the Q(i) matrix of the stored rows."""
+    return np.linalg.svd(np.array(
+        [[complex(re, im) / scale for re, im in row] for scale, row in rows]
+    ), compute_uv=False)
+
+
+@pytest.mark.parametrize("h", [2, 3, 4])
+def test_sigma_floor_is_below_the_smallest_singular_value(h):
+    # numpy's SVD is the oracle: the floor of the picked rows M_R must lie
+    # below sigma_min(M_R)^2 <= sigma_j0(M)^2 by more than rounding, so a
+    # floor within rounding of the bound fails rather than passes
+    checked = 0
+    for n in range(2, 8):
+        for k in range(1, n):
+            for s in strata_list(h, k, n):
+                c = sample_configuration(s, f"floor:{s}")
+                base = [row for p in c.points for row in p.basis.zrows]
+                picked, _ = linalg._fp_pivots(linalg._fp_rows(row for _, row in base), s.i)
+                assert len(picked) == s.i
+                rows = [base[r] for r in picked]
+                num, den = verify._sigma_floor(rows, s.i)
+                lowest = _singular_values(rows)[-1]
+                assert lowest <= _singular_values(base)[s.i - 1] * (1 + 1e-12)
+                assert 0 < num and float(Fraction(num, den)) * (1 + 1e-9) < lowest ** 2, s
+                checked += 1
+    assert checked == {2: 34, 3: 45, 4: 50}[h]
+
+
+def test_sigma_floor_of_too_few_or_dependent_rows_is_zero():
+    rows = [(1, ((1, 0), (2, 1))), (2, ((2, 0), (4, 2)))]
+    assert verify._sigma_floor(rows, 2) == (0, 1)
+    assert verify._sigma_floor(rows[:1], 2) == (0, 1)
+    assert verify._sigma_floor(rows[:1], 1) == (6, 1)
+    assert verify._sigma_floor([(3, ((0, 0), (0, 0)))], 1) == (0, 1)
 
 
 def test_criterion_7_trials_stay_on_the_certificate(monkeypatch):
