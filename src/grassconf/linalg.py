@@ -26,8 +26,8 @@ A solve decides its own system: the chart projections of grassmann and
 fibrations, and with them every transversality decision of fibrations and
 the roundtrip suites' chart search, catch its InconsistentSystemError
 instead of testing the matrix first.  The certificate's one mod-p
-elimination, _fp_pivots, also names the pivot rows and columns of a minor
-that is nonzero mod p, so those rows are independent.
+elimination, _modular_rank, counts pivots and keeps nothing else;
+_rank_at_least and intersection_dim are its only callers.
 The product brings the right factor's rows to one common scale and
 builds each entry as one Z[i] dot product.  All values are immutable and
 all operations are pure (the entries view is filled once, with the same
@@ -510,41 +510,26 @@ _P = 1_000_000_009
 _SQRT_MINUS_ONE = 430_477_711
 
 
-def _fp_rows(rows: Iterable[Sequence[GInt]]) -> list[list[int]]:
-    """The images of the Z[i] rows in F_p."""
-    return [[(re + _SQRT_MINUS_ONE * im) % _P for re, im in row] for row in rows]
-
-
-def _fp_pivots(grid: list[list[int]], cap: int) -> tuple[list[int], list[int]]:
-    """Forward elimination of the F_p rows in place, stopping at cap pivots;
-    returns the pivots' original row indices and their columns.  The
-    input's minor at those rows and columns is nonzero: the pivot rows are
-    triangular there, each a nonzero multiple of its input row plus
-    multiples of earlier pivot rows."""
-    order = list(range(len(grid)))
-    cols: list[int] = []
+def _modular_rank(rows: Iterable[Sequence[GInt]], cap: int) -> int:
+    """Rank of the Z[i] rows mapped to F_p, counting at most cap pivots:
+    a forward elimination of their images that stops at cap pivots."""
+    grid = [[(re + _SQRT_MINUS_ONE * im) % _P for re, im in row] for row in rows]
+    found = 0
     for col in range(len(grid[0]) if grid else 0):
-        found = len(cols)
         if found >= cap or found == len(grid):
             break
         sel = next((r for r in range(found, len(grid)) if grid[r][col]), None)
         if sel is None:
             continue
         grid[found], grid[sel] = grid[sel], grid[found]
-        order[found], order[sel] = order[sel], order[found]
         prow = grid[found]
         p = prow[col]
         for r in range(found + 1, len(grid)):
             f = grid[r][col]
             if f:
                 grid[r] = [(p * a - f * b) % _P for a, b in zip(grid[r], prow)]
-        cols.append(col)
-    return order[:len(cols)], cols
-
-
-def _modular_rank(rows: Sequence[Sequence[GInt]], cap: int) -> int:
-    """Rank of the Z[i] rows mapped to F_p, counting at most cap pivots."""
-    return len(_fp_pivots(_fp_rows(rows), cap)[1])
+        found += 1
+    return found
 
 
 def _rank_at_least(rows: Sequence[Sequence[GInt]], r: int) -> bool:

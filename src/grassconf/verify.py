@@ -16,12 +16,12 @@ Three batch checks back the exact layer:
   (_moves_less_than) proves that a move keeps the rank and stays within
   eps and half the smallest base gap.  A witness step tilts the first
   redundant row, read off the stack's left null space.  Once per check
-  j0 rows of the base stack whose minor is nonzero mod p, j0 the base
-  stratum, give an exact floor on sigma_j0^2 of the stack (_sigma_floor);
-  a trial whose move t D has |t|^2 ||D||_F^2 below it keeps rank >= j0 by
-  Weyl's inequality, which one integer comparison proves.  Otherwise the
-  trial builds its Z[i] rows by the witness's routine, and a drop is
-  always decided by the exact pivot count.
+  the base stack M at its sum's pivot columns P gives an exact floor on
+  sigma_j0(M)^2, j0 the base stratum (_sigma_floor), as M is M[:, P]
+  times the sum's RREF basis; a trial whose move t D has |t|^2 ||D||_F^2
+  below it keeps rank >= j0 by Weyl's inequality, which one integer
+  comparison proves.  Otherwise the trial builds its Z[i] rows by the
+  witness's routine, and a drop is always decided by the exact pivot count.
 * run_roundtrip_suite exercises the gamma/pr/eta trivializations on
   seeded samples, entrywise over Q(i).  A case's chart is the first seeded
   one on which the solve of Q_over, the projection onto the case's base
@@ -121,24 +121,38 @@ def _hermitian(upper: list[list[GInt]]) -> list[list[GInt]]:
 Projector = tuple[list[list[GInt]], int]
 
 
-def _integer_projector(rows: Sequence[Sequence[GInt]]) -> Projector:
-    """(N, d) with orthogonal projector N / d of the span of the independent
-    Z[i] rows, d > 0; dependent rows raise ArithmeticError.
+def _gram_solve(
+    rows: Sequence[Sequence[GInt]], rhs: Sequence[Sequence[GInt]]
+) -> Optional[tuple[int, list[list[GInt]]]]:
+    """(d, d G^-1 rhs) with G = W W^H for the Z[i] rows W and d = det G > 0,
+    from one elimination of [G | rhs]; None when the rows are dependent.
 
-    One elimination of [G | B] leaves [d I | d G^-1 B] with d = det G:
-    G is positive definite, so its leading minors are the pivots.
+    G is positive semidefinite, so it is definite exactly when its columns
+    are the pivots; then its leading minors are positive, no row is
+    swapped, and the elimination leaves [d I | d G^-1 rhs].
     """
     k = len(rows)
     conj = [[(re, -im) for re, im in row] for row in rows]
     gram = _hermitian([[linalg._gdot(a, b) for b in conj[r:]] for r, a in enumerate(rows)])
-    grid = [g_row + list(a) for g_row, a in zip(gram, rows)]
-    (d, d_im), pivots = linalg._integer_rref(grid)
-    # rank [G | B] = rank B, so dependent rows leave fewer than k pivots
-    if len(pivots) < k or d_im or d <= 0:
+    grid = [g_row + list(r_row) for g_row, r_row in zip(gram, rhs)]
+    d, pivots = linalg._integer_rref(grid)
+    if pivots != tuple(range(k)):
+        return None
+    return d[0], [row[k:] for row in grid]
+
+
+def _integer_projector(rows: Sequence[Sequence[GInt]]) -> Projector:
+    """(N, d) with orthogonal projector N / d of the span of the independent
+    Z[i] rows B, d > 0, from d G^-1 B (_gram_solve); dependent rows raise
+    ArithmeticError."""
+    solved = _gram_solve(rows, rows)
+    if solved is None:
         raise ArithmeticError("rows must be independent, with a real positive Gram determinant")
-    solved = list(zip(*(row[k:] for row in grid)))
+    d, x = solved
+    conj_cols = [[(re, -im) for re, im in col] for col in zip(*rows)]
+    x_cols = list(zip(*x))
     return _hermitian([
-        [linalg._gdot(ca, sb) for sb in solved[r:]] for r, ca in enumerate(zip(*conj))
+        [linalg._gdot(ca, sb) for sb in x_cols[r:]] for r, ca in enumerate(conj_cols)
     ]), d
 
 
@@ -367,40 +381,32 @@ def _unit_draws(rng: random.Random, count: int) -> list[int]:
     return out
 
 
-def _sigma_floor(rows: ScaledRows, j0: int) -> tuple[int, int]:
-    """(num, den) with num / den <= sigma_j0^2 of the Q(i) matrix M of the
-    stored rows; (0, 1) when there are fewer than j0 rows or they are
-    dependent.
+def _sigma_floor(rows: ScaledRows) -> tuple[int, int]:
+    """(num, den) with num / den <= sigma_min^2 of the Q(i) matrix with
+    rows v / s, for the scaled Z[i] rows (s, v); (0, 1) when they are
+    dependent.  At one scale L that matrix is W / L.
 
-    At one scale M = W / L; with G = W W^H one elimination of [G | I]
-    leaves [d I | d G^-1], d = det G > 0, when the rows are independent.
-    For Hermitian positive definite G, lambda_min(G) >= 1 / ||G^-1||_inf,
-    and |z| <= |re z| + |im z| bounds ||d G^-1||_inf by m, the largest row
-    sum of |re| + |im|.  So d / (m L^2) <= lambda_min(G) / L^2, which is
-    sigma_j0(M)^2 for j0 rows and, since deleting rows raises no singular
-    value, at most sigma_j0^2 of any stack that contains them.
+    _gram_solve of [G | I], G = W W^H, gives d = det G and d G^-1.  For
+    Hermitian positive definite G, lambda_min(G) >= 1 / ||G^-1||_inf, and
+    |z| <= |re z| + |im z| bounds ||d G^-1||_inf by m, the largest row
+    sum of |re| + |im|.  So d / (m L^2) <= lambda_min(G) / L^2, the
+    smallest squared singular value of W / L.
 
-    >>> _sigma_floor([(1, ((1, 0), (0, 0))), (1, ((0, 0), (1, 0)))], 2)
+    >>> _sigma_floor([(1, ((1, 0), (0, 0))), (1, ((0, 0), (1, 0)))])
     (1, 1)
-    >>> _sigma_floor([(2, ((1, 0), (0, 0), (0, 0)))], 1)
+    >>> _sigma_floor([(2, ((1, 0), (0, 0), (0, 0)))])
     (1, 4)
-    >>> _sigma_floor([(1, ((1, 0), (2, 1))), (2, ((2, 0), (4, 2)))], 2)
+    >>> _sigma_floor([(1, ((1, 0), (2, 1))), (2, ((2, 0), (4, 2)))])
     (0, 1)
     """
-    if len(rows) < j0:
-        return 0, 1
     scale, ints = linalg._common_scale(rows)
     k = len(ints)
-    conj = [[(re, -im) for re, im in row] for row in ints]
-    gram = _hermitian([[linalg._gdot(a, b) for b in conj[r:]] for r, a in enumerate(ints)])
-    grid = [g_row + [(int(r == col), 0) for col in range(k)] for r, g_row in enumerate(gram)]
-    d, pivots = linalg._integer_rref(grid)
-    # G is positive semidefinite, so definite (no row swap, d = det G > 0)
-    # exactly when its k columns are the pivots
-    if pivots != tuple(range(k)):
+    solved = _gram_solve(ints, [[(int(r == col), 0) for col in range(k)] for r in range(k)])
+    if solved is None:
         return 0, 1
-    m = max(sum(abs(re) + abs(im) for re, im in row[k:]) for row in grid)
-    return d[0], m * scale * scale
+    d, inverse = solved
+    m = max(sum(abs(re) + abs(im) for re, im in row) for row in inverse)
+    return d, m * scale * scale
 
 
 def _semicontinuity_trial(
@@ -494,12 +500,13 @@ def check_adjacency(
         Fraction(_projector_gap(na, da, nb, db), 2 * da * db)
         for a, (na, da) in enumerate(projectors) for nb, db in projectors[a + 1:]
     ])
-    # the trials' floor on sigma_j0^2 of the base stack, from the j0 rows of
-    # a minor that is nonzero mod p, hence independent; with fewer than j0
-    # pivots mod p the floor is 0 and every trial decides exactly
+    # the trials' floor on sigma_j0^2 of the base stack M: each row lies in
+    # the sum, whose RREF basis S is the identity at its pivot columns P,
+    # so M = M[:, P] S with S S^H >= I, and sigma_j0(M) >= sigma_min(M[:, P])
     base = [row for p in c.points for row in p.basis.zrows]
-    picked, _ = linalg._fp_pivots(linalg._fp_rows(row for _, row in base), j0)
-    floor = _sigma_floor([base[r] for r in picked], j0)
+    scale, ints = linalg._common_scale(base)
+    cols = list(zip(*ints))
+    floor = _sigma_floor([(scale, cols[j]) for j in total.pivots()])
     for idx in range(trials):
         case_seed = f"{seed}:{idx}"
         desc = _semicontinuity_trial(
@@ -642,7 +649,8 @@ def run_roundtrip_suite(
     cycle through the combinations.  A combination that no case could
     pass (an empty stratum, gamma with i = n, pr with h < 2, eta with
     h != 2 or on a direct sum) raises its GrassconfError before the first
-    case; a case's failure is recorded in the report, never raised.
+    case, and a grid value that is not an int raises TypeError naming its
+    key; a case's failure is recorded in the report, never raised.
     """
     _require_count("cases", cases)
     if which not in _SUITE_CASES:
@@ -656,6 +664,9 @@ def run_roundtrip_suite(
     combos = _expand_grid(grid)
     if not combos:
         raise ValueError("empty parameter grid")
+    for params in combos:
+        for key, value in params.items():
+            _require_count(f"grid[{key!r}]", value)
     strata = [_check_grid_point(which, params) for params in combos]
     case_fn = _SUITE_CASES[which]
     grid_json = {

@@ -318,6 +318,13 @@ def test_verify_parameter_validation():
         check_adjacency(c, 4, Fraction(1, 10), trials=-3)
     with pytest.raises(ValueError, match="cases"):
         run_roundtrip_suite("gamma", cases=-5)
+    # every grid value is an int, checked before the first case
+    with pytest.raises(TypeError, match=r"grid\['h'\] must be an int, not float"):
+        run_roundtrip_suite("gamma", grid={"h": 2.0, "i": 3, "k": 2, "n": 5})
+    with pytest.raises(TypeError, match=r"grid\['n'\] must be an int, not str"):
+        run_roundtrip_suite("pr", grid={"h": 3, "k": 2, "n": "5"})
+    with pytest.raises(TypeError, match=r"grid\['h'\] must be an int, not bool"):
+        run_roundtrip_suite("eta", grid={"h": True, "i": 2, "k": 1, "n": 3})
     assert check_dimension(StratumId(2, 3, 2, 4), samples=0).cases == 0
     assert check_adjacency(c, 4, Fraction(1, 10), trials=0).cases == 1
     assert run_roundtrip_suite("gamma", cases=0).cases == 0

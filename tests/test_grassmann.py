@@ -203,7 +203,7 @@ def test_contains_runs_no_elimination(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("contains ran an elimination")
     monkeypatch.setattr(linalg, "_integer_rref", refuse)
-    monkeypatch.setattr(linalg, "_fp_pivots", refuse)
+    monkeypatch.setattr(linalg, "_modular_rank", refuse)
     assert {sup.contains(sub) for sup, sub in pairs} == {True, False}
 
 

@@ -12,8 +12,6 @@ from grassconf.linalg import (
     ZERO,
     GaussianRational,
     Matrix,
-    _fp_pivots,
-    _fp_rows,
     _has_rank,
     _integer_rows,
     _modular_rank,
@@ -138,26 +136,6 @@ def test_rref_rank_matches_minor_oracle():
     assert agree == 200 + len(TRIAL_STACKS)
 
 
-def _minor(rows, picked, cols):
-    return Matrix(len(picked), len(cols), tuple(
-        tuple(GaussianRational(*rows[r][c]) for c in cols) for r in picked
-    ))
-
-
-def test_fp_pivots_name_a_minor_of_full_rank():
-    # the pivot rows and columns of the mod-p elimination pick a minor that
-    # is nonzero mod p, so its exact rank is its size; a lower cap stops early
-    for seed, m in _oracle_inputs():
-        rows = _integer_rows(m)
-        picked, cols = _fp_pivots(_fp_rows(rows), m.rows)
-        assert len(picked) == len(cols) == _modular_rank(rows, m.rows), f"seed {seed}"
-        assert len(set(picked)) == len(picked) and cols == sorted(set(cols)), f"seed {seed}"
-        if cols:
-            assert minor_rank(_minor(rows, picked, cols)) == len(cols), f"seed {seed}"
-            assert _modular_rank([[rows[r][c] for c in cols] for r in picked], len(cols)) == len(cols)
-        assert _fp_pivots(_fp_rows(rows), 2) == (picked[:2], cols[:2]), f"seed {seed}"
-
-
 @pytest.mark.parametrize("factor", [(_P, 0), (_SQRT_MINUS_ONE, -1)], ids=str)
 def test_fp_pivots_fall_short_on_a_determinant_that_vanishes_mod_p(factor):
     # L diag(1, 1, factor) U with unimodular triangular L and U has
@@ -168,14 +146,15 @@ def test_fp_pivots_fall_short_on_a_determinant_that_vanishes_mod_p(factor):
                               [rng.randint(-3, 3), rng.randint(-3, 3), 1]])
     upper = lower.transpose()
     middle = Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, gq(*factor)]])
-    rows = _integer_rows(lower @ middle @ upper)
-    assert len(_fp_pivots(_fp_rows(rows), 3)[0]) == 2
-    assert minor_rank(_minor(rows, range(3), range(3))) == 3
+    m = lower @ middle @ upper
+    rows = _integer_rows(m)
+    assert _modular_rank(rows, 3) == 2
+    assert minor_rank(m) == 3
     assert _rank_at_least(rows, 3)
     dropped = rows[:2] + [[
         (a_re + b_re, a_im + b_im) for (a_re, a_im), (b_re, b_im) in zip(rows[0], rows[1])
     ]]
-    assert len(_fp_pivots(_fp_rows(dropped), 3)[0]) == 2
+    assert _modular_rank(dropped, 3) == 2
     assert not _rank_at_least(dropped, 3)
 
 

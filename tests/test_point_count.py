@@ -25,7 +25,7 @@ import pytest
 from grassconf import homotopy
 from grassconf.errors import OutOfScopeError
 from grassconf.grassmann import StratumId, is_stratum_nonempty, stratum_dimension
-from grassconf.homotopy import PiQuery, Product
+from grassconf.homotopy import FreeAbelian, PiQuery, Product, Unknown, Zero
 
 from oracles import (
     _poly_mul,
@@ -166,3 +166,23 @@ def test_every_fibration_step_of_derive_keeps_the_count():
     assert {kind: len(strata) for kind, strata in checked.items()} == {
         "gamma": 307, "pr": 9, "eta": 20,
     }
+
+
+def test_pi2_rank_is_the_next_to_leading_count_coefficient():
+    # a smooth variety with a polynomial point count has it as its
+    # E-polynomial (Katz, appendix to Hausel & Rodriguez-Villegas, Invent.
+    # Math. 174, 2008); with pi_1 = 0, pi_2 = H_2 and the q^(d-1)
+    # coefficient reads the weight-2 part of H^2.  Evidence, not a proof,
+    # so it stays a test oracle: every answer 0 or Z^r of derive must match
+    checked = 0
+    for s in _grid(5, 10):
+        if s.k < 2 or not is_stratum_nonempty(s):
+            continue
+        group, _ = homotopy.derive(s, 2)
+        if isinstance(group, Unknown):
+            continue
+        assert isinstance(group, (Zero, FreeAbelian)), (s, group.render())
+        rank = group.rank if isinstance(group, FreeAbelian) else 0
+        assert rank == _count(s)[stratum_dimension(s) - 1], (s, group.render())
+        checked += 1
+    assert checked >= 133

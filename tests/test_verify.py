@@ -450,7 +450,7 @@ def _trial_log(monkeypatch):
 
 
 def _no_floor(monkeypatch):
-    monkeypatch.setattr(verify, "_sigma_floor", lambda rows, j0: (0, 1))
+    monkeypatch.setattr(verify, "_sigma_floor", lambda rows: (0, 1))
 
 
 def test_trials_without_the_floor_give_the_same_reports(monkeypatch):
@@ -472,35 +472,35 @@ def test_trials_past_the_floor_decide_by_the_exact_rank(monkeypatch):
     # at eps = 5 the points of this sample are far enough apart that some
     # trials move the stack by more than the floor proves safe; those reach
     # _rank_at_least, and the report is the one that a floor of 0 gives
-    c = sample_configuration(StratumId(3, 4, 3, 5), "golden")
+    c = sample_configuration(StratumId(3, 5, 2, 6), "golden")
     log = _trial_log(monkeypatch)
-    report = check_adjacency(c, 5, Fraction(5), trials=10, seed="golden")
+    report = check_adjacency(c, 6, Fraction(5), trials=10, seed="golden")
     assert report.ok, report.failures
     assert 0 < len(log) < 10
-    assert {r for _, _, r in log} == {4}
+    assert {r for _, _, r in log} == {5}
     _no_floor(monkeypatch)
     log.clear()
-    forced = check_adjacency(c, 5, Fraction(5), trials=10, seed="golden")
+    forced = check_adjacency(c, 6, Fraction(5), trials=10, seed="golden")
     assert json.dumps(forced.to_json()) == json.dumps(report.to_json())
     assert len(log) == 10
 
 
-def test_floor_rows_are_picked_once_per_check(monkeypatch):
-    # after the witness's three rank checks (caps 4, 5, 6) a check with
-    # trials eliminates its 6 x 6 base stack mod p once, with cap j0 = 3,
-    # to pick the floor's rows; no trial eliminates anything
+def test_floor_runs_no_mod_p_elimination(monkeypatch):
+    # the floor reads the base stack at its sum's pivot columns, so a check
+    # with trials runs only the witness's three mod-p ranks (caps 4, 5 and
+    # 6 on the 6 x 6 stack); neither the floor nor a trial runs one
     c = sample_configuration(StratumId(3, 3, 2, 6), "golden")
-    picks = []
+    calls = []
 
-    def recorded(grid, cap, _pivots=linalg._fp_pivots):
-        picks.append((len(grid), len(grid[0]), cap))
-        return _pivots(grid, cap)
-    monkeypatch.setattr(linalg, "_fp_pivots", recorded)
+    def recorded(rows, cap, _rank=linalg._modular_rank):
+        rows = [list(row) for row in rows]
+        calls.append((len(rows), len(rows[0]), cap))
+        return _rank(rows, cap)
+    monkeypatch.setattr(linalg, "_modular_rank", recorded)
     for trials in (0, 7, 30):
-        picks.clear()
+        calls.clear()
         assert check_adjacency(c, 6, Fraction(1, 1000), trials=trials, seed="golden").ok
-        floor = [(6, 6, 3)] if trials else []
-        assert picks == [(6, 6, 4), (6, 6, 5), (6, 6, 6)] + floor
+        assert calls == [(6, 6, 4), (6, 6, 5), (6, 6, 6)]
 
 
 def _singular_values(rows):
@@ -512,37 +512,35 @@ def _singular_values(rows):
 
 @pytest.mark.parametrize("h", [2, 3, 4])
 def test_sigma_floor_is_below_the_smallest_singular_value(h):
-    # numpy's SVD is the oracle: the floor of the picked rows M_R must lie
-    # below sigma_min(M_R)^2 <= sigma_j0(M)^2 by more than rounding, so a
-    # floor within rounding of the bound fails rather than passes
+    # numpy's SVD is the oracle: the floor of the base stack M at its sum's
+    # pivot columns P must lie below sigma_min(M[:, P])^2 <= sigma_j0(M)^2
+    # by more than rounding, so a floor within rounding of the bound fails
+    # rather than passes
     checked = 0
     for n in range(2, 8):
         for k in range(1, n):
             for s in strata_list(h, k, n):
                 c = sample_configuration(s, f"floor:{s}")
-                base = [row for p in c.points for row in p.basis.zrows]
-                picked, _ = linalg._fp_pivots(linalg._fp_rows(row for _, row in base), s.i)
-                assert len(picked) == s.i
-                rows = [base[r] for r in picked]
-                num, den = verify._sigma_floor(rows, s.i)
-                lowest = _singular_values(rows)[-1]
-                assert lowest <= _singular_values(base)[s.i - 1] * (1 + 1e-12)
+                stack = linalg.stack_all(p.basis for p in c.points)
+                cols = stack.columns(c.span.pivots()).transpose().zrows
+                assert len(cols) == s.i
+                num, den = verify._sigma_floor(cols)
+                lowest = _singular_values(cols)[-1]
+                assert lowest <= _singular_values(stack.zrows)[s.i - 1] * (1 + 1e-12)
                 assert 0 < num and float(Fraction(num, den)) * (1 + 1e-9) < lowest ** 2, s
                 checked += 1
     assert checked == {2: 34, 3: 45, 4: 50}[h]
 
 
-def test_sigma_floor_of_too_few_or_dependent_rows_is_zero():
-    rows = [(1, ((1, 0), (2, 1))), (2, ((2, 0), (4, 2)))]
-    assert verify._sigma_floor(rows, 2) == (0, 1)
-    assert verify._sigma_floor(rows[:1], 2) == (0, 1)
-    assert verify._sigma_floor(rows[:1], 1) == (6, 1)
-    assert verify._sigma_floor([(3, ((0, 0), (0, 0)))], 1) == (0, 1)
+def test_sigma_floor_of_dependent_rows_is_zero():
+    assert verify._sigma_floor([(1, ((1, 0), (2, 1))), (2, ((2, 0), (4, 2)))]) == (0, 1)
+    assert verify._sigma_floor([(3, ((0, 0), (0, 0)))]) == (0, 1)
 
 
 def test_criterion_7_trials_stay_on_the_certificate(monkeypatch):
-    # on criterion 7's grid every trial is certified by its minor mod p: a
-    # change that loses the certificate shows here, not only as a slowdown
+    # on criterion 7's grid every trial is certified by the check's
+    # singular-value floor: a change that loses the certificate shows here,
+    # not only as a slowdown
     log = _trial_log(monkeypatch)
     checks = 0
     for h in (2, 3):
@@ -703,11 +701,11 @@ def test_chart_base_point_is_the_first_transverse_draw(monkeypatch, which, grid)
         assert triv.complement == l0
 
 
-@pytest.mark.parametrize("which, fp_pivots, rrefs, projections", [
+@pytest.mark.parametrize("which, modular_ranks, rrefs, projections", [
     ("gamma", 40, 220, 40), ("pr", 40, 260, 40), ("eta", 40, 280, 40),
 ], ids=["gamma", "pr", "eta"])
 def test_chart_projections_are_decided_by_their_solves(
-    monkeypatch, which, fp_pivots, rrefs, projections
+    monkeypatch, which, modular_ranks, rrefs, projections
 ):
     # a chart projection's solve alone decides v ⊕ L0 = C^n: the chart
     # search keeps the first chart on which Q_over solves, and the maps
@@ -719,7 +717,7 @@ def test_chart_projections_are_decided_by_their_solves(
     # are).  Membership is a product on the RREF basis and a
     # configuration's sum is reduced once, so neither runs an elimination
     # of its own
-    calls = {"_fp_pivots": 0, "_integer_rref": 0, "projection_along": 0}
+    calls = {"_modular_rank": 0, "_integer_rref": 0, "projection_along": 0}
     for name in calls:
         module = grassmann if name == "projection_along" else linalg
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
@@ -728,7 +726,7 @@ def test_chart_projections_are_decided_by_their_solves(
         monkeypatch.setattr(module, name, counted)
     assert run_roundtrip_suite(which, cases=20, seed=0).ok
     assert calls == {
-        "_fp_pivots": fp_pivots, "_integer_rref": rrefs, "projection_along": projections,
+        "_modular_rank": modular_ranks, "_integer_rref": rrefs, "projection_along": projections,
     }
 
 
