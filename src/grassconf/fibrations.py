@@ -212,19 +212,30 @@ def chart_coordinates(hh: Subspace, w: Subspace) -> Matrix:
         raise OutsideChartError(
             f"chart of Gr({hh.k},{hh.n}) needs a complementary w of dimension {hh.n - hh.k}"
         )
-    q_block = hh.basis.columns(w.pivots())
-    p_block = grassmann._kernel_block(hh.basis, grassmann._pivot_split(w))
+    return _graph_coordinates(hh.basis, w)
+
+
+def _graph_coordinates(y: Matrix, w: Subspace) -> Matrix:
+    """chart_coordinates from any basis y of hh, unguarded: both blocks are
+    linear in y, and solve(A·p, A·q) = solve(p, q) for an invertible A."""
+    q_block = y.columns(w.pivots())
+    p_block = grassmann._kernel_block(y, grassmann._pivot_split(w))
     try:
         return linalg.solve(p_block, q_block)
     except InconsistentSystemError:
         raise OutsideChartError("subspace meets w nontrivially") from None
 
 
-def chart_point(coords: Matrix, w: Subspace) -> Subspace:
-    """Inverse of chart_coordinates: the graph of the coefficient matrix."""
+def _graph_basis(coords: Matrix, w: Subspace) -> Matrix:
+    """The unreduced basis of chart_point(coords, w)."""
     if coords.cols != w.k or coords.rows + w.k != w.n:
         raise ValueError("coordinate matrix shape does not match the chart")
-    return grassmann.canonicalize(grassmann.complement(w).basis + coords @ w.basis, w.n)
+    return grassmann.complement(w).basis + coords @ w.basis
+
+
+def chart_point(coords: Matrix, w: Subspace) -> Subspace:
+    """Inverse of chart_coordinates: the graph of the coefficient matrix."""
+    return grassmann.canonicalize(_graph_basis(coords, w), w.n)
 
 
 def pr_trivialize(c: Configuration, triv: Trivialization) -> ChartPoint:
@@ -232,21 +243,18 @@ def pr_trivialize(c: Configuration, triv: Trivialization) -> ChartPoint:
 
     The fiber is the image of the last subspace under the isomorphism
     carrying the base sum to the chart base point.  When n = hk that image
-    is recorded in chart coordinates relative to the base point; for
-    n > hk no single chart covers the fiber and the image subspace itself
-    is returned.
+    is recorded in chart coordinates relative to the base point, read off
+    its unreduced basis (the solve cannot fail: V goes onto V0, and the last
+    subspace misses V); for n > hk no single chart covers the fiber and the
+    image subspace itself is returned.
     """
     front = pr_forget_last(c)
     q = _chart_projection(front.span, triv, "pr_trivialize")
     # extend_isomorphism of the base sum, with this caller's chart check
-    iso = Matrix.identity(c.n) - q + triv.projector
-    image = grassmann.transform(c.points[-1], iso)
-    fiber: FiberPoint
+    image = c.points[-1].basis @ (Matrix.identity(c.n) - q + triv.projector)
     if c.n == c.h * c.k:
-        fiber = chart_coordinates(image, triv.base_point)
-    else:
-        fiber = image
-    return ChartPoint(base=front, fiber=fiber)
+        return ChartPoint(base=front, fiber=_graph_coordinates(image, triv.base_point))
+    return ChartPoint(base=front, fiber=grassmann.canonicalize(image, c.n))
 
 
 def pr_untrivialize(p: ChartPoint, triv: Trivialization) -> Configuration:
@@ -255,17 +263,17 @@ def pr_untrivialize(p: ChartPoint, triv: Trivialization) -> Configuration:
     if not isinstance(front, Configuration):
         raise TypeError("pr chart points have a Configuration base")
     if isinstance(p.fiber, Matrix):
-        # a graph over complement(V0), which misses V0
-        image = chart_point(p.fiber, triv.base_point)
+        # a graph over complement(V0), which misses V0, left unreduced
+        image = _graph_basis(p.fiber, triv.base_point)
     elif isinstance(p.fiber, Subspace):
-        image = p.fiber
-        if grassmann.intersection_dim(image, triv.base_point) != 0:
+        if grassmann.intersection_dim(p.fiber, triv.base_point) != 0:
             raise OutsideChartError("fiber subspace meets the chart base point")
+        image = p.fiber.basis
     else:
         raise TypeError("pr fiber is chart coordinates or a subspace")
     q = _chart_projection(front.span, triv, "pr_untrivialize")
     # the inverse of the extended isomorphism: Q_V on V0, the identity on L0
-    last = grassmann.transform(image, q + Matrix.identity(front.n) - triv.projector)
+    last = grassmann.canonicalize(image @ (q + Matrix.identity(front.n) - triv.projector), front.n)
     return Configuration(front.h + 1, front.k, front.n, front.points + (last,))
 
 

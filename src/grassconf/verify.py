@@ -24,12 +24,12 @@ Three batch checks back the exact layer:
   witness's routine, and a drop is always decided by the exact pivot count.
 * run_roundtrip_suite exercises the gamma/pr/eta trivializations on
   seeded samples, entrywise over Q(i).  A case's chart is the first seeded
-  one on which the solve of Q_over, the projection onto the case's base
-  along L0, succeeds; the maps reuse that Q_over as their guard.  A case
-  checks the base component, the one fiber fact no map decides, and the
-  round trip.  The guards of pr_trivialize (direct sum), pr_untrivialize
-  (a fiber subspace misses V0) and eta_fiber_lift (quotient pair in L0,
-  in direct sum) decide the rest.
+  one, centred in Gr(k, n) for k the dimension of its map's base, on which
+  the case's own trivializing map succeeds; the inverse reuses the Q_V of
+  that map's guard.  A case checks the base component, the one fiber fact
+  no map decides, and the round trip.  The guards of pr_trivialize (direct
+  sum), pr_untrivialize (a fiber subspace misses V0) and eta_fiber_lift
+  (quotient pair in L0, in direct sum) decide the rest.
   A gamma case compares the base with the sample's sum, reduced once
   (Configuration.span), and checks that the fiber spans V0 without
   reducing the fiber's sum: every fiber point lies in V0 (a product on
@@ -59,7 +59,7 @@ from .errors import (
     WrongArityError,
     record,
 )
-from .fibrations import Trivialization
+from .fibrations import ChartPoint, Trivialization
 from .grassmann import Configuration, StratumId, Subspace
 from .linalg import GInt, Matrix
 
@@ -537,33 +537,35 @@ def _expand_grid(grid: dict) -> list[dict]:
     return combos
 
 
-def _random_chart(over: Subspace, seed_tag: str) -> Optional[Trivialization]:
-    """A trivialization with seeded random base point AND complement whose
-    chart contains ``over``; each attempt draws its base point from
-    Gr(over.k, n), where the chart is centred, and the first attempt on
-    which the solves of P and of Q_over both succeed is kept, with its
-    Q_over.  Randomizing the complement matters: the deterministic one is
+def _random_chart(
+    c: Configuration, k: int, trivialize: Callable[..., ChartPoint], seed_tag: str
+) -> Optional[tuple[Trivialization, ChartPoint]]:
+    """(chart, trivialize(c, chart)) from the first seeded chart on which
+    the case's own trivializing map succeeds.  Each attempt draws V0 from
+    Gr(k, n), k the dimension of the map's base, and L0 from Gr(n - k, n).
+    Catching OutsideChartError is safe: on a configuration of its stratum
+    only a map's guard raises it, as pr's coordinate solve cannot fail
+    (I - Q_V + P carries the front's sum V onto V0; the last point misses
+    V).  Randomizing the complement matters: the deterministic one is
     constant across generic base points, so a sample touching it would
     never find a chart by resampling the base alone."""
-    k, n = over.k, over.n
     for attempt in range(64):
-        v0 = grassmann.sample_subspace(k, n, f"{seed_tag}:base:{attempt}")
-        l0 = grassmann.sample_subspace(n - k, n, f"{seed_tag}:comp:{attempt}")
+        v0 = grassmann.sample_subspace(k, c.n, f"{seed_tag}:base:{attempt}")
+        l0 = grassmann.sample_subspace(c.n - k, c.n, f"{seed_tag}:comp:{attempt}")
         try:
             triv = Trivialization.over(v0, l0)
-            fibrations._chart_projection(over, triv, "chart search")
-        except (NotComplementaryError, OutsideChartError):  # L0 meets V0 or over
+            return triv, trivialize(c, triv)
+        except (NotComplementaryError, OutsideChartError):  # L0 meets V0 or the map's base
             continue
-        return triv
     return None
 
 
 def _gamma_case(s: StratumId, case_seed: str) -> Optional[str]:
     c = grassmann.sample_configuration(s, case_seed)
-    triv = _random_chart(c.span, case_seed)
-    if triv is None:
+    found = _random_chart(c, s.i, fibrations.gamma_trivialize, case_seed)
+    if found is None:
         return "no chart found containing the sample"
-    point = fibrations.gamma_trivialize(c, triv)
+    triv, point = found
     if point.base != c.span:
         return "base component differs from the subspace sum"
     # the fiber spans V0 exactly when it lies in V0 and its stack reaches
@@ -579,12 +581,11 @@ def _gamma_case(s: StratumId, case_seed: str) -> Optional[str]:
 
 def _pr_case(s: StratumId, case_seed: str) -> Optional[str]:
     c = grassmann.sample_configuration(s, case_seed)
-    front = Configuration(s.h - 1, s.k, s.n, c.points[:-1])
-    triv = _random_chart(front.span, case_seed)
-    if triv is None:
+    found = _random_chart(c, s.i - s.k, fibrations.pr_trivialize, case_seed)
+    if found is None:
         return "no chart found containing the sample"
-    point = fibrations.pr_trivialize(c, triv)
-    if point.base != front:
+    triv, point = found
+    if point.base != Configuration(s.h - 1, s.k, s.n, c.points[:-1]):
         return "base component differs from the forgotten-last projection"
     if isinstance(point.fiber, Matrix) != (s.n == s.i):
         return "fiber is not chart coordinates exactly when n = hk"
@@ -598,10 +599,10 @@ def _eta_case(s: StratumId, case_seed: str) -> Optional[str]:
     inter = fibrations.eta(c)
     if inter.k != 2 * s.k - s.i:
         return "intersection dimension differs from 2k - i"
-    triv = _random_chart(inter, case_seed)
-    if triv is None:
+    found = _random_chart(c, inter.k, fibrations.eta_fiber_point, case_seed)
+    if found is None:
         return "no chart found containing the sample"
-    point = fibrations.eta_fiber_point(c, triv)
+    triv, point = found
     if point.base != inter:
         return "base component differs from the intersection"
     if any(q.k != s.i - s.k for q in point.fiber):
@@ -649,8 +650,9 @@ def run_roundtrip_suite(
     cycle through the combinations.  A combination that no case could
     pass (an empty stratum, gamma with i = n, pr with h < 2, eta with
     h != 2 or on a direct sum) raises its GrassconfError before the first
-    case, and a grid value that is not an int raises TypeError naming its
-    key; a case's failure is recorded in the report, never raised.
+    case, as does a grid key the suite does not use (ValueError) or a grid
+    value that is not an int (TypeError), naming the key; a case's failure
+    is recorded in the report, never raised.
     """
     _require_count("cases", cases)
     if which not in _SUITE_CASES:
@@ -661,6 +663,9 @@ def run_roundtrip_suite(
     missing = set(DEFAULT_GRIDS[which]) - set(grid)
     if missing:
         raise ValueError(f"grid for {which} is missing {sorted(missing)}")
+    unknown = [key for key in grid if key not in DEFAULT_GRIDS[which]]
+    if unknown:
+        raise ValueError(f"grid for {which} has unknown keys {unknown}")
     combos = _expand_grid(grid)
     if not combos:
         raise ValueError("empty parameter grid")

@@ -287,6 +287,18 @@ def eta_fiber_lift_reference(p: ChartPoint, triv: Trivialization) -> Configurati
     return Configuration(2, points[0].k, base.n, points)
 
 
+def pr_trivialize_reference(c: Configuration, triv: Trivialization) -> ChartPoint:
+    """Carry the last subspace by the extended isomorphism of the front's
+    sum and reduce its image; when n = hk, write that image in chart
+    coordinates over the base point by a transposed solve."""
+    front = Configuration(c.h - 1, c.k, c.n, c.points[:-1])
+    iso = extend_isomorphism_reference(subspace_sum(front.points), triv)
+    image = canonicalize(c.points[-1].basis @ iso, c.n)
+    if c.n == c.h * c.k:
+        return ChartPoint(base=front, fiber=chart_coordinates_reference(image, triv.base_point))
+    return ChartPoint(base=front, fiber=image)
+
+
 def pr_untrivialize_reference(p: ChartPoint, triv: Trivialization) -> Configuration:
     """Pull the fiber image back through the extended isomorphism of the
     base sum, as the solution of iso^T x = image^T."""

@@ -318,6 +318,11 @@ def test_verify_parameter_validation():
         check_adjacency(c, 4, Fraction(1, 10), trials=-3)
     with pytest.raises(ValueError, match="cases"):
         run_roundtrip_suite("gamma", cases=-5)
+    # a grid key the suite does not use is refused by name before the first case
+    with pytest.raises(ValueError, match=r"grid for gamma has unknown keys \['nn'\]"):
+        run_roundtrip_suite("gamma", grid={"h": 2, "i": 3, "k": 2, "n": 5, "nn": 7})
+    with pytest.raises(ValueError, match=r"grid for pr has unknown keys \['i'\]"):
+        run_roundtrip_suite("pr", grid={"h": 3, "i": 6, "k": 2, "n": 6})
     # every grid value is an int, checked before the first case
     with pytest.raises(TypeError, match=r"grid\['h'\] must be an int, not float"):
         run_roundtrip_suite("gamma", grid={"h": 2.0, "i": 3, "k": 2, "n": 5})

@@ -47,6 +47,7 @@ from oracles import (
     eta_fiber_point_reference,
     extend_isomorphism_reference,
     gamma_untrivialize_reference,
+    pr_trivialize_reference,
     pr_untrivialize_reference,
     projection_along_reference,
     rand_matrix,
@@ -406,6 +407,7 @@ def test_pr_untrivialize_matches_transposed_solve(h, k, n):
         other = sample_configuration(StratumId(h, h * k, k, n), f"prref:other:{seed}")
         triv = chart_containing(subspace_sum(c.points[:-1]), f"prrefbase:{h}:{k}:{n}:{seed}")
         point = pr_trivialize(c, triv)
+        assert point == pr_trivialize_reference(c, triv)
         assert pr_untrivialize(point, triv) == pr_untrivialize_reference(point, triv)
         # the same fiber over another base in the chart (transverse for these seeds)
         moved = ChartPoint(base=pr_forget_last(other), fiber=point.fiber)

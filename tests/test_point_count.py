@@ -15,17 +15,22 @@ N the stratum count and [n, i] the Gaussian binomial:
 
 These identities check the rewrite rules of homotopy from outside it: each
 gamma, pr or eta step of a derivation must hand its query to the stratum
-that makes its identity hold.
+that makes its identity hold.  The same walk backs each step with an
+exact round trip of its fibration on its own stratum, whose fiber must be
+the stratum the step hands on.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from grassconf import homotopy
+from grassconf import fibrations, homotopy
 from grassconf.errors import OutOfScopeError
-from grassconf.grassmann import StratumId, is_stratum_nonempty, stratum_dimension
+from grassconf.grassmann import StratumId, is_stratum_nonempty, stratum_dimension, subspace_sum
 from grassconf.homotopy import FreeAbelian, PiQuery, Product, Unknown, Zero
+from grassconf.verify import run_roundtrip_suite
 
 from oracles import (
     _poly_mul,
@@ -137,10 +142,11 @@ def _queries(expr) -> list:
     return [f for f in factors if isinstance(f, PiQuery)]
 
 
-def test_every_fibration_step_of_derive_keeps_the_count():
-    # a step rewrites the first pending query of before; the query it hands
-    # on is the one in after that before did not already hold
-    checked: dict[str, set] = {"gamma": set(), "pr": set(), "eta": set()}
+def _fibration_steps():
+    """(rule, kind, query, rest) for every fibration step of every derive
+    trace with h <= 5 and n <= 10: a step rewrites the first pending query
+    of before; the query it hands on, rest, is the one in after that
+    before did not already hold."""
     for s in _grid(5, 10):
         if not is_stratum_nonempty(s):
             continue
@@ -159,13 +165,60 @@ def test_every_fibration_step_of_derive_keeps_the_count():
                     assert handed == [], step.rule
                     continue
                 [rest] = handed
-                kind = STEP_KINDS[step.rule]
-                left, right = _fibration_sides(kind, query, rest)
-                assert left and left == right, (step.rule, query.render(), rest.render())
-                checked[kind].add((query.h, query.i, query.k, query.n))
+                yield step.rule, STEP_KINDS[step.rule], query, rest
+
+
+def test_every_fibration_step_of_derive_keeps_the_count():
+    checked: dict[str, set] = {"gamma": set(), "pr": set(), "eta": set()}
+    for rule, kind, query, rest in _fibration_steps():
+        left, right = _fibration_sides(kind, query, rest)
+        assert left and left == right, (rule, query.render(), rest.render())
+        checked[kind].add((query.h, query.i, query.k, query.n))
     assert {kind: len(strata) for kind, strata in checked.items()} == {
         "gamma": 307, "pr": 9, "eta": 20,
     }
+
+
+def _fiber_stratum(kind: str, point, triv) -> tuple[int, int, int, int]:
+    """(h, i, k, n) of the stratum a case's chart point hands on: gamma's
+    fiber inside V0, eta's quotient pair inside L0, pr's front."""
+    if kind == "gamma":
+        fiber = point.fiber
+        return fiber.h, fiber.span.k, fiber.k, triv.base_point.k
+    if kind == "eta":
+        first, second = point.fiber
+        return 2, subspace_sum([first, second]).k, first.k, triv.complement.k
+    front = point.base
+    return front.h, front.span.k, front.k, front.n
+
+
+def test_every_fibration_step_of_derive_round_trips_on_its_stratum(monkeypatch):
+    # each distinct (suite, stratum) pair of the walk runs one exact round
+    # trip case, and the fiber that case builds is the stratum its steps
+    # hand on: gamma F_h^i(k,i), eta F_2^(2(i-k))(i-k, n-2k+i) and pr the
+    # front in F_(h-1)^((h-1)k)(k,n)
+    built = []
+    for name in ("gamma_trivialize", "pr_trivialize", "eta_fiber_point"):
+        def recorded(c, triv, _real=getattr(fibrations, name)):
+            point = _real(c, triv)
+            built.append((point, triv))
+            return point
+        monkeypatch.setattr(fibrations, name, recorded)
+    fibers: dict[tuple, tuple] = {}
+    for steps, (rule, kind, query, rest) in enumerate(_fibration_steps(), 1):
+        pair = (kind, query.h, query.i, query.k, query.n)
+        if pair not in fibers:
+            grid = {"h": query.h, "i": query.i, "k": query.k, "n": query.n}
+            if kind == "pr":
+                del grid["i"]
+            built.clear()
+            report = run_roundtrip_suite(kind, grid=grid, cases=1)
+            assert report.ok, (rule, query.render(), report.failures)
+            [(point, triv)] = built
+            fibers[pair] = _fiber_stratum(kind, point, triv)
+        assert fibers[pair] == (rest.h, rest.i, rest.k, rest.n), (rule, query.render(), rest.render())
+    assert steps == 802
+    assert Counter(kind for kind, *_ in fibers) == {"gamma": 307, "pr": 9, "eta": 20}
 
 
 def test_pi2_rank_is_the_next_to_leading_count_coefficient():

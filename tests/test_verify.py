@@ -678,20 +678,23 @@ def test_pr_suite_nonsquare_ambient():
     ("gamma", None), ("pr", None), ("pr", {"h": 2, "k": 2, "n": 6}), ("eta", None),
 ])
 def test_chart_base_point_is_the_first_transverse_draw(monkeypatch, which, grid):
-    # every suite centres its chart at a point of Gr(over.k, n) drawn with
-    # the :base: tag, from the first attempt whose complement is transverse
-    # to the sample's subspace and to that base point
+    # every suite centres its chart at a point of Gr(k, n), k the dimension
+    # of the base its map projects (pr: the front's sum), drawn with the
+    # :base: tag, from the first attempt whose complement is transverse to
+    # that base and to that base point
     charts = []
 
-    def recorded(over, tag, _search=verify._random_chart):
-        triv = _search(over, tag)
-        charts.append((over, tag, triv))
-        return triv
+    def recorded(c, k, trivialize, tag, _search=verify._random_chart):
+        found = _search(c, k, trivialize, tag)
+        charts.append((k, tag, found))
+        return found
     monkeypatch.setattr(verify, "_random_chart", recorded)
     assert run_roundtrip_suite(which, grid=grid, cases=6, seed=4).ok
     assert len(charts) == 6
-    for over, tag, triv in charts:
-        k, n = over.k, over.n
+    for k, tag, (triv, point) in charts:
+        over = point.base.span if which == "pr" else point.base
+        n = over.n
+        assert over.k == k
         for attempt in range(64):
             v0 = sample_subspace(k, n, f"{tag}:base:{attempt}")
             l0 = sample_subspace(n - k, n, f"{tag}:comp:{attempt}")
@@ -702,21 +705,22 @@ def test_chart_base_point_is_the_first_transverse_draw(monkeypatch, which, grid)
 
 
 @pytest.mark.parametrize("which, modular_ranks, rrefs, projections", [
-    ("gamma", 40, 220, 40), ("pr", 40, 260, 40), ("eta", 40, 280, 40),
+    ("gamma", 40, 220, 40), ("pr", 40, 200, 40), ("eta", 40, 280, 40),
 ], ids=["gamma", "pr", "eta"])
 def test_chart_projections_are_decided_by_their_solves(
     monkeypatch, which, modular_ranks, rrefs, projections
 ):
     # a chart projection's solve alone decides v ⊕ L0 = C^n: the chart
-    # search keeps the first chart on which Q_over solves, and the maps
-    # reuse that Q_over as their guard, so per case the chart's P and
-    # Q_over are the only projections.  No mod-p rank decides
-    # transversality; per case one runs for the sampler's g and one for
-    # the map's own input check (γ: the fiber, inside V0, reaches rank
-    # dim V0; pr: the points are in direct sum; η: the quotient images
-    # are).  Membership is a product on the RREF basis and a
-    # configuration's sum is reduced once, so neither runs an elimination
-    # of its own
+    # search keeps the first chart on which the case's trivializing map,
+    # whose guard solves Q_V for its base V, succeeds, and the inverse
+    # reuses that Q_V, so per case the chart's P and Q_V are the only
+    # projections.  No mod-p rank decides transversality; per case one
+    # runs for the sampler's g and one for the map's own input check (γ:
+    # the fiber, inside V0, reaches rank dim V0; pr: the points are in
+    # direct sum; η: the quotient images are).  Membership is a product on
+    # the RREF basis, a configuration's sum is reduced once, and pr
+    # reduces only the subspaces it returns, so none of these runs an
+    # elimination of its own
     calls = {"_modular_rank": 0, "_integer_rref": 0, "projection_along": 0}
     for name in calls:
         module = grassmann if name == "projection_along" else linalg
@@ -829,10 +833,10 @@ def test_gamma_suite_catches_a_wrong_base(monkeypatch):
     assert _fails_every_case("gamma") == "base component differs from the subspace sum"
 
 
-def test_pr_case_builds_each_projection_and_sum_twice(monkeypatch):
+def test_pr_case_builds_each_projection_twice_and_the_front_sum_once(monkeypatch):
     # per case: the chart's P and Q_V of the base sum, which pr's inverse
-    # reuses; the sum of the case's front for the chart search and that of
-    # pr's own front, which its inverse reads again from the front
+    # reuses; the sum of pr's own front, which the chart search gets from
+    # pr_trivialize and the inverse reads again from the front
     calls = {"projection_along": 0, "subspace_sum": 0}
     for name in calls:
         def counted(*args, _real=getattr(grassmann, name), _name=name):
@@ -840,7 +844,7 @@ def test_pr_case_builds_each_projection_and_sum_twice(monkeypatch):
             return _real(*args)
         monkeypatch.setattr(grassmann, name, counted)
     assert run_roundtrip_suite("pr", cases=4, seed=0).ok
-    assert calls == {"projection_along": 8, "subspace_sum": 8}
+    assert calls == {"projection_along": 8, "subspace_sum": 4}
 
 
 @pytest.mark.parametrize("which", ["gamma", "pr", "eta"])
