@@ -58,49 +58,34 @@ FiberPoint = Union[Configuration, Matrix, Subspace, tuple[Subspace, Subspace]]
 
 @record
 class Trivialization:
-    """Chart data: a base point V0, a complement L0, and the projector onto
-    V0 along L0 (as a matrix acting on row vectors).
-
-    The record checks that its fields agree: one ambient dimension,
-    dim V0 + dim L0 = n, and [V0; L0]·P = [V0; 0].  A vector x of V0 ∩ L0
-    then has x = x·P = 0, so the sum is direct and P is the projection
-    onto V0 along L0.  A base point that is its own complement is refused:
+    """Chart data: a base point V0 and a complement L0.  The projector onto
+    V0 along L0 (a matrix acting on row vectors) is computed from them;
+    its solve decides V0 ⊕ L0 = C^n, so a base point that is its own
+    complement is refused:
 
     >>> v0 = grassmann.canonicalize(Matrix.unit_rows([0, 1], 4), 4)
-    >>> Trivialization(v0, v0, Matrix.identity(4))
+    >>> Trivialization(v0, v0)
     Traceback (most recent call last):
     ...
-    ValueError: projector is not the projection onto the base point along the complement
+    grassconf.errors.NotComplementaryError: subspaces intersect nontrivially
 
-    _chart_projection keeps its last result (v, Q_v) beside the fields,
-    so ==, hash and repr ignore it.
+    The projector, and the last result (v, Q_v) of _chart_projection, are
+    kept beside the fields, so ==, hash and repr ignore them.
     """
 
     base_point: Subspace
     complement: Subspace
-    projector: Matrix
 
     def __post_init__(self) -> None:
-        v0, l0, p = self.base_point, self.complement, self.projector
-        if not v0.n == l0.n == p.rows == p.cols:
-            raise MixedAmbientError(
-                "base point, complement and projector need one ambient dimension"
-            )
-        if v0.k + l0.k != v0.n:
-            raise NotComplementaryError("dimensions do not add up to the ambient dimension")
-        if v0.basis.stack(l0.basis) @ p != v0.basis.stack(Matrix.zeros(l0.k, l0.n)):
-            raise ValueError(
-                "projector is not the projection onto the base point along the complement"
-            )
+        object.__setattr__(
+            self, "projector", grassmann.projection_along(self.base_point, self.complement)
+        )
 
     @staticmethod
     def over(v0: Subspace, l0: Optional[Subspace] = None) -> "Trivialization":
         """Build the chart over v0; without l0, the deterministic
         non-pivot complement is used."""
-        if l0 is None:
-            l0 = grassmann.complement(v0)
-        projector = grassmann.projection_along(v0, l0)
-        return Trivialization(v0, l0, projector)
+        return Trivialization(v0, grassmann.complement(v0) if l0 is None else l0)
 
     @property
     def n(self) -> int:
@@ -122,8 +107,9 @@ def _chart_projection(v: Subspace, triv: Trivialization, what: str) -> Matrix:
     """Q_v, the projection onto v along L0, whose solve alone decides
     v ⊕ L0 = C^n; a failure raises OutsideChartError prefixed by what.
 
-    The chart record makes dim V0 + dim L0 = n, so a v of the chart's
-    ambient dimension and of dimension dim V0 whose solve fails meets L0.
+    The chart's own projector came from projection_along, which makes
+    dim V0 + dim L0 = n, so a v of the chart's ambient dimension and of
+    dimension dim V0 whose solve fails meets L0.
 
     The chart keeps the last (v, Q_v) it returned, and answers the same v
     from it; a failure is never kept, so it is decided again each time.

@@ -24,9 +24,11 @@ Three batch checks back the exact layer:
   witness's routine, and a drop is always decided by the exact pivot count.
 * run_roundtrip_suite exercises the gamma/pr/eta trivializations on
   seeded samples, entrywise over Q(i).  A case's chart is the first seeded
-  one, centred in Gr(k, n) for k the dimension of its map's base, on which
-  the case's own trivializing map succeeds; the inverse reuses the Q_V of
-  that map's guard.  A case checks the base component, the one fiber fact
+  one, centred in Gr(k, n) for k the dimension of its map's base (gamma:
+  i, pr: i - k, eta: 2k - i), on which the case's own trivializing map
+  succeeds; the inverse reuses the Q_V of that map's guard.  A case checks
+  the base component (an eta base, of the chart's dimension 2k - i, is the
+  intersection exactly when it lies in both points), the one fiber fact
   no map decides, and the round trip.  The guards of pr_trivialize (direct
   sum), pr_untrivialize (a fiber subspace misses V0) and eta_fiber_lift
   (quotient pair in L0, in direct sum) decide the rest.
@@ -474,6 +476,7 @@ def check_adjacency(
     if isinstance(eps, bool) or not isinstance(eps, (int, Fraction)):
         raise TypeError(f"eps must be an int or a Fraction, not {type(eps).__name__}")
     _require_count("trials", trials)
+    _require_count("target_i", target_i)
     eps = Fraction(eps)
     total = c.span
     j0 = total.k
@@ -542,13 +545,15 @@ def _random_chart(
 ) -> Optional[tuple[Trivialization, ChartPoint]]:
     """(chart, trivialize(c, chart)) from the first seeded chart on which
     the case's own trivializing map succeeds.  Each attempt draws V0 from
-    Gr(k, n), k the dimension of the map's base, and L0 from Gr(n - k, n).
-    Catching OutsideChartError is safe: on a configuration of its stratum
-    only a map's guard raises it, as pr's coordinate solve cannot fail
-    (I - Q_V + P carries the front's sum V onto V0; the last point misses
-    V).  Randomizing the complement matters: the deterministic one is
-    constant across generic base points, so a sample touching it would
-    never find a chart by resampling the base alone."""
+    Gr(k, n), k the dimension of the map's base (gamma: i, pr: i - k, eta:
+    2k - i), and L0 from Gr(n - k, n); the chart's projection raises
+    NotComplementaryError when L0 meets V0.  Catching OutsideChartError is
+    safe: on a configuration of its stratum only a map's guard raises it,
+    as pr's coordinate solve cannot fail (I - Q_V + P carries the front's
+    sum V onto V0; the last point misses V).  Randomizing the complement
+    matters: the deterministic one is constant across generic base points,
+    so a sample touching it would never find a chart by resampling the
+    base alone."""
     for attempt in range(64):
         v0 = grassmann.sample_subspace(k, c.n, f"{seed_tag}:base:{attempt}")
         l0 = grassmann.sample_subspace(c.n - k, c.n, f"{seed_tag}:comp:{attempt}")
@@ -596,14 +601,12 @@ def _pr_case(s: StratumId, case_seed: str) -> Optional[str]:
 
 def _eta_case(s: StratumId, case_seed: str) -> Optional[str]:
     c = grassmann.sample_configuration(s, case_seed)
-    inter = fibrations.eta(c)
-    if inter.k != 2 * s.k - s.i:
-        return "intersection dimension differs from 2k - i"
-    found = _random_chart(c, inter.k, fibrations.eta_fiber_point, case_seed)
+    found = _random_chart(c, 2 * s.k - s.i, fibrations.eta_fiber_point, case_seed)
     if found is None:
         return "no chart found containing the sample"
     triv, point = found
-    if point.base != inter:
+    # a base of dimension 2k - i (the chart's) inside both points is H1 ∩ H2
+    if not all(q.contains(point.base) for q in c.points):
         return "base component differs from the intersection"
     if any(q.k != s.i - s.k for q in point.fiber):
         return "quotient images have the wrong dimension"

@@ -336,7 +336,7 @@ def test_verify_parameter_validation():
 
 
 @pytest.mark.parametrize("count", [True, 2.5, "3", None], ids=repr)
-@pytest.mark.parametrize("name", ["samples", "trials", "cases"])
+@pytest.mark.parametrize("name", ["samples", "trials", "cases", "target_i"])
 def test_verify_counts_must_be_ints(name, count, monkeypatch):
     # a bool would run one case and a float would fail mid-run: both are
     # refused before any exact work, naming the parameter
@@ -348,6 +348,7 @@ def test_verify_counts_must_be_ints(name, count, monkeypatch):
         "samples": lambda: check_dimension(StratumId(2, 3, 2, 4), samples=count),
         "trials": lambda: check_adjacency(c, 4, Fraction(1, 10), trials=count),
         "cases": lambda: run_roundtrip_suite("gamma", cases=count),
+        "target_i": lambda: check_adjacency(c, count, Fraction(1, 10)),
     }[name]
 
     def no_work(*args, **kwargs):

@@ -116,26 +116,17 @@ def test_extension_outside_chart_raises():
 def _contradicting_charts():
     """Fields that contradict each other, with the error each one raises."""
     v0 = canonicalize(unit_rows(4, 0, 1), 4)
-    l0 = canonicalize(unit_rows(4, 2, 3), 4)
-    tilted = canonicalize(Matrix.from_rows([[1, 0, 1, 0], [0, 1, 0, 1]]), 4)
-    p = projection_along(v0, l0)
-    wrong_projector = (
-        ValueError, "projector is not the projection onto the base point along the complement"
-    )
     return {
-        "own-complement": ((v0, v0, Matrix.identity(4)), wrong_projector),
+        "own-complement": (
+            (v0, v0), (NotComplementaryError, "subspaces intersect nontrivially"),
+        ),
         "short-complement": (
-            (v0, canonicalize(unit_rows(4, 2), 4), p),
+            (v0, canonicalize(unit_rows(4, 2), 4)),
             (NotComplementaryError, "dimensions do not add up to the ambient dimension"),
         ),
-        "other-charts-projector": ((v0, l0, projection_along(v0, tilted)), wrong_projector),
         "mixed-ambient": (
-            (v0, canonicalize(unit_rows(5, 2, 3, 4), 5), p),
-            (MixedAmbientError, "base point, complement and projector need one ambient dimension"),
-        ),
-        "mixed-projector": (
-            (v0, l0, Matrix.identity(5)),
-            (MixedAmbientError, "base point, complement and projector need one ambient dimension"),
+            (v0, canonicalize(unit_rows(5, 2, 3, 4), 5)),
+            (MixedAmbientError, "ambient dimensions differ"),
         ),
     }
 
@@ -147,6 +138,42 @@ def test_chart_record_rejects_contradicting_fields(case):
         Trivialization(*fields)
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+def test_chart_record_takes_no_projector(monkeypatch):
+    # the projector is computed by one projection_along, and the record
+    # runs no product of its own to check it
+    v0 = sample_subspace(2, 5, "noproj")
+    l0 = sample_subspace(3, 5, "noproj:comp")
+    assert Trivialization.__match_args__ == ("base_point", "complement")
+    with pytest.raises(TypeError):
+        Trivialization(v0, l0, projection_along(v0, l0))
+    calls = []
+    def counted(a, b, _real=Matrix.__matmul__):
+        calls.append("product")
+        return _real(a, b)
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    p = projection_along(v0, l0)
+    products = len(calls)
+    assert Trivialization(v0, l0).projector == p
+    assert len(calls) == 2 * products
+
+
+def test_chart_projector_is_the_projection_onto_the_base_point_along_the_complement():
+    # [V0; L0]·P = [V0; 0] on seeded charts, with a seeded complement and
+    # with the deterministic one: P fixes V0 and vanishes on L0
+    for n in range(2, 7):
+        for k in range(1, n):
+            for seed in range(3):
+                tag = f"chartp:{k}:{n}:{seed}"
+                v0 = sample_subspace(k, n, tag)
+                seeded = next(
+                    l0 for l0 in (sample_subspace(n - k, n, f"{tag}:comp:{j}") for j in range(64))
+                    if rank(v0.basis.stack(l0.basis)) == n
+                )
+                for triv in (Trivialization.over(v0, seeded), Trivialization.over(v0)):
+                    stack = v0.basis.stack(triv.complement.basis)
+                    assert stack @ triv.projector == v0.basis.stack(Matrix.zeros(n - k, n))
 
 
 # --- gamma ------------------------------------------------------------------

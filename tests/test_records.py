@@ -35,8 +35,8 @@ STEP = f"DerivationStep(rule='rule', statement='statement', before={QUERY}, " \
 
 def _records() -> dict:
     """One fresh instance of every record type, keyed by its repr text as a
-    data class printed it, as a format string: {line}, {other} and
-    {projector} stand for the reprs of the parts that carry matrices."""
+    data class printed it, as a format string: {line} and {other} stand
+    for the reprs of the parts that carry matrices."""
     line = canonicalize(Matrix.from_rows([[1, 0]]), 2)
     other = canonicalize(Matrix.from_rows([[0, 1]]), 2)
     query = PiQuery(1, 2, 3, 2, 5)
@@ -60,7 +60,7 @@ def _records() -> dict:
         STEP: step,
         f"DerivationTrace(initial={QUERY}, steps=({STEP},), result=FreeAbelian(rank=1))":
             DerivationTrace(query, (step,), FreeAbelian(1)),
-        "Trivialization(base_point={line}, complement={other}, projector={projector})":
+        "Trivialization(base_point={line}, complement={other})":
             Trivialization.over(line),
         "ChartPoint(base={line}, fiber={other})": ChartPoint(line, other),
         "VerificationReport(suite='gamma', cases=1, passed=0, failures=[('4', 'bad')], "
@@ -85,9 +85,8 @@ def test_repr_is_the_data_class_text(text):
     obj = _records()[text]
     line = canonicalize(Matrix.from_rows([[1, 0]]), 2)
     other = canonicalize(Matrix.from_rows([[0, 1]]), 2)
-    projector = Trivialization.over(line).projector
     assert repr(line) == LINE
-    assert repr(obj) == text.format(line=LINE, other=repr(other), projector=repr(projector))
+    assert repr(obj) == text.format(line=LINE, other=repr(other))
 
 
 def test_equal_fields_in_different_classes_are_not_equal():

@@ -705,7 +705,7 @@ def test_chart_base_point_is_the_first_transverse_draw(monkeypatch, which, grid)
 
 
 @pytest.mark.parametrize("which, modular_ranks, rrefs, projections", [
-    ("gamma", 40, 220, 40), ("pr", 40, 200, 40), ("eta", 40, 280, 40),
+    ("gamma", 40, 220, 40), ("pr", 40, 200, 40), ("eta", 40, 240, 40),
 ], ids=["gamma", "pr", "eta"])
 def test_chart_projections_are_decided_by_their_solves(
     monkeypatch, which, modular_ranks, rrefs, projections
@@ -831,6 +831,13 @@ def test_gamma_suite_catches_a_wrong_base(monkeypatch):
         return ChartPoint(triv.base_point, _real(c, triv).fiber)
     monkeypatch.setattr(fibrations, "gamma_trivialize", chart_base)
     assert _fails_every_case("gamma") == "base component differs from the subspace sum"
+
+
+def test_eta_suite_catches_a_wrong_base(monkeypatch):
+    def chart_base(c, triv, _real=fibrations.eta_fiber_point):
+        return ChartPoint(triv.base_point, _real(c, triv).fiber)
+    monkeypatch.setattr(fibrations, "eta_fiber_point", chart_base)
+    assert _fails_every_case("eta") == "base component differs from the intersection"
 
 
 def test_pr_case_builds_each_projection_twice_and_the_front_sum_once(monkeypatch):
