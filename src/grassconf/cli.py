@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -51,16 +52,28 @@ def _check_seed(seed: int) -> int:
 
 def _parse_eps(text: str):
     """--eps as an exact fraction the report can write back; anything else
-    is a usage error that names the flag."""
+    is a usage error that names the flag.
+
+    Fraction(text) computes 10**|exponent| before its digits can be
+    counted.  An exponent past the int-to-str limit by more than the
+    mantissa's length leaves any nonzero value a numerator or denominator
+    too long to write, so it is refused from the mantissa alone, which has
+    the text's syntax and, when it is 0, its value.
+    """
     from fractions import Fraction
 
+    limit = sys.get_int_max_str_digits()
+    scaled = re.fullmatch(r"(.*)[eE]([-+]?\d+(?:_\d+)*)\s*", text, re.DOTALL)
     try:
-        eps = Fraction(text)
+        huge = scaled is not None and limit > 0 and abs(int(scaled[2])) > limit + len(scaled[1])
+        eps = Fraction(scaled[1] + "e0") if huge else Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"--eps {text!r} has a zero denominator") from None
     except ValueError:
         raise ValueError(f"--eps {text!r} is not a fraction") from None
     try:
+        if huge and eps:
+            raise ValueError
         str(eps)
     except ValueError:
         raise ValueError(f"--eps {text!r} has too many digits to write in the report") from None

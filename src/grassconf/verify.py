@@ -15,12 +15,16 @@ Three batch checks back the exact layer:
   moved point needs one: a stored basis is RREF, so one integer test
   (_moves_less_than) proves that a move keeps the rank and stays within
   eps and half the smallest base gap.  A witness step tilts the first
-  redundant row, read off the stack's left null space.  Once per check
-  the base stack M at its sum's pivot columns P gives an exact floor on
-  sigma_j0(M)^2, j0 the base stratum (_sigma_floor), as M is M[:, P]
-  times the sum's RREF basis; a trial whose move t D has |t|^2 ||D||_F^2
-  below it keeps rank >= j0 by Weyl's inequality, which one integer
-  comparison proves.  Otherwise the trial builds its Z[i] rows by the
+  redundant row: the stack's rank is known exactly at every step, so a row
+  is redundant when the other rows keep it, which _rank_at_least decides
+  (the mod-p certificate, the exact pivot count for a coloop), and no null
+  space is computed.  A trial draws its directions as bytes and keeps its
+  scale t = a/b as two integers, building a Fraction only for the exact
+  fallback.  Once per check the base stack M at its sum's pivot columns P
+  gives an exact floor on sigma_j0(M)^2, j0 the base stratum
+  (_sigma_floor), as M is M[:, P] times the sum's RREF basis; a trial
+  whose move t D has |t|^2 ||D||_F^2 below it keeps rank >= j0 by Weyl's
+  inequality, which one integer comparison proves.  Otherwise the trial builds its Z[i] rows by the
   witness's routine, and a drop is always decided by the exact pivot count.
 * run_roundtrip_suite exercises the gamma/pr/eta trivializations on
   seeded samples, entrywise over Q(i).  A case's chart is the first seeded
@@ -172,15 +176,16 @@ def _projector_gap(na, da, nb, db) -> int:
     return worst
 
 
-def _moves_less_than(size: int, t: Fraction, bound: Fraction) -> bool:
-    """Whether adding t * D, with size the sum of |d|^2 over D, to a basis
-    whose k-th singular value is >= 1 (any RREF basis) keeps its rank and
-    moves its projector by less than bound.  With e = |t| sqrt(size) < 1
-    the rank stays (Weyl) and the projector moves by at most e / (1 - e)
-    (Wedin, BIT 12, 1972; Stewart & Sun, Matrix Perturbation Theory,
-    1990); with t = a/b and bound = p/q, that is < p/q iff
-    a^2 size (p + q)^2 < p^2 b^2."""
-    a, b, p, q = t.numerator, t.denominator, bound.numerator, bound.denominator
+def _moves_less_than(size: int, a: int, b: int, bound: Fraction) -> bool:
+    """Whether adding t * D, with t = a/b (b > 0, a and b not necessarily
+    coprime) and size the sum of |d|^2 over D, to a basis whose k-th
+    singular value is >= 1 (any RREF basis) keeps its rank and moves its
+    projector by less than bound.  With e = |t| sqrt(size) < 1 the rank
+    stays (Weyl) and the projector moves by at most e / (1 - e) (Wedin,
+    BIT 12, 1972; Stewart & Sun, Matrix Perturbation Theory, 1990); with
+    bound = p/q, that is < p/q iff a^2 size (p + q)^2 < p^2 b^2, which
+    holds for (a, b) exactly when it holds for (a/g, b/g)."""
+    p, q = bound.numerator, bound.denominator
     return a * a * size * (p + q) ** 2 < p * p * b * b
 
 
@@ -305,19 +310,25 @@ def _raise_stratum(
     """Exact tilts raising total, the sum of the points, from its dimension
     to target_i, or None if a step's check fails.
 
-    Step j tilts the first redundant row of the stack, one at which a left
-    null vector is nonzero, by t toward e_f, f the j-th free column of the
-    starting sum (adding e_f to a sum adds only f to its pivots).  As e_f
-    is not in the sum and the row is in the span of the others, for t != 0
-    the tilted point keeps dimension k, is not in the sum, so differs from
-    the other points, and the rank rises by one; the step checks all three.
+    Step j tilts the first redundant row of the stack, the first row whose
+    removal keeps the stack's rank, by t toward e_f, f the j-th free column
+    of the starting sum (adding e_f to a sum adds only f to its pivots).
+    Before step j the rank is exactly raised - 1 (the starting dimension,
+    then one more per step, each proved by the step before), so a row is
+    redundant iff the other rows reach rank raised - 1, which
+    _rank_at_least decides; a stack of rank below its row count has one.
+    As e_f is not in the sum and the row is in the span of the others, for
+    t != 0 the tilted point keeps dimension k, is not in the sum, so
+    differs from the other points, and the rank rises by one; the step
+    checks all three.
     """
     pts = list(points)
     k, n = pts[0].k, pts[0].n
     free = grassmann._free_columns(total)
     for raised, fresh in enumerate(free[:target_i - total.k], total.k + 1):
-        null = linalg.kernel(linalg.stack_all(p.basis for p in pts).transpose())
-        first = min(r for _, y in null.zrows for r, part in enumerate(y) if part != (0, 0))
+        stack = [row for p in pts for _, row in p.basis.zrows]
+        first = next(r for r in range(len(stack))
+                     if linalg._rank_at_least(stack[:r] + stack[r + 1:], raised - 1))
         m_idx, slot = divmod(first, k)
         direction = [[(0, 0)] * n for _ in range(k)]
         direction[slot][fresh] = (1, 0)
@@ -343,10 +354,10 @@ def _adjacency_witness(c: Configuration, total: Subspace, target_i: int, eps: Fr
     with size m^2, so t shrinks until that bound is below eps.
     """
     steps = target_i - total.k
-    t = eps / 8
-    while not _moves_less_than(steps * steps, t, eps):
-        t = t / 4
-    if _raise_stratum(c.points, total, target_i, t) is None:
+    a, b = eps.numerator, eps.denominator * 8
+    while not _moves_less_than(steps * steps, a, b, eps):
+        b *= 4
+    if _raise_stratum(c.points, total, target_i, Fraction(a, b)) is None:
         return "no tilt slot raises the sum dimension"
     return None
 
@@ -369,17 +380,29 @@ def _perturbed_rows(
     ]
 
 
-def _unit_draws(rng: random.Random, count: int) -> list[int]:
-    """count values of rng.randint(-1, 1), drawn as randint draws them:
-    -1 + _randbelow(3), two random bits redrawn on 3.  The values and the
-    generator state afterwards are those of count randint calls."""
-    getrandbits = rng.getrandbits
-    out = []
-    for _ in range(count):
-        r = getrandbits(2)
-        while r == 3:
-            r = getrandbits(2)
-        out.append(r - 1)
+# for the top byte b of a 32-bit word: _TOP_BITS maps b to its top two
+# bits, b >> 6, and _TOP_BITS_THREE lists the bytes translate deletes first
+_TOP_BITS = bytes(b >> 6 for b in range(256))
+_TOP_BITS_THREE = bytes(range(192, 256))
+
+
+def _unit_draws(rng: random.Random, count: int) -> bytes:
+    """count values of rng.randint(-1, 1), each stored as value + 1.
+
+    randint draws -1 + _randbelow(3): the top two bits of one 32-bit word,
+    redrawn on 3.  getrandbits(32 m) fills its result with m such words,
+    least significant first, so byte 4j + 3 of its little-endian bytes is
+    the top byte of word j.  Each round keeps the words whose top bits are
+    not 3, in order, and fetches one word per value still missing; the
+    values and the generator state afterwards are those of count randint
+    calls."""
+    out = b""
+    need = count
+    while need:
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        kept = words[3::4].translate(_TOP_BITS, _TOP_BITS_THREE)
+        out += kept
+        need -= len(kept)
     return out
 
 
@@ -437,22 +460,25 @@ def _semicontinuity_trial(
     """
     h, k, n = c.h, c.k, c.n
     draws = _unit_draws(rng, 2 * h * k * n)
-    # each draw is -1, 0 or 1, so a point's sum of |d|^2 counts its nonzero draws
+    # each draw is -1, 0 or 1 (stored as 0, 1 or 2), so a point's sum of
+    # |d|^2 counts its nonzero draws
     per_point = 2 * k * n
-    size = max(per_point - draws[p * per_point:(p + 1) * per_point].count(0) for p in range(h))
-    t = eps * Fraction(rng.randint(1, 4096), 4096) / 8
+    size = per_point - min(draws.count(1, p * per_point, (p + 1) * per_point) for p in range(h))
+    nonzero = len(draws) - draws.count(1)
+    # t = eps * randint(1, 4096) / 32768 as a/b, unreduced, shrunk by b *= 4;
+    # both tests below are homogeneous in (a, b)
+    a, b = eps.numerator * rng.randint(1, 4096), eps.denominator * 32768
+    num, den = floor
     for _ in range(80):
-        if _moves_less_than(size, t, bound):
-            a, b = t.numerator, t.denominator
-            num, den = floor
-            if a * a * (len(draws) - draws.count(0)) * den < num * b * b:
+        if _moves_less_than(size, a, b, bound):
+            if a * a * nonzero * den < num * b * b:
                 return None
-            pairs = list(zip(draws[::2], draws[1::2]))
+            pairs = [(re - 1, im - 1) for re, im in zip(draws[::2], draws[1::2])]
             directions = [pairs[r * n:(r + 1) * n] for r in range(h * k)]
-            if not linalg._rank_at_least(_perturbed_rows(base, directions, t), base_rank):
+            if not linalg._rank_at_least(_perturbed_rows(base, directions, Fraction(a, b)), base_rank):
                 return "stratum dropped under a perturbation of size < eps"
             return None
-        t = t / 4
+        b *= 4
     return "could not build a perturbation inside the bound"
 
 

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -407,14 +408,20 @@ def test_verify_tol_is_an_unknown_argument():
 @pytest.mark.parametrize("eps, named", [
     ("1/0", "has a zero denominator"),
     ("1e-5000", "has too many digits to write in the report"),
+    ("1e30000000", "has too many digits to write in the report"),
+    ("1e-30000000", "has too many digits to write in the report"),
     ("inf", "is not a fraction"),
     ("1/2/3", "is not a fraction"),
-], ids=["zero-denominator", "too-many-digits", "inf", "two-slashes"])
+], ids=["zero-denominator", "too-many-digits", "huge-exponent", "huge-negative-exponent",
+        "inf", "two-slashes"])
 def test_bad_eps_error_names_the_flag(capsys, eps, named):
+    # an exponent too large to write is refused before 10**exponent is built
+    start = time.perf_counter()
     code, out = run_cli(
         "verify", "--suite", "adjacency", "--h", "2", "--i", "3", "--k", "2", "--n", "4",
         f"--eps={eps}",
     )
+    assert time.perf_counter() - start < 0.5
     assert (code, out) == (2, "")
     err = capsys.readouterr().err
     assert err == f"error: --eps {eps!r} {named}\n"
@@ -555,7 +562,8 @@ _FLAG_COMMANDS = [
         "h": 2, "i": 3, "k": 2, "n": 4, "seed": 0, "target": 4, "trials": 1, "eps": "1/1000",
     }),
 ]
-_BAD_EPS = ["0", "0/7", "-1/3", "-2", "1/0", "1/2/3", "inf", "-inf", "nan", "1e-5000"]
+_BAD_EPS = ["0", "0/7", "-1/3", "-2", "1/0", "1/2/3", "inf", "-inf", "nan", "1e-5000",
+            "1e30000000", "1e-30000000"]
 _NOT_INT = ["", "x", "1.5", "0x10", "1e3", "nan", "--"]
 
 

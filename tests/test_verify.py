@@ -285,8 +285,10 @@ def test_moves_less_than_is_sound(s, seed, t, eps):
     size = max(sum(re * re + im * im for row in d for re, im in row) for d in directions)
     gap = min(subspace_distance(p, q) for p, q in combinations(c.points, 2))
     bound = gap / 2 if eps is None else eps
-    while not _moves_less_than(size, t, bound):
-        t /= 4
+    a, b = t.numerator, t.denominator
+    while not _moves_less_than(size, a, b, bound):
+        b *= 4
+    t = Fraction(a, b)
     moved = [
         canonicalize(p.basis + Matrix(c.k, c.n, tuple(
             tuple(GaussianRational(re, im) for re, im in row) for row in d
@@ -300,11 +302,13 @@ def test_moves_less_than_is_sound(s, seed, t, eps):
 
 
 def test_moves_less_than_is_strict_at_the_threshold():
-    # e = t sqrt(size) = 1/3 gives e / (1 - e) = 1/2 exactly
-    assert not _moves_less_than(1, Fraction(1, 3), Fraction(1, 2))
-    assert _moves_less_than(1, Fraction(1, 3), Fraction(1, 2) + Fraction(1, 10 ** 9))
-    assert not _moves_less_than(4, Fraction(1, 6), Fraction(1, 2))
-    assert _moves_less_than(0, Fraction(10 ** 9), Fraction(1, 10 ** 9))
+    # e = t sqrt(size) = 1/3 gives e / (1 - e) = 1/2 exactly; t = a/b need
+    # not be reduced, as the test is homogeneous in (a, b)
+    for g in (1, 7, 4 ** 5):
+        assert not _moves_less_than(1, g, 3 * g, Fraction(1, 2))
+        assert _moves_less_than(1, g, 3 * g, Fraction(1, 2) + Fraction(1, 10 ** 9))
+        assert not _moves_less_than(4, g, 6 * g, Fraction(1, 2))
+        assert _moves_less_than(0, 10 ** 9 * g, g, Fraction(1, 10 ** 9))
 
 
 def test_trials_shrink_when_two_points_are_close(monkeypatch):
@@ -318,8 +322,8 @@ def test_trials_shrink_when_two_points_are_close(monkeypatch):
     assert stratum_of(c) == 2 and subspace_distance(points[0], points[1]) < 2 * eps
     calls = []
 
-    def counted(size, t, bound, _test=verify._moves_less_than):
-        calls.append((size, _test(size, t, bound)))
+    def counted(size, a, b, bound, _test=verify._moves_less_than):
+        calls.append((size, _test(size, a, b, bound)))
         return calls[-1][1]
     monkeypatch.setattr(verify, "_moves_less_than", counted)
     report = check_adjacency(c, 3, eps, trials=40, seed=5)
@@ -329,7 +333,8 @@ def test_trials_shrink_when_two_points_are_close(monkeypatch):
     assert results.count(True) == 41
     assert results.count(False) >= 20
     # each step ends at a True; the witness makes one tilt, and a trial
-    # certifies the largest sum of |d|^2 over its points' directions
+    # certifies the largest sum of |d|^2 over its points' directions, each
+    # draw d stored as d + 1
     steps, sizes = [], set()
     for size, ok in calls:
         sizes.add(size)
@@ -339,7 +344,7 @@ def test_trials_shrink_when_two_points_are_close(monkeypatch):
     assert steps[0] == {1}
     for idx, got in enumerate(steps[1:]):
         draws = _unit_draws(random.Random(f"adjacency:5:{idx}"), 2 * 3 * 4)
-        assert got == {max(sum(v * v for v in draws[8 * p:8 * p + 8]) for p in range(3))}
+        assert got == {max(sum((v - 1) ** 2 for v in draws[8 * p:8 * p + 8]) for p in range(3))}
 
 
 @pytest.mark.parametrize("s, target, eps", [
@@ -416,16 +421,30 @@ def test_perturbed_rows_match_rational_perturbation():
 
 
 def test_unit_draws_match_randint():
-    # the trials draw their directions without randint; values and the
-    # generator state afterwards must be randint's, so that the scale t
-    # drawn next and every report stay the same
+    # the trials draw their directions without randint, as bytes holding
+    # draw + 1; values and the generator state afterwards must be randint's,
+    # so that the scale t drawn next and every report stay the same
     for seed in (0, 1, "adjacency:3:0", 12345):
+        for count in (0, 1, 2, 12_000):
+            ours, reference = random.Random(seed), random.Random(seed)
+            draws = _unit_draws(ours, count)
+            assert isinstance(draws, bytes)
+            assert [v - 1 for v in draws] == [reference.randint(-1, 1) for _ in range(count)]
+            assert ours.getstate() == reference.getstate()
+            assert ours.randint(1, 4096) == reference.randint(1, 4096)
+        assert set(draws) == {0, 1, 2}
+
+
+def test_unit_draws_match_randint_across_seeds_and_counts():
+    # every count from 0 to 200 on 3,000 seeds: a round that drops words
+    # whose top bits are 3 fetches exactly as many words as it dropped
+    for seed in range(3000):
+        count = seed % 201
         ours, reference = random.Random(seed), random.Random(seed)
-        draws = _unit_draws(ours, 12_000)
-        assert draws == [reference.randint(-1, 1) for _ in range(12_000)]
-        assert set(draws) == {-1, 0, 1}
+        assert [v - 1 for v in _unit_draws(ours, count)] == [
+            reference.randint(-1, 1) for _ in range(count)
+        ]
         assert ours.getstate() == reference.getstate()
-        assert ours.randint(1, 4096) == reference.randint(1, 4096)
 
 
 def _trial_log(monkeypatch):
@@ -485,10 +504,65 @@ def test_trials_past_the_floor_decide_by_the_exact_rank(monkeypatch):
     assert len(log) == 10
 
 
+def _needs_exact_rank_reference(c, eps, bound, floor, case_seed):
+    """Whether a trial's move is too large for the floor, from randint
+    draws and a Fraction scale: t shrinks by 4 until t^2 size <
+    (bound / (1 + bound))^2, size the largest sum of |d|^2 over a point,
+    and the floor certifies when t^2 ||D||_F^2 < num / den."""
+    rng = random.Random(f"adjacency:{case_seed}")
+    draws = [rng.randint(-1, 1) for _ in range(2 * c.h * c.k * c.n)]
+    per_point = 2 * c.k * c.n
+    size = max(sum(v * v for v in draws[p * per_point:(p + 1) * per_point]) for p in range(c.h))
+    t = eps * Fraction(rng.randint(1, 4096), 4096) / 8
+    while t * t * size >= (bound / (1 + bound)) ** 2:
+        t /= 4
+    return t * t * sum(v * v for v in draws) >= Fraction(*floor)
+
+
+def test_trials_reach_the_exact_rank_exactly_when_the_floor_fails(monkeypatch):
+    # the trials count nonzero draws in their bytes; the route of every
+    # trial must be the one that the randint draws give
+    routes, floors = [], []
+
+    def trial(*args, _trial=verify._semicontinuity_trial):
+        routes.append(False)
+        return _trial(*args)
+
+    def ranked(rows, r, _rank=linalg._rank_at_least):
+        if routes:
+            routes[-1] = True
+        return _rank(rows, r)
+
+    def floored(rows, _floor=verify._sigma_floor):
+        floors.append(_floor(rows))
+        return floors[-1]
+    monkeypatch.setattr(verify, "_semicontinuity_trial", trial)
+    monkeypatch.setattr(linalg, "_rank_at_least", ranked)
+    monkeypatch.setattr(verify, "_sigma_floor", floored)
+    checked = set()
+    for s, target in [(StratumId(3, 5, 2, 6), 6)] + WITNESS_CASES:
+        c = sample_configuration(s, "golden")
+        for eps in (Fraction(1, 3), Fraction(5)):
+            routes.clear()
+            floors.clear()
+            assert check_adjacency(c, target, eps, trials=20, seed="golden").ok
+            bound = min([eps] + [subspace_distance(p, q) / 2
+                                 for p, q in combinations(c.points, 2)])
+            assert routes == [
+                _needs_exact_rank_reference(c, eps, bound, floors[0], f"golden:{idx}")
+                for idx in range(20)
+            ]
+            checked.update(routes)
+    assert checked == {False, True}
+
+
 def test_floor_runs_no_mod_p_elimination(monkeypatch):
     # the floor reads the base stack at its sum's pivot columns, so a check
-    # with trials runs only the witness's three mod-p ranks (caps 4, 5 and
-    # 6 on the 6 x 6 stack); neither the floor nor a trial runs one
+    # with trials runs only the witness's mod-p ranks: per step, the stack
+    # without each row up to the first redundant one (5 x 6, cap raised - 1;
+    # here 1, 2 and 3 rows, as the rows of a tilted point can be coloops),
+    # then the tilted stack (6 x 6, cap raised); neither the floor nor a
+    # trial runs one
     c = sample_configuration(StratumId(3, 3, 2, 6), "golden")
     calls = []
 
@@ -500,7 +574,11 @@ def test_floor_runs_no_mod_p_elimination(monkeypatch):
     for trials in (0, 7, 30):
         calls.clear()
         assert check_adjacency(c, 6, Fraction(1, 1000), trials=trials, seed="golden").ok
-        assert calls == [(6, 6, 4), (6, 6, 5), (6, 6, 6)]
+        assert calls == [
+            (5, 6, 3), (6, 6, 4),
+            (5, 6, 4), (5, 6, 4), (6, 6, 5),
+            (5, 6, 5), (5, 6, 5), (5, 6, 5), (6, 6, 6),
+        ]
 
 
 def _singular_values(rows):
@@ -567,9 +645,10 @@ WITNESS_CASES = [
 
 @pytest.mark.parametrize("s, target", WITNESS_CASES, ids=str)
 def test_raise_stratum_matches_reference(s, target):
-    # the witness tilts Z[i] rows and reads the redundant rows off one left
-    # null space; the Q(i) route that ranks each remainder must give the
-    # same points at every shrink step the witness can reach
+    # the witness tilts Z[i] rows and proves a row redundant by the mod-p
+    # rank of the stack without it; the Q(i) route that ranks each
+    # remainder exactly must give the same points at every shrink step the
+    # witness can reach
     for seed in ("golden", 0, 1):
         c = sample_configuration(s, seed)
         total = subspace_sum(c.points)
@@ -621,6 +700,84 @@ def test_raise_stratum_reads_every_left_null_vector():
     got = _raise_stratum(points, subspace_sum(points), 4, t)
     assert got == raise_stratum_reference(points, 4, t)
     assert got[0] != points[0] and got[1:] == points[1:]
+
+
+def _first_null_row(points):
+    """The first row of the points' stack that a left null vector reaches:
+    the witness's former rule, read off an exact kernel, kept as the oracle."""
+    null = linalg.kernel(linalg.stack_all(p.basis for p in points).transpose())
+    return min(r for _, y in null.zrows for r, part in enumerate(y) if part != (0, 0))
+
+
+def _tilts(monkeypatch, points, total, target, t):
+    """(stored rows of the tilted point, tilted slot) of each step of
+    _raise_stratum, in order."""
+    tilts = []
+
+    def recorded(base, direction, t, _rows=verify._perturbed_rows):
+        slot = next(r for r, row in enumerate(direction) if any(d != (0, 0) for d in row))
+        tilts.append((base, slot))
+        return _rows(base, direction, t)
+    with monkeypatch.context() as patched:
+        patched.setattr(verify, "_perturbed_rows", recorded)
+        assert _raise_stratum(points, total, target, t) is not None
+    return tilts
+
+
+@pytest.mark.parametrize("s, target", WITNESS_CASES, ids=str)
+def test_raise_stratum_tilts_the_first_row_of_the_left_null_space(monkeypatch, s, target):
+    # a row is redundant exactly when a left null vector reaches it, so the
+    # first row whose removal keeps the rank is the one the kernel names,
+    # at every step and every shrink step of t the witness can reach
+    for seed in ("golden", 0, 1):
+        c = sample_configuration(s, seed)
+        total = subspace_sum(c.points)
+        for t in (Fraction(1, 8000), Fraction(1, 32000), Fraction(1, 128000), Fraction(1, 512000)):
+            tilts = _tilts(monkeypatch, c.points, total, target, t)
+            assert len(tilts) == target - total.k
+            for step, tilt in enumerate(tilts):
+                before = _raise_stratum(c.points, total, total.k + step, t)
+                m_idx, slot = divmod(_first_null_row(before), c.k)
+                assert tilt == (before[m_idx].basis.zrows, slot)
+
+
+def test_raise_stratum_decides_coloops_by_the_exact_rank(monkeypatch):
+    # the first point is a direct summand of the sum, and the second
+    # point's first row is outside the span of the others: rows 0, 1 and 2
+    # are coloops, which the mod-p rank cannot prove, so the exact pivot
+    # count of each 5-row remainder decides them, and row 3 is tilted
+    points = [canonicalize(unit_rows(6, *idx), 6) for idx in ((0, 1), (2, 3), (3, 4))]
+    total = subspace_sum(points)
+    t = Fraction(1, 8000)
+    assert _first_null_row(points) == 3
+    assert _tilts(monkeypatch, points, total, 6, t) == [(points[1].basis.zrows, 1)]
+    calls = []
+
+    def counted(grid, reduce=True, _rref=linalg._integer_rref):
+        if not reduce:
+            calls.append(len(grid))
+        return _rref(grid, reduce)
+    monkeypatch.setattr(linalg, "_integer_rref", counted)
+    got = _raise_stratum(points, total, 6, t)
+    monkeypatch.undo()
+    assert calls == [5, 5, 5]
+    assert got == raise_stratum_reference(points, 6, t)
+    assert got[0] == points[0] and got[1] != points[1] and got[2] == points[2]
+
+
+def test_adjacency_checks_run_no_kernel(monkeypatch):
+    # the witness decides redundant rows by ranks, so a check, trials
+    # included, computes no null space
+    calls = []
+
+    def counted(m, _kernel=linalg.kernel):
+        calls.append(m.rows)
+        return _kernel(m)
+    monkeypatch.setattr(linalg, "kernel", counted)
+    for s, target in WITNESS_CASES:
+        c = sample_configuration(s, "golden")
+        assert check_adjacency(c, target, Fraction(1, 1000), trials=5, seed="golden").ok
+    assert calls == []
 
 
 def test_suites_run_no_gaussian_rational_arithmetic(monkeypatch):
