@@ -58,23 +58,24 @@ def _parse_eps(text: str):
     counted.  An exponent past the int-to-str limit by more than the
     mantissa's length leaves any nonzero value a numerator or denominator
     too long to write, so it is refused from the mantissa alone, which has
-    the text's syntax and, when it is 0, its value.
+    the text's syntax and, when it is 0, its value.  With the limit
+    switched off (0) both checks use the interpreter's default limit, so
+    the same texts are refused.
     """
     from fractions import Fraction
 
-    limit = sys.get_int_max_str_digits()
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     scaled = re.fullmatch(r"(.*)[eE]([-+]?\d+(?:_\d+)*)\s*", text, re.DOTALL)
     try:
-        huge = scaled is not None and limit > 0 and abs(int(scaled[2])) > limit + len(scaled[1])
+        huge = scaled is not None and abs(int(scaled[2])) > limit + len(scaled[1])
         eps = Fraction(scaled[1] + "e0") if huge else Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"--eps {text!r} has a zero denominator") from None
     except ValueError:
         raise ValueError(f"--eps {text!r} is not a fraction") from None
     try:
-        if huge and eps:
+        if (huge and eps) or any(len(str(abs(part))) > limit for part in eps.as_integer_ratio()):
             raise ValueError
-        str(eps)
     except ValueError:
         raise ValueError(f"--eps {text!r} has too many digits to write in the report") from None
     return eps
@@ -150,11 +151,11 @@ def cmd_classify(args, out) -> int:
         except RecursionError:
             raise ValueError(f"the JSON in {args.file} is nested too deeply") from None
     cfg = grassmann.configuration_from_json(data)
-    i = grassmann.stratum_of(cfg)
+    s = StratumId(cfg.h, grassmann.stratum_of(cfg), cfg.k, cfg.n)
     if args.json:
-        _emit(_dumps({"h": cfg.h, "i": i, "k": cfg.k, "n": cfg.n}), out)
+        _emit(_dumps({"h": s.h, "i": s.i, "k": s.k, "n": s.n}), out)
     else:
-        _emit(f"i = {i}", out)
+        _emit(f"i = {s.i}", out)
     return EXIT_OK
 
 

@@ -38,23 +38,25 @@ from .linalg import Matrix
 SeedLike = Union[int, str]
 
 
-def _is_canonical_rref(m: Matrix) -> bool:
-    """Read on the stored Z[i] rows: a row (s, v) has the pivot 1 where its
+def _canonical_pivots(m: Matrix) -> Optional[tuple[int, ...]]:
+    """The leading column of each stored Z[i] row, or None unless the rows
+    are a canonical RREF basis: a row (s, v) has the pivot 1 where its
     first nonzero part is (s, 0), and every other row is (0, 0) there."""
-    last_pivot = -1
+    pivots: list[int] = []
     for r, (s, row) in enumerate(m.zrows):
         lead = next((c for c, part in enumerate(row) if part != (0, 0)), None)
-        if lead is None or lead <= last_pivot or row[lead] != (s, 0):
-            return False
+        if lead is None or (pivots and lead <= pivots[-1]) or row[lead] != (s, 0):
+            return None
         if any(other[lead] != (0, 0) for rr, (_, other) in enumerate(m.zrows) if rr != r):
-            return False
-        last_pivot = lead
-    return True
+            return None
+        pivots.append(lead)
+    return tuple(pivots)
 
 
 @record
 class Subspace:
-    """A k-dimensional subspace of C^n; basis rows are in canonical RREF."""
+    """A k-dimensional subspace of C^n; basis rows are in canonical RREF,
+    whose pivots are kept beside the fields (==, hash and repr ignore them)."""
 
     n: int
     k: int
@@ -65,14 +67,13 @@ class Subspace:
             raise ValueError(f"need 0 < k <= n, got k={self.k}, n={self.n}")
         if self.basis.rows != self.k or self.basis.cols != self.n:
             raise ValueError("basis shape does not match (k, n)")
-        if not _is_canonical_rref(self.basis):
+        pivots = _canonical_pivots(self.basis)
+        if pivots is None:
             raise ValueError("basis is not in canonical reduced row echelon form")
+        object.__setattr__(self, "_pivots", pivots)
 
     def pivots(self) -> tuple[int, ...]:
-        return tuple(
-            next(c for c, part in enumerate(row) if part != (0, 0))
-            for _, row in self.basis.zrows
-        )
+        return self._pivots
 
     def contains(self, other: "Subspace") -> bool:
         """Whether other ⊆ self, read off the RREF basis with no elimination.
@@ -193,15 +194,15 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Optional[Subspace]:
 
 
 def intersection_dim(a: Subspace, b: Subspace) -> int:
-    """dim(A ∩ B) = dim A + dim B - dim(A + B), from one rank.
+    """dim(A ∩ B) = dim A + dim B - dim(A + B), from the stacked bases.
 
-    A mod-p rank that reaches dim A + dim B proves the sum direct; any
-    other answer is the exact rank.
+    linalg._has_rank decides whether the sum is direct, mostly by its
+    mod-p certificate; otherwise the exact rank gives dim(A + B).
     """
     if a.n != b.n:
         raise MixedAmbientError("ambient dimensions differ")
     stacked = a.basis.stack(b.basis)
-    if linalg._modular_rank(linalg._integer_rows(stacked), a.k + b.k) == a.k + b.k:
+    if linalg._has_rank(stacked, a.k + b.k):
         return 0
     return a.k + b.k - linalg.rank(stacked)
 
@@ -276,14 +277,10 @@ def projection_along(target: Subspace, along: Subspace) -> Matrix:
         raise MixedAmbientError("ambient dimensions differ")
     if target.k + along.k != target.n:
         raise NotComplementaryError("dimensions do not add up to the ambient dimension")
-    if target.k > along.k:
-        return _projection_by_block(along, target, swapped=True)
-    return _projection_by_block(target, along, swapped=False)
-
-
-def _projection_by_block(target: Subspace, along: Subspace, swapped: bool) -> Matrix:
-    """P = N·(T·N)^-1·T, or I - P when the caller swapped the two sides,
-    by one solve of the dim target x dim target block T·N."""
+    swapped = target.k > along.k
+    if swapped:
+        # solve on the smaller side; I - P below turns it back
+        target, along = along, target
     split = _pivot_split(along)
     pivots, free, a_free = split
     try:

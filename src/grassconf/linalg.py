@@ -20,14 +20,14 @@ prove a lower bound on the rank and leaves every other answer to
 _integer_rref.  Every decision "rank >= r" goes through it: the
 sampler's draws of invertible matrices and subspaces, the direct-sum test
 of fibrations.pr_forget_last, the gamma suite's check that a fiber inside
-V0 spans it (rank dim V0) and the dimension suite's tangent rank;
-intersection_dim returns 0 when the certificate proves the sum direct.
+V0 spans it (rank dim V0), the dimension suite's tangent rank and
+grassmann.intersection_dim's test that a sum is direct.
 A solve decides its own system: the chart projections of grassmann and
 fibrations, and with them every transversality decision of fibrations and
 the roundtrip suites' chart search, catch its InconsistentSystemError
 instead of testing the matrix first.  The certificate's one mod-p
 elimination, _modular_rank, counts pivots and keeps nothing else;
-_rank_at_least and intersection_dim are its only callers.
+_rank_at_least is its only caller.
 The product brings the right factor's rows to one common scale and
 builds each entry as one Z[i] dot product.  All values are immutable and
 all operations are pure (the entries view is filled once, with the same

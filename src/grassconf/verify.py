@@ -14,18 +14,20 @@ Three batch checks back the exact layer:
   runs trials (a witness-only check builds none, nor the floor below).  No
   moved point needs one: a stored basis is RREF, so one integer test
   (_moves_less_than) proves that a move keeps the rank and stays within
-  eps and half the smallest base gap.  A witness step tilts the first
-  redundant row: the stack's rank is known exactly at every step, so a row
-  is redundant when the other rows keep it, which _rank_at_least decides
-  (the mod-p certificate, the exact pivot count for a coloop), and no null
-  space is computed.  A trial draws its directions as bytes and keeps its
-  scale t = a/b as two integers, building a Fraction only for the exact
+  eps and half the smallest base gap; witness and trial alike shrink t
+  until it holds.  A witness step tilts the first redundant row: the
+  stack's rank is known exactly at every step, so a row is redundant when
+  the other rows keep it, which _rank_at_least decides (the mod-p
+  certificate, the exact pivot count for a coloop), and no null space is
+  computed.  A trial draws its directions as bytes and keeps its scale
+  t = a/b as two integers, building a Fraction only for the exact
   fallback.  Once per check the base stack M at its sum's pivot columns P
   gives an exact floor on sigma_j0(M)^2, j0 the base stratum
   (_sigma_floor), as M is M[:, P] times the sum's RREF basis; a trial
   whose move t D has |t|^2 ||D||_F^2 below it keeps rank >= j0 by Weyl's
-  inequality, which one integer comparison proves.  Otherwise the trial builds its Z[i] rows by the
-  witness's routine, and a drop is always decided by the exact pivot count.
+  inequality, which one integer comparison proves.  Otherwise the trial
+  builds its Z[i] rows by the witness's routine, and a drop is always
+  decided by the exact pivot count.
 * run_roundtrip_suite exercises the gamma/pr/eta trivializations on
   seeded samples, entrywise over Q(i).  A case's chart is the first seeded
   one, centred in Gr(k, n) for k the dimension of its map's base (gamma:
@@ -446,9 +448,10 @@ def _semicontinuity_trial(
     """One seeded exact perturbation of chart-metric size < eps.
 
     Directions come from the {-1, 0, 1} lattice of Z[i]; the scale is
-    randomized and then shrunk until _moves_less_than certifies every
-    point's move below bound (at most eps and half the smallest base gap,
-    so the points stay distinct).  base holds the points' stacked bases as
+    randomized and then shrunk, as the witness's is, until
+    _moves_less_than certifies every point's move below bound (at most eps
+    and half the smallest base gap, so the points stay distinct; positive,
+    so the shrinking ends).  base holds the points' stacked bases as
     scaled Z[i] rows, and floor = num / den <= sigma_j0^2 of their stack,
     j0 = base_rank (_sigma_floor).  The stack moves by t D, and
     ||t D||_2 <= |t| ||D||_F with ||D||_F^2 the count of nonzero draws; so
@@ -468,18 +471,16 @@ def _semicontinuity_trial(
     # t = eps * randint(1, 4096) / 32768 as a/b, unreduced, shrunk by b *= 4;
     # both tests below are homogeneous in (a, b)
     a, b = eps.numerator * rng.randint(1, 4096), eps.denominator * 32768
-    num, den = floor
-    for _ in range(80):
-        if _moves_less_than(size, a, b, bound):
-            if a * a * nonzero * den < num * b * b:
-                return None
-            pairs = [(re - 1, im - 1) for re, im in zip(draws[::2], draws[1::2])]
-            directions = [pairs[r * n:(r + 1) * n] for r in range(h * k)]
-            if not linalg._rank_at_least(_perturbed_rows(base, directions, Fraction(a, b)), base_rank):
-                return "stratum dropped under a perturbation of size < eps"
-            return None
+    while not _moves_less_than(size, a, b, bound):
         b *= 4
-    return "could not build a perturbation inside the bound"
+    num, den = floor
+    if a * a * nonzero * den < num * b * b:
+        return None
+    pairs = [(re - 1, im - 1) for re, im in zip(draws[::2], draws[1::2])]
+    directions = [pairs[r * n:(r + 1) * n] for r in range(h * k)]
+    if not linalg._rank_at_least(_perturbed_rows(base, directions, Fraction(a, b)), base_rank):
+        return "stratum dropped under a perturbation of size < eps"
+    return None
 
 
 def _require_count(name: str, value: object) -> None:

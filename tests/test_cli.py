@@ -10,8 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grassconf.cli import main
-from grassconf.grassmann import StratumId, configuration_to_json, sample_configuration
+from grassconf.cli import _parse_eps, main
+from grassconf.grassmann import (
+    Configuration,
+    StratumId,
+    canonicalize,
+    configuration_to_json,
+    sample_configuration,
+)
+from grassconf.linalg import Matrix
 
 
 def run_cli(*argv):
@@ -184,6 +191,12 @@ def _deeply_nested():
     return "[" * 100000 + "]" * 100000
 
 
+def _full_space():
+    # one 2-plane in C^2 is a valid configuration in no stratum
+    plane = canonicalize(Matrix.unit_rows([0, 1], 2), 2)
+    return json.dumps(configuration_to_json(Configuration.of([plane])))
+
+
 def _without(*path):
     """The sampled payload with the field at the end of path removed."""
     def payload():
@@ -231,10 +244,11 @@ def _with(*path, value):
     (_wire_string("7" * 5000),
      "the entry at row 0, column 0 of a matrix: Exceeds the limit (4300 digits)"),
     (_wire_string(0.5), "the entry at row 0, column 0 of a matrix: expected an integer, got 0.5"),
+    (_full_space, "need 0 < k < n, got k=2, n=2"),
 ], ids=["zero-denominator", "entries-not-a-list", "top-level-array", "boolean-wire-integer",
         "missing-h", "point-missing-n", "basis-missing-rows", "negative-rows", "negative-cols",
         "negative-n", "negative-k", "negative-h", "deeply-nested", "underscore-digits",
-        "leading-space", "plus-sign", "arabic-indic-digit", "5000-digits", "float"])
+        "leading-space", "plus-sign", "arabic-indic-digit", "5000-digits", "float", "k-equals-n"])
 def test_classify_malformed_payload(tmp_path, capsys, payload, named):
     bad = tmp_path / "bad.json"
     bad.write_text(payload())
@@ -425,6 +439,38 @@ def test_bad_eps_error_names_the_flag(capsys, eps, named):
     assert (code, out) == (2, "")
     err = capsys.readouterr().err
     assert err == f"error: --eps {eps!r} {named}\n"
+
+
+def _eps_outcome(text):
+    """The value _parse_eps returns for text, or the message it raises."""
+    try:
+        return _parse_eps(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("eps", [
+    "1e5000", "1e20000", "1e-5000", "1e30000000", "1e4200", "1e-4299", "0e99999", "1/3",
+    "1" * 4301,
+])
+def test_eps_refusal_ignores_a_switched_off_int_str_limit(eps):
+    # with the limit at 0 both checks measure against the default limit;
+    # a 4301-digit mantissa is refused either way, but Fraction itself
+    # refuses it first under the default limit, as not a fraction
+    default = _eps_outcome(eps)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        start = time.perf_counter()
+        unlimited = _eps_outcome(eps)
+        assert time.perf_counter() - start < 0.5
+    finally:
+        sys.set_int_max_str_digits(limit)
+    if len(eps) > 4300:
+        assert default.endswith("is not a fraction")
+        assert unlimited.endswith("has too many digits to write in the report")
+    else:
+        assert unlimited == default
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -511,6 +511,27 @@ def test_reading_the_span_changes_no_value_of_the_record():
         assert configuration_to_json(c) == configuration_to_json(fresh)
 
 
+def test_pivots_are_the_rref_pivots_found_once(monkeypatch):
+    scans = []
+
+    def counted(m, _scan=grassmann._canonical_pivots):
+        scans.append(m)
+        return _scan(m)
+    monkeypatch.setattr(grassmann, "_canonical_pivots", counted)
+    for n in range(2, 8):
+        for k in range(1, n):
+            sampled = sample_subspace(k, n, f"pivots:{n}")
+            for basis in (sampled.basis, complement(sampled).basis.take_rows(n - k)):
+                scans.clear()
+                v = Subspace(n, basis.rows, basis)
+                assert [v.pivots() for _ in range(3)] == [linalg.rref(basis).pivots] * 3
+                assert len(scans) == 1
+                for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+                    assert twin == v and hash(twin) == hash(v) and repr(twin) == repr(v)
+                    assert twin.pivots() == v.pivots()
+                assert len(scans) == 1
+
+
 def test_transform_preserves_stratum():
     c = sample_configuration(StratumId(2, 3, 2, 5), 11)
     g = random_invertible(5, random.Random(4))

@@ -17,7 +17,7 @@ from math import gcd
 import pytest
 
 from grassconf.fibrations import chart_coordinates
-from grassconf.grassmann import _is_canonical_rref, sample_subspace, subspace_intersection
+from grassconf.grassmann import _canonical_pivots, sample_subspace, subspace_intersection
 from grassconf.linalg import ZERO, GaussianRational, Matrix, gq, kernel, rank, rref, solve
 from oracles import invert_reference, matmul_reference, rref_reference
 
@@ -166,17 +166,19 @@ def test_package_column_slices_store_primitive_rows():
         check_stored(coords, solve_reference(p_block, q_block))
 
 
-@pytest.mark.parametrize("rows, ok", [
-    ([[1, 0, Fraction(1, 2)], [0, 1, gq(0, Fraction(1, 3))]], True),
-    ([[2, 0, 1]], False),
-    ([[gq(0, 1), 0, 1]], False),
-    ([[Fraction(1, 2), 1]], False),
-    ([[1, 1, 0], [0, 1, 0]], False),
-    ([[1, 0, 0], [0, 0, 0]], False),
-    ([[0, 1, 0], [1, 0, 0]], False),
-], ids=["canonical", "pivot-2", "pivot-i", "pivot-half", "entry-above-pivot", "zero-row", "pivots-out-of-order"])
-def test_is_canonical_rref_reads_stored_rows(rows, ok):
-    assert _is_canonical_rref(Matrix.from_rows(rows)) is ok
+@pytest.mark.parametrize("rows, pivots", [
+    ([[1, 0, Fraction(1, 2)], [0, 1, gq(0, Fraction(1, 3))]], (0, 1)),
+    ([[0, 1, 0], [0, 0, 1]], (1, 2)),
+    ([[2, 0, 1]], None),
+    ([[gq(0, 1), 0, 1]], None),
+    ([[Fraction(1, 2), 1]], None),
+    ([[1, 1, 0], [0, 1, 0]], None),
+    ([[1, 0, 0], [0, 0, 0]], None),
+    ([[0, 1, 0], [1, 0, 0]], None),
+], ids=["canonical", "canonical-late-pivots", "pivot-2", "pivot-i", "pivot-half",
+        "entry-above-pivot", "zero-row", "pivots-out-of-order"])
+def test_is_canonical_rref_reads_stored_rows(rows, pivots):
+    assert _canonical_pivots(Matrix.from_rows(rows)) == pivots
 
 
 def test_matrix_stays_immutable_and_copyable():

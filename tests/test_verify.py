@@ -250,6 +250,17 @@ def test_adjacency_eps_int_is_exact():
     assert report.to_json() == check_adjacency(c, 4, Fraction(1), trials=5, seed=3).to_json()
 
 
+@pytest.mark.parametrize("eps", [10 ** 48, 10 ** 60], ids=["1e48", "1e60"])
+def test_trials_shrink_without_a_cap_at_huge_eps(eps):
+    # the bound is half the smallest projector gap, so from
+    # t = eps * randint(1, 4096) / 32768 a trial takes well over 80 steps
+    # of b *= 4 to certify its move, as the witness does with no cap
+    c = sample_configuration(StratumId(2, 3, 2, 4), 3)
+    report = check_adjacency(c, 4, eps, trials=20, seed=0)
+    assert report.cases == 21
+    assert report.ok, report.failures
+
+
 @pytest.mark.parametrize("eps", [0.001, "1/1000", Decimal("0.001"), True], ids=repr)
 def test_adjacency_eps_rejects_inexact_types(eps):
     # a float eps would make every distance bound inexact
