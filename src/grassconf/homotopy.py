@@ -256,9 +256,10 @@ def config_pi1(s: StratumId) -> GroupExpr:
     """Fundamental group of the stratum.
 
     Zero for k > 1 on every nonempty stratum.  For k = 1 only the open
-    stratum is tabulated: the sphere braid group when n = 2, zero when
-    n differs from hk, Unknown otherwise.  The value is read off derive,
-    whose rules are the single source of this case analysis.
+    stratum is tabulated: the sphere braid group when n = 2, zero
+    otherwise (when n = hk = h, pr reduces it to an open stratum with
+    n != hk); below it, Unknown.  The value is read off derive, whose
+    rules are the single source of this case analysis.
     """
     return derive(s, 1)[0]
 
@@ -403,10 +404,10 @@ def _pi1_rule(q: PiQuery) -> tuple[str, str, GroupExpr]:
         return (*RULE_BRAID, PureSphereBraid(h))
     if i == min(n, h * k) and n != h * k:
         return (*RULE_OPEN, TRIVIAL)
-    if k == 1:
-        return (*RULE_LINE, Unknown(PI1_LINE_CASE))
     if i == h * k and i == n:
         return (*RULE_PR, PiQuery(1, h - 1, k * (h - 1), k, n))
+    if k == 1:
+        return (*RULE_LINE, Unknown(PI1_LINE_CASE))
     return (*RULE_GAMMA_PI1, PiQuery(1, h, i, k, i))
 
 

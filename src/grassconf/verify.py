@@ -14,11 +14,12 @@ Three batch checks back the exact layer:
   runs trials (a witness-only check builds none, nor the floor below).  No
   moved point needs one: a stored basis is RREF, so one integer test
   (_moves_less_than) proves that a move keeps the rank and stays within
-  eps and half the smallest base gap; witness and trial alike shrink t
-  until it holds.  A witness step tilts the first redundant row: the
-  stack's rank is known exactly at every step, so a row is redundant when
-  the other rows keep it, which _rank_at_least decides (the mod-p
-  certificate, the exact pivot count for a coloop), and no null space is
+  eps and half the smallest base gap; witness and trial alike take the
+  least t = a / (b 4^j) at which it holds, with j read off bit lengths
+  (_shrunk).  The witness makes one move: one rank-only elimination of
+  the stack's columns names the rows that the rows before them span, the
+  first target - j0 of them are tilted toward unit vectors outside the
+  sum, and one _rank_at_least proves the raised rank; no null space is
   computed.  A trial draws its directions as bytes and keeps its scale
   t = a/b as two integers, building a Fraction only for the exact
   fallback.  Once per check the base stack M at its sum's pivot columns P
@@ -310,58 +311,48 @@ def _raise_stratum(
     points: Sequence[Subspace], total: Subspace, target_i: int, t: Fraction
 ) -> Optional[list[Subspace]]:
     """Exact tilts raising total, the sum of the points, from its dimension
-    to target_i, or None if a step's check fails.
+    j0 to target_i, or None if the check fails.
 
-    Step j tilts the first redundant row of the stack, the first row whose
-    removal keeps the stack's rank, by t toward e_f, f the j-th free column
-    of the starting sum (adding e_f to a sum adds only f to its pivots).
-    Before step j the rank is exactly raised - 1 (the starting dimension,
-    then one more per step, each proved by the step before), so a row is
-    redundant iff the other rows reach rank raised - 1, which
-    _rank_at_least decides; a stack of rank below its row count has one.
-    As e_f is not in the sum and the row is in the span of the others, for
-    t != 0 the tilted point keeps dimension k, is not in the sum, so
-    differs from the other points, and the rank rises by one; the step
-    checks all three.
+    One rank-only elimination of the stack's columns names the rows that
+    the rows before them span: each row x lies in the sum, so x is x[:, P]
+    times its RREF basis (P its pivots), and scaling a row changes no span,
+    so the stored rows at P serve.  The first m = target_i - j0 of those
+    rows are tilted by t, the j-th toward e_f, f the j-th free column of
+    the sum.  The untilted rows still span the sum, and modulo the sum the
+    tilted rows are t e_f, independent for t != 0.  So the rank rises by
+    exactly m, a tilted point keeps dimension k and leaves the sum, and two
+    tilted points differ modulo the sum; the three facts are checked.
     """
     pts = list(points)
     k, n = pts[0].k, pts[0].n
-    free = grassmann._free_columns(total)
-    for raised, fresh in enumerate(free[:target_i - total.k], total.k + 1):
-        stack = [row for p in pts for _, row in p.basis.zrows]
-        first = next(r for r in range(len(stack))
-                     if linalg._rank_at_least(stack[:r] + stack[r + 1:], raised - 1))
-        m_idx, slot = divmod(first, k)
-        direction = [[(0, 0)] * n for _ in range(k)]
+    rows = [row for p in pts for _, row in p.basis.zrows]
+    _, kept = linalg._integer_rref([[x[j] for x in rows] for j in total.pivots()], reduce=False)
+    spanned = [r for r in range(len(rows)) if r not in kept]
+    directions: dict[int, list[list[GInt]]] = {}
+    for r, fresh in zip(spanned, grassmann._free_columns(total)[:target_i - total.k]):
+        m_idx, slot = divmod(r, k)
+        direction = directions.setdefault(m_idx, [[(0, 0)] * n for _ in range(k)])
         direction[slot][fresh] = (1, 0)
-        rows = _perturbed_rows(pts[m_idx].basis.zrows, direction, t)
-        primitive = tuple(linalg._primitive(1, row) for row in rows)
-        tilted = grassmann.canonicalize(Matrix._of(k, n, primitive), n)
-        others = pts[:m_idx] + pts[m_idx + 1:]
-        stacked = [row for p in others for _, row in p.basis.zrows] + rows
-        if tilted.k != k or tilted in others or not linalg._rank_at_least(stacked, raised):
-            return None
-        pts[m_idx] = tilted
-    return pts
+    for m_idx, direction in directions.items():
+        tilted = _perturbed_rows(pts[m_idx].basis.zrows, direction, t)
+        rows[m_idx * k:(m_idx + 1) * k] = tilted
+        primitive = tuple(linalg._primitive(1, row) for row in tilted)
+        pts[m_idx] = grassmann.canonicalize(Matrix._of(k, n, primitive), n)
+    raised = all(p.k == k for p in pts) and len(set(pts)) == len(pts)
+    return pts if raised and linalg._rank_at_least(rows, target_i) else None
 
 
-def _adjacency_witness(c: Configuration, total: Subspace, target_i: int, eps: Fraction) -> Optional[str]:
-    """None when an exact configuration of stratum target_i lies within eps
-    of c, else a failure description.  total, the sum of c's points, has
-    dimension j0.
-
-    The witness makes m = target_i - j0 tilts, each of one row of an RREF
-    basis by t in a unit direction.  A point tilted m times moves by at
-    most m * t / (1 - t) <= m t / (1 - m t), which _moves_less_than bounds
-    with size m^2, so t shrinks until that bound is below eps.
-    """
-    steps = target_i - total.k
-    a, b = eps.numerator, eps.denominator * 8
-    while not _moves_less_than(steps * steps, a, b, eps):
-        b *= 4
-    if _raise_stratum(c.points, total, target_i, Fraction(a, b)) is None:
-        return "no tilt slot raises the sum dimension"
-    return None
+def _shrunk(size: int, a: int, b: int, bound: Fraction) -> int:
+    """The least b 4^j, j >= 0, at which _moves_less_than(size, a, ., bound)
+    holds.  Each step of j adds exactly four bits to the right side of its
+    test, a^2 size (p + q)^2 < p^2 (b 4^j)^2: below the first j at which
+    that side has as many bits as the left the test fails, and at j + 1 it
+    holds, so the test decides between b 4^j and b 4^(j+1), asked at most
+    twice."""
+    p, q = bound.numerator, bound.denominator
+    lack = (a * a * size * (p + q) ** 2).bit_length() - (p * p * b * b).bit_length()
+    b <<= 2 * max(0, -(-lack // 4))
+    return next(c for c in (b, 4 * b) if _moves_less_than(size, a, c, bound))
 
 
 def _perturbed_rows(
@@ -448,10 +439,10 @@ def _semicontinuity_trial(
     """One seeded exact perturbation of chart-metric size < eps.
 
     Directions come from the {-1, 0, 1} lattice of Z[i]; the scale is
-    randomized and then shrunk, as the witness's is, until
-    _moves_less_than certifies every point's move below bound (at most eps
-    and half the smallest base gap, so the points stay distinct; positive,
-    so the shrinking ends).  base holds the points' stacked bases as
+    randomized and then shrunk, as the witness's is, to the largest
+    a / (b 4^j) at which _moves_less_than certifies every point's move
+    below bound (_shrunk; at most eps and half the smallest base gap, so
+    the points stay distinct).  base holds the points' stacked bases as
     scaled Z[i] rows, and floor = num / den <= sigma_j0^2 of their stack,
     j0 = base_rank (_sigma_floor).  The stack moves by t D, and
     ||t D||_2 <= |t| ||D||_F with ||D||_F^2 the count of nonzero draws; so
@@ -468,11 +459,10 @@ def _semicontinuity_trial(
     per_point = 2 * k * n
     size = per_point - min(draws.count(1, p * per_point, (p + 1) * per_point) for p in range(h))
     nonzero = len(draws) - draws.count(1)
-    # t = eps * randint(1, 4096) / 32768 as a/b, unreduced, shrunk by b *= 4;
-    # both tests below are homogeneous in (a, b)
-    a, b = eps.numerator * rng.randint(1, 4096), eps.denominator * 32768
-    while not _moves_less_than(size, a, b, bound):
-        b *= 4
+    # t = eps * randint(1, 4096) / 32768 as a/b, unreduced, with b raised
+    # by _shrunk; both tests below are homogeneous in (a, b)
+    a = eps.numerator * rng.randint(1, 4096)
+    b = _shrunk(size, a, eps.denominator * 32768, bound)
     num, den = floor
     if a * a * nonzero * den < num * b * b:
         return None
@@ -522,7 +512,12 @@ def check_adjacency(
             "eps": str(eps), "trials": trials, "seed": str(seed),
         },
     )
-    report.record(f"{seed}:witness", _adjacency_witness(c, total, target_i, eps))
+    # a witness point gets at most m = target_i - j0 unit tilts, a size of
+    # at most m <= m^2
+    m = target_i - j0
+    t = Fraction(eps.numerator, _shrunk(m * m, eps.numerator, eps.denominator * 8, eps))
+    witness = _raise_stratum(c.points, total, target_i, t)
+    report.record(f"{seed}:witness", None if witness else "no tilt slot raises the sum dimension")
     if not trials:
         return report
     projectors = [_integer_projector([row for _, row in p.basis.zrows]) for p in c.points]
@@ -676,20 +671,21 @@ def run_roundtrip_suite(
 ) -> VerificationReport:
     """Exercise one fibration's trivialization on seeded samples.
 
-    ``grid`` maps parameter names to a value or list of values; cases
-    cycle through the combinations.  A combination that no case could
-    pass (an empty stratum, gamma with i = n, pr with h < 2, eta with
-    h != 2 or on a direct sum) raises its GrassconfError before the first
-    case, as does a grid key the suite does not use (ValueError) or a grid
-    value that is not an int (TypeError), naming the key; a case's failure
-    is recorded in the report, never raised.
+    ``grid`` maps parameter names to a value or list of values, None to
+    the suite's DEFAULT_GRIDS entry; cases cycle through the combinations.
+    A combination that no case could pass (an empty stratum, gamma with
+    i = n, pr with h < 2, eta with h != 2 or on a direct sum) raises its
+    GrassconfError before the first case, as does a grid key the suite
+    needs and lacks or does not use (ValueError; {} lacks every key) or a
+    grid value that is not an int (TypeError), naming the key; a case's
+    failure is recorded in the report, never raised.
     """
     _require_count("cases", cases)
     if which not in _SUITE_CASES:
         raise ValueError(f"unknown suite {which!r}; pick gamma, pr, or eta")
     if cases < 0:
         raise ValueError("cases must be >= 0")
-    grid = grid or DEFAULT_GRIDS[which]
+    grid = DEFAULT_GRIDS[which] if grid is None else grid
     missing = set(DEFAULT_GRIDS[which]) - set(grid)
     if missing:
         raise ValueError(f"grid for {which} is missing {sorted(missing)}")

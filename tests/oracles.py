@@ -28,10 +28,12 @@ chart Jacobian and float rank, and a central difference of each point's
 affine chart coordinates; the package decides the dimension by the exact
 rank of the chart tangent.
 
-raise_stratum_reference keeps the older route of the adjacency witness's
-tilts: each step tests every basis vector for redundancy by ranking the
-stack without it and tilts it as GaussianRational entries.  The package
-finds the redundant rows from one left null space and tilts Z[i] rows.
+raise_stratum_reference restates the adjacency witness's one move over
+Q(i): it finds the rows that the rows before them span by the
+Gauss-Jordan rank of every prefix of the stack and tilts them as
+GaussianRational entries.  The package reads those rows off the pivots
+of one fraction-free elimination of the stack's columns and tilts Z[i]
+rows.
 
 stratum_point_count is an independent check of the strata tables: the
 number of ordered h-tuples of distinct k-subspaces of F_q^n whose sum has
@@ -443,49 +445,30 @@ def float_rank_reference(a, tol: float) -> int:
 def raise_stratum_reference(
     points: list[Subspace], target_i: int, t: Fraction
 ) -> Optional[list[Subspace]]:
-    """Greedy exact tilts toward the first standard direction outside the
-    sum, over Q(i): in each step, the first basis vector, in point then
-    slot order, whose removal keeps the rank and whose tilt by t raises
-    it.  None when a step finds no such vector."""
-
-    def all_rows(pts):
-        return stack_all(p.basis for p in pts)
-
-    def tilt_rows(basis, slot, direction):
-        factor = GaussianRational(t)
-        rows = [
-            tuple(e + factor * d for e, d in zip(row, direction)) if r == slot else row
-            for r, row in enumerate(basis.entries)
-        ]
-        return Matrix(basis.rows, basis.cols, tuple(rows))
-
-    pts = list(points)
-    current = rank(all_rows(pts))
-    while current < target_i:
-        fresh = complement(subspace_sum(pts)).basis.row(0)
-        advanced = False
-        for m_idx, p in enumerate(pts):
-            for slot in range(p.k):
-                remaining = [q.basis for q in pts[:m_idx] + pts[m_idx + 1:]]
-                remaining.append(p.basis.take_rows(slot).stack(p.basis.drop_rows(slot + 1)))
-                if rank(stack_all(remaining)) != current:
-                    continue
-                tilted = canonicalize(tilt_rows(p.basis, slot, fresh), p.n)
-                if tilted.k != p.k:
-                    continue
-                trial = pts[:m_idx] + [tilted] + pts[m_idx + 1:]
-                if any(trial[a] == trial[b] for a in range(len(trial)) for b in range(a + 1, len(trial))):
-                    continue
-                if rank(all_rows(trial)) != current + 1:
-                    continue
-                pts = trial
-                current += 1
-                advanced = True
-                break
-            if advanced:
-                break
-        if not advanced:
-            return None
+    """Exact tilts over Q(i) in one move.  Row r of the stacked bases, in
+    point then slot order, is spanned by the rows before it when the first
+    r + 1 rows have the rank of the first r (Gauss-Jordan over Q(i)); the
+    first target_i - j0 such rows, j0 the rank of the stack, get t times
+    the standard directions outside the sum, the j-th row the j-th.  None when a tilted
+    point loses dimension, two points coincide or the rank is not
+    target_i."""
+    k, n = points[0].k, points[0].n
+    stack = stack_all(p.basis for p in points)
+    ranks = [0] + [rref_reference(stack.take_rows(r))[1] for r in range(1, stack.rows + 1)]
+    spanned = [r for r in range(stack.rows) if ranks[r + 1] == ranks[r]]
+    rows = [list(row) for row in stack.entries]
+    factor = GaussianRational(t)
+    for j, r in enumerate(spanned[:target_i - ranks[-1]]):
+        fresh = complement(subspace_sum(points)).basis.row(j)
+        rows[r] = [e + factor * d for e, d in zip(rows[r], fresh)]
+    pts = [
+        canonicalize(Matrix(k, n, tuple(tuple(row) for row in rows[a * k:(a + 1) * k])), n)
+        for a in range(len(points))
+    ]
+    if any(p.k != k for p in pts) or len(set(pts)) < len(pts):
+        return None
+    if rref_reference(stack_all(p.basis for p in pts))[1] != target_i:
+        return None
     return pts
 
 

@@ -254,8 +254,8 @@ def test_criterion_8_cli_determinism(tmp_path):
         # end-to-end through a fresh interpreter as well
         cmd = [sys.executable, "-m", "grassconf.cli", "sample", "--h", "2", "--i",
                "3", "--k", "2", "--n", "5", "--seed", "9"]
-        first = subprocess.run(cmd, capture_output=True)
-        second = subprocess.run(cmd, capture_output=True)
+        first = subprocess.run(cmd, capture_output=True, timeout=60)
+        second = subprocess.run(cmd, capture_output=True, timeout=60)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 

@@ -397,7 +397,7 @@ def test_verify_suite_cli(tmp_path):
 def test_verify_bad_input_exits_2(argv):
     proc = subprocess.run(
         [sys.executable, "-m", "grassconf", "verify", "--cases", "3", *argv],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 2, proc.stdout
     assert "Traceback" not in proc.stderr
@@ -410,13 +410,27 @@ def test_verify_tol_is_an_unknown_argument():
     proc = subprocess.run(
         [sys.executable, "-m", "grassconf", "verify", "--suite", "dimension",
          "--h", "2", "--i", "3", "--k", "2", "--n", "4", "--tol", "1e-6"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1] == (
         "grassconf: error: unrecognized arguments: --tol 1e-6"
     )
+
+
+def test_verify_adjacency_at_a_huge_eps_is_quick():
+    # every trial shrinks t from about 10^4299 to below half the smallest
+    # base gap; the scale is found from bit lengths, not one factor of 4 at
+    # a time, so the default 100 trials finish well inside the timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "grassconf", "verify", "--suite", "adjacency",
+         "--h", "2", "--i", "3", "--k", "2", "--n", "4", "--eps", "1e4299", "--json"],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["cases"], report["passed"]) == (101, 101)
 
 
 @pytest.mark.parametrize("eps, named", [
@@ -706,7 +720,7 @@ def test_console_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "grassconf.cli", "pi", "--order", "2",
          "--h", "2", "--i", "4", "--k", "2", "--n", "4"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "Z"
@@ -723,7 +737,9 @@ def test_cli_without_float_layer_does_not_import_numpy():
         "assert code == 0, code\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
     assert proc.returncode == 0, proc.stderr
 
 
@@ -742,7 +758,7 @@ _HIKN = ["--h", "2", "--i", "3", "--k", "2", "--n", "4"]
 def bare_interpreter_modules():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; print(' '.join(sys.modules))"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
@@ -768,7 +784,7 @@ def test_command_loads_only_what_it_runs(tmp_path, bare_interpreter_modules, arg
     argv = [str(config) if a == "{config}" else a for a in argv]
     proc = subprocess.run(
         [sys.executable, "-c", _MODULES_AFTER, json.dumps(argv)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout)

@@ -323,6 +323,11 @@ def test_verify_parameter_validation():
         run_roundtrip_suite("gamma", grid={"h": 2, "i": 3, "k": 2, "n": 5, "nn": 7})
     with pytest.raises(ValueError, match=r"grid for pr has unknown keys \['i'\]"):
         run_roundtrip_suite("pr", grid={"h": 3, "i": 6, "k": 2, "n": 6})
+    # an empty grid is a grid with every key missing, not the default one
+    with pytest.raises(ValueError, match=r"grid for gamma is missing \['h', 'i', 'k', 'n'\]"):
+        run_roundtrip_suite("gamma", grid={})
+    with pytest.raises(ValueError, match=r"grid for pr is missing \['h', 'k', 'n'\]"):
+        run_roundtrip_suite("pr", grid={})
     # every grid value is an int, checked before the first case
     with pytest.raises(TypeError, match=r"grid\['h'\] must be an int, not float"):
         run_roundtrip_suite("gamma", grid={"h": 2.0, "i": 3, "k": 2, "n": 5})

@@ -242,8 +242,10 @@ def test_pi1_trivial_for_k_greater_than_one():
 
 
 def test_pi1_line_cases():
-    # open stratum with n = h is not covered
-    assert isinstance(config_pi1(StratumId(3, 3, 1, 3)), Unknown)
+    # the open stratum with n = hk = h reduces by pr to an open stratum
+    # with n != hk
+    assert config_pi1(StratumId(3, 3, 1, 3)) == TRIVIAL
+    assert homotopy.derive(StratumId(4, 4, 1, 4), 1)[1].steps[0].rule == "pr-equality"
     # non-open line strata are not covered
     assert isinstance(config_pi1(StratumId(4, 3, 1, 5)), Unknown)
     # single subspace is a Grassmannian, even over the sphere

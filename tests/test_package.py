@@ -72,6 +72,8 @@ def test_importing_the_package_loads_no_submodule():
         "import grassconf\n"
         "print(sorted(m for m in sys.modules if m.startswith('grassconf')))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['grassconf']\n"

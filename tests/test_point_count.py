@@ -175,7 +175,7 @@ def test_every_fibration_step_of_derive_keeps_the_count():
         assert left and left == right, (rule, query.render(), rest.render())
         checked[kind].add((query.h, query.i, query.k, query.n))
     assert {kind: len(strata) for kind, strata in checked.items()} == {
-        "gamma": 307, "pr": 9, "eta": 20,
+        "gamma": 307, "pr": 12, "eta": 20,
     }
 
 
@@ -217,8 +217,8 @@ def test_every_fibration_step_of_derive_round_trips_on_its_stratum(monkeypatch):
             [(point, triv)] = built
             fibers[pair] = _fiber_stratum(kind, point, triv)
         assert fibers[pair] == (rest.h, rest.i, rest.k, rest.n), (rule, query.render(), rest.render())
-    assert steps == 802
-    assert Counter(kind for kind, *_ in fibers) == {"gamma": 307, "pr": 9, "eta": 20}
+    assert steps == 805
+    assert Counter(kind for kind, *_ in fibers) == {"gamma": 307, "pr": 12, "eta": 20}
 
 
 def test_pi2_rank_is_the_next_to_leading_count_coefficient():
