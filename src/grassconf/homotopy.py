@@ -16,7 +16,7 @@ answer.
 
 from __future__ import annotations
 
-from ._strata import StratumId, _require_nonempty
+from ._strata import StratumId, _require_nonempty, fibration
 from .errors import OutOfRangeError, OutOfScopeError, WireFormatError
 from .errors import _wire_field, record
 
@@ -396,6 +396,12 @@ RULE_UNCOVERED = (
 )
 
 
+def _handed_on(kind: str, q: PiQuery) -> PiQuery:
+    """pi of q's degree of the stratum the fibration kind hands on."""
+    s = fibration(kind, StratumId(q.h, q.i, q.k, q.n)).hands_on
+    return PiQuery(q.degree, s.h, s.i, s.k, s.n)
+
+
 def _pi1_rule(q: PiQuery) -> tuple[str, str, GroupExpr]:
     h, i, k, n = q.h, q.i, q.k, q.n
     if h == 1:
@@ -405,10 +411,10 @@ def _pi1_rule(q: PiQuery) -> tuple[str, str, GroupExpr]:
     if i == min(n, h * k) and n != h * k:
         return (*RULE_OPEN, TRIVIAL)
     if i == h * k and i == n:
-        return (*RULE_PR, PiQuery(1, h - 1, k * (h - 1), k, n))
+        return (*RULE_PR, _handed_on("pr", q))
     if k == 1:
         return (*RULE_LINE, Unknown(PI1_LINE_CASE))
-    return (*RULE_GAMMA_PI1, PiQuery(1, h, i, k, i))
+    return (*RULE_GAMMA_PI1, _handed_on("gamma", q))
 
 
 def _pi2_rule(q: PiQuery) -> tuple[str, str, GroupExpr]:
@@ -416,12 +422,11 @@ def _pi2_rule(q: PiQuery) -> tuple[str, str, GroupExpr]:
     if h == 1:
         return (*RULE_SINGLE, grassmann_pi(2, k, n))
     if i < n:
-        return (*RULE_GAMMA_SPLIT, product(Z, PiQuery(2, h, i, k, i)))
+        return (*RULE_GAMMA_SPLIT, product(Z, _handed_on("gamma", q)))
     if i == h * k:
-        return (*RULE_PR, PiQuery(2, h - 1, k * (h - 1), k, n))
+        return (*RULE_PR, _handed_on("pr", q))
     if h == 2 and i < 2 * k:
-        m = i - k
-        return (*RULE_ETA_SPLIT, product(Z, PiQuery(2, 2, 2 * m, m, n - 2 * k + i)))
+        return (*RULE_ETA_SPLIT, product(Z, _handed_on("eta", q)))
     return (*RULE_UNCOVERED, Unknown(PI2_UNCOVERED))
 
 

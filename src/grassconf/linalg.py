@@ -135,9 +135,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
@@ -374,10 +371,6 @@ class Matrix:
         _check_count(count, self.rows, "row")
         return Matrix._of(count, self.cols, self.zrows[:count])
 
-    def drop_rows(self, count: int) -> "Matrix":
-        _check_count(count, self.rows, "row")
-        return Matrix._of(self.rows - count, self.cols, self.zrows[count:])
-
     def columns(self, indices: Sequence[int]) -> "Matrix":
         """The columns at indices, in that order; an index may repeat."""
         if any(not 0 <= j < self.cols for j in indices):
@@ -389,11 +382,6 @@ class Matrix:
         """The first count columns."""
         _check_count(count, self.cols, "column")
         return self.columns(range(count))
-
-    def drop_cols(self, count: int) -> "Matrix":
-        """All columns but the first count."""
-        _check_count(count, self.cols, "column")
-        return self.columns(range(count, self.cols))
 
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:

@@ -31,10 +31,10 @@ Three batch checks back the exact layer:
   decided by the exact pivot count.
 * run_roundtrip_suite exercises the gamma/pr/eta trivializations on
   seeded samples, entrywise over Q(i).  A case's chart is the first seeded
-  one, centred in Gr(k, n) for k the dimension of its map's base (gamma:
-  i, pr: i - k, eta: 2k - i), on which the case's own trivializing map
+  one, centred in Gr(k, n) for k the chart dimension of its stratum's
+  fibration (_strata.fibration), on which the case's own trivializing map
   succeeds; the inverse reuses the Q_V of that map's guard.  A case checks
-  the base component (an eta base, of the chart's dimension 2k - i, is the
+  the base component (an eta base, of the chart's dimension, is the
   intersection exactly when it lies in both points), the one fiber fact
   no map decides, and the round trip.  The guards of pr_trivialize (direct
   sum), pr_untrivialize (a fiber subspace misses V0) and eta_fiber_lift
@@ -56,16 +56,13 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from . import fibrations, grassmann, linalg
-from ._strata import _require_nonempty
+from ._strata import Fibration, _require_arity, _require_nonempty, fibration
 from .errors import (
-    DirectSumError,
     Factory,
-    FullSpaceError,
     GrassconfError,
     NotComplementaryError,
     OutsideChartError,
     UnreachableError,
-    WrongArityError,
     record,
 )
 from .fibrations import ChartPoint, Trivialization
@@ -513,10 +510,10 @@ def check_adjacency(
         },
     )
     # a witness point gets at most m = target_i - j0 unit tilts, a size of
-    # at most m <= m^2
+    # at most m <= m^2; with m = 0 c itself is the witness
     m = target_i - j0
     t = Fraction(eps.numerator, _shrunk(m * m, eps.numerator, eps.denominator * 8, eps))
-    witness = _raise_stratum(c.points, total, target_i, t)
+    witness = not m or _raise_stratum(c.points, total, target_i, t)
     report.record(f"{seed}:witness", None if witness else "no tilt slot raises the sum dimension")
     if not trials:
         return report
@@ -567,15 +564,14 @@ def _random_chart(
 ) -> Optional[tuple[Trivialization, ChartPoint]]:
     """(chart, trivialize(c, chart)) from the first seeded chart on which
     the case's own trivializing map succeeds.  Each attempt draws V0 from
-    Gr(k, n), k the dimension of the map's base (gamma: i, pr: i - k, eta:
-    2k - i), and L0 from Gr(n - k, n); the chart's projection raises
-    NotComplementaryError when L0 meets V0.  Catching OutsideChartError is
-    safe: on a configuration of its stratum only a map's guard raises it,
-    as pr's coordinate solve cannot fail (I - Q_V + P carries the front's
-    sum V onto V0; the last point misses V).  Randomizing the complement
-    matters: the deterministic one is constant across generic base points,
-    so a sample touching it would never find a chart by resampling the
-    base alone."""
+    Gr(k, n), k the chart dimension in _strata.fibration, and L0 from
+    Gr(n - k, n); the chart's projection raises NotComplementaryError when
+    L0 meets V0.  Catching OutsideChartError is safe: on a configuration of
+    its stratum only a map's guard raises it, as pr's coordinate solve
+    cannot fail (I - Q_V + P carries the front's sum V onto V0; the last
+    point misses V).  Randomizing the complement matters: the deterministic
+    one is constant across generic base points, so a sample touching it
+    would never find a chart by resampling the base alone."""
     for attempt in range(64):
         v0 = grassmann.sample_subspace(k, c.n, f"{seed_tag}:base:{attempt}")
         l0 = grassmann.sample_subspace(c.n - k, c.n, f"{seed_tag}:comp:{attempt}")
@@ -587,12 +583,7 @@ def _random_chart(
     return None
 
 
-def _gamma_case(s: StratumId, case_seed: str) -> Optional[str]:
-    c = grassmann.sample_configuration(s, case_seed)
-    found = _random_chart(c, s.i, fibrations.gamma_trivialize, case_seed)
-    if found is None:
-        return "no chart found containing the sample"
-    triv, point = found
+def _gamma_case(fib, c, triv, point) -> Optional[str]:
     if point.base != c.span:
         return "base component differs from the subspace sum"
     # the fiber spans V0 exactly when it lies in V0 and its stack reaches
@@ -606,12 +597,8 @@ def _gamma_case(s: StratumId, case_seed: str) -> Optional[str]:
     return None
 
 
-def _pr_case(s: StratumId, case_seed: str) -> Optional[str]:
-    c = grassmann.sample_configuration(s, case_seed)
-    found = _random_chart(c, s.i - s.k, fibrations.pr_trivialize, case_seed)
-    if found is None:
-        return "no chart found containing the sample"
-    triv, point = found
+def _pr_case(fib, c, triv, point) -> Optional[str]:
+    s = fib.stratum
     if point.base != Configuration(s.h - 1, s.k, s.n, c.points[:-1]):
         return "base component differs from the forgotten-last projection"
     if isinstance(point.fiber, Matrix) != (s.n == s.i):
@@ -621,46 +608,30 @@ def _pr_case(s: StratumId, case_seed: str) -> Optional[str]:
     return None
 
 
-def _eta_case(s: StratumId, case_seed: str) -> Optional[str]:
-    c = grassmann.sample_configuration(s, case_seed)
-    found = _random_chart(c, 2 * s.k - s.i, fibrations.eta_fiber_point, case_seed)
-    if found is None:
-        return "no chart found containing the sample"
-    triv, point = found
-    # a base of dimension 2k - i (the chart's) inside both points is H1 ∩ H2
+def _eta_case(fib, c, triv, point) -> Optional[str]:
+    # a base of the chart's dimension inside both points is H1 ∩ H2
     if not all(q.contains(point.base) for q in c.points):
         return "base component differs from the intersection"
-    if any(q.k != s.i - s.k for q in point.fiber):
+    if any(q.k != fib.hands_on.k for q in point.fiber):
         return "quotient images have the wrong dimension"
     if fibrations.eta_fiber_lift(point, triv) != c:
         return "round trip failed (lift o fiber point)"
     return None
 
 
-def _check_grid_point(which: str, params: dict) -> StratumId:
-    """The stratum this grid point's cases sample (pr: F_h^{hk}, eta: h = 2).
-
-    Raises the GrassconfError that every case would record instead: the
-    stratum is empty, or the fibration does not apply."""
-    h, k, n = params["h"], params["k"], params["n"]
-    if which == "pr" and h < 2:
-        raise WrongArityError("need at least two subspaces to forget one")
-    if which == "eta" and h != 2:
-        raise WrongArityError("the intersection map applies to pairs")
-    s = StratumId(h, h * k if which == "pr" else params["i"], k, n)
-    _require_nonempty(s)
-    if which == "gamma" and s.i == n:
-        raise FullSpaceError(f"{s} sums to C^{n}; the chart complement would be zero")
-    if which == "eta" and s.i == 2 * k:
-        raise DirectSumError(f"{s} is in direct sum; the intersection is zero")
-    return s
-
-
-_SUITE_CASES: dict[str, Callable[[StratumId, str], Optional[str]]] = {
-    "gamma": _gamma_case,
-    "pr": _pr_case,
-    "eta": _eta_case,
+# each suite's map, looked up in fibrations when a case runs, and its checks
+_SUITE_CASES: dict[str, tuple[str, Callable[..., Optional[str]]]] = {
+    "gamma": ("gamma_trivialize", _gamma_case),
+    "pr": ("pr_trivialize", _pr_case),
+    "eta": ("eta_fiber_point", _eta_case),
 }
+
+
+def _check_grid_point(which: str, params: dict) -> Fibration:
+    """The fibration a grid point's cases run; arity first, as h and k may name no stratum."""
+    h, k, n = params["h"], params["k"], params["n"]
+    _require_arity(which, h)
+    return fibration(which, StratumId(h, h * k if which == "pr" else params["i"], k, n))
 
 
 def run_roundtrip_suite(
@@ -673,12 +644,11 @@ def run_roundtrip_suite(
 
     ``grid`` maps parameter names to a value or list of values, None to
     the suite's DEFAULT_GRIDS entry; cases cycle through the combinations.
-    A combination that no case could pass (an empty stratum, gamma with
-    i = n, pr with h < 2, eta with h != 2 or on a direct sum) raises its
-    GrassconfError before the first case, as does a grid key the suite
-    needs and lacks or does not use (ValueError; {} lacks every key) or a
-    grid value that is not an int (TypeError), naming the key; a case's
-    failure is recorded in the report, never raised.
+    A combination that no case could pass (a refusal of _strata.fibration)
+    raises its GrassconfError before the first case, as does a grid key
+    the suite needs and lacks or does not use (ValueError; {} lacks every
+    key) or a grid value that is not an int (TypeError), naming the key; a
+    case's failure is recorded in the report, never raised.
     """
     _require_count("cases", cases)
     if which not in _SUITE_CASES:
@@ -698,8 +668,8 @@ def run_roundtrip_suite(
     for params in combos:
         for key, value in params.items():
             _require_count(f"grid[{key!r}]", value)
-    strata = [_check_grid_point(which, params) for params in combos]
-    case_fn = _SUITE_CASES[which]
+    fibs = [_check_grid_point(which, params) for params in combos]
+    name, checks = _SUITE_CASES[which]
     grid_json = {
         key: list(value) if isinstance(value, (list, tuple, range)) else value
         for key, value in grid.items()
@@ -710,8 +680,12 @@ def run_roundtrip_suite(
     )
     for idx in range(cases):
         case_seed = f"{seed}:{idx}"
+        fib = fibs[idx % len(fibs)]
         try:
-            desc = case_fn(strata[idx % len(strata)], case_seed)
+            c = grassmann.sample_configuration(fib.stratum, case_seed)
+            found = _random_chart(c, fib.chart_dim, getattr(fibrations, name), case_seed)
+            desc = (checks(fib, c, *found) if found
+                    else "no chart found containing the sample")
         except GrassconfError as exc:
             desc = f"{type(exc).__name__}: {exc}"
         report.record(case_seed, desc)

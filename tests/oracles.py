@@ -317,7 +317,7 @@ def chart_coordinates_reference(hh: Subspace, w: Subspace) -> Matrix:
     transposed solve, then normalize the complement block to the identity."""
     frame = complement(w).basis.stack(w.basis)
     coeff = solve(frame.transpose(), hh.basis.transpose()).transpose()
-    p_block, q_block = coeff.take_cols(hh.k), coeff.drop_cols(hh.k)
+    p_block, q_block = coeff.take_cols(hh.k), coeff.columns(range(hh.k, coeff.cols))
     if rank(p_block) < hh.k:
         raise ValueError("hh meets w nontrivially")
     return solve(p_block, q_block)
@@ -327,7 +327,7 @@ def to_numpy(m: Matrix):
     """The entries of m as a complex numpy array."""
     import numpy as np
 
-    return np.array([[e.to_complex() for e in row] for row in m.entries],
+    return np.array([[complex(e.re) + 1j * complex(e.im) for e in row] for row in m.entries],
                     dtype=complex).reshape(m.rows, m.cols)
 
 

@@ -3,11 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from grassconf import fibrations, grassmann, homotopy, linalg, verify
+from grassconf import _strata, fibrations, grassmann, homotopy, linalg, verify
 
 
 @pytest.mark.parametrize(
-    "module", [linalg, grassmann, fibrations, homotopy, verify], ids=lambda m: m.__name__
+    "module", [linalg, _strata, grassmann, fibrations, homotopy, verify], ids=lambda m: m.__name__
 )
 def test_module_doctests(module):
     result = doctest.testmod(module)

@@ -1,14 +1,19 @@
 """Error paths and edge behavior across modules."""
 
+import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from grassconf._strata import fibration
 from grassconf.errors import (
     EmptyStratumError,
+    GrassconfError,
     MixedAmbientError,
     NotComplementaryError,
+    NotDirectSumError,
     OutsideChartError,
     WireFormatError,
 )
@@ -72,12 +77,13 @@ _EMPTY_GRID = {"h": 2, "i": 5, "k": 2, "n": 4}
     check_dimension,
     lambda s: run_roundtrip_suite("gamma", grid=_EMPTY_GRID, cases=1),
     lambda s: run_roundtrip_suite("eta", grid=_EMPTY_GRID, cases=1),
+    lambda s: fibration("gamma", s),
     lambda s: derive(s, 1),
     lambda s: derive(s, 2),
     config_pi1,
     config_unordered_pi1,
 ], ids=["stratum_dimension", "stratum_closure", "sample_configuration", "check_dimension",
-        "gamma-suite", "eta-suite", "derive-1", "derive-2", "config_pi1",
+        "gamma-suite", "eta-suite", "fibration", "derive-1", "derive-2", "config_pi1",
         "config_unordered_pi1"])
 def test_every_entry_rejects_an_empty_stratum_alike(entry):
     with pytest.raises(EmptyStratumError) as exc:
@@ -338,6 +344,67 @@ def test_verify_parameter_validation():
     assert check_dimension(StratumId(2, 3, 2, 4), samples=0).cases == 0
     assert check_adjacency(c, 4, Fraction(1, 10), trials=0).cases == 1
     assert run_roundtrip_suite("gamma", cases=0).cases == 0
+
+
+def test_fibration_refuses_pr_off_a_direct_sum():
+    # no suite reaches this refusal: a pr grid point names F_h^(hk)
+    with pytest.raises(NotDirectSumError) as exc:
+        fibration("pr", StratumId(3, 5, 2, 6))
+    assert str(exc.value) == "F_3^5(2,6) is not a direct sum (i != hk)"
+
+
+def _grid_outcome(which, grid):
+    try:
+        run_roundtrip_suite(which, grid=grid, cases=0)
+    except (GrassconfError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "accepted"
+
+
+def test_roundtrip_suites_refuse_each_grid_point_as_pinned():
+    # cases=0 runs no case but still checks every grid point; each refusal's
+    # type and text is pinned, and so is the order of the checks: the
+    # arity comes before the stratum is built (pr with h = 0 or k = n still
+    # names it), emptiness before gamma's full sum and eta's direct sum
+    outcomes = {}
+    for which in ("gamma", "pr", "eta"):
+        for h in range(5):
+            for n in range(1, 8):
+                for k in range(1, n + 1):
+                    for i in [None] if which == "pr" else range(n + 2):
+                        grid = {"h": h, "k": k, "n": n, **({} if i is None else {"i": i})}
+                        outcomes[which, h, i, k, n] = _grid_outcome(which, grid)
+    assert outcomes["gamma", 2, 3, 2, 5] == "accepted"
+    assert outcomes["gamma", 0, 3, 2, 5] == "ValueError: need h >= 1"
+    assert outcomes["gamma", 2, 4, 2, 4] == (
+        "FullSpaceError: F_2^4(2,4) sums to C^4; the chart complement would be zero"
+    )
+    assert outcomes["gamma", 2, 5, 2, 5] == "EmptyStratumError: F_2^5(2,5) is empty"
+    assert outcomes["pr", 3, None, 2, 6] == "accepted"
+    for h, k, n in ((0, 3, 3), (1, 2, 4), (1, 3, 3)):
+        assert outcomes["pr", h, None, k, n] == (
+            "WrongArityError: need at least two subspaces to forget one"
+        )
+    assert outcomes["pr", 3, None, 2, 5] == "EmptyStratumError: F_3^6(2,5) is empty"
+    assert outcomes["pr", 2, None, 3, 3] == "ValueError: need 0 < k < n, got k=3, n=3"
+    assert outcomes["eta", 2, 3, 2, 4] == "accepted"
+    assert outcomes["eta", 3, 3, 2, 4] == "WrongArityError: the intersection map applies to pairs"
+    assert outcomes["eta", 2, 4, 2, 5] == (
+        "DirectSumError: F_2^4(2,5) is in direct sum; the intersection is zero"
+    )
+    kinds = Counter((which, outcome.split(":")[0]) for (which, *_), outcome in outcomes.items())
+    assert kinds == {
+        ("gamma", "accepted"): 104, ("gamma", "EmptyStratumError"): 466,
+        ("gamma", "FullSpaceError"): 46, ("gamma", "ValueError"): 364,
+        ("pr", "accepted"): 23, ("pr", "EmptyStratumError"): 40, ("pr", "ValueError"): 21,
+        ("pr", "WrongArityError"): 56,
+        ("eta", "accepted"): 22, ("eta", "DirectSumError"): 12, ("eta", "EmptyStratumError"): 120,
+        ("eta", "ValueError"): 42, ("eta", "WrongArityError"): 784,
+    }
+    text = "".join(f"{key}: {outcome}\n" for key, outcome in outcomes.items())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "de9c6c9fc80208efe87f42dc56cfa21cb87a18b18d164dbe20f16260b8f69c62"
+    )
 
 
 @pytest.mark.parametrize("count", [True, 2.5, "3", None], ids=repr)

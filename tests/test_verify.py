@@ -222,6 +222,31 @@ def test_adjacency_witness_trivial_when_target_is_current():
     assert report.ok, report.failures
 
 
+def test_adjacency_witness_at_the_base_stratum_runs_no_rank_test(monkeypatch):
+    # target_i = j0 tilts no row, so the witness passes without the
+    # rank-only elimination or the _rank_at_least that a tilt needs
+    c = sample_configuration(StratumId(3, 4, 2, 6), "golden")
+    calls = []
+
+    def eliminated(grid, reduce=True, _rref=linalg._integer_rref):
+        if not reduce:
+            calls.append("_integer_rref")
+        return _rref(grid, reduce)
+
+    def ranked(rows, r, _rank=linalg._rank_at_least):
+        calls.append("_rank_at_least")
+        return _rank(rows, r)
+    monkeypatch.setattr(linalg, "_integer_rref", eliminated)
+    monkeypatch.setattr(linalg, "_rank_at_least", ranked)
+    report = check_adjacency(c, 4, Fraction(1, 1000), trials=0)
+    assert calls == []
+    assert report.to_json() == {
+        "suite": "adjacency", "cases": 1, "passed": 1, "failures": [],
+        "params": {"h": 3, "k": 2, "n": 6, "from": 4, "target_i": 4, "eps": "1/1000",
+                   "trials": 0, "seed": "0"},
+    }
+
+
 def test_adjacency_witness_moves_up_one():
     c = sample_configuration(StratumId(2, 3, 2, 6), 1)
     report = check_adjacency(c, 4, Fraction(1, 1000), trials=10, seed=1)
@@ -432,7 +457,11 @@ def test_witness_lands_in_the_target_stratum_within_eps(monkeypatch):
                             for eps in (Fraction(1, 1000), Fraction(5)):
                                 raised.clear()
                                 assert check_adjacency(c, high.i, eps, seed=seed).ok
-                                [pts] = raised
+                                if high == low:  # c is its own witness; nothing is tilted
+                                    assert raised == []
+                                    pts = c.points
+                                else:
+                                    [pts] = raised
                                 assert stratum_of(Configuration.of(pts)) == high.i
                                 assert all(subspace_distance(p, q) < eps
                                            for p, q in zip(c.points, pts))
