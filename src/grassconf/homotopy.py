@@ -148,6 +148,17 @@ def free_abelian(rank: int) -> GroupExpr:
     return TRIVIAL if rank == 0 else FreeAbelian(rank)
 
 
+def pure_sphere_braid(strands: int) -> GroupExpr:
+    """PB_strands(S^2), with one or two strands normalized to the trivial
+    group: Conf_1(S^2) is S^2 and Conf_2(S^2) deformation retracts onto
+    S^2, both simply connected.
+
+    >>> print(pure_sphere_braid(2), pure_sphere_braid(3))
+    0 PB_3(S^2)
+    """
+    return TRIVIAL if strands in (1, 2) else PureSphereBraid(strands)
+
+
 def _sort_key(expr: GroupExpr) -> tuple:
     if type(expr) not in _VARIANTS[:4]:
         raise TypeError(f"unexpected factor {expr!r}")
@@ -256,7 +267,8 @@ def config_pi1(s: StratumId) -> GroupExpr:
     """Fundamental group of the stratum.
 
     Zero for k > 1 on every nonempty stratum.  For k = 1 only the open
-    stratum is tabulated: the sphere braid group when n = 2, zero
+    stratum is tabulated: the sphere braid group when n = 2 (trivial for
+    h = 2, pure_sphere_braid), zero
     otherwise (when n = hk = h, pr reduces it to an open stratum with
     n != hk); below it, Unknown.  The value is read off derive, whose
     rules are the single source of this case analysis.
@@ -407,7 +419,7 @@ def _pi1_rule(q: PiQuery) -> tuple[str, str, GroupExpr]:
     if h == 1:
         return (*RULE_SINGLE, grassmann_pi(1, k, n))
     if k == 1 and n == 2:
-        return (*RULE_BRAID, PureSphereBraid(h))
+        return (*RULE_BRAID, pure_sphere_braid(h))
     if i == min(n, h * k) and n != h * k:
         return (*RULE_OPEN, TRIVIAL)
     if i == h * k and i == n:

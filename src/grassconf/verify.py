@@ -9,9 +9,14 @@ Three batch checks back the exact layer:
 * check_adjacency produces an exact witness arbitrarily close to a given
   configuration inside a higher stratum, and confirms that small exact
   perturbations never lower the stratum.  Its chart metric is the
-  max-entry distance of orthogonal projectors, built as Gaussian-integer
-  matrices over a positive integer, once per base point per check that
-  runs trials (a witness-only check builds none, nor the floor below).  No
+  largest |re| or |im| over the entries of the difference of two
+  orthogonal projectors.  A check that runs trials keeps them within eps
+  and half the smallest gap between base points (a witness-only check
+  computes no gap, nor the floor below).  One integer test per row
+  (_far_apart) decides each base pair: it proves the gap at least 2 eps,
+  which leaves that minimum alone, without a projector.  Only a pair it
+  cannot prove builds its points' projectors, as Gaussian-integer
+  matrices over a positive integer, each at most once per check.  No
   moved point needs one: a stored basis is RREF, so one integer test
   (_moves_less_than) proves that a move keeps the rank and stays within
   eps and half the smallest base gap; witness and trial alike take the
@@ -53,6 +58,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 from typing import Callable, Optional, Sequence, Union
 
 from . import fibrations, grassmann, linalg
@@ -163,7 +170,8 @@ def _integer_projector(rows: Sequence[Sequence[GInt]]) -> Projector:
 
 
 def _projector_gap(na, da, nb, db) -> int:
-    """max-entry of |N_a/d_a - N_b/d_b| scaled by d_a*d_b (an integer)."""
+    """The largest |re| or |im| over the entries of N_a/d_a - N_b/d_b,
+    scaled by d_a*d_b (an integer)."""
     worst = 0
     for r, (row_a, row_b) in enumerate(zip(na, nb)):
         for ea, eb in zip(row_a[r:], row_b[r:]):
@@ -190,13 +198,58 @@ def _moves_less_than(size: int, a: int, b: int, bound: Fraction) -> bool:
 
 
 def subspace_distance(a: Subspace, b: Subspace) -> Fraction:
-    """Max-entry distance of orthogonal projectors; rational-valued, zero
-    iff the subspaces are equal."""
+    """The largest |re| or |im| over the entries of P_a - P_b, the
+    difference of the orthogonal projectors; rational-valued, zero iff the
+    subspaces are equal."""
     if a.n != b.n:
         raise ValueError("subspaces are not comparable")
     na, da = _integer_projector(linalg._integer_rows(a.basis))
     nb, db = _integer_projector(linalg._integer_rows(b.basis))
     return Fraction(_projector_gap(na, da, nb, db), da * db)
+
+
+def _far_apart(a: Subspace, b: Subspace, eps: Fraction) -> bool:
+    """Whether one integer test per row of b's basis proves
+    subspace_distance(a, b) >= 2 eps, with no projector.
+
+    Let A = W / L be a's RREF basis at one scale L, P its pivot columns, F
+    the others, and x = u / s a row of b's basis.  The residual
+    y = x - x[:, P] A is zero on P, and for any z, x - z A is
+    w = x[:, P] - z on P and w A[:, F] + y[:, F] on F; so the distance
+    from x to a is at least ||y|| / (1 + ||A[:, F]||_F).  As P_b x = x,
+    that distance, ||(P_a - P_b) x||, is at most ||P_a - P_b||_2 ||x||
+    (the sin-theta argument; Wedin, BIT 12, 1972; Stewart & Sun, Matrix
+    Perturbation Theory, 1990), and ||P_a - P_b||_2 <= ||P_a - P_b||_F
+    <= sqrt(2) n g, g the largest |re| or |im| over the entries of
+    P_a - P_b.  With (1 + f)^2 <= 2 (1 + f^2), g >= 2 eps holds when
+    ||y||^2 >= 16 eps^2 n^2 ||x||^2 (1 + ||A[:, F]||_F^2), which at
+    eps = p/q and Y = s L y = L u - u[:, P] W reads
+    q^2 ||Y||^2 >= 16 p^2 n^2 ||u||^2 (L^2 + ||W[:, F]||_F^2).  False
+    leaves the gap undecided; it never claims a gap below 2 eps.
+
+    >>> a = grassmann.canonicalize(Matrix.from_rows([[1, 0]]), 2)
+    >>> far = grassmann.canonicalize(Matrix.from_rows([[0, 1]]), 2)
+    >>> near = grassmann.canonicalize(Matrix.from_rows([[1, Fraction(1, 10000)]]), 2)
+    >>> _far_apart(a, far, Fraction(1, 1000)), _far_apart(a, near, Fraction(1, 1000))
+    (True, False)
+    """
+    scale, ints = linalg._common_scale(a.basis.zrows)
+    pivots, free = a.pivots(), grassmann._free_columns(a)
+    cols = [[row[j] for row in ints] for j in free]
+    weight = scale * scale + sum(re * re + im * im for col in cols for re, im in col)
+    p, q = eps.numerator, eps.denominator
+    factor = 16 * p * p * a.n * a.n * weight
+    for _, u in b.basis.zrows:
+        lead = [u[j] for j in pivots]
+        residual = 0
+        for j, col in zip(free, cols):
+            re, im = linalg._gdot(lead, col)
+            re -= scale * u[j][0]
+            im -= scale * u[j][1]
+            residual += re * re + im * im
+        if q * q * residual >= factor * sum(re * re + im * im for re, im in u):
+            return True
+    return False
 
 
 def configuration_distance(c1: Configuration, c2: Configuration) -> Fraction:
@@ -470,6 +523,21 @@ def _semicontinuity_trial(
     return None
 
 
+def _trial_bound(points: Sequence[Subspace], eps: Fraction) -> Fraction:
+    """min(eps, half the smallest subspace_distance between two points).
+
+    A pair that _far_apart proves at least 2 eps apart cannot lower the
+    minimum; any other pair reads its gap off the points' projectors,
+    each built at most once."""
+    projector = cache(lambda j: _integer_projector([row for _, row in points[j].basis.zrows]))
+    bound = eps
+    for a, b in combinations(range(len(points)), 2):
+        if not _far_apart(points[a], points[b], eps):
+            (na, da), (nb, db) = projector(a), projector(b)
+            bound = min(bound, Fraction(_projector_gap(na, da, nb, db), 2 * da * db))
+    return bound
+
+
 def _require_count(name: str, value: object) -> None:
     """Raise TypeError, naming the parameter, unless value is an int."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -517,11 +585,7 @@ def check_adjacency(
     report.record(f"{seed}:witness", None if witness else "no tilt slot raises the sum dimension")
     if not trials:
         return report
-    projectors = [_integer_projector([row for _, row in p.basis.zrows]) for p in c.points]
-    bound = min([eps] + [
-        Fraction(_projector_gap(na, da, nb, db), 2 * da * db)
-        for a, (na, da) in enumerate(projectors) for nb, db in projectors[a + 1:]
-    ])
+    bound = _trial_bound(c.points, eps)
     # the trials' floor on sigma_j0^2 of the base stack M: each row lies in
     # the sum, whose RREF basis S is the identity at its pivot columns P,
     # so M = M[:, P] S with S S^H >= I, and sigma_j0(M) >= sigma_min(M[:, P])

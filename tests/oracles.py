@@ -41,6 +41,13 @@ dimension i, as a polynomial in q by Moebius inversion on the subspace
 lattice.  stratum_point_counts_brute counts the same tuples over F_2 or
 F_3 by enumeration, deciding each sum dimension by a plain mod-q RREF.
 
+adjacency_bound_reference keeps the former route of the adjacency
+trials' bound, min(eps, half the smallest gap between two base points):
+it builds every point's projector and reads every pair's gap off them.
+The package first decides each pair by one integer test that proves the
+gap at least 2 eps, and builds projectors only for the pairs it cannot
+prove.
+
 random_matrix_reference keeps the sampler's former route: each entry is a
 GaussianRational of two Fractions drawn by randint.  The package draws
 the same values with getrandbits and builds Z[i] rows directly.
@@ -77,6 +84,7 @@ from grassconf.linalg import (
     solve,
     stack_all,
 )
+from grassconf.verify import _integer_projector, _projector_gap
 
 
 def det_laplace(grid: list[list[GaussianRational]]) -> GaussianRational:
@@ -470,6 +478,15 @@ def raise_stratum_reference(
     if rref_reference(stack_all(p.basis for p in pts))[1] != target_i:
         return None
     return pts
+
+
+def adjacency_bound_reference(c: Configuration, eps: Fraction) -> Fraction:
+    """min(eps, half the smallest projector gap over all pairs of points)."""
+    projectors = [_integer_projector([row for _, row in p.basis.zrows]) for p in c.points]
+    return min([eps] + [
+        Fraction(_projector_gap(na, da, nb, db), 2 * da * db)
+        for a, (na, da) in enumerate(projectors) for nb, db in projectors[a + 1:]
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,14 @@ def test_pi_trivial_case():
     assert text.strip() == "0"
 
 
+@pytest.mark.parametrize("h, answer", [("2", "0"), ("3", "PB_3(S^2)")])
+def test_pi_of_points_of_the_sphere(h, answer):
+    # PB_2(S^2) is trivial and normalizes to 0
+    code, text = run_cli("pi", "--order", "1", "--h", h, "--i", "2", "--k", "1", "--n", "2")
+    assert code == 0
+    assert text.strip() == answer
+
+
 def test_pi_direct_sum_case():
     code, text = run_cli("pi", "--order", "2", "--h", "3", "--i", "6", "--k", "2", "--n", "6")
     assert code == 0

@@ -252,6 +252,19 @@ def test_pi1_line_cases():
     assert config_pi1(StratumId(1, 1, 1, 2)) == TRIVIAL
 
 
+def test_pi1_of_two_points_of_the_sphere_is_trivial():
+    # Conf_2(S^2) deformation retracts onto S^2, so PB_2(S^2) normalizes
+    # to 0; from three strands on the atom stays
+    value, trace = homotopy.derive(StratumId(2, 2, 1, 2), 1)
+    assert value == TRIVIAL and [s.rule for s in trace.steps] == ["sphere-braid-base"]
+    trace.replay()
+    for h in (3, 4, 5):
+        assert config_pi1(StratumId(h, 2, 1, 2)) == PureSphereBraid(h)
+    assert homotopy.pure_sphere_braid(1) == homotopy.pure_sphere_braid(2) == TRIVIAL
+    with pytest.raises(ValueError, match="strands >= 1"):
+        homotopy.pure_sphere_braid(0)
+
+
 def test_pi1_empty_stratum_raises():
     with pytest.raises(EmptyStratumError):
         config_pi1(StratumId(2, 5, 2, 7))

@@ -38,6 +38,7 @@ from grassconf.verify import (
     subspace_distance,
 )
 from oracles import (
+    adjacency_bound_reference,
     chart_jacobian_reference,
     chart_tangent_reference,
     float_rank_reference,
@@ -469,20 +470,110 @@ def test_witness_lands_in_the_target_stratum_within_eps(monkeypatch):
     assert checked == 916
 
 
-def test_adjacency_builds_one_projector_per_point(monkeypatch):
-    # the trials and the witness certify their moves without a projector;
-    # only the base points' gaps need one each, and only the trials read them
+def _projector_log(monkeypatch):
     calls = []
 
     def counted(rows, _build=verify._integer_projector):
         calls.append(len(rows))
         return _build(rows)
     monkeypatch.setattr(verify, "_integer_projector", counted)
+    return calls
+
+
+def test_adjacency_builds_one_projector_per_point(monkeypatch):
+    # the trials and the witness certify their moves without a projector,
+    # and at eps 1/1000 the integer test proves every base gap >= 2 eps;
+    # at eps 5 no gap can be proved (every gap is <= 1), so each point's
+    # projector is built, once, and only when the check runs trials
+    calls = _projector_log(monkeypatch)
     c = sample_configuration(StratumId(3, 3, 2, 6), "golden")
-    for trials in (0, 7, 30):
-        calls.clear()
-        assert check_adjacency(c, 6, Fraction(1, 1000), trials=trials, seed="golden").ok
-        assert calls == ([2, 2, 2] if trials else [])
+    for eps, built in ((Fraction(1, 1000), []), (Fraction(5), [2, 2, 2])):
+        for trials in (0, 7, 30):
+            calls.clear()
+            assert check_adjacency(c, 6, eps, trials=trials, seed="golden").ok
+            assert calls == (built if trials else [])
+
+
+def test_criterion_7_builds_no_projector(monkeypatch):
+    # every base pair of criterion 7's grid is proved >= 2 eps apart by
+    # the integer test, so no check builds a projector
+    calls = _projector_log(monkeypatch)
+    checks = 0
+    for h in (2, 3):
+        for k in (1, 2, 3):
+            for n in range(k + 1, 7):
+                ids = strata_list(h, k, n)
+                for a, low in enumerate(ids):
+                    c = sample_configuration(low, f"adj:{h}:{k}:{n}:{low.i}")
+                    for high in ids[a + 1:]:
+                        assert check_adjacency(c, high.i, Fraction(1, 1000), trials=20, seed=7).ok
+                        checks += 1
+    assert checks == 25
+    assert calls == []
+
+
+def _tilted(v, j, rng):
+    """v with its first basis row tilted by 10^-j toward a unit vector
+    outside v, so a distinct subspace within about 10^-j of v."""
+    rows = [list(row) for row in v.basis.entries]
+    rows[0][rng.choice(grassmann._free_columns(v))] += Fraction(1, 10 ** j)
+    return canonicalize(Matrix.from_rows(rows), v.n)
+
+
+FAR_APART_EPS = (Fraction(1, 10 ** 9), Fraction(1, 1000), Fraction(1, 7), Fraction(1, 2))
+
+
+def test_far_apart_is_sound():
+    # whenever the integer test holds, the gap is at least 2 eps; tilted
+    # pairs 10^-j apart make it fail as well
+    held = failed = 0
+    for n in range(2, 8):
+        for k in range(1, n):
+            for seed in range(3):
+                rng = random.Random(f"far:{k}:{n}:{seed}")
+                a = sample_subspace(k, n, f"far:a:{seed}")
+                others = [sample_subspace(k, n, f"far:b:{seed}")]
+                others += [_tilted(a, j, rng) for j in (1, 3, 5, 9)]
+                for b in others:
+                    gap = subspace_distance(a, b)
+                    for eps in FAR_APART_EPS:
+                        if verify._far_apart(a, b, eps):
+                            assert gap >= 2 * eps, (a, b, eps)
+                            held += 1
+                        else:
+                            failed += 1
+    assert held > 0 and failed > 0
+
+
+BOUND_EPS = FAR_APART_EPS + (Fraction(1), Fraction(5))
+
+
+def test_trial_bound_matches_the_all_pairs_reference(monkeypatch):
+    # the trials' bound equals the all-pairs projector route on every
+    # nonempty stratum with h <= 4 and n <= 7, plus two points 1/10000
+    # apart beside a third at 1/1000, where one pair falls back to the
+    # projectors and the others are proved; with eps > 1/2 no pair can
+    # be proved, since every gap is <= 1
+    calls = _projector_log(monkeypatch)
+    close = Configuration.of([canonicalize(Matrix.from_rows(rows), 4) for rows in (
+        [[1, 0, 0, 0]], [[1, Fraction(1, 10000), 0, 0]], [[0, 1, 0, 0]],
+    )])
+    corpus = [close] + [
+        sample_configuration(s, f"bound:{s.h}")
+        for h in (2, 3, 4) for n in range(2, 8) for k in range(1, n)
+        for s in strata_list(h, k, n)
+    ]
+    for c in corpus:
+        for eps in BOUND_EPS:
+            calls.clear()
+            want = adjacency_bound_reference(c, eps)
+            assert verify._trial_bound(c.points, eps) == want, (c, eps)
+            if eps > Fraction(1, 2):
+                assert calls == [c.k] * c.h
+    calls.clear()
+    verify._trial_bound(close.points, Fraction(1, 1000))
+    assert calls == [1, 1]
+    assert len(corpus) == 1 + 129
 
 
 def _fraction_projector(rows):
