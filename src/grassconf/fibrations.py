@@ -12,6 +12,10 @@ onto V0 along L0, and Q_V, the projection onto the base V along L0:
 * eta sends a pair to its intersection V; the fiber point is the pair of
   images in the quotient C^n / V, identified with L0 by I - Q_V.
 
+The maps move basis rows x to x - x·Q_V + x·P and the like directly
+(_moved_rows), with no n x n sum, and reduce the moved Z[i] rows as they
+are.
+
 Every trivialization here is an exact bijection on its chart: composing
 with its inverse returns the input entrywise over Q(i).  A chart keeps its
 last Q_V, so pr's inverse reuses the projection pr built, and a
@@ -37,7 +41,7 @@ True
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from . import grassmann, linalg
 from .errors import (
@@ -51,7 +55,7 @@ from .errors import (
     record,
 )
 from .grassmann import Configuration, Subspace
-from .linalg import Matrix
+from .linalg import GInt, Matrix
 
 FiberPoint = Union[Configuration, Matrix, Subspace, tuple[Subspace, Subspace]]
 
@@ -143,6 +147,24 @@ def extend_isomorphism(v: Subspace, triv: Trivialization) -> Matrix:
     return Matrix.identity(v.n) - q + triv.projector
 
 
+def _moved_rows(rows: Sequence[Sequence[GInt]], *terms: tuple[int, Matrix]) -> list[list[GInt]]:
+    """Z[i] rows spanning the rows x + Σ sign·x·m over the (sign, m) terms,
+    for the Q(i) rows x = u / s, u in rows.  With m at its common scale L,
+    x·m is (u·L m) / (s L) (linalg._products); each term multiplies the
+    rows so far by L, so no n x n sum is built and the scale is dropped."""
+    out: list[Sequence[GInt]] = list(rows)
+    scale = 1
+    for sign, m in terms:
+        big, prods = linalg._products(rows, m)
+        f = sign * scale
+        out = [
+            [(big * re + f * p_re, big * im + f * p_im) for (re, im), (p_re, p_im) in zip(o, p)]
+            for o, p in zip(out, prods)
+        ]
+        scale *= big
+    return out
+
+
 def gamma_trivialize(c: Configuration, triv: Trivialization) -> ChartPoint:
     """Split a configuration into (sum, configuration inside V0).
 
@@ -172,7 +194,7 @@ def pr_forget_last(c: Configuration) -> Configuration:
     """Drop the last subspace of a direct-sum configuration."""
     if c.h < 2:
         raise WrongArityError("need at least two subspaces to forget one")
-    if not linalg._has_rank(linalg.stack_all(p.basis for p in c.points), c.h * c.k):
+    if not linalg._rank_at_least([row for p in c.points for _, row in p.basis.zrows], c.h * c.k):
         raise NotDirectSumError("the subspaces are not in direct sum")
     return Configuration(c.h - 1, c.k, c.n, c.points[:-1])
 
@@ -188,9 +210,10 @@ def chart_coordinates(hh: Subspace, w: Subspace) -> Matrix:
     C is spanned by the unit rows at the free columns of the RREF basis W
     of w, the pivots of C; W is the identity at its own pivots, where C is
     zero, so q_block is Y there and p_block is Y - q_block W at C's pivots:
-    the k x k block Y·N of grassmann._kernel_block, N the null basis of W.
-    The solve decides that hh misses w: y·p_block = 0 with y != 0 would
-    leave y·q_block, the w-coordinates of y·Y != 0, out of reach.
+    the k x k block Y·N of grassmann._kernel_block, N the null basis of W,
+    the block projection_along eliminates too.  The solve decides that hh
+    misses w: y·p_block = 0 with y != 0 would leave y·q_block, the
+    w-coordinates of y·Y != 0, out of reach.
     """
     if hh.n != w.n:
         raise OutsideChartError("ambient dimension mismatch")
@@ -198,49 +221,64 @@ def chart_coordinates(hh: Subspace, w: Subspace) -> Matrix:
         raise OutsideChartError(
             f"chart of Gr({hh.k},{hh.n}) needs a complementary w of dimension {hh.n - hh.k}"
         )
-    return _graph_coordinates(hh.basis, w)
+    return _graph_coordinates(linalg._integer_rows(hh.basis), w)
 
 
-def _graph_coordinates(y: Matrix, w: Subspace) -> Matrix:
-    """chart_coordinates from any basis y of hh, unguarded: both blocks are
-    linear in y, and solve(A·p, A·q) = solve(p, q) for an invertible A."""
-    q_block = y.columns(w.pivots())
-    p_block = grassmann._kernel_block(y, grassmann._pivot_split(w))
+def _graph_coordinates(rows: Sequence[Sequence[GInt]], w: Subspace) -> Matrix:
+    """chart_coordinates from the Z[i] rows of any basis of hh, each at any
+    scale, unguarded: both blocks are linear in the basis, and
+    solve(A·p, A·q) = solve(p, q) for an invertible A.  With W = W' / L at
+    one scale L, one solve of the rows [L·y·N | L·y at W's pivots]."""
+    split = grassmann._pivot_split(w)
+    pivots, _, scale, _ = split
+    grid = [
+        grassmann._kernel_block(u, split) + [(scale * u[p][0], scale * u[p][1]) for p in pivots]
+        for u in rows
+    ]
     try:
-        return linalg.solve(p_block, q_block)
+        return linalg._solve_rows(grid, w.n - w.k, w.k)
     except InconsistentSystemError:
         raise OutsideChartError("subspace meets w nontrivially") from None
 
 
-def _graph_basis(coords: Matrix, w: Subspace) -> Matrix:
-    """The unreduced basis of chart_point(coords, w)."""
+def _graph_rows(coords: Matrix, w: Subspace) -> list[list[GInt]]:
+    """Z[i] rows spanning chart_point(coords, w), unreduced: row r of
+    complement(w)'s basis, the unit row at w's r-th free column f, plus
+    row r of coords·W.  With coords' row r at scale s and W at its common
+    scale L, that is the product row (linalg._products) with s L added at
+    f, over s L."""
     if coords.cols != w.k or coords.rows + w.k != w.n:
         raise ValueError("coordinate matrix shape does not match the chart")
-    return grassmann.complement(w).basis + coords @ w.basis
+    big, rows = linalg._products(linalg._integer_rows(coords), w.basis)
+    for (s, _), row, f in zip(coords.zrows, rows, grassmann._free_columns(w)):
+        re, im = row[f]
+        row[f] = (re + s * big, im)
+    return rows
 
 
 def chart_point(coords: Matrix, w: Subspace) -> Subspace:
     """Inverse of chart_coordinates: the graph of the coefficient matrix."""
-    return grassmann.canonicalize(_graph_basis(coords, w), w.n)
+    return grassmann._canonical_span(_graph_rows(coords, w), w.n)
 
 
 def pr_trivialize(c: Configuration, triv: Trivialization) -> ChartPoint:
     """Split a direct-sum configuration into (first h-1 subspaces, fiber).
 
     The fiber is the image of the last subspace under the isomorphism
-    carrying the base sum to the chart base point.  When n = hk that image
+    carrying the base sum to the chart base point, I - Q_V + P: its basis
+    rows x go to x - x·Q_V + x·P (_moved_rows).  When n = hk that image
     is recorded in chart coordinates relative to the base point, read off
-    its unreduced basis (the solve cannot fail: V goes onto V0, and the last
+    its unreduced rows (the solve cannot fail: V goes onto V0, and the last
     subspace misses V); for n > hk no single chart covers the fiber and the
     image subspace itself is returned.
     """
     front = pr_forget_last(c)
     q = _chart_projection(front.span, triv, "pr_trivialize")
     # extend_isomorphism of the base sum, with this caller's chart check
-    image = c.points[-1].basis @ (Matrix.identity(c.n) - q + triv.projector)
+    image = _moved_rows(linalg._integer_rows(c.points[-1].basis), (-1, q), (1, triv.projector))
     if c.n == c.h * c.k:
         return ChartPoint(base=front, fiber=_graph_coordinates(image, triv.base_point))
-    return ChartPoint(base=front, fiber=grassmann.canonicalize(image, c.n))
+    return ChartPoint(base=front, fiber=grassmann._canonical_span(image, c.n))
 
 
 def pr_untrivialize(p: ChartPoint, triv: Trivialization) -> Configuration:
@@ -250,16 +288,17 @@ def pr_untrivialize(p: ChartPoint, triv: Trivialization) -> Configuration:
         raise TypeError("pr chart points have a Configuration base")
     if isinstance(p.fiber, Matrix):
         # a graph over complement(V0), which misses V0, left unreduced
-        image = _graph_basis(p.fiber, triv.base_point)
+        image = _graph_rows(p.fiber, triv.base_point)
     elif isinstance(p.fiber, Subspace):
         if grassmann.intersection_dim(p.fiber, triv.base_point) != 0:
             raise OutsideChartError("fiber subspace meets the chart base point")
-        image = p.fiber.basis
+        image = linalg._integer_rows(p.fiber.basis)
     else:
         raise TypeError("pr fiber is chart coordinates or a subspace")
     q = _chart_projection(front.span, triv, "pr_untrivialize")
-    # the inverse of the extended isomorphism: Q_V on V0, the identity on L0
-    last = grassmann.canonicalize(image @ (q + Matrix.identity(front.n) - triv.projector), front.n)
+    # the inverse of the extended isomorphism, Q_V + I - P: Q_V on V0, the
+    # identity on L0
+    last = grassmann._canonical_span(_moved_rows(image, (1, q), (-1, triv.projector)), front.n)
     return Configuration(front.h + 1, front.k, front.n, front.points + (last,))
 
 
@@ -278,11 +317,15 @@ def eta_fiber_point(c: Configuration, triv: Trivialization) -> ChartPoint:
 
     The quotient C^n / V by the intersection V is identified with L0
     through I - Q_V, the projection onto L0 along V; the two images are
-    subspaces of L0 of dimension k - dim(V), in direct sum.
+    subspaces of L0 of dimension k - dim(V), in direct sum, spanned by the
+    rows x - x·Q_V of the points' bases (_moved_rows).
     """
     inter = eta(c)
-    to_quotient = Matrix.identity(c.n) - _chart_projection(inter, triv, "eta_fiber_point")
-    first, second = (grassmann.transform(p, to_quotient) for p in c.points)
+    q = _chart_projection(inter, triv, "eta_fiber_point")
+    first, second = (
+        grassmann._canonical_span(_moved_rows(linalg._integer_rows(p.basis), (-1, q)), c.n)
+        for p in c.points
+    )
     return ChartPoint(base=inter, fiber=(first, second))
 
 
@@ -300,5 +343,8 @@ def eta_fiber_lift(p: ChartPoint, triv: Trivialization) -> Configuration:
     if grassmann.intersection_dim(first, second) != 0:
         raise OutsideChartError("quotient images must be in direct sum")
     _chart_projection(base, triv, "eta_fiber_lift")
-    points = tuple(grassmann.canonicalize(base.basis.stack(q.basis), base.n) for q in fiber)
+    rows = linalg._integer_rows(base.basis)
+    points = tuple(
+        grassmann._canonical_span(rows + linalg._integer_rows(q.basis), base.n) for q in fiber
+    )
     return Configuration(2, points[0].k, base.n, points)

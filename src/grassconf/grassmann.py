@@ -25,7 +25,6 @@ from ._strata import (  # noqa: F401  (re-exported)
 from .errors import (
     DuplicatePointsError,
     FullSpaceError,
-    InconsistentSystemError,
     MixedAmbientError,
     NotComplementaryError,
     WireFormatError,
@@ -33,7 +32,7 @@ from .errors import (
     _wire_field,
     record,
 )
-from .linalg import Matrix
+from .linalg import GInt, Matrix
 
 SeedLike = Union[int, str]
 
@@ -78,10 +77,10 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         """Whether other ⊆ self, read off the RREF basis with no elimination.
 
-        The basis V of self is the identity at its pivot columns P, so a
-        vector x lies in self exactly when x = x[:, P]·V; other lies in
-        self exactly when its basis B equals B[:, P]·V.  Matrix equality
-        compares primitive rows, so the test is exact.
+        The basis W / L of self (one scale L) is the identity at its pivot
+        columns P, so a row u of other's basis, at any scale, lies in self
+        exactly when L·u[F] = u[P]·W[:, F] at the free columns F: one
+        integer test per row, whether its _kernel_block row is zero.
 
         >>> plane = canonicalize(Matrix.from_rows([[1, 0, 1], [0, 1, 1]]), 3)
         >>> plane.contains(canonicalize(Matrix.from_rows([[1, 1, 2]]), 3))
@@ -91,7 +90,9 @@ class Subspace:
         """
         if other.n != self.n:
             raise MixedAmbientError("ambient dimensions differ")
-        return other.basis.columns(self.pivots()) @ self.basis == other.basis
+        split = _pivot_split(self)
+        zero = [(0, 0)] * len(split[1])
+        return all(_kernel_block(u, split) == zero for _, u in other.basis.zrows)
 
     def __str__(self) -> str:
         return f"Subspace(k={self.k}, n={self.n})\n{self.basis}"
@@ -161,10 +162,17 @@ def canonicalize(raw_basis: Matrix, n: int) -> Subspace:
     """
     if raw_basis.cols != n:
         raise MixedAmbientError(f"expected {n} columns, got {raw_basis.cols}")
-    reduced, rk, _ = linalg.rref(raw_basis)
-    if rk == 0:
+    return _canonical_span(linalg._integer_rows(raw_basis), n)
+
+
+def _canonical_span(rows: Sequence[Sequence[GInt]], n: int) -> Subspace:
+    """canonicalize of the Z[i] rows of length n, each at any scale, which
+    changes no span: one linalg._rref_rows, and a Subspace built by its
+    public constructor."""
+    reduced, pivots = linalg._rref_rows(rows)
+    if not pivots:
         raise ZeroSubspaceError("generating set spans only the zero subspace")
-    return Subspace(n, rk, reduced.take_rows(rk))
+    return Subspace(n, len(pivots), Matrix._of(len(pivots), n, reduced))
 
 
 def subspace_sum(parts: Sequence[Subspace]) -> Subspace:
@@ -174,7 +182,7 @@ def subspace_sum(parts: Sequence[Subspace]) -> Subspace:
     n = parts[0].n
     if any(p.n != n for p in parts):
         raise MixedAmbientError("ambient dimensions differ")
-    return canonicalize(linalg.stack_all(p.basis for p in parts), n)
+    return _canonical_span([row for p in parts for _, row in p.basis.zrows], n)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Optional[Subspace]:
@@ -182,7 +190,8 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Optional[Subspace]:
 
     Solutions of x·A + y·B = 0 are read off the null space of the stacked
     basis matrix; their x·A span A ∩ B (negating y would only negate
-    each x), so dim(A+B) + dim(A∩B) = dim A + dim B holds exactly.
+    each x), so dim(A+B) + dim(A∩B) = dim A + dim B holds exactly.  Each
+    x is a null row's first dim A parts, at that row's scale.
     """
     if a.n != b.n:
         raise MixedAmbientError("ambient dimensions differ")
@@ -190,7 +199,7 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Optional[Subspace]:
     null_rows = linalg.kernel(stacked.transpose())
     if null_rows.rows == 0:
         return None
-    return canonicalize(null_rows.take_cols(a.k) @ a.basis, a.n)
+    return _image([row[:a.k] for _, row in null_rows.zrows], a.basis)
 
 
 def intersection_dim(a: Subspace, b: Subspace) -> int:
@@ -223,44 +232,55 @@ def _free_columns(v: Subspace) -> list[int]:
     return sorted(set(range(v.n)).difference(v.pivots()))
 
 
-# (P_A, F, A[:, F]) of an RREF basis A: its pivot columns, its free columns
-# and its entries there, which determine the null basis of A
-PivotSplit = tuple[tuple[int, ...], list[int], Matrix]
+# (P, F, L, C) of an RREF basis A = W / L at one common scale L: its pivot
+# columns, its free columns, L, and C[j] the column F[j] of W, which
+# determine the null basis of A
+PivotSplit = tuple[tuple[int, ...], list[int], int, list[list[GInt]]]
 
 
 def _pivot_split(along: Subspace) -> PivotSplit:
     """The PivotSplit of along's RREF basis."""
+    scale, ints = linalg._common_scale(along.basis.zrows)
     free = _free_columns(along)
-    return along.pivots(), free, along.basis.columns(free)
+    return along.pivots(), free, scale, [[row[f] for row in ints] for f in free]
 
 
-def _kernel_block(m: Matrix, split: PivotSplit) -> Matrix:
-    """m·N, for N the null basis of the RREF basis A with this split.
+def _kernel_block(u: Sequence[GInt], split: PivotSplit) -> list[GInt]:
+    """L·u·N = L·u[F] - u[P]·W[:, F] for the Z[i] row u, N the null basis
+    of the RREF basis A = W / L with this split.
 
     Column j of N is e_f - Σ_r A[r, f]·e_(p_r), for the j-th free column f
     of A and the pivot p_r of its row r; A is the identity at its pivots,
-    so A·N = 0.  The product is m[:, F] - m[:, P_A]·A[:, F], and N is
-    never built.
+    so A·N = 0, and N is never built.  The row is zero exactly when u lies
+    in the span of A.
     """
-    pivots, free, a_free = split
-    return m.columns(free) - m.columns(pivots) @ a_free
+    pivots, free, scale, cols = split
+    lead = [u[p] for p in pivots]
+    out = []
+    for f, col in zip(free, cols):
+        re, im = linalg._gdot(lead, col)
+        out.append((scale * u[f][0] - re, scale * u[f][1] - im))
+    return out
 
 
 def projection_along(target: Subspace, along: Subspace) -> Matrix:
     """Matrix of the idempotent with image ``target`` and kernel ``along``.
 
     Acts on row vectors by right multiplication.  With T the basis of
-    target, A that of along and N the null basis of A (see _kernel_block),
-    the projection is P = N·(T·N)^-1·T: A·P = 0 and T·P = T.  One solve of
-    the k x k block T·N against T gives Z = (T·N)^-1·T, and the rows of P
-    are scattered from it: Z at the free columns F of A, -A[:, F]·Z at its
-    pivots.  When dim target > dim along the projection is I minus the
-    one onto along along target, so the solve has min(k, n-k) rows.
+    target, A = W / L that of along at one scale L and N the null basis of
+    A (see _kernel_block), the projection is P = N·(T·N)^-1·T: A·P = 0 and
+    T·P = T.  One elimination of [L·T·N | L·T], built from T's Z[i] rows
+    at their own scales, leaves [d I | d Z] with Z = (T·N)^-1·T, and the
+    rows of P are scattered from it: Z at the free columns F of A, each
+    row dZ divided once by d, and -A[:, F]·Z at its pivots, the Z[i] rows
+    -W[:, F]·(dZ) divided once by L·d.  When dim target > dim along the
+    projection is I minus the one onto along along target, so the
+    elimination has min(k, n-k) rows.
 
-    The solve decides target ⊕ along = C^n.  The vectors x with x·N = 0
-    are exactly those of along, so y·T·N = 0 with y != 0 puts y·T != 0
-    in target ∩ along; T has full row rank, so a singular T·N leaves T
-    out of reach.
+    The elimination decides target ⊕ along = C^n: a pivot in its right
+    block refuses the pair.  The vectors x with x·N = 0 are exactly those
+    of along, so y·T·N = 0 with y != 0 puts y·T != 0 in target ∩ along;
+    T has full row rank, so a singular T·N leaves T out of reach.
 
     >>> line = canonicalize(Matrix.from_rows([[1, 1, 0]]), 3)
     >>> plane = canonicalize(Matrix.from_rows([[0, 1, 0], [0, 0, 1]]), 3)
@@ -279,17 +299,25 @@ def projection_along(target: Subspace, along: Subspace) -> Matrix:
         raise NotComplementaryError("dimensions do not add up to the ambient dimension")
     swapped = target.k > along.k
     if swapped:
-        # solve on the smaller side; I - P below turns it back
+        # eliminate on the smaller side; I - P below turns it back
         target, along = along, target
     split = _pivot_split(along)
-    pivots, free, a_free = split
-    try:
-        z = linalg.solve(_kernel_block(target.basis, split), target.basis)
-    except InconsistentSystemError:
-        raise NotComplementaryError("subspaces intersect nontrivially") from None
-    rows = dict(zip(free, z.zrows))
-    for p, (s, row) in zip(pivots, (a_free @ z).zrows):
-        rows[p] = (s, tuple((-re, -im) for re, im in row))
+    pivots, free, scale, cols = split
+    k = len(free)
+    grid = [
+        _kernel_block(u, split) + [(scale * re, scale * im) for re, im in u]
+        for _, u in target.basis.zrows
+    ]
+    d, solved = linalg._integer_rref(grid)
+    if any(p >= k for p in solved):
+        raise NotComplementaryError("subspaces intersect nontrivially")
+    dz = [row[k:] for row in grid]
+    rows = {f: linalg._divided(row, d) for f, row in zip(free, dz)}
+    dz_cols = list(zip(*dz))
+    minus_ld = (-scale * d[0], -scale * d[1])
+    for r, p in enumerate(pivots):
+        w_free = [col[r] for col in cols]
+        rows[p] = linalg._divided([linalg._gdot(w_free, col) for col in dz_cols], minus_ld)
     n = target.n
     ordered = (rows[c] for c in range(n))
     if swapped:
@@ -305,7 +333,15 @@ def projection_along(target: Subspace, along: Subspace) -> Matrix:
 def transform(v: Subspace, g: Matrix) -> Subspace:
     """Image of the subspace under g acting on row vectors; the dimension
     drops unless g is injective on v."""
-    return canonicalize(v.basis @ g, g.cols)
+    if g.rows != v.n:
+        raise ValueError(f"cannot multiply {v.k}x{v.n} by {g.rows}x{g.cols}")
+    return _image(linalg._integer_rows(v.basis), g)
+
+
+def _image(rows: Sequence[Sequence[GInt]], g: Matrix) -> Subspace:
+    """The span of the Z[i] rows times g: the rows of linalg._products,
+    reduced as they are."""
+    return _canonical_span(linalg._products(rows, g)[1], g.cols)
 
 
 def transform_configuration(c: Configuration, g: Matrix) -> Configuration:
@@ -400,7 +436,7 @@ def sample_configuration(s: StratumId, seed: SeedLike) -> Configuration:
     """
     _require_nonempty(s)
     g = random_invertible(s.n, random.Random(f"config:{s.h}:{s.i}:{s.k}:{s.n}:{seed}"))
-    points = tuple(canonicalize(b @ g, s.n) for b in _model_bases(s.h, s.i, s.k, s.n))
+    points = tuple(_image(linalg._integer_rows(b), g) for b in _model_bases(s.h, s.i, s.k, s.n))
     return Configuration(s.h, s.k, s.n, points)
 
 

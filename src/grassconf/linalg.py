@@ -11,28 +11,35 @@ converting GaussianRational values to Z[i] rows happens only for matrices
 built from them.
 
 One elimination routine serves the whole package: _integer_rref, a
-fraction-free elimination over Z[i].  rref, and through it kernel and
-solve, run the full Gauss-Jordan elimination on the stored rows and divide
-by the common pivot only when building the result; rank runs the forward
-elimination only and reads the pivot count, without building a reduced
-matrix.  _rank_at_least first tries a mod-p rank certificate that can only
+fraction-free elimination over Z[i].  rref, kernel and solve run the full
+Gauss-Jordan elimination on Z[i] rows and divide each result row once by
+the last pivot; rank runs the forward elimination only and reads the
+pivot count, without building a reduced matrix.  rref and
+grassmann.canonicalize share _rref_rows, and solve and the chart
+coordinates of fibrations share _solve_rows; both take Z[i] rows at any
+row scale, so a caller that only reduces rows passes them as it built
+them.  _rank_at_least first tries a mod-p rank certificate that can only
 prove a lower bound on the rank and leaves every other answer to
 _integer_rref.  Every decision "rank >= r" goes through it: the
 sampler's draws of invertible matrices and subspaces, the direct-sum test
 of fibrations.pr_forget_last, the gamma suite's check that a fiber inside
 V0 spans it (rank dim V0), the dimension suite's tangent rank and
 grassmann.intersection_dim's test that a sum is direct.
-A solve decides its own system: the chart projections of grassmann and
-fibrations, and with them every transversality decision of fibrations and
-the roundtrip suites' chart search, catch its InconsistentSystemError
-instead of testing the matrix first.  The certificate's one mod-p
-elimination, _modular_rank, counts pivots and keeps nothing else;
-_rank_at_least is its only caller.
-The product brings the right factor's rows to one common scale and
-builds each entry as one Z[i] dot product.  All values are immutable and
-all operations are pure (the entries view is filled once, with the same
-value by whichever thread reads it first), so the module is safe to use
-from multiple threads without coordination.
+An elimination decides its own system: a chart projection
+(grassmann.projection_along) refuses a pivot in its right-hand block and
+chart coordinates catch _solve_rows' InconsistentSystemError, so every
+transversality decision of fibrations and the roundtrip suites' chart
+search tests no matrix first.  The certificate's one mod-p elimination,
+_modular_rank, counts pivots and keeps nothing else; _rank_at_least is
+its only caller.
+A product (_products) brings the right factor's rows to one common scale
+and builds each entry as one Z[i] dot product.  Matrix @ makes each
+product row primitive with one gcd; a caller that only spans or
+eliminates the rows (transform, the sampler, the chart maps) reduces
+them as they are.  All values are immutable and all operations are pure
+(the entries view is filled once, with the same value by whichever
+thread reads it first), so the module is safe to use from multiple
+threads without coordination.
 
 >>> a = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
 >>> print(a * a.conjugate())
@@ -335,17 +342,15 @@ class Matrix:
         ))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """Exact product: with the rows of other brought to one common scale
-        L, row r of the product is the Z[i] row of dot products of row r of
-        self (scale s) with the columns, over s * L, one gcd per row."""
+        """Exact product: row r of the product is the row of _products,
+        over s * L for the scale s of row r of self, one gcd per row."""
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         if not self.cols:
             return Matrix.zeros(self.rows, other.cols)
-        big, rows = _common_scale(other.zrows)
-        cols = list(zip(*rows))
+        big, rows = _products(_integer_rows(self), other)
         return Matrix._of(self.rows, other.cols, tuple(
-            _primitive(s * big, [_gdot(row, col) for col in cols]) for s, row in self.zrows
+            _primitive(s * big, row) for (s, _), row in zip(self.zrows, rows)
         ))
 
     def transpose(self) -> "Matrix":
@@ -430,6 +435,17 @@ def _gdot(u: Sequence[GInt], v: Sequence[GInt]) -> GInt:
         re += ar * br - ai * bi
         im += ar * bi + ai * br
     return (re, im)
+
+
+def _products(rows: Sequence[Sequence[GInt]], m: Matrix) -> tuple[int, list[list[GInt]]]:
+    """(L, out) with L the common scale of m's rows and out[r] the Z[i]
+    row of dot products of rows[r] with the columns of L * m: for the Q(i)
+    row x = rows[r] / s, x @ m is out[r] / (s * L).  No row is made
+    primitive; a caller that only spans or eliminates the rows needs no
+    scale, as scaling a row changes no span."""
+    big, right = _common_scale(m.zrows)
+    cols = list(zip(*right))
+    return big, [[_gdot(row, col) for col in cols] for row in rows]
 
 
 def _integer_rref(
@@ -533,18 +549,26 @@ def _has_rank(m: Matrix, r: int) -> bool:
     return _rank_at_least(_integer_rows(m), r)
 
 
+def _rref_rows(rows: Sequence[Sequence[GInt]]) -> tuple[tuple[ZRow, ...], tuple[int, ...]]:
+    """(the nonzero rows of the RREF, its pivots) of the span of the Z[i]
+    rows: one _integer_rref of a copy, each pivot row divided once by the
+    last pivot.  A row may carry any scale: scaling a row changes no span."""
+    grid = list(rows)
+    d, pivots = _integer_rref(grid)
+    return tuple(_divided(row, d) for row in grid[:len(pivots)]), pivots
+
+
 def rref(m: Matrix) -> RrefResult:
-    """Reduced row echelon form, computed by _integer_rref.
+    """Reduced row echelon form, computed by _rref_rows.
 
     Over an exact ring the first nonzero entry is always an acceptable
     pivot; no size heuristics are involved.  The result is the unique RREF
     of the row space, so two matrices have equal row spaces iff their
     reduced forms agree entrywise.
     """
-    grid = _integer_rows(m)
-    d, pivots = _integer_rref(grid)
+    reduced, pivots = _rref_rows(_integer_rows(m))
     rk = len(pivots)
-    reduced = tuple(_divided(row, d) for row in grid[:rk]) + Matrix.zeros(m.rows - rk, m.cols).zrows
+    reduced += Matrix.zeros(m.rows - rk, m.cols).zrows
     return RrefResult(Matrix._of(m.rows, m.cols, reduced), rk, pivots)
 
 
@@ -586,13 +610,21 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     for (s, u), (t, v) in zip(a.zrows, b.zrows):
         g = gcd(s, t)
         grid.append(_scaled(u, t // g) + _scaled(v, s // g))
+    return _solve_rows(grid, a.cols, b.cols)
+
+
+def _solve_rows(grid: list[Sequence[GInt]], a_cols: int, b_cols: int) -> Matrix:
+    """solve for the Z[i] rows of [a | b], a with a_cols columns and b with
+    b_cols: one _integer_rref of grid, in place.  Scaling a row of [a | b]
+    changes neither its solutions nor its reduced form, so each row may
+    carry its own scale."""
     d, pivots = _integer_rref(grid)
-    if any(p >= a.cols for p in pivots):
+    if any(p >= a_cols for p in pivots):
         raise InconsistentSystemError("right-hand side is outside the column space")
-    x = list(Matrix.zeros(a.cols, b.cols).zrows)
+    x = list(Matrix.zeros(a_cols, b_cols).zrows)
     for r, p in enumerate(pivots):
-        x[p] = _divided(grid[r][a.cols:], d)
-    return Matrix._of(a.cols, b.cols, tuple(x))
+        x[p] = _divided(grid[r][a_cols:], d)
+    return Matrix._of(a_cols, b_cols, tuple(x))
 
 
 def matrix_to_json(m: Matrix) -> dict:

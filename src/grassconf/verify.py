@@ -46,9 +46,10 @@ Three batch checks back the exact layer:
   (quotient pair in L0, in direct sum) decide the rest.
   A gamma case compares the base with the sample's sum, reduced once
   (Configuration.span), and checks that the fiber spans V0 without
-  reducing the fiber's sum: every fiber point lies in V0 (a product on
-  V0's RREF basis) and the fiber's stacked bases reach rank dim V0 (the
-  mod-p certificate, with the exact pivot count as fallback).
+  reducing the fiber's sum: every fiber point lies in V0 (one integer
+  test per row on V0's RREF basis) and the fiber's stacked bases reach
+  rank dim V0 (the mod-p certificate, with the exact pivot count as
+  fallback).
 
 Each case is a pure function of (parameters, seed, case index), so suites
 can run in any order, or in parallel, with identical reports.
@@ -223,7 +224,7 @@ def _far_apart(a: Subspace, b: Subspace, eps: Fraction) -> bool:
     <= sqrt(2) n g, g the largest |re| or |im| over the entries of
     P_a - P_b.  With (1 + f)^2 <= 2 (1 + f^2), g >= 2 eps holds when
     ||y||^2 >= 16 eps^2 n^2 ||x||^2 (1 + ||A[:, F]||_F^2), which at
-    eps = p/q and Y = s L y = L u - u[:, P] W reads
+    eps = p/q and Y = s L y = L u - u[:, P] W (grassmann._kernel_block) reads
     q^2 ||Y||^2 >= 16 p^2 n^2 ||u||^2 (L^2 + ||W[:, F]||_F^2).  False
     leaves the gap undecided; it never claims a gap below 2 eps.
 
@@ -233,20 +234,13 @@ def _far_apart(a: Subspace, b: Subspace, eps: Fraction) -> bool:
     >>> _far_apart(a, far, Fraction(1, 1000)), _far_apart(a, near, Fraction(1, 1000))
     (True, False)
     """
-    scale, ints = linalg._common_scale(a.basis.zrows)
-    pivots, free = a.pivots(), grassmann._free_columns(a)
-    cols = [[row[j] for row in ints] for j in free]
+    split = grassmann._pivot_split(a)
+    _, _, scale, cols = split
     weight = scale * scale + sum(re * re + im * im for col in cols for re, im in col)
     p, q = eps.numerator, eps.denominator
     factor = 16 * p * p * a.n * a.n * weight
     for _, u in b.basis.zrows:
-        lead = [u[j] for j in pivots]
-        residual = 0
-        for j, col in zip(free, cols):
-            re, im = linalg._gdot(lead, col)
-            re -= scale * u[j][0]
-            im -= scale * u[j][1]
-            residual += re * re + im * im
+        residual = sum(re * re + im * im for re, im in grassmann._kernel_block(u, split))
         if q * q * residual >= factor * sum(re * re + im * im for re, im in u):
             return True
     return False
@@ -386,8 +380,7 @@ def _raise_stratum(
     for m_idx, direction in directions.items():
         tilted = _perturbed_rows(pts[m_idx].basis.zrows, direction, t)
         rows[m_idx * k:(m_idx + 1) * k] = tilted
-        primitive = tuple(linalg._primitive(1, row) for row in tilted)
-        pts[m_idx] = grassmann.canonicalize(Matrix._of(k, n, primitive), n)
+        pts[m_idx] = grassmann._canonical_span(tilted, n)
     raised = all(p.k == k for p in pts) and len(set(pts)) == len(pts)
     return pts if raised and linalg._rank_at_least(rows, target_i) else None
 
@@ -654,7 +647,7 @@ def _gamma_case(fib, c, triv, point) -> Optional[str]:
     # rank dim V0, which the mod-p certificate proves without an rref
     fiber, v0 = point.fiber.points, triv.base_point
     if not (all(v0.contains(q) for q in fiber)
-            and linalg._has_rank(linalg.stack_all(q.basis for q in fiber), v0.k)):
+            and linalg._rank_at_least([row for q in fiber for _, row in q.basis.zrows], v0.k)):
         return "fiber does not span the chart base point"
     if fibrations.gamma_untrivialize(point, triv) != c:
         return "round trip failed (untrivialize o trivialize)"

@@ -18,6 +18,19 @@ package's solve, is only used there and in tests.
 projection_along_reference keeps the older route of the chart
 projection, one solve of the n x 2n system [T; A] x = [T; 0]; the
 package solves the min(k, n-k)-row block of the smaller side.
+projection_along_block_reference keeps the block route as Matrix
+algebra: the block T·N and -A[:, F]·Z are products of normalized
+matrices and the block is solved by linalg.solve; the package builds
+the block's Z[i] rows at one scale and eliminates them once.
+
+The row-route references keep the Matrix routes that the package's
+canonical forms took before they were reduced straight from Z[i] rows:
+canonicalize_rref_reference (rref, then the Subspace of its nonzero
+rows), transform_reference (the product, then canonicalize),
+contains_product_reference (other's basis at self's pivot columns times
+self's basis gives that basis back), subspace_intersection_reference
+and chart_point_reference (a normalized product or sum, then
+canonicalize).
 contains_reference keeps the older route of Subspace.contains: other
 lies in self exactly when stacking their bases leaves the rank at
 dim self.  The package reads membership off self's RREF basis by one
@@ -74,13 +87,16 @@ from grassconf.errors import (
     InconsistentSystemError,
     MixedAmbientError,
     NotComplementaryError,
+    ZeroSubspaceError,
 )
 from grassconf.linalg import (
     ONE,
     ZERO,
     GaussianRational,
     Matrix,
+    kernel,
     rank,
+    rref,
     solve,
     stack_all,
 )
@@ -251,6 +267,69 @@ def projection_along_reference(target: Subspace, along: Subspace) -> Matrix:
         return solve(stacked, target.basis.stack(Matrix.zeros(along.k, target.n)))
     except InconsistentSystemError:
         raise NotComplementaryError("subspaces intersect nontrivially") from None
+
+
+def projection_along_block_reference(target: Subspace, along: Subspace) -> Matrix:
+    """projection_along by Matrix algebra: solve T·N against T for Z, put
+    Z at along's free columns F and -A[:, F]·Z at its pivots, on the
+    smaller side, with I minus the other side's projection."""
+    if target.n != along.n:
+        raise MixedAmbientError("ambient dimensions differ")
+    n = target.n
+    if target.k + along.k != n:
+        raise NotComplementaryError("dimensions do not add up to the ambient dimension")
+    swapped = target.k > along.k
+    if swapped:
+        target, along = along, target
+    pivots = along.pivots()
+    free = [c for c in range(n) if c not in pivots]
+    a_free = along.basis.columns(free)
+    block = target.basis.columns(free) - target.basis.columns(pivots) @ a_free
+    try:
+        z = solve(block, target.basis)
+    except InconsistentSystemError:
+        raise NotComplementaryError("subspaces intersect nontrivially") from None
+    rows = dict(zip(free, z.zrows))
+    rows.update(zip(pivots, (a_free @ z).scale(-1).zrows))
+    p = Matrix._of(n, n, tuple(rows[c] for c in range(n)))
+    return Matrix.identity(n) - p if swapped else p
+
+
+def canonicalize_rref_reference(raw_basis: Matrix, n: int) -> Subspace:
+    """canonicalize as rref, then the Subspace of the nonzero rows."""
+    if raw_basis.cols != n:
+        raise MixedAmbientError(f"expected {n} columns, got {raw_basis.cols}")
+    reduced, rk, _ = rref(raw_basis)
+    if rk == 0:
+        raise ZeroSubspaceError("generating set spans only the zero subspace")
+    return Subspace(n, rk, reduced.take_rows(rk))
+
+
+def transform_reference(v: Subspace, g: Matrix) -> Subspace:
+    """transform as the Matrix product, then canonicalize."""
+    return canonicalize(v.basis @ g, g.cols)
+
+
+def contains_product_reference(sup: Subspace, sub: Subspace) -> bool:
+    """Whether sub lies in sup: its basis B equals B[:, P]·V, with V the
+    RREF basis of sup and P its pivot columns."""
+    if sub.n != sup.n:
+        raise MixedAmbientError("ambient dimensions differ")
+    return sub.basis.columns(sup.pivots()) @ sup.basis == sub.basis
+
+
+def subspace_intersection_reference(a: Subspace, b: Subspace) -> Optional[Subspace]:
+    """The x·A of the null rows (x, y) of [A; B]^T, canonicalized; None
+    for a direct sum."""
+    null_rows = kernel(a.basis.stack(b.basis).transpose())
+    if null_rows.rows == 0:
+        return None
+    return canonicalize(null_rows.take_cols(a.k) @ a.basis, a.n)
+
+
+def chart_point_reference(coords: Matrix, w: Subspace) -> Subspace:
+    """The graph of coords: complement(w)'s basis plus coords·W, canonicalized."""
+    return canonicalize(complement(w).basis + coords @ w.basis, w.n)
 
 
 def contains_reference(sup: Subspace, sub: Subspace) -> bool:

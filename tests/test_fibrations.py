@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from grassconf import fibrations, grassmann
+from grassconf import fibrations, grassmann, linalg
 from grassconf.errors import (
     DirectSumError,
     MixedAmbientError,
@@ -43,6 +43,7 @@ from grassconf.grassmann import (
 from grassconf.linalg import _P, Matrix, _integer_rows, _modular_rank, rank
 from oracles import (
     chart_coordinates_reference,
+    chart_point_reference,
     eta_fiber_lift_reference,
     eta_fiber_point_reference,
     extend_isomorphism_reference,
@@ -141,22 +142,27 @@ def test_chart_record_rejects_contradicting_fields(case):
 
 
 def test_chart_record_takes_no_projector(monkeypatch):
-    # the projector is computed by one projection_along, and the record
-    # runs no product of its own to check it
+    # the projector is computed by one projection_along, one elimination,
+    # and the record runs no elimination or product of its own to check it
     v0 = sample_subspace(2, 5, "noproj")
     l0 = sample_subspace(3, 5, "noproj:comp")
     assert Trivialization.__match_args__ == ("base_point", "complement")
     with pytest.raises(TypeError):
         Trivialization(v0, l0, projection_along(v0, l0))
     calls = []
+    def eliminated(grid, reduce=True, _real=linalg._integer_rref):
+        calls.append("elimination")
+        return _real(grid, reduce)
+
     def counted(a, b, _real=Matrix.__matmul__):
         calls.append("product")
         return _real(a, b)
+    monkeypatch.setattr(linalg, "_integer_rref", eliminated)
     monkeypatch.setattr(Matrix, "__matmul__", counted)
     p = projection_along(v0, l0)
-    products = len(calls)
+    assert calls == ["elimination"]
     assert Trivialization(v0, l0).projector == p
-    assert len(calls) == 2 * products
+    assert calls == ["elimination"] * 2
 
 
 def test_chart_projector_is_the_projection_onto_the_base_point_along_the_complement():
@@ -298,7 +304,8 @@ def test_chart_coordinates_round_trip():
 
 def test_chart_points_miss_their_w():
     # pr_untrivialize needs no guard on chart coordinates: chart_point
-    # builds a graph over complement(w), which always misses w
+    # builds a graph over complement(w), which always misses w; it is the
+    # canonical form of complement(w)'s basis plus coords·W
     checked = 0
     for n in range(2, 8):
         for k in range(1, n):
@@ -306,8 +313,12 @@ def test_chart_points_miss_their_w():
                 rng = random.Random(f"graph:{k}:{n}:{seed}")
                 w = sample_subspace(n - k, n, f"graph:w:{k}:{n}:{seed}")
                 coords = rand_matrix(k, n - k, rng, sparse=0.3)
-                assert intersection_dim(chart_point(coords, w), w) == 0
+                got = chart_point(coords, w)
+                assert got == chart_point_reference(coords, w)
+                assert intersection_dim(got, w) == 0
                 checked += 1
+            with pytest.raises(ValueError, match="^coordinate matrix shape does not match the chart$"):
+                chart_point(Matrix.zeros(k, n - k + 1), w)
     assert checked == 210
 
 

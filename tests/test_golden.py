@@ -7,7 +7,10 @@ the ``pi`` command's four output modes with its exit code and stderr,
 and the chart points, untrivialize results and extended isomorphisms of
 the three fibrations, all on fixed seeds.  A round trip only shows that a
 chart map and its inverse agree; the chart-point payloads pin the maps
-themselves, and the off-chart payload pins each map's error message.  golden_hashes.json holds
+themselves, and the off-chart payload pins each map's error message.  The
+roundtrip-values payloads pin every intermediate value of the suites'
+default-grid cases: the sampled configuration, the chart projector, Q_V,
+the chart point's base and fiber, and the round-trip result.  golden_hashes.json holds
 the SHA-256 of each payload as a known-good tree produced it; regenerate it
 only for a deliberate change of output, with
 
@@ -206,6 +209,35 @@ def _off_chart_errors() -> dict:
     return out
 
 
+def _roundtrip_values() -> Iterator[tuple[str, str]]:
+    """Per suite and seed, the wire JSON of each default-grid case's
+    sample, chart projector, Q_V (V the base the map projects: pr's is
+    the front's sum), chart point and round-trip result."""
+    for suite, (name, inverse) in (
+        ("gamma", ("gamma_trivialize", "gamma_untrivialize")),
+        ("pr", ("pr_trivialize", "pr_untrivialize")),
+        ("eta", ("eta_fiber_point", "eta_fiber_lift")),
+    ):
+        fib = verify._check_grid_point(suite, verify.DEFAULT_GRIDS[suite])
+        trivialize, untrivialize = getattr(fibrations, name), getattr(fibrations, inverse)
+        for seed in range(3):
+            cases = []
+            for idx in range(ROUNDTRIP_CASES):
+                case_seed = f"{seed}:{idx}"
+                c = grassmann.sample_configuration(fib.stratum, case_seed)
+                triv, point = verify._random_chart(c, fib.chart_dim, trivialize, case_seed)
+                v = point.base.span if suite == "pr" else point.base
+                cases.append({
+                    "sample": _wire(c),
+                    "projector": _wire(triv.projector),
+                    "q_v": _wire(grassmann.projection_along(v, triv.complement)),
+                    "base": _wire(point.base),
+                    "fiber": _wire(point.fiber),
+                    "back": _wire(untrivialize(point, triv)),
+                })
+            yield f"roundtrip-values-{suite}-seed{seed}", json.dumps(cases)
+
+
 def payloads() -> Iterator[tuple[str, str]]:
     """(name, text) of every hashed payload, in a fixed order."""
     for suite in ("gamma", "pr", "eta"):
@@ -233,6 +265,7 @@ def payloads() -> Iterator[tuple[str, str]]:
     yield from _pi_payloads()
     yield from _chart_payloads()
     yield "chart-off-chart-errors", json.dumps(_off_chart_errors())
+    yield from _roundtrip_values()
 
 
 def _sha256(text: str) -> str:

@@ -44,10 +44,15 @@ from grassconf.grassmann import (
 from grassconf.linalg import _P, Matrix, _integer_rows, _modular_rank, kernel, rank
 from grassconf.verify import run_roundtrip_suite
 from oracles import (
+    canonicalize_rref_reference,
+    contains_product_reference,
     contains_reference,
+    projection_along_block_reference,
     projection_along_reference,
     rand_matrix,
     random_matrix_reference,
+    subspace_intersection_reference,
+    transform_reference,
 )
 
 
@@ -187,12 +192,14 @@ def _containment_pairs():
 
 
 def test_contains_agrees_with_the_stacked_rank():
+    # and with the product on the RREF basis
     outcomes = [
-        (_outcome(Subspace.contains, sup, sub), _outcome(contains_reference, sup, sub))
+        (_outcome(Subspace.contains, sup, sub), _outcome(contains_reference, sup, sub),
+         _outcome(contains_product_reference, sup, sub))
         for sup, sub in _containment_pairs()
     ]
-    assert all(new == old for new, old in outcomes)
-    assert {new for new, _ in outcomes} == {
+    assert all(new == old == product for new, old, product in outcomes)
+    assert {new for new, _, _ in outcomes} == {
         True, False, (MixedAmbientError, "ambient dimensions differ"),
     }
 
@@ -292,8 +299,96 @@ def _outcome(fn, target, along):
     """fn's result, or the type and message of the error it raises."""
     try:
         return fn(target, along)
-    except GrassconfError as exc:
+    except (GrassconfError, ValueError) as exc:
         return type(exc), str(exc)
+
+
+def _scaled_rows(rows, rng):
+    """Each Z[i] row times a seeded nonzero Gaussian integer."""
+    out = []
+    for row in rows:
+        f_re, f_im = rng.choice([(1, 0), (-1, 0), (2, 0), (3, 1), (0, -2), (6, 0)])
+        out.append([(re * f_re - im * f_im, re * f_im + im * f_re) for re, im in row])
+    return out
+
+
+def _generating_sets():
+    """Seeded (matrix, n) over n <= 7: independent rows, the same rows
+    with two combinations of them, with a zero row, all rows zero, and
+    a column count other than n."""
+    rng = random.Random("generating sets")
+    for n in range(1, 8):
+        for rows in range(1, n + 2):
+            m = random_matrix(rows, n, rng)
+            yield m, n
+            yield m.stack(random_matrix(2, rows, rng) @ m), n
+            yield Matrix.zeros(1, n).stack(m), n
+            yield Matrix.zeros(rows, n), n
+            yield m, n + 1
+
+
+def test_canonicalize_agrees_with_rref_then_subspace():
+    # canonicalize reduces the stored Z[i] rows, and its row entry point
+    # takes them at any row scale
+    rng = random.Random("row scales")
+    outcomes = []
+    collapsed = False
+    for m, n in _generating_sets():
+        want = _outcome(canonicalize_rref_reference, m, n)
+        outcomes.append(want)
+        assert _outcome(canonicalize, m, n) == want
+        if m.cols == n:
+            rows = _scaled_rows(_integer_rows(m), rng)
+            assert _outcome(grassmann._canonical_span, rows, n) == want
+        collapsed = collapsed or (isinstance(want, Subspace) and want.k < m.rows)
+    assert collapsed
+    assert {type(x) if isinstance(x, Subspace) else x[0] for x in outcomes} == {
+        Subspace, ZeroSubspaceError, MixedAmbientError,
+    }
+
+
+def test_transform_agrees_with_the_product_then_canonicalize():
+    # invertible, singular (rank 1), zero, wide and narrow g, and a g of
+    # the wrong row count
+    rng = random.Random("transforms")
+    outcomes = []
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            v = sample_subspace(k, n, f"transform:{n}:{k}")
+            for g in (
+                random_invertible(n, rng), random_matrix(n, n, rng),
+                random_matrix(n, 1, rng) @ random_matrix(1, n, rng), Matrix.zeros(n, n),
+                random_matrix(n, n + 2, rng), random_matrix(n, max(1, n - 2), rng),
+                random_matrix(n + 1, n, rng),
+            ):
+                want = _outcome(transform_reference, v, g)
+                assert _outcome(transform, v, g) == want
+                outcomes.append(want)
+    assert {type(x) if isinstance(x, Subspace) else x[0] for x in outcomes} == {
+        Subspace, ZeroSubspaceError, ValueError,
+    }
+
+
+def test_subspace_intersection_agrees_with_the_kernel_route():
+    # seeded pairs over n <= 7: generic ones of every pair of dimensions
+    # (a direct sum gives None), a subspace and itself, and pairs sharing
+    # a seeded line
+    rng = random.Random("intersections")
+    met = set()
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            a = sample_subspace(k, n, f"inter:{n}:{k}")
+            pairs = [(a, a)]
+            for j in range(1, n + 1):
+                pairs.append((a, sample_subspace(j, n, f"inter:{n}:{k}:{j}")))
+                line = random_matrix(1, n, rng)
+                x, y = (canonicalize(line.stack(random_matrix(d - 1, n, rng)), n) for d in (k, j))
+                pairs.append((x, y))
+            for x, y in pairs:
+                got = subspace_intersection(x, y)
+                assert got == subspace_intersection_reference(x, y)
+                met.add(None if got is None else got.k)
+    assert None in met and {1, 2, 3} <= met
 
 
 def _projection_pairs():
@@ -330,14 +425,16 @@ def _projection_pairs():
 
 
 def test_projection_along_agrees_with_the_stacked_solve():
+    # and with the block solve as Matrix algebra
     outcomes = [
-        (_outcome(projection_along, t, a), _outcome(projection_along_reference, t, a))
+        (_outcome(projection_along, t, a), _outcome(projection_along_reference, t, a),
+         _outcome(projection_along_block_reference, t, a))
         for t, a in _projection_pairs()
     ]
-    assert all(new == old for new, old in outcomes)
-    raised = sum(isinstance(new, tuple) for new, _ in outcomes)
+    assert all(new == old == block for new, old, block in outcomes)
+    raised = sum(isinstance(new, tuple) for new, _, _ in outcomes)
     assert 0 < raised < len(outcomes)
-    assert {new for new, _ in outcomes if isinstance(new, tuple)} == {
+    assert {new for new, _, _ in outcomes if isinstance(new, tuple)} == {
         (MixedAmbientError, "ambient dimensions differ"),
         (NotComplementaryError, "dimensions do not add up to the ambient dimension"),
         (NotComplementaryError, "subspaces intersect nontrivially"),
@@ -345,16 +442,16 @@ def test_projection_along_agrees_with_the_stacked_solve():
 
 
 def _record_projection_solves(monkeypatch):
-    """The (rows, cols) of every linalg.solve system run inside
-    projection_along, appended as the calls happen."""
+    """The (rows, cols) of every linalg._integer_rref grid eliminated
+    inside projection_along, appended as the calls happen."""
     shapes = []
     inside = []
-    real_solve, real_projection = linalg.solve, grassmann.projection_along
+    real_rref, real_projection = linalg._integer_rref, grassmann.projection_along
 
-    def solve(a, b):
+    def eliminated(grid, reduce=True):
         if inside:
-            shapes.append((a.rows, a.cols + b.cols))
-        return real_solve(a, b)
+            shapes.append((len(grid), len(grid[0])))
+        return real_rref(grid, reduce)
 
     def projection(target, along):
         inside.append(True)
@@ -363,7 +460,7 @@ def _record_projection_solves(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(linalg, "solve", solve)
+    monkeypatch.setattr(linalg, "_integer_rref", eliminated)
     monkeypatch.setattr(grassmann, "projection_along", projection)
     return shapes
 

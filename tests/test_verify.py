@@ -149,10 +149,10 @@ def test_chart_tangent_matches_numpy_reference(hikn, monkeypatch):
     c = sample_configuration(StratumId(*hikn), "chart")
     calls = []
 
-    def counted(m, _rref=linalg.rref):
-        calls.append(m.rows)
-        return _rref(m)
-    monkeypatch.setattr(linalg, "rref", counted)
+    def counted(rows, _reduce=linalg._rref_rows):
+        calls.append(len(rows))
+        return _reduce(rows)
+    monkeypatch.setattr(linalg, "_rref_rows", counted)
     got = to_numpy(_chart_tangent(c))
     monkeypatch.undo()
     assert calls == [h * k]
@@ -855,15 +855,17 @@ def test_raise_stratum_fails_without_a_tilt(s, target):
 def test_raise_stratum_reduces_the_starting_sum_once(monkeypatch):
     # a check reduces the starting stack (6 rows) once and hands the sum to
     # the witness; its only other reductions are the tilted points (2 rows
-    # each; here the last two points hold the three tilted rows)
+    # each; here the last two points hold the three tilted rows).  Every
+    # reduced row echelon form is built by linalg._rref_rows, counted here
+    # by its rows
     calls = []
 
-    def counted(m, _rref=linalg.rref):
-        calls.append(m.rows)
-        return _rref(m)
+    def counted(rows, _reduce=linalg._rref_rows):
+        calls.append(len(rows))
+        return _reduce(rows)
     c = sample_configuration(StratumId(3, 3, 2, 6), "golden")
     total = subspace_sum(c.points)
-    monkeypatch.setattr(linalg, "rref", counted)
+    monkeypatch.setattr(linalg, "_rref_rows", counted)
     got = _raise_stratum(c.points, total, 6, Fraction(1, 8000))
     assert calls == [2, 2]
     calls.clear()
