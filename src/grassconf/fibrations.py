@@ -12,9 +12,8 @@ onto V0 along L0, and Q_V, the projection onto the base V along L0:
 * eta sends a pair to its intersection V; the fiber point is the pair of
   images in the quotient C^n / V, identified with L0 by I - Q_V.
 
-The maps move basis rows x to x - x·Q_V + x·P and the like directly
-(_moved_rows), with no n x n sum, and reduce the moved Z[i] rows as they
-are.
+Each map applies its matrix by one product (Matrix @), whose rows are
+made primitive before they are reduced.
 
 Every trivialization here is an exact bijection on its chart: composing
 with its inverse returns the input entrywise over Q(i).  A chart keeps its
@@ -44,6 +43,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from . import grassmann, linalg
+from ._strata import _require_arity
 from .errors import (
     DirectSumError,
     InconsistentSystemError,
@@ -51,7 +51,6 @@ from .errors import (
     NotComplementaryError,
     NotDirectSumError,
     OutsideChartError,
-    WrongArityError,
     record,
 )
 from .grassmann import Configuration, Subspace
@@ -147,24 +146,6 @@ def extend_isomorphism(v: Subspace, triv: Trivialization) -> Matrix:
     return Matrix.identity(v.n) - q + triv.projector
 
 
-def _moved_rows(rows: Sequence[Sequence[GInt]], *terms: tuple[int, Matrix]) -> list[list[GInt]]:
-    """Z[i] rows spanning the rows x + Σ sign·x·m over the (sign, m) terms,
-    for the Q(i) rows x = u / s, u in rows.  With m at its common scale L,
-    x·m is (u·L m) / (s L) (linalg._products); each term multiplies the
-    rows so far by L, so no n x n sum is built and the scale is dropped."""
-    out: list[Sequence[GInt]] = list(rows)
-    scale = 1
-    for sign, m in terms:
-        big, prods = linalg._products(rows, m)
-        f = sign * scale
-        out = [
-            [(big * re + f * p_re, big * im + f * p_im) for (re, im), (p_re, p_im) in zip(o, p)]
-            for o, p in zip(out, prods)
-        ]
-        scale *= big
-    return out
-
-
 def gamma_trivialize(c: Configuration, triv: Trivialization) -> ChartPoint:
     """Split a configuration into (sum, configuration inside V0).
 
@@ -192,8 +173,7 @@ def gamma_untrivialize(p: ChartPoint, triv: Trivialization) -> Configuration:
 
 def pr_forget_last(c: Configuration) -> Configuration:
     """Drop the last subspace of a direct-sum configuration."""
-    if c.h < 2:
-        raise WrongArityError("need at least two subspaces to forget one")
+    _require_arity("pr", c.h)
     if not linalg._rank_at_least([row for p in c.points for _, row in p.basis.zrows], c.h * c.k):
         raise NotDirectSumError("the subspaces are not in direct sum")
     return Configuration(c.h - 1, c.k, c.n, c.points[:-1])
@@ -241,44 +221,48 @@ def _graph_coordinates(rows: Sequence[Sequence[GInt]], w: Subspace) -> Matrix:
         raise OutsideChartError("subspace meets w nontrivially") from None
 
 
-def _graph_rows(coords: Matrix, w: Subspace) -> list[list[GInt]]:
-    """Z[i] rows spanning chart_point(coords, w), unreduced: row r of
+def _graph_basis(coords: Matrix, w: Subspace) -> Matrix:
+    """The unreduced basis of chart_point(coords, w): row r of
     complement(w)'s basis, the unit row at w's r-th free column f, plus
     row r of coords·W.  With coords' row r at scale s and W at its common
     scale L, that is the product row (linalg._products) with s L added at
-    f, over s L."""
+    f, over s L, made primitive as Matrix @ makes its rows."""
     if coords.cols != w.k or coords.rows + w.k != w.n:
         raise ValueError("coordinate matrix shape does not match the chart")
     big, rows = linalg._products(linalg._integer_rows(coords), w.basis)
+    zrows = []
     for (s, _), row, f in zip(coords.zrows, rows, grassmann._free_columns(w)):
         re, im = row[f]
         row[f] = (re + s * big, im)
-    return rows
+        zrows.append(linalg._primitive(s * big, row))
+    return Matrix._of(coords.rows, w.n, tuple(zrows))
 
 
 def chart_point(coords: Matrix, w: Subspace) -> Subspace:
     """Inverse of chart_coordinates: the graph of the coefficient matrix."""
-    return grassmann._canonical_span(_graph_rows(coords, w), w.n)
+    return grassmann.canonicalize(_graph_basis(coords, w), w.n)
 
 
 def pr_trivialize(c: Configuration, triv: Trivialization) -> ChartPoint:
     """Split a direct-sum configuration into (first h-1 subspaces, fiber).
 
     The fiber is the image of the last subspace under the isomorphism
-    carrying the base sum to the chart base point, I - Q_V + P: its basis
-    rows x go to x - x·Q_V + x·P (_moved_rows).  When n = hk that image
-    is recorded in chart coordinates relative to the base point, read off
-    its unreduced rows (the solve cannot fail: V goes onto V0, and the last
-    subspace misses V); for n > hk no single chart covers the fiber and the
-    image subspace itself is returned.
+    carrying the base sum to the chart base point, I - Q_V + P
+    (extend_isomorphism).  When n = hk that image is recorded in chart
+    coordinates relative to the base point, read off its unreduced basis
+    (the solve cannot fail: V goes onto V0, and the last subspace misses
+    V); for n > hk no single chart covers the fiber and the image subspace
+    itself is returned.
     """
     front = pr_forget_last(c)
-    q = _chart_projection(front.span, triv, "pr_trivialize")
-    # extend_isomorphism of the base sum, with this caller's chart check
-    image = _moved_rows(linalg._integer_rows(c.points[-1].basis), (-1, q), (1, triv.projector))
+    # the guard names this map; extend_isomorphism reuses the Q_V it keeps
+    _chart_projection(front.span, triv, "pr_trivialize")
+    image = c.points[-1].basis @ extend_isomorphism(front.span, triv)
     if c.n == c.h * c.k:
-        return ChartPoint(base=front, fiber=_graph_coordinates(image, triv.base_point))
-    return ChartPoint(base=front, fiber=grassmann._canonical_span(image, c.n))
+        return ChartPoint(
+            base=front, fiber=_graph_coordinates(linalg._integer_rows(image), triv.base_point)
+        )
+    return ChartPoint(base=front, fiber=grassmann.canonicalize(image, c.n))
 
 
 def pr_untrivialize(p: ChartPoint, triv: Trivialization) -> Configuration:
@@ -288,24 +272,23 @@ def pr_untrivialize(p: ChartPoint, triv: Trivialization) -> Configuration:
         raise TypeError("pr chart points have a Configuration base")
     if isinstance(p.fiber, Matrix):
         # a graph over complement(V0), which misses V0, left unreduced
-        image = _graph_rows(p.fiber, triv.base_point)
+        image = _graph_basis(p.fiber, triv.base_point)
     elif isinstance(p.fiber, Subspace):
         if grassmann.intersection_dim(p.fiber, triv.base_point) != 0:
             raise OutsideChartError("fiber subspace meets the chart base point")
-        image = linalg._integer_rows(p.fiber.basis)
+        image = p.fiber.basis
     else:
         raise TypeError("pr fiber is chart coordinates or a subspace")
     q = _chart_projection(front.span, triv, "pr_untrivialize")
     # the inverse of the extended isomorphism, Q_V + I - P: Q_V on V0, the
     # identity on L0
-    last = grassmann._canonical_span(_moved_rows(image, (1, q), (-1, triv.projector)), front.n)
+    last = grassmann.canonicalize(image @ (q + Matrix.identity(front.n) - triv.projector), front.n)
     return Configuration(front.h + 1, front.k, front.n, front.points + (last,))
 
 
 def eta(c: Configuration) -> Subspace:
     """Intersection of a pair of subspaces with nonzero intersection."""
-    if c.h != 2:
-        raise WrongArityError("the intersection map applies to pairs")
+    _require_arity("eta", c.h)
     inter = grassmann.subspace_intersection(c.points[0], c.points[1])
     if inter is None:
         raise DirectSumError("the pair is in direct sum; the intersection is zero")
@@ -317,15 +300,11 @@ def eta_fiber_point(c: Configuration, triv: Trivialization) -> ChartPoint:
 
     The quotient C^n / V by the intersection V is identified with L0
     through I - Q_V, the projection onto L0 along V; the two images are
-    subspaces of L0 of dimension k - dim(V), in direct sum, spanned by the
-    rows x - x·Q_V of the points' bases (_moved_rows).
+    subspaces of L0 of dimension k - dim(V), in direct sum.
     """
     inter = eta(c)
-    q = _chart_projection(inter, triv, "eta_fiber_point")
-    first, second = (
-        grassmann._canonical_span(_moved_rows(linalg._integer_rows(p.basis), (-1, q)), c.n)
-        for p in c.points
-    )
+    to_quotient = Matrix.identity(c.n) - _chart_projection(inter, triv, "eta_fiber_point")
+    first, second = (grassmann.transform(p, to_quotient) for p in c.points)
     return ChartPoint(base=inter, fiber=(first, second))
 
 

@@ -205,13 +205,13 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Optional[Subspace]:
 def intersection_dim(a: Subspace, b: Subspace) -> int:
     """dim(A ∩ B) = dim A + dim B - dim(A + B), from the stacked bases.
 
-    linalg._has_rank decides whether the sum is direct, mostly by its
+    linalg._rank_at_least decides whether the sum is direct, mostly by its
     mod-p certificate; otherwise the exact rank gives dim(A + B).
     """
     if a.n != b.n:
         raise MixedAmbientError("ambient dimensions differ")
     stacked = a.basis.stack(b.basis)
-    if linalg._has_rank(stacked, a.k + b.k):
+    if linalg._rank_at_least(linalg._integer_rows(stacked), a.k + b.k):
         return 0
     return a.k + b.k - linalg.rank(stacked)
 
@@ -272,10 +272,12 @@ def projection_along(target: Subspace, along: Subspace) -> Matrix:
     T·P = T.  One elimination of [L·T·N | L·T], built from T's Z[i] rows
     at their own scales, leaves [d I | d Z] with Z = (T·N)^-1·T, and the
     rows of P are scattered from it: Z at the free columns F of A, each
-    row dZ divided once by d, and -A[:, F]·Z at its pivots, the Z[i] rows
-    -W[:, F]·(dZ) divided once by L·d.  When dim target > dim along the
-    projection is I minus the one onto along along target, so the
-    elimination has min(k, n-k) rows.
+    row dZ divided once by d, and -A[:, F]·Z at its pivots, the product of
+    -W[:, F] with those rows of Z at their common scale M, over L·M with
+    one gcd per row (dividing -W[:, F]·(dZ) by L·d instead multiplies by
+    conj(d) first, and was slower at n = 30-40).  When dim target > dim
+    along the projection is I minus the one onto along along target, so
+    the elimination has min(k, n-k) rows.
 
     The elimination decides target ⊕ along = C^n: a pivot in its right
     block refuses the pair.  The vectors x with x·N = 0 are exactly those
@@ -311,13 +313,13 @@ def projection_along(target: Subspace, along: Subspace) -> Matrix:
     d, solved = linalg._integer_rref(grid)
     if any(p >= k for p in solved):
         raise NotComplementaryError("subspaces intersect nontrivially")
-    dz = [row[k:] for row in grid]
-    rows = {f: linalg._divided(row, d) for f, row in zip(free, dz)}
-    dz_cols = list(zip(*dz))
-    minus_ld = (-scale * d[0], -scale * d[1])
+    z = [linalg._divided(row[k:], d) for row in grid]
+    rows = dict(zip(free, z))
+    big, z_rows = linalg._common_scale(z)
+    z_cols = list(zip(*z_rows))
     for r, p in enumerate(pivots):
-        w_free = [col[r] for col in cols]
-        rows[p] = linalg._divided([linalg._gdot(w_free, col) for col in dz_cols], minus_ld)
+        minus_w = [(-col[r][0], -col[r][1]) for col in cols]
+        rows[p] = linalg._primitive(scale * big, [linalg._gdot(minus_w, col) for col in z_cols])
     n = target.n
     ordered = (rows[c] for c in range(n))
     if swapped:
@@ -332,10 +334,9 @@ def projection_along(target: Subspace, along: Subspace) -> Matrix:
 
 def transform(v: Subspace, g: Matrix) -> Subspace:
     """Image of the subspace under g acting on row vectors; the dimension
-    drops unless g is injective on v."""
-    if g.rows != v.n:
-        raise ValueError(f"cannot multiply {v.k}x{v.n} by {g.rows}x{g.cols}")
-    return _image(linalg._integer_rows(v.basis), g)
+    drops unless g is injective on v.  The product's rows are primitive
+    (Matrix @) before they are reduced."""
+    return canonicalize(v.basis @ g, g.cols)
 
 
 def _image(rows: Sequence[Sequence[GInt]], g: Matrix) -> Subspace:
@@ -389,7 +390,7 @@ def random_matrix(rows: int, cols: int, rng: random.Random) -> Matrix:
 def random_invertible(n: int, rng: random.Random) -> Matrix:
     while True:
         m = random_matrix(n, n, rng)
-        if linalg._has_rank(m, n):
+        if linalg._rank_at_least(linalg._integer_rows(m), n):
             return m
 
 

@@ -34,12 +34,13 @@ _modular_rank, counts pivots and keeps nothing else; _rank_at_least is
 its only caller.
 A product (_products) brings the right factor's rows to one common scale
 and builds each entry as one Z[i] dot product.  Matrix @ makes each
-product row primitive with one gcd; a caller that only spans or
-eliminates the rows (transform, the sampler, the chart maps) reduces
-them as they are.  All values are immutable and all operations are pure
-(the entries view is filled once, with the same value by whichever
-thread reads it first), so the module is safe to use from multiple
-threads without coordination.
+product row primitive with one gcd; grassmann.transform and the chart
+maps of fibrations reduce those rows, whose common content otherwise
+grows with n.  grassmann._image, for the sampler's model points and an
+intersection's null rows, reduces the product rows as they are.  All
+values are immutable and all operations are pure (the entries view is
+filled once, with the same value by whichever thread reads it first), so
+the module is safe to use from multiple threads without coordination.
 
 >>> a = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
 >>> print(a * a.conjugate())
@@ -542,11 +543,6 @@ def _rank_at_least(rows: Sequence[Sequence[GInt]], r: int) -> bool:
     if _modular_rank(rows, r) >= r:
         return True
     return len(_integer_rref(list(rows), reduce=False)[1]) >= r
-
-
-def _has_rank(m: Matrix, r: int) -> bool:
-    """Whether rank m >= r, by _rank_at_least on the stored rows."""
-    return _rank_at_least(_integer_rows(m), r)
 
 
 def _rref_rows(rows: Sequence[Sequence[GInt]]) -> tuple[tuple[ZRow, ...], tuple[int, ...]]:

@@ -311,7 +311,7 @@ def _dimension_case(c: Configuration, s: StratumId) -> Optional[str]:
     expected = grassmann.stratum_dimension(s)
     if tangent.rows != expected:
         return f"chart has {tangent.rows} parameters, formula predicts {expected}"
-    if linalg._has_rank(tangent, expected):
+    if linalg._rank_at_least(linalg._integer_rows(tangent), expected):
         return None
     return f"tangent rank {linalg.rank(tangent)} != dimension {expected}"
 

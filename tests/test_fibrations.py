@@ -41,6 +41,7 @@ from grassconf.grassmann import (
     transform_configuration,
 )
 from grassconf.linalg import _P, Matrix, _integer_rows, _modular_rank, rank
+from grassconf.verify import run_roundtrip_suite
 from oracles import (
     chart_coordinates_reference,
     chart_point_reference,
@@ -450,6 +451,31 @@ def test_pr_untrivialize_matches_transposed_solve(h, k, n):
         # the same fiber over another base in the chart (transverse for these seeds)
         moved = ChartPoint(base=pr_forget_last(other), fiber=point.fiber)
         assert pr_untrivialize(moved, triv) == pr_untrivialize_reference(moved, triv)
+
+
+def test_pr_untrivialize_reduces_primitive_product_rows(monkeypatch):
+    # pr's inverse applies Q_V + I - P as one product whose rows are
+    # primitive, so the rows it hands to its one reduction carry no common
+    # content; the widest part over 20 pr cases is pinned in bits
+    widest = []
+    inside = []
+
+    def rows(grid, _real=linalg._rref_rows):
+        if inside:
+            widest.append(max(abs(x).bit_length() for row in grid for part in row for x in part))
+        return _real(grid)
+
+    def untrivialize(point, triv, _real=fibrations.pr_untrivialize):
+        inside.append(True)
+        try:
+            return _real(point, triv)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(linalg, "_rref_rows", rows)
+    monkeypatch.setattr(fibrations, "pr_untrivialize", untrivialize)
+    assert run_roundtrip_suite("pr", cases=20, seed=0).ok
+    assert len(widest) == 20
+    assert max(widest) == 72
 
 
 # --- eta ----------------------------------------------------------------------

@@ -143,8 +143,9 @@ def test_intersection_dim_matches_intersection():
     for a, b in pairs:
         inter = subspace_intersection(a, b)
         assert intersection_dim(a, b) == (0 if inter is None else inter.k)
-    with pytest.raises(MixedAmbientError):
-        intersection_dim(sample_subspace(1, 3, 0), sample_subspace(1, 4, 0))
+    for mixed in (intersection_dim, subspace_intersection):
+        with pytest.raises(MixedAmbientError):
+            mixed(sample_subspace(1, 3, 0), sample_subspace(1, 4, 0))
 
 
 def test_intersection_dim_falls_back_to_the_exact_rank():

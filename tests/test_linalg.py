@@ -12,7 +12,6 @@ from grassconf.linalg import (
     ZERO,
     GaussianRational,
     Matrix,
-    _has_rank,
     _integer_rows,
     _modular_rank,
     _rank_at_least,
@@ -168,9 +167,9 @@ def test_has_rank_falls_back_to_the_exact_rank():
     # det [1 0; 1 p] = p vanishes mod p, and the exact rank still finds 2
     m = Matrix.from_rows([[1, 0], [1, _P]])
     assert _modular_rank(_integer_rows(m), 2) == 1
-    assert _has_rank(m, 2)
-    assert not _has_rank(Matrix.from_rows([[1, 2], [_P, 2 * _P]]), 2)
-    assert not _has_rank(Matrix.from_rows([[1, 0, 0], [0, 1, 0]]), 3)
+    assert _rank_at_least(_integer_rows(m), 2)
+    assert not _rank_at_least(_integer_rows(Matrix.from_rows([[1, 2], [_P, 2 * _P]])), 2)
+    assert not _rank_at_least(_integer_rows(Matrix.from_rows([[1, 0, 0], [0, 1, 0]])), 3)
 
 
 def test_rank_at_least_certificate_and_fallback():

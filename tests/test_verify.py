@@ -1078,10 +1078,10 @@ def test_chart_projections_are_decided_by_their_solves(
     # projections.  No mod-p rank decides transversality; per case one
     # runs for the sampler's g and one for the map's own input check (γ:
     # the fiber, inside V0, reaches rank dim V0; pr: the points are in
-    # direct sum; η: the quotient images are).  Membership is a product on
-    # the RREF basis, a configuration's sum is reduced once, and pr
-    # reduces only the subspaces it returns, so none of these runs an
-    # elimination of its own
+    # direct sum; η: the quotient images are).  Membership is one integer
+    # test per row on the RREF basis, a configuration's sum is reduced
+    # once, and pr reduces only the subspaces it returns, so none of these
+    # runs an elimination of its own
     calls = {"_modular_rank": 0, "_integer_rref": 0, "projection_along": 0}
     for name in calls:
         module = grassmann if name == "projection_along" else linalg
