@@ -13,7 +13,10 @@ onto V0 along L0, and Q_V, the projection onto the base V along L0:
   images in the quotient C^n / V, identified with L0 by I - Q_V.
 
 Each map applies its matrix by one product (Matrix @), whose rows are
-made primitive before they are reduced.
+made primitive before they are reduced; I - Q_V and I - P are built row
+by row (linalg._identity_minus).  Chart coordinates and the projections
+share one solve (grassmann._solve_along), whose inconsistency refuses a
+subspace that meets the complement.
 
 Every trivialization here is an exact bijection on its chart: composing
 with its inverse returns the input entrywise over Q(i).  A chart keeps its
@@ -143,7 +146,7 @@ def extend_isomorphism(v: Subspace, triv: Trivialization) -> Matrix:
     v ⊕ L0 = C^n.
     """
     q = _chart_projection(v, triv, "extend_isomorphism")
-    return Matrix.identity(v.n) - q + triv.projector
+    return linalg._identity_minus(q) + triv.projector
 
 
 def gamma_trivialize(c: Configuration, triv: Trivialization) -> ChartPoint:
@@ -190,8 +193,9 @@ def chart_coordinates(hh: Subspace, w: Subspace) -> Matrix:
     C is spanned by the unit rows at the free columns of the RREF basis W
     of w, the pivots of C; W is the identity at its own pivots, where C is
     zero, so q_block is Y there and p_block is Y - q_block W at C's pivots:
-    the k x k block Y·N of grassmann._kernel_block, N the null basis of W,
-    the block projection_along eliminates too.  The solve decides that hh
+    the k x k block Y·N, N the null basis of W.  That is the solve
+    grassmann.projection_along runs, asked for W's pivot columns rather
+    than every column (grassmann._solve_along), and it decides that hh
     misses w: y·p_block = 0 with y != 0 would leave y·q_block, the
     w-coordinates of y·Y != 0, out of reach.
     """
@@ -208,15 +212,11 @@ def _graph_coordinates(rows: Sequence[Sequence[GInt]], w: Subspace) -> Matrix:
     """chart_coordinates from the Z[i] rows of any basis of hh, each at any
     scale, unguarded: both blocks are linear in the basis, and
     solve(A·p, A·q) = solve(p, q) for an invertible A.  With W = W' / L at
-    one scale L, one solve of the rows [L·y·N | L·y at W's pivots]."""
-    split = grassmann._pivot_split(w)
-    pivots, _, scale, _ = split
-    grid = [
-        grassmann._kernel_block(u, split) + [(scale * u[p][0], scale * u[p][1]) for p in pivots]
-        for u in rows
-    ]
+    one scale L, one grassmann._solve_along of the rows
+    [L·y·N | L·y at W's pivots], whose InconsistentSystemError becomes
+    OutsideChartError."""
     try:
-        return linalg._solve_rows(grid, w.n - w.k, w.k)
+        return grassmann._solve_along(rows, grassmann._pivot_split(w), w.pivots())
     except InconsistentSystemError:
         raise OutsideChartError("subspace meets w nontrivially") from None
 
@@ -282,7 +282,7 @@ def pr_untrivialize(p: ChartPoint, triv: Trivialization) -> Configuration:
     q = _chart_projection(front.span, triv, "pr_untrivialize")
     # the inverse of the extended isomorphism, Q_V + I - P: Q_V on V0, the
     # identity on L0
-    last = grassmann.canonicalize(image @ (q + Matrix.identity(front.n) - triv.projector), front.n)
+    last = grassmann.canonicalize(image @ (linalg._identity_minus(triv.projector) + q), front.n)
     return Configuration(front.h + 1, front.k, front.n, front.points + (last,))
 
 
@@ -303,7 +303,7 @@ def eta_fiber_point(c: Configuration, triv: Trivialization) -> ChartPoint:
     subspaces of L0 of dimension k - dim(V), in direct sum.
     """
     inter = eta(c)
-    to_quotient = Matrix.identity(c.n) - _chart_projection(inter, triv, "eta_fiber_point")
+    to_quotient = linalg._identity_minus(_chart_projection(inter, triv, "eta_fiber_point"))
     first, second = (grassmann.transform(p, to_quotient) for p in c.points)
     return ChartPoint(base=inter, fiber=(first, second))
 

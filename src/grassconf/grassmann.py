@@ -25,6 +25,7 @@ from ._strata import (  # noqa: F401  (re-exported)
 from .errors import (
     DuplicatePointsError,
     FullSpaceError,
+    InconsistentSystemError,
     MixedAmbientError,
     NotComplementaryError,
     WireFormatError,
@@ -263,26 +264,41 @@ def _kernel_block(u: Sequence[GInt], split: PivotSplit) -> list[GInt]:
     return out
 
 
+def _solve_along(
+    rows: Sequence[Sequence[GInt]], split: PivotSplit, columns: Sequence[int]
+) -> Matrix:
+    """solve(L·Y·N, L·Y[:, columns]) for the Z[i] rows Y at any scales, N
+    the null basis of the RREF basis A = W / L with this split: one
+    linalg._solve_rows of the rows [L·y·N | L·y at columns].  For rows of
+    full rank it raises InconsistentSystemError exactly when their span
+    meets A's, if A's nonzero vectors are nonzero at the columns (all of
+    them, or A's pivots): x·N = 0 exactly for x in A's span, so
+    y·Y·N = 0 with y != 0 leaves y·Y[:, columns] != 0 out of reach."""
+    scale = split[2]
+    grid = [
+        _kernel_block(u, split) + [(scale * u[c][0], scale * u[c][1]) for c in columns]
+        for u in rows
+    ]
+    return linalg._solve_rows(grid, len(split[1]), len(columns))
+
+
 def projection_along(target: Subspace, along: Subspace) -> Matrix:
     """Matrix of the idempotent with image ``target`` and kernel ``along``.
 
     Acts on row vectors by right multiplication.  With T the basis of
     target, A = W / L that of along at one scale L and N the null basis of
     A (see _kernel_block), the projection is P = N·(T·N)^-1·T: A·P = 0 and
-    T·P = T.  One elimination of [L·T·N | L·T], built from T's Z[i] rows
-    at their own scales, leaves [d I | d Z] with Z = (T·N)^-1·T, and the
-    rows of P are scattered from it: Z at the free columns F of A, each
-    row dZ divided once by d, and -A[:, F]·Z at its pivots, the product of
-    -W[:, F] with those rows of Z at their common scale M, over L·M with
-    one gcd per row (dividing -W[:, F]·(dZ) by L·d instead multiplies by
-    conj(d) first, and was slower at n = 30-40).  When dim target > dim
-    along the projection is I minus the one onto along along target, so
-    the elimination has min(k, n-k) rows.
+    T·P = T.  One _solve_along of T's Z[i] rows at every column gives
+    Z = (T·N)^-1·T, and the rows of P are scattered from it: Z at the free
+    columns F of A, and -A[:, F]·Z at its pivots, the product of -W[:, F]
+    with those rows of Z at their common scale M, over L·M with one gcd
+    per row.  When dim target > dim along the projection is I minus the
+    one onto along along target (linalg._identity_minus), so the solve
+    has min(k, n-k) rows.
 
-    The elimination decides target ⊕ along = C^n: a pivot in its right
-    block refuses the pair.  The vectors x with x·N = 0 are exactly those
-    of along, so y·T·N = 0 with y != 0 puts y·T != 0 in target ∩ along;
-    T has full row rank, so a singular T·N leaves T out of reach.
+    The solve decides target ⊕ along = C^n: its InconsistentSystemError,
+    raised exactly when target meets along (see _solve_along), becomes
+    NotComplementaryError.
 
     >>> line = canonicalize(Matrix.from_rows([[1, 1, 0]]), 3)
     >>> plane = canonicalize(Matrix.from_rows([[0, 1, 0], [0, 0, 1]]), 3)
@@ -301,35 +317,23 @@ def projection_along(target: Subspace, along: Subspace) -> Matrix:
         raise NotComplementaryError("dimensions do not add up to the ambient dimension")
     swapped = target.k > along.k
     if swapped:
-        # eliminate on the smaller side; I - P below turns it back
+        # solve on the smaller side; I - P below turns it back
         target, along = along, target
+    n = target.n
     split = _pivot_split(along)
     pivots, free, scale, cols = split
-    k = len(free)
-    grid = [
-        _kernel_block(u, split) + [(scale * re, scale * im) for re, im in u]
-        for _, u in target.basis.zrows
-    ]
-    d, solved = linalg._integer_rref(grid)
-    if any(p >= k for p in solved):
-        raise NotComplementaryError("subspaces intersect nontrivially")
-    z = [linalg._divided(row[k:], d) for row in grid]
+    try:
+        z = _solve_along(linalg._integer_rows(target.basis), split, range(n)).zrows
+    except InconsistentSystemError:
+        raise NotComplementaryError("subspaces intersect nontrivially") from None
     rows = dict(zip(free, z))
     big, z_rows = linalg._common_scale(z)
     z_cols = list(zip(*z_rows))
     for r, p in enumerate(pivots):
         minus_w = [(-col[r][0], -col[r][1]) for col in cols]
         rows[p] = linalg._primitive(scale * big, [linalg._gdot(minus_w, col) for col in z_cols])
-    n = target.n
-    ordered = (rows[c] for c in range(n))
-    if swapped:
-        # row c of I - P is (s, s·e_c - v) for the row (s, v) of P, still
-        # primitive: adding a multiple of s to v keeps gcd(s, v) = 1
-        ordered = (
-            (s, tuple((s - re if j == c else -re, -im) for j, (re, im) in enumerate(row)))
-            for c, (s, row) in enumerate(ordered)
-        )
-    return Matrix._of(n, n, tuple(ordered))
+    p = Matrix._of(n, n, tuple(rows[c] for c in range(n)))
+    return linalg._identity_minus(p) if swapped else p
 
 
 def transform(v: Subspace, g: Matrix) -> Subspace:

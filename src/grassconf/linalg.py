@@ -15,23 +15,24 @@ fraction-free elimination over Z[i].  rref, kernel and solve run the full
 Gauss-Jordan elimination on Z[i] rows and divide each result row once by
 the last pivot; rank runs the forward elimination only and reads the
 pivot count, without building a reduced matrix.  rref and
-grassmann.canonicalize share _rref_rows, and solve and the chart
-coordinates of fibrations share _solve_rows; both take Z[i] rows at any
-row scale, so a caller that only reduces rows passes them as it built
-them.  _rank_at_least first tries a mod-p rank certificate that can only
-prove a lower bound on the rank and leaves every other answer to
+grassmann.canonicalize share _rref_rows, and solve and
+grassmann._solve_along, the one solve of projections and chart
+coordinates, share _solve_rows; both take Z[i] rows at any row scale, so
+a caller that only reduces rows passes them as it built them.
+_rank_at_least first tries a mod-p rank certificate that can only prove
+a lower bound on the rank and leaves every other answer to
 _integer_rref.  Every decision "rank >= r" goes through it: the
 sampler's draws of invertible matrices and subspaces, the direct-sum test
 of fibrations.pr_forget_last, the gamma suite's check that a fiber inside
 V0 spans it (rank dim V0), the dimension suite's tangent rank and
 grassmann.intersection_dim's test that a sum is direct.
 An elimination decides its own system: a chart projection
-(grassmann.projection_along) refuses a pivot in its right-hand block and
-chart coordinates catch _solve_rows' InconsistentSystemError, so every
-transversality decision of fibrations and the roundtrip suites' chart
-search tests no matrix first.  The certificate's one mod-p elimination,
-_modular_rank, counts pivots and keeps nothing else; _rank_at_least is
-its only caller.
+(grassmann.projection_along) and chart coordinates catch _solve_rows'
+InconsistentSystemError, so every transversality decision of fibrations
+and the roundtrip suites' chart search tests no matrix first.
+_identity_minus builds I - m row by row, with no identity and no gcd.
+The certificate's one mod-p elimination, _modular_rank, counts pivots
+and keeps nothing else; _rank_at_least is its only caller.
 A product (_products) brings the right factor's rows to one common scale
 and builds each entry as one Z[i] dot product.  Matrix @ makes each
 product row primitive with one gcd; grassmann.transform and the chart
@@ -408,6 +409,16 @@ def _init(m: Matrix, rows: int, cols: int, zrows: tuple[ZRow, ...], entries) -> 
 def _check_count(count: int, size: int, what: str) -> None:
     if not 0 <= count <= size:
         raise ValueError(f"{what} count mismatch")
+
+
+def _identity_minus(m: Matrix) -> Matrix:
+    """I - m for a square m, row by row: row c is (s, s·e_c - v) for the
+    row (s, v) of m, still primitive, as adding a multiple of s to v keeps
+    gcd(s, v) = 1.  No identity matrix is built and no gcd is taken."""
+    return Matrix._of(m.rows, m.cols, tuple(
+        (s, tuple((s - re if j == c else -re, -im) for j, (re, im) in enumerate(row)))
+        for c, (s, row) in enumerate(m.zrows)
+    ))
 
 
 def stack_all(matrices: Iterable[Matrix]) -> Matrix:

@@ -35,15 +35,16 @@ Three batch checks back the exact layer:
   builds its Z[i] rows by the witness's routine, and a drop is always
   decided by the exact pivot count.
 * run_roundtrip_suite exercises the gamma/pr/eta trivializations on
-  seeded samples, entrywise over Q(i).  A case's chart is the first seeded
-  one, centred in Gr(k, n) for k the chart dimension of its stratum's
-  fibration (_strata.fibration), on which the case's own trivializing map
-  succeeds; the inverse reuses the Q_V of that map's guard.  A case checks
-  the base component (an eta base, of the chart's dimension, is the
-  intersection exactly when it lies in both points), the one fiber fact
-  no map decides, and the round trip.  The guards of pr_trivialize (direct
-  sum), pr_untrivialize (a fiber subspace misses V0) and eta_fiber_lift
-  (quotient pair in L0, in direct sum) decide the rest.
+  seeded samples of one stratum, entrywise over Q(i).  A case's chart is
+  the first seeded one, centred in Gr(k, n) for k the chart dimension of
+  its stratum's fibration (_strata.fibration), on which the case's own
+  trivializing map succeeds; the inverse reuses the Q_V of that map's
+  guard.  A case checks the base component (an eta base, of the chart's
+  dimension, is the intersection exactly when it lies in both points),
+  the one fiber fact no map decides, and the round trip.  The guards of
+  pr_trivialize (direct sum), pr_untrivialize (a fiber subspace misses
+  V0) and eta_fiber_lift (quotient pair in L0, in direct sum) decide the
+  rest.
   A gamma case compares the base with the sample's sum, reduced once
   (Configuration.span), and checks that the fiber spans V0 without
   reducing the fiber's sum: every fiber point lies in V0 (one integer
@@ -606,16 +607,6 @@ DEFAULT_GRIDS = {
 }
 
 
-def _expand_grid(grid: dict) -> list[dict]:
-    keys = sorted(grid)
-    combos: list[dict] = [{}]
-    for key in keys:
-        value = grid[key]
-        values = list(value) if isinstance(value, (list, tuple, range)) else [value]
-        combos = [dict(c, **{key: v}) for c in combos for v in values]
-    return combos
-
-
 def _random_chart(
     c: Configuration, k: int, trivialize: Callable[..., ChartPoint], seed_tag: str
 ) -> Optional[tuple[Trivialization, ChartPoint]]:
@@ -697,15 +688,18 @@ def run_roundtrip_suite(
     cases: int = 100,
     seed: SeedLike = 0,
 ) -> VerificationReport:
-    """Exercise one fibration's trivialization on seeded samples.
+    """Exercise one fibration's trivialization on seeded samples of one
+    stratum.
 
-    ``grid`` maps parameter names to a value or list of values, None to
-    the suite's DEFAULT_GRIDS entry; cases cycle through the combinations.
-    A combination that no case could pass (a refusal of _strata.fibration)
-    raises its GrassconfError before the first case, as does a grid key
-    the suite needs and lacks or does not use (ValueError; {} lacks every
-    key) or a grid value that is not an int (TypeError), naming the key; a
-    case's failure is recorded in the report, never raised.
+    ``grid`` maps each parameter name of the suite's DEFAULT_GRIDS entry
+    to an int, None to that entry; every case samples the stratum it
+    names.  Before the first case a grid key the suite needs and lacks or
+    does not use raises ValueError ({} lacks every key), a value that is
+    not an int raises TypeError naming the key in sorted key order (a
+    list, tuple or range too: ``grid['i'] must be an int, not list``), and
+    a grid point that no case could pass raises the GrassconfError of
+    _strata.fibration; a case's failure is recorded in the report, never
+    raised.
     """
     _require_count("cases", cases)
     if which not in _SUITE_CASES:
@@ -719,25 +713,16 @@ def run_roundtrip_suite(
     unknown = [key for key in grid if key not in DEFAULT_GRIDS[which]]
     if unknown:
         raise ValueError(f"grid for {which} has unknown keys {unknown}")
-    combos = _expand_grid(grid)
-    if not combos:
-        raise ValueError("empty parameter grid")
-    for params in combos:
-        for key, value in params.items():
-            _require_count(f"grid[{key!r}]", value)
-    fibs = [_check_grid_point(which, params) for params in combos]
+    for key in sorted(grid):
+        _require_count(f"grid[{key!r}]", grid[key])
+    fib = _check_grid_point(which, grid)
     name, checks = _SUITE_CASES[which]
-    grid_json = {
-        key: list(value) if isinstance(value, (list, tuple, range)) else value
-        for key, value in grid.items()
-    }
     report = VerificationReport(
         suite=which,
-        parameters={"grid": grid_json, "cases": cases, "seed": str(seed)},
+        parameters={"grid": dict(grid), "cases": cases, "seed": str(seed)},
     )
     for idx in range(cases):
         case_seed = f"{seed}:{idx}"
-        fib = fibs[idx % len(fibs)]
         try:
             c = grassmann.sample_configuration(fib.stratum, case_seed)
             found = _random_chart(c, fib.chart_dim, getattr(fibrations, name), case_seed)

@@ -385,6 +385,40 @@ def test_verify_suite_cli(tmp_path):
     assert data["passed"] == 6
 
 
+def test_verify_failures_exit_1(monkeypatch, tmp_path):
+    # a wrong inverse on every other case: the text names each failure
+    # after the count, --json and -o carry the same failures, and the exit
+    # code is 1 either way
+    from grassconf import fibrations
+
+    calls = []
+
+    def reversed_on_even_calls(point, triv, _real=fibrations.gamma_untrivialize):
+        back = _real(point, triv)
+        calls.append(True)
+        if len(calls) % 2:
+            return Configuration(back.h, back.k, back.n, back.points[::-1])
+        return back
+    monkeypatch.setattr(fibrations, "gamma_untrivialize", reversed_on_even_calls)
+    argv = ["verify", "--suite", "gamma", "--cases", "3", "--seed", "4"]
+    assert run_cli(*argv) == (1, (
+        "suite gamma: 1/3 passed\n"
+        "  FAIL [4:0] round trip failed (untrivialize o trivialize)\n"
+        "  FAIL [4:2] round trip failed (untrivialize o trivialize)\n"
+    ))
+    calls.clear()
+    report_file = tmp_path / "report.json"
+    code, text = run_cli(*argv, "--json", "-o", str(report_file))
+    assert code == 1
+    data = json.loads(text)
+    assert json.loads(report_file.read_text()) == data
+    assert (data["cases"], data["passed"]) == (3, 1)
+    assert data["failures"] == [
+        {"seed": f"4:{idx}", "desc": "round trip failed (untrivialize o trivialize)"}
+        for idx in (0, 2)
+    ]
+
+
 @pytest.mark.parametrize("argv", [
     ["--suite", "adjacency", "--h", "2", "--i", "3", "--k", "2", "--n", "4", "--eps", "1/0"],
     ["--suite", "eta", "--i", "5", "--k", "2", "--n", "4"],

@@ -402,6 +402,43 @@ def test_chart_coordinates_outside_chart_raises():
         chart_coordinates(hh, w)
 
 
+_NOT_COMPLEMENTARY = "chart of Gr(2,5) needs a complementary w of dimension 3"
+
+
+@pytest.mark.parametrize("hh, w, message", [
+    (unit_rows(4, 0, 1), unit_rows(5, 2, 3, 4), "ambient dimension mismatch"),
+    (unit_rows(5, 0, 1), unit_rows(5, 2, 3), _NOT_COMPLEMENTARY),
+    (unit_rows(5, 0, 1), unit_rows(5, 1, 2, 3, 4), _NOT_COMPLEMENTARY),
+], ids=["ambient", "short-w", "long-w"])
+def test_chart_coordinates_refuse_a_w_of_the_wrong_shape(monkeypatch, hh, w, message):
+    # both refusals come before any elimination
+    def no_work(*args, **kwargs):
+        raise AssertionError("chart_coordinates eliminated before its shape checks")
+    hh, w = (canonicalize(m, m.cols) for m in (hh, w))
+    monkeypatch.setattr(linalg, "_integer_rref", no_work)
+    with pytest.raises(OutsideChartError) as exc:
+        chart_coordinates(hh, w)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("which", ["gamma", "pr", "eta"])
+def test_chart_maps_build_no_identity(monkeypatch, which):
+    # I - Q_V and I - P are built row by row (linalg._identity_minus); a
+    # pr map adds one Matrix sum to it, the others none
+    sums = []
+
+    def no_identity(n):
+        raise AssertionError("a chart map built the identity")
+
+    def combined(a, b, sign, _real=Matrix._combine):
+        sums.append(sign)
+        return _real(a, b, sign)
+    monkeypatch.setattr(Matrix, "identity", staticmethod(no_identity))
+    monkeypatch.setattr(Matrix, "_combine", combined)
+    assert run_roundtrip_suite(which, cases=5, seed=0).ok
+    assert sums == ([1] * 10 if which == "pr" else [])
+
+
 def test_pr_trivialize_over_own_base():
     pts = tuple(canonicalize(unit_rows(6, 2 * j, 2 * j + 1), 6) for j in range(3))
     c = Configuration(3, 2, 6, pts)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grassconf.errors import EmptyStratumError, UnreachableError
+from grassconf.errors import EmptyStratumError, OutsideChartError, UnreachableError
 from grassconf.grassmann import (
     Configuration,
     StratumId,
@@ -212,6 +212,19 @@ def test_dimension_open_stratum_with_small_sum():
 def test_dimension_empty_stratum_raises():
     with pytest.raises(EmptyStratumError):
         check_dimension(StratumId(2, 2, 2, 4))
+
+
+def test_dimension_records_a_tangent_of_low_rank(monkeypatch):
+    # a tangent whose last row repeats its first has the predicted row
+    # count but rank one less; the mod-p certificate falls short, and the
+    # exact rank names the failure
+    def repeated(c, _real=verify._chart_tangent):
+        t = _real(c)
+        return Matrix._of(t.rows, t.cols, t.zrows[:-1] + t.zrows[:1])
+    monkeypatch.setattr(verify, "_chart_tangent", repeated)
+    report = check_dimension(StratumId(2, 3, 2, 4), samples=2, seed=1)
+    assert (report.cases, report.passed) == (2, 0)
+    assert report.failures == [(f"1:{idx}", "tangent rank 6 != dimension 7") for idx in range(2)]
 
 
 # --- adjacency ------------------------------------------------------------------
@@ -695,6 +708,37 @@ def test_trials_past_the_floor_decide_by_the_exact_rank(monkeypatch):
     assert len(log) == 10
 
 
+def test_a_trial_that_drops_is_recorded(monkeypatch):
+    # force the trials' exact fallback to report a drop: exactly the trials
+    # past the floor fail, with the drop's text, and the witness, whose
+    # _rank_at_least runs outside any trial, still passes
+    c = sample_configuration(StratumId(3, 5, 2, 6), "golden")
+    started, inside, dropped = [], [], []
+
+    def trial(*args, _trial=verify._semicontinuity_trial):
+        started.append(True)
+        inside.append(True)
+        try:
+            return _trial(*args)
+        finally:
+            inside.pop()
+
+    def ranked(rows, r, _rank=linalg._rank_at_least):
+        if inside:
+            dropped.append(len(started) - 1)
+            return False
+        return _rank(rows, r)
+    monkeypatch.setattr(verify, "_semicontinuity_trial", trial)
+    monkeypatch.setattr(linalg, "_rank_at_least", ranked)
+    report = check_adjacency(c, 6, Fraction(5), trials=10, seed="golden")
+    assert len(started) == 10
+    assert len(dropped) == 3
+    assert (report.cases, report.passed) == (11, 8)
+    assert report.failures == [
+        (f"golden:{idx}", "stratum dropped under a perturbation of size < eps") for idx in dropped
+    ]
+
+
 def _needs_exact_rank_reference(c, eps, bound, floor, case_seed):
     """Whether a trial's move is too large for the floor, from randint
     draws and a Fraction scale: t shrinks by 4 until t^2 size <
@@ -1023,11 +1067,18 @@ def test_roundtrip_suites_pass(which):
     assert report.ok, report.failures
 
 
-def test_roundtrip_suite_grid_expansion():
-    report = run_roundtrip_suite(
-        "gamma", grid={"h": 2, "i": [3, 4], "k": 2, "n": 5}, cases=8, seed=1
-    )
-    assert report.ok, report.failures
+@pytest.mark.parametrize("value", [[3, 4], (3,), range(3, 5), []], ids=repr)
+def test_roundtrip_suite_runs_one_stratum(monkeypatch, value):
+    # a grid names one stratum: a list, tuple or range value is refused
+    # before any exact work, and the keys are checked in sorted order
+    def no_work(*args, **kwargs):
+        raise AssertionError("exact work before the grid was checked")
+    monkeypatch.setattr(linalg, "_integer_rref", no_work)
+    kind = type(value).__name__
+    with pytest.raises(TypeError, match=rf"^grid\['i'\] must be an int, not {kind}$"):
+        run_roundtrip_suite("gamma", grid={"n": 5, "k": 2, "i": value, "h": 2}, cases=1)
+    with pytest.raises(TypeError, match=r"^grid\['h'\] must be an int, not float$"):
+        run_roundtrip_suite("gamma", grid={"n": 5, "k": 2, "i": value, "h": 2.0}, cases=1)
 
 
 def test_pr_suite_nonsquare_ambient():
@@ -1118,6 +1169,57 @@ def _fails_every_case(which, grid=None):
     descs = {desc for _, desc in report.failures}
     assert len(descs) == 1, descs
     return descs.pop()
+
+
+def test_chart_search_moves_on_after_a_refusal(monkeypatch):
+    # the map refuses the first chart of each case, so the search keeps
+    # the :base:1 / :comp:1 draws
+    charts = []
+
+    def refuse_first(c, triv, _real=fibrations.gamma_trivialize):
+        charts.append(triv)
+        if len(charts) % 2:
+            raise OutsideChartError("refused")
+        return _real(c, triv)
+    monkeypatch.setattr(fibrations, "gamma_trivialize", refuse_first)
+    assert run_roundtrip_suite("gamma", cases=3, seed=5).ok
+    assert len(charts) == 6
+    k, n = charts[0].base_point.k, charts[0].n
+    for idx in range(3):
+        for attempt in range(2):
+            triv = charts[2 * idx + attempt]
+            assert triv.base_point == sample_subspace(k, n, f"5:{idx}:base:{attempt}")
+            assert triv.complement == sample_subspace(n - k, n, f"5:{idx}:comp:{attempt}")
+
+
+def test_chart_search_gives_up_after_64_refusals(monkeypatch):
+    calls = []
+
+    def refuse(c, triv):
+        calls.append(triv)
+        raise OutsideChartError("refused")
+    monkeypatch.setattr(fibrations, "eta_fiber_point", refuse)
+    report = run_roundtrip_suite("eta", cases=2, seed=0)
+    assert len(calls) == 128
+    assert (report.cases, report.passed) == (2, 0)
+    assert report.failures == [
+        (f"0:{idx}", "no chart found containing the sample") for idx in range(2)
+    ]
+
+
+def test_pr_suite_catches_a_wrong_base(monkeypatch):
+    def reordered(c, triv, _real=fibrations.pr_trivialize):
+        point = _real(c, triv)
+        return ChartPoint(Configuration.of(point.base.points[::-1]), point.fiber)
+    monkeypatch.setattr(fibrations, "pr_trivialize", reordered)
+    assert _fails_every_case("pr") == "base component differs from the forgotten-last projection"
+
+
+def test_eta_suite_catches_quotient_images_of_the_wrong_dimension(monkeypatch):
+    # on the default grid the quotient images are lines; the chart
+    # complement, a hyperplane of C^4, stands in for both
+    _patch_fiber(monkeypatch, "eta_fiber_point", lambda point, triv: (triv.complement,) * 2)
+    assert _fails_every_case("eta") == "quotient images have the wrong dimension"
 
 
 def test_pr_suite_checks_the_fiber_kind_both_ways(monkeypatch):
