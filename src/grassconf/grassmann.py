@@ -56,7 +56,8 @@ def _canonical_pivots(m: Matrix) -> Optional[tuple[int, ...]]:
 @record
 class Subspace:
     """A k-dimensional subspace of C^n; basis rows are in canonical RREF,
-    whose pivots are kept beside the fields (==, hash and repr ignore them)."""
+    whose pivots (and, once read, _pivot_split) are kept beside the fields
+    (==, hash and repr ignore them)."""
 
     n: int
     k: int
@@ -236,14 +237,20 @@ def _free_columns(v: Subspace) -> list[int]:
 # (P, F, L, C) of an RREF basis A = W / L at one common scale L: its pivot
 # columns, its free columns, L, and C[j] the column F[j] of W, which
 # determine the null basis of A
-PivotSplit = tuple[tuple[int, ...], list[int], int, list[list[GInt]]]
+PivotSplit = tuple[tuple[int, ...], tuple[int, ...], int, tuple[tuple[GInt, ...], ...]]
 
 
 def _pivot_split(along: Subspace) -> PivotSplit:
-    """The PivotSplit of along's RREF basis."""
-    scale, ints = linalg._common_scale(along.basis.zrows)
-    free = _free_columns(along)
-    return along.pivots(), free, scale, [[row[f] for row in ints] for f in free]
+    """The PivotSplit of along's RREF basis, computed on first read and
+    kept beside the fields, as the pivots are; it is all tuples, so the
+    shared split cannot be mutated."""
+    split = along.__dict__.get("_split")
+    if split is None:
+        scale, ints = linalg._common_scale(along.basis.zrows)
+        free = tuple(_free_columns(along))
+        split = along.pivots(), free, scale, tuple(tuple(row[f] for row in ints) for f in free)
+        object.__setattr__(along, "_split", split)
+    return split
 
 
 def _kernel_block(u: Sequence[GInt], split: PivotSplit) -> list[GInt]:

@@ -6,9 +6,9 @@ rationals.  A Matrix stores each row in its primitive Z[i] form (s, v), the
 Q(i) row v / s with v over the Gaussian integers, and every operation of
 this module reads and builds those rows directly: a result row is made
 primitive with one gcd.  The rows as GaussianRational values (entries,
-m[i, j], str and the JSON codec) are a view built on first read, and
-converting GaussianRational values to Z[i] rows happens only for matrices
-built from them.
+str and the JSON codec) are a view built on first read, and converting
+GaussianRational values to Z[i] rows happens only for matrices built from
+them.
 
 One elimination routine serves the whole package: _integer_rref, a
 fraction-free elimination over Z[i].  rref, kernel and solve run the full
@@ -49,11 +49,11 @@ the module is safe to use from multiple threads without coordination.
 >>> m = Matrix.from_rows([[gq(1, 2), gq(0, Fraction(1, 3))]])
 >>> m.zrows
 ((3, ((3, 6), (0, 1))),)
->>> print(m @ m.conjugate_transpose())
-[46/9]
->>> print(m.conjugate_transpose() @ m)
-[5  2/3+1/3i]
-[2/3-1/3i  1/9]
+>>> print(m @ m.transpose())
+[-28/9+4i]
+>>> print(m.transpose() @ m)
+[-3+4i  -2/3+1/3i]
+[-2/3+1/3i  -1/9]
 """
 
 from __future__ import annotations
@@ -158,7 +158,6 @@ class GaussianRational:
 
 
 ZERO = GaussianRational()
-ONE = GaussianRational(Fraction(1))
 
 
 def gq(re: Rationalish = 0, im: Rationalish = 0) -> GaussianRational:
@@ -235,6 +234,9 @@ class Matrix:
     with entrywise equality.  ``Matrix(rows, cols, entries)`` converts its
     GaussianRational entries once; ``entries`` is a view built from the
     stored rows on first read and kept.
+
+    The package calls every method here; entry access, scalar multiples,
+    conjugates and zero tests read ``entries`` or ``zrows``.
     """
 
     __slots__ = ("rows", "cols", "zrows", "_entries")
@@ -308,16 +310,6 @@ class Matrix:
     def identity(n: int) -> "Matrix":
         return Matrix.unit_rows(range(n), n)
 
-    def __getitem__(self, key: tuple[int, int]) -> GaussianRational:
-        i, j = key
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[GaussianRational, ...]:
-        return self.entries[i]
-
-    def is_zero(self) -> bool:
-        return not any(chain.from_iterable(chain.from_iterable(row for _, row in self.zrows)))
-
     def _combine(self, other: "Matrix", sign: int) -> "Matrix":
         self._check_same_shape(other)
         out = []
@@ -335,13 +327,6 @@ class Matrix:
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self._combine(other, -1)
-
-    def scale(self, factor: Scalarish) -> "Matrix":
-        t, ((f_re, f_im),) = _integer_row((GaussianRational.coerce(factor),))
-        return Matrix._of(self.rows, self.cols, tuple(
-            _primitive(s * t, [(re * f_re - im * f_im, re * f_im + im * f_re) for re, im in row])
-            for s, row in self.zrows
-        ))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Exact product: row r of the product is the row of _products,
@@ -361,22 +346,10 @@ class Matrix:
         big, rows = _common_scale(self.zrows)
         return Matrix._of(self.cols, self.rows, tuple(_primitive(big, col) for col in zip(*rows)))
 
-    def conjugate(self) -> "Matrix":
-        return Matrix._of(self.rows, self.cols, tuple(
-            (s, tuple((re, -im) for re, im in row)) for s, row in self.zrows
-        ))
-
-    def conjugate_transpose(self) -> "Matrix":
-        return self.conjugate().transpose()
-
     def stack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("stacked matrices need equal column counts")
         return Matrix._of(self.rows + other.rows, self.cols, self.zrows + other.zrows)
-
-    def take_rows(self, count: int) -> "Matrix":
-        _check_count(count, self.rows, "row")
-        return Matrix._of(count, self.cols, self.zrows[:count])
 
     def columns(self, indices: Sequence[int]) -> "Matrix":
         """The columns at indices, in that order; an index may repeat."""
@@ -384,11 +357,6 @@ class Matrix:
             raise ValueError(f"column index out of range(0, {self.cols}): {indices}")
         rows = tuple(_primitive(s, [row[j] for j in indices]) for s, row in self.zrows)
         return Matrix._of(self.rows, len(indices), rows)
-
-    def take_cols(self, count: int) -> "Matrix":
-        """The first count columns."""
-        _check_count(count, self.cols, "column")
-        return self.columns(range(count))
 
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -406,11 +374,6 @@ def _init(m: Matrix, rows: int, cols: int, zrows: tuple[ZRow, ...], entries) -> 
     set_slot(m, "_entries", entries)
 
 
-def _check_count(count: int, size: int, what: str) -> None:
-    if not 0 <= count <= size:
-        raise ValueError(f"{what} count mismatch")
-
-
 def _identity_minus(m: Matrix) -> Matrix:
     """I - m for a square m, row by row: row c is (s, s·e_c - v) for the
     row (s, v) of m, still primitive, as adding a multiple of s to v keeps
@@ -419,14 +382,6 @@ def _identity_minus(m: Matrix) -> Matrix:
         (s, tuple((s - re if j == c else -re, -im) for j, (re, im) in enumerate(row)))
         for c, (s, row) in enumerate(m.zrows)
     ))
-
-
-def stack_all(matrices: Iterable[Matrix]) -> Matrix:
-    mats = list(matrices)
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.stack(m)
-    return out
 
 
 class RrefResult(NamedTuple):

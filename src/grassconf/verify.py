@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
 from typing import Callable, Optional, Sequence, Union
 
@@ -304,7 +304,7 @@ def _chart_tangent(c: Configuration) -> Matrix:
         block = Matrix.unit_rows([j], h)
         outer.append(_kron(block, _kron(coeff.transpose(), outer_dirs.columns(free))))
         inner.append(_kron(block, _kron(Matrix.identity(k), (inner_dirs @ total.basis).columns(free))))
-    return linalg.stack_all([sum(outer[1:], outer[0])] + inner)
+    return reduce(Matrix.stack, inner, sum(outer[1:], outer[0]))
 
 
 def _dimension_case(c: Configuration, s: StratumId) -> Optional[str]:

@@ -64,15 +64,20 @@ prove.
 random_matrix_reference keeps the sampler's former route: each entry is a
 GaussianRational of two Fractions drawn by randint.  The package draws
 the same values with getrandbits and builds Z[i] rows directly.
+
+The Matrix helpers (conjugate_transpose, leading_rows, leading_cols,
+scaled, is_zero_matrix, stack_all) are the reshapes and tests that only
+the tests need, built entry by entry from ``entries``; Matrix itself
+keeps the operations the package calls.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
-from itertools import combinations, permutations, product
-from typing import Optional
+from functools import cache, reduce
+from itertools import chain, combinations, permutations, product
+from typing import Iterable, Optional
 
 from grassconf.fibrations import ChartPoint, Trivialization, chart_point, eta
 from grassconf.grassmann import (
@@ -90,7 +95,6 @@ from grassconf.errors import (
     ZeroSubspaceError,
 )
 from grassconf.linalg import (
-    ONE,
     ZERO,
     GaussianRational,
     Matrix,
@@ -98,9 +102,39 @@ from grassconf.linalg import (
     rank,
     rref,
     solve,
-    stack_all,
 )
 from grassconf.verify import _integer_projector, _projector_gap
+
+
+def conjugate_transpose(m: Matrix) -> Matrix:
+    """The conjugate transpose, entry by entry."""
+    return Matrix(m.cols, m.rows, tuple(
+        tuple(row[j].conjugate() for row in m.entries) for j in range(m.cols)
+    ))
+
+
+def leading_rows(m: Matrix, count: int) -> Matrix:
+    """The first count rows."""
+    return Matrix(count, m.cols, m.entries[:count])
+
+
+def leading_cols(m: Matrix, count: int) -> Matrix:
+    """The first count columns."""
+    return Matrix(m.rows, count, tuple(row[:count] for row in m.entries))
+
+
+def scaled(m: Matrix, factor) -> Matrix:
+    """factor * m, entry by entry."""
+    return Matrix(m.rows, m.cols, tuple(tuple(factor * e for e in row) for row in m.entries))
+
+
+def is_zero_matrix(m: Matrix) -> bool:
+    return not any(chain.from_iterable(m.entries))
+
+
+def stack_all(matrices: Iterable[Matrix]) -> Matrix:
+    """The matrices stacked in order, one below the other."""
+    return reduce(Matrix.stack, matrices)
 
 
 def det_laplace(grid: list[list[GaussianRational]]) -> GaussianRational:
@@ -126,7 +160,7 @@ def minor_rank(m: Matrix) -> int:
     for r in range(min(m.rows, m.cols), 0, -1):
         for row_idx in combinations(range(m.rows), r):
             for col_idx in combinations(range(m.cols), r):
-                grid = [[m[i, j] for j in col_idx] for i in row_idx]
+                grid = [[m.entries[i][j] for j in col_idx] for i in row_idx]
                 if not det_laplace(grid).is_zero():
                     return r
     return 0
@@ -198,7 +232,7 @@ def rref_reference(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
         if sel is None:
             continue
         grid[piv_r], grid[sel] = grid[sel], grid[piv_r]
-        inv = ONE / grid[piv_r][col]
+        inv = GaussianRational(1) / grid[piv_r][col]
         grid[piv_r] = [inv * e for e in grid[piv_r]]
         for r in range(n_rows):
             if r == piv_r:
@@ -250,7 +284,7 @@ def max_abs(m: Matrix) -> Fraction:
 def orthogonal_projector(v: Subspace) -> Matrix:
     """Hermitian idempotent with image v: B^H (B B^H)^-1 B, exact over Q(i)."""
     b = v.basis
-    bh = b.conjugate_transpose()
+    bh = conjugate_transpose(b)
     gram_inverse = invert_reference(matmul_reference(b, bh))
     return matmul_reference(matmul_reference(bh, gram_inverse), b)
 
@@ -290,7 +324,7 @@ def projection_along_block_reference(target: Subspace, along: Subspace) -> Matri
     except InconsistentSystemError:
         raise NotComplementaryError("subspaces intersect nontrivially") from None
     rows = dict(zip(free, z.zrows))
-    rows.update(zip(pivots, (a_free @ z).scale(-1).zrows))
+    rows.update(zip(pivots, scaled(a_free @ z, -1).zrows))
     p = Matrix._of(n, n, tuple(rows[c] for c in range(n)))
     return Matrix.identity(n) - p if swapped else p
 
@@ -302,7 +336,7 @@ def canonicalize_rref_reference(raw_basis: Matrix, n: int) -> Subspace:
     reduced, rk, _ = rref(raw_basis)
     if rk == 0:
         raise ZeroSubspaceError("generating set spans only the zero subspace")
-    return Subspace(n, rk, reduced.take_rows(rk))
+    return Subspace(n, rk, leading_rows(reduced, rk))
 
 
 def transform_reference(v: Subspace, g: Matrix) -> Subspace:
@@ -324,7 +358,7 @@ def subspace_intersection_reference(a: Subspace, b: Subspace) -> Optional[Subspa
     null_rows = kernel(a.basis.stack(b.basis).transpose())
     if null_rows.rows == 0:
         return None
-    return canonicalize(null_rows.take_cols(a.k) @ a.basis, a.n)
+    return canonicalize(leading_cols(null_rows, a.k) @ a.basis, a.n)
 
 
 def chart_point_reference(coords: Matrix, w: Subspace) -> Subspace:
@@ -404,7 +438,7 @@ def chart_coordinates_reference(hh: Subspace, w: Subspace) -> Matrix:
     transposed solve, then normalize the complement block to the identity."""
     frame = complement(w).basis.stack(w.basis)
     coeff = solve(frame.transpose(), hh.basis.transpose()).transpose()
-    p_block, q_block = coeff.take_cols(hh.k), coeff.columns(range(hh.k, coeff.cols))
+    p_block, q_block = leading_cols(coeff, hh.k), coeff.columns(range(hh.k, coeff.cols))
     if rank(p_block) < hh.k:
         raise ValueError("hh meets w nontrivially")
     return solve(p_block, q_block)
@@ -541,12 +575,12 @@ def raise_stratum_reference(
     target_i."""
     k, n = points[0].k, points[0].n
     stack = stack_all(p.basis for p in points)
-    ranks = [0] + [rref_reference(stack.take_rows(r))[1] for r in range(1, stack.rows + 1)]
+    ranks = [0] + [rref_reference(leading_rows(stack, r))[1] for r in range(1, stack.rows + 1)]
     spanned = [r for r in range(stack.rows) if ranks[r + 1] == ranks[r]]
     rows = [list(row) for row in stack.entries]
     factor = GaussianRational(t)
     for j, r in enumerate(spanned[:target_i - ranks[-1]]):
-        fresh = complement(subspace_sum(points)).basis.row(j)
+        fresh = complement(subspace_sum(points)).basis.entries[j]
         rows[r] = [e + factor * d for e, d in zip(rows[r], fresh)]
     pts = [
         canonicalize(Matrix(k, n, tuple(tuple(row) for row in rows[a * k:(a + 1) * k])), n)

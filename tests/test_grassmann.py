@@ -47,6 +47,8 @@ from oracles import (
     canonicalize_rref_reference,
     contains_product_reference,
     contains_reference,
+    is_zero_matrix,
+    leading_rows,
     projection_along_block_reference,
     projection_along_reference,
     rand_matrix,
@@ -182,7 +184,7 @@ def _containment_pairs():
             yield sup, sup
             yield sup, canonicalize(mix @ sup.basis, n)
             for j in range(1, k + 1):
-                yield sup, canonicalize(mix.take_rows(j) @ sup.basis, n)
+                yield sup, canonicalize(leading_rows(mix, j) @ sup.basis, n)
                 yield sup, sample_subspace(j, n, f"{tag}:other:{j}")
             if k < n:
                 larger = canonicalize(sup.basis.stack(random_matrix(1, n, rng)), n)
@@ -289,7 +291,7 @@ def test_projection_along_decides_complements_by_its_solve():
     phi = projection_along(target, along)
     assert phi @ phi == phi
     assert target.basis @ phi == target.basis
-    assert (along.basis @ phi).is_zero()
+    assert is_zero_matrix(along.basis @ phi)
     inside = canonicalize(Matrix.from_rows([[1, _P, 1]]), 3)
     with pytest.raises(NotComplementaryError) as exc:
         projection_along(inside, along)
@@ -405,7 +407,7 @@ def _projection_pairs():
                 tag = f"projref:{n}:{k}:{seed}"
                 target = sample_subspace(k, n, tag)
                 yield target, sample_subspace(n - k, n, f"{tag}:along")
-                meeting = target.basis.take_rows(1).stack(random_matrix(n - k - 1, n, rng))
+                meeting = leading_rows(target.basis, 1).stack(random_matrix(n - k - 1, n, rng))
                 yield target, canonicalize(meeting, n)
                 wrong = n - k - 1 if seed and n - k > 1 else n - k + 1
                 yield target, sample_subspace(wrong, n, f"{tag}:dim")
@@ -619,7 +621,7 @@ def test_pivots_are_the_rref_pivots_found_once(monkeypatch):
     for n in range(2, 8):
         for k in range(1, n):
             sampled = sample_subspace(k, n, f"pivots:{n}")
-            for basis in (sampled.basis, complement(sampled).basis.take_rows(n - k)):
+            for basis in (sampled.basis, complement(sampled).basis):
                 scans.clear()
                 v = Subspace(n, basis.rows, basis)
                 assert [v.pivots() for _ in range(3)] == [linalg.rref(basis).pivots] * 3
@@ -628,6 +630,23 @@ def test_pivots_are_the_rref_pivots_found_once(monkeypatch):
                     assert twin == v and hash(twin) == hash(v) and repr(twin) == repr(v)
                     assert twin.pivots() == v.pivots()
                 assert len(scans) == 1
+
+
+def test_pivot_split_is_computed_once_and_kept():
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            v = sample_subspace(k, n, f"split:{n}")
+            split = grassmann._pivot_split(v)
+            assert grassmann._pivot_split(v) is split
+            scale, ints = linalg._common_scale(v.basis.zrows)
+            free = tuple(c for c in range(n) if c not in v.pivots())
+            assert split == (v.pivots(), free, scale, tuple(tuple(row[f] for row in ints) for f in free))
+            assert all(isinstance(part, tuple) for part in (split[1], split[3], *split[3]))
+            fresh = Subspace(n, k, v.basis)
+            assert fresh == v and hash(fresh) == hash(v) and repr(fresh) == repr(v)
+            assert grassmann._pivot_split(fresh) == split
+            twin = pickle.loads(pickle.dumps(v))
+            assert twin == v and grassmann._pivot_split(twin) == split
 
 
 def test_transform_preserves_stratum():

@@ -39,6 +39,27 @@ def test_public_names_are_unchanged():
     assert grassconf.__all__ == PUBLIC_NAMES
 
 
+def test_matrix_surface_is_pinned():
+    # Matrix keeps the operations the package calls; the tests' reshapes
+    # and zero tests live in tests/oracles.py
+    from grassconf import linalg
+
+    attributes = vars(linalg.Matrix)
+    assert sorted(name for name in attributes if not name.startswith("_")) == [
+        "cols", "columns", "entries", "from_rows", "identity", "rows", "stack",
+        "transpose", "unit_rows", "zeros", "zrows",
+    ]
+    assert sorted(
+        name for name, value in attributes.items()
+        if name.startswith("__") and name.endswith("__") and callable(value)
+    ) == [
+        "__add__", "__delattr__", "__eq__", "__hash__", "__init__", "__matmul__",
+        "__reduce__", "__repr__", "__setattr__", "__str__", "__sub__",
+    ]
+    for name in ("ONE", "stack_all", "_check_count"):
+        assert not hasattr(linalg, name), name
+
+
 @pytest.mark.parametrize("name", PUBLIC_NAMES)
 def test_public_name_is_the_object_of_its_defining_module(name):
     obj = getattr(grassconf, name)

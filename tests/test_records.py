@@ -164,7 +164,7 @@ def test_post_init_validation_still_runs():
     with pytest.raises(ValueError, match="rank 0 normalizes to Zero"):
         FreeAbelian(0)
     with pytest.raises(ValueError, match="basis shape"):
-        Subspace(3, 1, Matrix.identity(2).take_rows(1))
+        Subspace(3, 1, Matrix.unit_rows([0], 2))
     line = canonicalize(Matrix.from_rows([[1, 0]]), 2)
     with pytest.raises(DuplicatePointsError):
         Configuration(2, 1, 2, (line, line))

@@ -19,7 +19,7 @@ import pytest
 from grassconf.fibrations import chart_coordinates
 from grassconf.grassmann import _canonical_pivots, sample_subspace, subspace_intersection
 from grassconf.linalg import ZERO, GaussianRational, Matrix, gq, kernel, rank, rref, solve
-from oracles import invert_reference, matmul_reference, rref_reference
+from oracles import invert_reference, is_zero_matrix, matmul_reference, rref_reference
 
 # denominators drawn per entry (mostly coprime) or shared by a whole row
 ENTRY_DENS = (1, 2, 3, 5, 7)
@@ -118,7 +118,7 @@ def test_reductions_store_primitive_rows():
         null = kernel(m)
         check_stored(null)
         assert null.rows == m.cols - rk
-        assert (m @ null.transpose()).is_zero(), seed
+        assert is_zero_matrix(m @ null.transpose()), seed
         rhs = m @ rand_stored(m.cols, rng.randint(1, 3), rng)
         x = solve(m, rhs)
         check_stored(x, solve_reference(m, rhs))
@@ -126,21 +126,11 @@ def test_reductions_store_primitive_rows():
 
 
 def test_products_and_reshapes_store_primitive_rows():
-    factor = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
     for seed, rng, m, other, right in _cases():
         entries, others = m.entries, other.entries
         check_stored(m @ right, matmul_reference(m, right).entries)
         check_stored(m.stack(other), entries + others)
-        cut = rng.randint(0, m.rows)
-        check_stored(m.take_rows(cut), entries[:cut])
-        col = rng.randint(0, m.cols)
-        check_stored(m.take_cols(col), [row[:col] for row in entries])
         check_stored(m.transpose(), list(zip(*entries)))
-        check_stored(m.conjugate(), [[e.conjugate() for e in row] for row in entries])
-        check_stored(m.conjugate_transpose(), [[e.conjugate() for e in row] for row in zip(*entries)])
-        check_stored(m.scale(-1), [[-e for e in row] for row in entries])
-        check_stored(m.scale(factor), [[factor * e for e in row] for row in entries])
-        check_stored(m.scale(0), [[ZERO] * m.cols] * m.rows)
         check_stored(m + other, [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(entries, others)])
         check_stored(m - other, [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(entries, others)])
         check_stored(m - m, [[ZERO] * m.cols] * m.rows)

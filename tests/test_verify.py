@@ -41,10 +41,14 @@ from oracles import (
     adjacency_bound_reference,
     chart_jacobian_reference,
     chart_tangent_reference,
+    conjugate_transpose,
     float_rank_reference,
+    leading_rows,
     max_abs,
     orthogonal_projector,
     raise_stratum_reference,
+    scaled,
+    stack_all,
     to_numpy,
 )
 
@@ -61,7 +65,7 @@ def test_projector_is_hermitian_idempotent():
         v = sample_subspace(2, 5, f"metric:{seed}")
         p = orthogonal_projector(v)
         assert p @ p == p
-        assert p.conjugate_transpose() == p
+        assert conjugate_transpose(p) == p
         assert v.basis @ p == v.basis
 
 
@@ -87,9 +91,9 @@ def test_integer_metric_matches_projector_difference():
         # and in the mirrored lower one
         for v in (a, b):
             exact = orthogonal_projector(v)
-            scaled = _fraction_projector(linalg._integer_rows(v.basis))
-            assert [[exact[r, c] for c in range(5)] for r in range(5)] == [
-                [GaussianRational(re, im) for re, im in row] for row in scaled
+            integer = _fraction_projector(linalg._integer_rows(v.basis))
+            assert [list(row) for row in exact.entries] == [
+                [GaussianRational(re, im) for re, im in row] for row in integer
             ]
 
 
@@ -178,7 +182,7 @@ def test_chart_jacobian_matches_numpy_reference(hikn):
     block = k * (n - k)
     for q in range(n_outer, tangent.rows):
         j = (q - n_outer) // n_inner
-        row = tangent.row(q)
+        row = tangent.entries[q]
         assert not any(row[:j * block]) and not any(row[(j + 1) * block:])
 
 
@@ -338,9 +342,9 @@ def test_moves_less_than_is_sound(s, seed, t, eps):
     bound = gap / 2 if eps is None else eps
     t = Fraction(t.numerator, verify._shrunk(size, t.numerator, t.denominator, bound))
     moved = [
-        canonicalize(p.basis + Matrix(c.k, c.n, tuple(
+        canonicalize(p.basis + scaled(Matrix(c.k, c.n, tuple(
             tuple(GaussianRational(re, im) for re, im in row) for row in d
-        )).scale(t), c.n)
+        )), t), c.n)
         for p, d in zip(c.points, directions)
     ]
     assert all(q.k == c.k for q in moved)
@@ -609,9 +613,9 @@ def test_perturbed_rows_match_rational_perturbation():
                 direction = [[(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(c.n)]
                              for _ in range(c.k)]
                 rows = _perturbed_rows(base, direction, t)
-                perturbed = p.basis + Matrix(c.k, c.n, tuple(
+                perturbed = p.basis + scaled(Matrix(c.k, c.n, tuple(
                     tuple(GaussianRational(re, im) for re, im in d_row) for d_row in direction
-                )).scale(t)
+                )), t)
                 assert _fraction_projector(rows) == _fraction_projector(
                     linalg._integer_rows(perturbed)
                 )
@@ -620,7 +624,7 @@ def test_perturbed_rows_match_rational_perturbation():
                 checked += 1
             stacked = [row for rows in raw for row in rows]
             count = len(linalg._integer_rref(stacked, reduce=False)[1])
-            assert count == linalg.rank(linalg.stack_all(reference))
+            assert count == linalg.rank(stack_all(reference))
     assert checked == 4 * (2 + 3 + 3 + 3)
 
 
@@ -827,7 +831,7 @@ def test_sigma_floor_is_below_the_smallest_singular_value(h):
         for k in range(1, n):
             for s in strata_list(h, k, n):
                 c = sample_configuration(s, f"floor:{s}")
-                stack = linalg.stack_all(p.basis for p in c.points)
+                stack = stack_all(p.basis for p in c.points)
                 cols = stack.columns(c.span.pivots()).transpose().zrows
                 assert len(cols) == s.i
                 num, den = verify._sigma_floor(cols)
@@ -924,11 +928,11 @@ def _spanned_rows(points):
     order: the last nonzero entry of each row of the left null space that
     linalg.kernel returns (its row for free column f is zero after f),
     checked against the exact rank of each prefix of the stack."""
-    stack = linalg.stack_all(p.basis for p in points)
+    stack = stack_all(p.basis for p in points)
     null = linalg.kernel(stack.transpose())
     ends = [max(r for r, part in enumerate(y) if part != (0, 0)) for _, y in null.zrows]
     assert ends == [r for r in range(stack.rows)
-                    if linalg.rank(stack.take_rows(r + 1)) == linalg.rank(stack.take_rows(r))]
+                    if linalg.rank(leading_rows(stack, r + 1)) == linalg.rank(leading_rows(stack, r))]
     return ends
 
 
