@@ -461,11 +461,17 @@ def subspace_to_json(v: Subspace) -> dict:
 
 
 def subspace_from_json(data: dict) -> Subspace:
-    """Parse and re-canonicalize; rank-deficient bases are rejected."""
+    """Parse, and canonicalize unless the basis already is the canonical
+    one: k >= 1 rows of length n in canonical RREF (_canonical_pivots),
+    as every file that sample -o writes holds, are taken as they are.
+    The canonical form is unique, so both routes give the same Subspace;
+    rank-deficient bases are rejected."""
     if not isinstance(data, dict):
         raise WireFormatError("a subspace must be an object with 'n', 'k' and 'basis'")
     n, k = (linalg._wire_count(data, key, "a subspace") for key in ("n", "k"))
     basis = linalg.matrix_from_json(_wire_field(data, "basis", "a subspace"))
+    if basis.cols == n and basis.rows == k >= 1 and _canonical_pivots(basis) is not None:
+        return Subspace(n, k, basis)
     sub = canonicalize(basis, n)
     if sub.k != k:
         raise WireFormatError(f"declared dimension {k} but basis has rank {sub.k}")

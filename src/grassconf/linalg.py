@@ -428,6 +428,14 @@ def _integer_rref(
     pivot, and the remaining rows are zero.  Returns (d, pivot columns);
     d = 1 when the input is zero.
 
+    A step computes only the columns it can change.  The pivot row and the
+    rows below it are zero left of the pivot column, so a lower row gets
+    a zero prefix and computes only the columns right of it; a row above
+    is only scaled by p / prev left of it, and the pivot column becomes
+    zero in every other row.  A real previous pivot (every step of a Gram
+    matrix's elimination, whose leading minors are real) is divided by
+    directly, a complex one through its conjugate.
+
     With reduce=False each step eliminates only the rows below the pivot:
     the pivots and d are the same, the rows above are left in echelon
     form rather than reduced.  The grid's rows are replaced, never
@@ -449,21 +457,32 @@ def _integer_rref(
         grid[piv_r], grid[sel] = grid[sel], grid[piv_r]
         prow = grid[piv_r]
         p_re, p_im = prow[col]
-        # x / prev = x * conj(prev) / |prev|^2; conj(prev) is folded into
-        # both multipliers, leaving one exact integer division per part
-        norm = prev_re * prev_re + prev_im * prev_im
-        s_re, s_im = p_re * prev_re + p_im * prev_im, p_im * prev_re - p_re * prev_im
+        if prev_im:
+            # x / prev = x * conj(prev) / |prev|^2; conj(prev) is folded
+            # into both multipliers, leaving one exact division per part
+            div = prev_re * prev_re + prev_im * prev_im
+            s_re, s_im = p_re * prev_re + p_im * prev_im, p_im * prev_re - p_re * prev_im
+        else:
+            div, s_re, s_im = prev_re, p_re, p_im
+        unchanged = (p_re, p_im) == (prev_re, prev_im)
+        right = col + 1
+        zeros, ptail = [(0, 0)] * right, prow[right:]
         for r in range(0 if reduce else piv_r + 1, n_rows):
             row = grid[r]
             f_re, f_im = row[col]
-            if r == piv_r or (not (f_re or f_im) and (p_re, p_im) == (prev_re, prev_im)):
+            if r == piv_r or (not (f_re or f_im) and unchanged):
                 continue
-            f_re, f_im = f_re * prev_re + f_im * prev_im, f_im * prev_re - f_re * prev_im
-            grid[r] = [
-                ((s_re * a_re - s_im * a_im - f_re * b_re + f_im * b_im) // norm,
-                 (s_re * a_im + s_im * a_re - f_re * b_im - f_im * b_re) // norm)
-                for (a_re, a_im), (b_re, b_im) in zip(row, prow)
+            if prev_im:
+                f_re, f_im = f_re * prev_re + f_im * prev_im, f_im * prev_re - f_re * prev_im
+            tail = [
+                ((s_re * a_re - s_im * a_im - f_re * b_re + f_im * b_im) // div,
+                 (s_re * a_im + s_im * a_re - f_re * b_im - f_im * b_re) // div)
+                for (a_re, a_im), (b_re, b_im) in zip(row[right:], ptail)
             ]
+            grid[r] = zeros + tail if r > piv_r else [
+                ((s_re * a_re - s_im * a_im) // div, (s_re * a_im + s_im * a_re) // div)
+                for a_re, a_im in row[:col]
+            ] + [(0, 0)] + tail
         prev_re, prev_im = p_re, p_im
         pivots.append(col)
         piv_r += 1

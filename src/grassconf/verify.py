@@ -25,15 +25,19 @@ Three batch checks back the exact layer:
   the stack's columns names the rows that the rows before them span, the
   first target - j0 of them are tilted toward unit vectors outside the
   sum, and one _rank_at_least proves the raised rank; no null space is
-  computed.  A trial draws its directions as bytes and keeps its scale
-  t = a/b as two integers, building a Fraction only for the exact
-  fallback.  Once per check the base stack M at its sum's pivot columns P
+  computed.  Once per check the base stack M at its sum's pivot columns P
   gives an exact floor on sigma_j0(M)^2, j0 the base stratum
-  (_sigma_floor), as M is M[:, P] times the sum's RREF basis; a trial
-  whose move t D has |t|^2 ||D||_F^2 below it keeps rank >= j0 by Weyl's
-  inequality, which one integer comparison proves.  Otherwise the trial
-  builds its Z[i] rows by the witness's routine, and a drop is always
-  decided by the exact pivot count.
+  (_sigma_floor), as M is M[:, P] times the sum's RREF basis.  The floor,
+  the bound, the draw count with each point's slice of the draws, and
+  the scale's numerator and base make the check's one _TrialPlan, which
+  no later check reuses.  A trial keeps only its own work: its seeded
+  draws as bytes, their counts of zero draws (per point and in all), its
+  scale draw (randint(1, 4096) restated by getrandbits), _shrunk and one
+  integer comparison with the floor, keeping t = a/b as two integers.  A
+  trial whose move t D has |t|^2 ||D||_F^2 below the floor keeps
+  rank >= j0 by Weyl's inequality.  Otherwise the trial builds its Z[i]
+  rows by the witness's routine and a Fraction for t, and a drop is
+  always decided by the exact pivot count.
 * run_roundtrip_suite exercises the gamma/pr/eta trivializations on
   seeded samples of one stratum, entrywise over Q(i).  A case's chart is
   the first seeded one, centred in Gr(k, n) for k the chart dimension of
@@ -62,7 +66,7 @@ import random
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from . import fibrations, grassmann, linalg
 from ._strata import Fibration, _require_arity, _require_nonempty, fibration
@@ -144,7 +148,8 @@ def _gram_solve(
 
     G is positive semidefinite, so it is definite exactly when its columns
     are the pivots; then its leading minors are positive, no row is
-    swapped, and the elimination leaves [d I | d G^-1 rhs].
+    swapped, every step divides by a real previous pivot, and the
+    elimination leaves [d I | d G^-1 rhs].
     """
     k = len(rows)
     conj = [[(re, -im) for re, im in row] for row in rows]
@@ -391,12 +396,11 @@ def _shrunk(size: int, a: int, b: int, bound: Fraction) -> int:
     holds.  Each step of j adds exactly four bits to the right side of its
     test, a^2 size (p + q)^2 < p^2 (b 4^j)^2: below the first j at which
     that side has as many bits as the left the test fails, and at j + 1 it
-    holds, so the test decides between b 4^j and b 4^(j+1), asked at most
-    twice."""
+    holds, so the test is asked once, at b 4^j: b 4^(j+1) when it fails."""
     p, q = bound.numerator, bound.denominator
     lack = (a * a * size * (p + q) ** 2).bit_length() - (p * p * b * b).bit_length()
     b <<= 2 * max(0, -(-lack // 4))
-    return next(c for c in (b, 4 * b) if _moves_less_than(size, a, c, bound))
+    return b if _moves_less_than(size, a, b, bound) else 4 * b
 
 
 def _perturbed_rows(
@@ -471,48 +475,67 @@ def _sigma_floor(rows: ScaledRows) -> tuple[int, int]:
     return d, m * scale * scale
 
 
-def _semicontinuity_trial(
-    c: Configuration,
-    base_rank: int,
-    base: ScaledRows,
-    floor: tuple[int, int],
-    eps: Fraction,
-    bound: Fraction,
-    rng: random.Random,
-) -> Optional[str]:
+class _TrialPlan(NamedTuple):
+    """What every semicontinuity trial of one check shares, built once per
+    check by check_adjacency and dropped with it.
+
+    base holds the points' stacked bases as scaled Z[i] rows and floor =
+    num / den <= sigma_j0^2 of their stack, j0 = base_rank (_sigma_floor).
+    A trial draws count = 2hkn values, per_point of them for each point
+    in the slices; its scale is t = eps_num * x / scale_base for
+    x = randint(1, 4096), scale_base = 32768 * eps.denominator, before
+    _shrunk raises the denominator toward bound."""
+
+    base: ScaledRows
+    base_rank: int
+    n: int
+    count: int
+    per_point: int
+    slices: tuple[tuple[int, int], ...]
+    eps_num: int
+    scale_base: int
+    bound: Fraction
+    floor: tuple[int, int]
+
+
+def _semicontinuity_trial(plan: _TrialPlan, rng: random.Random) -> Optional[str]:
     """One seeded exact perturbation of chart-metric size < eps.
 
     Directions come from the {-1, 0, 1} lattice of Z[i]; the scale is
     randomized and then shrunk, as the witness's is, to the largest
     a / (b 4^j) at which _moves_less_than certifies every point's move
     below bound (_shrunk; at most eps and half the smallest base gap, so
-    the points stay distinct).  base holds the points' stacked bases as
-    scaled Z[i] rows, and floor = num / den <= sigma_j0^2 of their stack,
-    j0 = base_rank (_sigma_floor).  The stack moves by t D, and
+    the points stay distinct).  The stack moves by t D, and
     ||t D||_2 <= |t| ||D||_F with ||D||_F^2 the count of nonzero draws; so
-    with t = a/b, a^2 ||D||_F^2 den < num b^2 gives ||t D||_2 < sigma_j0,
-    and by Weyl's inequality (sigma_j0(M + E) >= sigma_j0(M) - ||E||_2;
-    Weyl, Math. Ann. 71, 1912) the stratum did not drop.  Otherwise the
-    exact rows decide by _rank_at_least.  Returns a failure description
-    when the stratum drops, None otherwise.
+    with t = a/b and the plan's floor num / den, a^2 ||D||_F^2 den < num b^2
+    gives ||t D||_2 < sigma_j0, and by Weyl's inequality
+    (sigma_j0(M + E) >= sigma_j0(M) - ||E||_2; Weyl, Math. Ann. 71, 1912)
+    the stratum did not drop.  Otherwise the exact rows decide by
+    _rank_at_least.  Returns a failure description when the stratum
+    drops, None otherwise.
     """
-    h, k, n = c.h, c.k, c.n
-    draws = _unit_draws(rng, 2 * h * k * n)
+    draws = _unit_draws(rng, plan.count)
     # each draw is -1, 0 or 1 (stored as 0, 1 or 2), so a point's sum of
     # |d|^2 counts its nonzero draws
-    per_point = 2 * k * n
-    size = per_point - min(draws.count(1, p * per_point, (p + 1) * per_point) for p in range(h))
-    nonzero = len(draws) - draws.count(1)
-    # t = eps * randint(1, 4096) / 32768 as a/b, unreduced, with b raised
-    # by _shrunk; both tests below are homogeneous in (a, b)
-    a = eps.numerator * rng.randint(1, 4096)
-    b = _shrunk(size, a, eps.denominator * 32768, bound)
-    num, den = floor
+    size = plan.per_point - min(draws.count(1, lo, hi) for lo, hi in plan.slices)
+    nonzero = plan.count - draws.count(1)
+    # randint(1, 4096) as CPython draws it: 13 random bits, redrawn while
+    # they reach 4096, plus 1
+    x = rng.getrandbits(13)
+    while x >= 4096:
+        x = rng.getrandbits(13)
+    # t = a/b unreduced, with b raised by _shrunk; both tests below are
+    # homogeneous in (a, b)
+    a = plan.eps_num * (x + 1)
+    b = _shrunk(size, a, plan.scale_base, plan.bound)
+    num, den = plan.floor
     if a * a * nonzero * den < num * b * b:
         return None
+    n = plan.n
     pairs = [(re - 1, im - 1) for re, im in zip(draws[::2], draws[1::2])]
-    directions = [pairs[r * n:(r + 1) * n] for r in range(h * k)]
-    if not linalg._rank_at_least(_perturbed_rows(base, directions, Fraction(a, b)), base_rank):
+    directions = [pairs[r:r + n] for r in range(0, len(pairs), n)]
+    rows = _perturbed_rows(plan.base, directions, Fraction(a, b))
+    if not linalg._rank_at_least(rows, plan.base_rank):
         return "stratum dropped under a perturbation of size < eps"
     return None
 
@@ -579,19 +602,23 @@ def check_adjacency(
     report.record(f"{seed}:witness", None if witness else "no tilt slot raises the sum dimension")
     if not trials:
         return report
-    bound = _trial_bound(c.points, eps)
     # the trials' floor on sigma_j0^2 of the base stack M: each row lies in
     # the sum, whose RREF basis S is the identity at its pivot columns P,
     # so M = M[:, P] S with S S^H >= I, and sigma_j0(M) >= sigma_min(M[:, P])
     base = [row for p in c.points for row in p.basis.zrows]
     scale, ints = linalg._common_scale(base)
     cols = list(zip(*ints))
-    floor = _sigma_floor([(scale, cols[j]) for j in total.pivots()])
+    per_point = 2 * c.k * c.n
+    plan = _TrialPlan(
+        base=base, base_rank=j0, n=c.n, count=c.h * per_point, per_point=per_point,
+        slices=tuple((p * per_point, (p + 1) * per_point) for p in range(c.h)),
+        eps_num=eps.numerator, scale_base=eps.denominator * 32768,
+        bound=_trial_bound(c.points, eps),
+        floor=_sigma_floor([(scale, cols[j]) for j in total.pivots()]),
+    )
     for idx in range(trials):
         case_seed = f"{seed}:{idx}"
-        desc = _semicontinuity_trial(
-            c, j0, base, floor, eps, bound, random.Random(f"adjacency:{case_seed}")
-        )
+        desc = _semicontinuity_trial(plan, random.Random(f"adjacency:{case_seed}"))
         report.record(case_seed, desc)
     return report
 

@@ -61,6 +61,12 @@ The package first decides each pair by one integer test that proves the
 gap at least 2 eps, and builds projectors only for the pairs it cannot
 prove.
 
+integer_rref_reference keeps the former step of linalg._integer_rref,
+which computed every column of every other row and divided by the
+previous pivot's norm even when that pivot was real.  The package's
+step computes only the columns the step can change and divides by a
+real previous pivot directly; both leave the same (d, pivots, rows).
+
 random_matrix_reference keeps the sampler's former route: each entry is a
 GaussianRational of two Fractions drawn by randint.  The package draws
 the same values with getrandbits and builds Z[i] rows directly.
@@ -97,6 +103,7 @@ from grassconf.errors import (
 from grassconf.linalg import (
     ZERO,
     GaussianRational,
+    GInt,
     Matrix,
     kernel,
     rank,
@@ -247,6 +254,48 @@ def rref_reference(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
             break
     reduced = Matrix(n_rows, n_cols, tuple(tuple(row) for row in grid))
     return reduced, len(pivots), tuple(pivots)
+
+
+def integer_rref_reference(grid: list, reduce: bool = True) -> tuple[GInt, tuple[int, ...]]:
+    """The former step of linalg._integer_rref: every other row computes
+    every column, and the previous pivot's conjugate is folded into both
+    multipliers, real or not.  Same contract: (d, pivots), the grid's rows
+    replaced in place."""
+    n_rows = len(grid)
+    n_cols = len(grid[0]) if grid else 0
+    prev_re, prev_im = 1, 0
+    pivots: list[int] = []
+    piv_r = 0
+    for col in range(n_cols):
+        sel = None
+        for r in range(piv_r, n_rows):
+            if grid[r][col] != (0, 0):
+                sel = r
+                break
+        if sel is None:
+            continue
+        grid[piv_r], grid[sel] = grid[sel], grid[piv_r]
+        prow = grid[piv_r]
+        p_re, p_im = prow[col]
+        norm = prev_re * prev_re + prev_im * prev_im
+        s_re, s_im = p_re * prev_re + p_im * prev_im, p_im * prev_re - p_re * prev_im
+        for r in range(0 if reduce else piv_r + 1, n_rows):
+            row = grid[r]
+            f_re, f_im = row[col]
+            if r == piv_r or (not (f_re or f_im) and (p_re, p_im) == (prev_re, prev_im)):
+                continue
+            f_re, f_im = f_re * prev_re + f_im * prev_im, f_im * prev_re - f_re * prev_im
+            grid[r] = [
+                ((s_re * a_re - s_im * a_im - f_re * b_re + f_im * b_im) // norm,
+                 (s_re * a_im + s_im * a_re - f_re * b_im - f_im * b_re) // norm)
+                for (a_re, a_im), (b_re, b_im) in zip(row, prow)
+            ]
+        prev_re, prev_im = p_re, p_im
+        pivots.append(col)
+        piv_r += 1
+        if piv_r == n_rows:
+            break
+    return (prev_re, prev_im), tuple(pivots)
 
 
 def invert_reference(m: Matrix) -> Matrix:

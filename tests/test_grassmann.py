@@ -1,4 +1,6 @@
 import copy
+import io
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -14,6 +16,7 @@ from grassconf.errors import (
     GrassconfError,
     MixedAmbientError,
     NotComplementaryError,
+    WireFormatError,
     ZeroSubspaceError,
 )
 from grassconf.grassmann import (
@@ -707,3 +710,74 @@ def test_configuration_json_non_canonical_input_is_canonicalized():
     scrambled["basis"] = matrix_to_json(g @ matrix_from_json(scrambled["basis"]))
     data["points"][0] = scrambled
     assert configuration_from_json(data) == c
+
+
+def _subspace_from_json_reference(data):
+    """The former reader: canonicalize every basis, then check k."""
+    n, k = (linalg._wire_count(data, key, "a subspace") for key in ("n", "k"))
+    sub = canonicalize(linalg.matrix_from_json(data["basis"]), n)
+    if sub.k != k:
+        raise WireFormatError(f"declared dimension {k} but basis has rank {sub.k}")
+    return sub
+
+
+def _read(reader, data):
+    try:
+        return reader(data)
+    except (GrassconfError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _no_elimination(*args, **kwargs):
+    raise AssertionError("a canonical basis was eliminated")
+
+
+def test_readers_take_a_canonical_basis_as_it_is(tmp_path, monkeypatch):
+    # every basis that sample -o writes is canonical, so reading the file
+    # runs no elimination; any other basis is canonicalized as before, to
+    # the same subspace or the same error
+    from grassconf.cli import main
+
+    target = tmp_path / "c.json"
+    assert main(["sample", "--h", "3", "--i", "5", "--k", "2", "--n", "7", "--seed", "42",
+                 "-o", str(target)], out=io.StringIO()) == 0
+    data = json.loads(target.read_text())
+    expected = [_subspace_from_json_reference(p) for p in data["points"]]
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "_integer_rref", _no_elimination)
+        c = configuration_from_json(data)
+    assert list(c.points) == expected
+
+    point = data["points"][0]
+    basis = linalg.matrix_from_json(point["basis"])
+    rows = [list(row) for row in basis.entries]
+    g = random_invertible(2, random.Random(8))
+    variants = {
+        "scrambled": dict(point, basis=linalg.matrix_to_json(g @ basis)),
+        "scaled row": dict(point, basis=linalg.matrix_to_json(
+            Matrix.from_rows([[2 * e for e in rows[0]], rows[1]]))),
+        "swapped rows": dict(point, basis=linalg.matrix_to_json(Matrix.from_rows(rows[::-1]))),
+        "repeated row": dict(point, k=3, basis=linalg.matrix_to_json(
+            Matrix.from_rows(rows + rows[:1]))),
+        "k too large": dict(point, k=3),
+        "k too small": dict(point, k=1),
+        "k zero": dict(point, k=0),
+        "n too large": dict(point, n=8),
+        "no rows": dict(point, k=0, basis={"rows": 0, "cols": 7, "entries": []}),
+        "dependent": dict(point, basis=linalg.matrix_to_json(Matrix.from_rows(rows[:1] * 2))),
+    }
+    outcomes = {}
+    for name, variant in variants.items():
+        got = _read(subspace_from_json, variant)
+        assert got == _read(_subspace_from_json_reference, variant), name
+        outcomes[name] = got if isinstance(got, tuple) else got == expected[0]
+    assert outcomes == {
+        "scrambled": True, "scaled row": True, "swapped rows": True,
+        "repeated row": ("WireFormatError", "declared dimension 3 but basis has rank 2"),
+        "k too large": ("WireFormatError", "declared dimension 3 but basis has rank 2"),
+        "k too small": ("WireFormatError", "declared dimension 1 but basis has rank 2"),
+        "k zero": ("WireFormatError", "declared dimension 0 but basis has rank 2"),
+        "n too large": ("MixedAmbientError", "expected 8 columns, got 7"),
+        "no rows": ("ZeroSubspaceError", "generating set spans only the zero subspace"),
+        "dependent": ("WireFormatError", "declared dimension 2 but basis has rank 1"),
+    }

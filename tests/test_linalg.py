@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grassconf import linalg, verify
 from grassconf.errors import InconsistentSystemError
+from grassconf.grassmann import StratumId, sample_configuration
 from grassconf.linalg import (
     _P,
     _SQRT_MINUS_ONE,
@@ -26,6 +28,7 @@ from grassconf.linalg import (
 )
 from oracles import (
     conjugate_transpose,
+    integer_rref_reference,
     invert,
     is_zero_matrix,
     leading_rows,
@@ -138,6 +141,66 @@ def test_rref_rank_matches_minor_oracle():
         assert not _rank_at_least(rows, exact + 1), f"seed {seed}"
         agree += 1
     assert agree == 200 + len(TRIAL_STACKS)
+
+
+def _kernel_grids():
+    """(label, Z[i] rows) for the kernel identity test: random Z[i] grids
+    with zero columns and dependent rows, real grids whose pivots take
+    both signs, and the [G | I] grids that verify._gram_solve eliminates
+    for the trials' floor and the projectors."""
+    for seed in range(120):
+        rng = random.Random(f"kernel:{seed}")
+        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 8)
+        rows = [[(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(n_cols)]
+                for _ in range(n_rows)]
+        for col in rng.sample(range(n_cols), rng.randint(0, n_cols // 2)):
+            for row in rows:
+                row[col] = (0, 0)
+        if n_rows > 1 and seed % 2:
+            a, b = rng.sample(range(n_rows), 2)
+            c = (rng.randint(-2, 2), rng.randint(-2, 2))
+            rows[b] = [(re * c[0] - im * c[1], re * c[1] + im * c[0]) for re, im in rows[a]]
+        yield f"complex:{seed}", [tuple(row) for row in rows]
+        yield f"real:{seed}", [tuple((re, 0) for re, _ in row) for row in rows]
+    grids = []
+
+    def recorded(grid, reduce=True, _rref=linalg._integer_rref):
+        grids.append([tuple(row) for row in grid])
+        return _rref(grid, reduce)
+    for s in (StratumId(2, 3, 2, 4), StratumId(3, 5, 2, 6), StratumId(3, 6, 3, 6)):
+        c = sample_configuration(s, "kernel")
+        rows = [row for p in c.points for row in p.basis.zrows]
+        scale, ints = linalg._common_scale(rows)
+        cols = list(zip(*ints))
+        pivots = c.span.pivots()
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(linalg, "_integer_rref", recorded)
+            verify._sigma_floor([(scale, cols[j]) for j in pivots])
+            verify._sigma_floor(rows)
+            for p in c.points:
+                verify._integer_projector(_integer_rows(p.basis))
+    for idx, grid in enumerate(grids):
+        yield f"gram:{idx}", grid
+
+
+def test_integer_rref_matches_the_all_columns_reference():
+    # the step that computes only the columns it can change, and divides
+    # by a real previous pivot directly, leaves the very (d, pivots, rows)
+    # of the former step, for both reduce values
+    seen = {"complex": 0, "real": 0, "gram": 0, "negative": 0}
+    for label, rows in _kernel_grids():
+        for reduce in (True, False):
+            ours, theirs = list(rows), list(rows)
+            got = linalg._integer_rref(ours, reduce)
+            assert (got, ours) == (integer_rref_reference(theirs, reduce), theirs), (label, reduce)
+        m = Matrix._of(len(rows), len(rows[0]), tuple((1, row) for row in rows))
+        assert tuple(rref(m)) == rref_reference(m), label
+        seen[label.split(":")[0]] += 1
+        seen["negative"] += got[0][0] < 0 and label.startswith("real")
+    assert seen["complex"] == seen["real"] == 120
+    # two floors per configuration and one projector per point
+    assert seen["gram"] == 3 * 2 + 2 + 3 + 3
+    assert seen["negative"] > 20
 
 
 @pytest.mark.parametrize("factor", [(_P, 0), (_SQRT_MINUS_ONE, -1)], ids=str)

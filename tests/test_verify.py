@@ -383,8 +383,7 @@ _PARTS = st.one_of(st.integers(1, 2 ** 64), st.integers(1, 10 ** 300),
 @given(st.integers(0, 300), _PARTS, _PARTS, _PARTS, _PARTS)
 @settings(max_examples=150, deadline=None)
 def test_shrunk_is_the_least_scale_the_certificate_accepts(size, a, b, p, q):
-    # the closed form gives the loop's b, and asks _moves_less_than at
-    # most twice
+    # the closed form gives the loop's b, and asks _moves_less_than once
     bound = Fraction(p, q)
     calls = []
 
@@ -395,7 +394,7 @@ def test_shrunk_is_the_least_scale_the_certificate_accepts(size, a, b, p, q):
         patched.setattr(verify, "_moves_less_than", counted)
         got = verify._shrunk(size, a, b, bound)
     assert got == _shrunk_reference(size, a, b, bound)
-    assert 1 <= len(calls) <= 2
+    assert len(calls) == 1
     assert _moves_less_than(size, a, got, bound)
     assert got == b or not _moves_less_than(size, a, got // 4, bound)
 
@@ -653,6 +652,77 @@ def test_unit_draws_match_randint_across_seeds_and_counts():
             reference.randint(-1, 1) for _ in range(count)
         ]
         assert ours.getstate() == reference.getstate()
+
+
+def _trial_reference(c, plan, rng):
+    """A trial's (draws, size, nonzero, a, b) from randint: 2hkn draws in
+    {-1, 0, 1}, size the largest sum of |d|^2 over a point, nonzero the
+    sum over all points, a = eps.numerator * randint(1, 4096) and b shrunk
+    from 32768 * eps.denominator by the loop that _shrunk replaces."""
+    draws = [rng.randint(-1, 1) for _ in range(2 * c.h * c.k * c.n)]
+    per_point = 2 * c.k * c.n
+    size = max(sum(v * v for v in draws[p * per_point:(p + 1) * per_point]) for p in range(c.h))
+    a = plan.eps_num * rng.randint(1, 4096)
+    b = _shrunk_reference(size, a, plan.scale_base, plan.bound)
+    return draws, size, sum(v * v for v in draws), a, b
+
+
+def test_trials_match_randint_on_the_adjacency_grid(monkeypatch):
+    # on every (h, k, n) of the bench's adjacency grid, a trial's draws,
+    # size, nonzero count and scale t = a/b, and the generator state
+    # afterwards, are those of the randint restatement.  size, a and b are
+    # _shrunk's; nonzero is pinned by two floors that straddle it (the
+    # trial is certified at the upper one and falls back at the lower); the
+    # draws are read back from the fallback's perturbed rows
+    eps = Fraction(1, 1000)
+    plans, shrunk, ranked = [], [], []
+
+    def captured(plan, rng, _trial=verify._semicontinuity_trial):
+        plans.append(plan)
+        return _trial(plan, rng)
+
+    def recorded(size, a, b, bound, _shrunk=verify._shrunk):
+        shrunk.append((size, a, b, bound, _shrunk(size, a, b, bound)))
+        return shrunk[-1][-1]
+
+    def fallback(rows, r):
+        ranked.append(([list(row) for row in rows], r))
+        return True
+    monkeypatch.setattr(verify, "_shrunk", recorded)
+    monkeypatch.setattr(linalg, "_rank_at_least", fallback)
+    checked = 0
+    for h in (2, 3):
+        for k in (1, 2, 3):
+            for n in range(k + 1, 7):
+                s = strata_list(h, k, n)[0]
+                c = sample_configuration(s, f"stream:{s}")
+                with pytest.MonkeyPatch.context() as patched:
+                    patched.setattr(verify, "_semicontinuity_trial", captured)
+                    check_adjacency(c, s.i, eps, trials=1)
+                plan = plans.pop()
+                assert (plan.eps_num, plan.scale_base) == (1, 32768 * 1000)
+                for seed in range(5):
+                    ours, reference = random.Random(seed), random.Random(seed)
+                    draws, size, nonzero, a, b = _trial_reference(c, plan, reference)
+                    upper = plan._replace(floor=(a * a * (2 * nonzero + 1), 2 * b * b))
+                    lower = plan._replace(floor=(a * a * (2 * nonzero - 1), 2 * b * b))
+                    shrunk.clear()
+                    ranked.clear()
+                    assert verify._semicontinuity_trial(upper, ours) is None
+                    assert ours.getstate() == reference.getstate()
+                    assert shrunk == [(size, a, plan.scale_base, plan.bound, b)] and ranked == []
+                    assert verify._semicontinuity_trial(lower, random.Random(seed)) is None
+                    ((rows, r),) = ranked
+                    assert r == s.i
+                    # the rows are b * row + a * scale * d at t = a/b in lowest terms
+                    t = Fraction(a, b)
+                    a, b = t.numerator, t.denominator
+                    moved = [[((re - b * base_re) // (a * scale), (im - b * base_im) // (a * scale))
+                              for (re, im), (base_re, base_im) in zip(row, base_row)]
+                             for row, (scale, base_row) in zip(rows, plan.base)]
+                    assert [v for row in moved for part in row for v in part] == draws
+                    checked += 1
+    assert checked == 5 * 24 and not plans
 
 
 def _trial_log(monkeypatch):
