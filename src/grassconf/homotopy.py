@@ -11,7 +11,8 @@ Z^2
 The derivation engine rewrites a query pi_j(F_h^i(k,n)) along the three
 fibrations (sum, forget-last, intersection) down to Grassmannian base
 cases, recording each rule application so the trace replays to the
-answer.
+answer.  One ordered rule table per degree (_RULES) drives both derive
+and replay: a query takes the first row whose condition holds.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ from __future__ import annotations
 from ._strata import StratumId, _require_nonempty, fibration
 from .errors import OutOfRangeError, OutOfScopeError, WireFormatError
 from .errors import _wire_field, record
-
-PI2_UNCOVERED = "pi_2 has no computed value for h >= 3 with k < i < hk"
-PI1_LINE_CASE = "pi_1 of line configurations (k = 1) is outside these tables"
 
 
 class GroupExpr:
@@ -366,80 +364,59 @@ class DerivationTrace:
         }
 
 
-RULE_SINGLE = (
-    "single-subspace-base",
-    "a configuration of one subspace is a point of Gr(k,n); its homotopy is the Grassmannian's",
-)
-RULE_OPEN = (
-    "open-stratum-base",
-    "the open stratum with n != hk is simply connected",
-)
-RULE_BRAID = (
-    "sphere-braid-base",
-    "h distinct points of Gr(1,2) = S^2: pi_1 is the pure braid group of the sphere on h strands",
-)
-RULE_LINE = (
-    "line-case-out-of-range",
-    "k = 1 strata below the open one are not tabulated here",
-)
-RULE_GAMMA_PI1 = (
-    "gamma-reduction",
-    "pi_1 surjects from the fiber of the sum fibration over the simply connected Gr(i,n); "
-    "the fiber is the same stratum inside the i-plane",
-)
-RULE_PR = (
-    "pr-equality",
-    "forgetting the last subspace of a direct-sum configuration in C^{hk} is a fibration "
-    "with fiber a chart C^{k(hk-k)}, so pi_j is unchanged",
-)
-RULE_GAMMA_SPLIT = (
-    "gamma-split",
-    "the sum fibration over Gr(i,n) splits on pi_2 when i < n: "
-    "pi_2(total) = pi_2(fiber inside the i-plane) x Z",
-)
-RULE_ETA_SPLIT = (
-    "eta-split",
-    "the intersection fibration over Gr(2k-i,n) splits on pi_2: "
-    "pi_2(total) = Z x pi_2(direct-sum pairs of (i-k)-planes in the quotient)",
-)
-RULE_UNCOVERED = (
-    "uncovered-pi2",
-    "no computed value covers h >= 3 with k < i < hk",
-)
-
-
 def _handed_on(kind: str, q: PiQuery) -> PiQuery:
     """pi of q's degree of the stratum the fibration kind hands on."""
     s = fibration(kind, StratumId(q.h, q.i, q.k, q.n)).hands_on
     return PiQuery(q.degree, s.h, s.i, s.k, s.n)
 
 
-def _pi1_rule(q: PiQuery) -> tuple[str, str, GroupExpr]:
-    h, i, k, n = q.h, q.i, q.k, q.n
-    if h == 1:
-        return (*RULE_SINGLE, grassmann_pi(1, k, n))
-    if k == 1 and n == 2:
-        return (*RULE_BRAID, pure_sphere_braid(h))
-    if i == min(n, h * k) and n != h * k:
-        return (*RULE_OPEN, TRIVIAL)
-    if i == h * k and i == n:
-        return (*RULE_PR, _handed_on("pr", q))
-    if k == 1:
-        return (*RULE_LINE, Unknown(PI1_LINE_CASE))
-    return (*RULE_GAMMA_PI1, _handed_on("gamma", q))
-
-
-def _pi2_rule(q: PiQuery) -> tuple[str, str, GroupExpr]:
-    h, i, k, n = q.h, q.i, q.k, q.n
-    if h == 1:
-        return (*RULE_SINGLE, grassmann_pi(2, k, n))
-    if i < n:
-        return (*RULE_GAMMA_SPLIT, product(Z, _handed_on("gamma", q)))
-    if i == h * k:
-        return (*RULE_PR, _handed_on("pr", q))
-    if h == 2 and i < 2 * k:
-        return (*RULE_ETA_SPLIT, product(Z, _handed_on("eta", q)))
-    return (*RULE_UNCOVERED, Unknown(PI2_UNCOVERED))
+# The rewrite rules, one ordered table per degree.  A row is (name,
+# statement, when(h, i, k, n), replacement(query)); a query takes the first
+# row whose when holds, so a table's order is its precedence, and its last
+# row holds on every query.
+_SINGLE = (
+    "single-subspace-base",
+    "a configuration of one subspace is a point of Gr(k,n); its homotopy is the Grassmannian's",
+    lambda h, i, k, n: h == 1, lambda q: grassmann_pi(q.degree, q.k, q.n),
+)
+# exact for pi_2 too, where gamma-split has taken every i < n
+_PR = (
+    "pr-equality",
+    "forgetting the last subspace of a direct-sum configuration in C^{hk} is a fibration "
+    "with fiber a chart C^{k(hk-k)}, so pi_j is unchanged",
+    lambda h, i, k, n: i == h * k == n, lambda q: _handed_on("pr", q),
+)
+_RULES = {
+    1: (
+        _SINGLE,
+        ("sphere-braid-base", "h distinct points of Gr(1,2) = S^2: pi_1 is the pure braid "
+         "group of the sphere on h strands",
+         lambda h, i, k, n: k == 1 and n == 2, lambda q: pure_sphere_braid(q.h)),
+        ("open-stratum-base", "the open stratum with n != hk is simply connected",
+         lambda h, i, k, n: i == min(n, h * k) and n != h * k, lambda q: TRIVIAL),
+        _PR,
+        ("line-case-out-of-range", "k = 1 strata below the open one are not tabulated here",
+         lambda h, i, k, n: k == 1,
+         lambda q: Unknown("pi_1 of line configurations (k = 1) is outside these tables")),
+        ("gamma-reduction", "pi_1 surjects from the fiber of the sum fibration over the "
+         "simply connected Gr(i,n); the fiber is the same stratum inside the i-plane",
+         lambda h, i, k, n: True, lambda q: _handed_on("gamma", q)),
+    ),
+    2: (
+        _SINGLE,
+        ("gamma-split", "the sum fibration over Gr(i,n) splits on pi_2 when i < n: "
+         "pi_2(total) = pi_2(fiber inside the i-plane) x Z",
+         lambda h, i, k, n: i < n, lambda q: product(Z, _handed_on("gamma", q))),
+        _PR,
+        ("eta-split", "the intersection fibration over Gr(2k-i,n) splits on pi_2: "
+         "pi_2(total) = Z x pi_2(direct-sum pairs of (i-k)-planes in the quotient)",
+         lambda h, i, k, n: h == 2 and i < 2 * k,
+         lambda q: product(Z, _handed_on("eta", q))),
+        ("uncovered-pi2", "no computed value covers h >= 3 with k < i < hk",
+         lambda h, i, k, n: True,
+         lambda q: Unknown("pi_2 has no computed value for h >= 3 with k < i < hk")),
+    ),
+}
 
 
 def _next_step(current: GroupExpr) -> DerivationStep | None:
@@ -450,10 +427,12 @@ def _next_step(current: GroupExpr) -> DerivationStep | None:
     query = next((f for f in factors if isinstance(f, PiQuery)), None)
     if query is None:
         return None
-    if query.degree not in (1, 2):
+    if query.degree not in _RULES:
         raise ValueError(f"no rewrite rules for {query.render()}")
-    rule_of = _pi1_rule if query.degree == 1 else _pi2_rule
-    name, statement, replacement = rule_of(query)
+    name, statement, _, replace = next(
+        row for row in _RULES[query.degree] if row[2](query.h, query.i, query.k, query.n)
+    )
+    replacement = replace(query)
     after = product(*(replacement if f == query else f for f in factors))
     return DerivationStep(name, statement, current, after)
 

@@ -21,7 +21,8 @@ Three batch checks back the exact layer:
   (_moves_less_than) proves that a move keeps the rank and stays within
   eps and half the smallest base gap; witness and trial alike take the
   least t = a / (b 4^j) at which it holds, with j read off bit lengths
-  (_shrunk).  The witness makes one move: one rank-only elimination of
+  (_shrunk).  At target j0 c is its own witness and no t is computed.
+  Otherwise the witness makes one move: one rank-only elimination of
   the stack's columns names the rows that the rows before them span, the
   first target - j0 of them are tilted toward unit vectors outside the
   sum, and one _rank_at_least proves the raised rank; no null space is
@@ -597,8 +598,10 @@ def check_adjacency(
     # a witness point gets at most m = target_i - j0 unit tilts, a size of
     # at most m <= m^2; with m = 0 c itself is the witness
     m = target_i - j0
-    t = Fraction(eps.numerator, _shrunk(m * m, eps.numerator, eps.denominator * 8, eps))
-    witness = not m or _raise_stratum(c.points, total, target_i, t)
+    witness = not m or _raise_stratum(
+        c.points, total, target_i,
+        Fraction(eps.numerator, _shrunk(m * m, eps.numerator, eps.denominator * 8, eps)),
+    )
     report.record(f"{seed}:witness", None if witness else "no tilt slot raises the sum dimension")
     if not trials:
         return report

@@ -29,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from grassconf import cli, fibrations, grassmann, linalg, verify
+from grassconf import cli, fibrations, grassmann, homotopy, linalg, verify
 from grassconf.errors import GrassconfError
 from grassconf.fibrations import ChartPoint, Trivialization
 from grassconf.grassmann import Configuration, StratumId, Subspace
@@ -278,6 +278,21 @@ def test_payloads_match_golden_hashes():
     assert list(got) == list(expected)
     changed = [name for name in got if got[name] != expected[name]]
     assert not changed, f"output changed: {changed}"
+
+
+def test_pi_queries_apply_every_rule():
+    # the traces that the --trace --json payloads hash name every row of
+    # both rule tables; a refused query prints no JSON
+    applied = set()
+    for order, h, i, k, n in PI_QUERIES:
+        argv = ["pi", "--order", str(order), "--h", str(h), "--i", str(i), "--k", str(k),
+                "--n", str(n), "--trace", "--json"]
+        out = io.StringIO()
+        with contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv, out=out)
+        if out.getvalue():
+            applied.update(step["rule"] for step in json.loads(out.getvalue())["trace"]["steps"])
+    assert applied == {row[0] for rows in homotopy._RULES.values() for row in rows}
 
 
 if __name__ == "__main__":

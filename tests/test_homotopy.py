@@ -368,6 +368,26 @@ def test_derive_agrees_with_tables_on_grid():
                         assert t2.replay() == v2
 
 
+def test_every_rule_row_applies_and_the_last_row_holds_everywhere():
+    # on every nonempty stratum with h <= 5 and n <= 10 (pi_2 for k >= 2),
+    # each row of each table rewrites some step, and each query rewritten
+    # on the way, initial or handed on, satisfies its table's last row
+    applied = {1: set(), 2: set()}
+    for n in range(2, 11):
+        for k in range(1, n):
+            for h in range(1, 6):
+                for s in all_strata(h, k, n):
+                    for j in (1, 2) if k > 1 else (1,):
+                        for step in derive(s, j)[1].steps:
+                            before = step.before
+                            factors = before.factors if isinstance(before, Product) else (before,)
+                            q = next(f for f in factors if isinstance(f, PiQuery))
+                            assert homotopy._RULES[q.degree][-1][2](q.h, q.i, q.k, q.n)
+                            applied[q.degree].add(step.rule)
+    for degree, rows in homotopy._RULES.items():
+        assert applied[degree] == {row[0] for row in rows}
+
+
 def test_derive_rejects_higher_degrees_and_lines():
     with pytest.raises(OutOfRangeError):
         derive(StratumId(2, 4, 2, 4), 3)

@@ -452,6 +452,23 @@ def test_witness_shrinks_for_many_tilts(monkeypatch, s, target, eps):
     assert max(subspace_distance(p, q) for p, q in zip(c.points, pts)) < eps
 
 
+def test_witness_at_the_base_stratum_computes_no_scale(monkeypatch):
+    # with target j0 no tilt is made, so no t is shrunk; one stratum up,
+    # the witness shrinks its one t
+    c = sample_configuration(StratumId(3, 4, 2, 6), "golden")
+    j0 = stratum_of(c)
+    calls = []
+
+    def recorded(*args, _shrunk=verify._shrunk):
+        calls.append(args)
+        return _shrunk(*args)
+    monkeypatch.setattr(verify, "_shrunk", recorded)
+    report = check_adjacency(c, j0, Fraction(1, 1000), trials=0, seed=3)
+    assert calls == [] and report.ok
+    check_adjacency(c, j0 + 1, Fraction(1, 1000), trials=0, seed=3)
+    assert len(calls) == 1
+
+
 def test_witness_lands_in_the_target_stratum_within_eps(monkeypatch):
     # every pair of strata low <= high with h <= 4 and n <= 7, from two
     # samples of low, at a small and a large eps: the witness's points
