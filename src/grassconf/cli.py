@@ -7,8 +7,9 @@ Exit codes: 0 success, 1 verification failures, 2 usage or data errors,
 At start-up only the strata as index data (_strata, which holds no matrix
 code) is imported: ``strata`` runs on it alone and ``pi`` adds homotopy.
 ``sample``, ``classify`` and ``verify`` import grassmann (with linalg), and
-``verify`` the verification suites, when they run, so a fresh interpreter
-loads only what its command needs.
+``verify`` the verification suites, when they run (fibrations only for a
+roundtrip suite), so a fresh interpreter loads only what its command
+needs.
 """
 
 from __future__ import annotations

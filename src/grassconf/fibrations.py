@@ -12,15 +12,17 @@ onto V0 along L0, and Q_V, the projection onto the base V along L0:
 * eta sends a pair to its intersection V; the fiber point is the pair of
   images in the quotient C^n / V, identified with L0 by I - Q_V.
 
-Each map applies its matrix by one product (Matrix @), whose rows are
-made primitive before they are reduced; I - Q_V and I - P are built row
-by row (linalg._identity_minus).  Chart coordinates and the projections
-share one solve (grassmann._solve_along), whose inconsistency refuses a
-subspace that meets the complement.
+A projection is kept as the result of its one solve
+(grassmann._Projection), and each map applies it straight to the rows
+it moves (grassmann._project), each made primitive before it is
+reduced; I - Q_V and I - P are the same solves with the side flag
+flipped, so no map builds an n x n matrix.  Chart coordinates and the
+projections share one solve (grassmann._solve_along), whose
+inconsistency refuses a subspace that meets the complement.
 
 Every trivialization here is an exact bijection on its chart: composing
 with its inverse returns the input entrywise over Q(i).  A chart keeps its
-last Q_V, so pr's inverse reuses the projection pr built, and a
+last Q_V, so pr's inverse reuses the projection pr solved, and a
 configuration keeps its sum (Configuration.span); each memo lives as long
 as the object that holds it.
 
@@ -64,10 +66,10 @@ FiberPoint = Union[Configuration, Matrix, Subspace, tuple[Subspace, Subspace]]
 
 @record
 class Trivialization:
-    """Chart data: a base point V0 and a complement L0.  The projector onto
-    V0 along L0 (a matrix acting on row vectors) is computed from them;
-    its solve decides V0 ⊕ L0 = C^n, so a base point that is its own
-    complement is refused:
+    """Chart data: a base point V0 and a complement L0.  The projection P
+    onto V0 along L0 is solved from them when the chart is built
+    (grassmann._projection_solve), and that solve decides V0 ⊕ L0 = C^n,
+    so a base point that is its own complement is refused:
 
     >>> v0 = grassmann.canonicalize(Matrix.unit_rows([0, 1], 4), 4)
     >>> Trivialization(v0, v0)
@@ -75,8 +77,9 @@ class Trivialization:
     ...
     grassconf.errors.NotComplementaryError: subspaces intersect nontrivially
 
-    The projector, and the last result (v, Q_v) of _chart_projection, are
-    kept beside the fields, so ==, hash and repr ignore them.
+    The solved P, its matrix once read (projector) and the last result
+    (v, Q_v) of _chart_projection are kept beside the fields, so ==, hash
+    and repr ignore them.
     """
 
     base_point: Subspace
@@ -84,8 +87,19 @@ class Trivialization:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "projector", grassmann.projection_along(self.base_point, self.complement)
+            self, "_projection",
+            grassmann._projection_solve(self.base_point, self.complement),
         )
+
+    @property
+    def projector(self) -> Matrix:
+        """P as an n x n matrix acting on row vectors, built from the kept
+        solve on first read, then kept; no chart map reads it."""
+        p = self.__dict__.get("_projector")
+        if p is None:
+            p = grassmann._projection_matrix(self._projection)
+            object.__setattr__(self, "_projector", p)
+        return p
 
     @staticmethod
     def over(v0: Subspace, l0: Optional[Subspace] = None) -> "Trivialization":
@@ -109,11 +123,14 @@ class ChartPoint:
     fiber: FiberPoint
 
 
-def _chart_projection(v: Subspace, triv: Trivialization, what: str) -> Matrix:
-    """Q_v, the projection onto v along L0, whose solve alone decides
-    v ⊕ L0 = C^n; a failure raises OutsideChartError prefixed by what.
+def _chart_projection(
+    v: Subspace, triv: Trivialization, what: str
+) -> grassmann._Projection:
+    """Q_v, the projection onto v along L0 as its kept solve, which alone
+    decides v ⊕ L0 = C^n; a failure raises OutsideChartError prefixed by
+    what.
 
-    The chart's own projector came from projection_along, which makes
+    The chart's own projection came from the same solve, which makes
     dim V0 + dim L0 = n, so a v of the chart's ambient dimension and of
     dimension dim V0 whose solve fails meets L0.
 
@@ -124,7 +141,7 @@ def _chart_projection(v: Subspace, triv: Trivialization, what: str) -> Matrix:
     if last is not None and last[0] == v:
         return last[1]
     try:
-        q = grassmann.projection_along(v, triv.complement)
+        q = grassmann._projection_solve(v, triv.complement)
     except (MixedAmbientError, NotComplementaryError):
         if v.n != triv.n:
             raise OutsideChartError(f"{what}: ambient dimension mismatch") from None
@@ -137,16 +154,37 @@ def _chart_projection(v: Subspace, triv: Trivialization, what: str) -> Matrix:
     return q
 
 
+def _moved(rows: Matrix, away: grassmann._Projection, onto: grassmann._Projection) -> Matrix:
+    """rows @ (I - away + onto), pr's row map: x - x·away + x·onto for each
+    row x, as the rows of x·(I - away) plus those of x·onto, one Matrix
+    sum."""
+    def applied(proj):
+        return Matrix._of(rows.rows, rows.cols, tuple(grassmann._project(rows.zrows, proj)))
+    return applied(away.flipped()) + applied(onto)
+
+
+def _image(v: Subspace, proj: grassmann._Projection) -> Subspace:
+    """The image of v under proj, reduced from the rows _project hands it."""
+    rows = grassmann._project(v.basis.zrows, proj)
+    return grassmann._canonical_span([row for _, row in rows], v.n)
+
+
+def _mapped(c: Configuration, proj: grassmann._Projection) -> Configuration:
+    """The configuration of the images of c's points under proj."""
+    return Configuration(c.h, c.k, c.n, tuple(_image(p, proj) for p in c.points))
+
+
 def extend_isomorphism(v: Subspace, triv: Trivialization) -> Matrix:
     """The automorphism of C^n restricting to the chart projection on v and
     to the identity on L0: I - Q_v + P sends x = a + l, a in v and l in
     L0, to aP + l, since Q_v fixes v and both projections vanish on L0.
 
     On v it is an isomorphism v -> V0; invertibility follows from
-    v ⊕ L0 = C^n.
+    v ⊕ L0 = C^n.  The matrix is pr's row map applied to the identity's
+    rows.
     """
     q = _chart_projection(v, triv, "extend_isomorphism")
-    return linalg._identity_minus(q) + triv.projector
+    return _moved(Matrix.identity(v.n), q, triv._projection)
 
 
 def gamma_trivialize(c: Configuration, triv: Trivialization) -> ChartPoint:
@@ -157,7 +195,7 @@ def gamma_trivialize(c: Configuration, triv: Trivialization) -> ChartPoint:
     """
     total = c.span
     _chart_projection(total, triv, "gamma_trivialize")  # the guard; the inverse reuses Q_V
-    return ChartPoint(base=total, fiber=grassmann.transform_configuration(c, triv.projector))
+    return ChartPoint(base=total, fiber=_mapped(c, triv._projection))
 
 
 def gamma_untrivialize(p: ChartPoint, triv: Trivialization) -> Configuration:
@@ -169,9 +207,7 @@ def gamma_untrivialize(p: ChartPoint, triv: Trivialization) -> Configuration:
     for q in fiber.points:
         if not triv.base_point.contains(q):
             raise OutsideChartError("fiber configuration does not lie in the chart base point")
-    return grassmann.transform_configuration(
-        fiber, _chart_projection(base, triv, "gamma_untrivialize")
-    )
+    return _mapped(fiber, _chart_projection(base, triv, "gamma_untrivialize"))
 
 
 def pr_forget_last(c: Configuration) -> Configuration:
@@ -248,16 +284,16 @@ def pr_trivialize(c: Configuration, triv: Trivialization) -> ChartPoint:
 
     The fiber is the image of the last subspace under the isomorphism
     carrying the base sum to the chart base point, I - Q_V + P
-    (extend_isomorphism).  When n = hk that image is recorded in chart
-    coordinates relative to the base point, read off its unreduced basis
-    (the solve cannot fail: V goes onto V0, and the last subspace misses
-    V); for n > hk no single chart covers the fiber and the image subspace
-    itself is returned.
+    (extend_isomorphism), applied to the last subspace's basis rows alone.
+    When n = hk that image is recorded in chart coordinates relative to
+    the base point, read off its unreduced basis (the solve cannot fail:
+    V goes onto V0, and the last subspace misses V); for n > hk no single
+    chart covers the fiber and the image subspace itself is returned.
     """
     front = pr_forget_last(c)
-    # the guard names this map; extend_isomorphism reuses the Q_V it keeps
-    _chart_projection(front.span, triv, "pr_trivialize")
-    image = c.points[-1].basis @ extend_isomorphism(front.span, triv)
+    # the guard names this map; the chart keeps Q_V for pr's inverse
+    q = _chart_projection(front.span, triv, "pr_trivialize")
+    image = _moved(c.points[-1].basis, q, triv._projection)
     if c.n == c.h * c.k:
         return ChartPoint(
             base=front, fiber=_graph_coordinates(linalg._integer_rows(image), triv.base_point)
@@ -280,9 +316,9 @@ def pr_untrivialize(p: ChartPoint, triv: Trivialization) -> Configuration:
     else:
         raise TypeError("pr fiber is chart coordinates or a subspace")
     q = _chart_projection(front.span, triv, "pr_untrivialize")
-    # the inverse of the extended isomorphism, Q_V + I - P: Q_V on V0, the
+    # the inverse of the extended isomorphism, I - P + Q_V: Q_V on V0, the
     # identity on L0
-    last = grassmann.canonicalize(image @ (linalg._identity_minus(triv.projector) + q), front.n)
+    last = grassmann.canonicalize(_moved(image, triv._projection, q), front.n)
     return Configuration(front.h + 1, front.k, front.n, front.points + (last,))
 
 
@@ -303,8 +339,8 @@ def eta_fiber_point(c: Configuration, triv: Trivialization) -> ChartPoint:
     subspaces of L0 of dimension k - dim(V), in direct sum.
     """
     inter = eta(c)
-    to_quotient = linalg._identity_minus(_chart_projection(inter, triv, "eta_fiber_point"))
-    first, second = (grassmann.transform(p, to_quotient) for p in c.points)
+    to_quotient = _chart_projection(inter, triv, "eta_fiber_point").flipped()
+    first, second = (_image(p, to_quotient) for p in c.points)
     return ChartPoint(base=inter, fiber=(first, second))
 
 

@@ -11,7 +11,7 @@ needs no matrix code; this module re-exports them.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import linalg
 from ._strata import (  # noqa: F401  (re-exported)
@@ -33,7 +33,7 @@ from .errors import (
     _wire_field,
     record,
 )
-from .linalg import GInt, Matrix
+from .linalg import GInt, Matrix, ZRow
 
 SeedLike = Union[int, str]
 
@@ -289,23 +289,88 @@ def _solve_along(
     return linalg._solve_rows(grid, len(split[1]), len(columns))
 
 
+class _Projection(NamedTuple):
+    """A chart projection P as the result of its one solve.
+
+    With A = W / L the RREF basis of the side the solve ran against (its
+    PivotSplit), N the null basis of A (see _kernel_block, never built)
+    and T the basis of the other side, Z = (T·N)^-1·T is kept as the
+    columns of M·Z at one common scale M.  P is N·Z, the projection onto
+    T along A, or I - N·Z when minus is set; _project applies it to rows.
+    """
+
+    split: PivotSplit
+    scale: int
+    z_cols: tuple[tuple[GInt, ...], ...]
+    minus: bool
+
+    def flipped(self) -> "_Projection":
+        """I - P: the same solve with the side flag flipped."""
+        return self._replace(minus=not self.minus)
+
+
+def _projection_solve(target: Subspace, along: Subspace) -> _Projection:
+    """The projection onto target along along, from one _solve_along.
+
+    The solve runs on the smaller side: T is target's basis and A along's
+    when dim target <= dim along; otherwise the roles swap and the kept
+    value is I minus the projection onto along along target, so the
+    solve has min(k, n-k) rows.  It decides target ⊕ along = C^n: its
+    InconsistentSystemError, raised exactly when target meets along (see
+    _solve_along), becomes NotComplementaryError.
+    """
+    if target.n != along.n:
+        raise MixedAmbientError("ambient dimensions differ")
+    if target.k + along.k != target.n:
+        raise NotComplementaryError("dimensions do not add up to the ambient dimension")
+    minus = target.k > along.k
+    if minus:
+        target, along = along, target
+    split = _pivot_split(along)
+    try:
+        z = _solve_along(linalg._integer_rows(target.basis), split, range(target.n)).zrows
+    except InconsistentSystemError:
+        raise NotComplementaryError("subspaces intersect nontrivially") from None
+    big, z_rows = linalg._common_scale(z)
+    return _Projection(split, big, tuple(zip(*z_rows)), minus)
+
+
+def _project(zrows: Sequence[ZRow], proj: _Projection) -> list[ZRow]:
+    """x·P for each stored row (s, u), x = u / s, in primitive form.
+
+    _kernel_block(u) is L·u·N, so x·N·Z is (L·u·N)·(M·Z) / (s·L·M): one
+    Z[i] dot product per column, and x minus that when P is I - N·Z.
+    Each row is made primitive with one gcd, as Matrix @ makes it, so a
+    row equals the product row x @ P; no n x n matrix is built.
+    """
+    split, big, z_cols, minus = proj
+    den = split[2] * big
+    out = []
+    for s, u in zrows:
+        block = _kernel_block(u, split)
+        row = [linalg._gdot(block, col) for col in z_cols]
+        if minus:
+            row = [(den * a - re, den * b - im) for (a, b), (re, im) in zip(u, row)]
+        out.append(linalg._primitive(s * den, row))
+    return out
+
+
+def _projection_matrix(proj: _Projection) -> Matrix:
+    """The n x n matrix of P: _project of the identity's rows."""
+    n = len(proj.z_cols)
+    return Matrix._of(n, n, tuple(_project(Matrix.identity(n).zrows, proj)))
+
+
 def projection_along(target: Subspace, along: Subspace) -> Matrix:
     """Matrix of the idempotent with image ``target`` and kernel ``along``.
 
     Acts on row vectors by right multiplication.  With T the basis of
-    target, A = W / L that of along at one scale L and N the null basis of
-    A (see _kernel_block), the projection is P = N·(T·N)^-1·T: A·P = 0 and
-    T·P = T.  One _solve_along of T's Z[i] rows at every column gives
-    Z = (T·N)^-1·T, and the rows of P are scattered from it: Z at the free
-    columns F of A, and -A[:, F]·Z at its pivots, the product of -W[:, F]
-    with those rows of Z at their common scale M, over L·M with one gcd
-    per row.  When dim target > dim along the projection is I minus the
-    one onto along along target (linalg._identity_minus), so the solve
-    has min(k, n-k) rows.
-
-    The solve decides target ⊕ along = C^n: its InconsistentSystemError,
-    raised exactly when target meets along (see _solve_along), becomes
-    NotComplementaryError.
+    target, A that of along and N the null basis of A (see _kernel_block),
+    the projection is P = N·(T·N)^-1·T: A·P = 0 and T·P = T.  Its one
+    solve (_projection_solve, on the smaller side) raises
+    NotComplementaryError unless target ⊕ along = C^n, and the matrix is
+    _project of the identity's rows, the route the chart maps of
+    fibrations take for the rows they move.
 
     >>> line = canonicalize(Matrix.from_rows([[1, 1, 0]]), 3)
     >>> plane = canonicalize(Matrix.from_rows([[0, 1, 0], [0, 0, 1]]), 3)
@@ -318,29 +383,7 @@ def projection_along(target: Subspace, along: Subspace) -> Matrix:
     [0  1  0]
     [0  0  1]
     """
-    if target.n != along.n:
-        raise MixedAmbientError("ambient dimensions differ")
-    if target.k + along.k != target.n:
-        raise NotComplementaryError("dimensions do not add up to the ambient dimension")
-    swapped = target.k > along.k
-    if swapped:
-        # solve on the smaller side; I - P below turns it back
-        target, along = along, target
-    n = target.n
-    split = _pivot_split(along)
-    pivots, free, scale, cols = split
-    try:
-        z = _solve_along(linalg._integer_rows(target.basis), split, range(n)).zrows
-    except InconsistentSystemError:
-        raise NotComplementaryError("subspaces intersect nontrivially") from None
-    rows = dict(zip(free, z))
-    big, z_rows = linalg._common_scale(z)
-    z_cols = list(zip(*z_rows))
-    for r, p in enumerate(pivots):
-        minus_w = [(-col[r][0], -col[r][1]) for col in cols]
-        rows[p] = linalg._primitive(scale * big, [linalg._gdot(minus_w, col) for col in z_cols])
-    p = Matrix._of(n, n, tuple(rows[c] for c in range(n)))
-    return linalg._identity_minus(p) if swapped else p
+    return _projection_matrix(_projection_solve(target, along))
 
 
 def transform(v: Subspace, g: Matrix) -> Subspace:

@@ -27,17 +27,18 @@ of fibrations.pr_forget_last, the gamma suite's check that a fiber inside
 V0 spans it (rank dim V0), the dimension suite's tangent rank and
 grassmann.intersection_dim's test that a sum is direct.
 An elimination decides its own system: a chart projection
-(grassmann.projection_along) and chart coordinates catch _solve_rows'
+(grassmann._projection_solve) and chart coordinates catch _solve_rows'
 InconsistentSystemError, so every transversality decision of fibrations
 and the roundtrip suites' chart search tests no matrix first.
-_identity_minus builds I - m row by row, with no identity and no gcd.
 The certificate's one mod-p elimination, _modular_rank, counts pivots
 and keeps nothing else; _rank_at_least is its only caller.
 A product (_products) brings the right factor's rows to one common scale
 and builds each entry as one Z[i] dot product.  Matrix @ makes each
-product row primitive with one gcd; grassmann.transform and the chart
-maps of fibrations reduce those rows, whose common content otherwise
-grows with n.  grassmann._image, for the sampler's model points and an
+product row primitive with one gcd; grassmann.transform reduces those
+rows, whose common content otherwise grows with n.  The chart maps of
+fibrations build no projection matrix: grassmann._project applies a
+projection's solve to the rows they move and makes each row primitive
+the same way.  grassmann._image, for the sampler's model points and an
 intersection's null rows, reduces the product rows as they are.  All
 values are immutable and all operations are pure (the entries view is
 filled once, with the same value by whichever thread reads it first), so
@@ -372,16 +373,6 @@ def _init(m: Matrix, rows: int, cols: int, zrows: tuple[ZRow, ...], entries) -> 
     set_slot(m, "cols", cols)
     set_slot(m, "zrows", zrows)
     set_slot(m, "_entries", entries)
-
-
-def _identity_minus(m: Matrix) -> Matrix:
-    """I - m for a square m, row by row: row c is (s, s·e_c - v) for the
-    row (s, v) of m, still primitive, as adding a multiple of s to v keeps
-    gcd(s, v) = 1.  No identity matrix is built and no gcd is taken."""
-    return Matrix._of(m.rows, m.cols, tuple(
-        (s, tuple((s - re if j == c else -re, -im) for j, (re, im) in enumerate(row)))
-        for c, (s, row) in enumerate(m.zrows)
-    ))
 
 
 class RrefResult(NamedTuple):

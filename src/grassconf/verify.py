@@ -67,9 +67,9 @@ import random
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
-from . import fibrations, grassmann, linalg
+from . import grassmann, linalg
 from ._strata import Fibration, _require_arity, _require_nonempty, fibration
 from .errors import (
     Factory,
@@ -79,9 +79,11 @@ from .errors import (
     UnreachableError,
     record,
 )
-from .fibrations import ChartPoint, Trivialization
 from .grassmann import Configuration, StratumId, Subspace
 from .linalg import GInt, Matrix
+
+if TYPE_CHECKING:
+    from .fibrations import ChartPoint, Trivialization
 
 SeedLike = Union[int, str]
 
@@ -627,7 +629,8 @@ def check_adjacency(
 
 
 # ---------------------------------------------------------------------------
-# round-trip suites for the three fibrations
+# round-trip suites for the three fibrations; fibrations is imported
+# where a case runs, so the dimension and adjacency suites never load it
 
 
 DEFAULT_GRIDS = {
@@ -650,6 +653,8 @@ def _random_chart(
     point misses V).  Randomizing the complement matters: the deterministic
     one is constant across generic base points, so a sample touching it
     would never find a chart by resampling the base alone."""
+    from .fibrations import Trivialization
+
     for attempt in range(64):
         v0 = grassmann.sample_subspace(k, c.n, f"{seed_tag}:base:{attempt}")
         l0 = grassmann.sample_subspace(c.n - k, c.n, f"{seed_tag}:comp:{attempt}")
@@ -662,6 +667,8 @@ def _random_chart(
 
 
 def _gamma_case(fib, c, triv, point) -> Optional[str]:
+    from . import fibrations
+
     if point.base != c.span:
         return "base component differs from the subspace sum"
     # the fiber spans V0 exactly when it lies in V0 and its stack reaches
@@ -676,6 +683,8 @@ def _gamma_case(fib, c, triv, point) -> Optional[str]:
 
 
 def _pr_case(fib, c, triv, point) -> Optional[str]:
+    from . import fibrations
+
     s = fib.stratum
     if point.base != Configuration(s.h - 1, s.k, s.n, c.points[:-1]):
         return "base component differs from the forgotten-last projection"
@@ -687,6 +696,8 @@ def _pr_case(fib, c, triv, point) -> Optional[str]:
 
 
 def _eta_case(fib, c, triv, point) -> Optional[str]:
+    from . import fibrations
+
     # a base of the chart's dimension inside both points is H1 ∩ H2
     if not all(q.contains(point.base) for q in c.points):
         return "base component differs from the intersection"
@@ -731,6 +742,8 @@ def run_roundtrip_suite(
     _strata.fibration; a case's failure is recorded in the report, never
     raised.
     """
+    from . import fibrations
+
     _require_count("cases", cases)
     if which not in _SUITE_CASES:
         raise ValueError(f"unknown suite {which!r}; pick gamma, pr, or eta")

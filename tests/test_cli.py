@@ -813,9 +813,11 @@ def bare_interpreter_modules():
     (["classify", "{config}", "--json"], _SUITES),
     (["pi", "--order", "2", *_HIKN, "--trace", "--json"],
      {"grassconf.verify", "grassconf.fibrations"} | _MATRICES),
-    (["verify", "--suite", "dimension", *_HIKN, "--samples", "1"], set()),
-    (["verify", "--suite", "gamma", "--cases", "2"], set()),
-    (["verify", "--suite", "adjacency", *_HIKN, "--trials", "2"], set()),
+    (["verify", "--suite", "dimension", *_HIKN, "--samples", "1"],
+     {"grassconf.fibrations", "grassconf.homotopy"}),
+    (["verify", "--suite", "gamma", "--cases", "2"], {"grassconf.homotopy"}),
+    (["verify", "--suite", "adjacency", *_HIKN, "--trials", "2"],
+     {"grassconf.fibrations", "grassconf.homotopy"}),
 ], ids=["strata", "sample", "classify", "pi", "verify-dimension", "verify-gamma",
         "verify-adjacency"])
 def test_command_loads_only_what_it_runs(tmp_path, bare_interpreter_modules, argv, absent):

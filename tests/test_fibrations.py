@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from grassconf import fibrations, grassmann, linalg
+from grassconf import fibrations, grassmann, linalg, verify
 from grassconf.errors import (
     DirectSumError,
     MixedAmbientError,
@@ -38,6 +38,7 @@ from grassconf.grassmann import (
     sample_subspace,
     stratum_of,
     subspace_sum,
+    transform,
     transform_configuration,
 )
 from grassconf.linalg import _P, Matrix, _integer_rows, _modular_rank, rank
@@ -385,13 +386,13 @@ def test_chart_projection_keeps_the_last_base_only(monkeypatch):
     first, second = (sample_subspace(2, 5, f"memo:{j}") for j in range(2))
     solved = []
 
-    def counted(target, along, _real=grassmann.projection_along):
+    def counted(target, along, _real=grassmann._projection_solve):
         solved.append(target)
         return _real(target, along)
-    monkeypatch.setattr(grassmann, "projection_along", counted)
+    monkeypatch.setattr(grassmann, "_projection_solve", counted)
     for v in (first, first, second, first, second, second, first):
         q = fibrations._chart_projection(v, triv, "memo")
-        assert q == projection_along_reference(v, triv.complement)
+        assert grassmann._projection_matrix(q) == projection_along_reference(v, triv.complement)
     assert solved == [first, second, first, second, first]
 
 
@@ -423,8 +424,9 @@ def test_chart_coordinates_refuse_a_w_of_the_wrong_shape(monkeypatch, hh, w, mes
 
 @pytest.mark.parametrize("which", ["gamma", "pr", "eta"])
 def test_chart_maps_build_no_identity(monkeypatch, which):
-    # I - Q_V and I - P are built row by row (linalg._identity_minus); a
-    # pr map adds one Matrix sum to it, the others none
+    # I - Q_V and I - P are the kept solves with the side flag flipped,
+    # applied to the rows a map moves; a pr map adds one Matrix sum of two
+    # such row sets, the others none
     sums = []
 
     def no_identity(n):
@@ -437,6 +439,57 @@ def test_chart_maps_build_no_identity(monkeypatch, which):
     monkeypatch.setattr(Matrix, "_combine", combined)
     assert run_roundtrip_suite(which, cases=5, seed=0).ok
     assert sums == ([1] * 10 if which == "pr" else [])
+
+
+@pytest.mark.parametrize("which", ["gamma", "pr", "eta"])
+def test_roundtrip_builds_no_projection_matrix(monkeypatch, which):
+    # the maps apply each kept solve to the rows they move; the n x n
+    # projector is built only when projection_along or .projector is read
+    built = []
+
+    def along(target, complement, _real=grassmann.projection_along):
+        built.append("projection_along")
+        return _real(target, complement)
+
+    def projector(triv, _real=Trivialization.projector.fget):
+        built.append("projector")
+        return _real(triv)
+    monkeypatch.setattr(grassmann, "projection_along", along)
+    monkeypatch.setattr(Trivialization, "projector", property(projector))
+    assert run_roundtrip_suite(which, cases=5, seed=0).ok
+    assert built == []
+
+
+@pytest.mark.parametrize("which, grid", [
+    ("gamma", {"h": 3, "i": 12, "k": 4, "n": 20}),
+    ("pr", {"h": 3, "k": 5, "n": 20}),
+    ("eta", {"h": 2, "i": 16, "k": 10, "n": 20}),
+], ids=["gamma", "pr", "eta"])
+def test_chart_maps_at_n_20_are_the_products_with_the_projections(which, grid):
+    # one seeded case past the roundtrip grids of the other tests: each
+    # map's output is what the product with the n x n matrices gives
+    fib = verify._check_grid_point(which, grid)
+    name = {"gamma": "gamma_trivialize", "pr": "pr_trivialize", "eta": "eta_fiber_point"}[which]
+    c = sample_configuration(fib.stratum, "n20")
+    triv, point = verify._random_chart(c, fib.chart_dim, getattr(fibrations, name), "n20")
+    n, p = c.n, triv.projector
+    if which == "gamma":
+        q = projection_along(point.base, triv.complement)
+        assert point.fiber == transform_configuration(c, p)
+        assert gamma_untrivialize(point, triv) == transform_configuration(point.fiber, q) == c
+    elif which == "pr":
+        front_sum = subspace_sum(c.points[:-1])
+        q = projection_along(front_sum, triv.complement)
+        iso = Matrix.identity(n) - q + p
+        assert extend_isomorphism(front_sum, triv) == iso
+        assert point.fiber == canonicalize(c.points[-1].basis @ iso, n)
+        back = canonicalize(point.fiber.basis @ (Matrix.identity(n) - p + q), n)
+        assert back == c.points[-1]
+        assert pr_untrivialize(point, triv) == c
+    else:
+        to_quotient = Matrix.identity(n) - projection_along(point.base, triv.complement)
+        assert point.fiber == tuple(transform(h, to_quotient) for h in c.points)
+        assert eta_fiber_lift(point, triv) == c
 
 
 def test_pr_trivialize_over_own_base():

@@ -447,12 +447,40 @@ def test_projection_along_agrees_with_the_stacked_solve():
     }
 
 
+def test_projected_rows_are_the_products_with_the_projection_matrix():
+    # the kept solve applied to rows, and flipped for I - P, gives the
+    # rows of the product with the n x n matrix, built here by
+    # projection_along and by the stacked solve; rows of target (fixed),
+    # of along (sent to 0) and a zero row are among them
+    rng = random.Random(17)
+    for n in range(2, 8):
+        for k in range(1, n):
+            tag = f"projrows:{k}:{n}"
+            target = sample_subspace(k, n, tag)
+            along = next(
+                a for a in (sample_subspace(n - k, n, f"{tag}:{j}") for j in range(64))
+                if rank(target.basis.stack(a.basis)) == n
+            )
+            p = projection_along(target, along)
+            reference = projection_along_reference(target, along)
+            assert p == reference
+            rows = rand_matrix(3, n, rng, sparse=0.3).stack(target.basis).stack(along.basis)
+            rows = rows.stack(Matrix.zeros(1, n))
+            kept = grassmann._projection_solve(target, along)
+            assert kept.minus == (k > n - k)
+            for proj, matrix in ((kept, p), (kept.flipped(), Matrix.identity(n) - reference)):
+                moved = Matrix._of(rows.rows, n, tuple(grassmann._project(rows.zrows, proj)))
+                assert moved == rows @ matrix
+            assert moved == rows - rows @ reference
+
+
 def _record_projection_solves(monkeypatch):
     """The (rows, cols) of every linalg._integer_rref grid eliminated
-    inside projection_along, appended as the calls happen."""
+    inside grassmann._projection_solve, the one solve of projection_along
+    and of the chart maps, appended as the calls happen."""
     shapes = []
     inside = []
-    real_rref, real_projection = linalg._integer_rref, grassmann.projection_along
+    real_rref, real_projection = linalg._integer_rref, grassmann._projection_solve
 
     def eliminated(grid, reduce=True):
         if inside:
@@ -467,7 +495,7 @@ def _record_projection_solves(monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(linalg, "_integer_rref", eliminated)
-    monkeypatch.setattr(grassmann, "projection_along", projection)
+    monkeypatch.setattr(grassmann, "_projection_solve", projection)
     return shapes
 
 

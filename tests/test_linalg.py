@@ -14,7 +14,6 @@ from grassconf.linalg import (
     ZERO,
     GaussianRational,
     Matrix,
-    _identity_minus,
     _integer_rows,
     _modular_rank,
     _rank_at_least,
@@ -428,19 +427,6 @@ def test_matmul_matches_reference():
         assert matrix_to_json(product) == matrix_to_json(expected), name
         if known is not None:
             assert product == known, name
-
-
-def test_identity_minus_is_the_stored_difference():
-    # each row (s, s·e_c - v) is already the primitive form of I - m, so
-    # the stored rows equal those of the entrywise difference
-    rng = random.Random(7)
-    for n in range(1, 7):
-        for sparse in (0.0, 0.5):
-            m = rand_matrix(n, n, rng, sparse)
-            assert _identity_minus(m) == Matrix.identity(n) - m
-            assert _identity_minus(m).entries == (Matrix.identity(n) - m).entries
-            assert _identity_minus(_identity_minus(m)) == m
-    assert is_zero_matrix(_identity_minus(Matrix.identity(3)))
 
 
 def test_matmul_shapes_and_empty():

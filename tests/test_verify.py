@@ -1224,16 +1224,16 @@ def test_chart_projections_are_decided_by_their_solves(
     # test per row on the RREF basis, a configuration's sum is reduced
     # once, and pr reduces only the subspaces it returns, so none of these
     # runs an elimination of its own
-    calls = {"_modular_rank": 0, "_integer_rref": 0, "projection_along": 0}
+    calls = {"_modular_rank": 0, "_integer_rref": 0, "_projection_solve": 0}
     for name in calls:
-        module = grassmann if name == "projection_along" else linalg
+        module = grassmann if name == "_projection_solve" else linalg
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     assert run_roundtrip_suite(which, cases=20, seed=0).ok
     assert calls == {
-        "_modular_rank": modular_ranks, "_integer_rref": rrefs, "projection_along": projections,
+        "_modular_rank": modular_ranks, "_integer_rref": rrefs, "_projection_solve": projections,
     }
 
 
@@ -1398,14 +1398,14 @@ def test_pr_case_builds_each_projection_twice_and_the_front_sum_once(monkeypatch
     # per case: the chart's P and Q_V of the base sum, which pr's inverse
     # reuses; the sum of pr's own front, which the chart search gets from
     # pr_trivialize and the inverse reads again from the front
-    calls = {"projection_along": 0, "subspace_sum": 0}
+    calls = {"_projection_solve": 0, "subspace_sum": 0}
     for name in calls:
         def counted(*args, _real=getattr(grassmann, name), _name=name):
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(grassmann, name, counted)
     assert run_roundtrip_suite("pr", cases=4, seed=0).ok
-    assert calls == {"projection_along": 8, "subspace_sum": 4}
+    assert calls == {"_projection_solve": 8, "subspace_sum": 4}
 
 
 @pytest.mark.parametrize("which", ["gamma", "pr", "eta"])
