@@ -386,21 +386,10 @@ def projection_along(target: Subspace, along: Subspace) -> Matrix:
     return _projection_matrix(_projection_solve(target, along))
 
 
-def transform(v: Subspace, g: Matrix) -> Subspace:
-    """Image of the subspace under g acting on row vectors; the dimension
-    drops unless g is injective on v.  The product's rows are primitive
-    (Matrix @) before they are reduced."""
-    return canonicalize(v.basis @ g, g.cols)
-
-
 def _image(rows: Sequence[Sequence[GInt]], g: Matrix) -> Subspace:
     """The span of the Z[i] rows times g: the rows of linalg._products,
     reduced as they are."""
     return _canonical_span(linalg._products(rows, g)[1], g.cols)
-
-
-def transform_configuration(c: Configuration, g: Matrix) -> Configuration:
-    return Configuration(c.h, c.k, g.cols, tuple(transform(p, g) for p in c.points))
 
 
 def stratum_of(c: Configuration) -> int:

@@ -34,8 +34,8 @@ The certificate's one mod-p elimination, _modular_rank, counts pivots
 and keeps nothing else; _rank_at_least is its only caller.
 A product (_products) brings the right factor's rows to one common scale
 and builds each entry as one Z[i] dot product.  Matrix @ makes each
-product row primitive with one gcd; grassmann.transform reduces those
-rows, whose common content otherwise grows with n.  The chart maps of
+product row primitive with one gcd, as a row's common content otherwise
+grows with n.  The chart maps of
 fibrations build no projection matrix: grassmann._project applies a
 projection's solve to the rows they move and makes each row primitive
 the same way.  grassmann._image, for the sampler's model points and an
@@ -448,32 +448,35 @@ def _integer_rref(
         grid[piv_r], grid[sel] = grid[sel], grid[piv_r]
         prow = grid[piv_r]
         p_re, p_im = prow[col]
-        if prev_im:
-            # x / prev = x * conj(prev) / |prev|^2; conj(prev) is folded
-            # into both multipliers, leaving one exact division per part
-            div = prev_re * prev_re + prev_im * prev_im
-            s_re, s_im = p_re * prev_re + p_im * prev_im, p_im * prev_re - p_re * prev_im
-        else:
-            div, s_re, s_im = prev_re, p_re, p_im
-        unchanged = (p_re, p_im) == (prev_re, prev_im)
-        right = col + 1
-        zeros, ptail = [(0, 0)] * right, prow[right:]
-        for r in range(0 if reduce else piv_r + 1, n_rows):
-            row = grid[r]
-            f_re, f_im = row[col]
-            if r == piv_r or (not (f_re or f_im) and unchanged):
-                continue
+        # a step with no other row to update (the last step of a forward
+        # elimination, any step of a one-row grid) needs no set-up
+        if n_rows > 1 and (reduce or piv_r + 1 < n_rows):
             if prev_im:
-                f_re, f_im = f_re * prev_re + f_im * prev_im, f_im * prev_re - f_re * prev_im
-            tail = [
-                ((s_re * a_re - s_im * a_im - f_re * b_re + f_im * b_im) // div,
-                 (s_re * a_im + s_im * a_re - f_re * b_im - f_im * b_re) // div)
-                for (a_re, a_im), (b_re, b_im) in zip(row[right:], ptail)
-            ]
-            grid[r] = zeros + tail if r > piv_r else [
-                ((s_re * a_re - s_im * a_im) // div, (s_re * a_im + s_im * a_re) // div)
-                for a_re, a_im in row[:col]
-            ] + [(0, 0)] + tail
+                # x / prev = x * conj(prev) / |prev|^2; conj(prev) is folded
+                # into both multipliers, leaving one exact division per part
+                div = prev_re * prev_re + prev_im * prev_im
+                s_re, s_im = p_re * prev_re + p_im * prev_im, p_im * prev_re - p_re * prev_im
+            else:
+                div, s_re, s_im = prev_re, p_re, p_im
+            unchanged = (p_re, p_im) == (prev_re, prev_im)
+            right = col + 1
+            zeros, ptail = [(0, 0)] * right, prow[right:]
+            for r in range(0 if reduce else piv_r + 1, n_rows):
+                row = grid[r]
+                f_re, f_im = row[col]
+                if r == piv_r or (not (f_re or f_im) and unchanged):
+                    continue
+                if prev_im:
+                    f_re, f_im = f_re * prev_re + f_im * prev_im, f_im * prev_re - f_re * prev_im
+                tail = [
+                    ((s_re * a_re - s_im * a_im - f_re * b_re + f_im * b_im) // div,
+                     (s_re * a_im + s_im * a_re - f_re * b_im - f_im * b_re) // div)
+                    for (a_re, a_im), (b_re, b_im) in zip(row[right:], ptail)
+                ]
+                grid[r] = zeros + tail if r > piv_r else [
+                    ((s_re * a_re - s_im * a_im) // div, (s_re * a_im + s_im * a_re) // div)
+                    for a_re, a_im in row[:col]
+                ] + [(0, 0)] + tail
         prev_re, prev_im = p_re, p_im
         pivots.append(col)
         piv_r += 1

@@ -12,7 +12,7 @@ Three batch checks back the exact layer:
   largest |re| or |im| over the entries of the difference of two
   orthogonal projectors.  A check that runs trials keeps them within eps
   and half the smallest gap between base points (a witness-only check
-  computes no gap, nor the floor below).  One integer test per row
+  computes no gap, nor the floors below).  One integer test per row
   (_far_apart) decides each base pair: it proves the gap at least 2 eps,
   which leaves that minimum alone, without a projector.  Only a pair it
   cannot prove builds its points' projectors, as Gaussian-integer
@@ -21,24 +21,30 @@ Three batch checks back the exact layer:
   (_moves_less_than) proves that a move keeps the rank and stays within
   eps and half the smallest base gap; witness and trial alike take the
   least t = a / (b 4^j) at which it holds, with j read off bit lengths
-  (_shrunk).  At target j0 c is its own witness and no t is computed.
-  Otherwise the witness makes one move: one rank-only elimination of
-  the stack's columns names the rows that the rows before them span, the
-  first target - j0 of them are tilted toward unit vectors outside the
-  sum, and one _rank_at_least proves the raised rank; no null space is
-  computed.  Once per check the base stack M at its sum's pivot columns P
-  gives an exact floor on sigma_j0(M)^2, j0 the base stratum
-  (_sigma_floor), as M is M[:, P] times the sum's RREF basis.  The floor,
-  the bound, the draw count with each point's slice of the draws, and
-  the scale's numerator and base make the check's one _TrialPlan, which
-  no later check reuses.  A trial keeps only its own work: its seeded
-  draws as bytes, their counts of zero draws (per point and in all), its
-  scale draw (randint(1, 4096) restated by getrandbits), _shrunk and one
-  integer comparison with the floor, keeping t = a/b as two integers.  A
-  trial whose move t D has |t|^2 ||D||_F^2 below the floor keeps
-  rank >= j0 by Weyl's inequality.  Otherwise the trial builds its Z[i]
-  rows by the witness's routine and a Fraction for t, and a drop is
-  always decided by the exact pivot count.
+  (_shrunk).  A check with a tilt or a trial runs one rank-only
+  elimination of the base stack M at its sum's pivot columns P
+  (_eliminate_base); it names the rows that the rows before them span
+  and ends on the determinant of the others.  At target j0 c is its own
+  witness and no t is computed.  Otherwise the witness makes one move:
+  the first target - j0 spanned rows are tilted toward unit vectors
+  outside the sum, and one _rank_at_least proves the raised rank; no
+  null space is computed.  M is M[:, P] times the sum's RREF basis, so
+  sigma_j0(M) >= sigma_min(M[:, P]), and the trials have two exact
+  floors on sigma_j0(M)^2, j0 the base stratum: the determinant of the
+  kept rows at P over their Frobenius norm (_det_floor), all integer
+  arithmetic on the elimination's last pivot, and the Gram floor
+  (_sigma_floor), an elimination of [G | I], built at most once per
+  check and only when a trial is past the first floor.  The floors, the
+  bound, the draw count with each point's slice of the draws, and the
+  scale's numerator and base make the check's one _TrialPlan, which no
+  later check reuses.  A trial keeps only its own work: its seeded draws
+  as bytes, their counts of zero draws (per point and in all), its scale
+  draw (randint(1, 4096) restated by getrandbits), _shrunk and an
+  integer comparison with each floor it reaches, keeping t = a/b as two
+  integers.  A trial whose move t D has |t|^2 ||D||_F^2 below a floor
+  keeps rank >= j0 by Weyl's inequality.  Past both, the trial builds
+  its Z[i] rows by the witness's routine and a Fraction for t, and a
+  drop is always decided by the exact pivot count.
 * run_roundtrip_suite exercises the gamma/pr/eta trivializations on
   seeded samples of one stratum, entrywise over Q(i).  A case's chart is
   the first seeded one, centred in Gr(k, n) for k the chart dimension of
@@ -67,6 +73,7 @@ import random
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
+from math import lcm, prod
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
 from . import grassmann, linalg
@@ -360,26 +367,35 @@ def check_dimension(s: StratumId, samples: int = 3, *, seed: SeedLike = 0) -> Ve
 ScaledRows = Sequence[linalg.ZRow]
 
 
+def _eliminate_base(base: ScaledRows, pivots: Sequence[int]) -> tuple[GInt, tuple[int, ...]]:
+    """(d, kept) from one rank-only elimination of the stored rows' columns
+    at the pivots P of their sum: kept lists the rows that the rows before
+    them do not span, and |d|, the last pivot, is |det V| for V the kept
+    stored rows at P.  Each row x lies in the sum, so x is x[:, P] times
+    its RREF basis, and scaling a row changes no span, so the stored rows
+    at P serve."""
+    return linalg._integer_rref([[v[j] for _, v in base] for j in pivots], reduce=False)
+
+
 def _raise_stratum(
-    points: Sequence[Subspace], total: Subspace, target_i: int, t: Fraction
+    points: Sequence[Subspace], total: Subspace, target_i: int, t: Fraction,
+    kept: Sequence[int],
 ) -> Optional[list[Subspace]]:
     """Exact tilts raising total, the sum of the points, from its dimension
     j0 to target_i, or None if the check fails.
 
-    One rank-only elimination of the stack's columns names the rows that
-    the rows before them span: each row x lies in the sum, so x is x[:, P]
-    times its RREF basis (P its pivots), and scaling a row changes no span,
-    so the stored rows at P serve.  The first m = target_i - j0 of those
-    rows are tilted by t, the j-th toward e_f, f the j-th free column of
-    the sum.  The untilted rows still span the sum, and modulo the sum the
-    tilted rows are t e_f, independent for t != 0.  So the rank rises by
-    exactly m, a tilted point keeps dimension k and leaves the sum, and two
-    tilted points differ modulo the sum; the three facts are checked.
+    kept, from the stack's one rank-only elimination (_eliminate_base),
+    leaves the rows that the rows before them span.  The first
+    m = target_i - j0 of those rows are tilted by t, the j-th toward e_f,
+    f the j-th free column of the sum.  The untilted rows still span the
+    sum, and modulo the sum the tilted rows are t e_f, independent for
+    t != 0.  So the rank rises by exactly m, a tilted point keeps
+    dimension k and leaves the sum, and two tilted points differ modulo
+    the sum; the three facts are checked.
     """
     pts = list(points)
     k, n = pts[0].k, pts[0].n
     rows = [row for p in pts for _, row in p.basis.zrows]
-    _, kept = linalg._integer_rref([[x[j] for x in rows] for j in total.pivots()], reduce=False)
     spanned = [r for r in range(len(rows)) if r not in kept]
     directions: dict[int, list[list[GInt]]] = {}
     for r, fresh in zip(spanned, grassmann._free_columns(total)[:target_i - total.k]):
@@ -450,6 +466,39 @@ def _unit_draws(rng: random.Random, count: int) -> bytes:
     return out
 
 
+def _det_floor(
+    base: ScaledRows, pivots: Sequence[int], kept: Sequence[int], d: GInt
+) -> tuple[int, int]:
+    """(num, den) with num / den <= sigma_min^2 of B, the Q(i) matrix of the
+    scaled Z[i] rows base[r], r in kept, read at the j columns pivots, from
+    (d, kept) of _eliminate_base; (0, 1) when fewer than j rows are kept.
+
+    At one scale L over the kept rows B = U / L, and |det U| is |d| times
+    the product of L / s over their scales s.  B's j squared singular
+    values multiply to |det B|^2, and by AM-GM the j - 1 largest multiply
+    to at most (F / (j - 1))^(j - 1), F = ||B||_F^2 = ||U||_F^2 / L^2.  So
+    sigma_min(B)^2 >= |det U|^2 (j - 1)^(j - 1) / (L^2 ||U||_F^(2(j - 1))).
+
+    >>> base = [(1, ((1, 0), (0, 0))), (2, ((0, 0), (1, 0)))]
+    >>> d, kept = _eliminate_base(base, (0, 1))
+    >>> _det_floor(base, (0, 1), kept, d)
+    (4, 20)
+    >>> base = [(1, ((1, 0), (2, 1))), (2, ((2, 0), (4, 2)))]
+    >>> d, kept = _eliminate_base(base, (0, 1))
+    >>> _det_floor(base, (0, 1), kept, d)
+    (0, 1)
+    """
+    j = len(pivots)
+    if len(kept) < j:
+        return 0, 1
+    scale = lcm(*(base[r][0] for r in kept))
+    weights = [(scale // base[r][0]) ** 2 for r in kept]
+    size = sum(w * sum(re * re + im * im for re, im in (base[r][1][c] for c in pivots))
+               for w, r in zip(weights, kept))
+    det = (d[0] * d[0] + d[1] * d[1]) * prod(weights)
+    return det * (j - 1) ** (j - 1), scale * scale * size ** (j - 1)
+
+
 def _sigma_floor(rows: ScaledRows) -> tuple[int, int]:
     """(num, den) with num / den <= sigma_min^2 of the Q(i) matrix with
     rows v / s, for the scaled Z[i] rows (s, v); (0, 1) when they are
@@ -482,12 +531,15 @@ class _TrialPlan(NamedTuple):
     """What every semicontinuity trial of one check shares, built once per
     check by check_adjacency and dropped with it.
 
-    base holds the points' stacked bases as scaled Z[i] rows and floor =
-    num / den <= sigma_j0^2 of their stack, j0 = base_rank (_sigma_floor).
-    A trial draws count = 2hkn values, per_point of them for each point
-    in the slices; its scale is t = eps_num * x / scale_base for
-    x = randint(1, 4096), scale_base = 32768 * eps.denominator, before
-    _shrunk raises the denominator toward bound."""
+    base holds the points' stacked bases as scaled Z[i] rows, j0 =
+    base_rank.  Two floors num / den <= sigma_j0^2 of their stack certify
+    trials: floor, read off the witness's elimination (_det_floor), and
+    gram(), the Gram floor (_sigma_floor), built on the first call, which
+    only a trial past floor makes.  A trial draws count = 2hkn values,
+    per_point of them for each point in the slices; its scale is
+    t = eps_num * x / scale_base for x = randint(1, 4096),
+    scale_base = 32768 * eps.denominator, before _shrunk raises the
+    denominator toward bound."""
 
     base: ScaledRows
     base_rank: int
@@ -499,6 +551,7 @@ class _TrialPlan(NamedTuple):
     scale_base: int
     bound: Fraction
     floor: tuple[int, int]
+    gram: Callable[[], tuple[int, int]]
 
 
 def _semicontinuity_trial(plan: _TrialPlan, rng: random.Random) -> Optional[str]:
@@ -510,12 +563,12 @@ def _semicontinuity_trial(plan: _TrialPlan, rng: random.Random) -> Optional[str]
     below bound (_shrunk; at most eps and half the smallest base gap, so
     the points stay distinct).  The stack moves by t D, and
     ||t D||_2 <= |t| ||D||_F with ||D||_F^2 the count of nonzero draws; so
-    with t = a/b and the plan's floor num / den, a^2 ||D||_F^2 den < num b^2
+    with t = a/b and a floor num / den, a^2 ||D||_F^2 den < num b^2
     gives ||t D||_2 < sigma_j0, and by Weyl's inequality
     (sigma_j0(M + E) >= sigma_j0(M) - ||E||_2; Weyl, Math. Ann. 71, 1912)
-    the stratum did not drop.  Otherwise the exact rows decide by
-    _rank_at_least.  Returns a failure description when the stratum
-    drops, None otherwise.
+    the stratum did not drop.  The plan's floor is tried first, then its
+    Gram floor; past both, the exact rows decide by _rank_at_least.
+    Returns a failure description when the stratum drops, None otherwise.
     """
     draws = _unit_draws(rng, plan.count)
     # each draw is -1, 0 or 1 (stored as 0, 1 or 2), so a point's sum of
@@ -531,8 +584,12 @@ def _semicontinuity_trial(plan: _TrialPlan, rng: random.Random) -> Optional[str]
     # homogeneous in (a, b)
     a = plan.eps_num * (x + 1)
     b = _shrunk(size, a, plan.scale_base, plan.bound)
+    move, reach = a * a * nonzero, b * b
     num, den = plan.floor
-    if a * a * nonzero * den < num * b * b:
+    if move * den < num * reach:
+        return None
+    num, den = plan.gram()
+    if move * den < num * reach:
         return None
     n = plan.n
     pairs = [(re - 1, im - 1) for re, im in zip(draws[::2], draws[1::2])]
@@ -600,26 +657,35 @@ def check_adjacency(
     # a witness point gets at most m = target_i - j0 unit tilts, a size of
     # at most m <= m^2; with m = 0 c itself is the witness
     m = target_i - j0
+    if not (m or trials):
+        report.record(f"{seed}:witness", None)
+        return report
+    base = [row for p in c.points for row in p.basis.zrows]
+    pivots = total.pivots()
+    d, kept = _eliminate_base(base, pivots)
     witness = not m or _raise_stratum(
         c.points, total, target_i,
-        Fraction(eps.numerator, _shrunk(m * m, eps.numerator, eps.denominator * 8, eps)),
+        Fraction(eps.numerator, _shrunk(m * m, eps.numerator, eps.denominator * 8, eps)), kept,
     )
     report.record(f"{seed}:witness", None if witness else "no tilt slot raises the sum dimension")
     if not trials:
         return report
-    # the trials' floor on sigma_j0^2 of the base stack M: each row lies in
+    # the trials' floors on sigma_j0^2 of the base stack M: each row lies in
     # the sum, whose RREF basis S is the identity at its pivot columns P,
-    # so M = M[:, P] S with S S^H >= I, and sigma_j0(M) >= sigma_min(M[:, P])
-    base = [row for p in c.points for row in p.basis.zrows]
-    scale, ints = linalg._common_scale(base)
-    cols = list(zip(*ints))
+    # so M = M[:, P] S with S S^H >= I, and sigma_j0(M) >= sigma_min(M[:, P]),
+    # which is at least sigma_min of the kept rows at P
+    @cache
+    def gram() -> tuple[int, int]:
+        scale, ints = linalg._common_scale(base)
+        cols = list(zip(*ints))
+        return _sigma_floor([(scale, cols[j]) for j in pivots])
     per_point = 2 * c.k * c.n
     plan = _TrialPlan(
         base=base, base_rank=j0, n=c.n, count=c.h * per_point, per_point=per_point,
         slices=tuple((p * per_point, (p + 1) * per_point) for p in range(c.h)),
         eps_num=eps.numerator, scale_base=eps.denominator * 32768,
         bound=_trial_bound(c.points, eps),
-        floor=_sigma_floor([(scale, cols[j]) for j in total.pivots()]),
+        floor=_det_floor(base, pivots, kept, d), gram=gram,
     )
     for idx in range(trials):
         case_seed = f"{seed}:{idx}"

@@ -26,7 +26,9 @@ the block's Z[i] rows at one scale and eliminates them once.
 The row-route references keep the Matrix routes that the package's
 canonical forms took before they were reduced straight from Z[i] rows:
 canonicalize_rref_reference (rref, then the Subspace of its nonzero
-rows), transform_reference (the product, then canonicalize),
+rows), transform_reference (the product, then canonicalize; the
+package's one image route, grassmann._image, reduces the product's Z[i]
+rows as they are) with transform_configuration_reference beside it,
 contains_product_reference (other's basis at self's pivot columns times
 self's basis gives that basis back), subspace_intersection_reference
 and chart_point_reference (a normalized product or sum, then
@@ -389,8 +391,14 @@ def canonicalize_rref_reference(raw_basis: Matrix, n: int) -> Subspace:
 
 
 def transform_reference(v: Subspace, g: Matrix) -> Subspace:
-    """transform as the Matrix product, then canonicalize."""
+    """The image of v under g acting on row vectors: the Matrix product,
+    then canonicalize."""
     return canonicalize(v.basis @ g, g.cols)
+
+
+def transform_configuration_reference(c: Configuration, g: Matrix) -> Configuration:
+    """Every point's image under g (transform_reference)."""
+    return Configuration(c.h, c.k, g.cols, tuple(transform_reference(p, g) for p in c.points))
 
 
 def contains_product_reference(sup: Subspace, sub: Subspace) -> bool:

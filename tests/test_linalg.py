@@ -145,8 +145,10 @@ def test_rref_rank_matches_minor_oracle():
 def _kernel_grids():
     """(label, Z[i] rows) for the kernel identity test: random Z[i] grids
     with zero columns and dependent rows, real grids whose pivots take
-    both signs, and the [G | I] grids that verify._gram_solve eliminates
-    for the trials' floor and the projectors."""
+    both signs, the [G | I] grids that verify._gram_solve eliminates
+    for the trials' Gram floor and the projectors, and the base stack's
+    columns that one rank-only elimination per adjacency check reduces
+    (verify._eliminate_base), whose last step updates no row."""
     for seed in range(120):
         rng = random.Random(f"kernel:{seed}")
         n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 8)
@@ -161,10 +163,10 @@ def _kernel_grids():
             rows[b] = [(re * c[0] - im * c[1], re * c[1] + im * c[0]) for re, im in rows[a]]
         yield f"complex:{seed}", [tuple(row) for row in rows]
         yield f"real:{seed}", [tuple((re, 0) for re, _ in row) for row in rows]
-    grids = []
+    grids, bases = [], []
 
     def recorded(grid, reduce=True, _rref=linalg._integer_rref):
-        grids.append([tuple(row) for row in grid])
+        (grids if reduce else bases).append([tuple(row) for row in grid])
         return _rref(grid, reduce)
     for s in (StratumId(2, 3, 2, 4), StratumId(3, 5, 2, 6), StratumId(3, 6, 3, 6)):
         c = sample_configuration(s, "kernel")
@@ -178,15 +180,18 @@ def _kernel_grids():
             verify._sigma_floor(rows)
             for p in c.points:
                 verify._integer_projector(_integer_rows(p.basis))
+            verify._eliminate_base(rows, pivots)
     for idx, grid in enumerate(grids):
         yield f"gram:{idx}", grid
+    for idx, grid in enumerate(bases):
+        yield f"base:{idx}", grid
 
 
 def test_integer_rref_matches_the_all_columns_reference():
     # the step that computes only the columns it can change, and divides
     # by a real previous pivot directly, leaves the very (d, pivots, rows)
     # of the former step, for both reduce values
-    seen = {"complex": 0, "real": 0, "gram": 0, "negative": 0}
+    seen = {"complex": 0, "real": 0, "gram": 0, "base": 0, "one-row": 0, "negative": 0}
     for label, rows in _kernel_grids():
         for reduce in (True, False):
             ours, theirs = list(rows), list(rows)
@@ -195,10 +200,14 @@ def test_integer_rref_matches_the_all_columns_reference():
         m = Matrix._of(len(rows), len(rows[0]), tuple((1, row) for row in rows))
         assert tuple(rref(m)) == rref_reference(m), label
         seen[label.split(":")[0]] += 1
+        seen["one-row"] += len(rows) == 1
         seen["negative"] += got[0][0] < 0 and label.startswith("real")
     assert seen["complex"] == seen["real"] == 120
-    # two floors per configuration and one projector per point
+    # two Gram floors per configuration and one projector per point, and
+    # one base stack per configuration
     assert seen["gram"] == 3 * 2 + 2 + 3 + 3
+    assert seen["base"] == 3
+    assert seen["one-row"] > 20
     assert seen["negative"] > 20
 
 

@@ -50,6 +50,7 @@ from oracles import (
     scaled,
     stack_all,
     to_numpy,
+    transform_configuration_reference,
 )
 
 
@@ -104,10 +105,8 @@ def test_distance_invariant_under_signed_permutations():
     perm = canonicalize(
         Matrix.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]), 4
     ).basis
-    from grassconf.grassmann import transform_configuration
-
-    moved_c = transform_configuration(c, perm)
-    moved_d = transform_configuration(d, perm)
+    moved_c = transform_configuration_reference(c, perm)
+    moved_d = transform_configuration_reference(d, perm)
     assert configuration_distance(moved_c, moved_d) == base
 
 
@@ -440,8 +439,8 @@ def test_witness_shrinks_for_many_tilts(monkeypatch, s, target, eps):
     assert (target - j0) * (1 + eps) >= 8
     raised = []
 
-    def recorded(points, total, target_i, t, _raise=verify._raise_stratum):
-        raised.append((t, _raise(points, total, target_i, t)))
+    def recorded(points, total, target_i, t, kept, _raise=verify._raise_stratum):
+        raised.append((t, _raise(points, total, target_i, t, kept)))
         return raised[-1][1]
     monkeypatch.setattr(verify, "_raise_stratum", recorded)
     report = check_adjacency(c, target, eps, trials=0, seed=0)
@@ -475,8 +474,8 @@ def test_witness_lands_in_the_target_stratum_within_eps(monkeypatch):
     # span the target stratum, each within eps of its base point
     raised = []
 
-    def recorded(points, total, target_i, t, _raise=verify._raise_stratum):
-        raised.append(_raise(points, total, target_i, t))
+    def recorded(points, total, target_i, t, kept, _raise=verify._raise_stratum):
+        raised.append(_raise(points, total, target_i, t, kept))
         return raised[-1]
     monkeypatch.setattr(verify, "_raise_stratum", recorded)
     checked = 0
@@ -721,13 +720,21 @@ def test_trials_match_randint_on_the_adjacency_grid(monkeypatch):
                 for seed in range(5):
                     ours, reference = random.Random(seed), random.Random(seed)
                     draws, size, nonzero, a, b = _trial_reference(c, plan, reference)
-                    upper = plan._replace(floor=(a * a * (2 * nonzero + 1), 2 * b * b))
-                    lower = plan._replace(floor=(a * a * (2 * nonzero - 1), 2 * b * b))
+                    above = (a * a * (2 * nonzero + 1), 2 * b * b)
+                    below = (a * a * (2 * nonzero - 1), 2 * b * b)
+                    # certified by the first floor, with the Gram floor
+                    # never built; by the Gram floor past a first floor of
+                    # 0; and past both, by the exact rank
+                    upper = plan._replace(floor=above, gram=_unreachable)
+                    second = plan._replace(floor=(0, 1), gram=lambda: above)
+                    lower = plan._replace(floor=below, gram=lambda: below)
                     shrunk.clear()
                     ranked.clear()
                     assert verify._semicontinuity_trial(upper, ours) is None
                     assert ours.getstate() == reference.getstate()
                     assert shrunk == [(size, a, plan.scale_base, plan.bound, b)] and ranked == []
+                    assert verify._semicontinuity_trial(second, random.Random(seed)) is None
+                    assert ranked == []
                     assert verify._semicontinuity_trial(lower, random.Random(seed)) is None
                     ((rows, r),) = ranked
                     assert r == s.i
@@ -740,6 +747,10 @@ def test_trials_match_randint_on_the_adjacency_grid(monkeypatch):
                     assert [v for row in moved for part in row for v in part] == draws
                     checked += 1
     assert checked == 5 * 24 and not plans
+
+
+def _unreachable():
+    raise AssertionError("the Gram floor was built")
 
 
 def _trial_log(monkeypatch):
@@ -764,6 +775,8 @@ def _trial_log(monkeypatch):
 
 
 def _no_floor(monkeypatch):
+    """Zero both of the trials' floors."""
+    monkeypatch.setattr(verify, "_det_floor", lambda base, pivots, kept, d: (0, 1))
     monkeypatch.setattr(verify, "_sigma_floor", lambda rows: (0, 1))
 
 
@@ -830,11 +843,11 @@ def test_a_trial_that_drops_is_recorded(monkeypatch):
     ]
 
 
-def _needs_exact_rank_reference(c, eps, bound, floor, case_seed):
-    """Whether a trial's move is too large for the floor, from randint
-    draws and a Fraction scale: t shrinks by 4 until t^2 size <
-    (bound / (1 + bound))^2, size the largest sum of |d|^2 over a point,
-    and the floor certifies when t^2 ||D||_F^2 < num / den."""
+def _trial_move_reference(c, eps, bound, case_seed):
+    """A trial's t^2 ||D||_F^2, which a floor num / den certifies when it
+    is below num / den, from randint draws and a Fraction scale: t shrinks
+    by 4 until t^2 size < (bound / (1 + bound))^2, size the largest sum of
+    |d|^2 over a point."""
     rng = random.Random(f"adjacency:{case_seed}")
     draws = [rng.randint(-1, 1) for _ in range(2 * c.h * c.k * c.n)]
     per_point = 2 * c.k * c.n
@@ -842,13 +855,15 @@ def _needs_exact_rank_reference(c, eps, bound, floor, case_seed):
     t = eps * Fraction(rng.randint(1, 4096), 4096) / 8
     while t * t * size >= (bound / (1 + bound)) ** 2:
         t /= 4
-    return t * t * sum(v * v for v in draws) >= Fraction(*floor)
+    return t * t * sum(v * v for v in draws)
 
 
 def test_trials_reach_the_exact_rank_exactly_when_the_floor_fails(monkeypatch):
     # the trials count nonzero draws in their bytes; the route of every
-    # trial must be the one that the randint draws give
-    routes, floors = [], []
+    # trial must be the one that the randint draws give: past the first
+    # floor the check builds its Gram floor, once, and past both floors a
+    # trial reaches the exact rank
+    routes, firsts, grams = [], [], []
 
     def trial(*args, _trial=verify._semicontinuity_trial):
         routes.append(False)
@@ -859,27 +874,34 @@ def test_trials_reach_the_exact_rank_exactly_when_the_floor_fails(monkeypatch):
             routes[-1] = True
         return _rank(rows, r)
 
-    def floored(rows, _floor=verify._sigma_floor):
-        floors.append(_floor(rows))
-        return floors[-1]
+    def first(*args, _floor=verify._det_floor):
+        firsts.append(_floor(*args))
+        return firsts[-1]
+
+    def gram(rows, _floor=verify._sigma_floor):
+        grams.append(_floor(rows))
+        return grams[-1]
     monkeypatch.setattr(verify, "_semicontinuity_trial", trial)
     monkeypatch.setattr(linalg, "_rank_at_least", ranked)
-    monkeypatch.setattr(verify, "_sigma_floor", floored)
-    checked = set()
+    monkeypatch.setattr(verify, "_det_floor", first)
+    monkeypatch.setattr(verify, "_sigma_floor", gram)
+    checked, built = set(), set()
     for s, target in [(StratumId(3, 5, 2, 6), 6)] + WITNESS_CASES:
         c = sample_configuration(s, "golden")
         for eps in (Fraction(1, 3), Fraction(5)):
             routes.clear()
-            floors.clear()
+            firsts.clear()
+            grams.clear()
             assert check_adjacency(c, target, eps, trials=20, seed="golden").ok
             bound = min([eps] + [subspace_distance(p, q) / 2
                                  for p, q in combinations(c.points, 2)])
-            assert routes == [
-                _needs_exact_rank_reference(c, eps, bound, floors[0], f"golden:{idx}")
-                for idx in range(20)
-            ]
+            moves = [_trial_move_reference(c, eps, bound, f"golden:{idx}") for idx in range(20)]
+            past = [move >= Fraction(*firsts[0]) for move in moves]
+            assert len(firsts) == 1 and len(grams) == any(past)
+            assert routes == [p and move >= Fraction(*grams[0]) for p, move in zip(past, moves)]
             checked.update(routes)
-    assert checked == {False, True}
+            built.add(bool(grams))
+    assert checked == built == {False, True}
 
 
 def test_floor_runs_no_mod_p_elimination(monkeypatch):
@@ -934,6 +956,66 @@ def test_sigma_floor_of_dependent_rows_is_zero():
     assert verify._sigma_floor([(3, ((0, 0), (0, 0)))]) == (0, 1)
 
 
+@pytest.mark.parametrize("h", [2, 3, 4])
+def test_det_floor_is_below_the_smallest_singular_value(h):
+    # numpy's SVD is the oracle: the determinant floor of the kept rows B
+    # of the base stack M at its sum's pivot columns P must lie below
+    # sigma_min(B)^2 <= sigma_min(M[:, P])^2 by more than rounding
+    checked = 0
+    for n in range(2, 8):
+        for k in range(1, n):
+            for s in strata_list(h, k, n):
+                c = sample_configuration(s, f"floor:{s}")
+                base = [row for p in c.points for row in p.basis.zrows]
+                pivots = c.span.pivots()
+                d, kept = verify._eliminate_base(base, pivots)
+                num, den = verify._det_floor(base, pivots, kept, d)
+                at_pivots = [(scale, tuple(v[j] for j in pivots)) for scale, v in base]
+                lowest = _singular_values([at_pivots[r] for r in kept])[-1]
+                assert len(kept) == s.i
+                assert lowest <= _singular_values(at_pivots)[-1] * (1 + 1e-12)
+                assert 0 < num and float(Fraction(num, den)) * (1 + 1e-9) < lowest ** 2, s
+                checked += 1
+    assert checked == {2: 34, 3: 45, 4: 50}[h]
+
+
+def test_det_floor_of_a_dependent_stack_is_zero():
+    # the second row repeats the first at another scale, so the stack has
+    # rank 1 at two columns and its elimination keeps one row
+    base = [(1, ((1, 0), (2, 1))), (2, ((2, 0), (4, 2)))]
+    d, kept = verify._eliminate_base(base, (0, 1))
+    assert kept == (0,)
+    assert verify._det_floor(base, (0, 1), kept, d) == (0, 1)
+    base = [(3, ((0, 0), (0, 0))), (1, ((0, 0), (0, 0)))]
+    d, kept = verify._eliminate_base(base, (0, 1))
+    assert verify._det_floor(base, (0, 1), kept, d) == (0, 1)
+
+
+def test_the_gram_floor_is_built_only_past_the_first_floor(monkeypatch):
+    # the determinant floor certifies every trial of criterion 7's grid, so
+    # no check there builds its Gram floor; at eps = 5 on the golden
+    # sample some trials are past the first floor, and the check builds
+    # the Gram floor once for all of them
+    calls = [0]
+
+    def counted(rows, _floor=verify._sigma_floor):
+        calls[0] += 1
+        return _floor(rows)
+    monkeypatch.setattr(verify, "_sigma_floor", counted)
+    for h in (2, 3):
+        for k in (1, 2, 3):
+            for n in range(k + 1, 7):
+                ids = strata_list(h, k, n)
+                for a, low in enumerate(ids):
+                    c = sample_configuration(low, f"adj:{h}:{k}:{n}:{low.i}")
+                    for high in ids[a + 1:]:
+                        assert check_adjacency(c, high.i, Fraction(1, 1000), trials=20, seed=7).ok
+    assert calls == [0]
+    c = sample_configuration(StratumId(3, 5, 2, 6), "golden")
+    assert check_adjacency(c, 6, Fraction(5), trials=10, seed="golden").ok
+    assert calls == [1]
+
+
 def test_criterion_7_trials_stay_on_the_certificate(monkeypatch):
     # on criterion 7's grid every trial is certified by the check's
     # singular-value floor: a change that loses the certificate shows here,
@@ -962,6 +1044,35 @@ WITNESS_CASES = [
 ]
 
 
+def _raised(points, total, target, t):
+    """_raise_stratum after the stack's one rank-only elimination, as a
+    check hands its kept rows to the witness."""
+    base = [row for p in points for row in p.basis.zrows]
+    _, kept = verify._eliminate_base(base, total.pivots())
+    return _raise_stratum(points, total, target, t, kept)
+
+
+@pytest.mark.parametrize("s, target", [(StratumId(3, 5, 2, 6), 6)] + WITNESS_CASES[6:], ids=str)
+def test_a_check_eliminates_its_base_stack_once(monkeypatch, s, target):
+    # the witness's kept rows and the first floor come from one rank-only
+    # elimination of the base stack's columns at the sum's pivots; a check
+    # at the base stratum without trials needs neither and runs none
+    c = sample_configuration(s, "golden")
+    j0 = stratum_of(c)
+    pivots = c.span.pivots()
+    stack = [[v[j] for p in c.points for _, v in p.basis.zrows] for j in pivots]
+    calls = []
+
+    def eliminated(grid, reduce=True, _rref=linalg._integer_rref):
+        calls.append(not reduce and [list(row) for row in grid] == stack)
+        return _rref(grid, reduce)
+    monkeypatch.setattr(linalg, "_integer_rref", eliminated)
+    for up, trials in ((target, 0), (target, 12), (j0, 12), (j0, 0)):
+        calls.clear()
+        assert check_adjacency(c, up, Fraction(1, 1000), trials=trials, seed="golden").ok
+        assert calls.count(True) == (up > j0 or trials > 0)
+
+
 @pytest.mark.parametrize("s, target", WITNESS_CASES, ids=str)
 def test_raise_stratum_matches_reference(s, target):
     # the witness tilts Z[i] rows after one rank-only elimination of the
@@ -973,7 +1084,7 @@ def test_raise_stratum_matches_reference(s, target):
         total = subspace_sum(c.points)
         for t in (Fraction(1, 8000), Fraction(1, 32000), Fraction(1, 512000),
                   Fraction(-3, 7), Fraction(1)):
-            got = _raise_stratum(c.points, total, target, t)
+            got = _raised(c.points, total, target, t)
             assert got == raise_stratum_reference(list(c.points), target, t)
             assert got is not None and stratum_of(Configuration.of(got)) == target
 
@@ -983,7 +1094,7 @@ def test_raise_stratum_fails_without_a_tilt(s, target):
     # t = 0 leaves the tilted point where it was, so the rank check of the
     # first step fails and the witness reports no configuration
     c = sample_configuration(s, "golden")
-    assert _raise_stratum(c.points, subspace_sum(c.points), target, Fraction(0)) is None
+    assert _raised(c.points, subspace_sum(c.points), target, Fraction(0)) is None
     assert raise_stratum_reference(list(c.points), target, Fraction(0)) is None
 
 
@@ -1001,7 +1112,7 @@ def test_raise_stratum_reduces_the_starting_sum_once(monkeypatch):
     c = sample_configuration(StratumId(3, 3, 2, 6), "golden")
     total = subspace_sum(c.points)
     monkeypatch.setattr(linalg, "_rref_rows", counted)
-    got = _raise_stratum(c.points, total, 6, Fraction(1, 8000))
+    got = _raised(c.points, total, 6, Fraction(1, 8000))
     assert calls == [2, 2]
     calls.clear()
     assert check_adjacency(c, 6, Fraction(1, 1000), trials=3, seed="golden").ok
@@ -1055,7 +1166,7 @@ def _one_move(monkeypatch, points, target, t):
         patched.setattr(verify, "_perturbed_rows", perturbed)
         patched.setattr(linalg, "_integer_rref", eliminated)
         patched.setattr(linalg, "_rank_at_least", ranked)
-        got = _raise_stratum(points, total, target, t)
+        got = _raised(points, total, target, t)
     assert got is not None and stratum_of(Configuration.of(got)) == target
     assert len(tilts) == len(want)
     assert {next(a for a, p in enumerate(points) if p.basis.zrows == base): slots
