@@ -384,9 +384,9 @@ def _raise_stratum(
     """Exact tilts raising total, the sum of the points, from its dimension
     j0 to target_i, or None if the check fails.
 
-    kept, from the stack's one rank-only elimination (_eliminate_base),
-    leaves the rows that the rows before them span.  The first
-    m = target_i - j0 of those rows are tilted by t, the j-th toward e_f,
+    The rows not in kept, from the stack's one rank-only elimination
+    (_eliminate_base), are those that the rows before them span.  The
+    first m = target_i - j0 of them are tilted by t, the j-th toward e_f,
     f the j-th free column of the sum.  The untilted rows still span the
     sum, and modulo the sum the tilted rows are t e_f, independent for
     t != 0.  So the rank rises by exactly m, a tilted point keeps
