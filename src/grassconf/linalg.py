@@ -400,7 +400,11 @@ def _products(rows: Sequence[Sequence[GInt]], m: Matrix) -> tuple[int, list[list
     row of dot products of rows[r] with the columns of L * m: for the Q(i)
     row x = rows[r] / s, x @ m is out[r] / (s * L).  No row is made
     primitive; a caller that only spans or eliminates the rows needs no
-    scale, as scaling a row changes no span."""
+    scale, as scaling a row changes no span.  A row whose length is not
+    m's row count raises ValueError, as Matrix @ does."""
+    for row in rows:
+        if len(row) != m.rows:
+            raise ValueError(f"cannot multiply {len(rows)}x{len(row)} by {m.rows}x{m.cols}")
     big, right = _common_scale(m.zrows)
     cols = list(zip(*right))
     return big, [[_gdot(row, col) for col in cols] for row in rows]

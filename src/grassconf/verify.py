@@ -10,41 +10,44 @@ Three batch checks back the exact layer:
   configuration inside a higher stratum, and confirms that small exact
   perturbations never lower the stratum.  Its chart metric is the
   largest |re| or |im| over the entries of the difference of two
-  orthogonal projectors.  A check that runs trials keeps them within eps
-  and half the smallest gap between base points (a witness-only check
-  computes no gap, nor the floors below).  One integer test per row
-  (_far_apart) decides each base pair: it proves the gap at least 2 eps,
-  which leaves that minimum alone, without a projector.  Only a pair it
-  cannot prove builds its points' projectors, as Gaussian-integer
-  matrices over a positive integer, each at most once per check.  No
-  moved point needs one: a stored basis is RREF, so one integer test
-  (_moves_less_than) proves that a move keeps the rank and stays within
-  eps and half the smallest base gap; witness and trial alike take the
-  least t = a / (b 4^j) at which it holds, with j read off bit lengths
-  (_shrunk).  A check with a tilt or a trial runs one rank-only
-  elimination of the base stack M at its sum's pivot columns P
-  (_eliminate_base); it names the rows that the rows before them span
-  and ends on the determinant of the others.  At target j0 c is its own
-  witness and no t is computed.  Otherwise the witness makes one move:
-  the first target - j0 spanned rows are tilted toward unit vectors
-  outside the sum, and one _rank_at_least proves the raised rank; no
-  null space is computed.  M is M[:, P] times the sum's RREF basis, so
-  sigma_j0(M) >= sigma_min(M[:, P]), and the trials have two exact
-  floors on sigma_j0(M)^2, j0 the base stratum: the determinant of the
-  kept rows at P over their Frobenius norm (_det_floor), all integer
-  arithmetic on the elimination's last pivot, and the Gram floor
-  (_sigma_floor), an elimination of [G | I], built at most once per
-  check and only when a trial is past the first floor.  The floors, the
-  bound, the draw count with each point's slice of the draws, and the
-  scale's numerator and base make the check's one _TrialPlan, which no
-  later check reuses.  A trial keeps only its own work: its seeded draws
-  as bytes, their counts of zero draws (per point and in all), its scale
-  draw (randint(1, 4096) restated by getrandbits), _shrunk and an
-  integer comparison with each floor it reaches, keeping t = a/b as two
-  integers.  A trial whose move t D has |t|^2 ||D||_F^2 below a floor
-  keeps rank >= j0 by Weyl's inequality.  Past both, the trial builds
-  its Z[i] rows by the witness's routine and a Fraction for t, and a
-  drop is always decided by the exact pivot count.
+  orthogonal projectors.  A stored basis is RREF, so one integer test
+  (_moves_less_than) proves that a move keeps the rank and stays within a
+  bound; witness and trial alike take the least t = a / (b 4^j) at which
+  it holds, with j read off bit lengths (_shrunk).  A check with a tilt
+  or a trial runs one rank-only elimination of the base stack M at its
+  sum's pivot columns P (_eliminate_base); it names the rows that the
+  rows before them span and ends on the determinant of the others.  At
+  target j0 c is its own witness and no t is computed.  Otherwise the
+  witness makes one move: the first target - j0 spanned rows are tilted
+  toward unit vectors outside the sum, and one _rank_at_least proves the
+  raised rank; no null space is computed.
+  M is M[:, P] times the sum's RREF basis, so sigma_j0(M) >=
+  sigma_min(M[:, P]), and a check with trials has two exact floors on
+  sigma_j0(M)^2, j0 the base stratum: the determinant of the kept rows at
+  P over their Frobenius norm (_det_floor), all integer arithmetic on the
+  elimination's last pivot, and the Gram floor (_sigma_floor), an
+  elimination of [G | I], built at most once per check and only when the
+  first floor does not suffice.  The check first tries the check-wide
+  certificate (_certifies_every_trial): every trial's move is below
+  h eps^2 / (1 + eps)^2, whatever it draws, so a floor above that proves
+  every trial at once by Weyl's inequality, and each trial is recorded as
+  passed with no seeding, no draws and no base gap.
+  Trials run one at a time only past the certificate.  They stay within
+  eps and half the smallest gap between base points.  One integer test
+  per row (_far_apart) decides each base pair: it proves the gap at least
+  2 eps, which leaves that minimum alone, without a projector.  Only a
+  pair it cannot prove builds its points' projectors, as Gaussian-integer
+  matrices over a positive integer, each at most once per check.  The
+  floors, the bound, the draw count with each point's slice of the draws,
+  and the scale's numerator and base make the check's one _TrialPlan,
+  which no later check reuses.  A trial keeps only its own work: its
+  seeded draws as bytes, their counts of zero draws (per point and in
+  all), its scale draw (randint(1, 4096) restated by getrandbits),
+  _shrunk and an integer comparison with each floor it reaches, keeping
+  t = a/b as two integers.  A trial whose move t D has |t|^2 ||D||_F^2
+  below a floor keeps rank >= j0 by Weyl's inequality.  Past both, the
+  trial builds its Z[i] rows by the witness's routine and a Fraction for
+  t, and a drop is always decided by the exact pivot count.
 * run_roundtrip_suite exercises the gamma/pr/eta trivializations on
   seeded samples of one stratum, entrywise over Q(i).  A case's chart is
   the first seeded one, centred in Gr(k, n) for k the chart dimension of
@@ -527,19 +530,50 @@ def _sigma_floor(rows: ScaledRows) -> tuple[int, int]:
     return d, m * scale * scale
 
 
+def _certifies_every_trial(
+    h: int, eps: Fraction, floor: tuple[int, int], gram: Callable[[], tuple[int, int]]
+) -> bool:
+    """Whether floor, or else the Gram floor gram() (called only then),
+    proves at once that no trial of a check of h points at eps lowers the
+    stratum, whatever the trial draws.
+
+    A trial's t = a / b passes _shrunk, so a^2 size (p + q)^2 < p^2 b^2 at
+    its bound p / q <= eps, and it has at most h size nonzero draws; as
+    x / (1 + x) grows with x, its move a^2 nonzero / b^2 is below
+    h eps^2 / (1 + eps)^2.  So a floor num / den on sigma_j0^2 with num > 0
+    and h P^2 den <= num (P + Q)^2, eps = P / Q, lies above every trial's
+    move, and each trial is certified as _semicontinuity_trial would
+    certify it (Weyl, Math. Ann. 71, 1912).
+
+    >>> _certifies_every_trial(2, Fraction(1, 1000), (1, 1), None)
+    True
+    >>> _certifies_every_trial(2, Fraction(5), (1, 1), lambda: (2, 1))
+    True
+    >>> _certifies_every_trial(2, Fraction(5), (0, 1), lambda: (1, 1))
+    False
+    """
+    p, q = eps.numerator, eps.denominator
+    need, reach = h * p * p, (p + q) ** 2
+
+    def covers(num: int, den: int) -> bool:
+        return num > 0 and need * den <= num * reach
+    return covers(*floor) or covers(*gram())
+
+
 class _TrialPlan(NamedTuple):
     """What every semicontinuity trial of one check shares, built once per
-    check by check_adjacency and dropped with it.
+    check by check_adjacency, only when the check-wide certificate
+    (_certifies_every_trial) does not cover the check, and dropped with it.
 
     base holds the points' stacked bases as scaled Z[i] rows, j0 =
     base_rank.  Two floors num / den <= sigma_j0^2 of their stack certify
     trials: floor, read off the witness's elimination (_det_floor), and
-    gram(), the Gram floor (_sigma_floor), built on the first call, which
-    only a trial past floor makes.  A trial draws count = 2hkn values,
-    per_point of them for each point in the slices; its scale is
-    t = eps_num * x / scale_base for x = randint(1, 4096),
-    scale_base = 32768 * eps.denominator, before _shrunk raises the
-    denominator toward bound."""
+    gram(), the Gram floor (_sigma_floor), built on its first call and
+    kept; the certificate makes that call whenever floor fails it.  A
+    trial draws count = 2hkn values, per_point of them for each point in
+    the slices; its scale is t = eps_num * x / scale_base for
+    x = randint(1, 4096), scale_base = 32768 * eps.denominator, before
+    _shrunk raises the denominator toward bound."""
 
     base: ScaledRows
     base_rank: int
@@ -568,6 +602,9 @@ def _semicontinuity_trial(plan: _TrialPlan, rng: random.Random) -> Optional[str]
     (sigma_j0(M + E) >= sigma_j0(M) - ||E||_2; Weyl, Math. Ann. 71, 1912)
     the stratum did not drop.  The plan's floor is tried first, then its
     Gram floor; past both, the exact rows decide by _rank_at_least.
+    A check runs its trials only when neither floor covers the whole
+    eps-ball at once (_certifies_every_trial), so a trial's own move is
+    what each floor is compared with.
     Returns a failure description when the stratum drops, None otherwise.
     """
     draws = _unit_draws(rng, plan.count)
@@ -674,18 +711,24 @@ def check_adjacency(
     # the sum, whose RREF basis S is the identity at its pivot columns P,
     # so M = M[:, P] S with S S^H >= I, and sigma_j0(M) >= sigma_min(M[:, P]),
     # which is at least sigma_min of the kept rows at P
+    floor = _det_floor(base, pivots, kept, d)
+
     @cache
     def gram() -> tuple[int, int]:
         scale, ints = linalg._common_scale(base)
         cols = list(zip(*ints))
         return _sigma_floor([(scale, cols[j]) for j in pivots])
+    if _certifies_every_trial(c.h, eps, floor, gram):
+        for idx in range(trials):
+            report.record(f"{seed}:{idx}", None)
+        return report
     per_point = 2 * c.k * c.n
     plan = _TrialPlan(
         base=base, base_rank=j0, n=c.n, count=c.h * per_point, per_point=per_point,
         slices=tuple((p * per_point, (p + 1) * per_point) for p in range(c.h)),
         eps_num=eps.numerator, scale_base=eps.denominator * 32768,
         bound=_trial_bound(c.points, eps),
-        floor=_det_floor(base, pivots, kept, d), gram=gram,
+        floor=floor, gram=gram,
     )
     for idx in range(trials):
         case_seed = f"{seed}:{idx}"

@@ -352,11 +352,26 @@ def test_canonicalize_agrees_with_rref_then_subspace():
     }
 
 
+def test_image_refuses_a_factor_of_the_wrong_row_count():
+    # a product pairs each row with the factor's columns entry by entry, so
+    # a row of another length must raise, as Matrix @ does, rather than be
+    # truncated to a product of the wrong point
+    row = [(1, 0), (2, 0), (3, 0)]
+    with pytest.raises(ValueError, match="cannot multiply 1x3 by 4x4"):
+        linalg._products([row], Matrix.identity(4))
+    for g in (Matrix.identity(4), Matrix.identity(2), Matrix.zeros(4, 2)):
+        with pytest.raises(ValueError, match=f"cannot multiply 2x3 by {g.rows}x{g.cols}"):
+            grassmann._image([row, [(0, 0), (1, 1), (0, 0)]], g)
+    with pytest.raises(ValueError, match="cannot multiply 2x2 by 3x3"):
+        grassmann._image([row, [(0, 0), (1, 1)]], Matrix.identity(3))
+    assert grassmann._image([row], Matrix.identity(3)) == canonicalize(Matrix.from_rows([[1, 2, 3]]), 3)
+
+
 def test_transform_agrees_with_the_product_then_canonicalize():
     # the package's image route, grassmann._image, reduces the product's
     # Z[i] rows as they are, at any row scale: invertible, singular
-    # (rank 1), zero, wide and narrow g.  _image checks no shapes (its
-    # callers pass g with n rows), so no g of the wrong row count is tried
+    # (rank 1), zero, wide and narrow g.  A g of the wrong row count is
+    # refused (test_image_refuses_a_factor_of_the_wrong_row_count)
     rng, scales = random.Random("transforms"), random.Random("transform scales")
     outcomes = []
 

@@ -3,6 +3,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -398,10 +399,19 @@ def test_shrunk_is_the_least_scale_the_certificate_accepts(size, a, b, p, q):
     assert got == b or not _moves_less_than(size, a, got // 4, bound)
 
 
+def _per_trial(monkeypatch):
+    """Switch off the check-wide certificate, so that every check with
+    trials runs them one at a time, as a check that it does not cover
+    does."""
+    monkeypatch.setattr(verify, "_certifies_every_trial", lambda h, eps, floor, gram: False)
+
+
 def test_trials_shrink_when_two_points_are_close(monkeypatch):
     # points 0 and 1 are 1/10000 apart, less than 2 * eps, so the bound
-    # is half their gap and most trials must shrink below their first t
+    # is half their gap and most trials must shrink below their first t;
+    # the check-wide certificate covers this check, so it is switched off
     eps = Fraction(1, 1000)
+    _per_trial(monkeypatch)
     points = [canonicalize(Matrix.from_rows(rows), 4) for rows in (
         [[1, 0, 0, 0]], [[1, Fraction(1, 10000), 0, 0]], [[0, 1, 0, 0]],
     )]
@@ -689,9 +699,11 @@ def test_trials_match_randint_on_the_adjacency_grid(monkeypatch):
     # afterwards, are those of the randint restatement.  size, a and b are
     # _shrunk's; nonzero is pinned by two floors that straddle it (the
     # trial is certified at the upper one and falls back at the lower); the
-    # draws are read back from the fallback's perturbed rows
+    # draws are read back from the fallback's perturbed rows.  The check-wide
+    # certificate covers these checks, so it is switched off to build a plan
     eps = Fraction(1, 1000)
     plans, shrunk, ranked = [], [], []
+    _per_trial(monkeypatch)
 
     def captured(plan, rng, _trial=verify._semicontinuity_trial):
         plans.append(plan)
@@ -862,8 +874,10 @@ def test_trials_reach_the_exact_rank_exactly_when_the_floor_fails(monkeypatch):
     # the trials count nonzero draws in their bytes; the route of every
     # trial must be the one that the randint draws give: past the first
     # floor the check builds its Gram floor, once, and past both floors a
-    # trial reaches the exact rank
+    # trial reaches the exact rank.  The check-wide certificate, which
+    # builds the Gram floor whenever the first floor fails it, is switched off
     routes, firsts, grams = [], [], []
+    _per_trial(monkeypatch)
 
     def trial(*args, _trial=verify._semicontinuity_trial):
         routes.append(False)
@@ -994,8 +1008,9 @@ def test_det_floor_of_a_dependent_stack_is_zero():
 def test_the_gram_floor_is_built_only_past_the_first_floor(monkeypatch):
     # the determinant floor certifies every trial of criterion 7's grid, so
     # no check there builds its Gram floor; at eps = 5 on the golden
-    # sample some trials are past the first floor, and the check builds
-    # the Gram floor once for all of them
+    # sample the first floor fails the check-wide certificate and some
+    # trials are past it, and the check builds the Gram floor once, for
+    # the certificate and all of them
     calls = [0]
 
     def counted(rows, _floor=verify._sigma_floor):
@@ -1033,6 +1048,102 @@ def test_criterion_7_trials_stay_on_the_certificate(monkeypatch):
                         checks += 1
     assert checks == 25
     assert [call for call in log if call[0] == "rank"] == []
+
+
+GRID_EPS = (Fraction(1, 1000), Fraction(1, 3), Fraction(5))
+
+
+def _adjacency_grid():
+    """(c, target) for the 184 stratum pairs low <= high of h in (2, 3, 4),
+    k in (1, 2, 3) and k < n <= 7, from one sample of each low stratum."""
+    for h in (2, 3, 4):
+        for k in (1, 2, 3):
+            for n in range(k + 1, 8):
+                ids = strata_list(h, k, n)
+                for a, low in enumerate(ids):
+                    c = sample_configuration(low, f"grid:{low}")
+                    for high in ids[a:]:
+                        yield c, high.i
+
+
+def _bench_grid(seed, rnd):
+    """(c, target, check seed) for the 25 stratum pairs of one round of the
+    benchmark's adjacency workload, sampled as it samples them."""
+    for h in (2, 3):
+        for k in (1, 2, 3):
+            for n in range(k + 1, 7):
+                ids = strata_list(h, k, n)
+                for a, low in enumerate(ids):
+                    c = sample_configuration(low, f"{seed}:adj:{rnd}:{h}:{k}:{n}:{low.i}")
+                    for high in ids[a + 1:]:
+                        yield c, high.i, f"{seed}:{rnd}"
+
+
+def test_a_covered_check_certifies_every_draw(monkeypatch):
+    # the check-wide certificate is a proof for every draw: in each check
+    # it covers, each of 50 trials drawn by the randint restatement moves
+    # the stack by less than the covering floor, move * den < num * reach.
+    # On the benchmark's grid (eps 1/1000, three rounds of seeds 1 and 21)
+    # it covers every check; on the 552-check grid both floors cover some
+    covered = []
+
+    def recorded(h, eps, floor, gram, _certifies=verify._certifies_every_trial):
+        certified = _certifies(h, eps, floor, gram)
+        if certified:
+            first = _certifies(h, eps, floor, lambda: (0, 1))
+            covered.append(("det", floor) if first else ("gram", gram()))
+        return certified
+    monkeypatch.setattr(verify, "_certifies_every_trial", recorded)
+    bench = [(c, target, Fraction(1, 1000), check_seed)
+             for seed in (1, 21) for rnd in range(3) for c, target, check_seed in _bench_grid(seed, rnd)]
+    grid = [(c, target, eps, 7) for eps in GRID_EPS for c, target in _adjacency_grid()]
+    floors = set()
+    for pos, (c, target, eps, check_seed) in enumerate(bench + grid):
+        covered.clear()
+        assert check_adjacency(c, target, eps, trials=50, seed=check_seed).ok
+        assert covered or pos >= len(bench)
+        if not covered:
+            continue
+        [(which, (num, den))] = covered
+        floors.add(which)
+        plan = SimpleNamespace(eps_num=eps.numerator, scale_base=32768 * eps.denominator,
+                               bound=verify._trial_bound(c.points, eps))
+        for idx in range(50):
+            rng = random.Random(f"adjacency:{check_seed}:{idx}")
+            _, _, nonzero, a, b = _trial_reference(c, plan, rng)
+            assert a * a * nonzero * den < num * b * b, (c, target, eps, idx)
+    assert floors == {"det", "gram"}
+
+
+def test_the_certificate_leaves_every_report_as_the_trials_give_it(monkeypatch):
+    # on the 552-check grid every report is byte-identical with the
+    # check-wide certificate and without it, and the per-trial route keeps
+    # running: with the certificate, trials run in no check at eps 1/1000
+    # and in some at eps 1/3 and 5; without it, in every check
+    started = []
+
+    def trial(*args, _trial=verify._semicontinuity_trial):
+        started.append(True)
+        return _trial(*args)
+    monkeypatch.setattr(verify, "_semicontinuity_trial", trial)
+    checks = list(_adjacency_grid())
+    assert len(checks) == 184
+
+    def reports():
+        out, running = [], []
+        for eps in GRID_EPS:
+            running.append(0)
+            for c, target in checks:
+                before = len(started)
+                out.append(json.dumps(check_adjacency(c, target, eps, trials=15, seed=7).to_json()))
+                running[-1] += len(started) > before
+        return out, running
+    certified, running = reports()
+    assert running[0] == 0 and running[1] > 0 and running[2] > 0
+    _per_trial(monkeypatch)
+    per_trial, running = reports()
+    assert running == [184] * 3
+    assert certified == per_trial
 
 
 # (sampled stratum, target): the golden adjacency checks, then h = 3 with
