@@ -22,32 +22,32 @@ Three batch checks back the exact layer:
   toward unit vectors outside the sum, and one _rank_at_least proves the
   raised rank; no null space is computed.
   M is M[:, P] times the sum's RREF basis, so sigma_j0(M) >=
-  sigma_min(M[:, P]), and a check with trials has two exact floors on
-  sigma_j0(M)^2, j0 the base stratum: the determinant of the kept rows at
-  P over their Frobenius norm (_det_floor), all integer arithmetic on the
-  elimination's last pivot, and the Gram floor (_sigma_floor), an
-  elimination of [G | I], built at most once per check and only when the
-  first floor does not suffice.  The check first tries the check-wide
-  certificate (_certifies_every_trial): every trial's move is below
+  sigma_min(M[:, P]), and a check with trials keeps one exact floor on
+  sigma_j0(M)^2, j0 the base stratum.  Every trial's move is below
   h eps^2 / (1 + eps)^2, whatever it draws, so a floor above that proves
-  every trial at once by Weyl's inequality, and each trial is recorded as
-  passed with no seeding, no draws and no base gap.
+  every trial at once by Weyl's inequality (_certifies_every_trial), and
+  each trial is recorded as passed with no seeding, no draws and no base
+  gap.  The first floor is the determinant of the kept rows at P over
+  their Frobenius norm (_det_floor), all integer arithmetic on the
+  elimination's last pivot.  Only when it fails the certificate is the
+  Gram floor (_sigma_floor, an elimination of [G | I]) built, once; the
+  check keeps the larger of the two, and the certificate tests it.
   Trials run one at a time only past the certificate.  They stay within
   eps and half the smallest gap between base points.  One integer test
   per row (_far_apart) decides each base pair: it proves the gap at least
   2 eps, which leaves that minimum alone, without a projector.  Only a
   pair it cannot prove builds its points' projectors, as Gaussian-integer
   matrices over a positive integer, each at most once per check.  The
-  floors, the bound, the draw count with each point's slice of the draws,
+  floor, the bound, the draw count with each point's slice of the draws,
   and the scale's numerator and base make the check's one _TrialPlan,
   which no later check reuses.  A trial keeps only its own work: its
   seeded draws as bytes, their counts of zero draws (per point and in
   all), its scale draw (randint(1, 4096) restated by getrandbits),
-  _shrunk and an integer comparison with each floor it reaches, keeping
-  t = a/b as two integers.  A trial whose move t D has |t|^2 ||D||_F^2
-  below a floor keeps rank >= j0 by Weyl's inequality.  Past both, the
-  trial builds its Z[i] rows by the witness's routine and a Fraction for
-  t, and a drop is always decided by the exact pivot count.
+  _shrunk and one integer comparison with the floor, keeping t = a/b as
+  two integers.  A trial whose move t D has |t|^2 ||D||_F^2 below the
+  floor keeps rank >= j0 by Weyl's inequality.  Past it, the trial
+  builds its Z[i] rows by the witness's routine and a Fraction for t,
+  and a drop is always decided by the exact pivot count.
 * run_roundtrip_suite exercises the gamma/pr/eta trivializations on
   seeded samples of one stratum, entrywise over Q(i).  A case's chart is
   the first seeded one, centred in Gr(k, n) for k the chart dimension of
@@ -530,34 +530,30 @@ def _sigma_floor(rows: ScaledRows) -> tuple[int, int]:
     return d, m * scale * scale
 
 
-def _certifies_every_trial(
-    h: int, eps: Fraction, floor: tuple[int, int], gram: Callable[[], tuple[int, int]]
-) -> bool:
-    """Whether floor, or else the Gram floor gram() (called only then),
-    proves at once that no trial of a check of h points at eps lowers the
-    stratum, whatever the trial draws.
+def _certifies_every_trial(h: int, eps: Fraction, floor: tuple[int, int]) -> bool:
+    """Whether floor, num / den <= sigma_j0^2 of the base stack, proves at
+    once that no trial of a check of h points at eps lowers the stratum,
+    whatever the trial draws.
 
     A trial's t = a / b passes _shrunk, so a^2 size (p + q)^2 < p^2 b^2 at
     its bound p / q <= eps, and it has at most h size nonzero draws; as
     x / (1 + x) grows with x, its move a^2 nonzero / b^2 is below
-    h eps^2 / (1 + eps)^2.  So a floor num / den on sigma_j0^2 with num > 0
-    and h P^2 den <= num (P + Q)^2, eps = P / Q, lies above every trial's
+    h eps^2 / (1 + eps)^2.  So a floor with den > 0 and
+    h P^2 den <= num (P + Q)^2, eps = P / Q, lies above every trial's
     move, and each trial is certified as _semicontinuity_trial would
-    certify it (Weyl, Math. Ann. 71, 1912).
+    certify it (Weyl, Math. Ann. 71, 1912).  At h = 2 and eps = 5 the
+    floor must reach 2 * 25 / 36 = 25 / 18; a floor of 0 never does:
 
-    >>> _certifies_every_trial(2, Fraction(1, 1000), (1, 1), None)
+    >>> _certifies_every_trial(2, Fraction(5), (25, 18))
     True
-    >>> _certifies_every_trial(2, Fraction(5), (1, 1), lambda: (2, 1))
-    True
-    >>> _certifies_every_trial(2, Fraction(5), (0, 1), lambda: (1, 1))
+    >>> _certifies_every_trial(2, Fraction(5), (24, 18))
+    False
+    >>> _certifies_every_trial(2, Fraction(1, 1000), (0, 1))
     False
     """
     p, q = eps.numerator, eps.denominator
-    need, reach = h * p * p, (p + q) ** 2
-
-    def covers(num: int, den: int) -> bool:
-        return num > 0 and need * den <= num * reach
-    return covers(*floor) or covers(*gram())
+    num, den = floor
+    return h * p * p * den <= num * (p + q) ** 2
 
 
 class _TrialPlan(NamedTuple):
@@ -566,14 +562,13 @@ class _TrialPlan(NamedTuple):
     (_certifies_every_trial) does not cover the check, and dropped with it.
 
     base holds the points' stacked bases as scaled Z[i] rows, j0 =
-    base_rank.  Two floors num / den <= sigma_j0^2 of their stack certify
-    trials: floor, read off the witness's elimination (_det_floor), and
-    gram(), the Gram floor (_sigma_floor), built on its first call and
-    kept; the certificate makes that call whenever floor fails it.  A
-    trial draws count = 2hkn values, per_point of them for each point in
-    the slices; its scale is t = eps_num * x / scale_base for
-    x = randint(1, 4096), scale_base = 32768 * eps.denominator, before
-    _shrunk raises the denominator toward bound."""
+    base_rank.  floor, num / den <= sigma_j0^2 of their stack, is the one
+    the certificate failed: the larger of the determinant floor
+    (_det_floor) and the Gram floor (_sigma_floor).  A trial draws
+    count = 2hkn values, per_point of them for each point in the slices;
+    its scale is t = eps_num * x / scale_base for x = randint(1, 4096),
+    scale_base = 32768 * eps.denominator, before _shrunk raises the
+    denominator toward bound."""
 
     base: ScaledRows
     base_rank: int
@@ -585,7 +580,6 @@ class _TrialPlan(NamedTuple):
     scale_base: int
     bound: Fraction
     floor: tuple[int, int]
-    gram: Callable[[], tuple[int, int]]
 
 
 def _semicontinuity_trial(plan: _TrialPlan, rng: random.Random) -> Optional[str]:
@@ -600,11 +594,11 @@ def _semicontinuity_trial(plan: _TrialPlan, rng: random.Random) -> Optional[str]
     with t = a/b and a floor num / den, a^2 ||D||_F^2 den < num b^2
     gives ||t D||_2 < sigma_j0, and by Weyl's inequality
     (sigma_j0(M + E) >= sigma_j0(M) - ||E||_2; Weyl, Math. Ann. 71, 1912)
-    the stratum did not drop.  The plan's floor is tried first, then its
-    Gram floor; past both, the exact rows decide by _rank_at_least.
-    A check runs its trials only when neither floor covers the whole
-    eps-ball at once (_certifies_every_trial), so a trial's own move is
-    what each floor is compared with.
+    the stratum did not drop.  Past the plan's one floor, the exact rows
+    decide by _rank_at_least.  A check runs its trials only when that
+    floor does not cover the whole eps-ball at once
+    (_certifies_every_trial), so a trial's own move is what it is
+    compared with.
     Returns a failure description when the stratum drops, None otherwise.
     """
     draws = _unit_draws(rng, plan.count)
@@ -617,16 +611,12 @@ def _semicontinuity_trial(plan: _TrialPlan, rng: random.Random) -> Optional[str]
     x = rng.getrandbits(13)
     while x >= 4096:
         x = rng.getrandbits(13)
-    # t = a/b unreduced, with b raised by _shrunk; both tests below are
+    # t = a/b unreduced, with b raised by _shrunk; the floor's test is
     # homogeneous in (a, b)
     a = plan.eps_num * (x + 1)
     b = _shrunk(size, a, plan.scale_base, plan.bound)
-    move, reach = a * a * nonzero, b * b
     num, den = plan.floor
-    if move * den < num * reach:
-        return None
-    num, den = plan.gram()
-    if move * den < num * reach:
+    if a * a * nonzero * den < num * b * b:
         return None
     n = plan.n
     pairs = [(re - 1, im - 1) for re, im in zip(draws[::2], draws[1::2])]
@@ -707,18 +697,19 @@ def check_adjacency(
     report.record(f"{seed}:witness", None if witness else "no tilt slot raises the sum dimension")
     if not trials:
         return report
-    # the trials' floors on sigma_j0^2 of the base stack M: each row lies in
+    # the trials' floor on sigma_j0^2 of the base stack M: each row lies in
     # the sum, whose RREF basis S is the identity at its pivot columns P,
     # so M = M[:, P] S with S S^H >= I, and sigma_j0(M) >= sigma_min(M[:, P]),
     # which is at least sigma_min of the kept rows at P
     floor = _det_floor(base, pivots, kept, d)
-
-    @cache
-    def gram() -> tuple[int, int]:
+    covered = _certifies_every_trial(c.h, eps, floor)
+    if not covered:
         scale, ints = linalg._common_scale(base)
         cols = list(zip(*ints))
-        return _sigma_floor([(scale, cols[j]) for j in pivots])
-    if _certifies_every_trial(c.h, eps, floor, gram):
+        gram = _sigma_floor([(scale, cols[j]) for j in pivots])
+        if gram[0] * floor[1] > floor[0] * gram[1]:
+            floor, covered = gram, _certifies_every_trial(c.h, eps, gram)
+    if covered:
         for idx in range(trials):
             report.record(f"{seed}:{idx}", None)
         return report
@@ -728,7 +719,7 @@ def check_adjacency(
         slices=tuple((p * per_point, (p + 1) * per_point) for p in range(c.h)),
         eps_num=eps.numerator, scale_base=eps.denominator * 32768,
         bound=_trial_bound(c.points, eps),
-        floor=floor, gram=gram,
+        floor=floor,
     )
     for idx in range(trials):
         case_seed = f"{seed}:{idx}"

@@ -403,7 +403,7 @@ def _per_trial(monkeypatch):
     """Switch off the check-wide certificate, so that every check with
     trials runs them one at a time, as a check that it does not cover
     does."""
-    monkeypatch.setattr(verify, "_certifies_every_trial", lambda h, eps, floor, gram: False)
+    monkeypatch.setattr(verify, "_certifies_every_trial", lambda h, eps, floor: False)
 
 
 def test_trials_shrink_when_two_points_are_close(monkeypatch):
@@ -698,9 +698,10 @@ def test_trials_match_randint_on_the_adjacency_grid(monkeypatch):
     # size, nonzero count and scale t = a/b, and the generator state
     # afterwards, are those of the randint restatement.  size, a and b are
     # _shrunk's; nonzero is pinned by two floors that straddle it (the
-    # trial is certified at the upper one and falls back at the lower); the
-    # draws are read back from the fallback's perturbed rows.  The check-wide
-    # certificate covers these checks, so it is switched off to build a plan
+    # trial is certified at the upper one and reaches the exact rank at the
+    # lower); the draws are read back from the exact rank's perturbed rows.
+    # The check-wide certificate covers these checks, so it is switched off
+    # to build a plan
     eps = Fraction(1, 1000)
     plans, shrunk, ranked = [], [], []
     _per_trial(monkeypatch)
@@ -734,19 +735,15 @@ def test_trials_match_randint_on_the_adjacency_grid(monkeypatch):
                     draws, size, nonzero, a, b = _trial_reference(c, plan, reference)
                     above = (a * a * (2 * nonzero + 1), 2 * b * b)
                     below = (a * a * (2 * nonzero - 1), 2 * b * b)
-                    # certified by the first floor, with the Gram floor
-                    # never built; by the Gram floor past a first floor of
-                    # 0; and past both, by the exact rank
-                    upper = plan._replace(floor=above, gram=_unreachable)
-                    second = plan._replace(floor=(0, 1), gram=lambda: above)
-                    lower = plan._replace(floor=below, gram=lambda: below)
+                    # certified by the floor above the move; past the
+                    # floor below it, decided by the exact rank
+                    upper = plan._replace(floor=above)
+                    lower = plan._replace(floor=below)
                     shrunk.clear()
                     ranked.clear()
                     assert verify._semicontinuity_trial(upper, ours) is None
                     assert ours.getstate() == reference.getstate()
                     assert shrunk == [(size, a, plan.scale_base, plan.bound, b)] and ranked == []
-                    assert verify._semicontinuity_trial(second, random.Random(seed)) is None
-                    assert ranked == []
                     assert verify._semicontinuity_trial(lower, random.Random(seed)) is None
                     ((rows, r),) = ranked
                     assert r == s.i
@@ -759,10 +756,6 @@ def test_trials_match_randint_on_the_adjacency_grid(monkeypatch):
                     assert [v for row in moved for part in row for v in part] == draws
                     checked += 1
     assert checked == 5 * 24 and not plans
-
-
-def _unreachable():
-    raise AssertionError("the Gram floor was built")
 
 
 def _trial_log(monkeypatch):
@@ -808,20 +801,29 @@ def test_trials_without_the_floor_give_the_same_reports(monkeypatch):
 
 
 def test_trials_past_the_floor_decide_by_the_exact_rank(monkeypatch):
-    # at eps = 5 the points of this sample are far enough apart that some
+    # at eps = 5 the points of these samples are far enough apart that some
     # trials move the stack by more than the floor proves safe; those reach
-    # _rank_at_least, and the report is the one that a floor of 0 gives
-    c = sample_configuration(StratumId(3, 5, 2, 6), "golden")
+    # _rank_at_least, and the report is the one that a floor of 0 gives.
+    # The second check is the CI step "Adjacency per-trial smoke",
+    # grassconf verify --suite adjacency --h 3 --i 5 --k 2 --n 6 --target 6
+    # --eps 5 --trials 200 --seed 1: 52 of its 200 trials reach the exact rank
+    s = StratumId(3, 5, 2, 6)
+    checks = [(sample_configuration(s, seed), trials, seed, exact)
+              for seed, trials, exact in (("golden", 10, 3), (1, 200, 52))]
     log = _trial_log(monkeypatch)
-    report = check_adjacency(c, 6, Fraction(5), trials=10, seed="golden")
-    assert report.ok, report.failures
-    assert 0 < len(log) < 10
-    assert {r for _, _, r in log} == {5}
+    reports = []
+    for c, trials, seed, exact in checks:
+        log.clear()
+        reports.append(check_adjacency(c, 6, Fraction(5), trials=trials, seed=seed))
+        assert reports[-1].ok, reports[-1].failures
+        assert len(log) == exact
+        assert {r for _, _, r in log} == {5}
     _no_floor(monkeypatch)
-    log.clear()
-    forced = check_adjacency(c, 6, Fraction(5), trials=10, seed="golden")
-    assert json.dumps(forced.to_json()) == json.dumps(report.to_json())
-    assert len(log) == 10
+    for (c, trials, seed, _), report in zip(checks, reports):
+        log.clear()
+        forced = check_adjacency(c, 6, Fraction(5), trials=trials, seed=seed)
+        assert json.dumps(forced.to_json()) == json.dumps(report.to_json())
+        assert len(log) == trials
 
 
 def test_a_trial_that_drops_is_recorded(monkeypatch):
@@ -872,10 +874,11 @@ def _trial_move_reference(c, eps, bound, case_seed):
 
 def test_trials_reach_the_exact_rank_exactly_when_the_floor_fails(monkeypatch):
     # the trials count nonzero draws in their bytes; the route of every
-    # trial must be the one that the randint draws give: past the first
-    # floor the check builds its Gram floor, once, and past both floors a
-    # trial reaches the exact rank.  The check-wide certificate, which
-    # builds the Gram floor whenever the first floor fails it, is switched off
+    # trial must be the one that the randint draws give: a trial reaches
+    # the exact rank exactly when its move is at least the larger of the
+    # two floors.  The check-wide certificate is switched off, so each
+    # check fails it with the determinant floor and builds its Gram floor
+    # once
     routes, firsts, grams = [], [], []
     _per_trial(monkeypatch)
 
@@ -899,7 +902,7 @@ def test_trials_reach_the_exact_rank_exactly_when_the_floor_fails(monkeypatch):
     monkeypatch.setattr(linalg, "_rank_at_least", ranked)
     monkeypatch.setattr(verify, "_det_floor", first)
     monkeypatch.setattr(verify, "_sigma_floor", gram)
-    checked, built = set(), set()
+    checked = set()
     for s, target in [(StratumId(3, 5, 2, 6), 6)] + WITNESS_CASES:
         c = sample_configuration(s, "golden")
         for eps in (Fraction(1, 3), Fraction(5)):
@@ -910,12 +913,11 @@ def test_trials_reach_the_exact_rank_exactly_when_the_floor_fails(monkeypatch):
             bound = min([eps] + [subspace_distance(p, q) / 2
                                  for p, q in combinations(c.points, 2)])
             moves = [_trial_move_reference(c, eps, bound, f"golden:{idx}") for idx in range(20)]
-            past = [move >= Fraction(*firsts[0]) for move in moves]
-            assert len(firsts) == 1 and len(grams) == any(past)
-            assert routes == [p and move >= Fraction(*grams[0]) for p, move in zip(past, moves)]
+            assert len(firsts) == len(grams) == 1
+            floor = max(Fraction(*firsts[0]), Fraction(*grams[0]))
+            assert routes == [move >= floor for move in moves]
             checked.update(routes)
-            built.add(bool(grams))
-    assert checked == built == {False, True}
+    assert checked == {False, True}
 
 
 def test_floor_runs_no_mod_p_elimination(monkeypatch):
@@ -1009,8 +1011,8 @@ def test_the_gram_floor_is_built_only_past_the_first_floor(monkeypatch):
     # the determinant floor certifies every trial of criterion 7's grid, so
     # no check there builds its Gram floor; at eps = 5 on the golden
     # sample the first floor fails the check-wide certificate and some
-    # trials are past it, and the check builds the Gram floor once, for
-    # the certificate and all of them
+    # trials are past it, and the check builds the Gram floor once and
+    # keeps the larger floor for the certificate and all of them
     calls = [0]
 
     def counted(rows, _floor=verify._sigma_floor):
@@ -1084,23 +1086,24 @@ def test_a_covered_check_certifies_every_draw(monkeypatch):
     # it covers, each of 50 trials drawn by the randint restatement moves
     # the stack by less than the covering floor, move * den < num * reach.
     # On the benchmark's grid (eps 1/1000, three rounds of seeds 1 and 21)
-    # it covers every check; on the 552-check grid both floors cover some
-    covered = []
+    # it covers every check; on the 552-check grid both floors cover some.
+    # A check gives the certificate its determinant floor first and its
+    # Gram floor, when larger, second, so a covering floor is named by its
+    # call
+    tested = []
 
-    def recorded(h, eps, floor, gram, _certifies=verify._certifies_every_trial):
-        certified = _certifies(h, eps, floor, gram)
-        if certified:
-            first = _certifies(h, eps, floor, lambda: (0, 1))
-            covered.append(("det", floor) if first else ("gram", gram()))
-        return certified
+    def recorded(h, eps, floor, _certifies=verify._certifies_every_trial):
+        tested.append((floor, _certifies(h, eps, floor)))
+        return tested[-1][1]
     monkeypatch.setattr(verify, "_certifies_every_trial", recorded)
     bench = [(c, target, Fraction(1, 1000), check_seed)
              for seed in (1, 21) for rnd in range(3) for c, target, check_seed in _bench_grid(seed, rnd)]
     grid = [(c, target, eps, 7) for eps in GRID_EPS for c, target in _adjacency_grid()]
     floors = set()
     for pos, (c, target, eps, check_seed) in enumerate(bench + grid):
-        covered.clear()
+        tested.clear()
         assert check_adjacency(c, target, eps, trials=50, seed=check_seed).ok
+        covered = [(("det", "gram")[call], floor) for call, (floor, ok) in enumerate(tested) if ok]
         assert covered or pos >= len(bench)
         if not covered:
             continue
@@ -1119,30 +1122,46 @@ def test_the_certificate_leaves_every_report_as_the_trials_give_it(monkeypatch):
     # on the 552-check grid every report is byte-identical with the
     # check-wide certificate and without it, and the per-trial route keeps
     # running: with the certificate, trials run in no check at eps 1/1000
-    # and in some at eps 1/3 and 5; without it, in every check
-    started = []
+    # and in some at eps 1/3 and 5; without it, in every check.  Either way
+    # 0, 123 and 184 trials reach the exact rank at the three eps, the same
+    # trials in each check.  With the certificate the Gram floor is built
+    # in the 329 checks whose determinant floor fails it; without it, in
+    # every check, once
+    log = _trial_log(monkeypatch)
+    started, grams = [], [0]
 
     def trial(*args, _trial=verify._semicontinuity_trial):
         started.append(True)
         return _trial(*args)
+
+    def gram(rows, _floor=verify._sigma_floor):
+        grams[0] += 1
+        return _floor(rows)
     monkeypatch.setattr(verify, "_semicontinuity_trial", trial)
+    monkeypatch.setattr(verify, "_sigma_floor", gram)
     checks = list(_adjacency_grid())
     assert len(checks) == 184
 
     def reports():
-        out, running = [], []
+        out, running, ranked = [], [], []
+        grams[0] = 0
         for eps in GRID_EPS:
             running.append(0)
             for c, target in checks:
                 before = len(started)
+                log.clear()
                 out.append(json.dumps(check_adjacency(c, target, eps, trials=15, seed=7).to_json()))
                 running[-1] += len(started) > before
-        return out, running
-    certified, running = reports()
+                ranked.append(len(log))
+        return out, running, ranked, grams[0]
+    certified, running, ranked, built = reports()
     assert running[0] == 0 and running[1] > 0 and running[2] > 0
+    assert [sum(ranked[e * 184:(e + 1) * 184]) for e in range(3)] == [0, 123, 184]
+    assert built == 329
     _per_trial(monkeypatch)
-    per_trial, running = reports()
+    per_trial, running, per_trial_ranked, built = reports()
     assert running == [184] * 3
+    assert per_trial_ranked == ranked and built == 552
     assert certified == per_trial
 
 
