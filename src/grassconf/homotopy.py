@@ -17,7 +17,7 @@ and replay: a query takes the first row whose condition holds.
 
 from __future__ import annotations
 
-from ._strata import StratumId, _require_nonempty, fibration
+from ._strata import StratumId, _require_nonempty, fibration, is_stratum_nonempty
 from .errors import OutOfRangeError, OutOfScopeError, WireFormatError
 from .errors import _wire_field, record
 
@@ -323,7 +323,17 @@ class DerivationTrace:
     def replay(self) -> GroupExpr:
         """Re-apply the rewrite rules step by step; raises ValueError unless
         every recorded step is the rule the engine applies to the pending
-        query of its ``before``, and the last one leaves the result."""
+        query of its ``before``, and the last one leaves the result.  A
+        query of ``initial`` that names an empty stratum raises it before
+        any rule runs."""
+        factors = self.initial.factors if isinstance(self.initial, Product) else (self.initial,)
+        for query in factors:
+            if isinstance(query, PiQuery):
+                s = StratumId(query.h, query.i, query.k, query.n)
+                if not is_stratum_nonempty(s):
+                    raise ValueError(
+                        f"trace does not replay: {query.render()} names the empty stratum {s}"
+                    )
         rules = _derivation(self.initial)
         current = self.initial
         for idx, step in enumerate(self.steps, start=1):

@@ -32,22 +32,19 @@ Three batch checks back the exact layer:
   elimination's last pivot.  Only when it fails the certificate is the
   Gram floor (_sigma_floor, an elimination of [G | I]) built, once; the
   check keeps the larger of the two, and the certificate tests it.
-  Trials run one at a time only past the certificate.  They stay within
-  eps and half the smallest gap between base points.  One integer test
-  per row (_far_apart) decides each base pair: it proves the gap at least
-  2 eps, which leaves that minimum alone, without a projector.  Only a
-  pair it cannot prove builds its points' projectors, as Gaussian-integer
-  matrices over a positive integer, each at most once per check.  The
-  floor, the bound, the draw count with each point's slice of the draws,
-  and the scale's numerator and base make the check's one _TrialPlan,
-  which no later check reuses.  A trial keeps only its own work: its
-  seeded draws as bytes, their counts of zero draws (per point and in
-  all), its scale draw (randint(1, 4096) restated by getrandbits),
-  _shrunk and one integer comparison with the floor, keeping t = a/b as
-  two integers.  A trial whose move t D has |t|^2 ||D||_F^2 below the
-  floor keeps rank >= j0 by Weyl's inequality.  Past it, the trial
-  builds its Z[i] rows by the witness's routine and a Fraction for t,
-  and a drop is always decided by the exact pivot count.
+  A check that the certificate leaves open runs its trials one at a
+  time.  They stay within eps and half the smallest gap between base
+  points, read off each point's projector, a Gaussian-integer matrix
+  over a positive integer built once per check.  The base rows and rank,
+  the floor, the bound, (h, k, n) and eps make the check's one
+  _TrialPlan, which no later check reuses.  A trial keeps only its own work: its seeded draws as bytes,
+  their counts of zero draws (per point and in all), its scale draw
+  (randint(1, 4096) restated by getrandbits), _shrunk and one integer
+  comparison with the floor, keeping t = a/b as two integers.  A trial
+  whose move t D has |t|^2 ||D||_F^2 below the floor keeps rank >= j0 by
+  Weyl's inequality.  Past it, the trial builds its Z[i] rows by the
+  witness's routine and a Fraction for t, and a drop is always decided
+  by the exact pivot count.
 * run_roundtrip_suite exercises the gamma/pr/eta trivializations on
   seeded samples of one stratum, entrywise over Q(i).  A case's chart is
   the first seeded one, centred in Gr(k, n) for k the chart dimension of
@@ -74,7 +71,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from itertools import combinations
 from math import lcm, prod
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
@@ -226,43 +223,6 @@ def subspace_distance(a: Subspace, b: Subspace) -> Fraction:
     na, da = _integer_projector(linalg._integer_rows(a.basis))
     nb, db = _integer_projector(linalg._integer_rows(b.basis))
     return Fraction(_projector_gap(na, da, nb, db), da * db)
-
-
-def _far_apart(a: Subspace, b: Subspace, eps: Fraction) -> bool:
-    """Whether one integer test per row of b's basis proves
-    subspace_distance(a, b) >= 2 eps, with no projector.
-
-    Let A = W / L be a's RREF basis at one scale L, P its pivot columns, F
-    the others, and x = u / s a row of b's basis.  The residual
-    y = x - x[:, P] A is zero on P, and for any z, x - z A is
-    w = x[:, P] - z on P and w A[:, F] + y[:, F] on F; so the distance
-    from x to a is at least ||y|| / (1 + ||A[:, F]||_F).  As P_b x = x,
-    that distance, ||(P_a - P_b) x||, is at most ||P_a - P_b||_2 ||x||
-    (the sin-theta argument; Wedin, BIT 12, 1972; Stewart & Sun, Matrix
-    Perturbation Theory, 1990), and ||P_a - P_b||_2 <= ||P_a - P_b||_F
-    <= sqrt(2) n g, g the largest |re| or |im| over the entries of
-    P_a - P_b.  With (1 + f)^2 <= 2 (1 + f^2), g >= 2 eps holds when
-    ||y||^2 >= 16 eps^2 n^2 ||x||^2 (1 + ||A[:, F]||_F^2), which at
-    eps = p/q and Y = s L y = L u - u[:, P] W (grassmann._kernel_block) reads
-    q^2 ||Y||^2 >= 16 p^2 n^2 ||u||^2 (L^2 + ||W[:, F]||_F^2).  False
-    leaves the gap undecided; it never claims a gap below 2 eps.
-
-    >>> a = grassmann.canonicalize(Matrix.from_rows([[1, 0]]), 2)
-    >>> far = grassmann.canonicalize(Matrix.from_rows([[0, 1]]), 2)
-    >>> near = grassmann.canonicalize(Matrix.from_rows([[1, Fraction(1, 10000)]]), 2)
-    >>> _far_apart(a, far, Fraction(1, 1000)), _far_apart(a, near, Fraction(1, 1000))
-    (True, False)
-    """
-    split = grassmann._pivot_split(a)
-    _, _, scale, cols = split
-    weight = scale * scale + sum(re * re + im * im for col in cols for re, im in col)
-    p, q = eps.numerator, eps.denominator
-    factor = 16 * p * p * a.n * a.n * weight
-    for _, u in b.basis.zrows:
-        residual = sum(re * re + im * im for re, im in grassmann._kernel_block(u, split))
-        if q * q * residual >= factor * sum(re * re + im * im for re, im in u):
-            return True
-    return False
 
 
 def configuration_distance(c1: Configuration, c2: Configuration) -> Fraction:
@@ -561,23 +521,18 @@ class _TrialPlan(NamedTuple):
     check by check_adjacency, only when the check-wide certificate
     (_certifies_every_trial) does not cover the check, and dropped with it.
 
-    base holds the points' stacked bases as scaled Z[i] rows, j0 =
-    base_rank.  floor, num / den <= sigma_j0^2 of their stack, is the one
-    the certificate failed: the larger of the determinant floor
-    (_det_floor) and the Gram floor (_sigma_floor).  A trial draws
-    count = 2hkn values, per_point of them for each point in the slices;
-    its scale is t = eps_num * x / scale_base for x = randint(1, 4096),
-    scale_base = 32768 * eps.denominator, before _shrunk raises the
-    denominator toward bound."""
+    base holds the h points' stacked bases as scaled Z[i] rows of k x n
+    blocks, j0 = base_rank.  bound is _trial_bound's.  floor,
+    num / den <= sigma_j0^2 of their stack, is the one the certificate
+    failed: the larger of the determinant floor (_det_floor) and the Gram
+    floor (_sigma_floor)."""
 
     base: ScaledRows
     base_rank: int
+    h: int
+    k: int
     n: int
-    count: int
-    per_point: int
-    slices: tuple[tuple[int, int], ...]
-    eps_num: int
-    scale_base: int
+    eps: Fraction
     bound: Fraction
     floor: tuple[int, int]
 
@@ -585,11 +540,12 @@ class _TrialPlan(NamedTuple):
 def _semicontinuity_trial(plan: _TrialPlan, rng: random.Random) -> Optional[str]:
     """One seeded exact perturbation of chart-metric size < eps.
 
-    Directions come from the {-1, 0, 1} lattice of Z[i]; the scale is
-    randomized and then shrunk, as the witness's is, to the largest
-    a / (b 4^j) at which _moves_less_than certifies every point's move
-    below bound (_shrunk; at most eps and half the smallest base gap, so
-    the points stay distinct).  The stack moves by t D, and
+    Directions come from the {-1, 0, 1} lattice of Z[i], 2kn draws for
+    each of the h points in turn; the scale eps x / 32768, for
+    x = randint(1, 4096), is then shrunk, as the witness's is, to the
+    largest a / (b 4^j) at which _moves_less_than certifies every point's
+    move below bound (_shrunk; at most eps and half the smallest base
+    gap, so the points stay distinct).  The stack moves by t D, and
     ||t D||_2 <= |t| ||D||_F with ||D||_F^2 the count of nonzero draws; so
     with t = a/b and a floor num / den, a^2 ||D||_F^2 den < num b^2
     gives ||t D||_2 < sigma_j0, and by Weyl's inequality
@@ -601,11 +557,15 @@ def _semicontinuity_trial(plan: _TrialPlan, rng: random.Random) -> Optional[str]
     compared with.
     Returns a failure description when the stratum drops, None otherwise.
     """
-    draws = _unit_draws(rng, plan.count)
+    per_point = 2 * plan.k * plan.n
+    count = plan.h * per_point
+    draws = _unit_draws(rng, count)
     # each draw is -1, 0 or 1 (stored as 0, 1 or 2), so a point's sum of
     # |d|^2 counts its nonzero draws
-    size = plan.per_point - min(draws.count(1, lo, hi) for lo, hi in plan.slices)
-    nonzero = plan.count - draws.count(1)
+    size = per_point - min(
+        draws.count(1, lo, lo + per_point) for lo in range(0, count, per_point)
+    )
+    nonzero = count - draws.count(1)
     # randint(1, 4096) as CPython draws it: 13 random bits, redrawn while
     # they reach 4096, plus 1
     x = rng.getrandbits(13)
@@ -613,8 +573,8 @@ def _semicontinuity_trial(plan: _TrialPlan, rng: random.Random) -> Optional[str]
         x = rng.getrandbits(13)
     # t = a/b unreduced, with b raised by _shrunk; the floor's test is
     # homogeneous in (a, b)
-    a = plan.eps_num * (x + 1)
-    b = _shrunk(size, a, plan.scale_base, plan.bound)
+    a = plan.eps.numerator * (x + 1)
+    b = _shrunk(size, a, plan.eps.denominator * 32768, plan.bound)
     num, den = plan.floor
     if a * a * nonzero * den < num * b * b:
         return None
@@ -628,17 +588,12 @@ def _semicontinuity_trial(plan: _TrialPlan, rng: random.Random) -> Optional[str]
 
 
 def _trial_bound(points: Sequence[Subspace], eps: Fraction) -> Fraction:
-    """min(eps, half the smallest subspace_distance between two points).
-
-    A pair that _far_apart proves at least 2 eps apart cannot lower the
-    minimum; any other pair reads its gap off the points' projectors,
-    each built at most once."""
-    projector = cache(lambda j: _integer_projector([row for _, row in points[j].basis.zrows]))
+    """min(eps, half the smallest subspace_distance between two points),
+    every pair's gap read off the points' projectors, each built once."""
+    projectors = [_integer_projector([row for _, row in p.basis.zrows]) for p in points]
     bound = eps
-    for a, b in combinations(range(len(points)), 2):
-        if not _far_apart(points[a], points[b], eps):
-            (na, da), (nb, db) = projector(a), projector(b)
-            bound = min(bound, Fraction(_projector_gap(na, da, nb, db), 2 * da * db))
+    for (na, da), (nb, db) in combinations(projectors, 2):
+        bound = min(bound, Fraction(_projector_gap(na, da, nb, db), 2 * da * db))
     return bound
 
 
@@ -713,13 +668,9 @@ def check_adjacency(
         for idx in range(trials):
             report.record(f"{seed}:{idx}", None)
         return report
-    per_point = 2 * c.k * c.n
     plan = _TrialPlan(
-        base=base, base_rank=j0, n=c.n, count=c.h * per_point, per_point=per_point,
-        slices=tuple((p * per_point, (p + 1) * per_point) for p in range(c.h)),
-        eps_num=eps.numerator, scale_base=eps.denominator * 32768,
-        bound=_trial_bound(c.points, eps),
-        floor=floor,
+        base=base, base_rank=j0, h=c.h, k=c.k, n=c.n, eps=eps,
+        bound=_trial_bound(c.points, eps), floor=floor,
     )
     for idx in range(trials):
         case_seed = f"{seed}:{idx}"

@@ -56,12 +56,10 @@ dimension i, as a polynomial in q by Moebius inversion on the subspace
 lattice.  stratum_point_counts_brute counts the same tuples over F_2 or
 F_3 by enumeration, deciding each sum dimension by a plain mod-q RREF.
 
-adjacency_bound_reference keeps the former route of the adjacency
-trials' bound, min(eps, half the smallest gap between two base points):
-it builds every point's projector and reads every pair's gap off them.
-The package first decides each pair by one integer test that proves the
-gap at least 2 eps, and builds projectors only for the pairs it cannot
-prove.
+adjacency_bound_reference states the adjacency trials' bound, min(eps,
+half the smallest gap between two base points), as one expression over
+every point's projector and every pair's gap.  The package computes it
+by the same route, one projector per point, with a running minimum.
 
 integer_rref_reference keeps the former step of linalg._integer_rref,
 which computed every column of every other row and divided by the

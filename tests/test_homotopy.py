@@ -458,6 +458,16 @@ def test_trace_replay_rejects_a_query_with_no_steps():
             DerivationTrace(trace.initial, (), result).replay()
 
 
+def test_trace_replay_rejects_a_query_of_an_empty_stratum():
+    # the stratum is checked before any rule runs, so no EmptyStratumError
+    # from a fibration escapes; alone or beside a nonempty query
+    empty = PiQuery(1, 2, 5, 2, 4)
+    for initial in (empty, product(PiQuery(2, 2, 3, 2, 4), empty)):
+        with pytest.raises(ValueError, match=r"names the empty stratum F_2\^5\(2,4\)") as caught:
+            DerivationTrace(initial, (), Zero()).replay()
+        assert type(caught.value) is ValueError
+
+
 def test_trace_replay_rejects_a_step_that_does_not_follow_on():
     _, trace = derive(StratumId(3, 6, 2, 9), 2)
     first, second = trace.steps[:2]

@@ -1,9 +1,11 @@
 """The package namespace: the public names, resolved on first use."""
 
+import ast
 import importlib
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -98,3 +100,31 @@ def test_importing_the_package_loads_no_submodule():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['grassconf']\n"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names that source imports and never reads, as "name (line n)";
+    from __future__ imports and those on a "# noqa: F401" line (the
+    re-exports) are left out."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert _unused_imports("from functools import cache, reduce\nreduce(max, [1])\n") == [
+        "cache (line 1)"
+    ]
+    modules = sorted(Path(grassconf.__file__).parent.glob("*.py"))
+    assert modules
+    unused = {path.name: _unused_imports(path.read_text()) for path in modules}
+    assert {name: found for name, found in unused.items() if found} == {}

@@ -524,8 +524,8 @@ def _projector_log(monkeypatch):
 
 def test_adjacency_builds_one_projector_per_point(monkeypatch):
     # the trials and the witness certify their moves without a projector,
-    # and at eps 1/1000 the integer test proves every base gap >= 2 eps;
-    # at eps 5 no gap can be proved (every gap is <= 1), so each point's
+    # and at eps 1/1000 the check-wide certificate covers every trial, so
+    # no trial bound is needed; at eps 5 it does not, so each point's
     # projector is built, once, and only when the check runs trials
     calls = _projector_log(monkeypatch)
     c = sample_configuration(StratumId(3, 3, 2, 6), "golden")
@@ -537,8 +537,9 @@ def test_adjacency_builds_one_projector_per_point(monkeypatch):
 
 
 def test_criterion_7_builds_no_projector(monkeypatch):
-    # every base pair of criterion 7's grid is proved >= 2 eps apart by
-    # the integer test, so no check builds a projector
+    # the check-wide certificate covers every check of criterion 7's grid,
+    # so no check runs a trial or needs the trials' bound, and none builds
+    # a projector
     calls = _projector_log(monkeypatch)
     checks = 0
     for h in (2, 3):
@@ -554,48 +555,17 @@ def test_criterion_7_builds_no_projector(monkeypatch):
     assert calls == []
 
 
-def _tilted(v, j, rng):
-    """v with its first basis row tilted by 10^-j toward a unit vector
-    outside v, so a distinct subspace within about 10^-j of v."""
-    rows = [list(row) for row in v.basis.entries]
-    rows[0][rng.choice(grassmann._free_columns(v))] += Fraction(1, 10 ** j)
-    return canonicalize(Matrix.from_rows(rows), v.n)
-
-
-FAR_APART_EPS = (Fraction(1, 10 ** 9), Fraction(1, 1000), Fraction(1, 7), Fraction(1, 2))
-
-
-def test_far_apart_is_sound():
-    # whenever the integer test holds, the gap is at least 2 eps; tilted
-    # pairs 10^-j apart make it fail as well
-    held = failed = 0
-    for n in range(2, 8):
-        for k in range(1, n):
-            for seed in range(3):
-                rng = random.Random(f"far:{k}:{n}:{seed}")
-                a = sample_subspace(k, n, f"far:a:{seed}")
-                others = [sample_subspace(k, n, f"far:b:{seed}")]
-                others += [_tilted(a, j, rng) for j in (1, 3, 5, 9)]
-                for b in others:
-                    gap = subspace_distance(a, b)
-                    for eps in FAR_APART_EPS:
-                        if verify._far_apart(a, b, eps):
-                            assert gap >= 2 * eps, (a, b, eps)
-                            held += 1
-                        else:
-                            failed += 1
-    assert held > 0 and failed > 0
-
-
-BOUND_EPS = FAR_APART_EPS + (Fraction(1), Fraction(5))
+BOUND_EPS = (
+    Fraction(1, 10 ** 9), Fraction(1, 1000), Fraction(1, 7), Fraction(1, 2), Fraction(1),
+    Fraction(5),
+)
 
 
 def test_trial_bound_matches_the_all_pairs_reference(monkeypatch):
     # the trials' bound equals the all-pairs projector route on every
     # nonempty stratum with h <= 4 and n <= 7, plus two points 1/10000
-    # apart beside a third at 1/1000, where one pair falls back to the
-    # projectors and the others are proved; with eps > 1/2 no pair can
-    # be proved, since every gap is <= 1
+    # apart beside a third, at every eps; each point's projector is built
+    # once
     calls = _projector_log(monkeypatch)
     close = Configuration.of([canonicalize(Matrix.from_rows(rows), 4) for rows in (
         [[1, 0, 0, 0]], [[1, Fraction(1, 10000), 0, 0]], [[0, 1, 0, 0]],
@@ -610,11 +580,10 @@ def test_trial_bound_matches_the_all_pairs_reference(monkeypatch):
             calls.clear()
             want = adjacency_bound_reference(c, eps)
             assert verify._trial_bound(c.points, eps) == want, (c, eps)
-            if eps > Fraction(1, 2):
-                assert calls == [c.k] * c.h
+            assert calls == [c.k] * c.h
     calls.clear()
     verify._trial_bound(close.points, Fraction(1, 1000))
-    assert calls == [1, 1]
+    assert calls == [1, 1, 1]
     assert len(corpus) == 1 + 129
 
 
@@ -688,8 +657,8 @@ def _trial_reference(c, plan, rng):
     draws = [rng.randint(-1, 1) for _ in range(2 * c.h * c.k * c.n)]
     per_point = 2 * c.k * c.n
     size = max(sum(v * v for v in draws[p * per_point:(p + 1) * per_point]) for p in range(c.h))
-    a = plan.eps_num * rng.randint(1, 4096)
-    b = _shrunk_reference(size, a, plan.scale_base, plan.bound)
+    a = plan.eps.numerator * rng.randint(1, 4096)
+    b = _shrunk_reference(size, a, 32768 * plan.eps.denominator, plan.bound)
     return draws, size, sum(v * v for v in draws), a, b
 
 
@@ -729,7 +698,7 @@ def test_trials_match_randint_on_the_adjacency_grid(monkeypatch):
                     patched.setattr(verify, "_semicontinuity_trial", captured)
                     check_adjacency(c, s.i, eps, trials=1)
                 plan = plans.pop()
-                assert (plan.eps_num, plan.scale_base) == (1, 32768 * 1000)
+                assert plan.eps == eps
                 for seed in range(5):
                     ours, reference = random.Random(seed), random.Random(seed)
                     draws, size, nonzero, a, b = _trial_reference(c, plan, reference)
@@ -743,7 +712,7 @@ def test_trials_match_randint_on_the_adjacency_grid(monkeypatch):
                     ranked.clear()
                     assert verify._semicontinuity_trial(upper, ours) is None
                     assert ours.getstate() == reference.getstate()
-                    assert shrunk == [(size, a, plan.scale_base, plan.bound, b)] and ranked == []
+                    assert shrunk == [(size, a, 32768 * 1000, plan.bound, b)] and ranked == []
                     assert verify._semicontinuity_trial(lower, random.Random(seed)) is None
                     ((rows, r),) = ranked
                     assert r == s.i
@@ -1109,8 +1078,7 @@ def test_a_covered_check_certifies_every_draw(monkeypatch):
             continue
         [(which, (num, den))] = covered
         floors.add(which)
-        plan = SimpleNamespace(eps_num=eps.numerator, scale_base=32768 * eps.denominator,
-                               bound=verify._trial_bound(c.points, eps))
+        plan = SimpleNamespace(eps=eps, bound=verify._trial_bound(c.points, eps))
         for idx in range(50):
             rng = random.Random(f"adjacency:{check_seed}:{idx}")
             _, _, nonzero, a, b = _trial_reference(c, plan, rng)
@@ -1121,14 +1089,15 @@ def test_a_covered_check_certifies_every_draw(monkeypatch):
 def test_the_certificate_leaves_every_report_as_the_trials_give_it(monkeypatch):
     # on the 552-check grid every report is byte-identical with the
     # check-wide certificate and without it, and the per-trial route keeps
-    # running: with the certificate, trials run in no check at eps 1/1000
-    # and in some at eps 1/3 and 5; without it, in every check.  Either way
-    # 0, 123 and 184 trials reach the exact rank at the three eps, the same
-    # trials in each check.  With the certificate the Gram floor is built
-    # in the 329 checks whose determinant floor fails it; without it, in
-    # every check, once
+    # running: with the certificate, trials run in 0, 76 and 174 of the
+    # 184 checks at eps 1/1000, 1/3 and 5; without it, in every check.  The
+    # trials' bound is computed in exactly the checks that run trials.
+    # Either way 0, 123 and 184 trials reach the exact rank at the three
+    # eps, the same trials in each check.  With the certificate the Gram
+    # floor is built in the 329 checks whose determinant floor fails it;
+    # without it, in every check, once
     log = _trial_log(monkeypatch)
-    started, grams = [], [0]
+    started, grams, bounds = [], [0], []
 
     def trial(*args, _trial=verify._semicontinuity_trial):
         started.append(True)
@@ -1137,8 +1106,13 @@ def test_the_certificate_leaves_every_report_as_the_trials_give_it(monkeypatch):
     def gram(rows, _floor=verify._sigma_floor):
         grams[0] += 1
         return _floor(rows)
+
+    def bound(*args, _bound=verify._trial_bound):
+        bounds.append(True)
+        return _bound(*args)
     monkeypatch.setattr(verify, "_semicontinuity_trial", trial)
     monkeypatch.setattr(verify, "_sigma_floor", gram)
+    monkeypatch.setattr(verify, "_trial_bound", bound)
     checks = list(_adjacency_grid())
     assert len(checks) == 184
 
@@ -1149,13 +1123,15 @@ def test_the_certificate_leaves_every_report_as_the_trials_give_it(monkeypatch):
             running.append(0)
             for c, target in checks:
                 before = len(started)
+                bounds.clear()
                 log.clear()
                 out.append(json.dumps(check_adjacency(c, target, eps, trials=15, seed=7).to_json()))
                 running[-1] += len(started) > before
+                assert len(bounds) == (len(started) > before)
                 ranked.append(len(log))
         return out, running, ranked, grams[0]
     certified, running, ranked, built = reports()
-    assert running[0] == 0 and running[1] > 0 and running[2] > 0
+    assert running == [0, 76, 174]
     assert [sum(ranked[e * 184:(e + 1) * 184]) for e in range(3)] == [0, 123, 184]
     assert built == 329
     _per_trial(monkeypatch)
