@@ -18,9 +18,12 @@ Three batch checks back the exact layer:
   sum's pivot columns P (_eliminate_base); it names the rows that the
   rows before them span and ends on the determinant of the others.  At
   target j0 c is its own witness and no t is computed.  Otherwise the
-  witness makes one move: the first target - j0 spanned rows are tilted
-  toward unit vectors outside the sum, and one _rank_at_least proves the
-  raised rank; no null space is computed.
+  witness makes one move: the first m = target - j0 spanned rows are
+  tilted toward unit vectors outside the sum, and one _rank_at_least of
+  their m residues modulo the sum (_kernel_block, n - j0 parts each)
+  proves that the tilted points keep dimension k, stay distinct and
+  raise the sum to the target; no null space and no canonical form of
+  a tilted point is computed.
   M is M[:, P] times the sum's RREF basis, so sigma_j0(M) >=
   sigma_min(M[:, P]), and a check with trials keeps one exact floor on
   sigma_j0(M)^2, j0 the base stratum.  Every trial's move is below
@@ -343,34 +346,47 @@ def _eliminate_base(base: ScaledRows, pivots: Sequence[int]) -> tuple[GInt, tupl
 def _raise_stratum(
     points: Sequence[Subspace], total: Subspace, target_i: int, t: Fraction,
     kept: Sequence[int],
-) -> Optional[list[Subspace]]:
-    """Exact tilts raising total, the sum of the points, from its dimension
-    j0 to target_i, or None if the check fails.
+) -> Optional[list[list[Sequence[GInt]]]]:
+    """Each point's Z[i] rows after exact tilts raising total, the sum of
+    the points, from its dimension j0 to target_i, or None if the check
+    fails; no Subspace is built.
 
     The rows not in kept, from the stack's one rank-only elimination
     (_eliminate_base), are those that the rows before them span.  The
     first m = target_i - j0 of them are tilted by t, the j-th toward e_f,
-    f the j-th free column of the sum.  The untilted rows still span the
-    sum, and modulo the sum the tilted rows are t e_f, independent for
-    t != 0.  So the rank rises by exactly m, a tilted point keeps
-    dimension k and leaves the sum, and two tilted points differ modulo
-    the sum; the three facts are checked.
+    f the j-th free column of the sum.  One certificate decides the move:
+    kept has j0 rows, and the m tilted rows' residues modulo the sum
+    (_kernel_block at the sum's PivotSplit, m rows of n - j0 parts) have
+    rank m.  With three invariants it proves the three facts of a raised
+    stratum.  The kept rows are never tilted, are independent and span
+    the sum (_eliminate_base); each point's stored rows are independent
+    (Subspace); the points are pairwise distinct (Configuration).  An
+    untilted row lies in the sum, so its residue is zero.  A dependence
+    among a tilted point's rows maps to one among its tilted rows'
+    residues, so its tilted coefficients vanish and its stored rows leave
+    none: the point keeps dimension k.  A tilted point has a row outside
+    the sum, so it differs from an untilted one, and equal tilted points
+    would put one point's tilted residue in the span of the other's, so
+    every two points differ.  The kept rows and the tilted rows have rank
+    j0 + m = target_i.  For t != 0 the residues are t e_f up to scale, so
+    the certificate holds.
     """
-    pts = list(points)
-    k, n = pts[0].k, pts[0].n
-    rows = [row for p in pts for _, row in p.basis.zrows]
-    spanned = [r for r in range(len(rows)) if r not in kept]
+    k, n = points[0].k, points[0].n
+    m = target_i - total.k
+    rows = [row for p in points for _, row in p.basis.zrows]
+    tilted = [r for r in range(len(rows)) if r not in kept][:m]
+    split = grassmann._pivot_split(total)
     directions: dict[int, list[list[GInt]]] = {}
-    for r, fresh in zip(spanned, grassmann._free_columns(total)[:target_i - total.k]):
+    for r, fresh in zip(tilted, split[1]):
         m_idx, slot = divmod(r, k)
         direction = directions.setdefault(m_idx, [[(0, 0)] * n for _ in range(k)])
         direction[slot][fresh] = (1, 0)
     for m_idx, direction in directions.items():
-        tilted = _perturbed_rows(pts[m_idx].basis.zrows, direction, t)
-        rows[m_idx * k:(m_idx + 1) * k] = tilted
-        pts[m_idx] = grassmann._canonical_span(tilted, n)
-    raised = all(p.k == k for p in pts) and len(set(pts)) == len(pts)
-    return pts if raised and linalg._rank_at_least(rows, target_i) else None
+        rows[m_idx * k:(m_idx + 1) * k] = _perturbed_rows(points[m_idx].basis.zrows, direction, t)
+    residues = [grassmann._kernel_block(rows[r], split) for r in tilted]
+    if len(kept) != total.k or not linalg._rank_at_least(residues, m):
+        return None
+    return [rows[a:a + k] for a in range(0, len(rows), k)]
 
 
 def _shrunk(size: int, a: int, b: int, bound: Fraction) -> int:

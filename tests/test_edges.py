@@ -33,7 +33,6 @@ from grassconf.grassmann import (
     Configuration,
     StratumId,
     canonicalize,
-    complement,
     configuration_from_json,
     configuration_to_json,
     projection_along,
@@ -53,7 +52,6 @@ from grassconf.homotopy import (
     group_from_json,
 )
 from grassconf.linalg import (
-    GaussianRational,
     Matrix,
     gq,
     matrix_from_json,

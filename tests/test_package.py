@@ -124,7 +124,10 @@ def test_no_module_imports_a_name_it_never_uses():
     assert _unused_imports("from functools import cache, reduce\nreduce(max, [1])\n") == [
         "cache (line 1)"
     ]
+    # the package's modules and the test modules, this file included
     modules = sorted(Path(grassconf.__file__).parent.glob("*.py"))
-    assert modules
-    unused = {path.name: _unused_imports(path.read_text()) for path in modules}
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    assert modules and Path(__file__) in tests
+    unused = {f"{path.parent.name}/{path.name}": _unused_imports(path.read_text())
+              for path in modules + tests}
     assert {name: found for name, found in unused.items() if found} == {}

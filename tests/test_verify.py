@@ -450,8 +450,9 @@ def test_witness_shrinks_for_many_tilts(monkeypatch, s, target, eps):
     raised = []
 
     def recorded(points, total, target_i, t, kept, _raise=verify._raise_stratum):
-        raised.append((t, _raise(points, total, target_i, t, kept)))
-        return raised[-1][1]
+        got = _raise(points, total, target_i, t, kept)
+        raised.append((t, _canonical_points(got, total.n)))
+        return got
     monkeypatch.setattr(verify, "_raise_stratum", recorded)
     report = check_adjacency(c, target, eps, trials=0, seed=0)
     assert report.ok, report.failures
@@ -485,8 +486,9 @@ def test_witness_lands_in_the_target_stratum_within_eps(monkeypatch):
     raised = []
 
     def recorded(points, total, target_i, t, kept, _raise=verify._raise_stratum):
-        raised.append(_raise(points, total, target_i, t, kept))
-        return raised[-1]
+        got = _raise(points, total, target_i, t, kept)
+        raised.append(_canonical_points(got, total.n))
+        return got
     monkeypatch.setattr(verify, "_raise_stratum", recorded)
     checked = 0
     for h in (2, 3, 4):
@@ -891,8 +893,9 @@ def test_trials_reach_the_exact_rank_exactly_when_the_floor_fails(monkeypatch):
 
 def test_floor_runs_no_mod_p_elimination(monkeypatch):
     # the floor reads the base stack at its sum's pivot columns, so a check
-    # with trials runs only the witness's one mod-p rank, of the tilted
-    # stack (6 x 6, cap target); neither the floor nor a trial runs one
+    # with trials runs only the witness's one mod-p rank, of its tilted
+    # rows' residues modulo the sum (3 x 3, cap target - j0); neither the
+    # floor nor a trial runs one
     c = sample_configuration(StratumId(3, 3, 2, 6), "golden")
     calls = []
 
@@ -904,7 +907,7 @@ def test_floor_runs_no_mod_p_elimination(monkeypatch):
     for trials in (0, 7, 30):
         calls.clear()
         assert check_adjacency(c, 6, Fraction(1, 1000), trials=trials, seed="golden").ok
-        assert calls == [(6, 6, 6)]
+        assert calls == [(3, 3, 3)]
 
 
 def _singular_values(rows):
@@ -1150,12 +1153,23 @@ WITNESS_CASES = [
 ]
 
 
-def _raised(points, total, target, t):
-    """_raise_stratum after the stack's one rank-only elimination, as a
-    check hands its kept rows to the witness."""
+def _kept(points, total):
+    """The kept rows of the stack's one rank-only elimination, as a check
+    hands them to the witness."""
     base = [row for p in points for row in p.basis.zrows]
-    _, kept = verify._eliminate_base(base, total.pivots())
-    return _raise_stratum(points, total, target, t, kept)
+    return verify._eliminate_base(base, total.pivots())[1]
+
+
+def _canonical_points(rows, n):
+    """The witness's points: each point's returned Z[i] rows in canonical
+    form, or None when the witness returned None."""
+    return None if rows is None else [grassmann._canonical_span(r, n) for r in rows]
+
+
+def _raised(points, total, target, t):
+    """_raise_stratum's points, canonicalized, after the stack's one
+    rank-only elimination."""
+    return _canonical_points(_raise_stratum(points, total, target, t, _kept(points, total)), total.n)
 
 
 @pytest.mark.parametrize("s, target", [(StratumId(3, 5, 2, 6), 6)] + WITNESS_CASES[6:], ids=str)
@@ -1197,8 +1211,9 @@ def test_raise_stratum_matches_reference(s, target):
 
 @pytest.mark.parametrize("s, target", WITNESS_CASES[:3], ids=str)
 def test_raise_stratum_fails_without_a_tilt(s, target):
-    # t = 0 leaves the tilted point where it was, so the rank check of the
-    # first step fails and the witness reports no configuration
+    # t = 0 leaves the tilted point where it was, so its tilted rows lie in
+    # the sum, their residues are zero, the residue block's rank check
+    # fails and the witness reports no configuration
     c = sample_configuration(s, "golden")
     assert _raised(c.points, subspace_sum(c.points), target, Fraction(0)) is None
     assert raise_stratum_reference(list(c.points), target, Fraction(0)) is None
@@ -1206,10 +1221,10 @@ def test_raise_stratum_fails_without_a_tilt(s, target):
 
 def test_raise_stratum_reduces_the_starting_sum_once(monkeypatch):
     # a check reduces the starting stack (6 rows) once and hands the sum to
-    # the witness; its only other reductions are the tilted points (2 rows
-    # each; here the last two points hold the three tilted rows).  Every
+    # the witness, which reduces nothing: it certifies the tilted rows by
+    # their residues modulo the sum and returns rows, not Subspaces.  Every
     # reduced row echelon form is built by linalg._rref_rows, counted here
-    # by its rows
+    # by its rows; the witness's points are canonicalized after the count
     calls = []
 
     def counted(rows, _reduce=linalg._rref_rows):
@@ -1217,14 +1232,42 @@ def test_raise_stratum_reduces_the_starting_sum_once(monkeypatch):
         return _reduce(rows)
     c = sample_configuration(StratumId(3, 3, 2, 6), "golden")
     total = subspace_sum(c.points)
+    kept = _kept(c.points, total)
     monkeypatch.setattr(linalg, "_rref_rows", counted)
-    got = _raised(c.points, total, 6, Fraction(1, 8000))
-    assert calls == [2, 2]
-    calls.clear()
+    rows = _raise_stratum(c.points, total, 6, Fraction(1, 8000), kept)
+    assert calls == []
     assert check_adjacency(c, 6, Fraction(1, 1000), trials=3, seed="golden").ok
     monkeypatch.undo()
-    assert calls == [6, 2, 2]
+    assert calls == [6]
+    got = _canonical_points(rows, total.n)
     assert got[0] == c.points[0] and stratum_of(Configuration.of(got)) == 6
+
+
+@pytest.mark.parametrize("s, target", WITNESS_CASES, ids=str)
+def test_witness_ranks_only_its_residue_block(monkeypatch, s, target):
+    # the witness builds no canonical form: it returns rows, and its one
+    # rank is of the m = target - j0 tilted rows' residues modulo the sum,
+    # n - j0 parts each, not of the tilted stack
+    c = sample_configuration(s, "golden")
+    total = c.span
+    m, free = target - total.k, total.n - total.k
+    kept = _kept(c.points, total)
+    reduced, ranks = [], []
+
+    def counted(rows, _reduce=linalg._rref_rows):
+        reduced.append(len(rows))
+        return _reduce(rows)
+
+    def ranked(rows, r, _rank=linalg._rank_at_least):
+        ranks.append((len(rows), {len(row) for row in rows}, r))
+        return _rank(rows, r)
+    monkeypatch.setattr(linalg, "_rref_rows", counted)
+    monkeypatch.setattr(linalg, "_rank_at_least", ranked)
+    got = _raise_stratum(c.points, total, target, Fraction(1, 8000), kept)
+    monkeypatch.undo()
+    assert reduced == [] and ranks == [(m, {free}, m)]
+    assert [len(rows) for rows in got] == [c.k] * c.h
+    assert stratum_of(Configuration.of(_canonical_points(got, c.n))) == target
 
 
 def _spanned_rows(points):
@@ -1245,8 +1288,9 @@ def _one_move(monkeypatch, points, target, t):
     m = target - j0 rows that the rows before them span, the j-th toward e_f
     with f the j-th free column of the sum, with one _perturbed_rows per
     tilted point, one rank-only elimination (of the stack's j0 columns at
-    the sum's pivots) and one _rank_at_least, at target.  Returns the
-    witness's points."""
+    the sum's pivots) and one _rank_at_least, at m, of the m tilted rows'
+    residues modulo the sum (n - j0 parts each).  Returns the witness's
+    points."""
     total = subspace_sum(points)
     k, j0 = points[0].k, total.k
     free = [f for f in range(total.n) if f not in total.pivots()]
@@ -1266,7 +1310,7 @@ def _one_move(monkeypatch, points, target, t):
         return _rref(grid, reduce)
 
     def ranked(rows, r, _rank=linalg._rank_at_least):
-        ranks.append(r)
+        ranks.append((len(rows), {len(row) for row in rows}, r))
         return _rank(rows, r)
     with monkeypatch.context() as patched:
         patched.setattr(verify, "_perturbed_rows", perturbed)
@@ -1277,7 +1321,8 @@ def _one_move(monkeypatch, points, target, t):
     assert len(tilts) == len(want)
     assert {next(a for a, p in enumerate(points) if p.basis.zrows == base): slots
             for base, slots in tilts} == want
-    assert eliminations == [j0] and ranks == [target]
+    m = target - j0
+    assert eliminations == [j0] and ranks == [(m, {total.n - j0}, m)]
     return got
 
 
