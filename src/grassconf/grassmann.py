@@ -207,13 +207,14 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Optional[Subspace]:
 def intersection_dim(a: Subspace, b: Subspace) -> int:
     """dim(A ∩ B) = dim A + dim B - dim(A + B), from the stacked bases.
 
-    linalg._rank_at_least decides whether the sum is direct, mostly by its
-    mod-p certificate; otherwise the exact rank gives dim(A + B).
+    A mod-p rank (linalg._modular_rank) that reaches dim A + dim B proves
+    the sum direct with no exact elimination; otherwise one exact rank
+    gives dim(A + B).
     """
     if a.n != b.n:
         raise MixedAmbientError("ambient dimensions differ")
     stacked = a.basis.stack(b.basis)
-    if linalg._rank_at_least(linalg._integer_rows(stacked), a.k + b.k):
+    if linalg._modular_rank(linalg._integer_rows(stacked), a.k + b.k) == a.k + b.k:
         return 0
     return a.k + b.k - linalg.rank(stacked)
 

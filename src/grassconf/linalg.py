@@ -24,14 +24,17 @@ a lower bound on the rank and leaves every other answer to
 _integer_rref.  Every decision "rank >= r" goes through it: the
 sampler's draws of invertible matrices and subspaces, the direct-sum test
 of fibrations.pr_forget_last, the gamma suite's check that a fiber inside
-V0 spans it (rank dim V0), the dimension suite's tangent rank and
-grassmann.intersection_dim's test that a sum is direct.
+V0 spans it (rank dim V0), the dimension suite's tangent rank and the
+adjacency suite's witness and trials.  grassmann.intersection_dim needs
+the rank itself when a sum is not direct, so it asks the certificate
+first and, when that falls short, runs one rank.
 An elimination decides its own system: a chart projection
 (grassmann._projection_solve) and chart coordinates catch _solve_rows'
 InconsistentSystemError, so every transversality decision of fibrations
 and the roundtrip suites' chart search tests no matrix first.
 The certificate's one mod-p elimination, _modular_rank, counts pivots
-and keeps nothing else; _rank_at_least is its only caller.
+and keeps nothing else; _rank_at_least and grassmann.intersection_dim
+are its only callers.
 A product (_products) brings the right factor's rows to one common scale
 and builds each entry as one Z[i] dot product.  Matrix @ makes each
 product row primitive with one gcd, as a row's common content otherwise

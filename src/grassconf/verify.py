@@ -35,19 +35,21 @@ Three batch checks back the exact layer:
   elimination's last pivot.  Only when it fails the certificate is the
   Gram floor (_sigma_floor, an elimination of [G | I]) built, once; the
   check keeps the larger of the two, and the certificate tests it.
-  A check that the certificate leaves open runs its trials one at a
-  time.  They stay within eps and half the smallest gap between base
-  points, read off each point's projector, a Gaussian-integer matrix
-  over a positive integer built once per check.  The base rows and rank,
-  the floor, the bound, (h, k, n) and eps make the check's one
-  _TrialPlan, which no later check reuses.  A trial keeps only its own work: its seeded draws as bytes,
-  their counts of zero draws (per point and in all), its scale draw
-  (randint(1, 4096) restated by getrandbits), _shrunk and one integer
-  comparison with the floor, keeping t = a/b as two integers.  A trial
-  whose move t D has |t|^2 ||D||_F^2 below the floor keeps rank >= j0 by
-  Weyl's inequality.  Past it, the trial builds its Z[i] rows by the
-  witness's routine and a Fraction for t, and a drop is always decided
-  by the exact pivot count.
+  A check records every trial in one loop, under the case seed
+  "seed:idx"; one that the certificate leaves open runs each trial
+  there.  Only such a check computes the trials' bound: eps and half
+  the smallest gap between base points, read off each point's
+  projector, a Gaussian-integer matrix over a positive integer built
+  once per check.  A trial reads h, k, n and j0 off c and is handed the
+  check's base rows, eps, bound and floor, so it keeps only its own
+  work: its seeded draws as bytes, their counts of zero draws (per point
+  and in all), its scale draw (randint(1, 4096) restated by
+  getrandbits), _shrunk and one integer comparison with the floor,
+  keeping t = a/b as two integers.  A trial whose move t D has
+  |t|^2 ||D||_F^2 below the floor keeps rank >= j0 by Weyl's
+  inequality.  Past it, the trial builds its Z[i] rows by the witness's
+  routine and a Fraction for t, and a drop is always decided by the
+  exact pivot count.
 * run_roundtrip_suite exercises the gamma/pr/eta trivializations on
   seeded samples of one stratum, entrywise over Q(i).  A case's chart is
   the first seeded one, centred in Gr(k, n) for k the chart dimension of
@@ -77,7 +79,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import lcm, prod
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from . import grassmann, linalg
 from ._strata import Fibration, _require_arity, _require_nonempty, fibration
@@ -532,29 +534,16 @@ def _certifies_every_trial(h: int, eps: Fraction, floor: tuple[int, int]) -> boo
     return h * p * p * den <= num * (p + q) ** 2
 
 
-class _TrialPlan(NamedTuple):
-    """What every semicontinuity trial of one check shares, built once per
-    check by check_adjacency, only when the check-wide certificate
-    (_certifies_every_trial) does not cover the check, and dropped with it.
+def _semicontinuity_trial(
+    c: Configuration, base: ScaledRows, eps: Fraction, bound: Fraction,
+    floor: tuple[int, int], rng: random.Random,
+) -> Optional[str]:
+    """One seeded exact perturbation of c, of chart-metric size < eps.
 
-    base holds the h points' stacked bases as scaled Z[i] rows of k x n
-    blocks, j0 = base_rank.  bound is _trial_bound's.  floor,
-    num / den <= sigma_j0^2 of their stack, is the one the certificate
-    failed: the larger of the determinant floor (_det_floor) and the Gram
-    floor (_sigma_floor)."""
-
-    base: ScaledRows
-    base_rank: int
-    h: int
-    k: int
-    n: int
-    eps: Fraction
-    bound: Fraction
-    floor: tuple[int, int]
-
-
-def _semicontinuity_trial(plan: _TrialPlan, rng: random.Random) -> Optional[str]:
-    """One seeded exact perturbation of chart-metric size < eps.
+    base holds c's stacked bases as scaled Z[i] rows of k x n blocks, the
+    stack M of rank j0 = c.span.k; bound is _trial_bound's, and floor,
+    num / den <= sigma_j0(M)^2, is the one that the check-wide
+    certificate (_certifies_every_trial) failed.
 
     Directions come from the {-1, 0, 1} lattice of Z[i], 2kn draws for
     each of the h points in turn; the scale eps x / 32768, for
@@ -563,18 +552,14 @@ def _semicontinuity_trial(plan: _TrialPlan, rng: random.Random) -> Optional[str]
     move below bound (_shrunk; at most eps and half the smallest base
     gap, so the points stay distinct).  The stack moves by t D, and
     ||t D||_2 <= |t| ||D||_F with ||D||_F^2 the count of nonzero draws; so
-    with t = a/b and a floor num / den, a^2 ||D||_F^2 den < num b^2
-    gives ||t D||_2 < sigma_j0, and by Weyl's inequality
-    (sigma_j0(M + E) >= sigma_j0(M) - ||E||_2; Weyl, Math. Ann. 71, 1912)
-    the stratum did not drop.  Past the plan's one floor, the exact rows
-    decide by _rank_at_least.  A check runs its trials only when that
-    floor does not cover the whole eps-ball at once
-    (_certifies_every_trial), so a trial's own move is what it is
-    compared with.
+    with t = a/b, a^2 ||D||_F^2 den < num b^2 gives ||t D||_2 < sigma_j0,
+    and by Weyl's inequality (sigma_j0(M + E) >= sigma_j0(M) - ||E||_2;
+    Weyl, Math. Ann. 71, 1912) the stratum did not drop.  Past the floor,
+    the exact rows decide by _rank_at_least.
     Returns a failure description when the stratum drops, None otherwise.
     """
-    per_point = 2 * plan.k * plan.n
-    count = plan.h * per_point
+    per_point = 2 * c.k * c.n
+    count = c.h * per_point
     draws = _unit_draws(rng, count)
     # each draw is -1, 0 or 1 (stored as 0, 1 or 2), so a point's sum of
     # |d|^2 counts its nonzero draws
@@ -589,16 +574,16 @@ def _semicontinuity_trial(plan: _TrialPlan, rng: random.Random) -> Optional[str]
         x = rng.getrandbits(13)
     # t = a/b unreduced, with b raised by _shrunk; the floor's test is
     # homogeneous in (a, b)
-    a = plan.eps.numerator * (x + 1)
-    b = _shrunk(size, a, plan.eps.denominator * 32768, plan.bound)
-    num, den = plan.floor
+    a = eps.numerator * (x + 1)
+    b = _shrunk(size, a, eps.denominator * 32768, bound)
+    num, den = floor
     if a * a * nonzero * den < num * b * b:
         return None
-    n = plan.n
+    n = c.n
     pairs = [(re - 1, im - 1) for re, im in zip(draws[::2], draws[1::2])]
     directions = [pairs[r:r + n] for r in range(0, len(pairs), n)]
-    rows = _perturbed_rows(plan.base, directions, Fraction(a, b))
-    if not linalg._rank_at_least(rows, plan.base_rank):
+    rows = _perturbed_rows(base, directions, Fraction(a, b))
+    if not linalg._rank_at_least(rows, c.span.k):
         return "stratum dropped under a perturbation of size < eps"
     return None
 
@@ -680,18 +665,11 @@ def check_adjacency(
         gram = _sigma_floor([(scale, cols[j]) for j in pivots])
         if gram[0] * floor[1] > floor[0] * gram[1]:
             floor, covered = gram, _certifies_every_trial(c.h, eps, gram)
-    if covered:
-        for idx in range(trials):
-            report.record(f"{seed}:{idx}", None)
-        return report
-    plan = _TrialPlan(
-        base=base, base_rank=j0, h=c.h, k=c.k, n=c.n, eps=eps,
-        bound=_trial_bound(c.points, eps), floor=floor,
-    )
+    bound = None if covered else _trial_bound(c.points, eps)
     for idx in range(trials):
         case_seed = f"{seed}:{idx}"
-        desc = _semicontinuity_trial(plan, random.Random(f"adjacency:{case_seed}"))
-        report.record(case_seed, desc)
+        report.record(case_seed, None if covered else _semicontinuity_trial(
+            c, base, eps, bound, floor, random.Random(f"adjacency:{case_seed}")))
     return report
 
 

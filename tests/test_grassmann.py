@@ -166,6 +166,25 @@ def test_intersection_dim_falls_back_to_the_exact_rank():
     assert intersection_dim(line, tilted) == 0
 
 
+def test_intersection_dim_eliminates_a_non_direct_pair_once(monkeypatch):
+    # the two planes of F_2^3(2,4) meet in a line, so the mod-p rank falls
+    # short and one forward elimination counts the pivots; a direct pair
+    # is proved by the mod-p rank alone
+    calls = []
+
+    def eliminated(grid, reduce=True, _rref=linalg._integer_rref):
+        calls.append(reduce)
+        return _rref(grid, reduce)
+    meeting = sample_configuration(StratumId(2, 3, 2, 4), 0).points
+    direct = sample_configuration(StratumId(2, 4, 2, 4), 0).points
+    monkeypatch.setattr(linalg, "_integer_rref", eliminated)
+    assert intersection_dim(*meeting) == 1
+    assert calls == [False]
+    calls.clear()
+    assert intersection_dim(*direct) == 0
+    assert calls == []
+
+
 def test_intersection_dimension_in_pair_stratum():
     for i, k, n in ((3, 2, 4), (3, 2, 5), (4, 3, 5), (5, 3, 6)):
         c = sample_configuration(StratumId(2, i, k, n), f"int:{i}:{k}:{n}")

@@ -5,6 +5,7 @@ import importlib
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,8 @@ PUBLIC_NAMES = [
     "subspace_intersection", "subspace_sum", "subspace_to_json", "verify",
 ]
 SUBMODULES = ("errors", "fibrations", "grassmann", "homotopy", "linalg", "verify")
+# the package's module files, read by the lints at the end of this file
+MODULE_PATHS = sorted(Path(grassconf.__file__).parent.glob("*.py"))
 
 
 def test_public_names_are_unchanged():
@@ -116,8 +119,41 @@ def _unused_imports(source: str) -> list[str]:
             continue
         for alias in node.names:
             imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read = _names_in(tree)
     return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def _names_in(tree: ast.AST, attributes: bool = False) -> Counter:
+    """How often each name occurs in tree as a bare name and, with
+    attributes=True, also as an attribute (linalg._modular_rank)."""
+    kinds = (ast.Name, ast.Attribute) if attributes else ast.Name
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, kinds))
+
+
+def _dead_private_names(sources: dict[str, str]) -> tuple[int, list[str]]:
+    """(the count of module-level private functions, classes and constants
+    that the modules define, those of them that no module names outside
+    their own definition, as "module.name").  Dunder names are left out."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    named = sum((_names_in(tree, attributes=True) for tree in trees.values()), Counter())
+    defined, dead = 0, []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = _names_in(node, attributes=True)
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined += 1
+                    if named[name] == own[name]:
+                        dead.append(f"{module}.{name}")
+    return defined, dead
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -125,9 +161,21 @@ def test_no_module_imports_a_name_it_never_uses():
         "cache (line 1)"
     ]
     # the package's modules and the test modules, this file included
-    modules = sorted(Path(grassconf.__file__).parent.glob("*.py"))
     tests = sorted(Path(__file__).parent.glob("*.py"))
-    assert modules and Path(__file__) in tests
+    assert MODULE_PATHS and Path(__file__) in tests
     unused = {f"{path.parent.name}/{path.name}": _unused_imports(path.read_text())
-              for path in modules + tests}
+              for path in MODULE_PATHS + tests}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_every_private_name_of_the_package_is_used():
+    # a private function that only calls itself, and a constant that is
+    # only assigned, are leftovers; a name read as a module attribute is not
+    assert _dead_private_names({
+        "a": "def _helper(n):\n    return _helper(n - 1)\n_SEEN = 1\n_LEFT: int = 2\n",
+        "b": "import a\nprint(a._SEEN)\n",
+    }) == (3, ["a._helper", "a._LEFT"])
+    # the tests may read a private name, but a name that only the tests
+    # read is dead code of the package
+    defined, dead = _dead_private_names({path.stem: path.read_text() for path in MODULE_PATHS})
+    assert defined > 0 and dead == []

@@ -3,7 +3,6 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -651,7 +650,7 @@ def test_unit_draws_match_randint_across_seeds_and_counts():
         assert ours.getstate() == reference.getstate()
 
 
-def _trial_reference(c, plan, rng):
+def _trial_reference(c, eps, bound, rng):
     """A trial's (draws, size, nonzero, a, b) from randint: 2hkn draws in
     {-1, 0, 1}, size the largest sum of |d|^2 over a point, nonzero the
     sum over all points, a = eps.numerator * randint(1, 4096) and b shrunk
@@ -659,8 +658,8 @@ def _trial_reference(c, plan, rng):
     draws = [rng.randint(-1, 1) for _ in range(2 * c.h * c.k * c.n)]
     per_point = 2 * c.k * c.n
     size = max(sum(v * v for v in draws[p * per_point:(p + 1) * per_point]) for p in range(c.h))
-    a = plan.eps.numerator * rng.randint(1, 4096)
-    b = _shrunk_reference(size, a, 32768 * plan.eps.denominator, plan.bound)
+    a = eps.numerator * rng.randint(1, 4096)
+    b = _shrunk_reference(size, a, 32768 * eps.denominator, bound)
     return draws, size, sum(v * v for v in draws), a, b
 
 
@@ -672,14 +671,14 @@ def test_trials_match_randint_on_the_adjacency_grid(monkeypatch):
     # trial is certified at the upper one and reaches the exact rank at the
     # lower); the draws are read back from the exact rank's perturbed rows.
     # The check-wide certificate covers these checks, so it is switched off
-    # to build a plan
+    # to capture the values that the check hands its trials
     eps = Fraction(1, 1000)
-    plans, shrunk, ranked = [], [], []
+    handed, shrunk, ranked = [], [], []
     _per_trial(monkeypatch)
 
-    def captured(plan, rng, _trial=verify._semicontinuity_trial):
-        plans.append(plan)
-        return _trial(plan, rng)
+    def captured(*args, _trial=verify._semicontinuity_trial):
+        handed.append(args[:-2])
+        return _trial(*args)
 
     def recorded(size, a, b, bound, _shrunk=verify._shrunk):
         shrunk.append((size, a, b, bound, _shrunk(size, a, b, bound)))
@@ -699,23 +698,22 @@ def test_trials_match_randint_on_the_adjacency_grid(monkeypatch):
                 with pytest.MonkeyPatch.context() as patched:
                     patched.setattr(verify, "_semicontinuity_trial", captured)
                     check_adjacency(c, s.i, eps, trials=1)
-                plan = plans.pop()
-                assert plan.eps == eps
+                got, base, got_eps, bound = handed.pop()
+                assert got is c and got_eps == eps
                 for seed in range(5):
                     ours, reference = random.Random(seed), random.Random(seed)
-                    draws, size, nonzero, a, b = _trial_reference(c, plan, reference)
+                    draws, size, nonzero, a, b = _trial_reference(c, eps, bound, reference)
                     above = (a * a * (2 * nonzero + 1), 2 * b * b)
                     below = (a * a * (2 * nonzero - 1), 2 * b * b)
                     # certified by the floor above the move; past the
                     # floor below it, decided by the exact rank
-                    upper = plan._replace(floor=above)
-                    lower = plan._replace(floor=below)
                     shrunk.clear()
                     ranked.clear()
-                    assert verify._semicontinuity_trial(upper, ours) is None
+                    assert verify._semicontinuity_trial(c, base, eps, bound, above, ours) is None
                     assert ours.getstate() == reference.getstate()
-                    assert shrunk == [(size, a, 32768 * 1000, plan.bound, b)] and ranked == []
-                    assert verify._semicontinuity_trial(lower, random.Random(seed)) is None
+                    assert shrunk == [(size, a, 32768 * 1000, bound, b)] and ranked == []
+                    assert verify._semicontinuity_trial(
+                        c, base, eps, bound, below, random.Random(seed)) is None
                     ((rows, r),) = ranked
                     assert r == s.i
                     # the rows are b * row + a * scale * d at t = a/b in lowest terms
@@ -723,10 +721,10 @@ def test_trials_match_randint_on_the_adjacency_grid(monkeypatch):
                     a, b = t.numerator, t.denominator
                     moved = [[((re - b * base_re) // (a * scale), (im - b * base_im) // (a * scale))
                               for (re, im), (base_re, base_im) in zip(row, base_row)]
-                             for row, (scale, base_row) in zip(rows, plan.base)]
+                             for row, (scale, base_row) in zip(rows, base)]
                     assert [v for row in moved for part in row for v in part] == draws
                     checked += 1
-    assert checked == 5 * 24 and not plans
+    assert checked == 5 * 24 and not handed
 
 
 def _trial_log(monkeypatch):
@@ -1081,10 +1079,10 @@ def test_a_covered_check_certifies_every_draw(monkeypatch):
             continue
         [(which, (num, den))] = covered
         floors.add(which)
-        plan = SimpleNamespace(eps=eps, bound=verify._trial_bound(c.points, eps))
+        bound = verify._trial_bound(c.points, eps)
         for idx in range(50):
             rng = random.Random(f"adjacency:{check_seed}:{idx}")
-            _, _, nonzero, a, b = _trial_reference(c, plan, rng)
+            _, _, nonzero, a, b = _trial_reference(c, eps, bound, rng)
             assert a * a * nonzero * den < num * b * b, (c, target, eps, idx)
     assert floors == {"det", "gram"}
 
