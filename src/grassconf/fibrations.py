@@ -45,6 +45,7 @@ True
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from . import grassmann, linalg
@@ -77,9 +78,9 @@ class Trivialization:
     ...
     grassconf.errors.NotComplementaryError: subspaces intersect nontrivially
 
-    The solved P, its matrix once read (projector) and the last result
-    (v, Q_v) of _chart_projection are kept beside the fields, so ==, hash
-    and repr ignore them.
+    The solved P, its matrix (projector, a cached_property) and the last
+    result (v, Q_v) of _chart_projection are kept beside the fields, so
+    ==, hash and repr ignore them.
     """
 
     base_point: Subspace
@@ -91,15 +92,11 @@ class Trivialization:
             grassmann._projection_solve(self.base_point, self.complement),
         )
 
-    @property
+    @cached_property
     def projector(self) -> Matrix:
         """P as an n x n matrix acting on row vectors, built from the kept
         solve on first read, then kept; no chart map reads it."""
-        p = self.__dict__.get("_projector")
-        if p is None:
-            p = grassmann._projection_matrix(self._projection)
-            object.__setattr__(self, "_projector", p)
-        return p
+        return grassmann._projection_matrix(self._projection)
 
     @staticmethod
     def over(v0: Subspace, l0: Optional[Subspace] = None) -> "Trivialization":
@@ -252,7 +249,7 @@ def _graph_coordinates(rows: Sequence[Sequence[GInt]], w: Subspace) -> Matrix:
     [L·y·N | L·y at W's pivots], whose InconsistentSystemError becomes
     OutsideChartError."""
     try:
-        return grassmann._solve_along(rows, grassmann._pivot_split(w), w.pivots())
+        return grassmann._solve_along(rows, w._pivot_split, w.pivots())
     except InconsistentSystemError:
         raise OutsideChartError("subspace meets w nontrivially") from None
 
@@ -267,7 +264,7 @@ def _graph_basis(coords: Matrix, w: Subspace) -> Matrix:
         raise ValueError("coordinate matrix shape does not match the chart")
     big, rows = linalg._products(linalg._integer_rows(coords), w.basis)
     zrows = []
-    for (s, _), row, f in zip(coords.zrows, rows, grassmann._free_columns(w)):
+    for (s, _), row, f in zip(coords.zrows, rows, w._pivot_split.free):
         re, im = row[f]
         row[f] = (re + s * big, im)
         zrows.append(linalg._primitive(s * big, row))

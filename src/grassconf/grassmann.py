@@ -11,6 +11,7 @@ needs no matrix code; this module re-exports them.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import linalg
@@ -53,11 +54,23 @@ def _canonical_pivots(m: Matrix) -> Optional[tuple[int, ...]]:
     return tuple(pivots)
 
 
+class PivotSplit(NamedTuple):
+    """(P, F, L, C) of an RREF basis A = W / L at one common scale L: its
+    pivot columns, its free columns (none for the full space), L, and C[j]
+    the column F[j] of W, which determine the null basis of A."""
+
+    pivots: tuple[int, ...]
+    free: tuple[int, ...]
+    scale: int
+    cols: tuple[tuple[GInt, ...], ...]
+
+
 @record
 class Subspace:
-    """A k-dimensional subspace of C^n; basis rows are in canonical RREF,
-    whose pivots (and, once read, _pivot_split) are kept beside the fields
-    (==, hash and repr ignore them)."""
+    """A k-dimensional subspace of C^n; basis rows are in canonical RREF.
+    Its pivots, found when it is built, and its _pivot_split, a
+    cached_property, are kept beside the fields, so ==, hash and repr
+    ignore them."""
 
     n: int
     k: int
@@ -76,6 +89,15 @@ class Subspace:
     def pivots(self) -> tuple[int, ...]:
         return self._pivots
 
+    @cached_property
+    def _pivot_split(self) -> PivotSplit:
+        """The PivotSplit of the RREF basis, computed on first read; it is
+        all tuples, so the kept split cannot be mutated."""
+        scale, ints = linalg._common_scale(self.basis.zrows)
+        free = tuple(sorted(set(range(self.n)).difference(self._pivots)))
+        cols = tuple(tuple(row[f] for row in ints) for f in free)
+        return PivotSplit(self._pivots, free, scale, cols)
+
     def contains(self, other: "Subspace") -> bool:
         """Whether other ⊆ self, read off the RREF basis with no elimination.
 
@@ -92,8 +114,8 @@ class Subspace:
         """
         if other.n != self.n:
             raise MixedAmbientError("ambient dimensions differ")
-        split = _pivot_split(self)
-        zero = [(0, 0)] * len(split[1])
+        split = self._pivot_split
+        zero = [(0, 0)] * len(split.free)
         return all(_kernel_block(u, split) == zero for _, u in other.basis.zrows)
 
     def __str__(self) -> str:
@@ -126,11 +148,11 @@ class Configuration:
                 if self.points[a] == self.points[b]:
                     raise DuplicatePointsError(f"points {a} and {b} coincide")
 
-    @property
+    @cached_property
     def span(self) -> Subspace:
         """H_1 + ... + H_h, by subspace_sum on first read, then kept.
 
-        The sum is stored beside the fields, not as one, so ==, hash, repr
+        The sum is kept beside the fields, not as one, so ==, hash, repr
         and the JSON form ignore it; it lives as long as the configuration.
 
         >>> c = Configuration.of([
@@ -143,11 +165,7 @@ class Configuration:
         >>> c.span is c.span
         True
         """
-        total = self.__dict__.get("_span")
-        if total is None:
-            total = subspace_sum(self.points)
-            object.__setattr__(self, "_span", total)
-        return total
+        return subspace_sum(self.points)
 
     @staticmethod
     def of(points: Sequence[Subspace]) -> "Configuration":
@@ -227,31 +245,7 @@ def complement(v: Subspace) -> Subspace:
     """
     if v.k == v.n:
         raise FullSpaceError("the full space has no complement")
-    return Subspace(v.n, v.n - v.k, Matrix.unit_rows(_free_columns(v), v.n))
-
-
-def _free_columns(v: Subspace) -> list[int]:
-    """The non-pivot columns of v's RREF basis; none for the full space."""
-    return sorted(set(range(v.n)).difference(v.pivots()))
-
-
-# (P, F, L, C) of an RREF basis A = W / L at one common scale L: its pivot
-# columns, its free columns, L, and C[j] the column F[j] of W, which
-# determine the null basis of A
-PivotSplit = tuple[tuple[int, ...], tuple[int, ...], int, tuple[tuple[GInt, ...], ...]]
-
-
-def _pivot_split(along: Subspace) -> PivotSplit:
-    """The PivotSplit of along's RREF basis, computed on first read and
-    kept beside the fields, as the pivots are; it is all tuples, so the
-    shared split cannot be mutated."""
-    split = along.__dict__.get("_split")
-    if split is None:
-        scale, ints = linalg._common_scale(along.basis.zrows)
-        free = tuple(_free_columns(along))
-        split = along.pivots(), free, scale, tuple(tuple(row[f] for row in ints) for f in free)
-        object.__setattr__(along, "_split", split)
-    return split
+    return Subspace(v.n, v.n - v.k, Matrix.unit_rows(v._pivot_split.free, v.n))
 
 
 def _kernel_block(u: Sequence[GInt], split: PivotSplit) -> list[GInt]:
@@ -282,12 +276,12 @@ def _solve_along(
     meets A's, if A's nonzero vectors are nonzero at the columns (all of
     them, or A's pivots): x·N = 0 exactly for x in A's span, so
     y·Y·N = 0 with y != 0 leaves y·Y[:, columns] != 0 out of reach."""
-    scale = split[2]
+    scale = split.scale
     grid = [
         _kernel_block(u, split) + [(scale * u[c][0], scale * u[c][1]) for c in columns]
         for u in rows
     ]
-    return linalg._solve_rows(grid, len(split[1]), len(columns))
+    return linalg._solve_rows(grid, len(split.free), len(columns))
 
 
 class _Projection(NamedTuple):
@@ -327,7 +321,7 @@ def _projection_solve(target: Subspace, along: Subspace) -> _Projection:
     minus = target.k > along.k
     if minus:
         target, along = along, target
-    split = _pivot_split(along)
+    split = along._pivot_split
     try:
         z = _solve_along(linalg._integer_rows(target.basis), split, range(target.n)).zrows
     except InconsistentSystemError:
@@ -345,7 +339,7 @@ def _project(zrows: Sequence[ZRow], proj: _Projection) -> list[ZRow]:
     row equals the product row x @ P; no n x n matrix is built.
     """
     split, big, z_cols, minus = proj
-    den = split[2] * big
+    den = split.scale * big
     out = []
     for s, u in zrows:
         block = _kernel_block(u, split)
@@ -439,7 +433,10 @@ def random_invertible(n: int, rng: random.Random) -> Matrix:
 
 
 def sample_subspace(k: int, n: int, seed: SeedLike) -> Subspace:
-    """A seeded random point of Gr(k, n)."""
+    """A seeded random point of Gr(k, n).  Every draw of rank below k is
+    redrawn, so k and n are checked before the first draw."""
+    if not 0 < k <= n:
+        raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
     rng = random.Random(f"subspace:{k}:{n}:{seed}")
     while True:
         reduced, rk, _ = linalg.rref(random_matrix(k, n, rng))

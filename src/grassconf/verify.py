@@ -278,12 +278,12 @@ def _chart_tangent(c: Configuration) -> Matrix:
     h, k, n = c.h, c.k, c.n
     total = c.span
     i = total.k
-    outer_dirs = Matrix.unit_rows(grassmann._free_columns(total), n)
+    outer_dirs = Matrix.unit_rows(total._pivot_split.free, n)
     outer, inner = [], []
     for j, p in enumerate(c.points):
-        free = grassmann._free_columns(p)
+        free = p._pivot_split.free
         coeff = p.basis.columns(total.pivots())
-        inner_dirs = Matrix.unit_rows(grassmann._free_columns(Subspace(i, k, coeff)), i)
+        inner_dirs = Matrix.unit_rows(Subspace(i, k, coeff)._pivot_split.free, i)
         block = Matrix.unit_rows([j], h)
         outer.append(_kron(block, _kron(coeff.transpose(), outer_dirs.columns(free))))
         inner.append(_kron(block, _kron(Matrix.identity(k), (inner_dirs @ total.basis).columns(free))))
@@ -377,9 +377,9 @@ def _raise_stratum(
     m = target_i - total.k
     rows = [row for p in points for _, row in p.basis.zrows]
     tilted = [r for r in range(len(rows)) if r not in kept][:m]
-    split = grassmann._pivot_split(total)
+    split = total._pivot_split
     directions: dict[int, list[list[GInt]]] = {}
-    for r, fresh in zip(tilted, split[1]):
+    for r, fresh in zip(tilted, split.free):
         m_idx, slot = divmod(r, k)
         direction = directions.setdefault(m_idx, [[(0, 0)] * n for _ in range(k)])
         direction[slot][fresh] = (1, 0)

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -195,6 +197,30 @@ def test_projection_mixed_ambient():
 def test_sample_subspace_deterministic():
     assert sample_subspace(2, 5, 7) == sample_subspace(2, 5, 7)
     assert sample_subspace(2, 5, 7) != sample_subspace(2, 5, 8)
+
+
+def test_sample_subspace_refuses_k_outside_1_to_n():
+    # every draw for k > n or n < 1 has rank below k, so a sampler that
+    # redrew it would never return; a fresh interpreter keeps a hang from
+    # holding the suite
+    script = (
+        "import json\n"
+        "from grassconf.grassmann import sample_subspace\n"
+        "out = []\n"
+        "for k, n in [(4, 3), (2, -1), (0, 3)]:\n"
+        "    try:\n"
+        "        sample_subspace(k, n, 0)\n"
+        "    except ValueError as exc:\n"
+        "        out.append(str(exc))\n"
+        "print(json.dumps(out))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        "need 0 < k <= n, got k=4, n=3",
+        "need 0 < k <= n, got k=2, n=-1",
+        "need 0 < k <= n, got k=0, n=3",
+    ]
 
 
 # --- fibrations ---------------------------------------------------------------

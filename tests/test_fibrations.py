@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -165,6 +167,29 @@ def test_chart_record_takes_no_projector(monkeypatch):
     assert calls == ["elimination"]
     assert Trivialization(v0, l0).projector == p
     assert calls == ["elimination"] * 2
+
+
+def test_reading_the_projector_changes_no_value_of_the_record(monkeypatch):
+    # the projector is built on first read and kept beside the fields, so
+    # a chart that read it equals, hashes and prints as one that did not
+    built = []
+
+    def counted(proj, _real=grassmann._projection_matrix):
+        built.append(proj)
+        return _real(proj)
+    monkeypatch.setattr(grassmann, "_projection_matrix", counted)
+    v0 = sample_subspace(2, 5, "projector record")
+    read, fresh = Trivialization.over(v0), Trivialization.over(v0)
+    p = read.projector
+    assert read.projector is p
+    assert len(built) == 1
+    copies = [copy.copy(read), copy.deepcopy(read), pickle.loads(pickle.dumps(read))]
+    for triv in [read] + copies:
+        assert triv == fresh
+        assert hash(triv) == hash(fresh)
+        assert repr(triv) == repr(fresh)
+        assert triv.projector == p
+    assert len(built) == 1
 
 
 def test_chart_projector_is_the_projection_onto_the_base_point_along_the_complement():
@@ -451,7 +476,7 @@ def test_roundtrip_builds_no_projection_matrix(monkeypatch, which):
         built.append("projection_along")
         return _real(target, complement)
 
-    def projector(triv, _real=Trivialization.projector.fget):
+    def projector(triv, _real=Trivialization.projector.func):
         built.append("projector")
         return _real(triv)
     monkeypatch.setattr(grassmann, "projection_along", along)

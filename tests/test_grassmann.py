@@ -704,17 +704,17 @@ def test_pivot_split_is_computed_once_and_kept():
     for n in range(1, 8):
         for k in range(1, n + 1):
             v = sample_subspace(k, n, f"split:{n}")
-            split = grassmann._pivot_split(v)
-            assert grassmann._pivot_split(v) is split
+            split = v._pivot_split
+            assert v._pivot_split is split
             scale, ints = linalg._common_scale(v.basis.zrows)
             free = tuple(c for c in range(n) if c not in v.pivots())
             assert split == (v.pivots(), free, scale, tuple(tuple(row[f] for row in ints) for f in free))
-            assert all(isinstance(part, tuple) for part in (split[1], split[3], *split[3]))
+            assert all(isinstance(part, tuple) for part in (split.free, split.cols, *split.cols))
             fresh = Subspace(n, k, v.basis)
             assert fresh == v and hash(fresh) == hash(v) and repr(fresh) == repr(v)
-            assert grassmann._pivot_split(fresh) == split
+            assert fresh._pivot_split == split
             twin = pickle.loads(pickle.dumps(v))
-            assert twin == v and grassmann._pivot_split(twin) == split
+            assert twin == v and twin._pivot_split == split
 
 
 def test_transform_preserves_stratum():
